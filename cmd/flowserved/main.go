@@ -5,7 +5,8 @@
 // flowwire.Client) look up, insert, update and delete flows through
 // versioned length-prefixed frames; the server coalesces pipelined lookup
 // frames into shard-grouped batch lookups. The wire protocol and runtime
-// are identical on every transport.
+// are identical on every transport: one goroutine per connection reads a
+// burst of frames, serves it and writes the replies.
 //
 // Usage:
 //
@@ -25,12 +26,9 @@
 //	flowserved -endpoint tcp://10.0.0.1:7411 \
 //	           -cluster tcp://10.0.0.1:7411,tcp://10.0.0.2:7411,tcp://10.0.0.3:7411
 //
-// The legacy -transport/-listen flag pair still works as a shim for the
-// endpoint form.
-//
 // On SIGTERM/SIGINT the server drains gracefully: it stops accepting
-// connections, unblocks idle readers, answers every frame already accepted,
-// then prints the drain ledger and final counters. The exit status is 0 only
+// connections, wakes idle ones, answers every frame already accepted, then
+// prints the drain ledger and final counters. The exit status is 0 only
 // when the drain was clean and no accepted frame went unanswered, so a
 // supervisor (or CI) gating on the exit code gets the zero-loss guarantee.
 package main
@@ -52,27 +50,17 @@ import (
 
 func main() {
 	var (
-		endpoint     = flag.String("endpoint", "", `serving endpoint: tcp://host:port, unix:///path or shm:///path (wins over -transport/-listen)`)
+		endpoint     = flag.String("endpoint", "tcp://127.0.0.1:7411", "serving endpoint: tcp://host:port, unix:///path or shm:///path")
 		cluster      = flag.String("cluster", "", "comma-separated cluster endpoint list (must include -endpoint); enables cluster mode")
-		listen       = flag.String("listen", "127.0.0.1:7411", `deprecated: listen address (use -endpoint)`)
-		tport        = flag.String("transport", flowwire.TransportTCP, `deprecated: transport for -listen (use -endpoint)`)
 		shards       = flag.Int("shards", 4, "shard count (power of two)")
 		entries      = flag.Uint64("entries", 1<<20, "total table capacity in entries")
 		keyLen       = flag.Int("keylen", packet.HeaderKeyLen, "fixed key length in bytes")
-		window       = flag.Int("window", 0, "per-connection in-flight frame window (0 = default)")
-		coalesce     = flag.Int("coalesce", 0, "max pipelined lookup frames coalesced per batch (0 = default)")
 		idleTimeout  = flag.Duration("idle-timeout", 0, "per-connection idle read timeout (0 = default)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight work on SIGTERM")
 	)
 	flag.Parse()
 
-	// Resolve the serving endpoint: -endpoint wins; otherwise the legacy
-	// -transport/-listen pair is folded into one.
-	spec := *endpoint
-	if spec == "" {
-		spec = *listen
-	}
-	ep, err := flowwire.ParseEndpointDefault(spec, *tport)
+	ep, err := flowwire.ParseEndpoint(*endpoint)
 	if err != nil {
 		fatalf("-endpoint: %v", err)
 	}
@@ -92,12 +80,10 @@ func main() {
 		fatalf("table: %v", err)
 	}
 	srv, err := flowwire.NewServer(flowwire.Config{
-		Table:          tbl,
-		Window:         *window,
-		CoalesceFrames: *coalesce,
-		IdleTimeout:    *idleTimeout,
-		Self:           ep,
-		Cluster:        clusterEps,
+		Table:       tbl,
+		IdleTimeout: *idleTimeout,
+		Self:        ep,
+		Cluster:     clusterEps,
 	})
 	if err != nil {
 		fatalf("server: %v", err)

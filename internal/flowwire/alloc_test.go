@@ -105,7 +105,7 @@ func benchLoopbackLookupMany(b *testing.B, transport string) {
 			b.Fatal(err)
 		}
 	}
-	cl := dialTest(b, addr, Options{Transport: transport})
+	cl := dialTest(b, addr, Options{})
 	results := make([]flowserve.Result, batch)
 	if hits := cl.LookupMany(keys, results); hits != batch {
 		b.Fatalf("warmup hits = %d", hits)

@@ -30,18 +30,8 @@ var (
 	ErrCallTimeout = errors.New("flowwire: call timed out")
 )
 
-// Options parametrises Dial. The zero value works.
+// Options parametrises DialEndpoint. The zero value works.
 type Options struct {
-	// Transport selects the connection transport: TransportTCP (default),
-	// or TransportUnix / TransportShm, in which case the address is a
-	// filesystem path. The protocol and every client behavior are
-	// transport-independent.
-	//
-	// Deprecated: dial a parsed Endpoint with DialEndpoint instead, which
-	// carries the transport and address in one value. This field is kept as
-	// a shim for split (transport, addr) callers and is ignored by
-	// DialEndpoint.
-	Transport string
 	// Conns is the connection-pool size (default 1). Calls round-robin
 	// across the pool; concurrent calls on one connection pipeline —
 	// each is tagged with a reqID and matched to its reply, so many
@@ -58,9 +48,6 @@ type Options struct {
 }
 
 func (o *Options) applyDefaults() {
-	if o.Transport == "" {
-		o.Transport = TransportTCP
-	}
 	if o.Conns <= 0 {
 		o.Conns = 1
 	}
@@ -175,36 +162,18 @@ type cliConn struct {
 	deadErr error
 }
 
-// Dial connects a pool of opts.Conns connections to a flowserved at addr
-// (over opts.Transport) and performs the HELLO handshake to learn the
-// table geometry.
-//
-// Deprecated: new callers should parse a flowwire.Endpoint and use
-// DialEndpoint; this split (Options.Transport, addr) form is kept as a
-// shim for existing call sites.
-func Dial(addr string, opts Options) (*Client, error) {
-	ep, err := ParseEndpointDefault(addr, opts.Transport)
-	if err != nil {
-		return nil, err
-	}
-	return DialEndpoint(ep, opts)
-}
-
 // DialEndpoint connects a pool of opts.Conns connections to the flowserved
-// at ep (whose transport overrides Options.Transport) and performs the
-// HELLO handshake to learn the table geometry — and, on a cluster node, the
-// node's shard-map epoch and identity.
+// at ep and performs the HELLO handshake to learn the table geometry — and,
+// on a cluster node, the node's shard-map epoch and identity.
 func DialEndpoint(ep Endpoint, opts Options) (*Client, error) {
-	opts.Transport = ep.Transport
-	addr := ep.Addr
 	opts.applyDefaults()
 	cl := &Client{opts: opts, ep: ep}
 	cl.calls.New = func() any { return &pcall{ch: make(chan Frame, 1)} }
 	for i := 0; i < opts.Conns; i++ {
-		nc, err := dialTransport(opts.Transport, addr, opts.DialTimeout)
+		nc, err := dialTransport(ep, opts.DialTimeout)
 		if err != nil {
 			cl.Close()
-			return nil, fmt.Errorf("flowwire: dial %s %s: %w", opts.Transport, addr, err)
+			return nil, fmt.Errorf("flowwire: dial %s: %w", ep, err)
 		}
 		c := &cliConn{cl: cl, nc: nc, bw: bufio.NewWriterSize(nc, 64<<10), pending: make(map[uint64]*pcall)}
 		cl.conns = append(cl.conns, c)
@@ -720,9 +689,8 @@ func (cl *Client) Delete(key []byte) bool {
 
 // StatsSnapshot fetches the server's stats as a typed stats.Snapshot —
 // counters (flowwire.* and flowserve.* names) plus histograms — via the
-// STATS op. This is the primary stats surface: the cluster router merges
-// per-node snapshots into its rollup with stats.Snapshot.Merge, the same
-// code path CollectInto feeds.
+// STATS op. The cluster router merges per-node snapshots into its rollup
+// with stats.Snapshot.Merge, the same code path CollectInto feeds.
 func (cl *Client) StatsSnapshot() (*stats.Snapshot, error) {
 	pc, f, err := cl.call(OpStats, nil)
 	if err != nil {
@@ -737,22 +705,6 @@ func (cl *Client) StatsSnapshot() (*stats.Snapshot, error) {
 		return nil, fmt.Errorf("flowwire: STATS payload: %w", err)
 	}
 	return snap, nil
-}
-
-// Stats fetches the server's counter snapshot as a flat name→value map.
-//
-// Deprecated: use StatsSnapshot, which also carries histograms and merges
-// into a stats.Snapshot rollup; this map form is re-expressed on top of it.
-func (cl *Client) Stats() (map[string]uint64, error) {
-	snap, err := cl.StatsSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	counters := make(map[string]uint64, len(snap.Counters))
-	for name, v := range snap.Counters {
-		counters[name] = v
-	}
-	return counters, nil
 }
 
 // FetchShardMap fetches the node's installed shard map via the SHARD_MAP op.

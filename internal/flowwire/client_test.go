@@ -18,7 +18,7 @@ import (
 // Lookup replies carry value = first key byte, so a caller can prove the
 // reply it got belongs to its own request and not to an earlier timed-out
 // one.
-func slowLookupServer(t *testing.T, slow int, delay time.Duration) string {
+func slowLookupServer(t *testing.T, slow int, delay time.Duration) Endpoint {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -64,7 +64,7 @@ func slowLookupServer(t *testing.T, slow int, delay time.Duration) string {
 			}
 		}
 	}()
-	return ln.Addr().String()
+	return Endpoint{Transport: TransportTCP, Addr: ln.Addr().String()}
 }
 
 // TestLateReplyAfterTimeout pins the readLoop/timeout race: a reply that
@@ -73,9 +73,9 @@ func slowLookupServer(t *testing.T, slow int, delay time.Duration) string {
 // later caller — the later caller gets its own reply, matched by reqID.
 func TestLateReplyAfterTimeout(t *testing.T) {
 	addr := slowLookupServer(t, 1, 400*time.Millisecond)
-	cl, err := Dial(addr, Options{CallTimeout: 60 * time.Millisecond})
+	cl, err := DialEndpoint(addr, Options{CallTimeout: 60 * time.Millisecond})
 	if err != nil {
-		t.Fatalf("Dial: %v", err)
+		t.Fatalf("DialEndpoint: %v", err)
 	}
 	defer cl.Close()
 
@@ -146,12 +146,12 @@ func TestWriteErrorMarksConnDead(t *testing.T) {
 		}
 		accepted <- nc
 	}()
-	cl, err := Dial(ln.Addr().String(), Options{
+	cl, err := DialEndpoint(Endpoint{Transport: TransportTCP, Addr: ln.Addr().String()}, Options{
 		WriteTimeout: 50 * time.Millisecond,
 		CallTimeout:  200 * time.Millisecond,
 	})
 	if err != nil {
-		t.Fatalf("Dial: %v", err)
+		t.Fatalf("DialEndpoint: %v", err)
 	}
 	defer cl.Close()
 	defer func() {

@@ -19,7 +19,7 @@ import (
 func TestGracefulDrainCompletesInFlight(t *testing.T) {
 	srv, tbl, addr := startServer(t,
 		flowserve.Config{Shards: 4, Entries: 8192, KeyLen: 20},
-		Config{Window: 32})
+		Config{})
 	const n = 4000
 	for i := uint64(0); i < n; i++ {
 		if err := tbl.Insert(wkey(i), i*3+1); err != nil {
@@ -107,7 +107,7 @@ func TestGracefulDrainCompletesInFlight(t *testing.T) {
 		succeeded.Load(), failed.Load(), report)
 
 	// The drained server accepts nothing new.
-	if _, err := Dial(addr, Options{DialTimeout: 200 * time.Millisecond}); err == nil {
+	if _, err := DialEndpoint(addr, Options{DialTimeout: 200 * time.Millisecond}); err == nil {
 		t.Fatal("drained server accepted a new connection")
 	}
 }

@@ -2,18 +2,15 @@ package flowwire
 
 import (
 	"fmt"
-	"net"
 	"strings"
 
 	"halo/internal/listflag"
 )
 
 // Endpoint is one parsed serving address: a transport plus the address the
-// transport understands. It replaces the parallel (transport, addr) string
-// pairs that used to travel separately through Listen, Dial,
-// Options.Transport and the -transport/-addr flag pairs — one value now
-// carries both halves, so a heterogeneous endpoint list (a TCP node next to
-// a unix-socket node next to an shm node) is just []Endpoint.
+// transport understands. One value carries both halves, so a heterogeneous
+// endpoint list (a TCP node next to a unix-socket node next to an shm node)
+// is just []Endpoint.
 //
 // The canonical text form is a URL-ish scheme prefix:
 //
@@ -21,8 +18,7 @@ import (
 //	unix:///path.sock    unix-domain stream socket
 //	shm:///path.sock     shared-memory rings (path brokers the handshake)
 //
-// A bare "host:port" (no scheme) parses as TCP for compatibility with the
-// historical flag form.
+// A bare "host:port" (no scheme) parses as TCP.
 type Endpoint struct {
 	Transport string // TransportTCP, TransportUnix or TransportShm
 	Addr      string // "host:port" for tcp; a filesystem path otherwise
@@ -40,17 +36,10 @@ func (e Endpoint) IsZero() bool { return e.Transport == "" && e.Addr == "" }
 // ParseEndpoint parses the canonical endpoint form. A bare address with no
 // scheme defaults to tcp.
 func ParseEndpoint(s string) (Endpoint, error) {
-	return ParseEndpointDefault(s, TransportTCP)
-}
-
-// ParseEndpointDefault parses an endpoint, defaulting a schemeless address
-// to the given transport — the shim path for callers still carrying a
-// separate -transport flag next to a bare address.
-func ParseEndpointDefault(s, defaultTransport string) (Endpoint, error) {
 	if s == "" {
 		return Endpoint{}, fmt.Errorf("flowwire: empty endpoint")
 	}
-	transport := defaultTransport
+	transport := TransportTCP
 	addr := s
 	if i := strings.Index(s, "://"); i >= 0 {
 		transport = s[:i]
@@ -110,10 +99,4 @@ func EndpointList(eps []Endpoint) string {
 		parts[i] = ep.String()
 	}
 	return strings.Join(parts, ",")
-}
-
-// ListenEndpoint opens a listener on a parsed endpoint — the primary listen
-// API; Listen(transport, addr) remains as a thin shim.
-func ListenEndpoint(ep Endpoint) (net.Listener, error) {
-	return Listen(ep.Transport, ep.Addr)
 }

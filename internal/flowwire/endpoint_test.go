@@ -32,19 +32,14 @@ func TestParseEndpoint(t *testing.T) {
 	}
 }
 
-func TestParseEndpointDefault(t *testing.T) {
-	got, err := ParseEndpointDefault("127.0.0.1:7070", TransportTCP)
+// TestParseEndpointBareAddress pins the one default: no scheme means tcp.
+func TestParseEndpointBareAddress(t *testing.T) {
+	got, err := ParseEndpoint("127.0.0.1:7070")
 	if err != nil || got != (Endpoint{TransportTCP, "127.0.0.1:7070"}) {
 		t.Fatalf("bare addr = %+v, %v", got, err)
 	}
-	got, err = ParseEndpointDefault("/tmp/x.sock", TransportUnix)
-	if err != nil || got != (Endpoint{TransportUnix, "/tmp/x.sock"}) {
-		t.Fatalf("bare path = %+v, %v", got, err)
-	}
-	// An explicit scheme wins over the default.
-	got, err = ParseEndpointDefault("unix:///tmp/x.sock", TransportTCP)
-	if err != nil || got != (Endpoint{TransportUnix, "/tmp/x.sock"}) {
-		t.Fatalf("scheme over default = %+v, %v", got, err)
+	if _, err := ParseEndpoint("/tmp/x.sock"); err == nil {
+		t.Fatal("a bare path parsed; path transports need their scheme")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -30,22 +29,12 @@ type Config struct {
 	// DefaultMaxFrame). Longer frames earn StatusErrOversized and a close.
 	MaxFrame uint32
 
-	// Window is the per-connection in-flight request budget (default 64).
-	// When a client has Window requests parsed but unanswered, the server
-	// stops reading its socket — backpressure propagates through TCP
-	// instead of growing an unbounded queue.
-	Window int
-
-	// CoalesceFrames caps how many queued LOOKUP/LOOKUP_MANY frames are
-	// merged into one Batch.LookupMany call (default 8). Coalescing never
-	// crosses a mutation: per-connection FIFO semantics are preserved.
-	CoalesceFrames int
-
-	// IdleTimeout is the read deadline between frames (default 2m). A
+	// IdleTimeout bounds each wait for a client's next frame (default 2m). A
 	// connection idle longer is closed.
 	IdleTimeout time.Duration
 
-	// WriteTimeout bounds each reply flush (default 30s).
+	// WriteTimeout bounds each write of replies to the connection (default
+	// 30s). A client that stops reading for that long is disconnected.
 	WriteTimeout time.Duration
 
 	// Self is this node's advertised endpoint in a cluster (the one other
@@ -71,12 +60,6 @@ func (cfg *Config) applyDefaults() error {
 	if cfg.MaxFrame < headerSize {
 		return fmt.Errorf("flowwire: MaxFrame %d smaller than the %d-byte header", cfg.MaxFrame, headerSize)
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 64
-	}
-	if cfg.CoalesceFrames <= 0 {
-		cfg.CoalesceFrames = 8
-	}
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 2 * time.Minute
 	}
@@ -90,8 +73,9 @@ func (cfg *Config) applyDefaults() error {
 // flowwire.* by CollectInto. framesAccepted counts fully parsed frames
 // (including unknown-op frames, which get typed replies); framesRejected
 // counts protocol violations answered with a typed error reply before the
-// connection closes. In a clean run repliesWritten equals their sum — the
-// zero-loss invariant flowserved asserts at drain.
+// connection closes; repliesWritten counts replies flushed to the
+// connection. In a clean run repliesWritten equals their sum — the zero-loss
+// invariant flowserved asserts at drain.
 type serverCounters struct {
 	connsAccepted  atomic.Uint64
 	connsClosed    atomic.Uint64
@@ -105,8 +89,8 @@ type serverCounters struct {
 }
 
 // Server serves a flowserve table over the wire protocol. Create with
-// NewServer, run with Serve/ListenAndServe, stop with Drain (graceful) or
-// Close (abrupt).
+// NewServer, run with Serve/ListenAndServeEndpoint, stop with Drain
+// (graceful) or Close (abrupt).
 type Server struct {
 	cfg Config
 
@@ -120,8 +104,12 @@ type Server struct {
 	// standalone server, which keeps the hot paths cluster-free.
 	cl *cluster
 
-	connWG sync.WaitGroup // one per live connection handler
+	connWG sync.WaitGroup // one per live connection
 	c      serverCounters
+
+	// hookGated, when set by a test, runs in serveLookups between the
+	// ownership gate and the table probe.
+	hookGated func()
 }
 
 // NewServer validates cfg and builds a server.
@@ -149,22 +137,10 @@ func (s *Server) clusterMap() *ShardMap {
 	return s.cl.m.Load()
 }
 
-// ListenAndServe listens on a TCP addr ("host:port") and calls Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	return s.ListenAndServeEndpoint(Endpoint{Transport: TransportTCP, Addr: addr})
-}
-
-// ListenAndServeOn listens on the named transport and calls Serve.
-//
-// Deprecated: use ListenAndServeEndpoint with a parsed Endpoint.
-func (s *Server) ListenAndServeOn(transport, addr string) error {
-	return s.ListenAndServeEndpoint(Endpoint{Transport: transport, Addr: addr})
-}
-
 // ListenAndServeEndpoint listens on a parsed endpoint — tcp://host:port,
 // unix:///path or shm:///path — and calls Serve. The server runtime is
-// transport-agnostic: every connection runs the same
-// reader→processor→writer pipeline whatever net.Listener accepted it.
+// transport-agnostic: every connection runs the same loop whatever
+// net.Listener accepted it.
 func (s *Server) ListenAndServeEndpoint(ep Endpoint) error {
 	ln, err := ListenEndpoint(ep)
 	if err != nil {
@@ -205,7 +181,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.conns[c] = struct{}{}
 		s.connWG.Add(1)
 		s.mu.Unlock()
-		go c.handle()
+		go c.serve()
 	}
 }
 
@@ -246,9 +222,9 @@ func (r DrainReport) Lost() uint64 {
 	return owed - r.RepliesWritten
 }
 
-// Drain is the SIGTERM path: stop accepting, stop reading new frames, let
-// every already-parsed request complete and flush, then close. Connections
-// still busy after timeout are force-closed (report.Clean = false).
+// Drain is the SIGTERM path: stop accepting, then let every connection
+// finish the burst it has read, flush and close. Connections still busy
+// after timeout are force-closed (report.Clean = false).
 func (s *Server) Drain(timeout time.Duration) DrainReport {
 	s.mu.Lock()
 	if !s.draining.Swap(true) {
@@ -262,8 +238,8 @@ func (s *Server) Drain(timeout time.Duration) DrainReport {
 	}
 	s.mu.Unlock()
 
-	// Unblock readers parked in ReadFrame; they observe draining and exit
-	// without consuming further frames.
+	// Unblock connections waiting for a frame; they observe draining and
+	// exit without reading another.
 	for _, c := range open {
 		c.nc.SetReadDeadline(time.Now())
 	}
@@ -325,35 +301,34 @@ func (s *Server) CollectInto(snap *stats.Snapshot) {
 	s.cfg.Table.CollectInto(snap)
 }
 
-// request is one parsed frame travelling reader → processor. A non-OK
-// errStatus short-circuits processing into a typed error reply. payload
-// aliases fb's pooled buffer; the processor releases fb once the request's
-// reply has been emitted (fb is nil for payload-less error requests).
-type request struct {
-	op        Op
-	errStatus Status
-	reqID     uint64
-	payload   []byte
-	fb        *frameBuf
-}
+// maxBurst caps how many frames one pass of the connection loop reads before
+// serving them. It bounds the connection's scratch (one payload buffer per
+// slot) and the size of one coalesced Batch.LookupMany; a deeper pipeline is
+// served in several passes.
+const maxBurst = 32
 
-// srvConn is one connection's pipeline: the reader (run by handle) parses
-// frames into reqCh; the processor serves them against the table, coalescing
-// read bursts, into repCh; the writer flushes encoded replies. reqCh's
-// capacity is the in-flight window — a full window blocks the reader, which
-// stops draining the socket, which backpressures the client through TCP.
+// srvConn is one connection, served start to finish by one goroutine: read a
+// burst of frames, serve them in arrival order, encode the replies into the
+// buffered writer, flush once nothing more is buffered, repeat. The loop does
+// not read while it writes, so a client that stops reading its replies stalls
+// in its own send buffer — backpressure is the transport's.
 type srvConn struct {
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader
 	bw  *bufio.Writer
 
-	reqCh chan request
-	repCh chan *frameBuf
+	// The current burst: frames[i].Payload aliases bufs[i] until the next
+	// burst is read.
+	frames [maxBurst]Frame
+	bufs   [maxBurst][]byte
 
-	// processor scratch: conn-owned, reused across coalesced groups.
+	out       []byte // reply encode scratch
+	unflushed uint64 // replies sitting in bw, not yet counted as written
+	dead      bool   // a write failed: the peer is gone
+
+	// Lookup scratch, reused across coalesced runs.
 	batch    *flowserve.Batch
-	group    []request
 	keys     [][]byte
 	nkeys    []int
 	results  []flowserve.Result
@@ -366,27 +341,45 @@ func newSrvConn(s *Server, nc net.Conn) *srvConn {
 		nc:    nc,
 		br:    bufio.NewReaderSize(nc, 64<<10),
 		bw:    bufio.NewWriterSize(nc, 64<<10),
-		reqCh: make(chan request, s.cfg.Window),
-		repCh: make(chan *frameBuf, s.cfg.Window),
 		batch: s.cfg.Table.NewBatch(),
 	}
 }
 
-// handle runs the connection to completion: reader inline, processor and
-// writer as goroutines, shutdown strictly downstream (reader exit closes
-// reqCh; processor drains it and closes repCh; writer drains, flushes and
-// is the last out).
-func (c *srvConn) handle() {
+// serve runs the connection to completion. Every exit — EOF, idle timeout,
+// protocol violation, write failure, drain — leaves through the same door:
+// the burst in hand is served, its replies are flushed, the socket closes.
+func (c *srvConn) serve() {
 	defer c.srv.connWG.Done()
-	procDone := make(chan struct{})
-	writeDone := make(chan struct{})
-	go func() { defer close(procDone); c.process() }()
-	go func() { defer close(writeDone); c.write() }()
-
-	c.read()
-	close(c.reqCh)
-	<-procDone
-	<-writeDone
+	for !c.dead {
+		if !c.frameBuffered() {
+			// The next read may block, so what has been served goes out first.
+			if !c.flush() {
+				break
+			}
+			// Deadline first, draining second: Drain sets the flag and then
+			// pulls the deadline in to now. Whichever way the two interleave,
+			// either the check below sees the flag or the read sees Drain's
+			// deadline; the other order could overwrite it and sleep through
+			// the drain.
+			c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.IdleTimeout))
+		}
+		if c.srv.draining.Load() {
+			break
+		}
+		n, err := c.readBurst()
+		c.srv.c.framesAccepted.Add(uint64(n))
+		c.serveBurst(c.frames[:n])
+		if err != nil {
+			// A protocol violation earns its typed reply, behind the replies
+			// to the frames before it; framing is unrecoverable, so close.
+			if st := rejectStatus(err); st != StatusOK {
+				c.srv.c.framesRejected.Add(1)
+				c.reply(c.frames[n].Op, st, c.frames[n].ReqID, nil)
+			}
+			break
+		}
+	}
+	c.flush()
 	c.nc.Close()
 
 	c.srv.mu.Lock()
@@ -395,161 +388,108 @@ func (c *srvConn) handle() {
 	c.srv.c.connsClosed.Add(1)
 }
 
-// read parses frames until error, EOF or drain. Protocol violations become
-// a final typed-error request (counted rejected) and stop the loop; the
-// reply still flows through the ordered pipeline before the close.
-func (c *srvConn) read() {
-	var f Frame
-	for {
-		if c.srv.draining.Load() {
-			return
-		}
-		c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.IdleTimeout))
-		// Each in-flight frame's payload lives in a pooled buffer (the
-		// window holds several at once while coalescing); the processor
-		// releases it after the frame's reply is emitted.
-		fb := getFrameBuf()
-		var err error
-		fb.b, err = ReadFrameInto(c.br, c.srv.cfg.MaxFrame, &f, fb.b)
+// frameBuffered reports whether the next frame is whole in the read buffer,
+// so reading it cannot block. (A length prefix that ReadFrameHeader will
+// refuse may report false; the refusal needs only the prefix, so that read
+// does not block either.)
+func (c *srvConn) frameBuffered() bool {
+	buffered := c.br.Buffered()
+	if buffered < lenSize {
+		return false
+	}
+	prefix, _ := c.br.Peek(lenSize)
+	return uint64(buffered) >= lenSize+uint64(binary.LittleEndian.Uint32(prefix))
+}
+
+// readBurst blocks for one frame, then takes every further frame that is
+// already whole in the read buffer, up to maxBurst. It returns how many
+// well-formed frames it read and the error that ended the burst, if any; on
+// a header error c.frames[n] holds whatever of the offender was decoded.
+func (c *srvConn) readBurst() (n int, err error) {
+	for n < maxBurst && (n == 0 || c.frameBuffered()) {
+		c.bufs[n], err = ReadFrameInto(c.br, c.srv.cfg.MaxFrame, &c.frames[n], c.bufs[n])
 		if err != nil {
-			putFrameBuf(fb)
-			if err == io.EOF || c.srv.draining.Load() {
-				return // clean close, or drain unblocked the read
-			}
-			var st Status
-			switch {
-			case errors.Is(err, ErrFrameTooLarge):
-				st = StatusErrOversized
-			case errors.Is(err, ErrBadVersion):
-				st = StatusErrVersion
-			case errors.Is(err, ErrShortFrame), errors.Is(err, ErrBadReserved):
-				st = StatusErrMalformed
-			default:
-				// Timeout, transport error, or a short read (the peer died
-				// mid-frame): no one is listening, close without a reply.
-				return
-			}
-			c.srv.c.framesRejected.Add(1)
-			c.reqCh <- request{op: f.Op, errStatus: st, reqID: f.ReqID}
-			return
+			return n, err
 		}
-		req := request{op: f.Op, reqID: f.ReqID, payload: f.Payload, fb: fb}
-		switch f.Op {
-		case OpHello, OpLookup, OpLookupMany, OpInsert, OpUpdate, OpDelete, OpStats,
-			OpShardMap, OpMapUpdate, OpMigStart, OpMigStatus, OpMigApply:
-		default:
-			req.errStatus = StatusErrOp
+		n++
+	}
+	return n, nil
+}
+
+// rejectStatus maps a frame-read error to the typed reply it earns, or
+// StatusOK for none: EOF, a timeout, a transport error or a peer that died
+// mid-frame leave nobody to read one.
+func rejectStatus(err error) Status {
+	switch {
+	case errors.Is(err, ErrFrameTooLarge):
+		return StatusErrOversized
+	case errors.Is(err, ErrBadVersion):
+		return StatusErrVersion
+	case errors.Is(err, ErrShortFrame), errors.Is(err, ErrBadReserved):
+		return StatusErrMalformed
+	}
+	return StatusOK
+}
+
+func isLookup(op Op) bool { return op == OpLookup || op == OpLookupMany }
+
+// serveBurst answers frames in arrival order. A run of consecutive
+// LOOKUP/LOOKUP_MANY frames shares one Batch.LookupMany; anything else ends
+// the run and is served after it, so per-connection FIFO semantics hold.
+func (c *srvConn) serveBurst(frames []Frame) {
+	for i := 0; i < len(frames); {
+		if !isLookup(frames[i].Op) {
+			c.serveOne(&frames[i])
+			i++
+			continue
 		}
-		c.srv.c.framesAccepted.Add(1)
-		c.reqCh <- req
+		j := i + 1
+		for j < len(frames) && isLookup(frames[j].Op) {
+			j++
+		}
+		c.serveLookups(frames[i:j])
+		i = j
 	}
 }
 
-// process serves requests in arrival order. Runs of LOOKUP/LOOKUP_MANY
-// frames already sitting in the window are coalesced into one
-// Batch.LookupMany; a mutation (or the window running dry) ends the run, so
-// FIFO semantics hold.
-func (c *srvConn) process() {
-	defer close(c.repCh)
-	var held request
-	hasHeld := false
-	for {
-		var req request
-		if hasHeld {
-			req, hasHeld = held, false
-		} else {
-			var ok bool
-			req, ok = <-c.reqCh
-			if !ok {
-				return
-			}
-		}
-		if req.errStatus != StatusOK {
-			c.reply(&Frame{Op: req.op, Status: req.errStatus, ReqID: req.reqID})
-			putFrameBuf(req.fb)
-			continue
-		}
-		if req.op != OpLookup && req.op != OpLookupMany {
-			c.serveOne(&req)
-			putFrameBuf(req.fb)
-			continue
-		}
-		c.group = append(c.group[:0], req)
-	collect:
-		for len(c.group) < c.srv.cfg.CoalesceFrames {
-			select {
-			case r2, ok := <-c.reqCh:
-				if !ok {
-					break collect // flush the group; next receive ends the loop
-				}
-				if r2.errStatus == StatusOK && (r2.op == OpLookup || r2.op == OpLookupMany) {
-					c.group = append(c.group, r2)
-				} else {
-					held, hasHeld = r2, true
-					break collect
-				}
-			default:
-				break collect
-			}
-		}
-		c.serveLookups()
-		for i := range c.group {
-			// Keys aliased these payload buffers until the batch replies
-			// were encoded; now the whole group can go back to the pool.
-			putFrameBuf(c.group[i].fb)
-			c.group[i].fb = nil
-		}
-	}
-}
-
-// serveLookups answers c.group: one parse pass collects every frame's keys
-// (and per-frame typed-error statuses), one Batch.LookupMany serves all
-// collected keys, one emit pass writes replies in frame order.
-func (c *srvConn) serveLookups() {
+// serveLookups answers a run of lookup frames: one parse pass collects every
+// frame's keys (and per-frame typed-error statuses), one Batch.LookupMany
+// serves all collected keys, one emit pass writes replies in frame order.
+func (c *srvConn) serveLookups(frames []Frame) {
 	keyLen := c.srv.cfg.Table.KeyLen()
-	// One map load covers the whole coalesced group: the ownership check and
-	// the WRONG_SHARD epoch must come from the same map version.
+	// One map load covers the whole run: the ownership check and the
+	// WRONG_SHARD epoch must come from the same map version.
 	m := c.srv.clusterMap()
-	var selfID uint32
-	if m != nil {
-		selfID = c.srv.cl.selfID.Load()
-	}
 	c.keys = c.keys[:0]
 	c.nkeys = c.nkeys[:0]
 	c.statuses = c.statuses[:0]
-	for range c.group {
-		c.statuses = append(c.statuses, StatusOK)
-	}
-	statuses := c.statuses
-	for i := range c.group {
-		req := &c.group[i]
+	for i := range frames {
+		f := &frames[i]
 		before := len(c.keys)
-		switch req.op {
-		case OpLookup:
-			if len(req.payload) != keyLen {
-				statuses[i] = StatusErrKeyLen
+		st := StatusOK
+		if f.Op == OpLookup {
+			if len(f.Payload) != keyLen {
+				st = StatusErrKeyLen
 			} else {
-				c.keys = append(c.keys, req.payload)
+				c.keys = append(c.keys, f.Payload)
 			}
-		case OpLookupMany:
-			c.keys, statuses[i] = parseLookupManyReq(req.payload, keyLen, c.keys)
-			if statuses[i] != StatusOK {
-				c.keys = c.keys[:before] // drop any partially collected keys
-			}
+		} else {
+			c.keys, st = parseLookupManyReq(f.Payload, keyLen, c.keys)
 		}
-		if m != nil && statuses[i] == StatusOK {
-			// Whole-frame ownership: the router builds per-node sub-batches,
-			// so a frame mixing owned and unowned keys means a stale map —
-			// redirect the frame and let the router re-route everything.
-			for _, k := range c.keys[before:] {
-				if uint32(m.Owner(KeyHash(k))) != selfID {
-					statuses[i] = StatusErrWrongShard
-					c.keys = c.keys[:before]
-					break
-				}
-			}
+		// Whole-frame ownership: the router builds per-node sub-batches, so a
+		// frame mixing owned and unowned keys means a stale map — redirect the
+		// frame and let the router re-route everything.
+		if st == StatusOK && m != nil && !c.srv.cl.ownsAll(m, c.keys[before:]) {
+			st = StatusErrWrongShard
 		}
+		if st != StatusOK {
+			c.keys = c.keys[:before] // drop any partially collected keys
+		}
+		c.statuses = append(c.statuses, st)
 		c.nkeys = append(c.nkeys, len(c.keys)-before)
+	}
+	if h := c.srv.hookGated; h != nil {
+		h()
 	}
 
 	total := len(c.keys)
@@ -561,51 +501,59 @@ func (c *srvConn) serveLookups() {
 		c.batch.LookupMany(c.keys, c.results)
 	}
 	c.srv.c.coalesceCalls.Add(1)
-	c.srv.c.coalesceFrames.Add(uint64(len(c.group)))
+	c.srv.c.coalesceFrames.Add(uint64(len(frames)))
 	c.srv.c.coalesceKeys.Add(uint64(total))
 
-	off := 0
-	for i := range c.group {
-		req := &c.group[i]
-		n := c.nkeys[i]
-		res := c.results[off : off+n]
-		off += n
-		if statuses[i] != StatusOK {
-			if statuses[i] == StatusErrWrongShard {
-				c.srv.cl.c.wrongShard.Add(1)
-				c.replyWrongShard(req.op, req.reqID, m.Epoch)
-				continue
+	// Validate, seqlock-style: a cutover installs its map and then purges
+	// the range it surrendered, so a probe that ran under a map that has
+	// since been replaced may have read a purged table. Frames the new map
+	// no longer assigns here are redirected instead of answered; the purge
+	// never touches keys the new map still assigns here.
+	if now := c.srv.clusterMap(); now != m {
+		m = now
+		off := 0
+		for i, n := range c.nkeys {
+			if c.statuses[i] == StatusOK && !c.srv.cl.ownsAll(m, c.keys[off:off+n]) {
+				c.statuses[i] = StatusErrWrongShard
+				c.srv.cl.c.staleProbes.Add(uint64(n))
 			}
-			c.reply(&Frame{Op: req.op, Status: statuses[i], ReqID: req.reqID})
-			continue
+			off += n
 		}
-		// Reply frames are built header-then-payload straight into a pooled
-		// buffer: no intermediate payload slice, no per-reply make.
-		switch req.op {
-		case OpLookup:
-			fb := getFrameBuf()
-			fb.b = AppendFrameHeader(fb.b[:0], OpLookup, StatusOK, req.reqID, 9)
+	}
+
+	off := 0
+	for i := range frames {
+		f := &frames[i]
+		res := c.results[off : off+c.nkeys[i]]
+		off += len(res)
+		switch {
+		case c.statuses[i] == StatusErrWrongShard:
+			c.srv.cl.c.wrongShard.Add(1)
+			c.replyWrongShard(f.Op, f.ReqID, m.Epoch)
+		case c.statuses[i] != StatusOK:
+			c.reply(f.Op, c.statuses[i], f.ReqID, nil)
+		case f.Op == OpLookup:
+			c.out = AppendFrameHeader(c.out[:0], OpLookup, StatusOK, f.ReqID, 9)
 			ok := byte(0)
 			if res[0].OK {
 				ok = 1
 			}
-			fb.b = append(fb.b, ok)
-			fb.b = binary.LittleEndian.AppendUint64(fb.b, res[0].Value)
-			c.send(fb)
-		case OpLookupMany:
-			fb := getFrameBuf()
-			fb.b = AppendFrameHeader(fb.b[:0], OpLookupMany, StatusOK, req.reqID, 4+9*n)
-			fb.b = appendLookupManyReply(fb.b, res)
-			c.send(fb)
+			c.out = append(c.out, ok)
+			c.out = binary.LittleEndian.AppendUint64(c.out, res[0].Value)
+			c.send()
+		default:
+			c.out = AppendFrameHeader(c.out[:0], OpLookupMany, StatusOK, f.ReqID, 4+9*len(res))
+			c.out = appendLookupManyReply(c.out, res)
+			c.send()
 		}
 	}
 }
 
-// serveOne answers a non-lookup request.
-func (c *srvConn) serveOne(req *request) {
+// serveOne answers a non-lookup frame.
+func (c *srvConn) serveOne(f *Frame) {
 	t := c.srv.cfg.Table
 	keyLen := t.KeyLen()
-	switch req.op {
+	switch f.Op {
 	case OpHello:
 		hi := HelloInfo{
 			KeyLen:   keyLen,
@@ -619,169 +567,157 @@ func (c *srvConn) serveOne(req *request) {
 			}
 			hi.NodeID = cl.selfID.Load()
 		}
-		payload := appendHelloReply(make([]byte, 0, 28), hi)
-		c.reply(&Frame{Op: OpHello, ReqID: req.reqID, Payload: payload})
+		c.out = AppendFrameHeader(c.out[:0], OpHello, StatusOK, f.ReqID, helloReplyLen)
+		c.out = appendHelloReply(c.out, hi)
+		c.send()
 	case OpInsert, OpUpdate:
-		if len(req.payload) < 8 {
-			c.reply(&Frame{Op: req.op, Status: StatusErrMalformed, ReqID: req.reqID})
+		if len(f.Payload) < 8 {
+			c.reply(f.Op, StatusErrMalformed, f.ReqID, nil)
 			return
 		}
-		value := binary.LittleEndian.Uint64(req.payload[:8])
-		key := req.payload[8:]
+		value := binary.LittleEndian.Uint64(f.Payload[:8])
+		key := f.Payload[8:]
 		if len(key) != keyLen {
-			c.reply(&Frame{Op: req.op, Status: StatusErrKeyLen, ReqID: req.reqID})
+			c.reply(f.Op, StatusErrKeyLen, f.ReqID, nil)
 			return
 		}
-		st, found, epoch := c.srv.applyMutation(req.op, key, value)
+		st, found, epoch := c.srv.applyMutation(f.Op, key, value)
 		switch {
 		case st == StatusErrWrongShard:
-			c.replyWrongShard(req.op, req.reqID, epoch)
-		case req.op == OpInsert:
-			c.reply(&Frame{Op: OpInsert, Status: st, ReqID: req.reqID})
+			c.replyWrongShard(f.Op, f.ReqID, epoch)
+		case f.Op == OpInsert:
+			c.reply(OpInsert, st, f.ReqID, nil)
 		default:
-			b := byte(0)
-			if found {
-				b = 1
-			}
-			c.reply(&Frame{Op: OpUpdate, ReqID: req.reqID, Payload: []byte{b}})
+			c.replyFound(OpUpdate, f.ReqID, found)
 		}
 	case OpDelete:
-		if len(req.payload) != keyLen {
-			c.reply(&Frame{Op: OpDelete, Status: StatusErrKeyLen, ReqID: req.reqID})
+		if len(f.Payload) != keyLen {
+			c.reply(OpDelete, StatusErrKeyLen, f.ReqID, nil)
 			return
 		}
-		st, found, epoch := c.srv.applyMutation(OpDelete, req.payload, 0)
+		st, found, epoch := c.srv.applyMutation(OpDelete, f.Payload, 0)
 		if st == StatusErrWrongShard {
-			c.replyWrongShard(OpDelete, req.reqID, epoch)
+			c.replyWrongShard(OpDelete, f.ReqID, epoch)
 			return
 		}
-		b := byte(0)
-		if found {
-			b = 1
-		}
-		c.reply(&Frame{Op: OpDelete, ReqID: req.reqID, Payload: []byte{b}})
+		c.replyFound(OpDelete, f.ReqID, found)
 	case OpStats:
 		snap := stats.NewSnapshot()
 		c.srv.CollectInto(snap)
 		payload, err := json.Marshal(snap)
 		if err != nil {
-			c.reply(&Frame{Op: OpStats, Status: StatusErrInternal, ReqID: req.reqID})
+			c.reply(OpStats, StatusErrInternal, f.ReqID, nil)
 			return
 		}
-		c.reply(&Frame{Op: OpStats, ReqID: req.reqID, Payload: payload})
+		c.reply(OpStats, StatusOK, f.ReqID, payload)
 	case OpShardMap:
 		var payload []byte
 		if m := c.srv.clusterMap(); m != nil {
 			payload = AppendShardMap(nil, m)
 		}
-		c.reply(&Frame{Op: OpShardMap, ReqID: req.reqID, Payload: payload})
+		c.reply(OpShardMap, StatusOK, f.ReqID, payload)
 	case OpMapUpdate:
-		c.reply(&Frame{Op: OpMapUpdate, Status: c.srv.handleMapUpdate(req.payload), ReqID: req.reqID})
+		c.reply(OpMapUpdate, c.srv.handleMapUpdate(f.Payload), f.ReqID, nil)
 	case OpMigStart:
 		st := StatusErrMalformed
-		if rg, dst, err := parseMigStartReq(req.payload); err == nil {
+		if rg, dst, err := parseMigStartReq(f.Payload); err == nil {
 			st = c.srv.handleMigStart(rg, dst)
 		}
-		c.reply(&Frame{Op: OpMigStart, Status: st, ReqID: req.reqID})
+		c.reply(OpMigStart, st, f.ReqID, nil)
 	case OpMigStatus:
 		cl := c.srv.cl
 		if cl == nil {
-			c.reply(&Frame{Op: OpMigStatus, Status: StatusErrCluster, ReqID: req.reqID})
+			c.reply(OpMigStatus, StatusErrCluster, f.ReqID, nil)
 			return
 		}
 		mi := cl.migInfo()
-		c.reply(&Frame{Op: OpMigStatus, ReqID: req.reqID, Payload: appendMigInfo(nil, &mi)})
+		c.reply(OpMigStatus, StatusOK, f.ReqID, appendMigInfo(nil, &mi))
 	case OpMigApply:
-		recs, err := parseMigRecords(req.payload, nil)
+		recs, err := parseMigRecords(f.Payload, nil)
 		if err != nil {
-			c.reply(&Frame{Op: OpMigApply, Status: StatusErrMalformed, ReqID: req.reqID})
+			c.reply(OpMigApply, StatusErrMalformed, f.ReqID, nil)
 			return
 		}
 		processed, conflicts, st := c.srv.applyMigRecords(recs)
 		if st != StatusOK {
-			c.reply(&Frame{Op: OpMigApply, Status: st, ReqID: req.reqID})
+			c.reply(OpMigApply, st, f.ReqID, nil)
 			return
 		}
 		var payload [8]byte
 		binary.LittleEndian.PutUint32(payload[0:4], processed)
 		binary.LittleEndian.PutUint32(payload[4:8], conflicts)
-		c.reply(&Frame{Op: OpMigApply, ReqID: req.reqID, Payload: payload[:]})
+		c.reply(OpMigApply, StatusOK, f.ReqID, payload[:])
+	default:
+		// A well-framed unknown op is a typed reply, not a connection killer.
+		c.reply(f.Op, StatusErrOp, f.ReqID, nil)
 	}
 }
 
 // replyWrongShard emits the WRONG_SHARD redirect carrying the node's map
 // epoch — the one error reply with a payload.
 func (c *srvConn) replyWrongShard(op Op, reqID uint64, epoch uint64) {
-	fb := getFrameBuf()
-	fb.b = AppendFrameHeader(fb.b[:0], op, StatusErrWrongShard, reqID, 8)
-	fb.b = appendWrongShard(fb.b, epoch)
-	c.send(fb)
+	c.out = AppendFrameHeader(c.out[:0], op, StatusErrWrongShard, reqID, 8)
+	c.out = appendWrongShard(c.out, epoch)
+	c.send()
 }
 
-// reply encodes a frame into a pooled buffer and hands it to the writer.
-func (c *srvConn) reply(f *Frame) {
-	fb := getFrameBuf()
-	fb.b = AppendFrame(fb.b[:0], f)
-	c.send(fb)
+// replyFound emits an UPDATE/DELETE reply: one byte, whether the key existed.
+func (c *srvConn) replyFound(op Op, reqID uint64, found bool) {
+	b := byte(0)
+	if found {
+		b = 1
+	}
+	c.out = append(AppendFrameHeader(c.out[:0], op, StatusOK, reqID, 1), b)
+	c.send()
 }
 
-// send hands an already-encoded pooled frame to the writer, which releases
-// it after the bytes reach the bufio writer.
-func (c *srvConn) send(fb *frameBuf) {
-	c.repCh <- fb
+// reply encodes and sends one frame.
+func (c *srvConn) reply(op Op, st Status, reqID uint64, payload []byte) {
+	c.out = AppendFrameHeader(c.out[:0], op, st, reqID, len(payload))
+	c.out = append(c.out, payload...)
+	c.send()
 }
 
-// write flushes encoded replies, batching the flush across whatever is
-// queued, and returns each pooled buffer once its bytes are in the bufio
-// writer. On a write error the remaining replies are discarded (the client
-// is gone) but the channel is still drained so the processor never blocks.
-func (c *srvConn) write() {
-	failed := false
-	flushPending := false
-	flush := func() {
-		if !flushPending || failed {
-			return
-		}
+// send copies the reply encoded in c.out into the buffered writer. Only a
+// write that overflows the buffer touches the connection, and that write is
+// bounded by WriteTimeout.
+func (c *srvConn) send() {
+	if c.dead {
+		return
+	}
+	if len(c.out) > c.bw.Available() {
+		c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
+	}
+	if _, err := c.bw.Write(c.out); err != nil {
+		c.writeFailed()
+		return
+	}
+	c.unflushed++
+}
+
+// flush puts every buffered reply on the wire and only then counts it as
+// written, so the drain ledger never credits a reply the peer cannot have. It
+// reports whether the connection is still usable.
+func (c *srvConn) flush() bool {
+	if c.dead {
+		return false
+	}
+	if c.bw.Buffered() > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
 		if err := c.bw.Flush(); err != nil {
-			failed = true
-			c.srv.c.writeErrors.Add(1)
-			c.nc.Close() // unblock the reader
+			c.writeFailed()
+			return false
 		}
-		flushPending = false
 	}
-	writeOne := func(fb *frameBuf) {
-		defer putFrameBuf(fb)
-		if failed {
-			return
-		}
-		c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
-		if _, err := c.bw.Write(fb.b); err != nil {
-			failed = true
-			c.srv.c.writeErrors.Add(1)
-			c.nc.Close()
-			return
-		}
-		flushPending = true
-		c.srv.c.repliesWritten.Add(1)
-	}
-	for fb := range c.repCh {
-		writeOne(fb)
-		// Opportunistically drain queued replies into the same flush.
-	inner:
-		for {
-			select {
-			case more, ok := <-c.repCh:
-				if !ok {
-					flush()
-					return
-				}
-				writeOne(more)
-			default:
-				break inner
-			}
-		}
-		flush()
-	}
-	flush()
+	c.srv.c.repliesWritten.Add(c.unflushed)
+	c.unflushed = 0
+	return true
+}
+
+// writeFailed retires the connection after a failed write: the client is
+// gone or has stopped reading, so the replies still owed are lost (and stay
+// uncounted, which is how DrainReport.Lost sees them).
+func (c *srvConn) writeFailed() {
+	c.dead = true
+	c.srv.c.writeErrors.Add(1)
 }

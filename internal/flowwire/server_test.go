@@ -20,39 +20,18 @@ func wkey(i uint64) []byte {
 	return k
 }
 
-// startServer runs a server over a fresh table on a loopback listener and
-// tears both down with the test.
-func startServer(t testing.TB, tblCfg flowserve.Config, srvCfg Config) (*Server, *flowserve.Table, string) {
+// startServer runs a server over a fresh table on a TCP loopback listener
+// and tears both down with the test.
+func startServer(t testing.TB, tblCfg flowserve.Config, srvCfg Config) (*Server, *flowserve.Table, Endpoint) {
 	t.Helper()
-	tbl, err := flowserve.New(tblCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvCfg.Table = tbl
-	srv, err := NewServer(srvCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		srv.Close()
-		if err := <-serveErr; err != nil && err != ErrServerClosed {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-	return srv, tbl, ln.Addr().String()
+	return startServerOn(t, TransportTCP, tblCfg, srvCfg)
 }
 
-func dialTest(t testing.TB, addr string, opts Options) *Client {
+func dialTest(t testing.TB, ep Endpoint, opts Options) *Client {
 	t.Helper()
-	cl, err := Dial(addr, opts)
+	cl, err := DialEndpoint(ep, opts)
 	if err != nil {
-		t.Fatalf("Dial: %v", err)
+		t.Fatalf("DialEndpoint: %v", err)
 	}
 	t.Cleanup(func() { cl.Close() })
 	return cl
@@ -186,10 +165,11 @@ func TestServerStatsOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.Lookup(wkey(1))
-	counters, err := cl.Stats()
+	snap, err := cl.StatsSnapshot()
 	if err != nil {
-		t.Fatalf("Stats: %v", err)
+		t.Fatalf("StatsSnapshot: %v", err)
 	}
+	counters := snap.Counters
 	if counters["flowserve.inserts"] != 1 || counters["flowserve.lookups"] != 1 {
 		t.Fatalf("table counters over the wire = %v", counters)
 	}
@@ -201,9 +181,9 @@ func TestServerStatsOp(t *testing.T) {
 }
 
 // rawConn dials without the client, for hand-crafted frames.
-func rawConn(t *testing.T, addr string) net.Conn {
+func rawConn(t *testing.T, ep Endpoint) net.Conn {
 	t.Helper()
-	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	nc, err := dialTransport(ep, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +323,7 @@ func assertClosed(t *testing.T, nc net.Conn) {
 // frames and checks the server actually merged some into shared batch calls
 // while answering each with its own correct reply.
 func TestServerCoalescesPipelinedLookups(t *testing.T) {
-	srv, tbl, addr := startServer(t, flowserve.Config{Shards: 4, Entries: 4096, KeyLen: 20}, Config{Window: 128})
+	srv, tbl, addr := startServer(t, flowserve.Config{Shards: 4, Entries: 4096, KeyLen: 20}, Config{})
 	const n = 1000
 	for i := uint64(0); i < n; i++ {
 		if err := tbl.Insert(wkey(i), i+1); err != nil {
@@ -396,7 +376,7 @@ func TestServerCoalescesPipelinedLookups(t *testing.T) {
 // one key on one pipelined connection: FIFO semantics require each lookup
 // to see exactly the preceding mutation's state.
 func TestMutationOrderingThroughCoalescer(t *testing.T) {
-	_, _, addr := startServer(t, flowserve.Config{Shards: 1, Entries: 128, KeyLen: 20}, Config{Window: 64})
+	_, _, addr := startServer(t, flowserve.Config{Shards: 1, Entries: 128, KeyLen: 20}, Config{})
 	nc := rawConn(t, addr)
 	k := wkey(7)
 	var buf []byte

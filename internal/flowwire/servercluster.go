@@ -14,7 +14,10 @@ import (
 // migration engine that moves a hash range to another node with zero loss.
 //
 // Locking regime. The hot read path never locks: it loads the map pointer
-// atomically and checks ownership per key. Mutations take cl.mu — RLock in
+// atomically, checks ownership per key, probes the table, and reloads the
+// pointer — a changed pointer means a cutover may have purged under the
+// probe, so the frames are gated again under the new map before anything is
+// answered (serveLookups). Mutations take cl.mu — RLock in
 // steady state (they only need the map to be stable), the full Lock while a
 // migration is active, which serialises apply+enqueue so the migration
 // queue's per-key order exactly mirrors the table's apply order. The
@@ -38,6 +41,10 @@ type clusterCounters struct {
 	migRecordsIn   atomic.Uint64 // records applied on the gaining side
 	migConflictsIn atomic.Uint64
 	purgedKeys     atomic.Uint64 // keys purged after surrendering a range
+	// staleProbes counts keys probed under a map that a cutover replaced
+	// before the answer went out; their frames were redirected, so the table's
+	// lookup counter ran ahead of the lookups answered by exactly this much.
+	staleProbes atomic.Uint64
 }
 
 // cluster is a server's cluster-mode state.
@@ -89,9 +96,21 @@ func (cl *cluster) collectInto(snap *stats.Snapshot) {
 	snap.Add("flowwire.cluster.mig_records_in", cl.c.migRecordsIn.Load())
 	snap.Add("flowwire.cluster.mig_conflicts_in", cl.c.migConflictsIn.Load())
 	snap.Add("flowwire.cluster.purged_keys", cl.c.purgedKeys.Load())
+	snap.Add("flowwire.cluster.stale_probes", cl.c.staleProbes.Load())
 	if m := cl.m.Load(); m != nil {
 		snap.Add("flowwire.cluster.epoch", m.Epoch)
 	}
+}
+
+// ownsAll reports whether this node owns every key under m.
+func (cl *cluster) ownsAll(m *ShardMap, keys [][]byte) bool {
+	selfID := cl.selfID.Load()
+	for _, k := range keys {
+		if uint32(m.Owner(KeyHash(k))) != selfID {
+			return false
+		}
+	}
+	return true
 }
 
 // migInfo snapshots the migration ledger: the armed migration's live

@@ -17,7 +17,7 @@ import (
 // so everything that works on TCP and unix must work identically here.
 func TestShmTransportOps(t *testing.T) {
 	_, tbl, addr := startServerOn(t, TransportShm, flowserve.Config{Shards: 4, Entries: 4096, KeyLen: 20}, Config{})
-	cl := dialTest(t, addr, Options{Transport: TransportShm, Conns: 2})
+	cl := dialTest(t, addr, Options{Conns: 2})
 
 	if h := cl.Hello(); h.KeyLen != 20 || h.Shards != 4 || h.Capacity != tbl.Capacity() {
 		t.Fatalf("HELLO over shm = %+v", h)
@@ -67,11 +67,11 @@ func TestShmTransportOps(t *testing.T) {
 // on leaks no disk artifacts.
 func TestShmSegmentUnlinkedAfterHandshake(t *testing.T) {
 	_, _, addr := startServerOn(t, TransportShm, flowserve.Config{Shards: 1, Entries: 128, KeyLen: 20}, Config{})
-	cl := dialTest(t, addr, Options{Transport: TransportShm})
+	cl := dialTest(t, addr, Options{})
 	if _, ok := cl.Lookup(wkey(1)); ok {
 		t.Fatal("lookup hit in empty table")
 	}
-	segs, err := filepath.Glob(addr + shmSegSuffix + "*")
+	segs, err := filepath.Glob(addr.Addr + shmSegSuffix + "*")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestListenRemovesStaleShmArtifacts(t *testing.T) {
 		}
 	}
 
-	ln, err := Listen(TransportShm, path)
+	ln, err := ListenEndpoint(Endpoint{Transport: TransportShm, Addr: path})
 	if err != nil {
 		t.Fatalf("Listen over crashed server's artifacts: %v", err)
 	}
@@ -124,7 +124,7 @@ func TestListenRemovesStaleShmArtifacts(t *testing.T) {
 	if err := os.WriteFile(liveSeg, make([]byte, 128), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if ln2, err := Listen(TransportShm, path); err == nil {
+	if ln2, err := ListenEndpoint(Endpoint{Transport: TransportShm, Addr: path}); err == nil {
 		ln2.Close()
 		t.Fatal("Listen stole a live server's shm path")
 	}
@@ -309,7 +309,7 @@ func TestShmLoopbackSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cl := dialTest(t, addr, Options{Transport: TransportShm})
+	cl := dialTest(t, addr, Options{})
 	results := make([]flowserve.Result, batch)
 	for i := 0; i < 64; i++ {
 		if hits := cl.LookupMany(keys, results); hits != batch {
@@ -346,7 +346,7 @@ func TestShmSteadyStateSyscallFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cl := dialTest(t, addr, Options{Transport: TransportShm})
+	cl := dialTest(t, addr, Options{})
 	results := make([]flowserve.Result, batch)
 	for i := 0; i < 32; i++ {
 		if hits := cl.LookupMany(keys, results); hits != batch {

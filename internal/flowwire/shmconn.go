@@ -11,23 +11,36 @@ import (
 )
 
 // Spin/park policy (DESIGN.md §11). A waiter that finds its ring
-// empty/full yields through the Go scheduler up to its conn's spin budget
-// before parking — and the right budget depends on where the peer runs,
-// which is why the handshake exchanges PIDs:
+// empty/full yields through the Go scheduler for up to its conn's spin
+// budget before parking. The budget is elapsed time, not a count of yields,
+// because of what it has to outlast: a peer's park → doorbell → wake (tens of
+// microseconds, occasionally most of a millisecond). If it does not, one park
+// makes the peer's next wait outlast its own budget, and every exchange from
+// then on pays a park, a doorbell and a wake. A count of yields cannot
+// promise that — a yield returns fastest exactly when nothing else is
+// runnable, which is when the peer is asleep. The right budget depends on
+// where the peer runs, which is why the handshake exchanges PIDs:
 //
 //   - Same process (tests, benchmarks, the hypothesis harness): Gosched
-//     hands the core straight to the peer goroutine, so a few yields
-//     almost always cover the gap and steady state never parks — zero
-//     syscalls per frame. Full budget.
+//     hands the core straight to the peer goroutine, so spinning costs the
+//     peer nothing and steady state never parks — zero syscalls per frame.
+//     The budget also outlasts a kernel time slice: when the host takes a
+//     core away and two runtime threads share one, it is the kernel that
+//     hands the core to the peer's thread, within a slice, and a shorter
+//     budget would add a park and a doorbell to every such hand-over.
 //   - Cross-process, multiple cores: the peer may be mid-frame on another
-//     core; a short spin bridges those sub-microsecond gaps without
-//     burning a core the peer needs.
+//     core; a shorter spin bridges the gap between frames without holding
+//     for long a core the peer's process may need.
 //   - Cross-process, one core: spinning is pure poison — the peer cannot
 //     run until this side sleeps, so every yield just delays the
 //     handover. Park immediately and let the doorbell do its job.
 const (
-	shmSpinYields      = 256 // same-process budget
-	shmSpinYieldsCross = 32  // cross-process budget when cores are plural
+	shmSpin      = 5 * time.Millisecond   // same-process budget
+	shmSpinCross = 250 * time.Microsecond // cross-process budget when cores are plural
+
+	// shmSpinClockEvery is how many yields pass between looks at the clock,
+	// which costs a third of a yield.
+	shmSpinClockEvery = 32
 
 	// shmParkBackstop bounds every park even without a deadline: the
 	// wake protocol has no lost-wakeup window (see parked/recheck below),
@@ -37,14 +50,14 @@ const (
 	shmParkBackstop = 10 * time.Millisecond
 )
 
-// spinBudgetFor picks the yield budget for a conn whose peer runs in
-// process peerPid.
-func spinBudgetFor(peerPid int) int {
+// spinBudgetFor picks the spin budget for a conn whose peer runs in process
+// peerPid.
+func spinBudgetFor(peerPid int) time.Duration {
 	if peerPid == os.Getpid() {
-		return shmSpinYields
+		return shmSpin
 	}
 	if runtime.NumCPU() > 1 {
-		return shmSpinYieldsCross
+		return shmSpinCross
 	}
 	return 0
 }
@@ -132,7 +145,7 @@ type shmConn struct {
 	door *net.UnixConn
 	addr shmAddr
 
-	spinBudget int
+	spinBudget time.Duration
 
 	rxWait waiter
 	txWait waiter
@@ -280,17 +293,23 @@ func (c *shmConn) Write(p []byte) (int, error) {
 	return total, nil
 }
 
-// spin yields through the scheduler up to the conn's spin budget, returning
-// true as soon as ready() reports progress is possible (or the conn state
-// changed, which the caller's loop re-examines).
+// spin yields through the scheduler for up to the conn's spin budget,
+// returning true as soon as ready() reports progress is possible (or the conn
+// state changed, which the caller's loop re-examines).
 func (c *shmConn) spin(ready func() int) bool {
-	for i := 0; i < c.spinBudget; i++ {
+	if c.spinBudget == 0 {
+		return false
+	}
+	start := time.Now()
+	for i := 1; ; i++ {
 		runtime.Gosched()
 		if ready() > 0 || c.closed.Load() || c.peerGone.Load() {
 			return true
 		}
+		if i%shmSpinClockEvery == 0 && time.Since(start) >= c.spinBudget {
+			return false
+		}
 	}
-	return false
 }
 
 // park publishes the waiting flag, rechecks the ring (the Dekker-style

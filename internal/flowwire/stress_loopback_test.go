@@ -30,7 +30,7 @@ func TestLoopbackStress(t *testing.T) {
 	)
 	srv, tbl, addr := startServer(t,
 		flowserve.Config{Shards: 4, Entries: residents + churners + 2048, KeyLen: 20},
-		Config{Window: 32, CoalesceFrames: 4})
+		Config{})
 	defer srv.Close()
 
 	valueFor := func(i uint64) uint64 { return i*0x9e3779b9 + 1 }
@@ -140,10 +140,11 @@ func TestLoopbackStress(t *testing.T) {
 			t.Fatalf("resident %d = (%d,%v) after stress", i, v, ok)
 		}
 	}
-	counters, err := cl.Stats()
+	snap, err := cl.StatsSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
+	counters := snap.Counters
 	if counters["flowwire.frames.accepted"] == 0 || counters["flowserve.lookups"] == 0 {
 		t.Fatalf("stress exercised nothing: %v", counters)
 	}

@@ -29,7 +29,7 @@ const (
 	TransportShm = "shm"
 )
 
-// ErrBadTransport reports an unknown -transport value.
+// ErrBadTransport reports an unknown transport name.
 var ErrBadTransport = errors.New(`flowwire: unknown transport (want "tcp", "unix" or "shm")`)
 
 // CheckTransport validates a transport name ("" means TransportTCP).
@@ -45,29 +45,24 @@ func CheckTransport(transport string) (string, error) {
 	return "", fmt.Errorf("%w: %q", ErrBadTransport, transport)
 }
 
-// Listen opens a listener for the given transport: a TCP "host:port", a
-// unix socket path, or a shm handshake-socket path.
-//
-// Deprecated: new callers should parse a flowwire.Endpoint and use
-// ListenEndpoint; this split (transport, addr) form is kept as a shim for
-// existing scripts and call sites. For the path-based
-// transports, stale artifacts left by a dead server (a socket nobody
-// answers on; for shm, orphaned segment files too) are removed before
-// listening, so flowserved restarts cleanly; a live server's path is left
-// alone and the bind fails as it should. The returned listener unlinks its
-// socket on Close.
-func Listen(transport, addr string) (net.Listener, error) {
-	transport, err := CheckTransport(transport)
+// ListenEndpoint opens a listener on a parsed endpoint: a TCP "host:port", a
+// unix socket path, or a shm handshake-socket path. For the path-based
+// transports, stale artifacts left by a dead server (a socket nobody answers
+// on; for shm, orphaned segment files too) are removed before listening, so
+// flowserved restarts cleanly; a live server's path is left alone and the
+// bind fails as it should. The returned listener unlinks its socket on Close.
+func ListenEndpoint(ep Endpoint) (net.Listener, error) {
+	transport, err := CheckTransport(ep.Transport)
 	if err != nil {
 		return nil, err
 	}
 	switch transport {
 	case TransportUnix:
-		removeStaleSocket(addr)
+		removeStaleSocket(ep.Addr)
 	case TransportShm:
-		return listenShm(addr, DefaultShmRingBytes)
+		return listenShm(ep.Addr, DefaultShmRingBytes)
 	}
-	return net.Listen(transport, addr)
+	return net.Listen(transport, ep.Addr)
 }
 
 // removeStaleSocket unlinks addr if it is a socket file nobody answers on.
@@ -84,17 +79,17 @@ func removeStaleSocket(addr string) {
 	os.Remove(addr)
 }
 
-// dialTransport connects to addr over the named transport, applying the
-// TCP-only socket options where they exist.
-func dialTransport(transport, addr string, timeout time.Duration) (net.Conn, error) {
-	transport, err := CheckTransport(transport)
+// dialTransport connects to ep, applying the TCP-only socket options where
+// they exist.
+func dialTransport(ep Endpoint, timeout time.Duration) (net.Conn, error) {
+	transport, err := CheckTransport(ep.Transport)
 	if err != nil {
 		return nil, err
 	}
 	if transport == TransportShm {
-		return dialShm(addr, timeout)
+		return dialShm(ep.Addr, timeout)
 	}
-	nc, err := net.DialTimeout(transport, addr, timeout)
+	nc, err := net.DialTimeout(transport, ep.Addr, timeout)
 	if err != nil {
 		return nil, err
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // startServerOn runs a server over a fresh table on the given transport and
-// returns the dial address (TCP "host:port" or a unix socket path).
-func startServerOn(t testing.TB, transport string, tblCfg flowserve.Config, srvCfg Config) (*Server, *flowserve.Table, string) {
+// returns the endpoint to dial.
+func startServerOn(t testing.TB, transport string, tblCfg flowserve.Config, srvCfg Config) (*Server, *flowserve.Table, Endpoint) {
 	t.Helper()
 	tbl, err := flowserve.New(tblCfg)
 	if err != nil {
@@ -23,11 +23,11 @@ func startServerOn(t testing.TB, transport string, tblCfg flowserve.Config, srvC
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := "127.0.0.1:0"
+	ep := Endpoint{Transport: transport, Addr: "127.0.0.1:0"}
 	if transport != TransportTCP {
-		addr = filepath.Join(t.TempDir(), "flowserved.sock")
+		ep.Addr = filepath.Join(t.TempDir(), "flowserved.sock")
 	}
-	ln, err := Listen(transport, addr)
+	ln, err := ListenEndpoint(ep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,8 @@ func startServerOn(t testing.TB, transport string, tblCfg flowserve.Config, srvC
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	return srv, tbl, ln.Addr().String()
+	ep.Addr = ln.Addr().String()
+	return srv, tbl, ep
 }
 
 // TestUnixTransportOps runs the full op surface over a unix-domain socket:
@@ -47,7 +48,7 @@ func startServerOn(t testing.TB, transport string, tblCfg flowserve.Config, srvC
 // that works on TCP must work identically here.
 func TestUnixTransportOps(t *testing.T) {
 	_, tbl, addr := startServerOn(t, TransportUnix, flowserve.Config{Shards: 4, Entries: 4096, KeyLen: 20}, Config{})
-	cl := dialTest(t, addr, Options{Transport: TransportUnix, Conns: 2})
+	cl := dialTest(t, addr, Options{Conns: 2})
 
 	if h := cl.Hello(); h.KeyLen != 20 || h.Shards != 4 || h.Capacity != tbl.Capacity() {
 		t.Fatalf("HELLO over unix = %+v", h)
@@ -109,29 +110,31 @@ func TestListenRemovesStaleUnixSocket(t *testing.T) {
 	ul.SetUnlinkOnClose(false)
 	ul.Close()
 
-	ln, err := Listen(TransportUnix, path)
+	ln, err := ListenEndpoint(Endpoint{Transport: TransportUnix, Addr: path})
 	if err != nil {
 		t.Fatalf("Listen over stale socket: %v", err)
 	}
 	defer ln.Close()
 
 	// A second bind while the first is live must still fail.
-	if ln2, err := Listen(TransportUnix, path); err == nil {
+	if ln2, err := ListenEndpoint(Endpoint{Transport: TransportUnix, Addr: path}); err == nil {
 		ln2.Close()
 		t.Fatal("Listen stole a live server's socket")
 	}
 }
 
 func TestBadTransportRejected(t *testing.T) {
-	if _, err := Listen("sctp", "x"); !errors.Is(err, ErrBadTransport) {
-		t.Fatalf("Listen error = %v, want ErrBadTransport", err)
+	if _, err := ListenEndpoint(Endpoint{Transport: "sctp", Addr: "x"}); !errors.Is(err, ErrBadTransport) {
+		t.Fatalf("ListenEndpoint error = %v, want ErrBadTransport", err)
 	}
-	if _, err := Dial("x", Options{Transport: "sctp"}); !errors.Is(err, ErrBadTransport) {
-		t.Fatalf("Dial error = %v, want ErrBadTransport", err)
+	if _, err := DialEndpoint(Endpoint{Transport: "sctp", Addr: "x"}, Options{}); !errors.Is(err, ErrBadTransport) {
+		t.Fatalf("DialEndpoint error = %v, want ErrBadTransport", err)
 	}
-	if _, err := Listen("", "127.0.0.1:0"); err != nil {
-		t.Fatalf(`Listen("") should default to tcp, got %v`, err)
+	ln, err := ListenEndpoint(Endpoint{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("an empty transport should default to tcp, got %v", err)
 	}
+	ln.Close()
 }
 
 // TestMalformedFramesAllTransports runs the protocol-violation suite over
@@ -142,7 +145,7 @@ func TestMalformedFramesAllTransports(t *testing.T) {
 		t.Run(transport, func(t *testing.T) {
 			_, _, addr := startServerOn(t, transport, flowserve.Config{Shards: 1, Entries: 128, KeyLen: 20}, Config{MaxFrame: 1 << 16})
 			dial := func() net.Conn {
-				nc, err := dialTransport(transport, addr, 5*time.Second)
+				nc, err := dialTransport(addr, 5*time.Second)
 				if err != nil {
 					t.Fatal(err)
 				}

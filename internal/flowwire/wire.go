@@ -248,8 +248,8 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 // ReadFrameHeader reads and validates one frame header from r, populating
 // f's identifying fields (Op, Status, ReqID; Payload is reset to nil) and
 // returning the payload length that follows on the stream. The caller owns
-// reading those bytes — into a pooled buffer (client), a reusable scratch
-// (server), or a discard buffer (late replies). maxFrame bounds the
+// reading those bytes — into the call slot's buffer or a discard buffer
+// (client), or through ReadFrameInto into reusable scratch (server). maxFrame bounds the
 // accepted length (0 means DefaultMaxFrame). io.EOF is returned untouched
 // on a clean close before any header byte; a partial header yields
 // io.ErrUnexpectedEOF. The identifying fields are populated before the
@@ -332,22 +332,17 @@ func ReadFrame(r io.Reader, maxFrame uint32, f *Frame) error {
 	return nil
 }
 
-// frameBuf is a pooled byte buffer carrying one encoded frame or payload
-// across the hot paths: server replies travel processor→writer as
-// *frameBuf, request payloads reader→processor, and the client builds
-// LOOKUP_MANY request payloads in one. Pooling the wrapper (not the bare
-// slice) keeps Put/Get free of interface-conversion allocations.
+// frameBuf is a pooled byte buffer in which the client builds a request
+// payload (a LOOKUP_MANY key list, a shard map, a migration batch) before
+// call copies it onto the wire. Pooling the wrapper (not the bare slice)
+// keeps Put/Get free of interface-conversion allocations.
 type frameBuf struct{ b []byte }
 
 var frameBufPool = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, 512)} }}
 
 func getFrameBuf() *frameBuf { return frameBufPool.Get().(*frameBuf) }
 
-func putFrameBuf(fb *frameBuf) {
-	if fb != nil {
-		frameBufPool.Put(fb)
-	}
-}
+func putFrameBuf(fb *frameBuf) { frameBufPool.Put(fb) }
 
 // NoNode is the HelloInfo.NodeID of a standalone (non-cluster) server.
 const NoNode = ^uint32(0)
@@ -363,8 +358,11 @@ type HelloInfo struct {
 	NodeID   uint32 // this node's index in the shard map, or NoNode
 }
 
-// appendHelloReply encodes a HELLO reply payload (28 bytes: the legacy
-// 16-byte geometry plus epoch and node ID).
+// helloReplyLen is the HELLO reply payload size: geometry (16 bytes), epoch
+// and node ID.
+const helloReplyLen = 28
+
+// appendHelloReply encodes a HELLO reply payload.
 func appendHelloReply(dst []byte, h HelloInfo) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.KeyLen))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.Shards))
@@ -373,23 +371,18 @@ func appendHelloReply(dst []byte, h HelloInfo) []byte {
 	return binary.LittleEndian.AppendUint32(dst, h.NodeID)
 }
 
-// parseHelloReply decodes a HELLO reply payload: 28 bytes from a current
-// server, or the legacy 16-byte form (treated as a standalone node).
+// parseHelloReply decodes a HELLO reply payload.
 func parseHelloReply(p []byte) (HelloInfo, error) {
-	if len(p) != 16 && len(p) != 28 {
-		return HelloInfo{}, fmt.Errorf("flowwire: HELLO reply payload is %d bytes, want 16 or 28", len(p))
+	if len(p) != helloReplyLen {
+		return HelloInfo{}, fmt.Errorf("flowwire: HELLO reply payload is %d bytes, want %d", len(p), helloReplyLen)
 	}
-	h := HelloInfo{
+	return HelloInfo{
 		KeyLen:   int(binary.LittleEndian.Uint32(p[0:4])),
 		Shards:   int(binary.LittleEndian.Uint32(p[4:8])),
 		Capacity: binary.LittleEndian.Uint64(p[8:16]),
-		NodeID:   NoNode,
-	}
-	if len(p) == 28 {
-		h.Epoch = binary.LittleEndian.Uint64(p[16:24])
-		h.NodeID = binary.LittleEndian.Uint32(p[24:28])
-	}
-	return h, nil
+		Epoch:    binary.LittleEndian.Uint64(p[16:24]),
+		NodeID:   binary.LittleEndian.Uint32(p[24:28]),
+	}, nil
 }
 
 // LOOKUP_MANY request payload: count uint32, keyLen uint16, then count keys

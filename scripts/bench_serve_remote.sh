@@ -17,9 +17,9 @@ cd "$(dirname "$0")/.."
 transport="${1:-tcp}"
 out="${2:-BENCH_serve_remote_$transport.json}"
 case "$transport" in
-tcp) addr="127.0.0.1:7411" ;;
-unix) addr="${TMPDIR:-/tmp}/flowserved-bench.sock" ;;
-shm) addr="${TMPDIR:-/tmp}/flowserved-bench-shm.sock" ;;
+tcp) ep="tcp://127.0.0.1:7411" ;;
+unix) ep="unix://${TMPDIR:-/tmp}/flowserved-bench.sock" ;;
+shm) ep="shm://${TMPDIR:-/tmp}/flowserved-bench-shm.sock" ;;
 *)
 	echo "bench_serve_remote.sh: unknown transport $transport (want tcp, unix or shm)" >&2
 	exit 2
@@ -27,10 +27,10 @@ shm) addr="${TMPDIR:-/tmp}/flowserved-bench-shm.sock" ;;
 esac
 
 go build -o flowserved.bench ./cmd/flowserved
-./flowserved.bench -transport "$transport" -listen "$addr" -shards 4 -entries 65536 &
+./flowserved.bench -endpoint "$ep" -shards 4 -entries 65536 &
 srv=$!
 status=0
-go run ./cmd/flowload -remote "$addr" -transport "$transport" -smoke -check \
+go run ./cmd/flowload -remote "$ep" -smoke -check \
 	-conns 2,4 -rate 0,200000 -json "$out" || status=$?
 # SIGTERM → graceful drain; flowserved exits 0 only if every accepted frame
 # was answered (zero-loss drain ledger).

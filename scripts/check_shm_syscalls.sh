@@ -1,7 +1,7 @@
 #!/bin/sh
 # check_shm_syscalls.sh — strace-level proof that the shm transport's
 # steady-state frame path makes no syscalls: run a flowload remote smoke
-# against a flowserved -transport shm with the client under strace, then
+# against a flowserved -endpoint shm://… with the client under strace, then
 # assert the client's I/O syscall count is orders of magnitude below the
 # lookup count. Sockets pay ≥2 client-side syscalls per batch; the shm rings
 # should show only handshake, doorbell and bookkeeping traffic.
@@ -18,19 +18,19 @@ if ! command -v strace >/dev/null 2>&1; then
 	exit 0
 fi
 
-addr="${TMPDIR:-/tmp}/flowserved-shmcheck.sock"
+ep="shm://${TMPDIR:-/tmp}/flowserved-shmcheck.sock"
 trace="${TMPDIR:-/tmp}/flowload-shmcheck.strace"
 ops=200000
 
 go build -o flowserved.shmcheck ./cmd/flowserved
 go build -o flowload.shmcheck ./cmd/flowload
-./flowserved.shmcheck -transport shm -listen "$addr" -shards 4 -entries 65536 &
+./flowserved.shmcheck -endpoint "$ep" -shards 4 -entries 65536 &
 srv=$!
 status=0
 # One sweep point, closed loop: ops lookups, client-side syscalls summarised
 # by strace -c (-f follows the runtime's threads).
 strace -f -c -o "$trace" \
-	./flowload.shmcheck -remote "$addr" -transport shm -check \
+	./flowload.shmcheck -remote "$ep" -check \
 	-conns 2 -mix uniform -flows 10000 -ops "$ops" || status=$?
 kill -TERM "$srv"
 wait "$srv" || status=$?

@@ -1,6 +1,8 @@
 package halo_test
 
 import (
+	"encoding/binary"
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -146,6 +148,35 @@ func BenchmarkAblations(b *testing.B) {
 func BenchmarkRunAllSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		experiments.RunAll(experiments.QuickConfig(), io.Discard)
+	}
+}
+
+// BenchmarkLookupFixtureBuild is the un-timed preamble every raw-lookup
+// experiment pays before its first simulated cycle (experiments.fixtureOn):
+// a fresh platform, a table populated to 75 % with the canonical synthetic
+// keys, and the table walked into the LLC. The small size is the fixture
+// most points build; the large one is fig10's DRAM placement.
+func BenchmarkLookupFixtureBuild(b *testing.B) {
+	for _, entries := range []uint64{1 << 14, 1 << 21} {
+		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) {
+			b.ReportAllocs()
+			var key [16]byte
+			for i := 0; i < b.N; i++ {
+				sys := halo.New()
+				table, err := sys.NewTable(halo.TableConfig{Entries: entries, KeyLen: len(key)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for k := uint64(0); k < entries*3/4; k++ {
+					binary.LittleEndian.PutUint64(key[:], k)
+					binary.LittleEndian.PutUint64(key[8:], k^0xabcdef)
+					if err := table.Insert(key[:], k*2+1); err != nil {
+						b.Fatal(err)
+					}
+				}
+				sys.WarmTable(table)
+			}
+		})
 	}
 }
 

@@ -41,34 +41,46 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
-// line is one cache line's bookkeeping in a set-associative array.
+// line is one cache line's bookkeeping in a set-associative array. A way is
+// occupied exactly when its state is not Invalid; the fields are ordered so
+// the struct is 32 bytes and a 16-way set spans eight host cache lines.
 type line struct {
-	tag   mem.Addr // full line address; 0 is valid only together with valid=true
-	valid bool
-	state State
-	dirty bool
-	lru   uint64
+	tag mem.Addr // full line address
+	lru uint64
 
 	// Directory state, used only by LLC arrays:
+	lockFreeAt sim.Cycle
 	coreValid  uint32 // bitmask of cores whose private caches hold the line
 	accelValid bool   // CV bit: line is cached by a HALO metadata cache
 	locked     bool   // HALO hardware lock bit
-	lockFreeAt sim.Cycle
+
+	state State
+	dirty bool
 }
 
+func (l *line) valid() bool { return l.state != Invalid }
+
 // array is a set-associative cache structure with LRU replacement. Sets are
-// materialised lazily on first install: experiments touch a small fraction
-// of a 32 MB LLC's sets, and eager allocation dominated the simulator's
-// memory profile.
+// materialised lazily: experiments touch a small fraction of a 32 MB LLC's
+// sets, and eager allocation dominated the simulator's memory profile. A
+// set's slice covers only the ways that have ever been filled (its capacity
+// is the associativity), so scans skip the never-used tail; its storage is
+// carved from slabs that double in size, so an array that ends up fully
+// touched costs a dozen allocations, not one per set.
 type array struct {
-	sets    [][]line
-	ways    int
-	setMask uint64
-	lruTick uint64
+	sets     [][]line
+	slab     []line // unused tail of the newest slab
+	slabSets int    // sets in the newest slab
+	ways     int
+	setMask  uint64
+	lruTick  uint64
 
 	hits   uint64
 	misses uint64
 }
+
+// maxSlabSets caps slab doubling (256 sets of 16 ways are 128 KiB).
+const maxSlabSets = 256
 
 func newArray(sizeBytes, ways int) *array {
 	if sizeBytes <= 0 || ways <= 0 {
@@ -86,23 +98,27 @@ func (a *array) setIndex(lineAddr mem.Addr) uint64 {
 	return (uint64(lineAddr) / mem.LineSize) & a.setMask
 }
 
-// materialize returns lineAddr's set, allocating its ways on first touch
-// (an untouched set is nil and reads as all-invalid).
-func (a *array) materialize(lineAddr mem.Addr) []line {
-	idx := a.setIndex(lineAddr)
-	s := a.sets[idx]
-	if s == nil {
-		s = make([]line, a.ways)
-		a.sets[idx] = s
+// nextWay extends set idx by its lowest never-used way and returns it,
+// carving the set's storage from the slab on first touch.
+func (a *array) nextWay(idx uint64) *line {
+	set := a.sets[idx]
+	if set == nil {
+		if len(a.slab) == 0 {
+			a.slabSets = min(max(2*a.slabSets, 1), maxSlabSets)
+			a.slab = make([]line, a.slabSets*a.ways)
+		}
+		set, a.slab = a.slab[:0:a.ways], a.slab[a.ways:]
 	}
-	return s
+	set = set[:len(set)+1]
+	a.sets[idx] = set
+	return &set[len(set)-1]
 }
 
 // lookup finds the line, updating LRU on hit. It returns nil on miss.
 func (a *array) lookup(lineAddr mem.Addr) *line {
 	set := a.sets[a.setIndex(lineAddr)]
 	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
+		if set[i].tag == lineAddr && set[i].valid() {
 			a.lruTick++
 			set[i].lru = a.lruTick
 			a.hits++
@@ -117,58 +133,65 @@ func (a *array) lookup(lineAddr mem.Addr) *line {
 func (a *array) peek(lineAddr mem.Addr) *line {
 	set := a.sets[a.setIndex(lineAddr)]
 	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
+		if set[i].tag == lineAddr && set[i].valid() {
 			return &set[i]
 		}
 	}
 	return nil
 }
 
-// victim selects the replacement candidate in lineAddr's set: an invalid way
-// if one exists, otherwise the LRU way, skipping locked lines (a locked line
-// must not be evicted mid-query; the paper's lock bit pins it). If every way
-// is locked — impossible in practice given scoreboard limits — the LRU way is
-// returned anyway to guarantee progress.
-func (a *array) victim(lineAddr mem.Addr) *line {
-	set := a.materialize(lineAddr)
-	var lru *line
-	var lruAny *line
+// slot scans lineAddr's set once and returns the way a fill of lineAddr goes
+// to: the way already holding it (hit), otherwise the replacement victim —
+// the lowest invalid way if one exists, otherwise the LRU way, skipping locked
+// lines (a locked line must not be evicted mid-query; the paper's lock bit
+// pins it). If every way is locked — impossible in practice given scoreboard
+// limits — the LRU way is returned anyway to guarantee progress. The caller
+// handles a valid victim's eviction, then calls fill.
+func (a *array) slot(lineAddr mem.Addr) (way *line, hit bool) {
+	idx := a.setIndex(lineAddr)
+	set := a.sets[idx]
+	var invalid, lru, lruAny *line
 	for i := range set {
 		l := &set[i]
-		if !l.valid {
-			return l
+		switch {
+		case !l.valid():
+			if invalid == nil {
+				invalid = l
+			}
+			continue
+		case l.tag == lineAddr:
+			return l, true
 		}
 		if lruAny == nil || l.lru < lruAny.lru {
 			lruAny = l
 		}
-		if l.locked {
-			continue
-		}
-		if lru == nil || l.lru < lru.lru {
+		if !l.locked && (lru == nil || l.lru < lru.lru) {
 			lru = l
 		}
 	}
-	if lru == nil {
-		return lruAny
+	switch {
+	case invalid != nil:
+		return invalid, false
+	case len(set) < a.ways:
+		return a.nextWay(idx), false
+	case lru != nil:
+		return lru, false
 	}
-	return lru
+	return lruAny, false
 }
 
-// install places lineAddr into the array, overwriting the victim way. The
-// caller must have handled the victim's eviction first; install resets all
-// metadata. If the line is already present it is reused in place (its dirty
-// bit survives; state is updated), so a set can never hold duplicate ways
-// for one tag.
-func (a *array) install(lineAddr mem.Addr, st State) *line {
+// fill places lineAddr into the way slot returned for it. A hit way is
+// reused in place (its dirty bit and directory state survive; state is
+// updated), so a set can never hold duplicate ways for one tag; a victim way
+// has all its metadata reset.
+func (a *array) fill(l *line, hit bool, lineAddr mem.Addr, st State) {
 	a.lruTick++
-	if l := a.peek(lineAddr); l != nil {
+	if hit {
 		l.state = st
 		l.lru = a.lruTick
-		return l
+		return
 	}
-	v := a.victim(lineAddr)
-	*v = line{tag: lineAddr, valid: true, state: st, lru: a.lruTick}
-	return v
+	*l = line{tag: lineAddr, state: st, lru: a.lruTick}
 }
 
 // invalidate drops the line if present.

@@ -334,14 +334,29 @@ func (h *Hierarchy) snoopPenaltyFor(owner int, lineAddr mem.Addr) sim.Cycle {
 	return h.cfg.CleanSnoopPenalty
 }
 
-// evictLLCVictim prepares a slice's victim way for lineAddr: back-invalidates
-// private copies, notifies the accelerator metadata caches, and writes dirty
-// data back to DRAM (fire and forget).
-func (h *Hierarchy) evictLLCVictim(at sim.Cycle, slice int, lineAddr mem.Addr) {
-	v := h.llc[slice].victim(lineAddr)
-	if !v.valid {
-		return
+// ensureLLC returns lineAddr's line in its home slice, installing it in state
+// st when absent. One scan of the set finds the line or its replacement
+// victim; a valid victim is evicted and the way overwritten in place. A line
+// already present is returned untouched — its LRU position included, and the
+// slice's lruTick advances only on an install — so warming a resident table a
+// second time changes nothing.
+func (h *Hierarchy) ensureLLC(at sim.Cycle, home int, lineAddr mem.Addr, st State) *line {
+	a := h.llc[home]
+	l, hit := a.slot(lineAddr)
+	if hit {
+		return l
 	}
+	if l.valid() {
+		h.evictLLC(at, l)
+	}
+	a.fill(l, false, lineAddr, st)
+	return l
+}
+
+// evictLLC retires a valid LLC victim: back-invalidates private copies,
+// notifies the accelerator metadata caches, and writes dirty data back to
+// DRAM (fire and forget). The caller overwrites the way.
+func (h *Hierarchy) evictLLC(at sim.Cycle, v *line) {
 	dirty := v.dirty
 	for core := 0; core < h.cfg.Cores; core++ {
 		if v.coreValid&(1<<core) == 0 {
@@ -364,21 +379,25 @@ func (h *Hierarchy) evictLLCVictim(at sim.Cycle, slice int, lineAddr mem.Addr) {
 		h.dram.Access(at, v.tag, true)
 		h.stats.Writebacks++
 	}
-	*v = line{}
+}
+
+// fillPrivate places a line into one private array: an already-present line
+// is updated in place (no victim is disturbed), otherwise the victim way is
+// dropped first.
+func (h *Hierarchy) fillPrivate(core int, a *array, lineAddr mem.Addr, st State) *line {
+	l, hit := a.slot(lineAddr)
+	if !hit && l.valid() {
+		h.dropPrivateVictim(core, a, l)
+	}
+	a.fill(l, hit, lineAddr, st)
+	return l
 }
 
 // installPrivate places a line into a core's L2 and L1, handling evictions.
-// A dirty private victim propagates its dirtiness to the LLC copy. Lines
-// already present are updated in place (no victim is disturbed).
+// A dirty private victim propagates its dirtiness to the LLC copy.
 func (h *Hierarchy) installPrivate(core int, lineAddr mem.Addr, st State) {
-	for _, a := range [2]*array{h.l2[core], h.l1[core]} {
-		if a.peek(lineAddr) == nil {
-			if v := a.victim(lineAddr); v.valid {
-				h.dropPrivateVictim(core, a, v)
-			}
-		}
-		a.install(lineAddr, st)
-	}
+	h.fillPrivate(core, h.l2[core], lineAddr, st)
+	h.fillPrivate(core, h.l1[core], lineAddr, st)
 }
 
 // dropPrivateVictim removes one private-cache line, keeping inclusivity (an
@@ -462,13 +481,7 @@ func (h *Hierarchy) corePrivateStage(tx *accessTxn) bool {
 				l2l.state = Modified
 				l2l.dirty = true
 			}
-			// Fill L1.
-			if h.l1[core].peek(lineAddr) == nil {
-				if v := h.l1[core].victim(lineAddr); v.valid {
-					h.dropPrivateVictim(core, h.l1[core], v)
-				}
-			}
-			nl := h.l1[core].install(lineAddr, st)
+			nl := h.fillPrivate(core, h.l1[core], lineAddr, st)
 			if write {
 				nl.dirty = true
 			}
@@ -500,8 +513,7 @@ func (h *Hierarchy) coreLLCStage(tx *accessTxn) {
 		// LLC miss: fetch from DRAM and fill.
 		dt := h.dram.Access(done, lineAddr, false)
 		done = dt.Done
-		h.evictLLCVictim(done, home, lineAddr)
-		l = h.llc[home].install(lineAddr, Exclusive)
+		l = h.ensureLLC(done, home, lineAddr, Exclusive)
 		tx.where = InMemory
 	} else {
 		if write {
@@ -634,8 +646,7 @@ func (h *Hierarchy) accelLLCStage(tx *accessTxn) {
 	if l == nil {
 		dt := h.dram.Access(done, lineAddr, false)
 		done = dt.Done
-		h.evictLLCVictim(done, home, lineAddr)
-		l = h.llc[home].install(lineAddr, Exclusive)
+		l = h.ensureLLC(done, home, lineAddr, Exclusive)
 		tx.where = InMemory
 		h.stats.AccelLLCMisses++
 	} else {
@@ -719,8 +730,7 @@ func (h *Hierarchy) SnapshotRead(at sim.Cycle, core int, addr mem.Addr) AccessRe
 	if h.llc[home].lookup(lineAddr) == nil {
 		dt := h.dram.Access(done, lineAddr, false)
 		done = dt.Done
-		h.evictLLCVictim(done, home, lineAddr)
-		h.llc[home].install(lineAddr, Exclusive)
+		h.ensureLLC(done, home, lineAddr, Exclusive)
 		where = InMemory
 	}
 	done += h.ring.Delay(home, core)
@@ -774,11 +784,7 @@ func (h *Hierarchy) MarkAccelValid(addr mem.Addr) {
 func (h *Hierarchy) DMAWrite(addr mem.Addr) {
 	lineAddr := mem.LineAddr(addr)
 	home := h.homeSlice(lineAddr)
-	l := h.llc[home].peek(lineAddr)
-	if l == nil {
-		h.evictLLCVictim(0, home, lineAddr)
-		l = h.llc[home].install(lineAddr, Modified)
-	}
+	l := h.ensureLLC(0, home, lineAddr, Modified)
 	for c := 0; c < h.cfg.Cores; c++ {
 		if l.coreValid&(1<<c) == 0 {
 			continue
@@ -796,12 +802,13 @@ func (h *Hierarchy) DMAWrite(addr mem.Addr) {
 
 // WarmLLC installs a line into the LLC without charging time, for experiment
 // preconditioning ("10K lookups to warm up", paper §5.2).
-func (h *Hierarchy) WarmLLC(addr mem.Addr) {
-	lineAddr := mem.LineAddr(addr)
-	home := h.homeSlice(lineAddr)
-	if h.llc[home].peek(lineAddr) == nil {
-		h.evictLLCVictim(0, home, lineAddr)
-		h.llc[home].install(lineAddr, Exclusive)
+func (h *Hierarchy) WarmLLC(addr mem.Addr) { h.WarmRange(addr, addr) }
+
+// WarmRange warms every line from the one holding first to the one holding
+// last, in address order.
+func (h *Hierarchy) WarmRange(first, last mem.Addr) {
+	for a := mem.LineAddr(first); a <= last; a += mem.LineSize {
+		h.ensureLLC(0, h.homeSlice(a), a, Exclusive)
 	}
 }
 
@@ -809,11 +816,7 @@ func (h *Hierarchy) WarmLLC(addr mem.Addr) {
 // inclusivity) without charging time.
 func (h *Hierarchy) WarmPrivate(core int, addr mem.Addr) {
 	lineAddr := mem.LineAddr(addr)
-	h.WarmLLC(addr)
-	l := h.llc[h.homeSlice(lineAddr)].peek(lineAddr)
-	if l == nil {
-		return
-	}
+	l := h.ensureLLC(0, h.homeSlice(lineAddr), lineAddr, Exclusive)
 	l.coreValid |= 1 << core
 	if h.l2[core].peek(lineAddr) == nil || h.l1[core].peek(lineAddr) == nil {
 		h.installPrivate(core, lineAddr, Shared)

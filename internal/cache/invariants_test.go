@@ -28,7 +28,7 @@ func checkInvariants(t *testing.T, h *Hierarchy) {
 	for core := 0; core < h.cfg.Cores; core++ {
 		for _, set := range h.l1[core].sets {
 			for _, l := range set {
-				if !l.valid {
+				if !l.valid() {
 					continue
 				}
 				if h.l2[core].peek(l.tag) == nil {
@@ -38,7 +38,7 @@ func checkInvariants(t *testing.T, h *Hierarchy) {
 		}
 		for _, set := range h.l2[core].sets {
 			for _, l := range set {
-				if !l.valid {
+				if !l.valid() {
 					continue
 				}
 				home := h.homeSlice(l.tag)
@@ -57,7 +57,7 @@ func checkInvariants(t *testing.T, h *Hierarchy) {
 	for s := 0; s < h.cfg.Slices; s++ {
 		for _, set := range h.llc[s].sets {
 			for _, l := range set {
-				if !l.valid {
+				if !l.valid() {
 					continue
 				}
 				for core := 0; core < h.cfg.Cores; core++ {

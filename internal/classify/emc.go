@@ -34,12 +34,12 @@ type EMC struct {
 const DefaultEMCEntries = 8192
 
 // NewEMC builds an exact-match cache keyed on packed five-tuples.
-func NewEMC(space mem.Space, alloc *mem.Allocator, entries uint64) (*EMC, error) {
+func NewEMC(space *mem.Memory, alloc *mem.Allocator, entries uint64) (*EMC, error) {
 	return NewEMCKeyLen(space, alloc, entries, packet.KeyBytes)
 }
 
 // NewEMCKeyLen builds an exact-match cache with a custom key length.
-func NewEMCKeyLen(space mem.Space, alloc *mem.Allocator, entries uint64, keyLen int) (*EMC, error) {
+func NewEMCKeyLen(space *mem.Memory, alloc *mem.Allocator, entries uint64, keyLen int) (*EMC, error) {
 	tbl, err := cuckoo.Create(space, alloc, cuckoo.Config{Entries: entries, KeyLen: keyLen})
 	if err != nil {
 		return nil, fmt.Errorf("classify: creating EMC: %w", err)

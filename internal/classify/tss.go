@@ -58,7 +58,7 @@ const (
 
 // TupleSpace is a tuple-space-search classifier.
 type TupleSpace struct {
-	space  mem.Space
+	space  *mem.Memory
 	alloc  *mem.Allocator
 	mode   SearchMode
 	tuples []*Tuple
@@ -83,7 +83,7 @@ var (
 
 // NewTupleSpace builds an empty classifier whose tuples hold up to
 // entriesPerTuple rules each (the paper evaluates 1024-entry tuples).
-func NewTupleSpace(space mem.Space, alloc *mem.Allocator, mode SearchMode, entriesPerTuple uint64) *TupleSpace {
+func NewTupleSpace(space *mem.Memory, alloc *mem.Allocator, mode SearchMode, entriesPerTuple uint64) *TupleSpace {
 	return &TupleSpace{space: space, alloc: alloc, mode: mode, entriesPerTuple: entriesPerTuple}
 }
 

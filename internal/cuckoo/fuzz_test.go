@@ -3,9 +3,8 @@ package cuckoo
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
-
-	"halo/internal/mem"
 )
 
 // fuzzTableEntries keeps the fuzzed table tiny so random op streams reach
@@ -18,15 +17,14 @@ const fuzzTableEntries = 64
 const fuzzKeyUniverse = 96
 
 // applyFuzzOps interprets data as a stream of 4-byte operations
-// (kind, key-lo, key-hi, value) and applies each to a fresh table and to a
-// plain map reference model, failing on any behavioural divergence.
-func applyFuzzOps(t *testing.T, data []byte) {
-	space := mem.NewMemory()
-	alloc := mem.NewAllocator(0x1000, 1<<30)
-	tbl, err := Create(space, alloc, Config{Entries: fuzzTableEntries, KeyLen: 16})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
+// (kind, key-lo, key-hi, value) and applies each to a fresh table (SFH when
+// sfh is set), failing on any divergence from two references: a plain map
+// for what the table must answer, and — through tablePair — the per-entry
+// implementation for the bytes, counters and free-list order it must leave
+// behind after every single op.
+func applyFuzzOps(t *testing.T, data []byte, sfh bool) {
+	pair := newTablePair(t, Config{Entries: fuzzTableEntries, KeyLen: 16, SFH: sfh})
+	tbl := pair.tbl
 	model := map[uint16]uint64{}
 
 	for off := 0; off+4 <= len(data); off += 4 {
@@ -36,7 +34,7 @@ func applyFuzzOps(t *testing.T, data []byte) {
 		k := key16(uint64(mk))
 		switch kind % 4 {
 		case 0: // insert
-			err := tbl.Insert(k, val)
+			err := pair.insert(k, val)
 			_, exists := model[mk]
 			switch {
 			case exists:
@@ -49,19 +47,19 @@ func applyFuzzOps(t *testing.T, data []byte) {
 				t.Fatalf("op %d: Insert(new key %d) = %v, want nil or ErrTableFull", off/4, mk, err)
 			}
 		case 1: // delete
-			got := tbl.Delete(k)
+			got := pair.delete(k)
 			if _, exists := model[mk]; got != exists {
 				t.Fatalf("op %d: Delete(key %d) = %v, model has it: %v", off/4, mk, got, exists)
 			}
 			delete(model, mk)
 		case 2: // lookup
-			v, ok := tbl.Lookup(k)
+			v, ok := pair.lookup(k)
 			want, exists := model[mk]
 			if ok != exists || (ok && v != want) {
 				t.Fatalf("op %d: Lookup(key %d) = (%d,%v), model says (%d,%v)", off/4, mk, v, ok, want, exists)
 			}
 		case 3: // update
-			got := tbl.Update(k, val)
+			got := pair.update(k, val)
 			if _, exists := model[mk]; got != exists {
 				t.Fatalf("op %d: Update(key %d) = %v, model has it: %v", off/4, mk, got, exists)
 			}
@@ -137,17 +135,21 @@ func fuzzSeeds() [][]byte {
 }
 
 // FuzzCuckooOps cross-checks the simulated-memory cuckoo table against a
-// plain map under arbitrary insert/delete/lookup/update sequences.
+// plain map and the per-entry reference implementation under arbitrary
+// insert/delete/lookup/update sequences, on cuckoo and SFH tables. The
+// committed corpus under testdata/fuzz/FuzzCuckooOps holds the seeds that
+// reach the displacement and SFH branches of the bucket scan.
 // Run with: go test -fuzz=FuzzCuckooOps ./internal/cuckoo
 func FuzzCuckooOps(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
-		f.Add(seed)
+		f.Add(seed, false)
+		f.Add(seed, true)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, sfh bool) {
 		if len(data) > 1<<14 {
 			t.Skip("cap op-stream length")
 		}
-		applyFuzzOps(t, data)
+		applyFuzzOps(t, data, sfh)
 	})
 }
 
@@ -156,9 +158,10 @@ func FuzzCuckooOps(f *testing.F) {
 // without a fuzzing engine.
 func TestFuzzSeedCorpus(t *testing.T) {
 	for i, seed := range fuzzSeeds() {
-		seed := seed
-		t.Run(string(rune('a'+i)), func(t *testing.T) {
-			applyFuzzOps(t, seed)
-		})
+		for _, sfh := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%c/sfh=%v", 'a'+i, sfh), func(t *testing.T) {
+				applyFuzzOps(t, seed, sfh)
+			})
+		}
 	}
 }

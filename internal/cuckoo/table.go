@@ -10,6 +10,8 @@
 package cuckoo
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -74,7 +76,7 @@ type Config struct {
 // caches immutable metadata; mutable state (the change counter, bucket and
 // key-value contents) lives only in memory.
 type Table struct {
-	space mem.Space
+	space *mem.Memory
 	base  mem.Addr
 
 	keyLen      int
@@ -175,7 +177,7 @@ func bucketCountFor(cfg Config) uint64 {
 
 // Create lays a new empty table out in memory using the allocator and
 // returns its handle.
-func Create(space mem.Space, alloc *mem.Allocator, cfg Config) (*Table, error) {
+func Create(space *mem.Memory, alloc *mem.Allocator, cfg Config) (*Table, error) {
 	if cfg.KeyLen <= 0 || cfg.KeyLen > 64 {
 		return nil, fmt.Errorf("cuckoo: key length %d out of range 1..64", cfg.KeyLen)
 	}
@@ -192,15 +194,15 @@ func Create(space mem.Space, alloc *mem.Allocator, cfg Config) (*Table, error) {
 	if cfg.SFH {
 		flags |= FlagSFH
 	}
-	mem.Write32(space, base+metaMagic, Magic)
-	mem.Write32(space, base+metaKeyLen, uint32(cfg.KeyLen))
-	mem.Write64(space, base+metaBucketCount, bc)
-	mem.Write64(space, base+metaBucketBase, uint64(bucketBase))
-	mem.Write64(space, base+metaKVBase, uint64(kvBase))
-	mem.Write64(space, base+metaKVSlotSize, kvSlot)
-	mem.Write32(space, base+metaFlags, flags)
-	mem.Write32(space, base+metaVersion, 0)
-	mem.Write64(space, base+metaCapacity, cfg.Entries)
+	space.Store32(base+metaMagic, Magic)
+	space.Store32(base+metaKeyLen, uint32(cfg.KeyLen))
+	space.Store64(base+metaBucketCount, bc)
+	space.Store64(base+metaBucketBase, uint64(bucketBase))
+	space.Store64(base+metaKVBase, uint64(kvBase))
+	space.Store64(base+metaKVSlotSize, kvSlot)
+	space.Store32(base+metaFlags, flags)
+	space.Store32(base+metaVersion, 0)
+	space.Store64(base+metaCapacity, cfg.Entries)
 
 	// The bucket array needs no explicit zeroing: the allocator never
 	// reuses regions and fresh simulated memory reads as zero, which is
@@ -225,35 +227,52 @@ func Create(space mem.Space, alloc *mem.Allocator, cfg Config) (*Table, error) {
 }
 
 // Attach opens an existing table at base (e.g. from another handle's
-// address). Free-slot state is reconstructed by scanning the buckets.
-func Attach(space mem.Space, base mem.Addr) (*Table, error) {
-	if mem.Read32(space, base+metaMagic) != Magic {
+// address). The metadata block comes from simulated memory, which anything
+// may have written, so it is validated against what Create would have laid
+// out; a block that fails, or a bucket entry pointing outside the key-value
+// array or at a slot another entry already owns, is ErrNotHaloible. Free-slot
+// state is reconstructed by scanning the buckets.
+func Attach(space *mem.Memory, base mem.Addr) (*Table, error) {
+	if space.Load32(base+metaMagic) != Magic {
 		return nil, ErrNotHaloible
 	}
 	t := &Table{
 		space:       space,
 		base:        base,
-		keyLen:      int(mem.Read32(space, base+metaKeyLen)),
-		bucketCount: mem.Read64(space, base+metaBucketCount),
-		bucketBase:  mem.Addr(mem.Read64(space, base+metaBucketBase)),
-		kvBase:      mem.Addr(mem.Read64(space, base+metaKVBase)),
-		kvSlotSize:  mem.Read64(space, base+metaKVSlotSize),
-		capacity:    mem.Read64(space, base+metaCapacity),
-		flags:       mem.Read32(space, base+metaFlags),
+		keyLen:      int(space.Load32(base + metaKeyLen)),
+		bucketCount: space.Load64(base + metaBucketCount),
+		bucketBase:  mem.Addr(space.Load64(base + metaBucketBase)),
+		kvBase:      mem.Addr(space.Load64(base + metaKVBase)),
+		kvSlotSize:  space.Load64(base + metaKVSlotSize),
+		capacity:    space.Load64(base + metaCapacity),
+		flags:       space.Load32(base + metaFlags),
 	}
-	used := make(map[uint32]bool)
+	switch {
+	case t.keyLen < 1 || t.keyLen > len(t.cmpBuf),
+		t.capacity == 0 || t.capacity > 1<<32, // slot indexes are 32-bit
+		t.bucketCount != bucketCountFor(Config{Entries: t.capacity, SFH: t.IsSFH()}),
+		t.kvSlotSize != slotSize(t.keyLen),
+		t.bucketBase%mem.LineSize != 0 || t.kvBase%mem.LineSize != 0:
+		return nil, ErrNotHaloible
+	}
+	used := make([]uint64, (t.capacity+63)/64)
 	for b := uint64(0); b < t.bucketCount; b++ {
+		line := t.bucket(b, false)
 		for e := 0; e < EntriesPerBucket; e++ {
-			sig, idx := t.readEntry(b, e)
-			if sig != 0 {
-				used[idx] = true
-				t.size++
+			if entrySig(line, e) == 0 {
+				continue
 			}
+			idx := uint64(entryIdx(line, e))
+			if idx >= t.capacity || used[idx/64]&(1<<(idx%64)) != 0 {
+				return nil, ErrNotHaloible
+			}
+			used[idx/64] |= 1 << (idx % 64)
+			t.size++
 		}
 	}
 	t.free = make([]uint32, 0, t.capacity-t.size)
 	for i := int64(t.capacity) - 1; i >= 0; i-- {
-		if !used[uint32(i)] {
+		if used[i/64]&(1<<(i%64)) == 0 {
 			t.free = append(t.free, uint32(i))
 		}
 	}
@@ -283,7 +302,7 @@ func (t *Table) LoadFactor() float64 { return float64(t.size) / float64(t.capaci
 func (t *Table) IsSFH() bool { return t.flags&FlagSFH != 0 }
 
 // Version returns the optimistic-locking change counter.
-func (t *Table) Version() uint32 { return mem.Read32(t.space, t.base+metaVersion) }
+func (t *Table) Version() uint32 { return t.space.Load32(t.base + metaVersion) }
 
 // BucketAddr returns the address of bucket b's cache line.
 func (t *Table) BucketAddr(b uint64) mem.Addr {
@@ -303,48 +322,101 @@ func (t *Table) entryAddr(bucket uint64, entry int) mem.Addr {
 	return t.BucketAddr(bucket) + mem.Addr(entry*entryBytes)
 }
 
-func (t *Table) readEntry(bucket uint64, entry int) (sig uint16, kvIdx uint32) {
-	a := t.entryAddr(bucket, entry)
-	return mem.Read16(t.space, a), mem.Read32(t.space, a+4)
+// bucket returns bucket b's cache line, aliasing simulated memory (see
+// mem.Memory.Line). Every operation reads a bucket once through this and
+// scans its eight entries in place, as the simulated hardware touches one
+// line per bucket. Only a line obtained with create set may be written.
+func (t *Table) bucket(b uint64, create bool) []byte {
+	return t.space.Line(t.BucketAddr(b), create)
 }
 
-func (t *Table) writeEntry(bucket uint64, entry int, sig uint16, kvIdx uint32) {
-	a := t.entryAddr(bucket, entry)
-	mem.Write16(t.space, a, sig)
-	mem.Write32(t.space, a+4, kvIdx)
+// A bucket entry is eight bytes: the 16-bit signature, two bytes of padding
+// that are never written, and the 32-bit key-value slot index. Signature 0
+// marks an empty entry.
+
+func entrySig(line []byte, e int) uint16 {
+	return binary.LittleEndian.Uint16(line[e*entryBytes:])
 }
 
-func (t *Table) readKey(idx uint32, buf []byte) {
-	t.space.ReadAt(t.KVAddr(idx), buf[:t.keyLen])
+func entryIdx(line []byte, e int) uint32 {
+	return binary.LittleEndian.Uint32(line[e*entryBytes+4:])
 }
 
-func (t *Table) readValue(idx uint32) uint64 {
-	keyAligned := (mem.Addr(t.keyLen) + 7) &^ 7
-	return mem.Read64(t.space, t.KVAddr(idx)+keyAligned)
+func putEntry(line []byte, e int, sig uint16, kvIdx uint32) {
+	binary.LittleEndian.PutUint16(line[e*entryBytes:], sig)
+	binary.LittleEndian.PutUint32(line[e*entryBytes+4:], kvIdx)
 }
+
+// firstFree returns the first empty entry of a bucket line, -1 when full.
+func firstFree(line []byte) int {
+	for e := 0; e < EntriesPerBucket; e++ {
+		if entrySig(line, e) == 0 {
+			return e
+		}
+	}
+	return -1
+}
+
+// scan reads bucket b once. It reports the entry holding key (slot -1 when
+// the bucket does not hold it) and, for a bucket that does not, the first
+// empty entry (free -1 when full).
+func (t *Table) scan(b uint64, sig uint16, key []byte) (slot int, kvIdx uint32, free int) {
+	line := t.bucket(b, false)
+	free = -1
+	for e := 0; e < EntriesPerBucket; e++ {
+		switch s := entrySig(line, e); {
+		case s == 0:
+			if free < 0 {
+				free = e
+			}
+		case s == sig:
+			if idx := entryIdx(line, e); t.keyEqual(idx, key) {
+				return e, idx, free
+			}
+		}
+	}
+	return -1, 0, free
+}
+
+// find locates key in its candidate buckets, primary first; slot is -1 when
+// neither holds it.
+func (t *Table) find(key []byte, sig uint16, b1, b2 uint64) (b uint64, slot int, kvIdx uint32) {
+	if slot, kvIdx, _ = t.scan(b1, sig, key); slot >= 0 || t.IsSFH() {
+		return b1, slot, kvIdx
+	}
+	slot, kvIdx, _ = t.scan(b2, sig, key)
+	return b2, slot, kvIdx
+}
+
+func (t *Table) valueAddr(idx uint32) mem.Addr {
+	return t.KVAddr(idx) + (mem.Addr(t.keyLen)+7)&^7
+}
+
+func (t *Table) readValue(idx uint32) uint64 { return t.space.Load64(t.valueAddr(idx)) }
 
 func (t *Table) writeKV(idx uint32, key []byte, value uint64) {
 	t.space.WriteAt(t.KVAddr(idx), key)
-	keyAligned := (mem.Addr(t.keyLen) + 7) &^ 7
-	mem.Write64(t.space, t.KVAddr(idx)+keyAligned, value)
+	t.space.Store64(t.valueAddr(idx), value)
 }
 
 func (t *Table) keyEqual(idx uint32, key []byte) bool {
 	buf := t.cmpBuf[:t.keyLen]
-	if t.keyLen > len(t.cmpBuf) { // attached table with out-of-spec metadata
-		buf = make([]byte, t.keyLen)
-	}
-	t.readKey(idx, buf)
-	for i := range buf {
-		if buf[i] != key[i] {
-			return false
-		}
-	}
-	return true
+	t.space.ReadAt(t.KVAddr(idx), buf)
+	return bytes.Equal(buf, key)
+}
+
+// place installs key in the empty entry (b, e), taking the next free
+// key-value slot; the caller has checked the free list is not empty.
+func (t *Table) place(b uint64, e int, sig uint16, key []byte, value uint64) {
+	idx := t.free[len(t.free)-1]
+	t.free = t.free[:len(t.free)-1]
+	t.writeKV(idx, key, value)
+	putEntry(t.bucket(b, true), e, sig, idx)
+	t.size++
 }
 
 func (t *Table) bumpVersion() {
-	mem.Write32(t.space, t.base+metaVersion, t.Version()+1)
+	t.space.Store32(t.base+metaVersion, t.Version()+1)
 }
 
 // Hashes returns the primary hash, signature and the two candidate buckets
@@ -369,17 +441,9 @@ func (t *Table) Lookup(key []byte) (value uint64, ok bool) {
 		return 0, false
 	}
 	_, sig, b1, b2 := t.Hashes(key)
-	for _, b := range [2]uint64{b1, b2} {
-		for e := 0; e < EntriesPerBucket; e++ {
-			s, idx := t.readEntry(b, e)
-			if s == sig && t.keyEqual(idx, key) {
-				t.stats.Hits++
-				return t.readValue(idx), true
-			}
-		}
-		if t.IsSFH() {
-			break
-		}
+	if _, slot, idx := t.find(key, sig, b1, b2); slot >= 0 {
+		t.stats.Hits++
+		return t.readValue(idx), true
 	}
 	return 0, false
 }
@@ -389,53 +453,58 @@ func (t *Table) Lookup(key []byte) (value uint64, ok bool) {
 const maxDisplacements = 128
 
 // Insert adds a key-value pair. Inserting an existing key returns
-// ErrKeyExists (use Update to change a value).
+// ErrKeyExists (use Update to change a value). The duplicate check counts as
+// a lookup (and a hit when the key exists); it and the search for an empty
+// entry share one read of each candidate bucket.
 func (t *Table) Insert(key []byte, value uint64) error {
 	if len(key) != t.keyLen {
 		return ErrKeyLen
 	}
-	if _, exists := t.Lookup(key); exists {
+	t.stats.Lookups++
+	_, sig, b1, b2 := t.Hashes(key)
+	slot, _, free1 := t.scan(b1, sig, key)
+	free2 := -1
+	if slot < 0 && !t.IsSFH() {
+		slot, _, free2 = t.scan(b2, sig, key)
+	}
+	if slot >= 0 {
+		t.stats.Hits++
 		return ErrKeyExists
 	}
 	if len(t.free) == 0 {
 		return ErrTableFull
 	}
-	_, sig, b1, b2 := t.Hashes(key)
-
-	place := func(b uint64) bool {
-		for e := 0; e < EntriesPerBucket; e++ {
-			if s, _ := t.readEntry(b, e); s == 0 {
-				idx := t.free[len(t.free)-1]
-				t.free = t.free[:len(t.free)-1]
-				t.writeKV(idx, key, value)
-				t.writeEntry(b, e, sig, idx)
-				t.size++
-				return true
-			}
+	switch {
+	case free1 >= 0:
+		t.place(b1, free1, sig, key, value)
+	case free2 >= 0:
+		t.place(b2, free2, sig, key, value)
+	default:
+		if t.IsSFH() || !t.displaceAndPlace(b1, b2, sig, key, value) {
+			return ErrTableFull
 		}
+	}
+	t.stats.Inserts++
+	return nil
+}
+
+// displaceAndPlace makes room in b1 or b2 by a BFS displacement path and
+// installs the key there. It reports false when no path exists.
+func (t *Table) displaceAndPlace(b1, b2 uint64, sig uint16, key []byte, value uint64) bool {
+	path := t.findCuckooPath(b1, b2)
+	if path == nil {
 		return false
 	}
-	if place(b1) {
-		t.stats.Inserts++
-		return nil
+	t.applyCuckooPath(path)
+	b, e := b1, firstFree(t.bucket(b1, false))
+	if e < 0 {
+		b, e = b2, firstFree(t.bucket(b2, false))
 	}
-	if !t.IsSFH() && place(b2) {
-		t.stats.Inserts++
-		return nil
+	if e < 0 {
+		return false
 	}
-	if t.IsSFH() {
-		return ErrTableFull
-	}
-
-	// BFS over displacement paths from both candidate buckets.
-	if path := t.findCuckooPath(b1, b2); path != nil {
-		t.applyCuckooPath(path)
-		if place(b1) || place(b2) {
-			t.stats.Inserts++
-			return nil
-		}
-	}
-	return ErrTableFull
+	t.place(b, e, sig, key, value)
+	return true
 }
 
 // pathNode is one step of a displacement path: the entry at (bucket, slot)
@@ -471,8 +540,9 @@ func (t *Table) findCuckooPath(b1, b2 uint64) []pathNode {
 	for head < len(queue) && len(nodes) < maxDisplacements*EntriesPerBucket {
 		item := queue[head]
 		head++
+		line := t.bucket(item.bucket, false)
 		for e := 0; e < EntriesPerBucket; e++ {
-			sig, _ := t.readEntry(item.bucket, e)
+			sig := entrySig(line, e)
 			if sig == 0 {
 				continue
 			}
@@ -480,19 +550,17 @@ func (t *Table) findCuckooPath(b1, b2 uint64) []pathNode {
 			nodes = append(nodes, pathNode{bucket: item.bucket, slot: e, parent: item.node})
 			nodeIdx := len(nodes) - 1
 			// Does the alternative bucket have a free slot?
-			for ae := 0; ae < EntriesPerBucket; ae++ {
-				if s, _ := t.readEntry(alt, ae); s == 0 {
-					// Collect leaf→root, then reverse to root→leaf order.
-					path := t.bfsPath[:0]
-					for i := nodeIdx; i >= 0; i = nodes[i].parent {
-						path = append(path, nodes[i])
-					}
-					for l, r := 0, len(path)-1; l < r; l, r = l+1, r-1 {
-						path[l], path[r] = path[r], path[l]
-					}
-					t.bfsPath = path
-					return path
+			if firstFree(t.bucket(alt, false)) >= 0 {
+				// Collect leaf→root, then reverse to root→leaf order.
+				path := t.bfsPath[:0]
+				for i := nodeIdx; i >= 0; i = nodes[i].parent {
+					path = append(path, nodes[i])
 				}
+				for l, r := 0, len(path)-1; l < r; l, r = l+1, r-1 {
+					path[l], path[r] = path[r], path[l]
+				}
+				t.bfsPath = path
+				return path
 			}
 			if !visited[alt] {
 				visited[alt] = true
@@ -510,16 +578,14 @@ func (t *Table) applyCuckooPath(path []pathNode) {
 	t.stats.Displacements += uint64(len(path))
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
-		sig, idx := t.readEntry(n.bucket, n.slot)
+		src := t.bucket(n.bucket, true)
+		sig, idx := entrySig(src, n.slot), entryIdx(src, n.slot)
 		alt := hashfn.AltBucket(n.bucket, sig, t.bucketCount)
-		for ae := 0; ae < EntriesPerBucket; ae++ {
-			if s, _ := t.readEntry(alt, ae); s == 0 {
-				t.bumpVersion()
-				t.writeEntry(alt, ae, sig, idx)
-				t.writeEntry(n.bucket, n.slot, 0, 0)
-				t.bumpVersion()
-				break
-			}
+		if ae := firstFree(t.bucket(alt, false)); ae >= 0 {
+			t.bumpVersion()
+			putEntry(t.bucket(alt, true), ae, sig, idx)
+			putEntry(src, n.slot, 0, 0)
+			t.bumpVersion()
 		}
 	}
 }
@@ -530,20 +596,13 @@ func (t *Table) Update(key []byte, value uint64) bool {
 		return false
 	}
 	_, sig, b1, b2 := t.Hashes(key)
-	for _, b := range [2]uint64{b1, b2} {
-		for e := 0; e < EntriesPerBucket; e++ {
-			s, idx := t.readEntry(b, e)
-			if s == sig && t.keyEqual(idx, key) {
-				t.writeKV(idx, key, value)
-				t.stats.Updates++
-				return true
-			}
-		}
-		if t.IsSFH() {
-			break
-		}
+	_, slot, idx := t.find(key, sig, b1, b2)
+	if slot < 0 {
+		return false
 	}
-	return false
+	t.writeKV(idx, key, value)
+	t.stats.Updates++
+	return true
 }
 
 // Delete removes a key, returning whether it was present.
@@ -552,24 +611,32 @@ func (t *Table) Delete(key []byte) bool {
 		return false
 	}
 	_, sig, b1, b2 := t.Hashes(key)
-	for _, b := range [2]uint64{b1, b2} {
-		for e := 0; e < EntriesPerBucket; e++ {
-			s, idx := t.readEntry(b, e)
-			if s == sig && t.keyEqual(idx, key) {
-				t.bumpVersion()
-				t.writeEntry(b, e, 0, 0)
-				t.bumpVersion()
-				t.free = append(t.free, idx)
-				t.size--
-				t.stats.Deletes++
-				return true
-			}
-		}
-		if t.IsSFH() {
-			break
-		}
+	b, slot, idx := t.find(key, sig, b1, b2)
+	if slot < 0 {
+		return false
 	}
-	return false
+	t.bumpVersion()
+	putEntry(t.bucket(b, true), slot, 0, 0)
+	t.bumpVersion()
+	t.free = append(t.free, idx)
+	t.size--
+	t.stats.Deletes++
+	return true
+}
+
+// live returns the key-value pairs stored in one bucket line, in entry
+// order, each key in a fresh slice.
+func (t *Table) live(line []byte, out []KVPair) []KVPair {
+	for e := 0; e < EntriesPerBucket; e++ {
+		if entrySig(line, e) == 0 {
+			continue
+		}
+		idx := entryIdx(line, e)
+		key := make([]byte, t.keyLen)
+		t.space.ReadAt(t.KVAddr(idx), key)
+		out = append(out, KVPair{Key: key, Value: t.readValue(idx)})
+	}
+	return out
 }
 
 // KVPair is one live entry exported by Entries.
@@ -581,17 +648,7 @@ type KVPair struct {
 // Entries returns the live key-value pairs stored in one bucket, for
 // table-walking consumers (e.g. loading a rule set into a TCAM model).
 func (t *Table) Entries(bucket uint64) []KVPair {
-	var out []KVPair
-	for e := 0; e < EntriesPerBucket; e++ {
-		sig, idx := t.readEntry(bucket, e)
-		if sig == 0 {
-			continue
-		}
-		key := make([]byte, t.keyLen)
-		t.readKey(idx, key)
-		out = append(out, KVPair{Key: key, Value: t.readValue(idx)})
-	}
-	return out
+	return t.live(t.bucket(bucket, false), nil)
 }
 
 // BucketOccupancy returns a histogram of live entries per bucket
@@ -600,9 +657,10 @@ func (t *Table) Entries(bucket uint64) []KVPair {
 func (t *Table) BucketOccupancy() [EntriesPerBucket + 1]uint64 {
 	var hist [EntriesPerBucket + 1]uint64
 	for b := uint64(0); b < t.bucketCount; b++ {
+		line := t.bucket(b, false)
 		n := 0
 		for e := 0; e < EntriesPerBucket; e++ {
-			if s, _ := t.readEntry(b, e); s != 0 {
+			if entrySig(line, e) != 0 {
 				n++
 			}
 		}
@@ -615,15 +673,10 @@ func (t *Table) BucketOccupancy() [EntriesPerBucket + 1]uint64 {
 // returns early if fn returns false. Mutating the table during iteration is
 // unsupported (matching rte_hash's iterator contract).
 func (t *Table) Iterate(fn func(key []byte, value uint64) bool) {
+	var pairs [EntriesPerBucket]KVPair
 	for b := uint64(0); b < t.bucketCount; b++ {
-		for e := 0; e < EntriesPerBucket; e++ {
-			sig, idx := t.readEntry(b, e)
-			if sig == 0 {
-				continue
-			}
-			key := make([]byte, t.keyLen)
-			t.readKey(idx, key)
-			if !fn(key, t.readValue(idx)) {
+		for _, kv := range t.live(t.bucket(b, false), pairs[:0]) {
+			if !fn(kv.Key, kv.Value) {
 				return
 			}
 		}

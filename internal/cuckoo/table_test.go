@@ -3,6 +3,7 @@ package cuckoo
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -198,6 +199,93 @@ func TestAttachRejectsGarbage(t *testing.T) {
 	space := mem.NewMemory()
 	if _, err := Attach(space, 0x5000); err != ErrNotHaloible {
 		t.Fatalf("attach to garbage err = %v", err)
+	}
+}
+
+// TestAttachValidatesMetadata patches one metadata field at a time on a
+// valid table. Before validation, key length 200 attached cleanly and the
+// first signature match panicked slicing the 64-byte compare buffer.
+func TestAttachValidatesMetadata(t *testing.T) {
+	for _, sfh := range []bool{false, true} {
+		space := mem.NewMemory()
+		tbl, err := Create(space, mem.NewAllocator(0x1000, 1<<30), Config{Entries: 512, KeyLen: 16, SFH: sfh})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Insert(key16(1), 1); err != nil {
+			t.Fatal(err)
+		}
+		base := tbl.Base()
+		if _, err := Attach(space, base); err != nil {
+			t.Fatalf("sfh=%v: Attach to an untouched table: %v", sfh, err)
+		}
+		for _, tc := range []struct {
+			name  string
+			patch func()
+		}{
+			{"key length 200", func() { space.Store32(base+metaKeyLen, 200) }},
+			{"key length 0", func() { space.Store32(base+metaKeyLen, 0) }},
+			{"key length of another slot size", func() { space.Store32(base+metaKeyLen, 40) }},
+			{"bucket count not a power of two", func() { space.Store64(base+metaBucketCount, tbl.bucketCount-1) }},
+			{"bucket count 1", func() { space.Store64(base+metaBucketCount, 1) }},
+			{"bucket count beyond the array", func() { space.Store64(base+metaBucketCount, tbl.bucketCount*2) }},
+			{"slot size", func() { space.Store64(base+metaKVSlotSize, 24) }},
+			{"zero capacity", func() { space.Store64(base+metaCapacity, 0) }},
+			{"capacity beyond 32-bit indexes", func() { space.Store64(base+metaCapacity, 1<<40) }},
+			{"unaligned bucket base", func() { space.Store64(base+metaBucketBase, uint64(tbl.bucketBase)+8) }},
+			{"unaligned key-value base", func() { space.Store64(base+metaKVBase, uint64(tbl.kvBase)+16) }},
+			{"entry index beyond capacity", func() {
+				_, _, b1, _ := tbl.Hashes(key16(1))
+				space.Store32(tbl.entryAddr(b1, 0)+4, 512)
+			}},
+			{"two entries own one slot", func() {
+				_, _, b1, _ := tbl.Hashes(key16(1))
+				space.Store64(tbl.entryAddr(b1, 1), space.Load64(tbl.entryAddr(b1, 0)))
+			}},
+		} {
+			var saved [2 * mem.LineSize]byte // the two lines a patch may touch: metadata, key 1's bucket
+			space.ReadAt(base, saved[:mem.LineSize])
+			_, _, b1, _ := tbl.Hashes(key16(1))
+			space.ReadAt(tbl.BucketAddr(b1), saved[mem.LineSize:])
+			tc.patch()
+			if _, err := Attach(space, base); err != ErrNotHaloible {
+				t.Errorf("sfh=%v, %s: Attach err = %v, want ErrNotHaloible", sfh, tc.name, err)
+			}
+			space.WriteAt(base, saved[:mem.LineSize])
+			space.WriteAt(tbl.BucketAddr(b1), saved[mem.LineSize:])
+		}
+	}
+}
+
+// TestAttachFreeListMatchesLiveHandle: after deletes the live handle's free
+// list is in recycling order, which Attach cannot know; what it rebuilds is
+// the same set, highest slot first (so the next insert takes the lowest).
+func TestAttachFreeListMatchesLiveHandle(t *testing.T) {
+	space := mem.NewMemory()
+	tbl, err := Create(space, mem.NewAllocator(0x1000, 1<<30), Config{Entries: 100, KeyLen: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 70; i++ {
+		if err := tbl.Insert(key16(i), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := uint64(0); i < 70; i += 4 {
+		tbl.Delete(key16(i))
+	}
+	re, err := Attach(space, tbl.Base())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(tbl.free)
+	slices.Sort(want)
+	slices.Reverse(want)
+	if !slices.Equal(re.free, want) {
+		t.Fatalf("attached free list %v, want %v", re.free, want)
+	}
+	if re.Size() != tbl.Size() {
+		t.Fatalf("attached size %d, want %d", re.Size(), tbl.Size())
 	}
 }
 

@@ -159,11 +159,12 @@ func (t *Table) timedProbe(th *cpu.Thread, key []byte, sig uint16, b1, b2 uint64
 		th.ALU(EntriesPerBucket)
 		th.Other(2)
 
+		line := t.bucket(b, false)
 		for e := 0; e < EntriesPerBucket; e++ {
-			s, idx := t.readEntry(b, e)
-			if s != sig {
+			if entrySig(line, e) != sig {
 				continue
 			}
+			idx := entryIdx(line, e)
 			// Signature hit: fetch the key-value pair and compare keys.
 			th.Load(t.KVAddr(idx))
 			th.LocalLoad(words - 1 + 1) // remaining key words + value word
@@ -211,22 +212,17 @@ func (t *Table) TimedInsert(th *cpu.Thread, key []byte, value uint64) error {
 	// Try to place directly; each attempted bucket is already hot from the
 	// probe, but the stores to bucket + KV lines are real.
 	place := func(b uint64) bool {
-		for e := 0; e < EntriesPerBucket; e++ {
-			if s, _ := t.readEntry(b, e); s == 0 {
-				idx := t.free[len(t.free)-1]
-				t.free = t.free[:len(t.free)-1]
-				// Write key+value (slot line) then publish the entry.
-				th.Store(t.KVAddr(idx))
-				th.LocalStore(words)
-				th.Store(t.entryAddr(b, e))
-				th.ALU(4)
-				t.writeKV(idx, key, value)
-				t.writeEntry(b, e, sig, idx)
-				t.size++
-				return true
-			}
+		e := firstFree(t.bucket(b, false))
+		if e < 0 {
+			return false
 		}
-		return false
+		// Write key+value (slot line) then publish the entry.
+		th.Store(t.KVAddr(t.free[len(t.free)-1]))
+		th.LocalStore(words)
+		th.Store(t.entryAddr(b, e))
+		th.ALU(4)
+		t.place(b, e, sig, key, value)
+		return true
 	}
 	if place(b1) {
 		th.Other(4)
@@ -256,8 +252,7 @@ func (t *Table) TimedInsert(th *cpu.Thread, key []byte, value uint64) error {
 		th.Load(t.BucketAddr(n.bucket))
 		th.ALU(8)
 		th.Store(t.VersionAddr())
-		sig, _ := t.readEntry(n.bucket, n.slot)
-		alt := altOf(n.bucket, sig, t.bucketCount)
+		alt := altOf(n.bucket, entrySig(t.bucket(n.bucket, false), n.slot), t.bucketCount)
 		th.Store(t.BucketAddr(alt))
 		th.Store(t.BucketAddr(n.bucket))
 		th.Store(t.VersionAddr())

@@ -72,7 +72,7 @@ func AnyRule(priority uint16, value uint64) Rule {
 
 // Tree is a built classifier resident in simulated memory.
 type Tree struct {
-	space    mem.Space
+	space    *mem.Memory
 	root     mem.Addr
 	keyLen   int
 	nodes    int
@@ -121,7 +121,7 @@ func (rg region) containedBy(r Rule) bool {
 // Build constructs the tree over the rules and lays it out via the
 // allocator. The node count is bounded by the splitting process; pass rule
 // sets with bounded overlap (classifier rule sets in practice).
-func Build(space mem.Space, alloc *mem.Allocator, rules []Rule) (*Tree, error) {
+func Build(space *mem.Memory, alloc *mem.Allocator, rules []Rule) (*Tree, error) {
 	if len(rules) == 0 {
 		return nil, ErrNoRules
 	}
@@ -329,10 +329,10 @@ func (t *Tree) readNode(addr mem.Addr) (kind, field uint8, width uint16, split, 
 	var hdr [2]byte
 	t.space.ReadAt(addr+4, hdr[:])
 	kind, field = hdr[0], hdr[1]
-	width = mem.Read16(t.space, addr+6)
-	split = mem.Read64(t.space, addr+8)
-	left = mem.Read64(t.space, addr+16)
-	right = mem.Read64(t.space, addr+24)
+	width = t.space.Load16(addr + 6)
+	split = t.space.Load64(addr + 8)
+	left = t.space.Load64(addr + 16)
+	right = t.space.Load64(addr + 24)
 	return
 }
 

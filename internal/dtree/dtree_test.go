@@ -214,7 +214,7 @@ func TestHaloWalkFasterThanSoftwareWhenLLCResident(t *testing.T) {
 func TestWalkFaultOnCorruptNode(t *testing.T) {
 	tree, p := buildTestTree(t, testRules())
 	// Corrupt the root's magic.
-	mem.Write32(p.Space, tree.Root(), 0xdeadbeef)
+	p.Space.Store32(tree.Root(), 0xdeadbeef)
 	th := cpu.NewThread(p.Hier, 0)
 	keyBuf := p.Alloc.AllocLines(1)
 	p.Space.WriteAt(keyBuf, Key(packet.FiveTuple{}))

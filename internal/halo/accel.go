@@ -94,7 +94,7 @@ type Accelerator struct {
 	slice    int
 	cfg      AccelConfig
 	hier     *cache.Hierarchy
-	space    mem.Space
+	space    *mem.Memory
 	meta     *MetadataCache
 	hashUnit *sim.CalendarResource
 	flowReg  *FlowRegister
@@ -147,7 +147,7 @@ func (a *Accelerator) releaseTxn(tx *queryTxn) {
 }
 
 // NewAccelerator builds the accelerator for a slice.
-func NewAccelerator(slice int, cfg AccelConfig, hier *cache.Hierarchy, space mem.Space, flowRegBits uint) *Accelerator {
+func NewAccelerator(slice int, cfg AccelConfig, hier *cache.Hierarchy, space *mem.Memory, flowRegBits uint) *Accelerator {
 	return &Accelerator{
 		slice:    slice,
 		cfg:      cfg,
@@ -297,11 +297,11 @@ func (a *Accelerator) Process(at sim.Cycle, q Query) QueryResult {
 
 		for e := 0; e < cuckoo.EntriesPerBucket; e++ {
 			ea := bAddr + mem.Addr(e*8)
-			s := mem.Read16(a.space, ea)
+			s := a.space.Load16(ea)
 			if s != sig {
 				continue
 			}
-			idx := mem.Read32(a.space, ea+4)
+			idx := a.space.Load32(ea + 4)
 			kvAddr := meta.KVBase + mem.Addr(uint64(idx)*meta.KVSlotSize)
 			if a.cfg.LockEnabled {
 				tx.lock(kvAddr)
@@ -310,7 +310,7 @@ func (a *Accelerator) Process(at sim.Cycle, q Query) QueryResult {
 			t = res.Done + a.cfg.CompareLatency
 			if a.keyEqual(tx, meta, idx, key) {
 				keyAligned := (mem.Addr(meta.KeyLen) + 7) &^ 7
-				value = mem.Read64(a.space, kvAddr+keyAligned)
+				value = a.space.Load64(kvAddr + keyAligned)
 				found = true
 				break
 			}
@@ -321,7 +321,7 @@ func (a *Accelerator) Process(at sim.Cycle, q Query) QueryResult {
 	if q.NonBlocking {
 		res = a.access(t, q.ResultAddr, true)
 		t = res.Done
-		mem.Write64(a.space, q.ResultAddr, EncodeResult(value, found))
+		a.space.Store64(q.ResultAddr, EncodeResult(value, found))
 	}
 
 	// Engage the hardware locks for the window the walk occupied. With the

@@ -57,7 +57,7 @@ func (u *Unit) Execute(th *cpu.Thread, regs *Regs, in isa.Instruction) error {
 
 	case isa.OpSnapshotRead:
 		th.SnapshotRead(mem.Addr(in.ResultAddr))
-		regs[in.DstReg] = mem.Read64(u.space, mem.Addr(in.ResultAddr))
+		regs[in.DstReg] = u.space.Load64(mem.Addr(in.ResultAddr))
 		return nil
 	}
 	return fmt.Errorf("halo: cannot execute %v", in.Op)

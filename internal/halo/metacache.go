@@ -21,18 +21,18 @@ type TableMeta struct {
 // parseMeta decodes a metadata line from simulated memory. ok is false when
 // the magic does not match (the accelerator then raises a fault to software;
 // in this model the query simply reports not-found with Fault set).
-func parseMeta(space mem.Space, base mem.Addr) (TableMeta, bool) {
-	if mem.Read32(space, base) != cuckoo.Magic {
+func parseMeta(space *mem.Memory, base mem.Addr) (TableMeta, bool) {
+	if space.Load32(base) != cuckoo.Magic {
 		return TableMeta{}, false
 	}
-	flags := mem.Read32(space, base+40)
+	flags := space.Load32(base + 40)
 	return TableMeta{
 		Base:        base,
-		KeyLen:      int(mem.Read32(space, base+4)),
-		BucketCount: mem.Read64(space, base+8),
-		BucketBase:  mem.Addr(mem.Read64(space, base+16)),
-		KVBase:      mem.Addr(mem.Read64(space, base+24)),
-		KVSlotSize:  mem.Read64(space, base+32),
+		KeyLen:      int(space.Load32(base + 4)),
+		BucketCount: space.Load64(base + 8),
+		BucketBase:  mem.Addr(space.Load64(base + 16)),
+		KVBase:      mem.Addr(space.Load64(base + 24)),
+		KVSlotSize:  space.Load64(base + 32),
 		SFH:         flags&cuckoo.FlagSFH != 0,
 	}, true
 }

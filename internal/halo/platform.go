@@ -82,11 +82,6 @@ func (p *Platform) CollectInto(s *stats.Snapshot) {
 // (§5.2: 10K lookups before measuring).
 func (p *Platform) WarmTable(t *cuckoo.Table) {
 	p.Hier.WarmLLC(t.Base())
-	for b := uint64(0); b < t.BucketCount(); b++ {
-		p.Hier.WarmLLC(t.BucketAddr(b))
-	}
-	start, end := t.KVAddr(0), t.KVAddr(uint32(t.Capacity()-1))
-	for a := mem.LineAddr(start); a <= end; a += mem.LineSize {
-		p.Hier.WarmLLC(a)
-	}
+	p.Hier.WarmRange(t.BucketAddr(0), t.BucketAddr(t.BucketCount()-1))
+	p.Hier.WarmRange(t.KVAddr(0), t.KVAddr(uint32(t.Capacity()-1)))
 }

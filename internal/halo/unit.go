@@ -73,7 +73,7 @@ type Unit struct {
 	cfg   UnitConfig
 	hier  *cache.Hierarchy
 	ring  *noc.Ring
-	space mem.Space
+	space *mem.Memory
 	dist  *noc.QueryDistributor
 	accel []*Accelerator
 
@@ -88,7 +88,7 @@ var zeroLine [mem.LineSize]byte
 
 // NewUnit installs HALO onto an existing platform. The allocator provides
 // the per-core staging buffers in simulated memory.
-func NewUnit(cfg UnitConfig, hier *cache.Hierarchy, ring *noc.Ring, space mem.Space, alloc *mem.Allocator) *Unit {
+func NewUnit(cfg UnitConfig, hier *cache.Hierarchy, ring *noc.Ring, space *mem.Memory, alloc *mem.Allocator) *Unit {
 	if cfg.BatchSize <= 0 || cfg.BatchSize > 8 {
 		panic("halo: batch size must be 1..8 (one result line)")
 	}

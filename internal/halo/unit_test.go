@@ -6,7 +6,6 @@ import (
 
 	"halo/internal/cpu"
 	"halo/internal/cuckoo"
-	"halo/internal/mem"
 )
 
 func key16(i uint64) []byte {
@@ -109,11 +108,11 @@ func TestLookupNBResultLineEncoding(t *testing.T) {
 	})
 	// The accelerator wrote encoded words into the core's result line.
 	line := p.Unit.resultBuf[0]
-	v, found, done := DecodeResult(mem.Read64(p.Space, line))
+	v, found, done := DecodeResult(p.Space.Load64(line))
 	if !done || !found || v != 3 {
 		t.Fatalf("slot 0 = (%d,%v,%v)", v, found, done)
 	}
-	_, found, done = DecodeResult(mem.Read64(p.Space, line+8))
+	_, found, done = DecodeResult(p.Space.Load64(line + 8))
 	if !done || found {
 		t.Fatal("slot 1 should be done+miss")
 	}

@@ -47,25 +47,25 @@ const (
 )
 
 // WriteInternalNode lays an internal node out in memory.
-func WriteInternalNode(s mem.Space, addr mem.Addr, field uint8, width uint16, split uint64, left, right mem.Addr) {
-	mem.Write32(s, addr+walkOffMagic, WalkMagic)
+func WriteInternalNode(s *mem.Memory, addr mem.Addr, field uint8, width uint16, split uint64, left, right mem.Addr) {
+	s.Store32(addr+walkOffMagic, WalkMagic)
 	s.WriteAt(addr+walkOffKind, []byte{WalkInternal, field})
-	mem.Write16(s, addr+walkOffWidth, width)
-	mem.Write64(s, addr+walkOffSplit, split)
-	mem.Write64(s, addr+walkOffLeft, uint64(left))
-	mem.Write64(s, addr+walkOffRight, uint64(right))
+	s.Store16(addr+walkOffWidth, width)
+	s.Store64(addr+walkOffSplit, split)
+	s.Store64(addr+walkOffLeft, uint64(left))
+	s.Store64(addr+walkOffRight, uint64(right))
 }
 
 // WriteLeafNode lays a leaf out in memory.
-func WriteLeafNode(s mem.Space, addr mem.Addr, value uint64, found bool) {
-	mem.Write32(s, addr+walkOffMagic, WalkMagic)
+func WriteLeafNode(s *mem.Memory, addr mem.Addr, value uint64, found bool) {
+	s.Store32(addr+walkOffMagic, WalkMagic)
 	s.WriteAt(addr+walkOffKind, []byte{WalkLeaf, 0})
-	mem.Write64(s, addr+walkOffLeft, value)
+	s.Store64(addr+walkOffLeft, value)
 	f := uint64(0)
 	if found {
 		f = 1
 	}
-	mem.Write64(s, addr+walkOffRight, f)
+	s.Store64(addr+walkOffRight, f)
 }
 
 // WalkQuery asks an accelerator to chase a decision tree for a key.
@@ -122,29 +122,29 @@ func (a *Accelerator) ProcessWalk(at sim.Cycle, q WalkQuery) WalkResult {
 		}
 		res = a.access(t, node, false)
 		t = res.Done + a.cfg.CompareLatency
-		if mem.Read32(a.space, node+walkOffMagic) != WalkMagic {
+		if a.space.Load32(node+walkOffMagic) != WalkMagic {
 			a.stats.Faults++
 			r.Fault = true
 			break
 		}
 		// Kind and field selector share a little-endian 16-bit load so the
 		// hot walk loop stays on the allocation-free scalar path.
-		hdr := mem.Read16(a.space, node+walkOffKind)
+		hdr := a.space.Load16(node + walkOffKind)
 		if uint8(hdr) == WalkLeaf {
-			r.Value = mem.Read64(a.space, node+walkOffLeft)
-			r.Found = mem.Read64(a.space, node+walkOffRight) != 0
+			r.Value = a.space.Load64(node + walkOffLeft)
+			r.Found = a.space.Load64(node+walkOffRight) != 0
 			r.Depth = depth
 			break
 		}
 		field := int(hdr >> 8)
-		width := int(mem.Read16(a.space, node+walkOffWidth))
-		split := mem.Read64(a.space, node+walkOffSplit)
+		width := int(a.space.Load16(node + walkOffWidth))
+		split := a.space.Load64(node + walkOffSplit)
 		v := fieldValue(key, field, width)
 		next := node + walkOffRight
 		if v < split {
 			next = node + walkOffLeft
 		}
-		node = mem.Addr(mem.Read64(a.space, next))
+		node = mem.Addr(a.space.Load64(next))
 		if node == 0 {
 			r.Fault = true
 			break

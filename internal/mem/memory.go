@@ -22,66 +22,99 @@ const LineSize = 64
 // LineAddr returns the address of the cache line containing a.
 func LineAddr(a Addr) Addr { return a &^ (LineSize - 1) }
 
-// Space is a functional byte store. Implementations must support unaligned
-// access anywhere in the address space.
-type Space interface {
-	ReadAt(addr Addr, buf []byte)
-	WriteAt(addr Addr, buf []byte)
-}
-
 const pageBits = 16 // 64 KiB pages
 const pageSize = 1 << pageBits
+
+// densePages is the dense limit of the page table: pages numbered below it
+// (addresses below 16 GiB, which covers every allocator arena the
+// experiments size) are found by indexing a flat slice that grows on demand;
+// pages at or beyond it live in a map, so a stray high address costs one map
+// entry rather than a table sized to reach it.
+const densePages = 1 << 18
+
+type page = [pageSize]byte
 
 // Memory is a sparse, page-granular physical memory. The zero value is
 // usable and empty; unwritten bytes read as zero.
 //
-// Memory is not safe for concurrent use: the one-entry page cache mutates
-// on reads. Every simulated platform owns its memory exclusively, matching
-// how the worker pool shards experiment points.
+// Memory is not safe for concurrent use. Every simulated platform owns its
+// memory exclusively, matching how the worker pool shards experiment points.
 type Memory struct {
-	pages map[Addr]*[pageSize]byte
-
-	// One-entry page cache: table walks and bucket probes hit the same page
-	// repeatedly, and the map lookup dominates access cost without it.
-	lastBase Addr
-	lastPage *[pageSize]byte
+	dense  []*page          // indexed by page number, below densePages
+	sparse map[uint64]*page // page numbers at or beyond densePages
+	pages  uint64           // allocated pages, both kinds
 }
 
 // NewMemory returns an empty memory.
-func NewMemory() *Memory {
-	return &Memory{pages: make(map[Addr]*[pageSize]byte)}
+func NewMemory() *Memory { return &Memory{} }
+
+func (m *Memory) page(addr Addr, create bool) *page {
+	n := uint64(addr >> pageBits)
+	if n < uint64(len(m.dense)) {
+		if p := m.dense[n]; p != nil || !create {
+			return p
+		}
+	}
+	return m.pageSlow(n, create)
 }
 
-func (m *Memory) page(addr Addr, create bool) *[pageSize]byte {
-	base := addr >> pageBits
-	if m.lastPage != nil && m.lastBase == base {
-		return m.lastPage
+// pageSlow handles what the flat-table hit does not: a page beyond the
+// table's current length, the first write to a page, and the sparse range.
+func (m *Memory) pageSlow(n uint64, create bool) *page {
+	if n >= densePages {
+		p := m.sparse[n]
+		if p == nil && create {
+			if m.sparse == nil {
+				m.sparse = make(map[uint64]*page)
+			}
+			p = new(page)
+			m.sparse[n] = p
+			m.pages++
+		}
+		return p
 	}
-	p := m.pages[base]
-	if p == nil && create {
-		p = new([pageSize]byte)
-		m.pages[base] = p
+	if !create {
+		return nil
 	}
-	if p != nil {
-		m.lastBase, m.lastPage = base, p
+	if n >= uint64(len(m.dense)) {
+		grown := make([]*page, min(max(n+1, 2*uint64(len(m.dense))), densePages))
+		copy(grown, m.dense)
+		m.dense = grown
 	}
+	p := new(page)
+	m.dense[n] = p
+	m.pages++
 	return p
+}
+
+// zeroLine is what Line returns for unwritten memory when not creating.
+var zeroLine [LineSize]byte
+
+// Line returns the 64-byte cache line containing addr as a slice aliasing
+// the backing page: loads and stores through it are loads and stores of
+// simulated memory, with no copy. Lines never straddle a page, and pages
+// never move, so the alias stays valid for the life of the Memory.
+//
+// With create false an unwritten page is not allocated; the result is then
+// a shared all-zero line that must not be written.
+func (m *Memory) Line(addr Addr, create bool) []byte {
+	p := m.page(addr, create)
+	if p == nil {
+		return zeroLine[:]
+	}
+	off := int(addr&(pageSize-1)) &^ (LineSize - 1)
+	return p[off : off+LineSize : off+LineSize]
 }
 
 // ReadAt fills buf with the bytes at addr. Unwritten memory reads as zero.
 func (m *Memory) ReadAt(addr Addr, buf []byte) {
 	for len(buf) > 0 {
 		off := int(addr & (pageSize - 1))
-		n := pageSize - off
-		if n > len(buf) {
-			n = len(buf)
-		}
+		n := min(pageSize-off, len(buf))
 		if p := m.page(addr, false); p != nil {
 			copy(buf[:n], p[off:off+n])
 		} else {
-			for i := 0; i < n; i++ {
-				buf[i] = 0
-			}
+			clear(buf[:n])
 		}
 		buf = buf[n:]
 		addr += Addr(n)
@@ -92,10 +125,7 @@ func (m *Memory) ReadAt(addr Addr, buf []byte) {
 func (m *Memory) WriteAt(addr Addr, buf []byte) {
 	for len(buf) > 0 {
 		off := int(addr & (pageSize - 1))
-		n := pageSize - off
-		if n > len(buf) {
-			n = len(buf)
-		}
+		n := min(pageSize-off, len(buf))
 		copy(m.page(addr, true)[off:off+n], buf[:n])
 		buf = buf[n:]
 		addr += Addr(n)
@@ -104,16 +134,11 @@ func (m *Memory) WriteAt(addr Addr, buf []byte) {
 
 // FootprintBytes reports how many bytes of backing store have been allocated
 // (page granular).
-func (m *Memory) FootprintBytes() uint64 {
-	return uint64(len(m.pages)) * pageSize
-}
+func (m *Memory) FootprintBytes() uint64 { return m.pages * pageSize }
 
-// The LoadN/StoreN methods are the allocation-free fast path for scalar
-// access: they index the page directly instead of copying through a caller
-// buffer, falling back to ReadAt/WriteAt only when the value straddles a
-// page boundary. The generic ReadN/WriteN helpers dispatch here, keeping
-// every call site on the zero-allocation path without interface-induced
-// buffer escapes.
+// The LoadN/StoreN methods are scalar access: they index the page directly
+// instead of copying through a caller buffer, falling back to ReadAt/WriteAt
+// only when the value straddles a page boundary.
 
 // Load16 loads a little-endian uint16 at addr.
 func (m *Memory) Load16(addr Addr) uint16 {
@@ -194,69 +219,6 @@ func (m *Memory) Store64(addr Addr, v uint64) {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
 	m.WriteAt(addr, buf[:])
-}
-
-// Read64 loads a little-endian uint64 from s at addr.
-func Read64(s Space, addr Addr) uint64 {
-	if m, ok := s.(*Memory); ok {
-		return m.Load64(addr)
-	}
-	var buf [8]byte
-	s.ReadAt(addr, buf[:])
-	return binary.LittleEndian.Uint64(buf[:])
-}
-
-// Write64 stores a little-endian uint64 to s at addr.
-func Write64(s Space, addr Addr, v uint64) {
-	if m, ok := s.(*Memory); ok {
-		m.Store64(addr, v)
-		return
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	s.WriteAt(addr, buf[:])
-}
-
-// Read32 loads a little-endian uint32 from s at addr.
-func Read32(s Space, addr Addr) uint32 {
-	if m, ok := s.(*Memory); ok {
-		return m.Load32(addr)
-	}
-	var buf [4]byte
-	s.ReadAt(addr, buf[:])
-	return binary.LittleEndian.Uint32(buf[:])
-}
-
-// Write32 stores a little-endian uint32 to s at addr.
-func Write32(s Space, addr Addr, v uint32) {
-	if m, ok := s.(*Memory); ok {
-		m.Store32(addr, v)
-		return
-	}
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	s.WriteAt(addr, buf[:])
-}
-
-// Read16 loads a little-endian uint16 from s at addr.
-func Read16(s Space, addr Addr) uint16 {
-	if m, ok := s.(*Memory); ok {
-		return m.Load16(addr)
-	}
-	var buf [2]byte
-	s.ReadAt(addr, buf[:])
-	return binary.LittleEndian.Uint16(buf[:])
-}
-
-// Write16 stores a little-endian uint16 to s at addr.
-func Write16(s Space, addr Addr, v uint16) {
-	if m, ok := s.(*Memory); ok {
-		m.Store16(addr, v)
-		return
-	}
-	var buf [2]byte
-	binary.LittleEndian.PutUint16(buf[:], v)
-	s.WriteAt(addr, buf[:])
 }
 
 // Allocator hands out non-overlapping address ranges from a memory region,

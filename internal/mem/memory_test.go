@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -62,23 +63,149 @@ func TestMemoryPropertyRoundTrip(t *testing.T) {
 
 func TestScalarHelpers(t *testing.T) {
 	m := NewMemory()
-	Write64(m, 8, 0x0123456789abcdef)
-	if got := Read64(m, 8); got != 0x0123456789abcdef {
-		t.Fatalf("Read64 = %#x", got)
+	m.Store64(8, 0x0123456789abcdef)
+	if got := m.Load64(8); got != 0x0123456789abcdef {
+		t.Fatalf("Load64 = %#x", got)
 	}
-	Write32(m, 100, 0xcafebabe)
-	if got := Read32(m, 100); got != 0xcafebabe {
-		t.Fatalf("Read32 = %#x", got)
+	m.Store32(100, 0xcafebabe)
+	if got := m.Load32(100); got != 0xcafebabe {
+		t.Fatalf("Load32 = %#x", got)
 	}
-	Write16(m, 200, 0xbeef)
-	if got := Read16(m, 200); got != 0xbeef {
-		t.Fatalf("Read16 = %#x", got)
+	m.Store16(200, 0xbeef)
+	if got := m.Load16(200); got != 0xbeef {
+		t.Fatalf("Load16 = %#x", got)
 	}
 	// Little-endian layout check: low byte first.
 	var b [1]byte
 	m.ReadAt(8, b[:])
 	if b[0] != 0xef {
-		t.Fatalf("Write64 is not little-endian: first byte %#x", b[0])
+		t.Fatalf("Store64 is not little-endian: first byte %#x", b[0])
+	}
+}
+
+func TestLineAliasesTheBackingPage(t *testing.T) {
+	m := NewMemory()
+	m.Store32(0x2044, 0xcafebabe)
+	l := m.Line(0x2050, false) // any address inside the line
+	if len(l) != LineSize || cap(l) != LineSize {
+		t.Fatalf("Line len/cap = %d/%d, want %d", len(l), cap(l), LineSize)
+	}
+	if got := binary.LittleEndian.Uint32(l[4:]); got != 0xcafebabe {
+		t.Fatalf("Line does not see an earlier store: %#x", got)
+	}
+	binary.LittleEndian.PutUint16(l[8:], 0xbeef) // a store through the alias
+	if got := m.Load16(0x2048); got != 0xbeef {
+		t.Fatalf("store through the alias not visible to Load16: %#x", got)
+	}
+	m.Store64(0x2078, 7) // and a later store is visible through the old alias
+	if l[0x38] != 7 {
+		t.Fatal("alias went stale after a later store")
+	}
+	// Growing the page table must not move pages out from under an alias.
+	m.Store64(Addr(5000)<<pageBits, 1)
+	if m.Store64(0x2040, 9); l[0] != 9 {
+		t.Fatal("alias went stale after the page table grew")
+	}
+}
+
+func TestLineOnUnwrittenPages(t *testing.T) {
+	for _, addr := range []Addr{0x30040, Addr(densePages)<<pageBits + 0x40} {
+		m := NewMemory()
+		l := m.Line(addr, false)
+		if m.FootprintBytes() != 0 {
+			t.Fatalf("Line(%#x, false) allocated a page", addr)
+		}
+		if !bytes.Equal(l, make([]byte, LineSize)) {
+			t.Fatalf("unwritten line reads %v", l)
+		}
+		w := m.Line(addr, true)
+		if m.FootprintBytes() != pageSize {
+			t.Fatalf("Line(%#x, true): footprint %d, want one page", addr, m.FootprintBytes())
+		}
+		w[3] = 0xab
+		var b [1]byte
+		if m.ReadAt(addr+3, b[:]); b[0] != 0xab {
+			t.Fatal("store through a created line not visible to ReadAt")
+		}
+		if r := m.Line(addr, false); &r[0] != &w[0] {
+			t.Fatal("Line without create does not alias the now-written page")
+		}
+		if z := NewMemory().Line(addr, false); z[3] != 0 {
+			t.Fatal("the shared zero line was written")
+		}
+	}
+}
+
+// TestDenseLimit puts pages on both sides of the flat table's limit and
+// checks they behave alike and are all counted.
+func TestDenseLimit(t *testing.T) {
+	m := NewMemory()
+	last := Addr(densePages-1) << pageBits // last dense page
+	first := Addr(densePages) << pageBits  // first sparse page
+	far := Addr(1) << 60
+	for i, a := range []Addr{0, 0x10000, last, first, far} {
+		if got := m.Load64(a + 8); got != 0 {
+			t.Fatalf("unwritten %#x reads %#x", a, got)
+		}
+		m.Store64(a+8, uint64(i)+1)
+	}
+	for i, a := range []Addr{0, 0x10000, last, first, far} {
+		if got := m.Load64(a + 8); got != uint64(i)+1 {
+			t.Fatalf("%#x reads %d, want %d", a, got, i+1)
+		}
+	}
+	if got := m.FootprintBytes(); got != 5*pageSize {
+		t.Fatalf("footprint %d, want 5 pages", got)
+	}
+	if len(m.dense) != densePages || len(m.sparse) != 2 {
+		t.Fatalf("dense table %d entries, sparse map %d: pages landed on the wrong side", len(m.dense), len(m.sparse))
+	}
+	m.Store64(8, 99) // rewriting allocates nothing
+	if got := m.FootprintBytes(); got != 5*pageSize {
+		t.Fatalf("footprint after a rewrite %d, want 5 pages", got)
+	}
+	// A write straddling the limit lands half on each side.
+	m.WriteAt(first-2, []byte{1, 2, 3, 4})
+	if m.Load16(first-2) != 0x0201 || m.Load16(first) != 0x0403 {
+		t.Fatal("write across the dense limit misplaced")
+	}
+}
+
+// TestStraddlingScalarsNextToALine: loads and stores that cross a page
+// boundary go through the byte path; the line aliases on either side must
+// see their halves.
+func TestStraddlingScalarsNextToALine(t *testing.T) {
+	for _, boundary := range []Addr{pageSize, Addr(densePages) << pageBits} {
+		m := NewMemory()
+		lo, hi := m.Line(boundary-1, true), m.Line(boundary, true)
+		m.Store16(boundary-1, 0x2211)
+		if lo[LineSize-1] != 0x11 || hi[0] != 0x22 {
+			t.Fatalf("Store16 across %#x: %#x | %#x", boundary, lo[LineSize-1], hi[0])
+		}
+		m.Store32(boundary-3, 0x44332211)
+		if got := m.Load32(boundary - 3); got != 0x44332211 || hi[0] != 0x44 {
+			t.Fatalf("Store32/Load32 across %#x: %#x, hi[0]=%#x", boundary, got, hi[0])
+		}
+		m.Store64(boundary-5, 0x8877665544332211)
+		if got := m.Load64(boundary - 5); got != 0x8877665544332211 || lo[LineSize-5] != 0x11 || hi[2] != 0x88 {
+			t.Fatalf("Store64/Load64 across %#x: %#x", boundary, got)
+		}
+		copy(hi, []byte{0xaa, 0xbb}) // stores through the alias feed a straddling load
+		if got := m.Load16(boundary - 1); got != 0xaa55 {
+			t.Fatalf("Load16 across %#x after alias store: %#x", boundary, got)
+		}
+	}
+}
+
+func TestZeroValueMemoryIsUsable(t *testing.T) {
+	var m Memory
+	if m.Load32(0x1234) != 0 || m.Load32(Addr(1)<<50) != 0 {
+		t.Fatal("zero-value memory reads non-zero")
+	}
+	m.Store32(0x1234, 5)
+	m.Store32(Addr(1)<<50, 6)
+	if m.Load32(0x1234) != 5 || m.Load32(Addr(1)<<50) != 6 || m.FootprintBytes() != 2*pageSize {
+		t.Fatal("zero-value memory lost a store")
 	}
 }
 

@@ -67,7 +67,7 @@ func (m *MTCPLite) ConnState(f packet.FiveTuple) (uint32, bool) {
 	if !ok {
 		return 0, false
 	}
-	return mem.Read32(m.p.Space, mem.Addr(v)), true
+	return m.p.Space.Load32(mem.Addr(v)), true
 }
 
 // ProcessPacket implements NF: demux to a connection and run the protocol
@@ -97,7 +97,7 @@ func (m *MTCPLite) ProcessPacket(th *cpu.Thread, pkt *packet.Packet) Verdict {
 			m.Stats.record(VerdictDrop)
 			return VerdictDrop
 		}
-		mem.Write32(m.p.Space, mem.Addr(tcb), tcpSynReceived)
+		m.p.Space.Store32(mem.Addr(tcb), tcpSynReceived)
 		th.Store(mem.Addr(tcb))
 		m.Stats.record(VerdictAccept)
 		return VerdictAccept
@@ -107,24 +107,24 @@ func (m *MTCPLite) ProcessPacket(th *cpu.Thread, pkt *packet.Packet) Verdict {
 	// update sequence bookkeeping and the receive window.
 	tcbAddr := mem.Addr(tcb)
 	th.Load(tcbAddr)
-	state := mem.Read32(m.p.Space, tcbAddr)
+	state := m.p.Space.Load32(tcbAddr)
 	switch state {
 	case tcpSynReceived:
-		mem.Write32(m.p.Space, tcbAddr, tcpEstablished)
+		m.p.Space.Store32(tcbAddr, tcpEstablished)
 		m.established++
 		th.ALU(14)
 	case tcpEstablished:
 		m.segments++
 		// Sequence/ack arithmetic and reassembly checks.
-		seq := mem.Read64(m.p.Space, tcbAddr+8) + uint64(pkt.PayloadBytes)
-		mem.Write64(m.p.Space, tcbAddr+8, seq)
+		seq := m.p.Space.Load64(tcbAddr+8) + uint64(pkt.PayloadBytes)
+		m.p.Space.Store64(tcbAddr+8, seq)
 		th.ALU(30)
 		th.Other(12)
 		// Receive-buffer line touch.
 		th.Load(tcbAddr + mem.LineSize)
 		th.Store(tcbAddr + mem.LineSize)
 	default:
-		mem.Write32(m.p.Space, tcbAddr, tcpSynReceived)
+		m.p.Space.Store32(tcbAddr, tcpSynReceived)
 		th.ALU(8)
 	}
 	th.Store(tcbAddr)

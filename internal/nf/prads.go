@@ -61,7 +61,7 @@ func (pr *Prads) AssetPackets(srcIP uint32) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return mem.Read64(pr.p.Space, mem.Addr(rec)), true
+	return pr.p.Space.Load64(mem.Addr(rec)), true
 }
 
 // Preload registers a set of hosts as known assets.
@@ -119,9 +119,9 @@ func (pr *Prads) ProcessPacket(th *cpu.Thread, pkt *packet.Packet) Verdict {
 
 	// Update the asset record: packet count, last-seen port/proto.
 	recAddr := mem.Addr(rec)
-	count := mem.Read64(pr.p.Space, recAddr) + 1
-	mem.Write64(pr.p.Space, recAddr, count)
-	mem.Write32(pr.p.Space, recAddr+8, uint32(pkt.DstPort)<<16|uint32(pkt.Proto))
+	count := pr.p.Space.Load64(recAddr) + 1
+	pr.p.Space.Store64(recAddr, count)
+	pr.p.Space.Store32(recAddr+8, uint32(pkt.DstPort)<<16|uint32(pkt.Proto))
 	th.Load(recAddr)
 	th.ALU(6)
 	th.Store(recAddr)

@@ -17,9 +17,9 @@ set -eu
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_perf.json}"
 
-go test -run NONE -bench 'RunAllSerial|Fig9SingleLookup' -benchmem -benchtime 1x . |
+go test -run NONE -bench 'RunAllSerial|Fig9SingleLookup|LookupFixtureBuild' -benchmem -benchtime 1x . |
     go run ./cmd/benchjson \
         -seeds 0x48414c4f \
-        -config "bench=RunAllSerial|Fig9SingleLookup" \
+        -config "bench=RunAllSerial|Fig9SingleLookup|LookupFixtureBuild" \
         -config benchtime=1x \
         -o "$out"

@@ -4,114 +4,91 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"halo/internal/benchjson"
 	"halo/internal/flowserve"
-	"halo/internal/packet"
+	"halo/internal/loadgen"
 	"halo/internal/stats"
 	"halo/internal/trafficgen"
 )
 
 // The -grow workload measures lookup latency while the table is actively
-// resizing. It sizes the table so the flow population forces a configured
-// number of shard doublings (initial capacity = final >> doublings, auto-grow
-// on), installs a prefix that fits the initial capacity, then runs two
-// phases against the same table:
+// resizing. It takes loadgen's grow-episode table — sized so the flow
+// population forces loadgen.GrowDoublings shard doublings, auto-grow on, a
+// prefix that fits the initial capacity installed — and runs two phases
+// against it:
 //
 //   - migration phase: readers serve Zipf lookups over the installed prefix
 //     while a grower goroutine floods in the rest of the population, tripping
 //     doubling after doubling; batch latencies observed while a shard is
 //     mid-migration land in the migration histogram;
 //   - steady phase: migration fully drained, the same readers serve the full
-//     population while a churn writer updates flows in place at the grower's
-//     pace — the baseline the migration tail is compared against. Both phases
-//     carry exactly one writer, so the p99 ratio isolates the resize cost
-//     (two-region probes, migration-step seqlock windows) instead of
-//     conflating it with writer contention that only one arm pays.
+//     population while the same goroutine, now a churn writer, updates flows
+//     in place at the grower's pace — the baseline the migration tail is
+//     compared against. Both phases carry exactly one writer, so the p99
+//     ratio isolates the resize cost (two-region probes, migration-step
+//     seqlock windows) instead of conflating it with writer contention (on
+//     one core: scheduling) that only one arm pays.
 //
-// Every key a reader draws is already installed and never deleted, so every
-// lookup must hit with the flow's own value: any miss or wrong value is a
-// hard error. With -check the point also gates served == issued (the
-// flowserve.lookups ledger), >= doublings grows per shard, and
-// migration-p99 <= -growp99x x steady-p99 — the bounded-pause claim of
-// DESIGN.md §12 as an executable assertion.
-
-// growPhaseResult is one phase's reader-side tally.
-type growPhaseResult struct {
-	issued  int64
-	elapsed time.Duration
-	missing int64
-	wrong   int64
-	// migration phase only: batches split by whether a resize was in flight
-	// when the batch was issued.
-	migHist    *stats.Histogram
-	steadyHist *stats.Histogram
-}
+// Every key a reader draws is already installed and never deleted, so the
+// oracle excuses nothing: any miss or wrong value is a hard error. With
+// -check the point also gates served == issued (the flowserve.lookups
+// ledger), >= GrowDoublings grows per shard, and migration-p99 <=
+// loadgen.GrowP99Bound x steady-p99 — the bounded-pause claim of DESIGN.md
+// §12 as an executable assertion.
 
 // runGrowSweep runs the grow point for every shard count.
-func runGrowSweep(cfg sweepConfig, shardCounts []int, doublings int, p99x float64) {
-	w, keys := buildWorkload("zipf", cfg.flows, cfg.seed)
+func runGrowSweep(cfg sweepConfig, shardCounts []int) error {
+	pop := loadgen.NewPopulation(cfg.flows, trafficgen.Zipf, cfg.seed)
 	fmt.Printf("%-44s %10s %12s %12s %12s %7s %7s\n",
 		"point", "lookups", "Mlookups/s", "mig-p99-us", "std-p99-us", "ratio", "grows")
 	for _, sc := range shardCounts {
-		runGrowPoint(cfg, w, keys, sc, doublings, p99x)
-	}
-}
-
-func runGrowPoint(cfg sweepConfig, w *trafficgen.Workload, keys [][]byte, sc, doublings int, p99x float64) {
-	// Final capacity the population needs (same 12% headroom as the local
-	// sweep), shifted down so reaching it takes exactly `doublings` doublings.
-	final := uint64(len(keys)) + uint64(len(keys))/8 + 1024
-	initial := final >> doublings
-	if min := uint64(sc) * flowserve.EntriesPerBucket; initial < min {
-		initial = min
-	}
-	tbl, err := flowserve.New(flowserve.Config{
-		Shards:  sc,
-		Entries: initial,
-		KeyLen:  packet.HeaderKeyLen,
-		GrowAt:  0.8,
-	})
-	if err != nil {
-		fatalf("New: %v", err)
-	}
-
-	// Install a prefix that fits the initial capacity comfortably.
-	prefix := int(initial * 6 / 10)
-	if prefix < 1 {
-		prefix = 1
-	}
-	if prefix > len(keys) {
-		prefix = len(keys)
-	}
-	for i := 0; i < prefix; i++ {
-		if err := tbl.Insert(keys[i], valueOf(i)); err != nil {
-			fatalf("install flow %d: %v", i, err)
+		name := fmt.Sprintf("FlowServeGrow/mix=zipf/shards=%d/doublings=%d", sc, loadgen.GrowDoublings)
+		if err := runGrowPoint(cfg, pop, name, sc); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
 	}
+	return nil
+}
 
+func runGrowPoint(cfg sweepConfig, pop *loadgen.Population, name string, sc int) error {
+	tbl, prefix, err := pop.NewGrowTable(sc)
+	if err != nil {
+		return err
+	}
 	snapBefore := stats.NewSnapshot()
 	tbl.CollectInto(snapBefore)
 
-	// installed is the reader-visible high-water mark: keys[0:installed) are
-	// inserted and never removed, so lookups drawn below it must hit.
+	// installed is the reader-visible high-water mark: flows [0,installed)
+	// are inserted and never removed, so lookups drawn below it must hit.
 	var installed atomic.Int64
 	installed.Store(int64(prefix))
-	var growerDone atomic.Bool
+	phase := load{
+		pop:      pop,
+		oracle:   loadgen.NewOracle(pop, false),
+		workers:  cfg.workers,
+		batch:    cfg.batch,
+		seed:     cfg.seed,
+		reader:   func() flowserve.Reader { return tbl.NewPinnedReader() },
+		limit:    func() int { return int(installed.Load()) },
+		resizing: tbl.Resizing,
+	}
 
-	// Migration phase: grower floods the rest of the population in while
-	// readers serve. The grower finishes by draining any in-flight migration
-	// so the steady phase starts from a clean single-region state.
-	var growerWg sync.WaitGroup
-	growerWg.Add(1)
+	// One writer goroutine spans both phases: it floods the rest of the
+	// population in, drains any in-flight migration so the steady phase
+	// starts from a clean single-region state, then updates flows in place
+	// (same value, so read verification still holds) at the same pace.
+	var (
+		grown, done atomic.Bool
+		writerErr   = make(chan error, 1)
+	)
 	go func() {
-		defer growerWg.Done()
-		for i := prefix; i < len(keys); i++ {
-			if err := tbl.Insert(keys[i], valueOf(i)); err != nil {
-				fatalf("grow insert %d (capacity %d): %v", i, tbl.Capacity(), err)
+		defer grown.Store(true)
+		for i := prefix; i < len(pop.Keys); i++ {
+			if err := tbl.Insert(pop.Keys[i], loadgen.Value(i)); err != nil {
+				writerErr <- fmt.Errorf("grow insert %d (capacity %d): %w", i, tbl.Capacity(), err)
+				return
 			}
 			installed.Store(int64(i + 1))
 			if i%256 == 0 {
@@ -121,56 +98,43 @@ func runGrowPoint(cfg sweepConfig, w *trafficgen.Workload, keys [][]byte, sc, do
 		for tbl.ResizeStep(64) {
 			runtime.Gosched()
 		}
-		growerDone.Store(true)
-	}()
-	mig := runGrowPhase(w, keys, tbl, cfg, &installed, func(int64) bool {
-		return growerDone.Load()
-	})
-	growerWg.Wait()
-
-	// Steady phase: full population, same readers, plus a churn writer
-	// updating flows in place (same value, so read verification still holds)
-	// at the grower's pace. Matching the writer load between phases keeps the
-	// comparison honest: without it the migration arm pays single-core writer
-	// contention the steady arm never sees, and the ratio measures scheduling
-	// instead of resize.
-	var churnStop atomic.Bool
-	var churnWg sync.WaitGroup
-	churnWg.Add(1)
-	go func() {
-		defer churnWg.Done()
-		for i := 0; !churnStop.Load(); i++ {
-			fi := i % len(keys)
-			if !tbl.Update(keys[fi], valueOf(fi)) {
-				fatalf("steady churn update %d: key missing", fi)
+		grown.Store(true)
+		for i := 0; !done.Load(); i++ {
+			fi := i % len(pop.Keys)
+			if !tbl.Update(pop.Keys[fi], loadgen.Value(fi)) {
+				writerErr <- fmt.Errorf("steady churn update %d: key missing", fi)
+				return
 			}
 			if i%256 == 0 {
 				runtime.Gosched()
 			}
 		}
+		writerErr <- nil
 	}()
-	steady := runGrowPhase(w, keys, tbl, cfg, &installed, func(issued int64) bool {
-		return issued > cfg.ops
-	})
-	churnStop.Store(true)
-	churnWg.Wait()
+	phase.stop = func(int64) bool { return grown.Load() }
+	mig, err := phase.run()
+	var steady loadResult
+	if err == nil {
+		phase.stop = func(claimed int64) bool { return claimed > cfg.ops }
+		steady, err = phase.run()
+	}
+	done.Store(true)
+	if werr := <-writerErr; err == nil {
+		err = werr
+	}
+	if err != nil {
+		return err
+	}
 
 	snapAfter := stats.NewSnapshot()
 	tbl.CollectInto(snapAfter)
-	delta := counterDelta(snapBefore.Counters, snapAfter.Counters)
+	delta := func(name string) uint64 { return snapAfter.Counters[name] - snapBefore.Counters[name] }
 
-	issued := mig.issued + steady.issued
-	served := int64(delta["flowserve.lookups"])
-	grows := int64(delta["flowserve.grows"])
-	missing := mig.missing + steady.missing
-	wrong := mig.wrong + steady.wrong
-	name := fmt.Sprintf("FlowServeGrow/mix=zipf/shards=%d/doublings=%d", sc, doublings)
-	if wrong > 0 || missing > 0 {
-		fatalf("%s: %d wrong values, %d misses of installed keys", name, wrong, missing)
-	}
-
+	issued := mig.lookups + steady.lookups
+	served := int64(delta("flowserve.lookups"))
+	grows := int64(delta("flowserve.grows"))
 	migP99 := mig.migHist.Quantile(0.99)
-	stdP99 := steady.steadyHist.Quantile(0.99)
+	stdP99 := steady.hist.Quantile(0.99)
 	ratio := 0.0
 	if stdP99 > 0 {
 		ratio = float64(migP99) / float64(stdP99)
@@ -184,27 +148,27 @@ func runGrowPoint(cfg sweepConfig, w *trafficgen.Workload, keys [][]byte, sc, do
 		ratio, grows)
 	fmt.Fprintf(os.Stderr,
 		"  %s: issued %d served %d; %d migration batches, %d steady; pause p99 %dns; %d migrated keys\n",
-		name, issued, served, mig.migHist.Count(), steady.steadyHist.Count(),
-		snapAfter.Counters["flowserve.resize.pause_p99_ns"], delta["flowserve.resize.migrated_keys"])
+		name, issued, served, mig.migHist.Count(), steady.hist.Count(),
+		snapAfter.Counters["flowserve.resize.pause_p99_ns"], delta("flowserve.resize.migrated_keys"))
 
 	if cfg.check {
 		if served != issued {
-			fatalf("%s: check failed: lookup ledger off by %d (issued %d, served %d)",
-				name, served-issued, issued, served)
+			return fmt.Errorf("check failed: lookup ledger off by %d (issued %d, served %d)",
+				served-issued, issued, served)
 		}
-		if grows < int64(sc)*int64(doublings) {
-			fatalf("%s: check failed: %d grows across %d shards, want >= %d doublings each",
-				name, grows, sc, doublings)
+		if grows < int64(sc)*loadgen.GrowDoublings {
+			return fmt.Errorf("check failed: %d grows across %d shards, want >= %d doublings each",
+				grows, sc, loadgen.GrowDoublings)
 		}
 		if mig.migHist.Count() == 0 {
-			fatalf("%s: check failed: no batches observed while a migration was in flight", name)
+			return fmt.Errorf("check failed: no batches observed while a migration was in flight")
 		}
-		if stdP99 == 0 || ratio > p99x {
-			fatalf("%s: check failed: migration p99 %dns is %.2fx steady p99 %dns (bound %.2fx)",
-				name, migP99, ratio, stdP99, p99x)
+		if stdP99 == 0 || ratio > loadgen.GrowP99Bound {
+			return fmt.Errorf("check failed: migration p99 %dns is %.2fx steady p99 %dns (bound %.2fx)",
+				migP99, ratio, stdP99, loadgen.GrowP99Bound)
 		}
 		fmt.Fprintf(os.Stderr, "  check: ledger balanced, %d grows, migration p99 %.2fx steady (bound %.2fx)\n",
-			grows, ratio, p99x)
+			grows, ratio, loadgen.GrowP99Bound)
 	}
 
 	cfg.doc.Benchmarks = append(cfg.doc.Benchmarks, benchjson.Benchmark{
@@ -212,102 +176,25 @@ func runGrowPoint(cfg sweepConfig, w *trafficgen.Workload, keys [][]byte, sc, do
 		Procs:      cfg.workers,
 		Iterations: issued,
 		Metrics: map[string]float64{
-			"ns/op":                 1e9 * totalSec / float64(issued),
-			"lookups/sec":           float64(issued) / totalSec,
-			"batch":                 float64(cfg.batch),
-			"migration-p50-batch-ns": float64(mig.migHist.Quantile(0.50)),
-			"migration-p99-batch-ns": float64(migP99),
+			"ns/op":                   1e9 * totalSec / float64(issued),
+			"lookups/sec":             float64(issued) / totalSec,
+			"batch":                   float64(cfg.batch),
+			"migration-p50-batch-ns":  float64(mig.migHist.Quantile(0.50)),
+			"migration-p99-batch-ns":  float64(migP99),
 			"migration-p999-batch-ns": float64(mig.migHist.Quantile(0.999)),
-			"steady-p50-batch-ns":   float64(steady.steadyHist.Quantile(0.50)),
-			"steady-p99-batch-ns":   float64(stdP99),
-			"steady-p999-batch-ns":  float64(steady.steadyHist.Quantile(0.999)),
-			"p99-ratio":             ratio,
-			"grows":                 float64(grows),
-			"migrated-keys":         float64(delta["flowserve.resize.migrated_keys"]),
-			"migrated-buckets":      float64(delta["flowserve.resize.migrated_buckets"]),
-			"resize-steps":          float64(delta["flowserve.resize.steps"]),
-			"resize-stalls":         float64(delta["flowserve.resize.stalls"]),
-			"pause-p50-ns":          float64(snapAfter.Counters["flowserve.resize.pause_p50_ns"]),
-			"pause-p99-ns":          float64(snapAfter.Counters["flowserve.resize.pause_p99_ns"]),
-			"pause-max-ns":          float64(snapAfter.Counters["flowserve.resize.pause_max_ns"]),
+			"steady-p50-batch-ns":     float64(steady.hist.Quantile(0.50)),
+			"steady-p99-batch-ns":     float64(stdP99),
+			"steady-p999-batch-ns":    float64(steady.hist.Quantile(0.999)),
+			"p99-ratio":               ratio,
+			"grows":                   float64(grows),
+			"migrated-keys":           float64(delta("flowserve.resize.migrated_keys")),
+			"migrated-buckets":        float64(delta("flowserve.resize.migrated_buckets")),
+			"resize-steps":            float64(delta("flowserve.resize.steps")),
+			"resize-stalls":           float64(delta("flowserve.resize.stalls")),
+			"pause-p50-ns":            float64(snapAfter.Counters["flowserve.resize.pause_p50_ns"]),
+			"pause-p99-ns":            float64(snapAfter.Counters["flowserve.resize.pause_p99_ns"]),
+			"pause-max-ns":            float64(snapAfter.Counters["flowserve.resize.pause_max_ns"]),
 		},
 	})
-}
-
-// runGrowPhase serves batched Zipf lookups from cfg.workers goroutines until
-// stop(issued) reports done. Keys are drawn modulo the installed high-water
-// mark, so every lookup targets a live flow. Batches issued while a resize is
-// in flight are observed into migHist, the rest into steadyHist.
-func runGrowPhase(w *trafficgen.Workload, keys [][]byte, tbl *flowserve.Table, cfg sweepConfig,
-	installed *atomic.Int64, stop func(issued int64) bool) growPhaseResult {
-
-	var (
-		issued  atomic.Int64
-		missing atomic.Int64
-		wrong   atomic.Int64
-		wg      sync.WaitGroup
-		histMu  sync.Mutex
-	)
-	migAll := stats.NewHistogramRes(stats.HighResSubBits)
-	steadyAll := stats.NewHistogramRes(stats.HighResSubBits)
-	start := time.Now()
-	for wi := 0; wi < cfg.workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			rd := tbl.NewPinnedReader()
-			stream := w.NewStream(cfg.seed ^ (0x6e0a + uint64(wi)*0x9e3779b97f4a7c15))
-			bkeys := make([][]byte, cfg.batch)
-			bidx := make([]int, cfg.batch)
-			results := make([]flowserve.Result, cfg.batch)
-			migHist := stats.NewHistogramRes(stats.HighResSubBits)
-			steadyHist := stats.NewHistogramRes(stats.HighResSubBits)
-			for {
-				claimed := issued.Add(int64(cfg.batch))
-				if stop(claimed) {
-					issued.Add(-int64(cfg.batch))
-					break
-				}
-				inst := int(installed.Load())
-				for j := 0; j < cfg.batch; j++ {
-					fi := stream.NextFlow()
-					if fi >= inst {
-						fi %= inst
-					}
-					bidx[j] = fi
-					bkeys[j] = keys[fi]
-				}
-				resizing := tbl.Resizing()
-				t0 := time.Now()
-				rd.LookupMany(bkeys, results)
-				ns := uint64(time.Since(t0).Nanoseconds())
-				if resizing {
-					migHist.Observe(ns)
-				} else {
-					steadyHist.Observe(ns)
-				}
-				for j := 0; j < cfg.batch; j++ {
-					switch {
-					case !results[j].OK:
-						missing.Add(1)
-					case results[j].Value != valueOf(bidx[j]):
-						wrong.Add(1)
-					}
-				}
-			}
-			histMu.Lock()
-			migAll.Merge(migHist)
-			steadyAll.Merge(steadyHist)
-			histMu.Unlock()
-		}(wi)
-	}
-	wg.Wait()
-	return growPhaseResult{
-		issued:     issued.Load(),
-		elapsed:    time.Since(start),
-		missing:    missing.Load(),
-		wrong:      wrong.Load(),
-		migHist:    migAll,
-		steadyHist: steadyAll,
-	}
+	return nil
 }

@@ -38,8 +38,8 @@ const maxRedirects = 4
 
 // Options parametrises New. The zero value works.
 type Options struct {
-	// Client is the per-node client configuration (pool size, timeouts).
-	// Client.Transport is ignored: each node's endpoint carries its own.
+	// Client is the per-node client configuration (pool size, timeouts);
+	// the transport is each node's endpoint's own.
 	Client flowwire.Options
 }
 

@@ -364,12 +364,12 @@ type shard struct {
 	size atomic.Uint64
 	c    shardCounters
 
-	mu   sync.Mutex // serialises writers; also the reader fallback path
+	mu sync.Mutex // serialises writers; also the reader fallback path
 
 	// Resize state (writer-owned, guarded by mu).
-	migrated  uint64  // old-region buckets fully migrated
-	growAt    float64 // auto-grow load factor; 0 = disabled
-	quantum   int     // buckets migrated per writer op
+	migrated  uint64           // old-region buckets fully migrated
+	growAt    float64          // auto-grow load factor; 0 = disabled
+	quantum   int              // buckets migrated per writer op
 	pauseHist *stats.Histogram // ns per migration step (writer-owned)
 
 	// BFS displacement scratch (writer-owned, guarded by mu).

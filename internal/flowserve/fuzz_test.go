@@ -148,11 +148,11 @@ func fuzzSeeds() [][]byte {
 	}
 	grow.Write(op(5, 0, 200)) // capacity + 201: irregular region size
 	for i := 0; i < fuzzTableEntries; i++ {
-		grow.Write(op(6, 0, byte(i)))                          // ResizeStep
-		grow.Write(op(2, uint16(i), 0))                        // lookup mid-migration
-		grow.Write(op(1, uint16(i*5)%fuzzKeyUniverse, 0))      // delete
+		grow.Write(op(6, 0, byte(i)))                            // ResizeStep
+		grow.Write(op(2, uint16(i), 0))                          // lookup mid-migration
+		grow.Write(op(1, uint16(i*5)%fuzzKeyUniverse, 0))        // delete
 		grow.Write(op(0, uint16(i*11)%fuzzKeyUniverse, byte(i))) // insert
-		grow.Write(op(4, uint16(i*3)%fuzzKeyUniverse, 0))      // batch
+		grow.Write(op(4, uint16(i*3)%fuzzKeyUniverse, 0))        // batch
 		if i%16 == 0 {
 			grow.Write(op(5, 0, byte(i))) // stack further grows
 		}

@@ -236,16 +236,16 @@ type migration struct {
 
 func (mig *migration) info(active, done bool) MigInfo {
 	mi := MigInfo{
-		Active:       active,
-		Done:         done,
-		RangeLo:      mig.rg.Lo,
-		RangeHi:      mig.rg.Hi,
-		Snapshotted:  mig.snapshotted.Load(),
-		Forwarded:    mig.forwarded.Load(),
-		Enqueued:     mig.enqueued.Load(),
-		Sent:         mig.sent.Load(),
-		Acked:        mig.acked.Load(),
-		Conflicts:    mig.conflicts.Load(),
+		Active:      active,
+		Done:        done,
+		RangeLo:     mig.rg.Lo,
+		RangeHi:     mig.rg.Hi,
+		Snapshotted: mig.snapshotted.Load(),
+		Forwarded:   mig.forwarded.Load(),
+		Enqueued:    mig.enqueued.Load(),
+		Sent:        mig.sent.Load(),
+		Acked:       mig.acked.Load(),
+		Conflicts:   mig.conflicts.Load(),
 	}
 	select {
 	case <-mig.scanDone:

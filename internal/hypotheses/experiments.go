@@ -8,7 +8,7 @@ import (
 
 	"halo/internal/flowserve"
 	"halo/internal/flowwire"
-	"halo/internal/packet"
+	"halo/internal/loadgen"
 	"halo/internal/stats"
 	"halo/internal/trafficgen"
 )
@@ -26,8 +26,8 @@ func shardBatchExperiment() Experiment {
 		ArmA:  "batched",
 		ArmB:  "naive",
 		Run: func(cfg Config, seed uint64) (SeedResult, error) {
-			w, keys := buildPopulation(cfg.Flows, seed)
-			tbl, err := newServingTable(cfg, keys)
+			pop := loadgen.NewPopulation(cfg.Flows, trafficgen.Uniform, seed)
+			tbl, err := pop.NewTable(cfg.Shards)
 			if err != nil {
 				return SeedResult{}, err
 			}
@@ -41,11 +41,7 @@ func shardBatchExperiment() Experiment {
 					results[j] = flowserve.Result{Value: v, OK: ok}
 				}
 			}
-			aNs, bNs, err := timeArms(w, keys, cfg, seed, batched, naive, nil)
-			if err != nil {
-				return SeedResult{}, err
-			}
-			return SeedResult{ANsPerOp: aNs, BNsPerOp: bNs}, nil
+			return timeArms(pop, cfg, seed, batched, naive)
 		},
 	}
 }
@@ -85,8 +81,8 @@ func shmVsUnixExperiment() Experiment {
 		ArmA:  "shm",
 		ArmB:  "unix",
 		Run: func(cfg Config, seed uint64) (SeedResult, error) {
-			w, keys := buildPopulation(cfg.Flows, seed)
-			tbl, err := newServingTable(cfg, keys)
+			pop := loadgen.NewPopulation(cfg.Flows, trafficgen.Uniform, seed)
+			tbl, err := pop.NewTable(cfg.Shards)
 			if err != nil {
 				return SeedResult{}, err
 			}
@@ -113,7 +109,7 @@ func shmVsUnixExperiment() Experiment {
 			overUds := func(bkeys [][]byte, results []flowserve.Result) {
 				udsCl.LookupMany(bkeys, results)
 			}
-			aNs, bNs, err := timeArms(w, keys, cfg, seed, overShm, overUds, nil)
+			sr, err := timeArms(pop, cfg, seed, overShm, overUds)
 			if err != nil {
 				return SeedResult{}, err
 			}
@@ -123,7 +119,7 @@ func shmVsUnixExperiment() Experiment {
 			if err := udsCl.Err(); err != nil {
 				return SeedResult{}, fmt.Errorf("unix client: %w", err)
 			}
-			return SeedResult{ANsPerOp: aNs, BNsPerOp: bNs}, nil
+			return sr, nil
 		},
 	}
 }
@@ -132,24 +128,24 @@ func shmVsUnixExperiment() Experiment {
 // bounded number of buckets migrates per writer operation while readers stay
 // wait-free. The claim that design stands on is that growing the table is
 // NOT a latency event: batch lookup p99 measured while migrations are in
-// flight stays within 2x of the same table's steady-state p99. This is a
-// bound claim, not a dominance claim — migration is allowed to cost
-// something, just never a stall.
+// flight stays within 2x (loadgen.GrowP99Bound) of the same table's
+// steady-state p99. This is a bound claim, not a dominance claim — migration
+// is allowed to cost something, just never a stall.
 func resizePauseBoundExperiment() Experiment {
 	return Experiment{
 		Name:  "resize-pause-bound",
 		Title: "Batch lookup p99 during incremental resize stays within 2x of steady state",
 		Kind:  KindBound,
-		Bound: 2.0,
+		Bound: loadgen.GrowP99Bound,
 		ArmA:  "during-resize",
 		ArmB:  "steady-state",
 		Run: func(cfg Config, seed uint64) (SeedResult, error) {
-			w, keys := buildPopulation(cfg.Flows, seed)
+			pop := loadgen.NewPopulation(cfg.Flows, trafficgen.Uniform, seed)
 			var bestMig, bestStd uint64
 			for r := 0; r < cfg.Repeats; r++ {
 				// A fresh table per repeat: growth is one-shot, so the
 				// migration arm cannot be replayed against warmed state.
-				mig, std, err := measureResizePause(w, keys, cfg, seed)
+				mig, std, err := measureResizePause(pop, cfg, seed)
 				if err != nil {
 					return SeedResult{}, err
 				}
@@ -171,105 +167,63 @@ func resizePauseBoundExperiment() Experiment {
 
 // measureResizePause runs one growth episode single-goroutine and returns
 // (migration-phase p99, steady-state p99) batch latencies in ns. The table
-// starts 3 doublings below the population's capacity with auto-grow on;
-// inserts stream in chunks between lookup batches, so every doubling's
-// migration interleaves with the measured reads — exactly how a writer-driven
-// resize amortises in production. Batches issued while a shard is mid-resize
-// land in the migration histogram; the steady histogram is measured after
-// the migrations drain, over the full population.
-func measureResizePause(w *trafficgen.Workload, keys [][]byte, cfg Config, seed uint64) (migP99, stdP99 uint64, err error) {
-	const (
-		doublings   = 3
-		insertChunk = 32 // inserts between measured batches while growing
-	)
-	final := uint64(len(keys)) + uint64(len(keys))/8 + 1024
-	initial := final >> doublings
-	if min := uint64(cfg.Shards) * flowserve.EntriesPerBucket; initial < min {
-		initial = min
-	}
-	tbl, err := flowserve.New(flowserve.Config{
-		Shards:  cfg.Shards,
-		Entries: initial,
-		KeyLen:  packet.HeaderKeyLen,
-		GrowAt:  0.8,
-	})
+// is loadgen's grow-episode table (loadgen.GrowDoublings doublings below the
+// population's capacity, auto-grow on); inserts stream in chunks between
+// lookup batches, so every doubling's migration interleaves with the
+// measured reads — exactly how a writer-driven resize amortises in
+// production. Batches issued while a shard is mid-resize land in the
+// migration histogram; the steady histogram is measured after the
+// migrations drain, over the full population.
+func measureResizePause(pop *loadgen.Population, cfg Config, seed uint64) (migP99, stdP99 uint64, err error) {
+	const insertChunk = 32 // inserts between measured batches while growing
+	tbl, installed, err := pop.NewGrowTable(cfg.Shards)
 	if err != nil {
 		return 0, 0, err
 	}
-	prefix := int(initial * 6 / 10)
-	if prefix < 1 {
-		prefix = 1
-	}
-	if prefix > len(keys) {
-		prefix = len(keys)
-	}
-	for i := 0; i < prefix; i++ {
-		if err := tbl.Insert(keys[i], uint64(i)+1); err != nil {
-			return 0, 0, fmt.Errorf("install flow %d: %w", i, err)
-		}
-	}
-
 	batch := tbl.NewBatch()
-	bkeys := make([][]byte, cfg.Batch)
-	bidx := make([]int, cfg.Batch)
-	results := make([]flowserve.Result, cfg.Batch)
-	migHist := stats.NewHistogramRes(stats.HighResSubBits)
-	stdHist := stats.NewHistogramRes(stats.HighResSubBits)
-	stream := w.NewStream(seed ^ 0x47524f57) // "GROW"
-
-	serveBatch := func(installed int, hist *stats.Histogram) error {
-		for j := 0; j < cfg.Batch; j++ {
-			fi := stream.NextFlow()
-			if fi >= installed {
-				fi %= installed
-			}
-			bidx[j] = fi
-			bkeys[j] = keys[fi]
-		}
+	c := pop.NewCaller(loadgen.NewOracle(pop, false), seed^0x47524f57, cfg.Batch) // "GROW"
+	serveBatch := func(hist *stats.Histogram) error {
+		c.Draw(installed)
 		t0 := time.Now()
-		batch.LookupMany(bkeys, results)
+		batch.LookupMany(c.Keys, c.Results)
 		hist.Observe(uint64(time.Since(t0).Nanoseconds()))
-		for j := 0; j < cfg.Batch; j++ {
-			if !results[j].OK || results[j].Value != uint64(bidx[j])+1 {
-				return fmt.Errorf("flow %d = (%d,%v), want (%d,true)",
-					bidx[j], results[j].Value, results[j].OK, bidx[j]+1)
-			}
-		}
-		return nil
+		_, err := c.Verify()
+		return err
 	}
 
 	// Migration phase: grow the population to full size, measuring batches
 	// between insert chunks. Batches that land while no shard is resizing
 	// are discarded (scratch) — the arm is "during resize", not "while also
 	// inserting".
+	migHist := stats.NewHistogramRes(stats.HighResSubBits)
 	scratch := stats.NewHistogramRes(stats.HighResSubBits)
-	for installed := prefix; installed < len(keys); {
-		for c := 0; c < insertChunk && installed < len(keys); c++ {
-			if err := tbl.Insert(keys[installed], uint64(installed)+1); err != nil {
-				return 0, 0, fmt.Errorf("grow insert %d: %w", installed, err)
-			}
-			installed++
+	for installed < len(pop.Keys) {
+		next := min(installed+insertChunk, len(pop.Keys))
+		if err := pop.Install(tbl, installed, next, 1); err != nil {
+			return 0, 0, fmt.Errorf("grow: %w", err)
 		}
+		installed = next
 		// Single goroutine: only our own inserts advance migration, so the
 		// resizing state cannot change under the batch we are about to time.
 		hist := scratch
 		if tbl.Resizing() {
 			hist = migHist
 		}
-		if err := serveBatch(installed, hist); err != nil {
+		if err := serveBatch(hist); err != nil {
 			return 0, 0, err
 		}
 	}
 	for tbl.ResizeStep(64) {
 	}
 	if migHist.Count() == 0 {
-		return 0, 0, fmt.Errorf("no batches observed while a migration was in flight (flows %d, initial %d)",
-			len(keys), initial)
+		return 0, 0, fmt.Errorf("no batches observed while a migration was in flight (flows %d, capacity %d)",
+			len(pop.Keys), tbl.Capacity())
 	}
 
 	// Steady phase: same table, migrations drained, full population.
+	stdHist := stats.NewHistogramRes(stats.HighResSubBits)
 	for done := int64(0); done < cfg.Ops; done += int64(cfg.Batch) {
-		if err := serveBatch(len(keys), stdHist); err != nil {
+		if err := serveBatch(stdHist); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -289,8 +243,8 @@ func pinnedReaderExperiment() Experiment {
 		ArmA:  "pinned-reader",
 		ArmB:  "direct-batch",
 		Run: func(cfg Config, seed uint64) (SeedResult, error) {
-			w, keys := buildPopulation(cfg.Flows, seed)
-			tbl, err := newServingTable(cfg, keys)
+			pop := loadgen.NewPopulation(cfg.Flows, trafficgen.Uniform, seed)
+			tbl, err := pop.NewTable(cfg.Shards)
 			if err != nil {
 				return SeedResult{}, err
 			}
@@ -302,11 +256,7 @@ func pinnedReaderExperiment() Experiment {
 			direct := func(bkeys [][]byte, results []flowserve.Result) {
 				batch.LookupMany(bkeys, results)
 			}
-			aNs, bNs, err := timeArms(w, keys, cfg, seed, pinned, direct, nil)
-			if err != nil {
-				return SeedResult{}, err
-			}
-			return SeedResult{ANsPerOp: aNs, BNsPerOp: bNs}, nil
+			return timeArms(pop, cfg, seed, pinned, direct)
 		},
 	}
 }

@@ -26,9 +26,7 @@ import (
 
 	"halo/internal/benchjson"
 	"halo/internal/flowserve"
-	"halo/internal/packet"
-	"halo/internal/stats"
-	"halo/internal/trafficgen"
+	"halo/internal/loadgen"
 )
 
 // DefaultSeeds is the BLIS seed policy: minimum three seeds, fixed values,
@@ -227,115 +225,56 @@ func Document(cfg Config, results []Result) *benchjson.Document {
 // arm serves one batch of keys, writing results[i] for each key.
 type arm func(keys [][]byte, results []flowserve.Result)
 
-// buildPopulation generates a uniform flow population for a seed and packs
-// the header keys into one arena, exactly as cmd/flowload does.
-func buildPopulation(flows int, seed uint64) (*trafficgen.Workload, [][]byte) {
-	scn := trafficgen.Scenario{Name: "hypothesis", Flows: flows, Rules: 1, Popularity: trafficgen.Uniform}
-	w := trafficgen.Generate(scn, seed)
-	arena := make([]byte, len(w.Flows)*packet.HeaderKeyLen)
-	keys := make([][]byte, len(w.Flows))
-	for i, f := range w.Flows {
-		k := arena[i*packet.HeaderKeyLen : (i+1)*packet.HeaderKeyLen]
-		f.PutHeaderKey(k)
-		keys[i] = k
-	}
-	return w, keys
-}
-
-// newServingTable builds and fills a table for the population.
-func newServingTable(cfg Config, keys [][]byte) (*flowserve.Table, error) {
-	entries := uint64(len(keys)) + uint64(len(keys))/8 + 1024
-	tbl, err := flowserve.New(flowserve.Config{Shards: cfg.Shards, Entries: entries, KeyLen: packet.HeaderKeyLen})
-	if err != nil {
-		return nil, err
-	}
-	for i, k := range keys {
-		if err := tbl.Insert(k, uint64(i)+1); err != nil {
-			return nil, fmt.Errorf("install flow %d: %w", i, err)
-		}
-	}
-	return tbl, nil
-}
-
 // timeArms measures both arms of an experiment over the identical key
-// sequence (the stream resets to the same seed every pass). Each arm gets a
-// warm-up pass, then the timed passes run INTERLEAVED in ABBA order —
+// sequence (every pass replays the same loadgen.Caller seed). Each arm gets
+// a warm-up pass, then the timed passes run INTERLEAVED in ABBA order —
 // A,B then B,A, alternating — so a background-noise episode (GC, cron, a
 // co-tenant burst) lands on both arms instead of biasing whichever ran
 // second, and neither arm systematically enjoys the first slot after
 // warm-up; the fastest pass per arm is kept, the standard way to cut
-// scheduler noise out of a single-goroutine measurement. Every hit is
-// verified against the installed value; a miss or wrong value is a hard
-// error, so a broken arm can never "win" by skipping work. Latencies also
-// land in hist (batch granularity) when non-nil.
-func timeArms(w *trafficgen.Workload, keys [][]byte, cfg Config, seed uint64, armA, armB arm, hist *stats.Histogram) (aNsPerOp, bNsPerOp float64, err error) {
-	bkeys := make([][]byte, cfg.Batch)
-	bidx := make([]int, cfg.Batch)
-	results := make([]flowserve.Result, cfg.Batch)
-
-	pass := func(serve arm, ops int64, timed bool) (time.Duration, error) {
-		stream := w.NewStream(seed ^ 0x48595054) // "HYPT"; same sequence every pass
+// scheduler noise out of a single-goroutine measurement. Every result is
+// verified by the loadgen oracle of a read-only population; a miss or wrong
+// value is a hard error, so a broken arm can never "win" by skipping work.
+func timeArms(pop *loadgen.Population, cfg Config, seed uint64, armA, armB arm) (SeedResult, error) {
+	oracle := loadgen.NewOracle(pop, false)
+	pass := func(serve arm, ops int64) (time.Duration, error) {
+		c := pop.NewCaller(oracle, seed^0x48595054, cfg.Batch) // "HYPT"
 		var elapsed time.Duration
 		for done := int64(0); done < ops; done += int64(cfg.Batch) {
-			for j := 0; j < cfg.Batch; j++ {
-				fi := stream.NextFlow()
-				bidx[j] = fi
-				bkeys[j] = keys[fi]
-			}
+			c.Draw(len(pop.Keys))
 			t0 := time.Now()
-			serve(bkeys, results)
-			d := time.Since(t0)
-			elapsed += d
-			if timed && hist != nil {
-				hist.Observe(uint64(d.Nanoseconds()))
-			}
-			for j := 0; j < cfg.Batch; j++ {
-				if !results[j].OK {
-					return 0, fmt.Errorf("flow %d missed (population is read-only)", bidx[j])
-				}
-				if results[j].Value != uint64(bidx[j])+1 {
-					return 0, fmt.Errorf("flow %d returned value %d, want %d", bidx[j], results[j].Value, bidx[j]+1)
-				}
+			serve(c.Keys, c.Results)
+			elapsed += time.Since(t0)
+			if _, err := c.Verify(); err != nil {
+				return 0, err
 			}
 		}
 		return elapsed, nil
 	}
 
-	warm := cfg.Ops / 10
-	if warm < int64(cfg.Batch) {
-		warm = int64(cfg.Batch)
+	arms := [2]arm{armA, armB}
+	warm := max(cfg.Ops/10, int64(cfg.Batch))
+	for _, serve := range arms {
+		if _, err := pass(serve, warm); err != nil {
+			return SeedResult{}, err
+		}
 	}
-	if _, err := pass(armA, warm, false); err != nil {
-		return 0, 0, err
-	}
-	if _, err := pass(armB, warm, false); err != nil {
-		return 0, 0, err
-	}
-	var bestA, bestB time.Duration
+	var best [2]time.Duration
 	for r := 0; r < cfg.Repeats; r++ {
-		first, second := armA, armB
-		if r%2 == 1 {
-			first, second = armB, armA
-		}
-		d1, err := pass(first, cfg.Ops, true)
-		if err != nil {
-			return 0, 0, err
-		}
-		d2, err := pass(second, cfg.Ops, true)
-		if err != nil {
-			return 0, 0, err
-		}
-		dA, dB := d1, d2
-		if r%2 == 1 {
-			dA, dB = d2, d1
-		}
-		if bestA == 0 || dA < bestA {
-			bestA = dA
-		}
-		if bestB == 0 || dB < bestB {
-			bestB = dB
+		for k := range arms {
+			i := (k + r) % 2 // A,B on even repeats, B,A on odd
+			d, err := pass(arms[i], cfg.Ops)
+			if err != nil {
+				return SeedResult{}, err
+			}
+			if best[i] == 0 || d < best[i] {
+				best[i] = d
+			}
 		}
 	}
 	ops := float64(cfg.Ops)
-	return float64(bestA.Nanoseconds()) / ops, float64(bestB.Nanoseconds()) / ops, nil
+	return SeedResult{
+		ANsPerOp: float64(best[0].Nanoseconds()) / ops,
+		BNsPerOp: float64(best[1].Nanoseconds()) / ops,
+	}, nil
 }

@@ -1,0 +1,198 @@
+package loadgen
+
+import (
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"halo/internal/flowserve"
+	"halo/internal/stats"
+	"halo/internal/trafficgen"
+)
+
+// served returns a caller whose batch has just been drawn and looked up in a
+// table filled with pop; the test then doctors c.Results.
+func served(t *testing.T, pop *Population, o *Oracle) (*Caller, *flowserve.Table) {
+	t.Helper()
+	tbl, err := pop.NewTable(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := pop.NewCaller(o, 7, 4)
+	c.Draw(len(pop.Keys))
+	tbl.LookupMany(c.Keys, c.Results)
+	if excused, err := c.Verify(); err != nil || excused != 0 {
+		t.Fatalf("clean batch: excused %d, err %v", excused, err)
+	}
+	return c, tbl
+}
+
+func wantVerify(t *testing.T, c *Caller, wantExcused int, wantErr string) {
+	t.Helper()
+	excused, err := c.Verify()
+	switch {
+	case wantErr == "" && err != nil:
+		t.Fatalf("Verify: %v", err)
+	case wantErr != "" && (err == nil || !strings.Contains(err.Error(), wantErr)):
+		t.Fatalf("Verify error %v, want one containing %q", err, wantErr)
+	case excused != wantExcused:
+		t.Fatalf("Verify excused %d, want %d", excused, wantExcused)
+	}
+}
+
+func TestReadOnlyOracleExcusesNothing(t *testing.T) {
+	pop := NewPopulation(64, trafficgen.Uniform, 1)
+	c, _ := served(t, pop, NewOracle(pop, false))
+	c.Results[2] = flowserve.Result{}
+	wantVerify(t, c, 0, "missed")
+}
+
+// A miss is excused exactly when the flow's state word shows a writer in
+// flux when the batch was drawn, or differs once the lookup is back. The
+// population is one flow, so every batch draws it.
+func TestOracleExcusesOnlyFluxOrMovedGeneration(t *testing.T) {
+	pop := NewPopulation(1, trafficgen.Uniform, 1)
+	o := NewOracle(pop, true)
+	c, tbl := served(t, pop, o)
+	drawAndMiss := func() {
+		c.Draw(1)
+		tbl.LookupMany(c.Keys, c.Results)
+		c.Results[1] = flowserve.Result{}
+	}
+
+	drawAndMiss()
+	wantVerify(t, c, 0, "missed with no writer in flux")
+
+	// A writer took the flow out and put it back entirely within the call.
+	drawAndMiss()
+	o.begin(0)
+	o.end(0)
+	wantVerify(t, c, 1, "")
+
+	// A writer went into flux during the call and is still there…
+	drawAndMiss()
+	o.begin(0)
+	wantVerify(t, c, 1, "")
+	// …and when the next batch is drawn.
+	drawAndMiss()
+	wantVerify(t, c, 1, "")
+
+	// Excused or not, a hit must carry the flow's own value.
+	c.Results[1] = flowserve.Result{Value: Value(0) + 1, OK: true}
+	wantVerify(t, c, 0, "returned value")
+
+	o.end(0)
+	drawAndMiss()
+	wantVerify(t, c, 0, "missed with no writer in flux")
+}
+
+// With two churners on one flow, the first to finish must not publish the
+// flow as settled: the other still has it out.
+func TestOverlappingChurnersStayInFlux(t *testing.T) {
+	pop := NewPopulation(1, trafficgen.Uniform, 1)
+	o := NewOracle(pop, true)
+	c, tbl := served(t, pop, o)
+	drawAndMiss := func() {
+		c.Draw(1)
+		tbl.LookupMany(c.Keys, c.Results)
+		c.Results[0] = flowserve.Result{}
+	}
+	o.begin(0) // churner A
+	o.begin(0) // churner B
+	o.end(0)   // B is done, A is not
+	drawAndMiss()
+	wantVerify(t, c, 1, "")
+	o.end(0)
+	drawAndMiss()
+	wantVerify(t, c, 0, "missed with no writer in flux")
+}
+
+// Real churners overlapping on a two-flow population against a real table: a
+// reader must never see a miss the oracle does not account for, nor a wrong
+// value. Run with -race.
+func TestConcurrentChurnersNeverUnexcused(t *testing.T) {
+	pop := NewPopulation(2, trafficgen.Uniform, 3)
+	o := NewOracle(pop, true)
+	tbl, err := pop.NewTable(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		stop atomic.Bool
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := pop.NewCaller(o, Mix(3, uint64(w)), 1)
+			for !stop.Load() {
+				if err := c.Churn(tbl); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	c := pop.NewCaller(o, 99, 4)
+	excused := 0
+	for n := 0; n < 20000; n++ {
+		c.Draw(len(pop.Keys))
+		tbl.LookupMany(c.Keys, c.Results)
+		ex, err := c.Verify()
+		if err != nil {
+			t.Errorf("batch %d: %v", n, err)
+			break
+		}
+		excused += ex
+	}
+	stop.Store(true)
+	wg.Wait()
+	t.Logf("%d excused misses", excused)
+}
+
+func TestSameSeedReplaysSameBatches(t *testing.T) {
+	pop := NewPopulation(500, trafficgen.Zipf, 5)
+	o := NewOracle(pop, false)
+	a, b := pop.NewCaller(o, 11, 16), pop.NewCaller(o, 11, 16)
+	for n := 0; n < 10; n++ {
+		a.Draw(100)
+		b.Draw(100)
+		for j := range a.idx {
+			if a.idx[j] != b.idx[j] || a.idx[j] >= 100 {
+				t.Fatalf("batch %d key %d: drew %d and %d under limit 100", n, j, a.idx[j], b.idx[j])
+			}
+		}
+	}
+}
+
+// The grow table holds its prefix, and installing the rest takes every shard
+// through GrowDoublings doublings.
+func TestGrowTableForcesTheDoublings(t *testing.T) {
+	const shards = 4
+	pop := NewPopulation(20_000, trafficgen.Uniform, 9)
+	tbl, prefix, err := pop.NewGrowTable(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prefix < 1 || prefix >= len(pop.Keys) || tbl.Size() != uint64(prefix) {
+		t.Fatalf("prefix %d of %d flows, table holds %d", prefix, len(pop.Keys), tbl.Size())
+	}
+	if err := pop.Install(tbl, prefix, len(pop.Keys), 1); err != nil {
+		t.Fatal(err)
+	}
+	snap := stats.NewSnapshot()
+	tbl.CollectInto(snap)
+	if grows := snap.Counters["flowserve.grows"]; grows < shards*GrowDoublings {
+		t.Fatalf("%d grows across %d shards, want >= %d each", grows, shards, GrowDoublings)
+	}
+	c := pop.NewCaller(NewOracle(pop, false), 1, 16)
+	for n := 0; n < 100; n++ {
+		c.Draw(len(pop.Keys))
+		tbl.LookupMany(c.Keys, c.Results)
+		if _, err := c.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

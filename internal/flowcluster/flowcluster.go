@@ -4,13 +4,17 @@
 // cmd/flowload drives one node or a whole cluster through one code path.
 //
 // Routing is per-key via a versioned shard map (hash-range → node,
-// flowwire.ShardMap) learned from the nodes at dial time. LookupMany groups
-// a batch's keys by owning node and issues the per-node sub-batches
-// concurrently over the pooled per-node clients; mutations route to the
-// range owner. When a node answers WRONG_SHARD — its map is newer than the
-// router's, i.e. a live migration cut over — the router refetches the map
-// from that node and re-routes the rejected keys, so a migration in flight
-// costs redirected-and-retried requests, never lost or duplicated ones
+// flowwire.ShardMap) learned from the nodes at dial time. A request routes
+// by one immutable view — the map plus the per-node clients indexed by node
+// id, behind one atomic pointer — that is rebuilt, and any node new to the
+// router dialed, only when a newer map is installed. LookupMany groups a
+// batch's keys by owning node and issues the per-node sub-batches
+// concurrently over the pooled per-node clients; single-key reads and
+// mutations route to the range owner through one loop (Router.do). When a
+// node answers WRONG_SHARD — its map is newer than the router's, i.e. a live
+// migration cut over — the router refetches the map from that node, installs
+// it and re-routes the rejected keys, so a migration in flight costs
+// redirected-and-retried requests, never lost or duplicated ones
 // (DESIGN.md §13).
 //
 // The router doubles as the migration coordinator: MoveRange drives the
@@ -61,14 +65,28 @@ type Router struct {
 	opts   Options
 	keyLen int
 
-	m atomic.Pointer[flowwire.ShardMap]
+	// v is what every request routes by: one load, no lock.
+	v atomic.Pointer[view]
 
-	mu      sync.Mutex // guards clients and map refresh/install
-	clients map[string]*flowwire.Client
+	mu      sync.Mutex // guards clients and closed, serialises install
+	clients map[flowwire.Endpoint]*flowwire.Client
+	closed  bool
 
-	closed atomic.Bool
-	c      routerCounters
+	c routerCounters
 }
+
+// view is one immutable routing state: a shard map and, indexed by node id,
+// the client each of its nodes is reached through. A node that could not be
+// dialed when the map was installed has a nil client and the dial error; it
+// stays that way until the next install tries again.
+type view struct {
+	m       *flowwire.ShardMap
+	clients []*flowwire.Client
+	errs    []error
+}
+
+// client returns node i's client, or why there is none.
+func (v *view) client(i int) (*flowwire.Client, error) { return v.clients[i], v.errs[i] }
 
 var (
 	_ flowserve.Reader = (*Router)(nil)
@@ -83,10 +101,10 @@ func New(eps []flowwire.Endpoint, opts Options) (*Router, error) {
 	if len(eps) == 0 {
 		return nil, errors.New("flowcluster: no endpoints")
 	}
-	r := &Router{opts: opts, clients: make(map[string]*flowwire.Client, len(eps))}
+	r := &Router{opts: opts, clients: make(map[flowwire.Endpoint]*flowwire.Client, len(eps))}
 	var best *flowwire.ShardMap
 	for _, ep := range eps {
-		cl, err := r.client(ep)
+		cl, err := r.dial(ep)
 		if err != nil {
 			r.Close()
 			return nil, err
@@ -110,64 +128,67 @@ func New(eps []flowwire.Endpoint, opts Options) (*Router, error) {
 		r.Close()
 		return nil, errors.New("flowcluster: no node reports a shard map (not a cluster?)")
 	}
-	r.m.Store(best)
+	r.install(best)
 	return r, nil
 }
 
 // Map returns the router's current shard map.
-func (r *Router) Map() *flowwire.ShardMap { return r.m.Load() }
+func (r *Router) Map() *flowwire.ShardMap { return r.v.Load().m }
 
 // Epoch returns the current map epoch — benchmark documents stamp it into
 // their workload identity.
-func (r *Router) Epoch() uint64 { return r.m.Load().Epoch }
+func (r *Router) Epoch() uint64 { return r.Map().Epoch }
 
 // KeyLen returns the cluster's fixed key length.
 func (r *Router) KeyLen() int { return r.keyLen }
 
-// client returns (dialing on demand) the pooled client for ep. Nodes that
-// join via a pushed map are dialed the first time a key routes to them.
-func (r *Router) client(ep flowwire.Endpoint) (*flowwire.Client, error) {
-	key := ep.String()
-	r.mu.Lock()
-	cl := r.clients[key]
-	r.mu.Unlock()
-	if cl != nil {
+// dial returns the client for ep, connecting it if this router has not yet.
+// The caller holds r.mu (or is New, before the router is shared).
+func (r *Router) dial(ep flowwire.Endpoint) (*flowwire.Client, error) {
+	if cl := r.clients[ep]; cl != nil {
 		return cl, nil
 	}
-	ncl, err := flowwire.DialEndpoint(ep, r.opts.Client)
-	if err != nil {
-		return nil, err
+	cl, err := flowwire.DialEndpoint(ep, r.opts.Client)
+	if err == nil {
+		r.clients[ep] = cl
 	}
-	r.mu.Lock()
-	if cl = r.clients[key]; cl != nil { // lost the dial race
-		r.mu.Unlock()
-		ncl.Close()
-		return cl, nil
-	}
-	r.clients[key] = ncl
-	r.mu.Unlock()
-	return ncl, nil
+	return cl, err
 }
 
-// refreshFrom refetches the shard map from the node that just rejected a
-// request and installs it if newer. The rejecting node is the right source:
-// on a cutover it is the one guaranteed to already hold the bumped map.
-func (r *Router) refreshFrom(cl *flowwire.Client) {
-	r.c.refreshes.Add(1)
-	m, err := cl.FetchShardMap()
-	if err != nil || m == nil {
-		return
-	}
-	r.install(m)
-}
-
-// install adopts m if it is newer than the current map.
+// install adopts m if it is newer than the current map, dialing the nodes
+// it names that this router has not reached yet: a node is connected when
+// the map naming it arrives, not when the first key routes to it. Requests
+// never take r.mu, so a slow dial here delays only other installs and the
+// admin calls (Err, CollectInto, Close).
 func (r *Router) install(m *flowwire.ShardMap) {
 	r.mu.Lock()
-	if cur := r.m.Load(); cur == nil || m.Epoch > cur.Epoch {
-		r.m.Store(m)
+	defer r.mu.Unlock()
+	if cur := r.v.Load(); r.closed || cur != nil && m.Epoch <= cur.m.Epoch {
+		return
 	}
-	r.mu.Unlock()
+	v := &view{m: m, clients: make([]*flowwire.Client, len(m.Nodes)), errs: make([]error, len(m.Nodes))}
+	for i, ep := range m.Nodes {
+		v.clients[i], v.errs[i] = r.dial(ep)
+	}
+	r.v.Store(v)
+}
+
+// redirected reports whether err is cl's WRONG_SHARD reply and, if it is,
+// follows it: the redirect is counted and the map refetched from cl — on a
+// cutover the rejecting node is the one guaranteed to already hold the
+// bumped map — and installed, so the caller's next round routes by it. A
+// dial error is never a redirect, so cl is only nil on the false path.
+func (r *Router) redirected(cl *flowwire.Client, err error) bool {
+	var ws *flowwire.WrongShardError
+	if !errors.As(err, &ws) {
+		return false
+	}
+	r.c.redirects.Add(1)
+	r.c.refreshes.Add(1)
+	if m, err := cl.FetchShardMap(); err == nil && m != nil {
+		r.install(m)
+	}
+	return true
 }
 
 // Err returns the first sticky transport failure of any per-node client.
@@ -184,9 +205,9 @@ func (r *Router) Err() error {
 
 // Close tears down every per-node client.
 func (r *Router) Close() error {
-	r.closed.Store(true)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.closed = true
 	for _, cl := range r.clients {
 		cl.Close()
 	}
@@ -217,9 +238,9 @@ func (r *Router) Errors() uint64 { return r.c.errors.Load() }
 // share the stats.Snapshot.Merge code path.
 func (r *Router) StatsSnapshot() (*stats.Snapshot, error) {
 	rollup := stats.NewSnapshot()
-	m := r.m.Load()
-	for _, ep := range m.Nodes {
-		cl, err := r.client(ep)
+	v := r.v.Load()
+	for i, ep := range v.m.Nodes {
+		cl, err := v.client(i)
 		if err != nil {
 			return nil, err
 		}
@@ -233,40 +254,45 @@ func (r *Router) StatsSnapshot() (*stats.Snapshot, error) {
 	return rollup, nil
 }
 
-// route resolves key's owning node under the current map.
-func (r *Router) route(key []byte) (*flowwire.Client, error) {
-	m := r.m.Load()
-	owner := m.OwnerOfKey(key)
-	return r.client(m.Nodes[owner])
+// do is the one single-key routing loop: op runs against key's owner under
+// the current view, and a WRONG_SHARD reply is followed (redirected installs
+// the rejecting node's map) for up to maxRedirects further rounds. Whatever
+// else op returns — nil, a table-semantics error, a transport failure — is
+// the caller's, as is the dial error of an owner the view has no client for.
+func (r *Router) do(key []byte, op func(*flowwire.Client) error) error {
+	if len(key) != r.keyLen {
+		return flowserve.ErrKeyLen
+	}
+	for round := 0; round <= maxRedirects; round++ {
+		v := r.v.Load()
+		cl, err := v.client(v.m.OwnerOfKey(key))
+		if err == nil {
+			err = op(cl)
+		}
+		if err == nil || !r.redirected(cl, err) {
+			return err
+		}
+	}
+	r.c.exhausted.Add(1)
+	return fmt.Errorf("flowcluster: redirected more than %d times", maxRedirects)
+}
+
+// count makes a failure that an error-free Reader/Writer signature is about
+// to coerce into a miss/false visible in flowcluster.errors. A wrong-length
+// key is the caller's miss, not a failure.
+func (r *Router) count(err error) {
+	if err != nil && !errors.Is(err, flowserve.ErrKeyLen) {
+		r.c.errors.Add(1)
+	}
 }
 
 // Lookup implements flowserve.Reader, following WRONG_SHARD redirects.
-func (r *Router) Lookup(key []byte) (uint64, bool) {
-	if len(key) != r.keyLen {
-		return 0, false
-	}
-	for round := 0; round <= maxRedirects; round++ {
-		cl, err := r.route(key)
-		if err != nil {
-			r.c.errors.Add(1)
-			return 0, false
-		}
-		v, ok, err := cl.LookupE(key)
-		if err == nil {
-			return v, ok
-		}
-		var ws *flowwire.WrongShardError
-		if errors.As(err, &ws) {
-			r.c.redirects.Add(1)
-			r.refreshFrom(cl)
-			continue
-		}
-		r.c.errors.Add(1)
-		return 0, false
-	}
-	r.c.exhausted.Add(1)
-	r.c.errors.Add(1)
-	return 0, false
+func (r *Router) Lookup(key []byte) (value uint64, ok bool) {
+	r.count(r.do(key, func(cl *flowwire.Client) (err error) {
+		value, ok, err = cl.LookupE(key)
+		return err
+	}))
+	return value, ok
 }
 
 // LookupMany implements flowserve.Reader: keys are grouped by owning node
@@ -305,10 +331,10 @@ func (r *Router) LookupMany(keys [][]byte, results []flowserve.Result) int {
 // returns the indexes that need re-routing (WRONG_SHARD) under the map the
 // round refreshed.
 func (r *Router) lookupRound(keys [][]byte, results []flowserve.Result, pending []int) (retry []int) {
-	m := r.m.Load()
+	v := r.v.Load()
 	groups := make(map[int][]int)
 	for _, i := range pending {
-		owner := m.OwnerOfKey(keys[i])
+		owner := v.m.OwnerOfKey(keys[i])
 		groups[owner] = append(groups[owner], i)
 	}
 	var mu sync.Mutex
@@ -318,27 +344,21 @@ func (r *Router) lookupRound(keys [][]byte, results []flowserve.Result, pending 
 		wg.Add(1)
 		go func(owner int, idxs []int) {
 			defer wg.Done()
-			cl, err := r.client(m.Nodes[owner])
-			if err != nil {
-				r.c.errors.Add(uint64(len(idxs)))
-				return
-			}
-			sub := make([][]byte, len(idxs))
-			for j, i := range idxs {
-				sub[j] = keys[i]
-			}
-			res := make([]flowserve.Result, len(idxs))
-			_, err = cl.LookupManyE(sub, res)
+			cl, err := v.client(owner)
 			if err == nil {
+				sub := make([][]byte, len(idxs))
 				for j, i := range idxs {
-					results[i] = res[j]
+					sub[j] = keys[i]
 				}
-				return
+				res := make([]flowserve.Result, len(idxs))
+				if _, err = cl.LookupManyE(sub, res); err == nil {
+					for j, i := range idxs {
+						results[i] = res[j]
+					}
+					return
+				}
 			}
-			var ws *flowwire.WrongShardError
-			if errors.As(err, &ws) {
-				r.c.redirects.Add(1)
-				r.refreshFrom(cl)
+			if r.redirected(cl, err) {
 				mu.Lock()
 				retry = append(retry, idxs...)
 				mu.Unlock()
@@ -355,85 +375,27 @@ func (r *Router) lookupRound(keys [][]byte, results []flowserve.Result, pending 
 // following redirects. Table-semantics errors pass through untyped-free
 // (flowserve.ErrKeyExists etc.), exactly as a single Client's would.
 func (r *Router) Insert(key []byte, value uint64) error {
-	if len(key) != r.keyLen {
-		return flowserve.ErrKeyLen
-	}
-	for round := 0; round <= maxRedirects; round++ {
-		cl, err := r.route(key)
-		if err != nil {
-			return err
-		}
-		err = cl.Insert(key, value)
-		var ws *flowwire.WrongShardError
-		if errors.As(err, &ws) {
-			r.c.redirects.Add(1)
-			r.refreshFrom(cl)
-			continue
-		}
-		return err
-	}
-	r.c.exhausted.Add(1)
-	return fmt.Errorf("flowcluster: insert redirected more than %d times", maxRedirects)
+	return r.do(key, func(cl *flowwire.Client) error { return cl.Insert(key, value) })
 }
 
 // Update implements flowserve.Writer; false on absent key or failure
 // (failures counted in flowcluster.errors).
-func (r *Router) Update(key []byte, value uint64) bool {
-	if len(key) != r.keyLen {
-		return false
-	}
-	for round := 0; round <= maxRedirects; round++ {
-		cl, err := r.route(key)
-		if err != nil {
-			r.c.errors.Add(1)
-			return false
-		}
-		found, err := cl.UpdateE(key, value)
-		if err == nil {
-			return found
-		}
-		var ws *flowwire.WrongShardError
-		if errors.As(err, &ws) {
-			r.c.redirects.Add(1)
-			r.refreshFrom(cl)
-			continue
-		}
-		r.c.errors.Add(1)
-		return false
-	}
-	r.c.exhausted.Add(1)
-	r.c.errors.Add(1)
-	return false
+func (r *Router) Update(key []byte, value uint64) (found bool) {
+	r.count(r.do(key, func(cl *flowwire.Client) (err error) {
+		found, err = cl.UpdateE(key, value)
+		return err
+	}))
+	return found
 }
 
 // Delete implements flowserve.Writer; false on absent key or failure
 // (failures counted in flowcluster.errors).
-func (r *Router) Delete(key []byte) bool {
-	if len(key) != r.keyLen {
-		return false
-	}
-	for round := 0; round <= maxRedirects; round++ {
-		cl, err := r.route(key)
-		if err != nil {
-			r.c.errors.Add(1)
-			return false
-		}
-		found, err := cl.DeleteE(key)
-		if err == nil {
-			return found
-		}
-		var ws *flowwire.WrongShardError
-		if errors.As(err, &ws) {
-			r.c.redirects.Add(1)
-			r.refreshFrom(cl)
-			continue
-		}
-		r.c.errors.Add(1)
-		return false
-	}
-	r.c.exhausted.Add(1)
-	r.c.errors.Add(1)
-	return false
+func (r *Router) Delete(key []byte) (found bool) {
+	r.count(r.do(key, func(cl *flowwire.Client) (err error) {
+		found, err = cl.DeleteE(key)
+		return err
+	}))
+	return found
 }
 
 // migPollInterval paces MIG_STATUS polls while the snapshot streams.
@@ -447,7 +409,8 @@ const migPollInterval = 5 * time.Millisecond
 // handoff invariant, the cluster analogue of the drain ledger's
 // accepted + rejected == replied.
 func (r *Router) MoveRange(rg flowwire.Range, dstNode int, timeout time.Duration) (flowwire.MigInfo, error) {
-	m := r.m.Load()
+	v := r.v.Load()
+	m := v.m
 	if dstNode < 0 || dstNode >= len(m.Nodes) {
 		return flowwire.MigInfo{}, fmt.Errorf("flowcluster: destination node %d of %d", dstNode, len(m.Nodes))
 	}
@@ -458,11 +421,11 @@ func (r *Router) MoveRange(rg flowwire.Range, dstNode int, timeout time.Duration
 	if src == dstNode {
 		return flowwire.MigInfo{}, fmt.Errorf("flowcluster: range %s already owned by node %d", rg, dstNode)
 	}
-	srcCl, err := r.client(m.Nodes[src])
+	srcCl, err := v.client(src)
 	if err != nil {
 		return flowwire.MigInfo{}, err
 	}
-	dstCl, err := r.client(m.Nodes[dstNode])
+	dstCl, err := v.client(dstNode)
 	if err != nil {
 		return flowwire.MigInfo{}, err
 	}
@@ -505,11 +468,11 @@ func (r *Router) MoveRange(rg flowwire.Range, dstNode int, timeout time.Duration
 	if err := srcCl.PushShardMap(nm); err != nil {
 		return flowwire.MigInfo{}, fmt.Errorf("flowcluster: cutover push to losing node %d: %w", src, err)
 	}
-	for i, ep := range nm.Nodes {
+	for i := range nm.Nodes {
 		if i == src || i == dstNode {
 			continue
 		}
-		cl, err := r.client(ep)
+		cl, err := v.client(i)
 		if err != nil {
 			return flowwire.MigInfo{}, err
 		}

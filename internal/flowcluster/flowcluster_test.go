@@ -2,6 +2,7 @@ package flowcluster
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -28,6 +29,13 @@ func tkey(i uint64) []byte {
 // full endpoint set before its server starts.
 func startCluster(t testing.TB, n int) ([]flowwire.Endpoint, []*flowserve.Table) {
 	t.Helper()
+	eps, tbls, _ := startClusterServers(t, n)
+	return eps, tbls
+}
+
+// startClusterServers is startCluster for the tests that also stop a node.
+func startClusterServers(t testing.TB, n int) ([]flowwire.Endpoint, []*flowserve.Table, []*flowwire.Server) {
+	t.Helper()
 	lns := make([]net.Listener, n)
 	eps := make([]flowwire.Endpoint, n)
 	for i := range lns {
@@ -39,6 +47,7 @@ func startCluster(t testing.TB, n int) ([]flowwire.Endpoint, []*flowserve.Table)
 		eps[i] = flowwire.Endpoint{Transport: flowwire.TransportTCP, Addr: ln.Addr().String()}
 	}
 	tbls := make([]*flowserve.Table, n)
+	srvs := make([]*flowwire.Server, n)
 	for i := range lns {
 		tbl, err := flowserve.New(flowserve.Config{Shards: 4, Entries: 1 << 16, KeyLen: testKeyLen})
 		if err != nil {
@@ -49,6 +58,7 @@ func startCluster(t testing.TB, n int) ([]flowwire.Endpoint, []*flowserve.Table)
 		if err != nil {
 			t.Fatal(err)
 		}
+		srvs[i] = srv
 		serveErr := make(chan error, 1)
 		ln := lns[i]
 		go func() { serveErr <- srv.Serve(ln) }()
@@ -59,7 +69,7 @@ func startCluster(t testing.TB, n int) ([]flowwire.Endpoint, []*flowserve.Table)
 			}
 		})
 	}
-	return eps, tbls
+	return eps, tbls, srvs
 }
 
 func dialRouter(t testing.TB, eps []flowwire.Endpoint) *Router {
@@ -537,4 +547,199 @@ func asWrongShard(err error, ws **flowwire.WrongShardError) bool {
 		*ws = e
 	}
 	return ok
+}
+
+// ownedKeys inserts per keys for every node of r's map and returns them by
+// owner; key i carries value i+1.
+func ownedKeys(t *testing.T, r *Router, per int) (keys [][][]byte, value map[string]uint64) {
+	t.Helper()
+	m := r.Map()
+	keys = make([][][]byte, len(m.Nodes))
+	value = make(map[string]uint64)
+	for i, short := uint64(0), len(m.Nodes); short > 0; i++ {
+		k := tkey(i)
+		owner := m.OwnerOfKey(k)
+		if len(keys[owner]) == per {
+			continue
+		}
+		if err := r.Insert(k, i+1); err != nil {
+			t.Fatal(err)
+		}
+		value[string(k)] = i + 1
+		if keys[owner] = append(keys[owner], k); len(keys[owner]) == per {
+			short--
+		}
+	}
+	return keys, value
+}
+
+// checkCoercedFailures drives every router op at keys whose owner (node
+// dead) cannot serve and checks the failure accounting: each error-free
+// read or write signature coerces to a miss/false and adds exactly the
+// failed key count to Errors(), Insert surfaces its error instead, a batch
+// still serves the keys whose owners are alive, and wrong-length keys are
+// the caller's misses, not failures.
+func checkCoercedFailures(t *testing.T, r *Router, keys [][][]byte, value map[string]uint64, dead int) {
+	t.Helper()
+	grew := func(what string, by uint64, op func()) {
+		t.Helper()
+		before := r.Errors()
+		op()
+		if got := r.Errors() - before; got != by {
+			t.Errorf("%s added %d to Errors(), want %d", what, got, by)
+		}
+	}
+	key := keys[dead][0]
+	grew("Lookup", 1, func() {
+		if _, ok := r.Lookup(key); ok {
+			t.Error("Lookup at the dead node = hit")
+		}
+	})
+	grew("Update", 1, func() {
+		if r.Update(key, 9) {
+			t.Error("Update at the dead node = true")
+		}
+	})
+	grew("Delete", 1, func() {
+		if r.Delete(key) {
+			t.Error("Delete at the dead node = true")
+		}
+	})
+	grew("Insert", 0, func() {
+		if err := r.Insert(key, 9); err == nil || err == flowserve.ErrKeyExists {
+			t.Errorf("Insert at the dead node = %v, want the failure itself", err)
+		}
+	})
+
+	var batch [][]byte
+	for _, owned := range keys {
+		batch = append(batch, owned...)
+	}
+	batch = append(batch, []byte{1}) // wrong length
+	results := make([]flowserve.Result, len(batch))
+	wantHits := len(batch) - 1 - len(keys[dead])
+	grew("LookupMany", uint64(len(keys[dead])), func() {
+		if hits := r.LookupMany(batch, results); hits != wantHits {
+			t.Errorf("LookupMany hits = %d, want %d", hits, wantHits)
+		}
+	})
+	m := r.Map()
+	for i, k := range batch[:len(batch)-1] {
+		want, wantOK := value[string(k)], m.OwnerOfKey(k) != dead
+		if !wantOK {
+			want = 0
+		}
+		if results[i].OK != wantOK || results[i].Value != want {
+			t.Errorf("LookupMany[%d] (owner %d) = %+v, want %d,%v", i, m.OwnerOfKey(k), results[i], want, wantOK)
+		}
+	}
+
+	grew("wrong-length keys", 0, func() {
+		short := []byte{1, 2, 3}
+		if _, ok := r.Lookup(short); ok {
+			t.Error("Lookup of a short key = hit")
+		}
+		if r.Update(short, 1) || r.Delete(short) {
+			t.Error("Update/Delete of a short key = true")
+		}
+		if err := r.Insert(short, 1); err != flowserve.ErrKeyLen {
+			t.Errorf("Insert of a short key = %v, want ErrKeyLen", err)
+		}
+		r.LookupMany([][]byte{short, short}, make([]flowserve.Result, 2))
+	})
+}
+
+// TestRouterCountsCoercedFailures pins flowcluster.errors, the counter the
+// zero-loss gates read: a failure the Reader/Writer signatures hide must
+// show up there, once per failed key, whether the owner died after it was
+// dialed or could never be dialed at all.
+func TestRouterCountsCoercedFailures(t *testing.T) {
+	t.Run("node-stopped", func(t *testing.T) {
+		eps, _, srvs := startClusterServers(t, 3)
+		r := dialRouter(t, eps)
+		keys, value := ownedKeys(t, r, 4)
+		srvs[1].Close()
+		checkCoercedFailures(t, r, keys, value, 1)
+	})
+	// A map naming an endpoint nobody listens on: the view holds no client
+	// for that node, and routing there reports the dial error.
+	t.Run("node-undialable", func(t *testing.T) {
+		eps, _ := startCluster(t, 3)
+		r := dialRouter(t, eps)
+		keys, value := ownedKeys(t, r, 4)
+
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln.Close()
+		nm := r.Map().Clone()
+		nm.Nodes[2] = flowwire.Endpoint{Transport: flowwire.TransportTCP, Addr: ln.Addr().String()}
+		nm.Epoch++
+		r.install(nm)
+
+		cl, dialErr := r.v.Load().client(2)
+		if r.Epoch() != nm.Epoch || cl != nil || dialErr == nil {
+			t.Fatalf("view at epoch %d holds client %v, error %v for the undialable node", r.Epoch(), cl, dialErr)
+		}
+		if err := r.Insert(keys[2][0], 9); !errors.Is(err, dialErr) {
+			t.Fatalf("Insert at the undialable node = %v, want %v", err, dialErr)
+		}
+		checkCoercedFailures(t, r, keys, value, 2)
+		if _, err := r.StatsSnapshot(); !errors.Is(err, dialErr) {
+			t.Fatalf("StatsSnapshot = %v, want %v", err, dialErr)
+		}
+	})
+}
+
+// TestRouterSteadyStateAllocs is the single-key routing allocation gate: on
+// the no-redirect path a Lookup or an Update of a resident key costs no heap
+// allocation anywhere in the process — router, per-node client and the
+// in-process servers behind them. Insert and Delete are reported, not gated:
+// a duplicate Insert pays for its errors.As target on the way to
+// ErrKeyExists.
+func TestRouterSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	eps, _ := startCluster(t, 3)
+	r := dialRouter(t, eps)
+	keys, _ := ownedKeys(t, r, 1)
+	ops := []struct {
+		name  string
+		gated bool
+		op    func(key []byte)
+	}{
+		{"Lookup", true, func(key []byte) {
+			if _, ok := r.Lookup(key); !ok {
+				t.Fatal("resident key missed")
+			}
+		}},
+		{"Update", true, func(key []byte) {
+			if !r.Update(key, 5) {
+				t.Fatal("resident key not updated")
+			}
+		}},
+		{"Insert (duplicate)", false, func(key []byte) {
+			if err := r.Insert(key, 5); err != flowserve.ErrKeyExists {
+				t.Fatalf("duplicate Insert = %v", err)
+			}
+		}},
+		{"Delete (absent)", false, func(key []byte) { r.Delete(tkey(1 << 40)) }},
+	}
+	for _, o := range ops {
+		i := 0
+		run := func() { o.op(keys[i%len(keys)][0]); i++ }
+		for warm := 0; warm < 64; warm++ {
+			run()
+		}
+		allocs := testing.AllocsPerRun(300, run)
+		t.Logf("Router.%s: %.2f allocs/op", o.name, allocs)
+		if o.gated && allocs != 0 {
+			t.Errorf("Router.%s allocates %.2f times per op on the no-redirect path, want 0", o.name, allocs)
+		}
+	}
+	if errs := r.Errors(); errs != 0 {
+		t.Fatalf("router errors = %d", errs)
+	}
 }

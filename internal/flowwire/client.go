@@ -43,7 +43,9 @@ type Options struct {
 	WriteTimeout time.Duration
 	// CallTimeout bounds the wait for a reply (default 60s).
 	CallTimeout time.Duration
-	// MaxFrame bounds accepted reply frames (default DefaultMaxFrame).
+	// MaxFrame bounds frames in both directions (default DefaultMaxFrame):
+	// a longer reply breaks the connection, a longer request is refused
+	// locally with ErrFrameTooLarge before it is sent.
 	MaxFrame uint32
 }
 
@@ -179,25 +181,17 @@ func DialEndpoint(ep Endpoint, opts Options) (*Client, error) {
 		cl.conns = append(cl.conns, c)
 		go c.readLoop()
 	}
-	pc, f, err := cl.call(OpHello, nil)
-	if err != nil {
-		cl.Close()
-		return nil, fmt.Errorf("flowwire: HELLO: %w", err)
-	}
-	if err := f.Status.Err(OpHello); err != nil {
+	pc, p, err := cl.do(OpHello, nil, helloReplyLen)
+	if err == nil {
+		cl.hello, err = parseHelloReply(p)
 		cl.putCall(pc)
-		cl.Close()
-		return nil, fmt.Errorf("flowwire: HELLO: %w", err)
 	}
-	cl.hello, err = parseHelloReply(f.Payload)
-	cl.putCall(pc)
+	if err == nil && (cl.hello.KeyLen <= 0 || cl.hello.KeyLen > flowserve.MaxKeyLen) {
+		err = fmt.Errorf("reply reports key length %d", cl.hello.KeyLen)
+	}
 	if err != nil {
 		cl.Close()
-		return nil, err
-	}
-	if cl.hello.KeyLen <= 0 || cl.hello.KeyLen > flowserve.MaxKeyLen {
-		cl.Close()
-		return nil, fmt.Errorf("flowwire: HELLO reports key length %d", cl.hello.KeyLen)
+		return nil, fmt.Errorf("flowwire: HELLO: %w", err)
 	}
 	return cl, nil
 }
@@ -328,16 +322,21 @@ func (c *cliConn) readLoop() {
 	}
 }
 
-// call sends one request on a pooled connection and waits for its reply.
-// On success the returned pcall owns f.Payload's backing buffer: the caller
-// must finish parsing the payload and then release the slot with putCall.
-// On error the pcall has already been dealt with and nil is returned.
+// call sends one request on a pooled connection and waits for its reply. A
+// request longer than MaxFrame is refused here, before the connection is
+// touched: the server would answer ERR_OVERSIZED and hang up on every caller
+// sharing the pool, so the refusal is per-call, not sticky. On success the
+// returned pcall owns f.Payload's backing buffer; on error the pcall has
+// already been dealt with and nil is returned. do is the only caller.
 func (cl *Client) call(op Op, payload []byte) (*pcall, Frame, error) {
 	if cl.closed.Load() {
 		return nil, Frame{}, ErrClientClosed
 	}
 	if err := cl.Err(); err != nil {
 		return nil, Frame{}, err
+	}
+	if n := uint64(headerSize + len(payload)); n > uint64(cl.opts.MaxFrame) {
+		return nil, Frame{}, fmt.Errorf("%w: %s request of %d bytes (limit %d)", ErrFrameTooLarge, op, n, cl.opts.MaxFrame)
 	}
 	c := cl.conns[cl.rr.Add(1)%uint64(len(cl.conns))]
 
@@ -398,12 +397,6 @@ func (cl *Client) call(op Op, payload []byte) (*pcall, Frame, error) {
 			}
 			return nil, Frame{}, err
 		}
-		if f.Op != op {
-			err := fmt.Errorf("flowwire: reply op %s to a %s request", f.Op, op)
-			cl.fail(err)
-			cl.putCall(pc)
-			return nil, Frame{}, err
-		}
 		return pc, f, nil
 	case <-pc.timer.C:
 		cl.c.timeouts.Add(1)
@@ -442,6 +435,48 @@ func replyErr(f *Frame, op Op) error {
 	return f.Status.Err(op)
 }
 
+// anyLen is do's wantLen for the replies whose length only their own payload
+// knows (STATS, SHARD_MAP, MIG_STATUS).
+const anyLen = -1
+
+// do is the one exchange every op method goes through: send the request,
+// wait for the reply, map a non-OK status onto the typed errors, and check
+// the reply is for op and exactly wantLen payload bytes long. A reply that
+// fails those two checks means the stream can no longer be trusted, so it
+// breaks the client. On success the caller owns the call slot: it decodes p,
+// which aliases the slot's buffer, and then releases the slot with putCall.
+// On every error path the slot has been released here and pc is nil.
+func (cl *Client) do(op Op, payload []byte, wantLen int) (*pcall, []byte, error) {
+	pc, f, err := cl.call(op, payload)
+	if err != nil {
+		return nil, nil, err
+	}
+	switch {
+	case f.Op != op:
+		err = fmt.Errorf("flowwire: reply op %s to a %s request", f.Op, op)
+		cl.fail(err)
+	case f.Status != StatusOK:
+		err = replyErr(&f, op)
+	case wantLen != anyLen && len(f.Payload) != wantLen:
+		err = fmt.Errorf("flowwire: %s reply payload is %d bytes, want %d", op, len(f.Payload), wantLen)
+		cl.fail(err)
+	}
+	if err != nil {
+		cl.putCall(pc)
+		return nil, nil, err
+	}
+	return pc, f.Payload, nil
+}
+
+// count makes a failure that an error-free Reader/Writer signature is about
+// to coerce into a miss/false visible in flowwire.client.errors. A
+// wrong-length key is the caller's miss, not a failure.
+func (cl *Client) count(err error) {
+	if err != nil && !errors.Is(err, flowserve.ErrKeyLen) {
+		cl.c.errors.Add(1)
+	}
+}
+
 // LookupE is Lookup with the error surfaced: a WRONG_SHARD redirect, a
 // table-semantics error or a transport failure comes back typed instead of
 // being coerced into a miss. The cluster router routes and retries on it;
@@ -450,22 +485,11 @@ func (cl *Client) LookupE(key []byte) (uint64, bool, error) {
 	if len(key) != cl.hello.KeyLen {
 		return 0, false, flowserve.ErrKeyLen
 	}
-	pc, f, err := cl.call(OpLookup, key)
+	pc, p, err := cl.do(OpLookup, key, 9)
 	if err != nil {
 		return 0, false, err
 	}
-	if err := replyErr(&f, OpLookup); err != nil {
-		cl.putCall(pc)
-		return 0, false, err
-	}
-	if len(f.Payload) != 9 {
-		cl.putCall(pc)
-		err := fmt.Errorf("flowwire: LOOKUP reply payload is %d bytes, want 9", len(f.Payload))
-		cl.fail(err)
-		return 0, false, err
-	}
-	value := binary.LittleEndian.Uint64(f.Payload[1:9])
-	ok := f.Payload[0] != 0
+	value, ok := binary.LittleEndian.Uint64(p[1:9]), p[0] != 0
 	cl.putCall(pc)
 	return value, ok, nil
 }
@@ -475,15 +499,20 @@ func (cl *Client) LookupE(key []byte) (uint64, bool, error) {
 // transport failures are misses too, and are counted in
 // flowwire.client.errors.
 func (cl *Client) Lookup(key []byte) (uint64, bool) {
-	if len(key) != cl.hello.KeyLen {
-		return 0, false
-	}
 	value, ok, err := cl.LookupE(key)
-	if err != nil {
-		cl.c.errors.Add(1)
-		return 0, false
-	}
+	cl.count(err)
 	return value, ok
+}
+
+// validKeys returns the keys of length keyLen and their indexes in keys.
+func validKeys(keys [][]byte, keyLen int) (valid [][]byte, idx []int) {
+	for j, k := range keys {
+		if len(k) == keyLen {
+			valid = append(valid, k)
+			idx = append(idx, j)
+		}
+	}
+	return valid, idx
 }
 
 // LookupManyE is LookupMany with the error surfaced. On a typed error reply
@@ -493,77 +522,42 @@ func (cl *Client) Lookup(key []byte) (uint64, bool) {
 // misses (LookupMany). Wrong-length keys are still answered locally as
 // misses without failing the batch.
 func (cl *Client) LookupManyE(keys [][]byte, results []flowserve.Result) (int, error) {
-	n := len(keys)
-	_ = results[:n]
+	results = results[:len(keys)]
 	keyLen := cl.hello.KeyLen
-	allValid := true
+	valid, out := keys, results
+	var validIdx []int // nil on the common all-valid path
 	for _, k := range keys {
 		if len(k) != keyLen {
-			allValid = false
+			valid, validIdx = validKeys(keys, keyLen)
+			out = make([]flowserve.Result, len(valid))
 			break
 		}
 	}
-	valid := keys
-	var validIdx []int // nil on the common all-valid path
-	if !allValid {
-		valid = make([][]byte, 0, n)
-		validIdx = make([]int, 0, n)
-		for j, kj := range keys {
-			results[j] = flowserve.Result{}
-			if len(kj) == keyLen {
-				valid = append(valid, kj)
-				validIdx = append(validIdx, j)
-			}
-		}
-	}
+	// Zeroed up front, so every early return below leaves misses behind.
+	clear(results)
 	if len(valid) == 0 {
-		for i := range keys {
-			results[i] = flowserve.Result{}
-		}
 		return 0, nil
 	}
 
 	req := getFrameBuf()
 	req.b = appendLookupManyReq(req.b[:0], valid, keyLen)
-	pc, f, err := cl.call(OpLookupMany, req.b)
+	pc, p, err := cl.do(OpLookupMany, req.b, 4+9*len(valid))
 	putFrameBuf(req) // call copied the payload onto the wire before returning
-	if err == nil {
-		err = replyErr(&f, OpLookupMany)
-	}
 	if err != nil {
-		cl.putCall(pc)
-		for i := range keys {
-			results[i] = flowserve.Result{}
-		}
 		return 0, err
 	}
-	var out []flowserve.Result
-	if validIdx == nil {
-		out = results[:n]
-	} else {
-		out = make([]flowserve.Result, len(valid))
-	}
-	count, perr := parseLookupManyReply(f.Payload, out)
+	// do checked the length, so a parse that succeeds filled all of out.
+	_, err = parseLookupManyReply(p, out)
 	cl.putCall(pc)
-	if perr != nil || count != len(valid) {
-		err := fmt.Errorf("flowwire: LOOKUP_MANY reply mismatch: %d results for %d keys (%v)", count, len(valid), perr)
+	if err != nil {
 		cl.fail(err)
-		for i := range keys {
-			results[i] = flowserve.Result{}
-		}
 		return 0, err
 	}
 	hits := 0
-	if validIdx == nil {
-		for i := range out {
-			if out[i].OK {
-				hits++
-			}
-		}
-		return hits, nil
-	}
 	for vi, r := range out {
-		results[validIdx[vi]] = r
+		if validIdx != nil {
+			results[validIdx[vi]] = r
+		}
 		if r.OK {
 			hits++
 		}
@@ -579,18 +573,32 @@ func (cl *Client) LookupManyE(keys [][]byte, results []flowserve.Result) (int, e
 // the steady-state batch path allocates nothing.
 func (cl *Client) LookupMany(keys [][]byte, results []flowserve.Result) int {
 	hits, err := cl.LookupManyE(keys, results)
-	if err != nil {
-		cl.c.errors.Add(1)
-		return 0
-	}
+	cl.count(err)
 	return hits
 }
 
-// mutatePayload packs value+key for INSERT/UPDATE.
-func mutatePayload(value uint64, key []byte) []byte {
-	p := make([]byte, 0, 8+len(key))
-	p = binary.LittleEndian.AppendUint64(p, value)
-	return append(p, key...)
+// mutate is the INSERT/UPDATE exchange: the value+key payload is built in a
+// pooled buffer like every other request.
+func (cl *Client) mutate(op Op, key []byte, value uint64, wantLen int) (*pcall, []byte, error) {
+	if len(key) != cl.hello.KeyLen {
+		return nil, nil, flowserve.ErrKeyLen
+	}
+	req := getFrameBuf()
+	req.b = append(binary.LittleEndian.AppendUint64(req.b[:0], value), key...)
+	pc, p, err := cl.do(op, req.b, wantLen)
+	putFrameBuf(req)
+	return pc, p, err
+}
+
+// found decodes the one-byte reply UPDATE and DELETE share and releases the
+// call slot.
+func (cl *Client) found(pc *pcall, p []byte, err error) (bool, error) {
+	if err != nil {
+		return false, err
+	}
+	found := p[0] != 0
+	cl.putCall(pc)
+	return found, nil
 }
 
 // Insert implements flowserve.Writer over the wire. Table-semantics
@@ -598,14 +606,7 @@ func mutatePayload(value uint64, key []byte) []byte {
 // ErrKeyLen); a redirect as *WrongShardError; transport failures as the
 // underlying error.
 func (cl *Client) Insert(key []byte, value uint64) error {
-	if len(key) != cl.hello.KeyLen {
-		return flowserve.ErrKeyLen
-	}
-	pc, f, err := cl.call(OpInsert, mutatePayload(value, key))
-	if err != nil {
-		return err
-	}
-	err = replyErr(&f, OpInsert)
+	pc, _, err := cl.mutate(OpInsert, key, value, 0)
 	cl.putCall(pc)
 	return err
 }
@@ -613,39 +614,14 @@ func (cl *Client) Insert(key []byte, value uint64) error {
 // UpdateE is Update with the error surfaced (WRONG_SHARD redirect, transport
 // failure) so the cluster router can re-route instead of reporting a miss.
 func (cl *Client) UpdateE(key []byte, value uint64) (bool, error) {
-	if len(key) != cl.hello.KeyLen {
-		return false, flowserve.ErrKeyLen
-	}
-	pc, f, err := cl.call(OpUpdate, mutatePayload(value, key))
-	if err != nil {
-		return false, err
-	}
-	if err := replyErr(&f, OpUpdate); err != nil {
-		cl.putCall(pc)
-		return false, err
-	}
-	if len(f.Payload) != 1 {
-		cl.putCall(pc)
-		err := fmt.Errorf("flowwire: UPDATE reply payload is %d bytes, want 1", len(f.Payload))
-		cl.fail(err)
-		return false, err
-	}
-	found := f.Payload[0] != 0
-	cl.putCall(pc)
-	return found, nil
+	return cl.found(cl.mutate(OpUpdate, key, value, 1))
 }
 
 // Update implements flowserve.Writer; false on absent key or failure
 // (failures counted in flowwire.client.errors).
 func (cl *Client) Update(key []byte, value uint64) bool {
-	if len(key) != cl.hello.KeyLen {
-		return false
-	}
 	found, err := cl.UpdateE(key, value)
-	if err != nil {
-		cl.c.errors.Add(1)
-		return false
-	}
+	cl.count(err)
 	return found
 }
 
@@ -654,36 +630,14 @@ func (cl *Client) DeleteE(key []byte) (bool, error) {
 	if len(key) != cl.hello.KeyLen {
 		return false, flowserve.ErrKeyLen
 	}
-	pc, f, err := cl.call(OpDelete, key)
-	if err != nil {
-		return false, err
-	}
-	if err := replyErr(&f, OpDelete); err != nil {
-		cl.putCall(pc)
-		return false, err
-	}
-	if len(f.Payload) != 1 {
-		cl.putCall(pc)
-		err := fmt.Errorf("flowwire: DELETE reply payload is %d bytes, want 1", len(f.Payload))
-		cl.fail(err)
-		return false, err
-	}
-	found := f.Payload[0] != 0
-	cl.putCall(pc)
-	return found, nil
+	return cl.found(cl.do(OpDelete, key, 1))
 }
 
 // Delete implements flowserve.Writer; false on absent key or failure
 // (failures counted in flowwire.client.errors).
 func (cl *Client) Delete(key []byte) bool {
-	if len(key) != cl.hello.KeyLen {
-		return false
-	}
 	found, err := cl.DeleteE(key)
-	if err != nil {
-		cl.c.errors.Add(1)
-		return false
-	}
+	cl.count(err)
 	return found
 }
 
@@ -692,16 +646,13 @@ func (cl *Client) Delete(key []byte) bool {
 // STATS op. The cluster router merges per-node snapshots into its rollup
 // with stats.Snapshot.Merge, the same code path CollectInto feeds.
 func (cl *Client) StatsSnapshot() (*stats.Snapshot, error) {
-	pc, f, err := cl.call(OpStats, nil)
+	pc, p, err := cl.do(OpStats, nil, anyLen)
 	if err != nil {
 		return nil, err
 	}
 	defer cl.putCall(pc)
-	if err := f.Status.Err(OpStats); err != nil {
-		return nil, err
-	}
 	snap := stats.NewSnapshot()
-	if err := json.Unmarshal(f.Payload, snap); err != nil {
+	if err := json.Unmarshal(p, snap); err != nil {
 		return nil, fmt.Errorf("flowwire: STATS payload: %w", err)
 	}
 	return snap, nil
@@ -710,18 +661,15 @@ func (cl *Client) StatsSnapshot() (*stats.Snapshot, error) {
 // FetchShardMap fetches the node's installed shard map via the SHARD_MAP op.
 // A standalone (non-cluster) node reports a nil map at epoch 0.
 func (cl *Client) FetchShardMap() (*ShardMap, error) {
-	pc, f, err := cl.call(OpShardMap, nil)
+	pc, p, err := cl.do(OpShardMap, nil, anyLen)
 	if err != nil {
 		return nil, err
 	}
 	defer cl.putCall(pc)
-	if err := f.Status.Err(OpShardMap); err != nil {
-		return nil, err
-	}
-	if len(f.Payload) == 0 {
+	if len(p) == 0 {
 		return nil, nil
 	}
-	return ParseShardMap(f.Payload)
+	return ParseShardMap(p)
 }
 
 // PushShardMap installs a shard map on the node via the MAP_UPDATE op. On
@@ -732,12 +680,8 @@ func (cl *Client) FetchShardMap() (*ShardMap, error) {
 func (cl *Client) PushShardMap(m *ShardMap) error {
 	req := getFrameBuf()
 	req.b = AppendShardMap(req.b[:0], m)
-	pc, f, err := cl.call(OpMapUpdate, req.b)
+	pc, _, err := cl.do(OpMapUpdate, req.b, 0)
 	putFrameBuf(req)
-	if err != nil {
-		return err
-	}
-	err = f.Status.Err(OpMapUpdate)
 	cl.putCall(pc)
 	return err
 }
@@ -748,12 +692,8 @@ func (cl *Client) PushShardMap(m *ShardMap) error {
 func (cl *Client) MigrateStart(rg Range, dst Endpoint) error {
 	req := getFrameBuf()
 	req.b = appendMigStartReq(req.b[:0], rg, dst)
-	pc, f, err := cl.call(OpMigStart, req.b)
+	pc, _, err := cl.do(OpMigStart, req.b, 0)
 	putFrameBuf(req)
-	if err != nil {
-		return err
-	}
-	err = f.Status.Err(OpMigStart)
 	cl.putCall(pc)
 	return err
 }
@@ -761,15 +701,12 @@ func (cl *Client) MigrateStart(rg Range, dst Endpoint) error {
 // MigrateStatus fetches the node's migration ledger (snapshot progress and
 // the enqueued == sent == acked record counts the coordinator checks).
 func (cl *Client) MigrateStatus() (MigInfo, error) {
-	pc, f, err := cl.call(OpMigStatus, nil)
+	pc, p, err := cl.do(OpMigStatus, nil, anyLen)
 	if err != nil {
 		return MigInfo{}, err
 	}
 	defer cl.putCall(pc)
-	if err := f.Status.Err(OpMigStatus); err != nil {
-		return MigInfo{}, err
-	}
-	return parseMigInfo(f.Payload)
+	return parseMigInfo(p)
 }
 
 // MigApply streams a batch of migrated records to the gaining node and
@@ -779,21 +716,12 @@ func (cl *Client) MigrateStatus() (MigInfo, error) {
 func (cl *Client) MigApply(recs []MigRecord) (applied, conflicts uint32, err error) {
 	req := getFrameBuf()
 	req.b = appendMigRecords(req.b[:0], recs)
-	pc, f, err := cl.call(OpMigApply, req.b)
+	pc, p, err := cl.do(OpMigApply, req.b, 8)
 	putFrameBuf(req)
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := f.Status.Err(OpMigApply); err != nil {
-		cl.putCall(pc)
-		return 0, 0, err
-	}
-	if len(f.Payload) != 8 {
-		cl.putCall(pc)
-		return 0, 0, fmt.Errorf("flowwire: MIG_APPLY reply payload is %d bytes, want 8", len(f.Payload))
-	}
-	applied = binary.LittleEndian.Uint32(f.Payload[0:4])
-	conflicts = binary.LittleEndian.Uint32(f.Payload[4:8])
+	applied, conflicts = binary.LittleEndian.Uint32(p[0:4]), binary.LittleEndian.Uint32(p[4:8])
 	cl.putCall(pc)
 	return applied, conflicts, nil
 }

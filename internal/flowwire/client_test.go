@@ -265,3 +265,37 @@ func TestClientErrorCounterOnServerGone(t *testing.T) {
 		t.Fatal("server close left no sticky error")
 	}
 }
+
+// TestOversizedRequestRefusedLocally pins the request side of MaxFrame: a
+// batch whose frame would exceed it is refused before it reaches the
+// connection. Sent, it would earn ERR_OVERSIZED and a close, and every
+// goroutine sharing the pool would serve misses from then on.
+func TestOversizedRequestRefusedLocally(t *testing.T) {
+	_, tbl, addr := startServer(t, flowserve.Config{Shards: 1, Entries: 128, KeyLen: 20}, Config{})
+	if err := tbl.Insert(wkey(1), 11); err != nil {
+		t.Fatal(err)
+	}
+	cl := dialTest(t, addr, Options{})
+
+	keys := make([][]byte, 60000) // 1.2 MB of keys > DefaultMaxFrame
+	for i := range keys {
+		keys[i] = wkey(1)
+	}
+	results := make([]flowserve.Result, len(keys))
+	results[0].OK = true
+	if _, err := cl.LookupManyE(keys, results); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("LookupManyE of %d keys = %v, want ErrFrameTooLarge", len(keys), err)
+	}
+	if results[0].OK {
+		t.Fatal("a refused batch left a hit behind")
+	}
+	if err := cl.Err(); err != nil {
+		t.Fatalf("a per-call refusal broke the client: %v", err)
+	}
+	if v, ok := cl.Lookup(wkey(1)); !ok || v != 11 {
+		t.Fatalf("Lookup after the refusal = (%d,%v), want (11,true)", v, ok)
+	}
+	if c := cl.Counters(); c.LateReplies != 0 || c.Errors != 0 {
+		t.Fatalf("counters after the refusal = %+v, want zeroes", c)
+	}
+}

@@ -20,7 +20,8 @@ func lookupFrame(buf []byte, reqID uint64, key []byte) []byte {
 }
 
 func insertFrame(buf []byte, reqID uint64, key []byte, value uint64) []byte {
-	return AppendFrame(buf, &Frame{Op: OpInsert, ReqID: reqID, Payload: mutatePayload(value, key)})
+	payload := append(binary.LittleEndian.AppendUint64(nil, value), key...)
+	return AppendFrame(buf, &Frame{Op: OpInsert, ReqID: reqID, Payload: payload})
 }
 
 // waitFor polls cond for up to five seconds.
@@ -250,6 +251,26 @@ func TestProtocolViolationMidBurst(t *testing.T) {
 			}
 		})
 	}
+	// A length refusal decodes no header, so its reply has no identity to
+	// echo — in particular not the one the previous burst left in the frame
+	// slot the refused read reused.
+	t.Run("oversized-after-slot-reuse", func(t *testing.T) {
+		_, _, addr := startServer(t, flowserve.Config{Shards: 1, Entries: 128, KeyLen: 20}, Config{MaxFrame: 1 << 16})
+		nc := rawConn(t, addr)
+		if _, err := nc.Write(lookupFrame(nil, 7, wkey(1))); err != nil {
+			t.Fatal(err)
+		}
+		if f := readReply(t, nc); f.ReqID != 7 || f.Status != StatusOK {
+			t.Fatalf("reply to the good frame = %+v", f)
+		}
+		if _, err := nc.Write(binary.LittleEndian.AppendUint32(nil, 1<<20)); err != nil {
+			t.Fatal(err)
+		}
+		if f := readReply(t, nc); f.Status != StatusErrOversized || f.ReqID != 0 || f.Op != 0 {
+			t.Fatalf("reply to the over-limit prefix = op %d reqID %d status %s, want op 0 reqID 0 %s", f.Op, f.ReqID, f.Status, StatusErrOversized)
+		}
+		assertClosed(t, nc)
+	})
 }
 
 // TestDrainWakesConnectionsGoingIdle races Drain against connections that

@@ -252,10 +252,13 @@ func AppendFrame(dst []byte, f *Frame) []byte {
 // (client), or through ReadFrameInto into reusable scratch (server). maxFrame bounds the
 // accepted length (0 means DefaultMaxFrame). io.EOF is returned untouched
 // on a clean close before any header byte; a partial header yields
-// io.ErrUnexpectedEOF. The identifying fields are populated before the
-// validity checks, so a server can echo op and reqID in a typed error
-// reply.
+// io.ErrUnexpectedEOF. The identifying fields are zeroed first and decoded
+// once the length prefix is accepted, so a server echoing them in a typed
+// error reply sends the offender's op and reqID after a version or
+// reserved-byte refusal and zeroes after a length refusal — never what an
+// earlier frame left in a reused f.
 func ReadFrameHeader(r io.Reader, maxFrame uint32, f *Frame) (int, error) {
+	f.Op, f.Status, f.ReqID, f.Payload = 0, 0, 0, nil
 	if maxFrame == 0 {
 		maxFrame = DefaultMaxFrame
 	}
@@ -279,7 +282,6 @@ func ReadFrameHeader(r io.Reader, maxFrame uint32, f *Frame) (int, error) {
 	f.Op = Op(hdr[5])
 	f.Status = Status(hdr[6])
 	f.ReqID = binary.LittleEndian.Uint64(hdr[8:16])
-	f.Payload = nil
 	if hdr[4] != Version {
 		return 0, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, hdr[4], Version)
 	}

@@ -8,9 +8,10 @@
 // by one immutable view — the map plus the per-node clients indexed by node
 // id, behind one atomic pointer — that is rebuilt, and any node new to the
 // router dialed, only when a newer map is installed. LookupMany groups a
-// batch's keys by owning node and issues the per-node sub-batches
-// concurrently over the pooled per-node clients; single-key reads and
-// mutations route to the range owner through one loop (Router.do). When a
+// batch's keys by owning node, writes the per-node sub-batches back-to-back
+// from the caller's goroutine over the pooled per-node clients and then
+// collects the replies in the same order; single-key reads and mutations
+// route to the range owner through one loop (Router.do). When a
 // node answers WRONG_SHARD — its map is newer than the router's, i.e. a live
 // migration cut over — the router refetches the map from that node, installs
 // it and re-routes the rejected keys, so a migration in flight costs
@@ -71,6 +72,8 @@ type Router struct {
 	mu      sync.Mutex // guards clients and closed, serialises install
 	clients map[flowwire.Endpoint]*flowwire.Client
 	closed  bool
+
+	scratch sync.Pool // *scatter: LookupMany's per-call scratch
 
 	c routerCounters
 }
@@ -295,29 +298,53 @@ func (r *Router) Lookup(key []byte) (value uint64, ok bool) {
 	return value, ok
 }
 
+// scatter is one LookupMany call's scratch, pooled per router so the steady
+// state allocates nothing: the key indexes still to be answered, the ones a
+// round has to re-route, and one sub-batch per node of the view.
+type scatter struct {
+	pending, retry []int
+	owners         []subBatch // indexed by node id
+}
+
+// subBatch is what one round sends one node: idx[j] is the position in the
+// caller's keys and results of keys[j]. err is first why there is no ticket
+// to wait on (nil: lt is one), then what the wait returned.
+type subBatch struct {
+	idx  []int
+	keys [][]byte
+	lt   flowwire.LookupTicket
+	err  error
+}
+
 // LookupMany implements flowserve.Reader: keys are grouped by owning node
-// under the current map, the per-node sub-batches issued concurrently, and
-// any WRONG_SHARD-rejected sub-batch re-grouped under the refreshed map and
-// retried. Failed keys (transport errors, redirect rounds exhausted) are
-// misses, counted in flowcluster.errors.
+// under the current map, every node's sub-batch is written from the caller's
+// goroutine before the first reply is waited for, and any WRONG_SHARD-rejected
+// sub-batch is re-grouped under the refreshed map and retried. Failed keys
+// (transport errors, redirect rounds exhausted) are misses, counted in
+// flowcluster.errors.
 func (r *Router) LookupMany(keys [][]byte, results []flowserve.Result) int {
 	n := len(keys)
 	_ = results[:n]
 	r.c.batches.Add(1)
-	pending := make([]int, 0, n)
+	s, _ := r.scratch.Get().(*scatter)
+	if s == nil {
+		s = new(scatter)
+	}
+	s.pending = s.pending[:0]
 	for i := range keys {
 		results[i] = flowserve.Result{}
 		if len(keys[i]) == r.keyLen {
-			pending = append(pending, i)
+			s.pending = append(s.pending, i)
 		}
 	}
-	for round := 0; round <= maxRedirects && len(pending) > 0; round++ {
-		pending = r.lookupRound(keys, results, pending)
+	for round := 0; round <= maxRedirects && len(s.pending) > 0; round++ {
+		r.lookupRound(s, keys, results)
 	}
-	if len(pending) > 0 {
+	if len(s.pending) > 0 {
 		r.c.exhausted.Add(1)
-		r.c.errors.Add(uint64(len(pending)))
+		r.c.errors.Add(uint64(len(s.pending)))
 	}
+	r.scratch.Put(s)
 	hits := 0
 	for i := range results[:n] {
 		if results[i].OK {
@@ -327,48 +354,56 @@ func (r *Router) LookupMany(keys [][]byte, results []flowserve.Result) int {
 	return hits
 }
 
-// lookupRound issues one routing round for the pending key indexes and
-// returns the indexes that need re-routing (WRONG_SHARD) under the map the
-// round refreshed.
-func (r *Router) lookupRound(keys [][]byte, results []flowserve.Result, pending []int) (retry []int) {
+// lookupRound is one routing round for the key indexes in s.pending, issue
+// then collect: group them by owner under the current view, start every
+// non-empty sub-batch in node order, wait on every started ticket in the same
+// order — each exactly once, whatever the others returned — and only then
+// follow the redirects, so a refresh never runs with a reply outstanding.
+// It leaves in s.pending the indexes a WRONG_SHARD reply rejected, to be
+// re-routed under the view the round refreshed; a node that is dead or was
+// never dialed costs exactly its own keys in flowcluster.errors.
+func (r *Router) lookupRound(s *scatter, keys [][]byte, results []flowserve.Result) {
 	v := r.v.Load()
-	groups := make(map[int][]int)
-	for _, i := range pending {
-		owner := v.m.OwnerOfKey(keys[i])
-		groups[owner] = append(groups[owner], i)
+	for len(s.owners) < len(v.clients) {
+		s.owners = append(s.owners, subBatch{})
 	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for owner, idxs := range groups {
+	owners := s.owners[:len(v.clients)]
+	for _, i := range s.pending {
+		b := &owners[v.m.OwnerOfKey(keys[i])]
+		b.idx = append(b.idx, i)
+		b.keys = append(b.keys, keys[i])
+	}
+	for node := range owners {
+		b := &owners[node]
+		if len(b.idx) == 0 {
+			continue
+		}
 		r.c.subBatches.Add(1)
-		wg.Add(1)
-		go func(owner int, idxs []int) {
-			defer wg.Done()
-			cl, err := v.client(owner)
-			if err == nil {
-				sub := make([][]byte, len(idxs))
-				for j, i := range idxs {
-					sub[j] = keys[i]
-				}
-				res := make([]flowserve.Result, len(idxs))
-				if _, err = cl.LookupManyE(sub, res); err == nil {
-					for j, i := range idxs {
-						results[i] = res[j]
-					}
-					return
-				}
-			}
-			if r.redirected(cl, err) {
-				mu.Lock()
-				retry = append(retry, idxs...)
-				mu.Unlock()
-				return
-			}
-			r.c.errors.Add(uint64(len(idxs)))
-		}(owner, idxs)
+		cl, err := v.client(node)
+		if err == nil {
+			b.lt, err = cl.StartLookupMany(b.keys)
+		}
+		b.err = err
 	}
-	wg.Wait()
-	return retry
+	for node := range owners {
+		if b := &owners[node]; len(b.idx) > 0 && b.err == nil {
+			b.err = b.lt.Wait(results, b.idx)
+		}
+	}
+	s.retry = s.retry[:0]
+	for node := range owners {
+		b := &owners[node]
+		if b.err != nil {
+			if r.redirected(v.clients[node], b.err) {
+				s.retry = append(s.retry, b.idx...)
+			} else {
+				r.c.errors.Add(uint64(len(b.idx)))
+			}
+		}
+		clear(b.keys) // the scratch must not keep the caller's keys alive
+		*b = subBatch{idx: b.idx[:0], keys: b.keys[:0]}
+	}
+	s.pending, s.retry = s.retry, s.pending
 }
 
 // Insert implements flowserve.Writer, routing to the range owner and

@@ -12,6 +12,7 @@ import (
 
 	"halo/internal/flowserve"
 	"halo/internal/flowwire"
+	"halo/internal/stats"
 )
 
 const testKeyLen = 20
@@ -551,7 +552,7 @@ func asWrongShard(err error, ws **flowwire.WrongShardError) bool {
 
 // ownedKeys inserts per keys for every node of r's map and returns them by
 // owner; key i carries value i+1.
-func ownedKeys(t *testing.T, r *Router, per int) (keys [][][]byte, value map[string]uint64) {
+func ownedKeys(t testing.TB, r *Router, per int) (keys [][][]byte, value map[string]uint64) {
 	t.Helper()
 	m := r.Map()
 	keys = make([][][]byte, len(m.Nodes))
@@ -667,21 +668,7 @@ func TestRouterCountsCoercedFailures(t *testing.T) {
 		eps, _ := startCluster(t, 3)
 		r := dialRouter(t, eps)
 		keys, value := ownedKeys(t, r, 4)
-
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln.Close()
-		nm := r.Map().Clone()
-		nm.Nodes[2] = flowwire.Endpoint{Transport: flowwire.TransportTCP, Addr: ln.Addr().String()}
-		nm.Epoch++
-		r.install(nm)
-
-		cl, dialErr := r.v.Load().client(2)
-		if r.Epoch() != nm.Epoch || cl != nil || dialErr == nil {
-			t.Fatalf("view at epoch %d holds client %v, error %v for the undialable node", r.Epoch(), cl, dialErr)
-		}
+		dialErr := makeUndialable(t, r, 2)
 		if err := r.Insert(keys[2][0], 9); !errors.Is(err, dialErr) {
 			t.Fatalf("Insert at the undialable node = %v, want %v", err, dialErr)
 		}
@@ -690,21 +677,169 @@ func TestRouterCountsCoercedFailures(t *testing.T) {
 			t.Fatalf("StatsSnapshot = %v, want %v", err, dialErr)
 		}
 	})
+	// Both at once, in one batch: each failed node costs exactly its own
+	// keys, the third node's keys are answered in the same call, and every
+	// owner still counts as one sub-batch.
+	t.Run("one-stopped-one-undialable", func(t *testing.T) {
+		eps, _, srvs := startClusterServers(t, 3)
+		r := dialRouter(t, eps)
+		keys, value := ownedKeys(t, r, 4)
+		srvs[1].Close()
+		makeUndialable(t, r, 2)
+
+		batch := spreadBatch(keys)
+		results := make([]flowserve.Result, len(batch))
+		errs, subs := r.Errors(), r.c.subBatches.Load()
+		for call := 1; call <= 2; call++ {
+			if hits := r.LookupMany(batch, results); hits != len(keys[0]) {
+				t.Fatalf("call %d: %d hits, want node 0's %d", call, hits, len(keys[0]))
+			}
+			for i, k := range batch {
+				want := flowserve.Result{}
+				if r.Map().OwnerOfKey(k) == 0 {
+					want = flowserve.Result{Value: value[string(k)], OK: true}
+				}
+				if results[i] != want {
+					t.Errorf("call %d: results[%d] (owner %d) = %+v, want %+v", call, i, r.Map().OwnerOfKey(k), results[i], want)
+				}
+			}
+			if got, want := r.Errors()-errs, uint64(call*(len(keys[1])+len(keys[2]))); got != want {
+				t.Errorf("call %d: Errors() grew by %d, want %d", call, got, want)
+			}
+			if got, want := r.c.subBatches.Load()-subs, uint64(3*call); got != want {
+				t.Errorf("call %d: %d sub-batches, want %d", call, got, want)
+			}
+		}
+		if n := r.c.redirects.Load() + r.c.exhausted.Load(); n != 0 {
+			t.Errorf("a dead node was followed as a redirect %d times", n)
+		}
+	})
 }
 
-// TestRouterSteadyStateAllocs is the single-key routing allocation gate: on
-// the no-redirect path a Lookup or an Update of a resident key costs no heap
-// allocation anywhere in the process — router, per-node client and the
-// in-process servers behind them. Insert and Delete are reported, not gated:
-// a duplicate Insert pays for its errors.As target on the way to
-// ErrKeyExists.
+// makeUndialable installs on r a map whose node names an endpoint nobody
+// listens on and returns the dial error the new view holds in the client's
+// place.
+func makeUndialable(t *testing.T, r *Router, node int) error {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	nm := r.Map().Clone()
+	nm.Nodes[node] = flowwire.Endpoint{Transport: flowwire.TransportTCP, Addr: ln.Addr().String()}
+	nm.Epoch++
+	r.install(nm)
+
+	cl, dialErr := r.v.Load().client(node)
+	if r.Epoch() != nm.Epoch || cl != nil || dialErr == nil {
+		t.Fatalf("view at epoch %d holds client %v, error %v for the undialable node", r.Epoch(), cl, dialErr)
+	}
+	return dialErr
+}
+
+// TestLookupManyResendsOnlyTheRejectedSubBatch pins the partial redirect: a
+// router whose map is one cutover behind sends three sub-batches, one node
+// answers WRONG_SHARD, and the second round carries that node's keys alone —
+// the other two owners' answers stand from round one and are not asked for
+// again.
+func TestLookupManyResendsOnlyTheRejectedSubBatch(t *testing.T) {
+	eps, tbls := startCluster(t, 3)
+	r := dialRouter(t, eps)
+	keys, value := ownedKeys(t, r, 4)
+	batch := spreadBatch(keys)
+
+	// Another router moves all of node 1's range to node 2 behind r's back.
+	stale := r.Map()
+	moved := -1
+	for i, sp := range stale.Splits {
+		if sp.Node == 1 {
+			if moved >= 0 {
+				t.Fatalf("node 1 owns more than one split of %+v", stale.Splits)
+			}
+			moved = i
+		}
+	}
+	if _, err := dialRouter(t, eps).MoveRange(splitRange(stale, moved), 2, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if r.Epoch() != stale.Epoch {
+		t.Fatalf("r learned of the cutover by itself: epoch %d", r.Epoch())
+	}
+
+	counters := func() *stats.Snapshot {
+		snap := stats.NewSnapshot()
+		r.CollectInto(snap)
+		return snap
+	}
+	var served [3]uint64
+	for i, tbl := range tbls {
+		served[i] = tbl.Stats().Lookups
+	}
+	before := counters()
+	results := make([]flowserve.Result, len(batch))
+	if hits := r.LookupMany(batch, results); hits != len(batch) {
+		t.Fatalf("%d hits of %d", hits, len(batch))
+	}
+	for i, k := range batch {
+		if want := (flowserve.Result{Value: value[string(k)], OK: true}); results[i] != want {
+			t.Errorf("results[%d] = %+v, want %+v", i, results[i], want)
+		}
+	}
+	after := counters()
+	for name, want := range map[string]uint64{
+		"flowcluster.batches":             1,
+		"flowcluster.subbatches":          4, // three in round one, node 2 again in round two
+		"flowcluster.redirects":           1,
+		"flowcluster.map_refreshes":       1,
+		"flowcluster.errors":              0,
+		"flowcluster.redirects_exhausted": 0,
+		"flowwire.client.errors":          0,
+	} {
+		if got := after.Counter(name) - before.Counter(name); got != want {
+			t.Errorf("%s advanced by %d, want %d", name, got, want)
+		}
+	}
+	// Node 0 probed its four keys once; node 1 rejected its frame whole;
+	// node 2 probed its own four in round one and node 1's four in round two.
+	for i, want := range [3]uint64{4, 0, 8} {
+		if got := tbls[i].Stats().Lookups - served[i]; got != want {
+			t.Errorf("node %d probed %d keys, want %d", i, got, want)
+		}
+	}
+	if r.Epoch() != stale.Epoch+1 {
+		t.Errorf("epoch after the redirect = %d, want %d", r.Epoch(), stale.Epoch+1)
+	}
+}
+
+// spreadBatch returns ownedKeys' keys as one batch, interleaved so that
+// neighbouring keys have different owners.
+func spreadBatch(owned [][][]byte) [][]byte {
+	var batch [][]byte
+	for j := range owned[0] {
+		for _, keys := range owned {
+			batch = append(batch, keys[j])
+		}
+	}
+	return batch
+}
+
+// TestRouterSteadyStateAllocs is the routing allocation gate: on the
+// no-redirect path a Lookup or an Update of a resident key, and a LookupMany
+// of resident keys spread over all three nodes, cost no heap allocation
+// anywhere in the process — router, per-node clients and the in-process
+// servers behind them. Insert and Delete are reported, not gated: a duplicate
+// Insert pays for its errors.As target on the way to ErrKeyExists.
 func TestRouterSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	eps, _ := startCluster(t, 3)
 	r := dialRouter(t, eps)
-	keys, _ := ownedKeys(t, r, 1)
+	keys, _ := ownedKeys(t, r, 5)
+	batch := spreadBatch(keys)
+	results := make([]flowserve.Result, len(batch))
+	subBatches := r.c.subBatches.Load()
 	ops := []struct {
 		name  string
 		gated bool
@@ -718,6 +853,11 @@ func TestRouterSteadyStateAllocs(t *testing.T) {
 		{"Update", true, func(key []byte) {
 			if !r.Update(key, 5) {
 				t.Fatal("resident key not updated")
+			}
+		}},
+		{"LookupMany", true, func([]byte) {
+			if hits := r.LookupMany(batch, results); hits != len(batch) {
+				t.Fatalf("LookupMany of %d resident keys = %d hits", len(batch), hits)
 			}
 		}},
 		{"Insert (duplicate)", false, func(key []byte) {
@@ -741,5 +881,31 @@ func TestRouterSteadyStateAllocs(t *testing.T) {
 	}
 	if errs := r.Errors(); errs != 0 {
 		t.Fatalf("router errors = %d", errs)
+	}
+	// 64 warm-up calls, AllocsPerRun's own warm-up call and its 300 runs, one
+	// sub-batch per node each: the gated batch really did reach all three.
+	if got := r.c.subBatches.Load() - subBatches; got != 3*365 {
+		t.Fatalf("LookupMany issued %d sub-batches, want %d", got, 3*365)
+	}
+}
+
+// BenchmarkRouterLookupMany is a 15-key batch spread over an in-process
+// 3-node cluster on tcp loopback; run with -benchmem for the end-to-end
+// router+clients+servers allocs/op.
+func BenchmarkRouterLookupMany(b *testing.B) {
+	eps, _ := startCluster(b, 3)
+	r := dialRouter(b, eps)
+	owned, _ := ownedKeys(b, r, 5)
+	batch := spreadBatch(owned)
+	results := make([]flowserve.Result, len(batch))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if hits := r.LookupMany(batch, results); hits != len(batch) {
+			b.Fatalf("hits = %d", hits)
+		}
+	}
+	if errs := r.Errors(); errs != 0 {
+		b.Fatalf("router errors = %d", errs)
 	}
 }

@@ -63,7 +63,7 @@ func TestFrameCodecSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n, err := parseLookupManyReply(f.Payload, resScratch); err != nil || n != batch {
+		if n, err := parseLookupManyReply(f.Payload, resScratch, nil); err != nil || n != batch {
 			t.Fatalf("parse reply: n=%d err=%v", n, err)
 		}
 	})

@@ -322,21 +322,35 @@ func (c *cliConn) readLoop() {
 	}
 }
 
-// call sends one request on a pooled connection and waits for its reply. A
-// request longer than MaxFrame is refused here, before the connection is
-// touched: the server would answer ERR_OVERSIZED and hang up on every caller
-// sharing the pool, so the refusal is per-call, not sticky. On success the
-// returned pcall owns f.Payload's backing buffer; on error the pcall has
-// already been dealt with and nil is returned. do is the only caller.
-func (cl *Client) call(op Op, payload []byte) (*pcall, Frame, error) {
+// ticket is a started call: the slot its reply will land in, the connection
+// it was written to and the reqID that ties the two together. Between start
+// and wait the slot belongs to the connection (registered in pending, or
+// claimed by the readLoop); wait takes it back. A ticket is waited exactly
+// once: an unwaited one leaks its slot and its pending entry, a second wait
+// would read a slot some other call already owns.
+type ticket struct {
+	pc *pcall
+	c  *cliConn
+	id uint64
+}
+
+// start is the first half of the exchange: it registers a call slot on a
+// pooled connection and writes the request, without waiting for the reply.
+// The call timeout runs from here. A request longer than MaxFrame is refused
+// before the connection is touched: the server would answer ERR_OVERSIZED and
+// hang up on every caller sharing the pool, so the refusal is per-call, not
+// sticky. An error means nothing was registered or written and there is no
+// ticket to wait on; a write that fails after registration is still a ticket,
+// and wait reports the connection's error.
+func (cl *Client) start(op Op, payload []byte) (ticket, error) {
 	if cl.closed.Load() {
-		return nil, Frame{}, ErrClientClosed
+		return ticket{}, ErrClientClosed
 	}
 	if err := cl.Err(); err != nil {
-		return nil, Frame{}, err
+		return ticket{}, err
 	}
 	if n := uint64(headerSize + len(payload)); n > uint64(cl.opts.MaxFrame) {
-		return nil, Frame{}, fmt.Errorf("%w: %s request of %d bytes (limit %d)", ErrFrameTooLarge, op, n, cl.opts.MaxFrame)
+		return ticket{}, fmt.Errorf("%w: %s request of %d bytes (limit %d)", ErrFrameTooLarge, op, n, cl.opts.MaxFrame)
 	}
 	c := cl.conns[cl.rr.Add(1)%uint64(len(cl.conns))]
 
@@ -348,26 +362,24 @@ func (cl *Client) call(op Op, payload []byte) (*pcall, Frame, error) {
 		c.pmu.Unlock()
 		c.wmu.Unlock()
 		cl.putCall(pc)
-		return nil, Frame{}, err
+		return ticket{}, err
 	}
 	c.nextID++
 	id := c.nextID
 	c.pending[id] = pc
 	c.pmu.Unlock()
-	// Encode into the conn-owned scratch under wmu: no per-call buffer.
+	// Encode into the conn-owned scratch under wmu: no per-call buffer. Every
+	// write arms its own deadline first and nothing else writes to the
+	// connection, so the deadline is never cleared: a stale one cannot fire
+	// under a later write.
 	c.wbuf = AppendFrameHeader(c.wbuf[:0], op, StatusOK, id, len(payload))
 	c.wbuf = append(c.wbuf, payload...)
 	err := c.nc.SetWriteDeadline(time.Now().Add(cl.opts.WriteTimeout))
 	if err == nil {
 		_, err = c.bw.Write(c.wbuf)
-		if err == nil {
-			err = c.bw.Flush()
-		}
-		if err == nil {
-			// Clear the deadline after a successful write: a stale deadline
-			// must not fire under a later, otherwise-healthy write.
-			err = c.nc.SetWriteDeadline(time.Time{})
-		}
+	}
+	if err == nil {
+		err = c.bw.Flush()
 	}
 	if err != nil {
 		// The bufio writer may hold partial frame bytes; this connection
@@ -383,7 +395,15 @@ func (cl *Client) call(op Op, payload []byte) (*pcall, Frame, error) {
 		c.nc.Close() // the read loop fails the registered call
 	}
 	c.wmu.Unlock()
+	return ticket{pc: pc, c: c, id: id}, nil
+}
 
+// wait is the second half of the exchange: it blocks until t's reply, the
+// call timeout or the death of t's connection. On success the returned pcall
+// owns f.Payload's backing buffer; on error the pcall has already been dealt
+// with and nil is returned.
+func (cl *Client) wait(t ticket) (*pcall, Frame, error) {
+	pc, c := t.pc, t.c
 	select {
 	case f, ok := <-pc.ch:
 		if !ok {
@@ -401,11 +421,11 @@ func (cl *Client) call(op Op, payload []byte) (*pcall, Frame, error) {
 	case <-pc.timer.C:
 		cl.c.timeouts.Add(1)
 		c.pmu.Lock()
-		if _, registered := c.pending[id]; registered {
+		if _, registered := c.pending[t.id]; registered {
 			// The readLoop never claimed this call: deleting it under pmu
 			// guarantees nothing will ever be sent on pc.ch, so the slot is
 			// ours to recycle.
-			delete(c.pending, id)
+			delete(c.pending, t.id)
 			c.pmu.Unlock()
 			cl.putCall(pc)
 			return nil, Frame{}, ErrCallTimeout
@@ -424,6 +444,16 @@ func (cl *Client) call(op Op, payload []byte) (*pcall, Frame, error) {
 	}
 }
 
+// call sends one request on a pooled connection and waits for its reply:
+// start, then wait. do is the only caller.
+func (cl *Client) call(op Op, payload []byte) (*pcall, Frame, error) {
+	t, err := cl.start(op, payload)
+	if err != nil {
+		return nil, Frame{}, err
+	}
+	return cl.wait(t)
+}
+
 // replyErr maps a non-OK reply onto the typed error vocabulary. WRONG_SHARD
 // replies carry the server's map epoch in the payload and become a
 // *WrongShardError — the redirect the cluster router follows; everything
@@ -439,24 +469,21 @@ func replyErr(f *Frame, op Op) error {
 // knows (STATS, SHARD_MAP, MIG_STATUS).
 const anyLen = -1
 
-// do is the one exchange every op method goes through: send the request,
-// wait for the reply, map a non-OK status onto the typed errors, and check
-// the reply is for op and exactly wantLen payload bytes long. A reply that
-// fails those two checks means the stream can no longer be trusted, so it
-// breaks the client. On success the caller owns the call slot: it decodes p,
-// which aliases the slot's buffer, and then releases the slot with putCall.
-// On every error path the slot has been released here and pc is nil.
-func (cl *Client) do(op Op, payload []byte, wantLen int) (*pcall, []byte, error) {
-	pc, f, err := cl.call(op, payload)
-	if err != nil {
-		return nil, nil, err
-	}
+// accept validates a reply that wait delivered in slot pc: a non-OK status
+// becomes the typed error, and the reply must be for op and exactly wantLen
+// payload bytes long. A reply that fails those two checks means the stream
+// can no longer be trusted, so it breaks the client. On success the caller
+// owns the slot: it decodes the returned payload, which aliases the slot's
+// buffer, and then releases the slot with putCall. On error the slot has been
+// released here and the returned pcall is nil.
+func (cl *Client) accept(pc *pcall, f *Frame, op Op, wantLen int) (*pcall, []byte, error) {
+	var err error
 	switch {
 	case f.Op != op:
 		err = fmt.Errorf("flowwire: reply op %s to a %s request", f.Op, op)
 		cl.fail(err)
 	case f.Status != StatusOK:
-		err = replyErr(&f, op)
+		err = replyErr(f, op)
 	case wantLen != anyLen && len(f.Payload) != wantLen:
 		err = fmt.Errorf("flowwire: %s reply payload is %d bytes, want %d", op, len(f.Payload), wantLen)
 		cl.fail(err)
@@ -466,6 +493,17 @@ func (cl *Client) do(op Op, payload []byte, wantLen int) (*pcall, []byte, error)
 		return nil, nil, err
 	}
 	return pc, f.Payload, nil
+}
+
+// do is the one blocking exchange every op method goes through: send the
+// request and wait for the reply (call), then validate it (accept). On every
+// error path the slot has been released and pc is nil.
+func (cl *Client) do(op Op, payload []byte, wantLen int) (*pcall, []byte, error) {
+	pc, f, err := cl.call(op, payload)
+	if err != nil {
+		return nil, nil, err
+	}
+	return cl.accept(pc, &f, op, wantLen)
 }
 
 // count makes a failure that an error-free Reader/Writer signature is about
@@ -515,6 +553,61 @@ func validKeys(keys [][]byte, keyLen int) (valid [][]byte, idx []int) {
 	return valid, idx
 }
 
+// LookupTicket is a LOOKUP_MANY request that is on the wire and has not been
+// collected yet — the wire analogue of the paper's LOOKUP_NB, with Wait as
+// its SNAPSHOT_READ. One goroutine can start a batch on each of several
+// clients, or several on one, and only then wait for the replies. A ticket
+// from a successful StartLookupMany must be waited exactly once, whatever
+// happened to the tickets started around it: until then it holds a call slot
+// and an entry in its connection's pending map.
+type LookupTicket struct {
+	t ticket
+	n int // keys sent
+}
+
+// StartLookupMany writes one LOOKUP_MANY frame carrying keys and returns
+// without waiting for the reply. Every key must be KeyLen bytes long: a
+// wrong-length key fails the start with ErrKeyLen, and a batch too large for
+// MaxFrame with ErrFrameTooLarge, before a connection is touched. The request
+// payload is built in a pooled buffer.
+func (cl *Client) StartLookupMany(keys [][]byte) (LookupTicket, error) {
+	keyLen := cl.hello.KeyLen
+	for _, k := range keys {
+		if len(k) != keyLen {
+			return LookupTicket{}, flowserve.ErrKeyLen
+		}
+	}
+	req := getFrameBuf()
+	req.b = appendLookupManyReq(req.b[:0], keys, keyLen)
+	t, err := cl.start(OpLookupMany, req.b)
+	putFrameBuf(req) // start copied the payload onto the wire before returning
+	return LookupTicket{t: t, n: len(keys)}, err
+}
+
+// Wait collects the reply: key j's result lands in results[idx[j]] — idx has
+// one entry per key started — or in results[j] when idx is nil. On a typed
+// error reply (WRONG_SHARD during a shard-map epoch change), a timeout or a
+// transport failure, results is left untouched and the error returned. The
+// reply is parsed straight out of the call slot's reused buffer.
+func (lt LookupTicket) Wait(results []flowserve.Result, idx []int) error {
+	cl := lt.t.c.cl
+	pc, f, err := cl.wait(lt.t)
+	if err != nil {
+		return err
+	}
+	pc, p, err := cl.accept(pc, &f, OpLookupMany, 4+9*lt.n)
+	if err != nil {
+		return err
+	}
+	// accept checked the length, so a parse that succeeds filled all lt.n.
+	_, err = parseLookupManyReply(p, results, idx)
+	cl.putCall(pc)
+	if err != nil {
+		cl.fail(err)
+	}
+	return err
+}
+
 // LookupManyE is LookupMany with the error surfaced. On a typed error reply
 // (WRONG_SHARD during a shard-map epoch change, a key-length mismatch) or a
 // transport failure, every result is zeroed and the error returned — the
@@ -523,41 +616,28 @@ func validKeys(keys [][]byte, keyLen int) (valid [][]byte, idx []int) {
 // misses without failing the batch.
 func (cl *Client) LookupManyE(keys [][]byte, results []flowserve.Result) (int, error) {
 	results = results[:len(keys)]
-	keyLen := cl.hello.KeyLen
-	valid, out := keys, results
-	var validIdx []int // nil on the common all-valid path
-	for _, k := range keys {
-		if len(k) != keyLen {
-			valid, validIdx = validKeys(keys, keyLen)
-			out = make([]flowserve.Result, len(valid))
-			break
-		}
-	}
 	// Zeroed up front, so every early return below leaves misses behind.
 	clear(results)
-	if len(valid) == 0 {
+	if len(keys) == 0 {
 		return 0, nil
 	}
-
-	req := getFrameBuf()
-	req.b = appendLookupManyReq(req.b[:0], valid, keyLen)
-	pc, p, err := cl.do(OpLookupMany, req.b, 4+9*len(valid))
-	putFrameBuf(req) // call copied the payload onto the wire before returning
-	if err != nil {
-		return 0, err
+	var idx []int // nil on the common all-valid path
+	lt, err := cl.StartLookupMany(keys)
+	if errors.Is(err, flowserve.ErrKeyLen) {
+		var valid [][]byte
+		if valid, idx = validKeys(keys, cl.hello.KeyLen); len(valid) == 0 {
+			return 0, nil
+		}
+		lt, err = cl.StartLookupMany(valid)
 	}
-	// do checked the length, so a parse that succeeds filled all of out.
-	_, err = parseLookupManyReply(p, out)
-	cl.putCall(pc)
+	if err == nil {
+		err = lt.Wait(results, idx)
+	}
 	if err != nil {
-		cl.fail(err)
 		return 0, err
 	}
 	hits := 0
-	for vi, r := range out {
-		if validIdx != nil {
-			results[validIdx[vi]] = r
-		}
+	for _, r := range results {
 		if r.OK {
 			hits++
 		}

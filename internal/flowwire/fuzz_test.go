@@ -80,7 +80,7 @@ func FuzzFrameCodec(f *testing.F) {
 			t.Fatalf("parsed %d keys out of %d payload bytes", len(keys), len(fr.Payload))
 		}
 		results := make([]flowserve.Result, 64)
-		if n, err := parseLookupManyReply(fr.Payload, results); err == nil && n*9 > len(fr.Payload) {
+		if n, err := parseLookupManyReply(fr.Payload, results, nil); err == nil && n*9 > len(fr.Payload) {
 			t.Fatalf("parsed %d results out of %d payload bytes", n, len(fr.Payload))
 		}
 		parseHelloReply(fr.Payload)

@@ -355,7 +355,7 @@ func TestServerCoalescesPipelinedLookups(t *testing.T) {
 			}
 		} else {
 			res := make([]flowserve.Result, 2)
-			if c, err := parseLookupManyReply(f.Payload, res); err != nil || c != 2 || !res[0].OK || res[0].Value != i%n+1 {
+			if c, err := parseLookupManyReply(f.Payload, res, nil); err != nil || c != 2 || !res[0].OK || res[0].Value != i%n+1 {
 				t.Fatalf("batched reply %d = %+v (%v)", i, res, err)
 			}
 		}

@@ -442,18 +442,29 @@ func appendLookupManyReply(dst []byte, results []flowserve.Result) []byte {
 	return dst
 }
 
-// parseLookupManyReply decodes a reply payload into results[:count].
-func parseLookupManyReply(p []byte, results []flowserve.Result) (int, error) {
+// parseLookupManyReply decodes a reply payload: result j lands in
+// results[idx[j]], or in results[j] when idx is nil. It returns the reply's
+// result count, which may not exceed len(idx) — len(results) when idx is nil;
+// a reply that does is an error and leaves results untouched.
+func parseLookupManyReply(p []byte, results []flowserve.Result, idx []int) (int, error) {
 	if len(p) < 4 {
 		return 0, fmt.Errorf("flowwire: LOOKUP_MANY reply payload is %d bytes", len(p))
 	}
 	count := int(binary.LittleEndian.Uint32(p[0:4]))
 	body := p[4:]
-	if len(body) != count*9 || count > len(results) {
+	limit := len(results)
+	if idx != nil {
+		limit = len(idx)
+	}
+	if len(body) != count*9 || count > limit {
 		return 0, fmt.Errorf("flowwire: LOOKUP_MANY reply claims %d results in %d bytes", count, len(body))
 	}
-	for i := 0; i < count; i++ {
-		rec := body[i*9 : (i+1)*9]
+	for j := 0; j < count; j++ {
+		rec := body[j*9 : (j+1)*9]
+		i := j
+		if idx != nil {
+			i = idx[j]
+		}
 		results[i] = flowserve.Result{
 			OK:    rec[0] != 0,
 			Value: binary.LittleEndian.Uint64(rec[1:9]),

@@ -140,7 +140,7 @@ func TestLookupManyCodec(t *testing.T) {
 	want := []flowserve.Result{{Value: 42, OK: true}, {}, {Value: 1 << 63, OK: true}}
 	reply := appendLookupManyReply(nil, want)
 	got := make([]flowserve.Result, 8)
-	n, err := parseLookupManyReply(reply, got)
+	n, err := parseLookupManyReply(reply, got, nil)
 	if err != nil || n != 3 {
 		t.Fatalf("reply parse = (%d, %v)", n, err)
 	}
@@ -149,8 +149,25 @@ func TestLookupManyCodec(t *testing.T) {
 			t.Fatalf("result %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if _, err := parseLookupManyReply(reply[:len(reply)-1], got); err == nil {
+	if _, err := parseLookupManyReply(reply[:len(reply)-1], got, nil); err == nil {
 		t.Fatal("truncated reply parsed")
+	}
+
+	// Scattered: result j lands at idx[j] and nothing else is written; a
+	// reply with more results than idx has entries is refused whole.
+	clear(got)
+	if n, err := parseLookupManyReply(reply, got, []int{7, 0, 4}); err != nil || n != 3 {
+		t.Fatalf("scattered reply parse = (%d, %v)", n, err)
+	}
+	for i, r := range got {
+		wantAt := map[int]flowserve.Result{7: want[0], 0: want[1], 4: want[2]}[i]
+		if r != wantAt {
+			t.Fatalf("scattered result at %d = %+v, want %+v", i, r, wantAt)
+		}
+	}
+	clear(got)
+	if _, err := parseLookupManyReply(reply, got, []int{7, 0}); err == nil || got[7].OK {
+		t.Fatalf("3 results parsed through a 2-entry idx (err %v, got[7] %+v)", err, got[7])
 	}
 }
 

@@ -47,9 +47,10 @@ func shardBatchExperiment() Experiment {
 }
 
 // serveOver starts an in-process flowwire server for tbl on the given
-// endpoint and dials one client to it. The caller owns both closes.
-func serveOver(tbl *flowserve.Table, transport, path string) (*flowwire.Server, *flowwire.Client, error) {
-	ep := flowwire.Endpoint{Transport: transport, Addr: path}
+// endpoint (a tcp address may leave the port to the kernel) and dials one
+// client to it. The caller owns both closes.
+func serveOver(tbl *flowserve.Table, transport, addr string) (*flowwire.Server, *flowwire.Client, error) {
+	ep := flowwire.Endpoint{Transport: transport, Addr: addr}
 	srv, err := flowwire.NewServer(flowwire.Config{Table: tbl})
 	if err != nil {
 		return nil, nil, err
@@ -58,6 +59,7 @@ func serveOver(tbl *flowserve.Table, transport, path string) (*flowwire.Server, 
 	if err != nil {
 		return nil, nil, err
 	}
+	ep.Addr = ln.Addr().String()
 	go srv.Serve(ln)
 	cl, err := flowwire.DialEndpoint(ep, flowwire.Options{})
 	if err != nil {
@@ -118,6 +120,87 @@ func shmVsUnixExperiment() Experiment {
 			}
 			if err := udsCl.Err(); err != nil {
 				return SeedResult{}, fmt.Errorf("unix client: %w", err)
+			}
+			return sr, nil
+		},
+	}
+}
+
+// pipelineDepth is how many LOOKUP_MANY frames wire-pipelining-depth keeps in
+// flight on its one connection.
+const pipelineDepth = 4
+
+// pipeliningExperiment: PR 19 split the client's exchange into start and
+// wait for the cluster router, and ROADMAP asked what the same split buys a
+// plain wire caller: one goroutine that writes pipelineDepth frames of
+// cfg.Batch keys back-to-back on one connection and only then collects the
+// replies, against the same goroutine making pipelineDepth blocking calls.
+// The claim is measured, not acted on — no option or flag selects a depth.
+func pipeliningExperiment(transport string) Experiment {
+	return Experiment{
+		Name: "wire-pipelining-depth-" + transport,
+		Title: fmt.Sprintf("%d LOOKUP_MANY frames in flight on one %s connection beat %[1]d blocking calls",
+			pipelineDepth, transport),
+		Kind: KindDominance,
+		ArmA: fmt.Sprintf("depth-%d", pipelineDepth),
+		ArmB: "depth-1",
+		Run: func(cfg Config, seed uint64) (SeedResult, error) {
+			pop := loadgen.NewPopulation(cfg.Flows, trafficgen.Uniform, seed)
+			tbl, err := pop.NewTable(cfg.Shards)
+			if err != nil {
+				return SeedResult{}, err
+			}
+			addr := "127.0.0.1:0"
+			if transport == flowwire.TransportUnix {
+				dir, err := os.MkdirTemp("", "halo-hyp-depth")
+				if err != nil {
+					return SeedResult{}, err
+				}
+				defer os.RemoveAll(dir)
+				addr = filepath.Join(dir, "uds.sock")
+			}
+			srv, cl, err := serveOver(tbl, transport, addr)
+			if err != nil {
+				return SeedResult{}, err
+			}
+			defer srv.Close()
+			defer cl.Close()
+
+			// Each arm call serves pipelineDepth frames of cfg.Batch keys, so
+			// both arms put identical frames on the wire.
+			wide := cfg
+			wide.Batch = pipelineDepth * cfg.Batch
+			var armErr error // the last failed start or wait, if any
+			pipelined := func(keys [][]byte, results []flowserve.Result) {
+				var tickets [pipelineDepth]flowwire.LookupTicket
+				started := 0
+				for ; started < pipelineDepth; started++ {
+					lt, err := cl.StartLookupMany(keys[started*cfg.Batch:][:cfg.Batch])
+					if err != nil {
+						armErr = err
+						break
+					}
+					tickets[started] = lt
+				}
+				for i := 0; i < started; i++ { // every started ticket is waited
+					if err := tickets[i].Wait(results[i*cfg.Batch:][:cfg.Batch], nil); err != nil {
+						armErr = err
+					}
+				}
+			}
+			serial := func(keys [][]byte, results []flowserve.Result) {
+				for i := 0; i < pipelineDepth; i++ {
+					cl.LookupMany(keys[i*cfg.Batch:][:cfg.Batch], results[i*cfg.Batch:][:cfg.Batch])
+				}
+			}
+			sr, err := timeArms(pop, wide, seed, pipelined, serial)
+			for _, e := range []error{err, armErr, cl.Err()} {
+				if e != nil {
+					return SeedResult{}, e
+				}
+			}
+			if c := cl.Counters(); c != (flowwire.ClientCounters{}) {
+				return SeedResult{}, fmt.Errorf("client counters %+v, want zeroes", c)
 			}
 			return sr, nil
 		},

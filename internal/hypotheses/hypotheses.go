@@ -26,6 +26,7 @@ import (
 
 	"halo/internal/benchjson"
 	"halo/internal/flowserve"
+	"halo/internal/flowwire"
 	"halo/internal/loadgen"
 )
 
@@ -72,7 +73,7 @@ const (
 
 // Experiment is one registered hypothesis.
 type Experiment struct {
-	Name       string // directory name under hypotheses/
+	Name       string // directory name under hypotheses/ (less the transport suffix of wire-pipelining-depth-*)
 	Title      string // the hypothesis statement
 	Kind       Kind
 	ArmA, ArmB string // display names; A is the predicted winner (dominance) or candidate (equivalence/bound)
@@ -106,6 +107,8 @@ func Registry() []Experiment {
 		pinnedReaderExperiment(),
 		shmVsUnixExperiment(),
 		resizePauseBoundExperiment(),
+		pipeliningExperiment(flowwire.TransportTCP),
+		pipeliningExperiment(flowwire.TransportUnix),
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 // concurrent use, but any number of goroutines may run their own batches
 // against the same table concurrently.
 type Batch struct {
-	t *Table
+	t      *Table
+	stripe *readStripe // where this batch's calls are counted
 
 	kw    [][maxKeyWords]uint64
 	h     []uint64
@@ -24,7 +25,8 @@ type Batch struct {
 
 // NewBatch returns an empty batch for the table.
 func (t *Table) NewBatch() *Batch {
-	return &Batch{t: t, count: make([]uint32, len(t.shards)+1)}
+	stripe := &t.stripes[t.nextStripe.Add(1)%batchStripes]
+	return &Batch{t: t, stripe: stripe, count: make([]uint32, len(t.shards)+1)}
 }
 
 // grow sizes the scratch for n keys.
@@ -100,7 +102,7 @@ func (b *Batch) LookupMany(keys [][]byte, results []Result) int {
 	}
 	// b.count[si] is now the end offset of shard si's group.
 
-	hits := 0
+	hits, groups := 0, uint64(0)
 	start := uint32(0)
 	for si := 0; si < len(t.shards); si++ {
 		end := b.count[si]
@@ -108,7 +110,15 @@ func (b *Batch) LookupMany(keys [][]byte, results []Result) int {
 			continue
 		}
 		hits += b.lookupGroup(t.shards[si], order[start:end], results)
+		groups++
 		start = end
+	}
+	if groups > 0 {
+		// One flush per call, keys before hits so that no snapshot of the
+		// stripe shows more hits than lookups.
+		b.stripe.groups.Add(groups)
+		b.stripe.keys.Add(uint64(off))
+		b.stripe.hits.Add(uint64(hits))
 	}
 	if badLen > 0 {
 		t.badLen.Add(badLen)
@@ -125,13 +135,10 @@ func (b *Batch) LookupMany(keys [][]byte, results []Result) int {
 // window. If a writer invalidates the window, the whole group re-probes;
 // after maxOptimistic attempts it runs once under the writer lock. The
 // shard's region set is loaded once per attempt, so every key in the group
-// probes one consistent old/current pair.
+// probes one consistent old/current pair. A clean pass writes nothing the
+// shard's other readers or its writer can see: the caller counts the group.
 func (b *Batch) lookupGroup(sh *shard, group []uint32, results []Result) int {
 	nw := b.t.keyWords
-	sh.c.batches.Add(1)
-	sh.c.batchKeys.Add(uint64(len(group)))
-	sh.c.lookups.Add(uint64(len(group)))
-
 	hits := 0
 	probeAll := func(rp *regionPair) {
 		hits = 0
@@ -146,21 +153,19 @@ func (b *Batch) lookupGroup(sh *shard, group []uint32, results []Result) int {
 	for attempt := 0; attempt < maxOptimistic; attempt++ {
 		s1 := sh.seq.Load()
 		if s1&1 != 0 {
-			sh.c.retries.Add(1)
+			sh.rd.retries.Add(1)
 			runtime.Gosched()
 			continue
 		}
 		probeAll(sh.regions.Load())
 		if sh.seq.Load() == s1 {
-			sh.c.hits.Add(uint64(hits))
 			return hits
 		}
-		sh.c.retries.Add(1)
+		sh.rd.retries.Add(1)
 	}
-	sh.c.fallbacks.Add(1)
+	sh.rd.fallbacks.Add(1)
 	sh.mu.Lock()
 	probeAll(sh.regions.Load())
 	sh.mu.Unlock()
-	sh.c.hits.Add(uint64(hits))
 	return hits
 }

@@ -2,6 +2,10 @@ package flowserve
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -11,8 +15,14 @@ import (
 // Get/Put must stay in the noise relative to a 16-key batch probe.
 func benchTable(b *testing.B) (*Table, [][]byte) {
 	b.Helper()
-	const n = 1 << 15
-	tbl, err := New(Config{Shards: 4, Entries: n + n/8, KeyLen: 16})
+	return filledTable(b, 1<<15, 4)
+}
+
+// filledTable returns a table of n resident 16-byte keys (value i+1) with an
+// eighth of headroom, and the keys.
+func filledTable(b *testing.B, n, shards int) (*Table, [][]byte) {
+	b.Helper()
+	tbl, err := New(Config{Shards: shards, Entries: uint64(n + n/8), KeyLen: 16})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -59,4 +69,92 @@ func BenchmarkLookupManyPooled(b *testing.B) {
 			b.Fatal("miss on a resident key")
 		}
 	}
+}
+
+// The two benchmarks above are one reader and no writer, which is why they
+// never saw the shard's cache lines move between cores. The two below have a
+// second core at work — run them with -cpu 2 — on the repository benchmark's
+// churn shape: 100k flows, 8 shards, 16-key batches, once per hypotheses seed
+// (the seed picks which keys are drawn; draws are made before the clock
+// starts). Readers draw from the lower half of the keys, the writer churns
+// the upper half, so every lookup must hit.
+const contendedFlows = 100_000
+
+func forSeeds(b *testing.B, run func(b *testing.B, tbl *Table, keys [][]byte, draws []uint32)) {
+	for _, seed := range []int64{42, 123, 456} {
+		b.Run(fmt.Sprintf("seed=%d", seed), func(b *testing.B) {
+			tbl, keys := filledTable(b, contendedFlows, 8)
+			rng := rand.New(rand.NewSource(seed))
+			draws := make([]uint32, 1<<16)
+			for i := range draws {
+				draws[i] = uint32(rng.Intn(contendedFlows / 2))
+			}
+			b.ResetTimer()
+			run(b, tbl, keys, draws)
+		})
+	}
+}
+
+// readBatches runs n 16-key LookupMany calls, walking draws from start.
+func readBatches(b *testing.B, tbl *Table, keys [][]byte, draws []uint32, start, n int) {
+	bkeys := make([][]byte, 16)
+	results := make([]Result, 16)
+	for i := 0; i < n; i++ {
+		for j := range bkeys {
+			bkeys[j] = keys[draws[(start+i*16+j)%len(draws)]]
+		}
+		if tbl.LookupMany(bkeys, results) != 16 {
+			b.Error("miss on a resident key")
+			return
+		}
+	}
+}
+
+// BenchmarkLookupManyUnderWriter times one reader while a second goroutine
+// runs the churn writer's mix flat out: three Updates to one Delete+Insert.
+// ns/op is the reader's; writer-ops/s is what the writer got done meanwhile.
+func BenchmarkLookupManyUnderWriter(b *testing.B) {
+	forSeeds(b, func(b *testing.B, tbl *Table, keys [][]byte, draws []uint32) {
+		var stop atomic.Bool
+		var writes uint64
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				k := keys[contendedFlows/2+int(draws[i%len(draws)])]
+				if i%4 == 3 {
+					tbl.Delete(k)
+					if err := tbl.Insert(k, uint64(i)); err != nil {
+						b.Error(err)
+						return
+					}
+				} else {
+					tbl.Update(k, uint64(i))
+				}
+				writes++
+			}
+		}()
+		readBatches(b, tbl, keys, draws, 0, b.N)
+		b.StopTimer()
+		stop.Store(true)
+		wg.Wait()
+		b.ReportMetric(float64(writes)/b.Elapsed().Seconds(), "writer-ops/s")
+	})
+}
+
+// BenchmarkLookupManyTwoReaders splits b.N batches over two readers of one
+// table, no writer: the only shared stores are the readers' own counters.
+func BenchmarkLookupManyTwoReaders(b *testing.B) {
+	forSeeds(b, func(b *testing.B, tbl *Table, keys [][]byte, draws []uint32) {
+		var wg sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func(start, n int) {
+				defer wg.Done()
+				readBatches(b, tbl, keys, draws, start, n)
+			}(r*len(draws)/2, (b.N+r)/2)
+		}
+		wg.Wait()
+	})
 }

@@ -120,6 +120,12 @@ type Table struct {
 	// of their own (flowserve.lookup.badlen).
 	badLen atomic.Uint64
 
+	// stripes hold the batched read path's counters; NewBatch deals them out
+	// round-robin through nextStripe. Allocated apart from the Table so they
+	// start on a line boundary.
+	stripes    []readStripe
+	nextStripe atomic.Uint32
+
 	// batchPool recycles Batch scratch for Table.LookupMany callers that do
 	// not pin their own Batch.
 	batchPool sync.Pool
@@ -156,6 +162,7 @@ func New(cfg Config) (*Table, error) {
 		shards:   make([]*shard, cfg.Shards),
 		keyLen:   cfg.KeyLen,
 		keyWords: (cfg.KeyLen + 7) / 8,
+		stripes:  make([]readStripe, batchStripes),
 	}
 	for i := range t.shards {
 		t.shards[i] = newShard(perShard, cfg.KeyLen, t.keyWords, cfg.GrowAt, quantum)
@@ -345,49 +352,78 @@ type regionPair struct {
 	old *region
 }
 
+// cacheLine is the coherence granule the shard layout is built around.
+const cacheLine = 64
+
 // shard is one independent sub-table: an 8-entry-bucket cuckoo table whose
 // reader-visible words are all atomics, guarded by a seqlock for readers and
 // a mutex for writers.
+//
+// The fields are laid out so that every 64-byte line has one kind of writer
+// (DESIGN.md §8, "Who writes which cache line"; TestShardLayout is the
+// guard). A line a reader writes is never one a writer writes, so an Update —
+// which opens no seqlock window — costs the reader nothing, and a reader's
+// counters never take the mutex line away from the writer.
 type shard struct {
+	// Read-mostly geometry plus the seqlock. seq is the one word here a
+	// writer stores to, and only around an insert, delete or migration step,
+	// after which readers must re-fetch it anyway; sharing its line with the
+	// geometry keeps a clean probe at two shard lines (this one and the
+	// reader-written one below) instead of three.
 	kvStride int // keyWords + 1 value word
 	keyLen   int
-
-	// seq is the seqlock generation: odd while a writer is mutating. Readers
-	// snapshot it before probing and revalidate after.
-	seq atomic.Uint64
 
 	// regions is the current storage set. Readers load it once per probe
 	// attempt; writers swap it under mu (the swap itself moves no keys, so
 	// either view is complete).
 	regions atomic.Pointer[regionPair]
 
+	// seq is the seqlock generation: odd while a writer is mutating. Readers
+	// snapshot it before probing and revalidate after.
+	seq atomic.Uint64
+
+	_ [cacheLine - 32]byte
+
+	// Reader-written: single-key lookups count here; the batched path counts
+	// its rare retries and fallbacks here and everything else in its stripe.
+	rd readCounters
+
+	_ [cacheLine - 32]byte
+
+	// Writer-owned from here to the end of the struct: stored to only with
+	// mu held. Readers take mu on the fallback path alone.
+	mu   sync.Mutex // serialises writers; also the reader fallback path
 	size atomic.Uint64
 	c    shardCounters
 
-	mu sync.Mutex // serialises writers; also the reader fallback path
-
-	// Resize state (writer-owned, guarded by mu).
+	// Resize state.
 	migrated  uint64           // old-region buckets fully migrated
 	growAt    float64          // auto-grow load factor; 0 = disabled
 	quantum   int              // buckets migrated per writer op
-	pauseHist *stats.Histogram // ns per migration step (writer-owned)
+	pauseHist *stats.Histogram // ns per migration step
 
-	// BFS displacement scratch (writer-owned, guarded by mu).
+	// BFS displacement scratch.
 	bfsNodes   []pathNode
 	bfsQueue   []frontierItem
 	bfsPath    []pathNode
 	bfsVisited map[uint64]bool
+
+	_ [40]byte // rounds the struct up to whole lines (TestShardLayout)
 }
 
-// shardCounters are per-shard operation counters. Reader-side counters are
-// atomics because lookups run concurrently; keeping them per shard spreads
-// the cache-line traffic that a single shared counter block would serialise.
-type shardCounters struct {
+// readCounters are the per-shard counters the read path writes. They are
+// atomics because lookups run concurrently, and they sit on a line of their
+// own: every reader of a shard shares that line, no writer ever takes it.
+type readCounters struct {
 	lookups   atomic.Uint64
-	hits      atomic.Uint64
+	hits      atomic.Uint64 // added after lookups, loaded before: hits ≤ lookups in any snapshot
 	retries   atomic.Uint64 // seqlock revalidation failures (re-probes)
 	fallbacks atomic.Uint64 // optimistic attempts exhausted → locked probe
+}
 
+// shardCounters are the per-shard counters writers bump under mu (atomics
+// only so that Stats can load them without taking it).
+type shardCounters struct {
 	inserts       atomic.Uint64
 	insertExists  atomic.Uint64
 	insertFull    atomic.Uint64
@@ -395,14 +431,28 @@ type shardCounters struct {
 	deletes       atomic.Uint64
 	displacements atomic.Uint64
 
-	batches   atomic.Uint64 // per-shard groups served by LookupMany
-	batchKeys atomic.Uint64
-
 	grows           atomic.Uint64 // resizes started (one per doubling)
 	resizeSteps     atomic.Uint64 // bounded migration steps executed
 	migratedBuckets atomic.Uint64
 	migratedKeys    atomic.Uint64
 	resizeStalls    atomic.Uint64 // steps that could not place a key (table truly full)
+}
+
+// batchStripes is how many counter stripes a table deals out to its batches.
+// More than the cores a box gives a table's readers is wasted; fewer only
+// means two batches share a line, which the atomics make safe.
+const batchStripes = 8
+
+// readStripe is one line of batched-lookup counters. Batch.LookupMany adds a
+// whole call's worth in one go (groups, keys, hits — in that order), so a
+// reader writes one stripe line per call rather than a shard line per group,
+// and a collected Batch takes nothing with it. keys is both the stripe's
+// share of flowserve.lookups and of flowserve.batch.keys.
+type readStripe struct {
+	groups atomic.Uint64 // per-shard groups served
+	keys   atomic.Uint64
+	hits   atomic.Uint64
+	_      [cacheLine - 24]byte
 }
 
 func newShard(entries uint64, keyLen, keyWords int, growAt float64, quantum int) *shard {
@@ -480,12 +530,12 @@ func (sh *shard) probe(rp *regionPair, kw *[maxKeyWords]uint64, nw int, h uint64
 // region set is re-loaded inside the window, so a lookup racing a resize
 // swap either sees the pre-swap or post-swap regions, both complete.
 func (sh *shard) lookup(kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16) (uint64, bool) {
-	sh.c.lookups.Add(1)
+	sh.rd.lookups.Add(1)
 	for attempt := 0; attempt < maxOptimistic; attempt++ {
 		s1 := sh.seq.Load()
 		if s1&1 != 0 {
 			// A writer is mid-mutation; yield rather than spin-read.
-			sh.c.retries.Add(1)
+			sh.rd.retries.Add(1)
 			runtime.Gosched()
 			continue
 		}
@@ -493,19 +543,19 @@ func (sh *shard) lookup(kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16) (
 		v, ok := sh.probe(rp, kw, nw, h, sig)
 		if sh.seq.Load() == s1 {
 			if ok {
-				sh.c.hits.Add(1)
+				sh.rd.hits.Add(1)
 			}
 			return v, ok
 		}
-		sh.c.retries.Add(1)
+		sh.rd.retries.Add(1)
 	}
 	// Writer storm: one exclusive probe settles it.
-	sh.c.fallbacks.Add(1)
+	sh.rd.fallbacks.Add(1)
 	sh.mu.Lock()
 	v, ok := sh.probe(sh.regions.Load(), kw, nw, h, sig)
 	sh.mu.Unlock()
 	if ok {
-		sh.c.hits.Add(1)
+		sh.rd.hits.Add(1)
 	}
 	return v, ok
 }

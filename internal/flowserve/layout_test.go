@@ -1,0 +1,140 @@
+package flowserve
+
+import (
+	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"unsafe"
+)
+
+// TestShardLayout guards the one-writer-per-line layout: Go offers no
+// alignment directive, so the padding in shard is hand-counted and the
+// 64-byte alignment of a shard comes only from its allocation size class.
+// A field added in the wrong place, or one that pushes the struct past a
+// multiple of the line, fails here rather than as a throughput regression.
+func TestShardLayout(t *testing.T) {
+	const (
+		geometry = "read-mostly + seqlock"
+		reader   = "reader-written"
+		writer   = "writer-owned"
+	)
+	class := map[string]string{
+		"kvStride": geometry, "keyLen": geometry, "regions": geometry, "seq": geometry,
+		"rd": reader,
+		"mu": writer, "size": writer, "c": writer,
+		"migrated": writer, "growAt": writer, "quantum": writer, "pauseHist": writer,
+		"bfsNodes": writer, "bfsQueue": writer, "bfsPath": writer, "bfsVisited": writer,
+	}
+	lines := map[uintptr]string{} // line number → the class that owns it
+	typ := reflect.TypeOf(shard{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Name == "_" {
+			continue
+		}
+		c, ok := class[f.Name]
+		if !ok {
+			t.Fatalf("shard.%s has no cache-line class: add it to this test and place it with its writers", f.Name)
+		}
+		for l := f.Offset / cacheLine; l <= (f.Offset+f.Type.Size()-1)/cacheLine; l++ {
+			if owner, taken := lines[l]; taken && owner != c {
+				t.Errorf("shard.%s (%s, offset %d) shares line %d with a %s word", f.Name, c, f.Offset, l, owner)
+			}
+			lines[l] = c
+		}
+	}
+	// A clean probe touches exactly two shard lines: the geometry/seqlock
+	// line and the reader's counters.
+	for _, c := range []string{geometry, reader} {
+		n := 0
+		for _, owner := range lines {
+			if owner == c {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("%s words span %d lines, want 1", c, n)
+		}
+	}
+	if sz := unsafe.Sizeof(shard{}); sz%cacheLine != 0 {
+		t.Errorf("Sizeof(shard{}) = %d, not a multiple of %d: fix the trailing pad", sz, cacheLine)
+	}
+	if sz := unsafe.Sizeof(readStripe{}); sz != cacheLine {
+		t.Errorf("Sizeof(readStripe{}) = %d, want %d", sz, cacheLine)
+	}
+
+	for _, shards := range []int{1, 8, 64} {
+		tbl := mustNew(t, Config{Shards: shards, Entries: 1024, KeyLen: 20})
+		for i, sh := range tbl.shards {
+			if a := uintptr(unsafe.Pointer(sh)); a%cacheLine != 0 {
+				t.Errorf("shards=%d: shard %d at %#x is not %d-byte aligned", shards, i, a, cacheLine)
+			}
+		}
+		if len(tbl.stripes) != batchStripes {
+			t.Fatalf("table has %d stripes, want %d", len(tbl.stripes), batchStripes)
+		}
+		for i := range tbl.stripes {
+			if a := uintptr(unsafe.Pointer(&tbl.stripes[i])); a%cacheLine != 0 {
+				t.Errorf("shards=%d: stripe %d at %#x is not %d-byte aligned", shards, i, a, cacheLine)
+			}
+		}
+	}
+}
+
+// TestStatsHitsNeverExceedLookups takes snapshots while a reader hammers
+// resident keys through both read paths. Every lookup is a hit, so any skew
+// between the two counters shows at once; a snapshot with Hits > Lookups
+// would publish Misses ≈ 2^64.
+func TestStatsHitsNeverExceedLookups(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	const n = 512
+	tbl := mustNew(t, Config{Shards: 4, Entries: 1024, KeyLen: 20})
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = key20(uint64(i))
+		if err := tbl.Insert(keys[i], uint64(i)+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		results := make([]Result, 16)
+		for i := 0; !stop.Load(); i++ {
+			if i%2 == 0 {
+				tbl.Lookup(keys[i%n])
+			} else {
+				lo := i % (n - 16)
+				tbl.LookupMany(keys[lo:lo+16], results)
+			}
+		}
+	}()
+
+	const snapshots = 400_000
+	wrapped := 0
+	var first TableStats
+	for i := 0; i < snapshots; i++ {
+		if s := tbl.Stats(); s.Hits > s.Lookups {
+			if wrapped == 0 {
+				first = s
+			}
+			wrapped++
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if wrapped > 0 {
+		t.Fatalf("%d of %d snapshots had Hits > Lookups; first: hits %d lookups %d misses %d",
+			wrapped, snapshots, first.Hits, first.Lookups, first.Misses)
+	}
+	if s := tbl.Stats(); s.Hits != s.Lookups || s.Misses != 0 || s.BatchKeys == 0 || s.BatchKeys >= s.Lookups {
+		t.Fatalf("quiescent stats not exact: %+v", s)
+	}
+}

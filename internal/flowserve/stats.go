@@ -2,10 +2,12 @@ package flowserve
 
 import "halo/internal/stats"
 
-// TableStats aggregates the per-shard operation counters. Reader-side
-// counters (Lookups, Hits, Retries, LockFallbacks) are updated with atomics
-// on the serving path, so a snapshot taken under load is a consistent-enough
-// monotonic view, exact when quiescent.
+// TableStats aggregates the per-shard operation counters and the batched
+// read path's stripes. Reader-side counters (Lookups, Hits, Retries,
+// LockFallbacks, BatchCalls, BatchKeys) are updated with atomics on the
+// serving path, so a snapshot taken under load is a consistent-enough
+// monotonic view — Hits never exceeds Lookups in it — and exact when
+// quiescent.
 type TableStats struct {
 	Lookups       uint64
 	Hits          uint64
@@ -30,23 +32,31 @@ type TableStats struct {
 	ResizingShards  uint64 // shards with a migration in flight right now
 }
 
-// Stats sums the counters across shards.
+// Stats sums the counters across shards and stripes. Readers add a lookup
+// before its hit, so every pair is loaded hits first: a hit landing between
+// the two loads is then missed on both sides or counted as a lookup only,
+// never as a hit without its lookup (which would wrap Misses).
 func (t *Table) Stats() TableStats {
 	var s TableStats
 	s.BadLenLookups = t.badLen.Load()
+	for i := range t.stripes {
+		st := &t.stripes[i]
+		s.Hits += st.hits.Load()
+		s.BatchKeys += st.keys.Load()
+		s.BatchCalls += st.groups.Load()
+	}
+	s.Lookups = s.BatchKeys
 	for _, sh := range t.shards {
-		s.Lookups += sh.c.lookups.Load()
-		s.Hits += sh.c.hits.Load()
-		s.Retries += sh.c.retries.Load()
-		s.LockFallbacks += sh.c.fallbacks.Load()
+		s.Hits += sh.rd.hits.Load()
+		s.Lookups += sh.rd.lookups.Load()
+		s.Retries += sh.rd.retries.Load()
+		s.LockFallbacks += sh.rd.fallbacks.Load()
 		s.Inserts += sh.c.inserts.Load()
 		s.InsertExists += sh.c.insertExists.Load()
 		s.InsertFull += sh.c.insertFull.Load()
 		s.Updates += sh.c.updates.Load()
 		s.Deletes += sh.c.deletes.Load()
 		s.Displacements += sh.c.displacements.Load()
-		s.BatchCalls += sh.c.batches.Load()
-		s.BatchKeys += sh.c.batchKeys.Load()
 		s.Grows += sh.c.grows.Load()
 		s.ResizeSteps += sh.c.resizeSteps.Load()
 		s.MigratedBuckets += sh.c.migratedBuckets.Load()

@@ -32,7 +32,13 @@ import (
 	"halo/internal/stats"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main's body. It returns the exit code rather than calling os.Exit
+// so that its deferred calls — stopping the CPU profile, writing the
+// allocation profile — also run when the experiments fail, which is the run
+// one most wants a profile of.
+func run() int {
 	var (
 		quick      = flag.Bool("quick", false, "run shrunk sweeps")
 		experiment = flag.String("experiment", "", "run a single experiment (see -list)")
@@ -51,12 +57,12 @@ func main() {
 		data, err := os.ReadFile(*validate)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "halobench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		doc, err := stats.Validate(data)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "halobench: %s: %v\n", *validate, err)
-			os.Exit(1)
+			return 1
 		}
 		points := 0
 		for _, e := range doc.Experiments {
@@ -64,14 +70,14 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "%s: valid %s document (%d experiments, %d points)\n",
 			*validate, doc.Schema, len(doc.Experiments), points)
-		return
+		return 0
 	}
 
 	if *list {
 		for _, r := range experiments.Registry() {
 			fmt.Printf("%-14s %s\n", r.ID, r.Paper)
 		}
-		return
+		return 0
 	}
 
 	cfg := experiments.DefaultConfig()
@@ -83,7 +89,7 @@ func main() {
 		r, ok := experiments.Find(*experiment)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "halobench: unknown experiment %q (try -list)\n", *experiment)
-			os.Exit(2)
+			return 2
 		}
 		runners = []experiments.Runner{r}
 	}
@@ -96,11 +102,11 @@ func main() {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "halobench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "halobench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		defer pprof.StopCPUProfile()
@@ -140,10 +146,11 @@ func main() {
 	elapsed := time.Since(start).Round(time.Millisecond)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "halobench: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	if *verify {
 		fmt.Fprintf(os.Stderr, "verify: parallel and serial results identical for every point\n")
 	}
 	fmt.Fprintf(os.Stderr, "(completed in %v, %d workers)\n", elapsed, opt.Workers)
+	return 0
 }

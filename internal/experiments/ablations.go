@@ -20,116 +20,109 @@ type AblationResult struct {
 	Table            *metrics.Table
 }
 
-// ablationDepths and ablationPolicies fix the knob sweeps (and their
-// point order).
-var ablationDepths = []int{1, 4, 10, 16}
-
-var ablationPolicyNames = []string{"by-table", "by-key-line", "round-robin"}
-
-func ablationPolicy(name string) noc.DispatchPolicy {
-	switch name {
-	case "by-table":
-		return noc.DispatchByTable
-	case "by-key-line":
-		return noc.DispatchByKeyLine
-	default:
-		return noc.DispatchRoundRobin
-	}
+// ablationCell is one knob setting: its point label, the two columns that
+// name it in the table, and how to measure it. Every setting measures on
+// its own platform, so a row is one number (cycles per lookup).
+type ablationCell struct {
+	label, knob, setting string
+	depth                int // scoreboard-depth cells
+	run                  func(lookups int, snap *stats.Snapshot) float64
 }
 
-// ablationLabels enumerates every knob setting, in render order: the
-// metadata cache on/off pair, the lock-off run, the scoreboard-depth
-// sweep, then the dispatch policies.
-func ablationLabels() []string {
-	labels := []string{"metacache-on", "metacache-off", "no-lock"}
-	for _, d := range ablationDepths {
-		labels = append(labels, fmt.Sprintf("depth-%d", d))
+// ablationCells enumerates the knob settings in render order. The
+// metadata-cache-on run is the default configuration — the baseline the
+// metadata-cache-off and lock-off runs are read against — so it comes first.
+func ablationCells(Config) []ablationCell {
+	unit := func(mutate func(*halo.UnitConfig)) func(int, *stats.Snapshot) float64 {
+		return func(lookups int, snap *stats.Snapshot) float64 {
+			return runAblationPoint(lookups, mutate, snap)
+		}
 	}
-	for _, n := range ablationPolicyNames {
-		labels = append(labels, "dispatch-"+n)
+	cells := []ablationCell{
+		{label: "metacache-on", knob: "metadata-cache", setting: "on",
+			run: unit(func(*halo.UnitConfig) {})},
+		// Off: every query re-reads the metadata line from the LLC.
+		{label: "metacache-off", knob: "metadata-cache", setting: "off",
+			run: unit(func(u *halo.UnitConfig) {
+				u.Accel.MetaCacheTables = 1
+				u.Accel.MetaCacheOff = true
+			})},
+		// Off: locking costs nothing on the read path.
+		{label: "no-lock", knob: "hardware-lock", setting: "off",
+			run: unit(func(u *halo.UnitConfig) { u.Accel.LockEnabled = false })},
 	}
-	return labels
+	// Deeper scoreboards absorb bursts.
+	for _, depth := range []int{1, 4, 10, 16} {
+		cells = append(cells, ablationCell{
+			label: fmt.Sprintf("depth-%d", depth), depth: depth,
+			knob: "scoreboard-depth", setting: fmt.Sprint(depth),
+			run: func(lookups int, snap *stats.Snapshot) float64 {
+				return runAblationBurst(lookups, depth, snap)
+			}})
+	}
+	// The by-table policy's payoff is metadata locality: with more live
+	// tables than one metadata cache holds, hashing by table keeps each
+	// table's metadata resident on one accelerator, while round-robin
+	// thrashes every cache. 24 tables > the 10-table capacity.
+	for _, d := range []struct {
+		name   string
+		policy noc.DispatchPolicy
+	}{
+		{"by-table", noc.DispatchByTable},
+		{"by-key-line", noc.DispatchByKeyLine},
+		{"round-robin", noc.DispatchRoundRobin},
+	} {
+		cells = append(cells, ablationCell{
+			label: "dispatch-" + d.name, knob: "dispatch", setting: d.name,
+			run: func(lookups int, snap *stats.Snapshot) float64 {
+				return runAblationMultiTable(lookups, d.policy, snap)
+			}})
+	}
+	return cells
 }
 
-// AblationsSweep decomposes the design-choice sweeps: every knob setting
-// measures on its own platform, so every point is one number.
-func AblationsSweep() Sweep {
-	return Sweep{
-		Points: func(cfg Config) []Point {
-			labels := ablationLabels()
-			pts := make([]Point, len(labels))
-			for i, l := range labels {
-				pts[i] = Point{Experiment: "ablations", Index: i, Label: l}
-			}
-			return pts
-		},
-		RunPoint: func(cfg Config, p Point) any {
-			lookups := pickSize(cfg, 1500, 6000)
-			snap := pointSnapshot(cfg)
-			var row any
-			switch {
-			case p.Index == 0: // metadata cache on
-				row = runAblationPoint(lookups, func(u *halo.UnitConfig) {}, snap)
-			case p.Index == 1: // metadata cache off: every query re-reads
-				// the metadata line from the LLC.
-				row = runAblationPoint(lookups, func(u *halo.UnitConfig) {
-					u.Accel.MetaCacheTables = 1
-					u.Accel.MetaCacheOff = true
-				}, snap)
-			case p.Index == 2: // hardware lock off: locking costs nothing
-				// on the read path.
-				row = runAblationPoint(lookups, func(u *halo.UnitConfig) { u.Accel.LockEnabled = false }, snap)
-			case p.Index < 3+len(ablationDepths): // scoreboard depth:
-				// deeper scoreboards absorb bursts.
-				row = runAblationBurst(lookups, ablationDepths[p.Index-3], snap)
-			default:
-				// Dispatch policy. The by-table policy's payoff is metadata
-				// locality: with more live tables than one metadata cache
-				// holds, hashing by table keeps each table's metadata
-				// resident on one accelerator, while round-robin thrashes
-				// every cache. 24 tables > the 10-table capacity.
-				name := ablationPolicyNames[p.Index-3-len(ablationDepths)]
-				row = runAblationMultiTable(lookups, ablationPolicy(name), snap)
-			}
-			recordSnap(cfg, p, snap)
-			return row
-		},
-		Render: func(cfg Config, rows []any, w io.Writer) {
-			assembleAblations(rows).Table.Render(w)
-		},
-	}
+// ablations is the design-choice study, one cell per knob setting.
+var ablations = experiment[ablationCell, float64, *AblationResult]{
+	id:    "ablations",
+	cells: ablationCells,
+	label: func(c ablationCell) string { return c.label },
+	run: func(cfg Config, _ int, c ablationCell, snap *stats.Snapshot) float64 {
+		return c.run(pickSize(cfg, 1500, 6000), snap)
+	},
+	assemble: assembleAblations,
+	render:   func(r *AblationResult, w io.Writer) { r.Table.Render(w) },
 }
 
 // RunAblations sweeps the accelerator design choices.
-func RunAblations(cfg Config) *AblationResult {
-	return assembleAblations(runSerial(cfg, AblationsSweep()))
-}
+func RunAblations(cfg Config) *AblationResult { return ablations.result(cfg) }
 
-func assembleAblations(rows []any) *AblationResult {
+func assembleAblations(_ Config, cells []ablationCell, cycles []float64) *AblationResult {
 	res := &AblationResult{
 		DepthCycles:    map[int]float64{},
 		DispatchCycles: map[string]float64{},
 	}
 	res.Table = metrics.NewTable("Ablations: HALO design choices", "knob", "setting", "cyc/lookup", "note")
 
-	on := rows[0].(float64)
-	off := rows[1].(float64)
-	noLock := rows[2].(float64)
-	res.MetaCacheSpeedup = off / on
-	res.LockCostPct = (on - noLock) / on
-	res.Table.AddRow("metadata-cache", "on", on, "")
-	res.Table.AddRow("metadata-cache", "off", off, fmt.Sprintf("%.2fx slower", res.MetaCacheSpeedup))
-	res.Table.AddRow("hardware-lock", "off", noLock, metrics.Percent(res.LockCostPct)+" of locked time")
-
-	for i, depth := range ablationDepths {
-		c := rows[3+i].(float64)
-		res.DepthCycles[depth] = c
-		res.Table.AddRow("scoreboard-depth", fmt.Sprintf("%d", depth), c, "burst workload")
-	}
-	for i, name := range ablationPolicyNames {
-		c := rows[3+len(ablationDepths)+i].(float64)
-		res.DispatchCycles[name] = c
-		res.Table.AddRow("dispatch", name, c, "24 live tables")
+	var on float64 // the metadata-cache-on baseline
+	for i, c := range cells {
+		v, note := cycles[i], ""
+		switch {
+		case c.knob == "metadata-cache" && c.setting == "on":
+			on = v
+		case c.knob == "metadata-cache":
+			res.MetaCacheSpeedup = v / on
+			note = fmt.Sprintf("%.2fx slower", res.MetaCacheSpeedup)
+		case c.knob == "hardware-lock":
+			res.LockCostPct = (on - v) / on
+			note = metrics.Percent(res.LockCostPct) + " of locked time"
+		case c.knob == "scoreboard-depth":
+			res.DepthCycles[c.depth] = v
+			note = "burst workload"
+		case c.knob == "dispatch":
+			res.DispatchCycles[c.setting] = v
+			note = "24 live tables"
+		}
+		res.Table.AddRow(c.knob, c.setting, v, note)
 	}
 	return res
 }
@@ -164,15 +157,11 @@ func runAblationPoint(lookups int, mutate func(*halo.UnitConfig), snap *stats.Sn
 	mutate(&pcfg.Unit)
 	p := halo.NewPlatform(pcfg)
 	f := fixtureOn(p, 1<<14, 0.75)
-	for i := 0; i < lookups/2; i++ {
-		p.Unit.LookupBAt(f.thread, f.table.Base(), f.stageKeyDMA(uint64(i)))
-	}
-	start := f.thread.Now
-	for i := 0; i < lookups; i++ {
-		p.Unit.LookupBAt(f.thread, f.table.Base(), f.stageKeyDMA(uint64(i*13)))
-	}
+	cyc := cyclesPerLookup(f.thread, lookups, func(n uint64) {
+		p.Unit.LookupBAt(f.thread, f.table.Base(), f.stageKeyDMA(n))
+	})
 	collectInto(snap, p, f.thread)
-	return float64(f.thread.Now-start) / float64(lookups)
+	return cyc
 }
 
 // runAblationBurst measures a bursty all-cores workload against one table,

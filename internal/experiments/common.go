@@ -118,6 +118,21 @@ func (f *lookupFixture) stageKeyDMA(n uint64) mem.Addr {
 	return addr
 }
 
+// cyclesPerLookup is the measurement loop of the plain single-table runs:
+// warm with lookups/2 lookups of consecutive keys, then time `lookups` of
+// them at stride 13 and return cycles per lookup. Runs that interleave a
+// writer or reset counters between the phases keep their own loop.
+func cyclesPerLookup(th *cpu.Thread, lookups int, lookup func(n uint64)) float64 {
+	for i := 0; i < lookups/2; i++ {
+		lookup(uint64(i))
+	}
+	start := th.Now
+	for i := 0; i < lookups; i++ {
+		lookup(uint64(i * 13))
+	}
+	return float64(th.Now-start) / float64(lookups)
+}
+
 // statsCollector is anything that can publish counters and histograms into
 // a snapshot: platforms, threads, switches, hybrid controllers, table stats.
 type statsCollector interface {

@@ -387,10 +387,53 @@ func TestUpdatesShape(t *testing.T) {
 	}
 }
 
+func TestHybridShape(t *testing.T) {
+	t.Parallel()
+	r := RunHybrid(QuickConfig())
+	if len(r.Rows) != 3 {
+		t.Fatalf("%d rows, want 3 traffic phases", len(r.Rows))
+	}
+	for _, row := range r.Rows {
+		if row.SwLookups+row.HwLookups != uint64(row.Lookups) {
+			t.Errorf("%s: %d software + %d halo lookups, %d issued",
+				row.Phase, row.SwLookups, row.HwLookups, row.Lookups)
+		}
+		if row.Scans == 0 {
+			t.Errorf("%s: the controller closed no scan window", row.Phase)
+		}
+	}
+	// Many flows: stays on the accelerators throughout.
+	many, _ := r.Row("many-flows")
+	if many.FinalMode != "halo" || many.Switches != 0 || many.SwLookups != 0 {
+		t.Errorf("many-flows ended on %s after %d switches with %d software lookups; must stay on halo",
+			many.FinalMode, many.Switches, many.SwLookups)
+	}
+	// Few flows: settles into software once, early.
+	few, _ := r.Row("few-flows")
+	if few.FinalMode != "software" || few.Switches != 1 {
+		t.Errorf("few-flows ended on %s after %d switches; must settle into software in one switch",
+			few.FinalMode, few.Switches)
+	}
+	if few.SwLookups < 3*few.HwLookups {
+		t.Errorf("few-flows served %d lookups in software and %d on halo; software must be the large majority",
+			few.SwLookups, few.HwLookups)
+	}
+	// Phase shift: into software, then back.
+	shift, _ := r.Row("phase-shift")
+	if shift.FinalMode != "halo" || shift.Switches < 2 {
+		t.Errorf("phase-shift ended on %s after %d switches; must switch to software and back to halo",
+			shift.FinalMode, shift.Switches)
+	}
+	if shift.SwLookups == 0 || shift.HwLookups == 0 {
+		t.Errorf("phase-shift served %d software and %d halo lookups; both paths must run",
+			shift.SwLookups, shift.HwLookups)
+	}
+}
+
 func TestRegistryComplete(t *testing.T) {
 	t.Parallel()
 	want := []string{"fig3", "fig4", "table1", "lockoverhead", "fig8", "fig9",
-		"fig10", "fig11", "fig12", "table4", "fig13", "ablations", "scaling", "updates"}
+		"fig10", "fig11", "fig12", "table4", "fig13", "ablations", "scaling", "updates", "hybrid"}
 	ids := IDs()
 	for _, w := range want {
 		found := false

@@ -35,7 +35,7 @@ type fig10Cell struct {
 	entries  uint64
 }
 
-func fig10Cells() []fig10Cell {
+func fig10Cells(Config) []fig10Cell {
 	placements := []struct {
 		name    string
 		entries uint64
@@ -51,53 +51,34 @@ func fig10Cells() []fig10Cell {
 	return cells
 }
 
-// Fig10Sweep decomposes Fig. 10 into one point per (solution, placement).
-func Fig10Sweep() Sweep {
-	return Sweep{
-		Points: func(cfg Config) []Point {
-			cells := fig10Cells()
-			pts := make([]Point, len(cells))
-			for i, c := range cells {
-				pts[i] = Point{Experiment: "fig10", Index: i,
-					Label: c.solution + "/" + c.name}
-			}
-			return pts
-		},
-		RunPoint: func(cfg Config, p Point) any {
-			c := fig10Cells()[p.Index]
-			lookups := pickSize(cfg, 1500, 6000)
-			snap := pointSnapshot(cfg)
-			var row any
-			if c.solution == "software" {
-				row = runFig10Software(c.name, c.entries, lookups, snap)
-			} else {
-				row = runFig10Halo(c.name, c.entries, lookups, snap)
-			}
-			recordSnap(cfg, p, snap)
-			return row
-		},
-		Render: func(cfg Config, rows []any, w io.Writer) {
-			assembleFig10(rows).Table.Render(w)
-		},
-	}
+// fig10 is one cell per (solution, placement).
+var fig10 = experiment[fig10Cell, Fig10Row, *Fig10Result]{
+	id:    "fig10",
+	cells: fig10Cells,
+	label: func(c fig10Cell) string { return c.solution + "/" + c.name },
+	run: func(cfg Config, _ int, c fig10Cell, snap *stats.Snapshot) Fig10Row {
+		lookups := pickSize(cfg, 1500, 6000)
+		if c.solution == "software" {
+			return runFig10Software(c.name, c.entries, lookups, snap)
+		}
+		return runFig10Halo(c.name, c.entries, lookups, snap)
+	},
+	assemble: assembleFig10,
+	render:   func(r *Fig10Result, w io.Writer) { r.Table.Render(w) },
 }
 
 // RunFig10 reproduces Fig. 10.
-func RunFig10(cfg Config) *Fig10Result {
-	return assembleFig10(runSerial(cfg, Fig10Sweep()))
-}
+func RunFig10(cfg Config) *Fig10Result { return fig10.result(cfg) }
 
-func assembleFig10(rows []any) *Fig10Result {
+func assembleFig10(_ Config, _ []fig10Cell, rows []Fig10Row) *Fig10Result {
 	res := &Fig10Result{
+		Rows: rows,
 		Table: metrics.NewTable("Figure 10: lookup latency breakdown (normalized to software/LLC total)",
 			"solution", "placement", "compute", "data-access", "locking", "total", "cyc/lookup"),
 	}
 	res.Table.SetCaption("paper: HALO cuts compute 48.1%%; CHA data access 4.1x faster (LLC), 1.6x (DRAM)")
+	base := rows[0].Total // software/LLC
 	for _, r := range rows {
-		res.Rows = append(res.Rows, r.(Fig10Row))
-	}
-	base := res.Rows[0].Total // software/LLC
-	for _, r := range res.Rows {
 		res.Table.AddRow(r.Solution, r.Placement,
 			metrics.Percent(r.Compute/base), metrics.Percent(r.DataAcc/base),
 			metrics.Percent(r.Locking/base), metrics.Percent(r.Total/base), r.Total)

@@ -54,62 +54,49 @@ func fig11Cells(cfg Config) []fig11Cell {
 	return cells
 }
 
-// Fig11Sweep decomposes Fig. 11 into one point per (tuple count, mode).
-func Fig11Sweep() Sweep {
-	return Sweep{
-		Points: func(cfg Config) []Point {
-			cells := fig11Cells(cfg)
-			pts := make([]Point, len(cells))
-			for i, c := range cells {
-				pts[i] = Point{Experiment: "fig11", Index: i,
-					Label: fmt.Sprintf("%s/%d-tuples", c.mode, c.tuples)}
-			}
-			return pts
-		},
-		RunPoint: func(cfg Config, p Point) any {
-			c := fig11Cells(cfg)[p.Index]
-			snap := pointSnapshot(cfg)
-			row := runFig11Point(c.mode, c.tuples, pickSize(cfg, 400, 3000), cfg.Seed, snap)
-			recordSnap(cfg, p, snap)
-			return row
-		},
-		Render: func(cfg Config, rows []any, w io.Writer) {
-			assembleFig11(cfg, rows).Table.Render(w)
-		},
-	}
+// fig11 is one cell per (tuple count, mode); a row is the cell's cycles per
+// classification.
+var fig11 = experiment[fig11Cell, float64, *Fig11Result]{
+	id:    "fig11",
+	cells: fig11Cells,
+	label: func(c fig11Cell) string { return fmt.Sprintf("%s/%d-tuples", c.mode, c.tuples) },
+	run: func(cfg Config, _ int, c fig11Cell, snap *stats.Snapshot) float64 {
+		return runFig11Point(c.mode, c.tuples, pickSize(cfg, 400, 3000), cfg.Seed, snap)
+	},
+	assemble: assembleFig11,
+	render:   func(r *Fig11Result, w io.Writer) { r.Table.Render(w) },
 }
 
 // RunFig11 reproduces Fig. 11.
-func RunFig11(cfg Config) *Fig11Result {
-	return assembleFig11(cfg, runSerial(cfg, Fig11Sweep()))
-}
+func RunFig11(cfg Config) *Fig11Result { return fig11.result(cfg) }
 
-func assembleFig11(cfg Config, rows []any) *Fig11Result {
+func assembleFig11(_ Config, cells []fig11Cell, cycles []float64) *Fig11Result {
 	res := &Fig11Result{
 		Table: metrics.NewTable("Figure 11: tuple space search throughput (normalized to software)",
 			"tuples", "software", "halo-B", "halo-NB", "tcam", "sram-tcam"),
 	}
 	res.Table.SetCaption("paper: HALO non-blocking scales TSS up to 23.4x; blocking mode flattens out")
 
-	i := 0
-	for _, nt := range fig11TupleCounts(cfg) {
-		cycles := map[Fig9Mode]float64{}
-		for _, mode := range Fig9Modes {
-			cycles[mode] = rows[i].(float64)
-			i++
+	// As in Fig. 9: modes innermost, software first, one table row per
+	// tuple count.
+	var software float64
+	var row []any
+	for i, c := range cells {
+		if c.mode == ModeSoftware {
+			software = cycles[i]
+			row = []any{c.tuples}
 		}
-		row := []any{nt}
-		for _, mode := range Fig9Modes {
-			norm := cycles[ModeSoftware] / cycles[mode]
-			res.Points = append(res.Points, Fig11Point{
-				Mode: mode, Tuples: nt,
-				CyclesPerClassify:     cycles[mode],
-				NormalizedToSoft:      norm,
-				ClassificationsPerSec: ClockGHz * 1e9 / cycles[mode],
-			})
-			row = append(row, fmt.Sprintf("%.2fx (%.0fcyc)", norm, cycles[mode]))
+		norm := software / cycles[i]
+		res.Points = append(res.Points, Fig11Point{
+			Mode: c.mode, Tuples: c.tuples,
+			CyclesPerClassify:     cycles[i],
+			NormalizedToSoft:      norm,
+			ClassificationsPerSec: ClockGHz * 1e9 / cycles[i],
+		})
+		row = append(row, fmt.Sprintf("%.2fx (%.0fcyc)", norm, cycles[i]))
+		if c.mode == Fig9Modes[len(Fig9Modes)-1] {
+			res.Table.AddRow(row...)
 		}
-		res.Table.AddRow(row...)
 	}
 	return res
 }

@@ -61,36 +61,20 @@ func fig12Cells(cfg Config) []fig12Cell {
 	return cells
 }
 
-// Fig12Sweep decomposes Fig. 12 into one point per (NF, flow count).
-func Fig12Sweep() Sweep {
-	return Sweep{
-		Points: func(cfg Config) []Point {
-			cells := fig12Cells(cfg)
-			pts := make([]Point, len(cells))
-			for i, c := range cells {
-				pts[i] = Point{Experiment: "fig12", Index: i,
-					Label: fmt.Sprintf("%s/%d-flows", c.nf, c.flows)}
-			}
-			return pts
-		},
-		RunPoint: func(cfg Config, p Point) any {
-			snap := pointSnapshot(cfg)
-			row := runFig12Cell(cfg, fig12Cells(cfg)[p.Index], snap)
-			recordSnap(cfg, p, snap)
-			return row
-		},
-		Render: func(cfg Config, rows []any, w io.Writer) {
-			assembleFig12(rows).Table.Render(w)
-		},
-	}
+// fig12 is one cell per (NF, flow count).
+var fig12 = experiment[fig12Cell, fig12Pair, *Fig12Result]{
+	id:       "fig12",
+	cells:    fig12Cells,
+	label:    func(c fig12Cell) string { return fmt.Sprintf("%s/%d-flows", c.nf, c.flows) },
+	run:      runFig12Cell,
+	assemble: assembleFig12,
+	render:   func(r *Fig12Result, w io.Writer) { r.Table.Render(w) },
 }
 
 // RunFig12 reproduces Fig. 12.
-func RunFig12(cfg Config) *Fig12Result {
-	return assembleFig12(runSerial(cfg, Fig12Sweep()))
-}
+func RunFig12(cfg Config) *Fig12Result { return fig12.result(cfg) }
 
-func runFig12Cell(cfg Config, c fig12Cell, snap *stats.Snapshot) fig12Pair {
+func runFig12Cell(cfg Config, _ int, c fig12Cell, snap *stats.Snapshot) fig12Pair {
 	nfPackets := pickSize(cfg, 1200, 6000)
 	aloneCPP, aloneMiss := runFig12Alone(c.nf, nfPackets, cfg.Seed)
 	var pair fig12Pair
@@ -122,14 +106,13 @@ func runFig12Cell(cfg Config, c fig12Cell, snap *stats.Snapshot) fig12Pair {
 	return pair
 }
 
-func assembleFig12(rows []any) *Fig12Result {
+func assembleFig12(_ Config, _ []fig12Cell, rows []fig12Pair) *Fig12Result {
 	res := &Fig12Result{
 		Table: metrics.NewTable("Figure 12: collocated NF interference (hyper-threaded core sharing)",
 			"nf", "switch-flows", "engine", "throughput-drop", "L1D-miss alone", "L1D-miss co-run"),
 	}
 	res.Table.SetCaption("paper: NFs drop 17-26%% with the software switch, <=3.2%% with HALO")
-	for _, r := range rows {
-		pair := r.(fig12Pair)
+	for _, pair := range rows {
 		for _, pt := range []Fig12Point{pair.Software, pair.Halo} {
 			res.Points = append(res.Points, pt)
 			res.Table.AddRow(pt.NF, pt.SwitchFlows, pt.Engine, metrics.Percent(pt.ThroughputDrop),

@@ -50,48 +50,33 @@ func fig13Cells(cfg Config) []fig13Cell {
 	return cells
 }
 
-// Fig13Sweep decomposes Fig. 13 into one point per (NF, table size).
-func Fig13Sweep() Sweep {
-	return Sweep{
-		Points: func(cfg Config) []Point {
-			cells := fig13Cells(cfg)
-			pts := make([]Point, len(cells))
-			for i, c := range cells {
-				pts[i] = Point{Experiment: "fig13", Index: i,
-					Label: fmt.Sprintf("%s/%d-entries", c.name, c.size)}
-			}
-			return pts
-		},
-		RunPoint: func(cfg Config, p Point) any {
-			c := fig13Cells(cfg)[p.Index]
-			packets := pickSize(cfg, 1500, 8000)
-			snap := pointSnapshot(cfg)
-			// The HALO run — the configuration under study — is snapshotted.
-			sw := runFig13Point(c.name, nf.EngineSoftware, c.size, packets, cfg.Seed, nil)
-			hw := runFig13Point(c.name, nf.EngineHalo, c.size, packets, cfg.Seed, snap)
-			recordSnap(cfg, p, snap)
-			return Fig13Point{NF: c.name, Entries: c.size, SWCpp: sw, HaloCpp: hw, Speedup: sw / hw}
-		},
-		Render: func(cfg Config, rows []any, w io.Writer) {
-			assembleFig13(rows).Table.Render(w)
-		},
-	}
+// fig13 is one cell per (NF, table size).
+var fig13 = experiment[fig13Cell, Fig13Point, *Fig13Result]{
+	id:    "fig13",
+	cells: fig13Cells,
+	label: func(c fig13Cell) string { return fmt.Sprintf("%s/%d-entries", c.name, c.size) },
+	run: func(cfg Config, _ int, c fig13Cell, snap *stats.Snapshot) Fig13Point {
+		packets := pickSize(cfg, 1500, 8000)
+		// The HALO run — the configuration under study — is snapshotted.
+		sw := runFig13Point(c.name, nf.EngineSoftware, c.size, packets, cfg.Seed, nil)
+		hw := runFig13Point(c.name, nf.EngineHalo, c.size, packets, cfg.Seed, snap)
+		return Fig13Point{NF: c.name, Entries: c.size, SWCpp: sw, HaloCpp: hw, Speedup: sw / hw}
+	},
+	assemble: assembleFig13,
+	render:   func(r *Fig13Result, w io.Writer) { r.Table.Render(w) },
 }
 
 // RunFig13 reproduces Fig. 13.
-func RunFig13(cfg Config) *Fig13Result {
-	return assembleFig13(runSerial(cfg, Fig13Sweep()))
-}
+func RunFig13(cfg Config) *Fig13Result { return fig13.result(cfg) }
 
-func assembleFig13(rows []any) *Fig13Result {
+func assembleFig13(_ Config, _ []fig13Cell, rows []Fig13Point) *Fig13Result {
 	res := &Fig13Result{
 		Table: metrics.NewTable("Figure 13: hash-table NF throughput with HALO",
 			"nf", "entries", "software cyc/pkt", "halo cyc/pkt", "speedup"),
 	}
 	res.Table.SetCaption("paper: 2.3-2.7x across NAT, prads and the packet filter")
-	for _, r := range rows {
-		pt := r.(Fig13Point)
-		res.Points = append(res.Points, pt)
+	res.Points = rows
+	for _, pt := range rows {
 		res.Table.AddRow(pt.NF, pt.Entries, pt.SWCpp, pt.HaloCpp, fmt.Sprintf("%.2fx", pt.Speedup))
 	}
 	return res

@@ -44,36 +44,21 @@ func fig3Scenarios(cfg Config) []trafficgen.Scenario {
 	return scenarios
 }
 
-// Fig3Sweep decomposes Fig. 3 into one point per traffic configuration.
-func Fig3Sweep() Sweep {
-	return Sweep{
-		Points: func(cfg Config) []Point {
-			scns := fig3Scenarios(cfg)
-			pts := make([]Point, len(scns))
-			for i, s := range scns {
-				pts[i] = Point{Experiment: "fig3", Index: i, Label: s.Name}
-			}
-			return pts
-		},
-		RunPoint: func(cfg Config, p Point) any {
-			snap := pointSnapshot(cfg)
-			row := runFig3Scenario(cfg, fig3Scenarios(cfg)[p.Index], snap)
-			recordSnap(cfg, p, snap)
-			return row
-		},
-		Render: func(cfg Config, rows []any, w io.Writer) {
-			assembleFig3(rows).Table.Render(w)
-		},
-	}
+// fig3 is one cell per traffic configuration.
+var fig3 = experiment[trafficgen.Scenario, Fig3Row, *Fig3Result]{
+	id:       "fig3",
+	cells:    fig3Scenarios,
+	label:    func(s trafficgen.Scenario) string { return s.Name },
+	run:      runFig3Scenario,
+	assemble: assembleFig3,
+	render:   func(r *Fig3Result, w io.Writer) { r.Table.Render(w) },
 }
 
 // RunFig3 reproduces Fig. 3 (software packet-processing breakdown).
-func RunFig3(cfg Config) *Fig3Result {
-	return assembleFig3(runSerial(cfg, Fig3Sweep()))
-}
+func RunFig3(cfg Config) *Fig3Result { return fig3.result(cfg) }
 
 // runFig3Scenario measures one traffic configuration on a fresh platform.
-func runFig3Scenario(cfg Config, scn trafficgen.Scenario, snap *stats.Snapshot) Fig3Row {
+func runFig3Scenario(cfg Config, _ int, scn trafficgen.Scenario, snap *stats.Snapshot) Fig3Row {
 	packets := pickSize(cfg, 3000, 20000)
 	warmup := pickSize(cfg, 1000, 10000) // §5.2: warm up before measuring
 
@@ -116,15 +101,14 @@ func runFig3Scenario(cfg Config, scn trafficgen.Scenario, snap *stats.Snapshot) 
 	return row
 }
 
-func assembleFig3(rows []any) *Fig3Result {
+func assembleFig3(_ Config, _ []trafficgen.Scenario, rows []Fig3Row) *Fig3Result {
 	res := &Fig3Result{
 		Table: metrics.NewTable("Figure 3: packet-processing breakdown (software OVS datapath)",
 			"scenario", "cyc/pkt", "pkt-io", "preproc", "emc", "megaflow", "other", "classification"),
 	}
 	res.Table.SetCaption("paper: 340-993 cyc/pkt, classification 30.9%%-77.8%%")
-	for _, r := range rows {
-		row := r.(Fig3Row)
-		res.Rows = append(res.Rows, row)
+	res.Rows = rows
+	for _, row := range rows {
 		res.Table.AddRow(row.Scenario, row.CyclesPerPacket,
 			metrics.Percent(row.StageShare[vswitch.StagePacketIO]),
 			metrics.Percent(row.StageShare[vswitch.StagePreProc]),

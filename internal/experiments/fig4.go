@@ -55,45 +55,29 @@ func fig4Cells(cfg Config) []fig4Cell {
 	return cells
 }
 
-// Fig4Sweep decomposes Fig. 4 into one point per (table kind, flow count).
-func Fig4Sweep() Sweep {
-	return Sweep{
-		Points: func(cfg Config) []Point {
-			cells := fig4Cells(cfg)
-			pts := make([]Point, len(cells))
-			for i, c := range cells {
-				pts[i] = Point{Experiment: "fig4", Index: i,
-					Label: fmt.Sprintf("%s/%d-flows", c.name, c.flows)}
-			}
-			return pts
-		},
-		RunPoint: func(cfg Config, p Point) any {
-			c := fig4Cells(cfg)[p.Index]
-			snap := pointSnapshot(cfg)
-			row := runFig4Point(c.name, c.sfh, c.flows, pickSize(cfg, 4000, 20000), snap)
-			recordSnap(cfg, p, snap)
-			return row
-		},
-		Render: func(cfg Config, rows []any, w io.Writer) {
-			assembleFig4(rows).Table.Render(w)
-		},
-	}
+// fig4 is one cell per (table kind, flow count).
+var fig4 = experiment[fig4Cell, Fig4Row, *Fig4Result]{
+	id:    "fig4",
+	cells: fig4Cells,
+	label: func(c fig4Cell) string { return fmt.Sprintf("%s/%d-flows", c.name, c.flows) },
+	run: func(cfg Config, _ int, c fig4Cell, snap *stats.Snapshot) Fig4Row {
+		return runFig4Point(c.name, c.sfh, c.flows, pickSize(cfg, 4000, 20000), snap)
+	},
+	assemble: assembleFig4,
+	render:   func(r *Fig4Result, w io.Writer) { r.Table.Render(w) },
 }
 
 // RunFig4 reproduces Fig. 4.
-func RunFig4(cfg Config) *Fig4Result {
-	return assembleFig4(runSerial(cfg, Fig4Sweep()))
-}
+func RunFig4(cfg Config) *Fig4Result { return fig4.result(cfg) }
 
-func assembleFig4(rows []any) *Fig4Result {
+func assembleFig4(_ Config, _ []fig4Cell, rows []Fig4Row) *Fig4Result {
 	res := &Fig4Result{
 		Table: metrics.NewTable("Figure 4: hash-table cache behaviour (cuckoo vs SFH)",
 			"table", "flows", "L2 MPKL", "LLC MPKL", "L2-stall", "LLC-stall", "util"),
 	}
 	res.Table.SetCaption("paper: cuckoo stays LLC-resident to 4M flows; SFH misses LLC from ~100K")
-	for _, r := range rows {
-		row := r.(Fig4Row)
-		res.Rows = append(res.Rows, row)
+	res.Rows = rows
+	for _, row := range rows {
 		res.Table.AddRow(row.Kind, row.Flows, row.L2MPKL, row.LLCMPKL,
 			metrics.Percent(row.L2StallPct), metrics.Percent(row.LLCStallPct),
 			metrics.Percent(row.Utilisation))

@@ -8,6 +8,7 @@ import (
 	"halo/internal/halo"
 	"halo/internal/metrics"
 	"halo/internal/sim"
+	"halo/internal/stats"
 )
 
 // Fig8Point is one (register size, flow count) accuracy measurement.
@@ -33,7 +34,7 @@ type fig8Cell struct {
 	flows int
 }
 
-func fig8Cells() []fig8Cell {
+func fig8Cells(Config) []fig8Cell {
 	var cells []fig8Cell
 	for _, bits := range []uint{8, 16, 32, 64} {
 		for _, mult := range []float64{0.25, 0.5, 1, 2, 4} {
@@ -43,36 +44,23 @@ func fig8Cells() []fig8Cell {
 	return cells
 }
 
-// Fig8Sweep decomposes Fig. 8b into one point per (register size, flow
-// count) cell. Each cell draws from its own seeded generator (derived from
-// cfg.Seed and the cell's position) so the cells are independent of sweep
-// order.
-func Fig8Sweep() Sweep {
-	return Sweep{
-		Points: func(cfg Config) []Point {
-			cells := fig8Cells()
-			pts := make([]Point, len(cells))
-			for i, c := range cells {
-				pts[i] = Point{Experiment: "fig8", Index: i,
-					Label: fmt.Sprintf("%dbit/%dflows", c.bits, c.flows)}
-			}
-			return pts
-		},
-		RunPoint: func(cfg Config, p Point) any {
-			return runFig8Cell(cfg, p.Index, fig8Cells()[p.Index])
-		},
-		Render: func(cfg Config, rows []any, w io.Writer) {
-			assembleFig8(rows).Table.Render(w)
-		},
-	}
+// fig8 is one cell per (register size, flow count). Each cell draws from
+// its own seeded generator (derived from cfg.Seed and the cell's position)
+// so the cells are independent of sweep order.
+var fig8 = experiment[fig8Cell, Fig8Point, *Fig8Result]{
+	id:       "fig8",
+	cells:    fig8Cells,
+	label:    func(c fig8Cell) string { return fmt.Sprintf("%dbit/%dflows", c.bits, c.flows) },
+	run:      runFig8Cell,
+	assemble: assembleFig8,
+	render:   func(r *Fig8Result, w io.Writer) { r.Table.Render(w) },
 }
 
 // RunFig8 reproduces Fig. 8b.
-func RunFig8(cfg Config) *Fig8Result {
-	return assembleFig8(runSerial(cfg, Fig8Sweep()))
-}
+func RunFig8(cfg Config) *Fig8Result { return fig8.result(cfg) }
 
-func runFig8Cell(cfg Config, index int, c fig8Cell) Fig8Point {
+// runFig8Cell is analytic — no simulated platform, so nothing to collect.
+func runFig8Cell(cfg Config, index int, c fig8Cell, _ *stats.Snapshot) Fig8Point {
 	trials := pickSize(cfg, 60, 400)
 	rng := sim.NewRand(pointSeed(cfg, index))
 	var sumEst, sumErr float64
@@ -102,15 +90,14 @@ func runFig8Cell(cfg Config, index int, c fig8Cell) Fig8Point {
 	}
 }
 
-func assembleFig8(rows []any) *Fig8Result {
+func assembleFig8(_ Config, _ []fig8Cell, rows []Fig8Point) *Fig8Result {
 	res := &Fig8Result{
 		Table: metrics.NewTable("Figure 8b: flow-register estimation accuracy (linear counting)",
 			"bits", "flows", "mean-estimate", "rel-err", "saturated"),
 	}
 	res.Table.SetCaption("paper: an m-bit register accurately estimates ~2m flows")
-	for _, r := range rows {
-		pt := r.(Fig8Point)
-		res.Points = append(res.Points, pt)
+	res.Points = rows
+	for _, pt := range rows {
 		res.Table.AddRow(pt.RegisterBits, pt.Flows, pt.MeanEstimate,
 			metrics.Percent(pt.MeanRelErr), metrics.Percent(pt.SaturatedPct))
 	}

@@ -79,62 +79,48 @@ func fig9Cells(cfg Config) []fig9Cell {
 	return cells
 }
 
-// Fig9Sweep decomposes Fig. 9 into one point per (size, occupancy, mode):
-// every compared solution at every sweep coordinate is its own simulator
-// run, exactly as the paper's separate gem5 runs were.
-func Fig9Sweep() Sweep {
-	return Sweep{
-		Points: func(cfg Config) []Point {
-			cells := fig9Cells(cfg)
-			pts := make([]Point, len(cells))
-			for i, c := range cells {
-				pts[i] = Point{Experiment: "fig9", Index: i,
-					Label: fmt.Sprintf("%s/%d-entries/%.0f%%", c.mode, c.size, c.occ*100)}
-			}
-			return pts
-		},
-		RunPoint: func(cfg Config, p Point) any {
-			c := fig9Cells(cfg)[p.Index]
-			snap := pointSnapshot(cfg)
-			row := runFig9Point(c.mode, c.size, c.occ, pickSize(cfg, 1500, 5000), snap)
-			recordSnap(cfg, p, snap)
-			return row
-		},
-		Render: func(cfg Config, rows []any, w io.Writer) {
-			assembleFig9(cfg, rows).Table.Render(w)
-		},
-	}
+// fig9 is one cell per (size, occupancy, mode): every compared solution at
+// every sweep coordinate is its own simulator run, exactly as the paper's
+// separate gem5 runs were. A row is the cell's cycles per lookup.
+var fig9 = experiment[fig9Cell, float64, *Fig9Result]{
+	id:    "fig9",
+	cells: fig9Cells,
+	label: func(c fig9Cell) string {
+		return fmt.Sprintf("%s/%d-entries/%.0f%%", c.mode, c.size, c.occ*100)
+	},
+	run: func(cfg Config, _ int, c fig9Cell, snap *stats.Snapshot) float64 {
+		return runFig9Point(c.mode, c.size, c.occ, pickSize(cfg, 1500, 5000), snap)
+	},
+	assemble: assembleFig9,
+	render:   func(r *Fig9Result, w io.Writer) { r.Table.Render(w) },
 }
 
 // RunFig9 reproduces Fig. 9.
-func RunFig9(cfg Config) *Fig9Result {
-	return assembleFig9(cfg, runSerial(cfg, Fig9Sweep()))
-}
+func RunFig9(cfg Config) *Fig9Result { return fig9.result(cfg) }
 
-func assembleFig9(cfg Config, rows []any) *Fig9Result {
+func assembleFig9(_ Config, cells []fig9Cell, cycles []float64) *Fig9Result {
 	res := &Fig9Result{
 		Table: metrics.NewTable("Figure 9: single hash-table lookup throughput (normalized to software)",
 			"entries", "occ", "software", "halo-B", "halo-NB", "tcam", "sram-tcam"),
 	}
 	res.Table.SetCaption("paper: HALO up to 3.3x in the LLC regime; software wins for tiny tables; TCAM fastest")
 
-	i := 0
-	for _, size := range fig9Sizes(cfg) {
-		for _, occ := range fig9Occupancies(cfg) {
-			cycles := map[Fig9Mode]float64{}
-			for _, mode := range Fig9Modes {
-				cycles[mode] = rows[i].(float64)
-				i++
-			}
-			row := []any{size, fmt.Sprintf("%.0f%%", occ*100)}
-			for _, mode := range Fig9Modes {
-				norm := cycles[ModeSoftware] / cycles[mode]
-				res.Points = append(res.Points, Fig9Point{
-					Mode: mode, Entries: size, Occupancy: occ,
-					CyclesPerLookup: cycles[mode], Normalized: norm,
-				})
-				row = append(row, fmt.Sprintf("%.2fx (%.0fcyc)", norm, cycles[mode]))
-			}
+	// Modes are the innermost coordinate, software first: each (size,
+	// occupancy) group opens with its own baseline and is one table row.
+	var software float64
+	var row []any
+	for i, c := range cells {
+		if c.mode == ModeSoftware {
+			software = cycles[i]
+			row = []any{c.size, fmt.Sprintf("%.0f%%", c.occ*100)}
+		}
+		norm := software / cycles[i]
+		res.Points = append(res.Points, Fig9Point{
+			Mode: c.mode, Entries: c.size, Occupancy: c.occ,
+			CyclesPerLookup: cycles[i], Normalized: norm,
+		})
+		row = append(row, fmt.Sprintf("%.2fx (%.0fcyc)", norm, cycles[i]))
+		if c.mode == Fig9Modes[len(Fig9Modes)-1] {
 			res.Table.AddRow(row...)
 		}
 	}
@@ -158,7 +144,6 @@ func runFig9Point(mode Fig9Mode, entries uint64, occ float64, lookups int, snap 
 	}
 	f := newLookupFixture(entries, occ)
 	th := f.thread
-	warm := lookups / 2
 	defer collectInto(snap, f.p, th)
 
 	switch mode {
@@ -166,26 +151,15 @@ func runFig9Point(mode Fig9Mode, entries uint64, occ float64, lookups int, snap 
 		// Single-lookup rte_hash path: no cross-lookup prefetch pipeline.
 		opts := cuckoo.LookupOptions{OptimisticLock: true, Prefetch: false}
 		var kb [testKeyLen]byte
-		for i := 0; i < warm; i++ {
-			testKeyInto(uint64(i)%f.fill, kb[:])
+		return cyclesPerLookup(th, lookups, func(n uint64) {
+			testKeyInto(n%f.fill, kb[:])
 			f.table.TimedLookup(th, kb[:], opts)
-		}
-		start := th.Now
-		for i := 0; i < lookups; i++ {
-			testKeyInto(uint64(i*13)%f.fill, kb[:])
-			f.table.TimedLookup(th, kb[:], opts)
-		}
-		return float64(th.Now-start) / float64(lookups)
+		})
 
 	case ModeHaloB:
-		for i := 0; i < warm; i++ {
-			f.p.Unit.LookupBAt(th, f.table.Base(), f.stageKeyDMA(uint64(i)))
-		}
-		start := th.Now
-		for i := 0; i < lookups; i++ {
-			f.p.Unit.LookupBAt(th, f.table.Base(), f.stageKeyDMA(uint64(i*13)))
-		}
-		return float64(th.Now-start) / float64(lookups)
+		return cyclesPerLookup(th, lookups, func(n uint64) {
+			f.p.Unit.LookupBAt(th, f.table.Base(), f.stageKeyDMA(n))
+		})
 
 	case ModeHaloNB:
 		const batch = 8
@@ -203,7 +177,7 @@ func runFig9Point(mode Fig9Mode, entries uint64, occ float64, lookups int, snap 
 				f.p.Unit.LookupManyNBInto(th, qs, rs[:len(qs)])
 			}
 		}
-		run(warm, 7)
+		run(lookups/2, 7)
 		start := th.Now
 		run(lookups, 0)
 		return float64(th.Now-start) / float64(lookups)

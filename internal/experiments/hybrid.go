@@ -31,45 +31,29 @@ type HybridResult struct {
 	Table *metrics.Table
 }
 
-// hybridPhases fixes the traffic phases (and their point order).
-var hybridPhases = []string{"many-flows", "few-flows", "phase-shift"}
-
-// HybridSweep decomposes the controller study into one point per phase.
-func HybridSweep() Sweep {
-	return Sweep{
-		Points: func(cfg Config) []Point {
-			pts := make([]Point, len(hybridPhases))
-			for i, l := range hybridPhases {
-				pts[i] = Point{Experiment: "hybrid", Index: i, Label: l}
-			}
-			return pts
-		},
-		RunPoint: func(cfg Config, p Point) any {
-			snap := pointSnapshot(cfg)
-			row := runHybridPoint(hybridPhases[p.Index], pickSize(cfg, 2000, 12000), snap)
-			recordSnap(cfg, p, snap)
-			return row
-		},
-		Render: func(cfg Config, rows []any, w io.Writer) {
-			assembleHybrid(rows).Table.Render(w)
-		},
-	}
+// hybrid is one cell per traffic phase, named by its label.
+var hybrid = experiment[string, HybridRow, *HybridResult]{
+	id:    "hybrid",
+	cells: func(Config) []string { return []string{"many-flows", "few-flows", "phase-shift"} },
+	label: itself,
+	run: func(cfg Config, _ int, phase string, snap *stats.Snapshot) HybridRow {
+		return runHybridPoint(phase, pickSize(cfg, 2000, 12000), snap)
+	},
+	assemble: assembleHybrid,
+	render:   func(r *HybridResult, w io.Writer) { r.Table.Render(w) },
 }
 
 // RunHybrid measures the hybrid controller across the three phases.
-func RunHybrid(cfg Config) *HybridResult {
-	return assembleHybrid(runSerial(cfg, HybridSweep()))
-}
+func RunHybrid(cfg Config) *HybridResult { return hybrid.result(cfg) }
 
-func assembleHybrid(rows []any) *HybridResult {
+func assembleHybrid(_ Config, _ []string, rows []HybridRow) *HybridResult {
 	res := &HybridResult{
 		Table: metrics.NewTable("Hybrid controller (§4.6): mode selection across traffic phases",
 			"phase", "flows", "lookups", "sw-lookups", "hw-lookups", "scans", "switches", "final-mode", "cyc/lookup"),
 	}
 	res.Table.SetCaption("paper: below 64 active flows the L1-resident software path wins; above, the accelerators")
-	for _, r := range rows {
-		row := r.(HybridRow)
-		res.Rows = append(res.Rows, row)
+	res.Rows = rows
+	for _, row := range rows {
 		res.Table.AddRow(row.Phase, row.Flows, row.Lookups, row.SwLookups, row.HwLookups,
 			row.Scans, row.Switches, row.FinalMode, row.CyclesPerLookup)
 	}

@@ -25,59 +25,75 @@ type LockOverheadResult struct {
 	Table            *metrics.Table
 }
 
-// lockPassRow is the software-locking point's measurement.
+// lockRow is one of the three independent §3.4 measurements; each knows
+// which result fields it fills.
+type lockRow interface{ fill(*LockOverheadResult) }
+
+// lockPassRow is the software-locking measurement.
 type lockPassRow struct{ WithLock, WithoutLock float64 }
 
-// latencyRow is the remote-vs-LLC latency point's measurement.
-type latencyRow struct{ LLCHit, RemoteHit float64 }
-
-// LockOverheadSweep decomposes the §3.4 analysis into its three
-// independent measurements.
-func LockOverheadSweep() Sweep {
-	labels := []string{"software-lock", "remote-latency", "halo-lock"}
-	return Sweep{
-		Points: func(cfg Config) []Point {
-			pts := make([]Point, len(labels))
-			for i, l := range labels {
-				pts[i] = Point{Experiment: "lockoverhead", Index: i, Label: l}
-			}
-			return pts
-		},
-		RunPoint: func(cfg Config, p Point) any {
-			lookups := pickSize(cfg, 2000, 10000)
-			snap := pointSnapshot(cfg)
-			var row any
-			switch p.Index {
-			case 0:
-				// Optimistic-lock share of software lookup time, with
-				// writers interleaved so the version line actually bounces
-				// between cores. Only the locked pass is snapshotted: it is
-				// the configuration under study.
-				row = lockPassRow{
-					WithLock:    runLockPass(lookups, true, snap),
-					WithoutLock: runLockPass(lookups, false, nil),
-				}
-			case 1:
-				row = runLatencyProbe(snap)
-			default:
-				// HALO's hardware lock under the same read/write mix —
-				// lock stalls happen in the cache, with no instruction
-				// overhead.
-				row = runHaloLockPass(lookups, snap)
-			}
-			recordSnap(cfg, p, snap)
-			return row
-		},
-		Render: func(cfg Config, rows []any, w io.Writer) {
-			assembleLockOverhead(rows).Table.Render(w)
-		},
+func (r lockPassRow) fill(res *LockOverheadResult) {
+	res.LockSharePct = (r.WithLock - r.WithoutLock) / r.WithLock
+	if res.LockSharePct < 0 {
+		res.LockSharePct = 0
 	}
 }
 
-// RunLockOverhead reproduces the §3.4 measurements.
-func RunLockOverhead(cfg Config) *LockOverheadResult {
-	return assembleLockOverhead(runSerial(cfg, LockOverheadSweep()))
+// latencyRow is the remote-vs-LLC latency measurement.
+type latencyRow struct{ LLCHit, RemoteHit float64 }
+
+func (r latencyRow) fill(res *LockOverheadResult) {
+	res.LLCHitCycles = r.LLCHit
+	res.RemoteHitCycles = r.RemoteHit
+	res.RemoteOverLLC = r.RemoteHit / r.LLCHit
 }
+
+// haloLockRow is the hardware-lock stall share of HALO lookup time.
+type haloLockRow float64
+
+func (r haloLockRow) fill(res *LockOverheadResult) { res.HaloLockStallPct = float64(r) }
+
+// lockCell is one measurement: its label and how to take it.
+type lockCell struct {
+	label string
+	run   func(lookups int, snap *stats.Snapshot) lockRow
+}
+
+func lockCells(Config) []lockCell {
+	return []lockCell{
+		// Optimistic-lock share of software lookup time, with writers
+		// interleaved so the version line actually bounces between cores.
+		// Only the locked pass is snapshotted: it is the configuration
+		// under study.
+		{"software-lock", func(lookups int, snap *stats.Snapshot) lockRow {
+			return lockPassRow{
+				WithLock:    runLockPass(lookups, true, snap),
+				WithoutLock: runLockPass(lookups, false, nil),
+			}
+		}},
+		{"remote-latency", func(_ int, snap *stats.Snapshot) lockRow { return runLatencyProbe(snap) }},
+		// HALO's hardware lock under the same read/write mix — lock stalls
+		// happen in the cache, with no instruction overhead.
+		{"halo-lock", func(lookups int, snap *stats.Snapshot) lockRow {
+			return haloLockRow(runHaloLockPass(lookups, snap))
+		}},
+	}
+}
+
+// lockoverhead is the §3.4 analysis as its three independent measurements.
+var lockoverhead = experiment[lockCell, lockRow, *LockOverheadResult]{
+	id:    "lockoverhead",
+	cells: lockCells,
+	label: func(c lockCell) string { return c.label },
+	run: func(cfg Config, _ int, c lockCell, snap *stats.Snapshot) lockRow {
+		return c.run(pickSize(cfg, 2000, 10000), snap)
+	},
+	assemble: assembleLockOverhead,
+	render:   func(r *LockOverheadResult, w io.Writer) { r.Table.Render(w) },
+}
+
+// RunLockOverhead reproduces the §3.4 measurements.
+func RunLockOverhead(cfg Config) *LockOverheadResult { return lockoverhead.result(cfg) }
 
 // runLatencyProbe measures remote-private-cache access vs LLC access
 // (paper: remote is about 2x an LLC hit and can exceed 100 cycles).
@@ -106,20 +122,11 @@ func runLatencyProbe(snap *stats.Snapshot) latencyRow {
 	return latencyRow{LLCHit: llcTotal / 64, RemoteHit: remoteTotal / 64}
 }
 
-func assembleLockOverhead(rows []any) *LockOverheadResult {
-	pass := rows[0].(lockPassRow)
-	lat := rows[1].(latencyRow)
-	lockShare := (pass.WithLock - pass.WithoutLock) / pass.WithLock
-	if lockShare < 0 {
-		lockShare = 0
+func assembleLockOverhead(_ Config, _ []lockCell, rows []lockRow) *LockOverheadResult {
+	res := &LockOverheadResult{}
+	for _, r := range rows {
+		r.fill(res)
 	}
-	res := &LockOverheadResult{
-		LockSharePct:     lockShare,
-		LLCHitCycles:     lat.LLCHit,
-		RemoteHitCycles:  lat.RemoteHit,
-		HaloLockStallPct: rows[2].(float64),
-	}
-	res.RemoteOverLLC = res.RemoteHitCycles / res.LLCHitCycles
 
 	res.Table = metrics.NewTable("§3.4: concurrency overhead of flow classification",
 		"metric", "value")

@@ -24,21 +24,21 @@ func (r Runner) Run(cfg Config, w io.Writer) {
 // Registry returns every experiment runner, keyed and ordered by ID.
 func Registry() []Runner {
 	return []Runner{
-		{"fig3", "Figure 3 (packet-processing breakdown)", Fig3Sweep()},
-		{"fig4", "Figure 4 (cuckoo vs SFH cache behaviour)", Fig4Sweep()},
-		{"table1", "Table 1 (instruction profile)", Table1Sweep()},
-		{"lockoverhead", "§3.4 (concurrency overhead)", LockOverheadSweep()},
-		{"fig8", "Figure 8b (flow-register accuracy)", Fig8Sweep()},
-		{"fig9", "Figure 9 (single-table lookup sweep)", Fig9Sweep()},
-		{"fig10", "Figure 10 (latency breakdown)", Fig10Sweep()},
-		{"fig11", "Figure 11 (tuple space search)", Fig11Sweep()},
-		{"fig12", "Figure 12 (collocated NF interference)", Fig12Sweep()},
-		{"table4", "Table 4 (power and area)", Table4Sweep()},
-		{"fig13", "Figure 13 (hash-table NF speedup)", Fig13Sweep()},
-		{"ablations", "design-choice sweeps (beyond the paper)", AblationsSweep()},
-		{"scaling", "multicore scaling under rule churn (beyond the paper)", ScalingSweep()},
-		{"updates", "rule-update cost, cuckoo vs TCAM (§1 motivation)", UpdatesSweep()},
-		{"hybrid", "§4.6 hybrid controller mode selection (beyond the paper)", HybridSweep()},
+		fig3.runner("Figure 3 (packet-processing breakdown)"),
+		fig4.runner("Figure 4 (cuckoo vs SFH cache behaviour)"),
+		table1.runner("Table 1 (instruction profile)"),
+		lockoverhead.runner("§3.4 (concurrency overhead)"),
+		fig8.runner("Figure 8b (flow-register accuracy)"),
+		fig9.runner("Figure 9 (single-table lookup sweep)"),
+		fig10.runner("Figure 10 (latency breakdown)"),
+		fig11.runner("Figure 11 (tuple space search)"),
+		fig12.runner("Figure 12 (collocated NF interference)"),
+		table4.runner("Table 4 (power and area)"),
+		fig13.runner("Figure 13 (hash-table NF speedup)"),
+		ablations.runner("design-choice sweeps (beyond the paper)"),
+		scaling.runner("multicore scaling under rule churn (beyond the paper)"),
+		updates.runner("rule-update cost, cuckoo vs TCAM (§1 motivation)"),
+		hybrid.runner("§4.6 hybrid controller mode selection (beyond the paper)"),
 	}
 }
 

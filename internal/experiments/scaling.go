@@ -53,61 +53,41 @@ func scalingCells(cfg Config) []scalingCell {
 	return cells
 }
 
-// ScalingSweep decomposes the scaling study into one point per (mode,
-// core count); each point simulates its own lockstep multi-thread run.
-func ScalingSweep() Sweep {
-	return Sweep{
-		Points: func(cfg Config) []Point {
-			cells := scalingCells(cfg)
-			pts := make([]Point, len(cells))
-			for i, c := range cells {
-				pts[i] = Point{Experiment: "scaling", Index: i,
-					Label: fmt.Sprintf("%s/%d-cores", c.mode, c.cores)}
-			}
-			return pts
-		},
-		RunPoint: func(cfg Config, p Point) any {
-			c := scalingCells(cfg)[p.Index]
-			snap := pointSnapshot(cfg)
-			row := runScalingPoint(c.mode, c.cores, pickSize(cfg, 300, 1500), snap)
-			recordSnap(cfg, p, snap)
-			return row
-		},
-		Render: func(cfg Config, rows []any, w io.Writer) {
-			assembleScaling(cfg, rows).Table.Render(w)
-		},
-	}
+// scaling is one cell per (mode, core count); each simulates its own
+// lockstep multi-thread run. A row is aggregate lookups per cycle.
+var scaling = experiment[scalingCell, float64, *ScalingResult]{
+	id:    "scaling",
+	cells: scalingCells,
+	label: func(c scalingCell) string { return fmt.Sprintf("%s/%d-cores", c.mode, c.cores) },
+	run: func(cfg Config, _ int, c scalingCell, snap *stats.Snapshot) float64 {
+		return runScalingPoint(c.mode, c.cores, pickSize(cfg, 300, 1500), snap)
+	},
+	assemble: assembleScaling,
+	render:   func(r *ScalingResult, w io.Writer) { r.Table.Render(w) },
 }
 
 // RunScaling measures multicore scaling for the software and HALO paths.
-func RunScaling(cfg Config) *ScalingResult {
-	return assembleScaling(cfg, runSerial(cfg, ScalingSweep()))
-}
+func RunScaling(cfg Config) *ScalingResult { return scaling.result(cfg) }
 
-func assembleScaling(cfg Config, rows []any) *ScalingResult {
+func assembleScaling(_ Config, cells []scalingCell, tputs []float64) *ScalingResult {
 	res := &ScalingResult{
 		Table: metrics.NewTable("Scaling (extension): shared-table lookup throughput vs cores",
 			"mode", "cores", "lookups/kcycle", "efficiency"),
 	}
 	res.Table.SetCaption("one updater thread churns the table; core 15 is reserved for it")
 
-	i := 0
-	for _, mode := range []Fig9Mode{ModeSoftware, ModeHaloB, ModeHaloNB} {
-		var single float64
-		for _, n := range scalingCoreCounts(cfg) {
-			tput := rows[i].(float64)
-			i++
-			if single == 0 {
-				single = tput
-			}
-			pt := ScalingPoint{
-				Mode: mode, Cores: n,
-				LookupsPerK: tput * 1000,
-				Efficiency:  tput / (float64(n) * single),
-			}
-			res.Points = append(res.Points, pt)
-			res.Table.AddRow(string(mode), n, pt.LookupsPerK, fmt.Sprintf("%.2f", pt.Efficiency))
+	var single float64 // the mode's one-core throughput; every mode's sweep opens with it
+	for i, c := range cells {
+		if c.cores == 1 {
+			single = tputs[i]
 		}
+		pt := ScalingPoint{
+			Mode: c.mode, Cores: c.cores,
+			LookupsPerK: tputs[i] * 1000,
+			Efficiency:  tputs[i] / (float64(c.cores) * single),
+		}
+		res.Points = append(res.Points, pt)
+		res.Table.AddRow(string(c.mode), c.cores, pt.LookupsPerK, fmt.Sprintf("%.2f", pt.Efficiency))
 	}
 	return res
 }

@@ -30,31 +30,21 @@ type table1Row struct {
 	OtherShare            float64
 }
 
-// Table1Sweep exposes the single instruction-profile measurement as a
-// one-point sweep.
-func Table1Sweep() Sweep {
-	return Sweep{
-		Points: func(cfg Config) []Point {
-			return []Point{{Experiment: "table1", Index: 0, Label: "instruction-profile"}}
-		},
-		RunPoint: func(cfg Config, p Point) any {
-			snap := pointSnapshot(cfg)
-			row := runTable1Point(cfg, snap)
-			recordSnap(cfg, p, snap)
-			return row
-		},
-		Render: func(cfg Config, rows []any, w io.Writer) {
-			assembleTable1(rows).Table.Render(w)
-		},
-	}
+// table1 is the single instruction-profile measurement: one cell, named
+// by its label.
+var table1 = experiment[string, table1Row, *Table1Result]{
+	id:       "table1",
+	cells:    func(Config) []string { return []string{"instruction-profile"} },
+	label:    itself,
+	run:      runTable1Point,
+	assemble: assembleTable1,
+	render:   func(r *Table1Result, w io.Writer) { r.Table.Render(w) },
 }
 
 // RunTable1 reproduces Table 1.
-func RunTable1(cfg Config) *Table1Result {
-	return assembleTable1(runSerial(cfg, Table1Sweep()))
-}
+func RunTable1(cfg Config) *Table1Result { return table1.result(cfg) }
 
-func runTable1Point(cfg Config, snap *stats.Snapshot) table1Row {
+func runTable1Point(cfg Config, _ int, _ string, snap *stats.Snapshot) table1Row {
 	lookups := pickSize(cfg, 2000, 20000)
 	f := newLookupFixture(1<<14, 0.75)
 	var kb [testKeyLen]byte
@@ -81,8 +71,8 @@ func runTable1Point(cfg Config, snap *stats.Snapshot) table1Row {
 	}
 }
 
-func assembleTable1(rows []any) *Table1Result {
-	row := rows[0].(table1Row)
+func assembleTable1(_ Config, _ []string, rows []table1Row) *Table1Result {
+	row := rows[0]
 	res := &Table1Result{
 		InstructionsPerLookup: row.InstructionsPerLookup,
 		LoadShare:             row.LoadShare,

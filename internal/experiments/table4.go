@@ -5,6 +5,7 @@ import (
 
 	"halo/internal/metrics"
 	"halo/internal/power"
+	"halo/internal/stats"
 )
 
 // Table4Result reproduces Table 4 (power and area) plus the energy
@@ -25,34 +26,31 @@ type table4Row struct {
 	HaloAreaPercent float64
 }
 
-// Table4Sweep exposes the power-model evaluation as a one-point sweep.
-func Table4Sweep() Sweep {
-	return Sweep{
-		Points: func(cfg Config) []Point {
-			return []Point{{Experiment: "table4", Index: 0, Label: "power-model"}}
-		},
-		RunPoint: func(cfg Config, p Point) any {
-			return table4Row{
-				Rows:            power.Table4(),
-				EfficiencyVs1MB: power.EfficiencyVsTCAM(1 << 20),
-				HaloAreaPercent: power.HaloChipAreaPercent(),
-			}
-		},
-		Render: func(cfg Config, rows []any, w io.Writer) {
-			r := assembleTable4(rows)
-			r.Table.Render(w)
-			r.EfficiencyTable.Render(w)
-		},
-	}
+// table4 is the power-model evaluation: one analytic cell, named by its
+// label.
+var table4 = experiment[string, table4Row, *Table4Result]{
+	id:    "table4",
+	cells: func(Config) []string { return []string{"power-model"} },
+	label: itself,
+	run: func(Config, int, string, *stats.Snapshot) table4Row {
+		return table4Row{
+			Rows:            power.Table4(),
+			EfficiencyVs1MB: power.EfficiencyVsTCAM(1 << 20),
+			HaloAreaPercent: power.HaloChipAreaPercent(),
+		}
+	},
+	assemble: assembleTable4,
+	render: func(r *Table4Result, w io.Writer) {
+		r.Table.Render(w)
+		r.EfficiencyTable.Render(w)
+	},
 }
 
 // RunTable4 reproduces Table 4.
-func RunTable4(cfg Config) *Table4Result {
-	return assembleTable4(runSerial(cfg, Table4Sweep()))
-}
+func RunTable4(cfg Config) *Table4Result { return table4.result(cfg) }
 
-func assembleTable4(rows []any) *Table4Result {
-	row := rows[0].(table4Row)
+func assembleTable4(_ Config, _ []string, rows []table4Row) *Table4Result {
+	row := rows[0]
 	res := &Table4Result{
 		Rows:            row.Rows,
 		EfficiencyVs1MB: row.EfficiencyVs1MB,

@@ -47,53 +47,36 @@ func updatesCells(cfg Config) []updatesCell {
 	return cells
 }
 
-// UpdatesSweep decomposes the update-cost study into one point per
-// (solution, table size).
-func UpdatesSweep() Sweep {
-	return Sweep{
-		Points: func(cfg Config) []Point {
-			cells := updatesCells(cfg)
-			pts := make([]Point, len(cells))
-			for i, c := range cells {
-				pts[i] = Point{Experiment: "updates", Index: i,
-					Label: fmt.Sprintf("%s/%d-entries", c.solution, c.size)}
-			}
-			return pts
-		},
-		RunPoint: func(cfg Config, p Point) any {
-			c := updatesCells(cfg)[p.Index]
-			ops := pickSize(cfg, 400, 2000)
-			snap := pointSnapshot(cfg)
-			var row any
-			if c.solution == "cuckoo" {
-				row = runCuckooUpdates(c.size, ops, snap)
-			} else {
-				row = runTCAMUpdates(c.size, ops, cfg.Seed, snap)
-			}
-			recordSnap(cfg, p, snap)
-			return row
-		},
-		Render: func(cfg Config, rows []any, w io.Writer) {
-			assembleUpdates(cfg, rows).Table.Render(w)
-		},
-	}
+// updates is one cell per (solution, table size); a row is cycles per
+// update.
+var updates = experiment[updatesCell, float64, *UpdatesResult]{
+	id:    "updates",
+	cells: updatesCells,
+	label: func(c updatesCell) string { return fmt.Sprintf("%s/%d-entries", c.solution, c.size) },
+	run: func(cfg Config, _ int, c updatesCell, snap *stats.Snapshot) float64 {
+		ops := pickSize(cfg, 400, 2000)
+		if c.solution == "cuckoo" {
+			return runCuckooUpdates(c.size, ops, snap)
+		}
+		return runTCAMUpdates(c.size, ops, cfg.Seed, snap)
+	},
+	assemble: assembleUpdates,
+	render:   func(r *UpdatesResult, w io.Writer) { r.Table.Render(w) },
 }
 
 // RunUpdates measures rule-update cost (alternating insert/delete at random
 // priority positions) for the software cuckoo table and a TCAM.
-func RunUpdates(cfg Config) *UpdatesResult {
-	return assembleUpdates(cfg, runSerial(cfg, UpdatesSweep()))
-}
+func RunUpdates(cfg Config) *UpdatesResult { return updates.result(cfg) }
 
-func assembleUpdates(cfg Config, rows []any) *UpdatesResult {
+func assembleUpdates(_ Config, cells []updatesCell, cycles []float64) *UpdatesResult {
 	res := &UpdatesResult{
 		Table: metrics.NewTable("Updates (extension): rule-update cost, cuckoo vs TCAM",
 			"solution", "entries", "cycles/update", "updates/ms @2.1GHz"),
 	}
 	res.Table.SetCaption("paper §1: TCAM updates are expensive (priority shifting); cuckoo is near-constant")
 
-	for i, cell := range updatesCells(cfg) {
-		c := rows[i].(float64)
+	for i, cell := range cells {
+		c := cycles[i]
 		res.Points = append(res.Points, UpdatePoint{
 			Solution: cell.solution, Entries: cell.size, CyclesPerOp: c,
 			UpdatesPerMsec: ClockGHz * 1e6 / c,

@@ -70,9 +70,11 @@ const maxKeyWords = MaxKeyLen / 8
 // a shard holding 1<<32 entries would need a slot index that wraps to zero.
 const maxPerShard = 1 << 32
 
-// defaultMigrateBuckets is how many old-region buckets a writer operation
-// migrates while a resize is in flight, when Config.MigrateBuckets is zero.
-const defaultMigrateBuckets = 2
+// migrateBuckets is how many old-region buckets a writer operation migrates
+// before doing its own work while a resize is in flight (at most
+// migrateBuckets × EntriesPerBucket key moves: the bound on the pause a
+// resize adds to any one operation). Readers never migrate.
+const migrateBuckets = 2
 
 // Common errors.
 var (
@@ -99,11 +101,6 @@ type Config struct {
 	// starts an incremental doubling. Must be in (0,1). Zero disables
 	// auto-grow; Table.Grow still works.
 	GrowAt float64
-	// MigrateBuckets bounds the per-writer-operation migration quantum
-	// during a resize: each Insert/Update/Delete moves at most this many
-	// old-region buckets before doing its own work. Zero means
-	// defaultMigrateBuckets; readers never migrate.
-	MigrateBuckets int
 }
 
 // Table is a sharded concurrent flow table. Lookups are safe from any number
@@ -145,18 +142,11 @@ func New(cfg Config) (*Table, error) {
 	if cfg.GrowAt != 0 && (cfg.GrowAt <= 0 || cfg.GrowAt >= 1) {
 		return nil, fmt.Errorf("flowserve: GrowAt %v out of range (0,1)", cfg.GrowAt)
 	}
-	if cfg.MigrateBuckets < 0 {
-		return nil, fmt.Errorf("flowserve: MigrateBuckets %d negative", cfg.MigrateBuckets)
-	}
 	perShard := (cfg.Entries + uint64(cfg.Shards) - 1) / uint64(cfg.Shards)
 	// >= (not >): slot indexes are uint32, so exactly 1<<32 entries would
 	// truncate to a zero capacity (see maxPerShard).
 	if perShard >= maxPerShard {
 		return nil, fmt.Errorf("flowserve: %d entries per shard exceeds slot index width", perShard)
-	}
-	quantum := cfg.MigrateBuckets
-	if quantum == 0 {
-		quantum = defaultMigrateBuckets
 	}
 	t := &Table{
 		shards:   make([]*shard, cfg.Shards),
@@ -165,7 +155,7 @@ func New(cfg Config) (*Table, error) {
 		stripes:  make([]readStripe, batchStripes),
 	}
 	for i := range t.shards {
-		t.shards[i] = newShard(perShard, cfg.KeyLen, t.keyWords, cfg.GrowAt, quantum)
+		t.shards[i] = newShard(perShard, cfg.KeyLen, t.keyWords, cfg.GrowAt)
 	}
 	t.batchPool = newBatchPool(t)
 	return t, nil
@@ -399,7 +389,6 @@ type shard struct {
 	// Resize state.
 	migrated  uint64           // old-region buckets fully migrated
 	growAt    float64          // auto-grow load factor; 0 = disabled
-	quantum   int              // buckets migrated per writer op
 	pauseHist *stats.Histogram // ns per migration step
 
 	// BFS displacement scratch.
@@ -408,7 +397,7 @@ type shard struct {
 	bfsPath    []pathNode
 	bfsVisited map[uint64]bool
 
-	_ [40]byte // rounds the struct up to whole lines (TestShardLayout)
+	_ [48]byte // rounds the struct up to whole lines (TestShardLayout)
 }
 
 // readCounters are the per-shard counters the read path writes. They are
@@ -455,12 +444,11 @@ type readStripe struct {
 	_      [cacheLine - 24]byte
 }
 
-func newShard(entries uint64, keyLen, keyWords int, growAt float64, quantum int) *shard {
+func newShard(entries uint64, keyLen, keyWords int, growAt float64) *shard {
 	sh := &shard{
 		kvStride:  keyWords + 1,
 		keyLen:    keyLen,
 		growAt:    growAt,
-		quantum:   quantum,
 		pauseHist: stats.NewHistogramRes(stats.HighResSubBits),
 	}
 	sh.regions.Store(&regionPair{cur: newRegion(entries, keyWords)})
@@ -658,7 +646,7 @@ func (sh *shard) placeLocked(cur *region, kw *[maxKeyWords]uint64, nw int, h uin
 func (sh *shard) insert(kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16, value uint64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.migrateLocked(sh.quantum)
+	sh.migrateLocked(migrateBuckets)
 	rp := sh.regions.Load()
 	if _, _, _, exists := sh.locate(rp, kw, nw, h, sig); exists {
 		sh.c.insertExists.Add(1)
@@ -709,7 +697,7 @@ func (sh *shard) freeEntry(r *region, b1, b2 uint64) (uint64, bool) {
 func (sh *shard) update(kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16, value uint64) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.migrateLocked(sh.quantum)
+	sh.migrateLocked(migrateBuckets)
 	r, _, slot, found := sh.locate(sh.regions.Load(), kw, nw, h, sig)
 	if !found {
 		return false
@@ -725,7 +713,7 @@ func (sh *shard) update(kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16, v
 func (sh *shard) delete(kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.migrateLocked(sh.quantum)
+	sh.migrateLocked(migrateBuckets)
 	r, entIdx, slot, found := sh.locate(sh.regions.Load(), kw, nw, h, sig)
 	if !found {
 		return false

@@ -11,7 +11,7 @@ import (
 //
 // A resize installs a second, larger region next to the live one and moves
 // buckets across incrementally: every writer operation migrates at most
-// Config.MigrateBuckets old-region buckets before doing its own work, and
+// migrateBuckets old-region buckets before doing its own work, and
 // ResizeStep lets a caller tick migration forward explicitly (e.g. from a
 // maintenance goroutine). The protocol keeps three invariants:
 //
@@ -72,7 +72,7 @@ func (t *Table) Resizing() bool {
 }
 
 // ResizeStep migrates up to buckets old-region buckets on every shard that
-// is mid-resize (buckets <= 0 means the configured per-op quantum) and
+// is mid-resize (buckets <= 0 means the writers' per-operation quantum) and
 // reports whether any migration remains. Callers that want growth to
 // complete without waiting for organic write traffic loop:
 //
@@ -86,10 +86,9 @@ func (t *Table) ResizeStep(buckets int) bool {
 		}
 		sh.mu.Lock()
 		if buckets <= 0 {
-			sh.migrateLocked(sh.quantum)
-		} else {
-			sh.migrateLocked(buckets)
+			buckets = migrateBuckets
 		}
+		sh.migrateLocked(buckets)
 		if sh.regions.Load().old != nil {
 			remaining = true
 		}
@@ -119,7 +118,7 @@ func (sh *shard) startGrowLocked(newCap uint64) {
 func (sh *shard) finishMigrationLocked() {
 	for sh.regions.Load().old != nil {
 		before := sh.migrated
-		sh.migrateLocked(sh.quantum)
+		sh.migrateLocked(migrateBuckets)
 		if sh.regions.Load().old != nil && sh.migrated == before {
 			// A stalled migration (current region truly full) cannot be
 			// drained; the caller is about to grow again, which unsticks it.

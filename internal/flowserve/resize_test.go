@@ -153,7 +153,7 @@ func TestGrowErrShrink(t *testing.T) {
 // TestMigrationAmortisedOverWrites checks that ordinary writer traffic — not
 // just ResizeStep — advances an in-flight migration, bounded per op.
 func TestMigrationAmortisedOverWrites(t *testing.T) {
-	tbl := mustNew(t, Config{Shards: 1, Entries: 512, KeyLen: 20, MigrateBuckets: 2})
+	tbl := mustNew(t, Config{Shards: 1, Entries: 512, KeyLen: 20})
 	const n = 400
 	for i := uint64(0); i < n; i++ {
 		if err := tbl.Insert(key20(i), i); err != nil {

@@ -172,7 +172,7 @@ func TestResizeStress(t *testing.T) {
 		writerOps = 10_000
 	)
 	tbl := mustNew(t, Config{
-		Shards: 2, Entries: 4096, KeyLen: 20, GrowAt: 0.8, MigrateBuckets: 2,
+		Shards: 2, Entries: 4096, KeyLen: 20, GrowAt: 0.8,
 	})
 
 	// Key index spaces: [0,residents) resident, then churn, then ghost, then

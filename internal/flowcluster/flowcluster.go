@@ -10,7 +10,9 @@
 // router dialed, only when a newer map is installed. LookupMany groups a
 // batch's keys by owning node, writes the per-node sub-batches back-to-back
 // from the caller's goroutine over the pooled per-node clients and then
-// collects the replies in the same order; single-key reads and mutations
+// collects the replies in the same order, reading each node's connection
+// itself — a client has no reader goroutine, so the fan-out wakes nobody;
+// single-key reads and mutations
 // route to the range owner through one loop (Router.do). When a
 // node answers WRONG_SHARD — its map is newer than the router's, i.e. a live
 // migration cut over — the router refetches the map from that node, installs

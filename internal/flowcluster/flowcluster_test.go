@@ -889,6 +889,30 @@ func TestRouterSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestRouterLookupManyHandsNothingOff pins that the fan-out collects from the
+// caller's goroutine: it reads each node's connection itself, so no reply of a
+// 15-key batch spread over three nodes crosses goroutines on any node's
+// client.
+func TestRouterLookupManyHandsNothingOff(t *testing.T) {
+	eps, _ := startCluster(t, 3)
+	r := dialRouter(t, eps)
+	owned, _ := ownedKeys(t, r, 5)
+	batch := spreadBatch(owned)
+	results := make([]flowserve.Result, len(batch))
+	for i := 0; i < 200; i++ {
+		if hits := r.LookupMany(batch, results); hits != len(batch) {
+			t.Fatalf("LookupMany of %d resident keys = %d hits", len(batch), hits)
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for ep, cl := range r.clients {
+		if c := cl.Counters(); c != (flowwire.ClientCounters{}) {
+			t.Errorf("node %s client counters = %+v, want zeroes", ep, c)
+		}
+	}
+}
+
 // BenchmarkRouterLookupMany is a 15-key batch spread over an in-process
 // 3-node cluster on tcp loopback; run with -benchmem for the end-to-end
 // router+clients+servers allocs/op.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,14 +77,17 @@ type clientCounters struct {
 	errors      atomic.Uint64 // calls coerced into a miss/false by a failure
 	timeouts    atomic.Uint64 // calls that hit CallTimeout
 	lateReplies atomic.Uint64 // replies discarded: no caller was waiting
+	handoffs    atomic.Uint64 // replies a caller got from another caller's read
 }
 
 // Client is a remote flowserve table: it implements flowserve.Reader and
 // flowserve.Writer over the wire protocol, so a *Client drops in wherever a
 // *flowserve.Table serves (flowload's -remote mode drives both through one
-// code path). Connection-level transport failures are sticky: the first one
-// breaks the client, every later call fails fast, and Err reports the
-// cause. Lookups on a broken client return misses, mirroring the
+// code path). It has no goroutines: a call writes its request and then reads
+// the connection until its own reply arrives, so a dead peer is noticed by
+// the next call, not in the background. Connection-level transport failures
+// are sticky: the first one breaks the client, every later call fails fast,
+// and Err reports the cause. Lookups on a broken client return misses, mirroring the
 // interface's error-free read signatures — and every such coercion is
 // counted (Counters, CollectInto), so callers can gate on the delta.
 type Client struct {
@@ -106,50 +110,38 @@ var (
 	_ flowserve.Writer = (*Client)(nil)
 )
 
-// pcall is one in-flight call's slot: the reply channel the readLoop
-// delivers on, a reusable payload buffer the readLoop fills (the reply's
-// Payload aliases it — zero copies, zero steady-state allocations), and the
-// call's pooled timeout timer. Ownership is explicit: a pcall registered in
-// a conn's pending map is owned by the readLoop from the moment it is
-// removed from the map until the channel send; before removal the caller
-// can reclaim it (timeout path) by deleting the map entry under pmu. That
-// handshake is what makes a late reply unable to reach the wrong caller: a
-// pcall is only ever recycled by whichever side provably owns it.
+// pcall is one in-flight call's slot: a reusable payload buffer the
+// connection's reader fills (the reply's Payload aliases it — zero copies,
+// zero steady-state allocations), the channel a reader that is not the
+// slot's own caller delivers on, and the timer a caller arms only when it
+// has to wait behind such a reader. Ownership is explicit: a pcall
+// registered in a conn's pending map is owned by the reader from the moment
+// it is removed from the map until the reply is returned or sent; before
+// removal the caller can reclaim it (timeout path) by deleting the map entry
+// under pmu. That handshake is what makes a late reply unable to reach the
+// wrong caller: a pcall is only ever recycled by whichever side provably owns
+// it.
 type pcall struct {
 	ch    chan Frame
 	buf   []byte
 	timer *time.Timer
 }
 
-func (cl *Client) getCall(d time.Duration) *pcall {
-	pc := cl.calls.Get().(*pcall)
-	if pc.timer == nil {
-		pc.timer = time.NewTimer(d)
-	} else {
-		// Drain-before-Reset: the timer is not being received concurrently
-		// (single owner), so this is the safe reuse pattern.
-		if !pc.timer.Stop() {
-			select {
-			case <-pc.timer.C:
-			default:
-			}
-		}
-		pc.timer.Reset(d)
-	}
-	return pc
-}
-
 func (cl *Client) putCall(pc *pcall) {
 	if pc == nil {
 		return
 	}
-	pc.timer.Stop()
+	if pc.timer != nil {
+		pc.timer.Stop()
+	}
 	cl.calls.Put(pc)
 }
 
-// cliConn is one pooled connection: writes serialise on wmu (reqID
-// assignment + frame encode into the conn-owned wbuf scratch + flush), the
-// reader goroutine matches reply reqIDs to waiting calls.
+// cliConn is one pooled connection. Writes serialise on wmu (reqID
+// assignment + frame encode into the conn-owned wbuf scratch + flush). Reads
+// belong to whoever holds the read token: token is a one-slot channel that
+// holds the token while nobody reads, and the goroutine that takes it owns
+// br, rf and discard — the stream position — until it puts the token back.
 type cliConn struct {
 	cl     *Client
 	nc     net.Conn
@@ -157,6 +149,11 @@ type cliConn struct {
 	wmu    sync.Mutex
 	wbuf   []byte // request frame scratch, guarded by wmu
 	nextID uint64
+
+	token   chan struct{}
+	br      *bufio.Reader
+	rf      Frame  // reply header scratch; a local would escape into the io.Reader call
+	discard []byte // where a late reply's payload goes
 
 	pmu     sync.Mutex
 	pending map[uint64]*pcall
@@ -177,9 +174,12 @@ func DialEndpoint(ep Endpoint, opts Options) (*Client, error) {
 			cl.Close()
 			return nil, fmt.Errorf("flowwire: dial %s: %w", ep, err)
 		}
-		c := &cliConn{cl: cl, nc: nc, bw: bufio.NewWriterSize(nc, 64<<10), pending: make(map[uint64]*pcall)}
+		c := &cliConn{
+			cl: cl, nc: nc, bw: bufio.NewWriterSize(nc, 64<<10), br: bufio.NewReaderSize(nc, 64<<10),
+			token: make(chan struct{}, 1), pending: make(map[uint64]*pcall),
+		}
+		c.token <- struct{}{}
 		cl.conns = append(cl.conns, c)
-		go c.readLoop()
 	}
 	pc, p, err := cl.do(OpHello, nil, helloReplyLen)
 	if err == nil {
@@ -214,21 +214,23 @@ func (cl *Client) Err() error {
 	return nil
 }
 
-// ClientCounters is a snapshot of the client-side failure counters.
+// ClientCounters is a snapshot of the client-side counters.
 type ClientCounters struct {
 	Errors      uint64 // calls coerced into a miss/false by a failure
 	Timeouts    uint64 // calls that hit CallTimeout
 	LateReplies uint64 // replies discarded with no caller waiting
+	Handoffs    uint64 // replies a caller got from another caller's read: one wake-up each
 }
 
-// Counters snapshots the client-side failure counters. In a healthy run
-// every field is zero; flowload surfaces the delta per sweep point and
+// Counters snapshots the client-side counters. In a healthy run every field
+// but Handoffs is zero; flowload surfaces the delta per sweep point and
 // -check fails on nonzero Errors.
 func (cl *Client) Counters() ClientCounters {
 	return ClientCounters{
 		Errors:      cl.c.errors.Load(),
 		Timeouts:    cl.c.timeouts.Load(),
 		LateReplies: cl.c.lateReplies.Load(),
+		Handoffs:    cl.c.handoffs.Load(),
 	}
 }
 
@@ -237,6 +239,7 @@ func (cl *Client) CollectInto(snap *stats.Snapshot) {
 	snap.Add("flowwire.client.errors", cl.c.errors.Load())
 	snap.Add("flowwire.client.timeouts", cl.c.timeouts.Load())
 	snap.Add("flowwire.client.late_replies", cl.c.lateReplies.Load())
+	snap.Add("flowwire.client.handoffs", cl.c.handoffs.Load())
 }
 
 func (cl *Client) fail(err error) {
@@ -252,86 +255,17 @@ func (cl *Client) Close() error {
 	return nil
 }
 
-// readLoop dispatches reply frames to their waiting calls. A reply whose
-// reqID matches no waiting call lost the race with its call's timeout (or
-// is a server fault): its payload is drained into a loop-local scratch,
-// flowwire.client.late_replies counts it, and the connection keeps serving
-// — it can never be delivered to a different caller, because the caller's
-// pcall was removed from pending under pmu before the caller reclaimed it.
-// Any read error fails every pending call on the connection and breaks the
-// client.
-func (c *cliConn) readLoop() {
-	br := bufio.NewReaderSize(c.nc, 64<<10)
-	var discard []byte
-	var cause error
-	var f Frame
-	for {
-		plen, err := ReadFrameHeader(br, c.cl.opts.MaxFrame, &f)
-		if err != nil {
-			cause = err
-			break
-		}
-		c.pmu.Lock()
-		pc := c.pending[f.ReqID]
-		delete(c.pending, f.ReqID)
-		c.pmu.Unlock()
-		if pc == nil {
-			c.cl.c.lateReplies.Add(1)
-			if cap(discard) < plen {
-				discard = make([]byte, plen)
-			}
-			if _, err := io.ReadFull(br, discard[:plen]); err != nil {
-				cause = err
-				break
-			}
-			continue
-		}
-		// The readLoop owns pc from the delete above until the send: the
-		// payload lands in pc's reusable buffer with no intermediate copy.
-		if cap(pc.buf) < plen {
-			pc.buf = make([]byte, plen)
-		}
-		pc.buf = pc.buf[:plen]
-		if _, err := io.ReadFull(br, pc.buf); err != nil {
-			// Claimed but undeliverable: the close below tells the caller.
-			close(pc.ch)
-			cause = err
-			break
-		}
-		f.Payload = pc.buf
-		pc.ch <- f
-	}
-	switch {
-	case c.cl.closed.Load():
-		cause = ErrClientClosed
-	case cause == io.EOF:
-		cause = ErrConnClosed
-	}
-	if cause != ErrClientClosed {
-		c.cl.fail(cause)
-	}
-	c.pmu.Lock()
-	c.dead = true
-	c.deadErr = cause
-	waiting := c.pending
-	c.pending = make(map[uint64]*pcall)
-	c.pmu.Unlock()
-	c.nc.Close()
-	for _, pc := range waiting {
-		close(pc.ch) // a closed channel signals "no reply; see deadErr"
-	}
-}
-
 // ticket is a started call: the slot its reply will land in, the connection
-// it was written to and the reqID that ties the two together. Between start
-// and wait the slot belongs to the connection (registered in pending, or
-// claimed by the readLoop); wait takes it back. A ticket is waited exactly
-// once: an unwaited one leaks its slot and its pending entry, a second wait
-// would read a slot some other call already owns.
+// it was written to, the reqID that ties the two together and the instant the
+// call times out. Between start and wait the slot belongs to the connection
+// (registered in pending, or claimed by a reader); wait takes it back. A
+// ticket is waited exactly once: an unwaited one leaks its slot and its
+// pending entry, a second wait would read a slot some other call already owns.
 type ticket struct {
-	pc *pcall
-	c  *cliConn
-	id uint64
+	pc       *pcall
+	c        *cliConn
+	id       uint64
+	deadline time.Time
 }
 
 // start is the first half of the exchange: it registers a call slot on a
@@ -354,7 +288,7 @@ func (cl *Client) start(op Op, payload []byte) (ticket, error) {
 	}
 	c := cl.conns[cl.rr.Add(1)%uint64(len(cl.conns))]
 
-	pc := cl.getCall(cl.opts.CallTimeout)
+	pc := cl.calls.Get().(*pcall)
 	c.wmu.Lock()
 	c.pmu.Lock()
 	if c.dead {
@@ -374,7 +308,8 @@ func (cl *Client) start(op Op, payload []byte) (ticket, error) {
 	// under a later write.
 	c.wbuf = AppendFrameHeader(c.wbuf[:0], op, StatusOK, id, len(payload))
 	c.wbuf = append(c.wbuf, payload...)
-	err := c.nc.SetWriteDeadline(time.Now().Add(cl.opts.WriteTimeout))
+	now := time.Now()
+	err := c.nc.SetWriteDeadline(now.Add(cl.opts.WriteTimeout))
 	if err == nil {
 		_, err = c.bw.Write(c.wbuf)
 	}
@@ -392,56 +327,193 @@ func (cl *Client) start(op Op, payload []byte) (ticket, error) {
 		}
 		c.pmu.Unlock()
 		cl.fail(err)
-		c.nc.Close() // the read loop fails the registered call
+		c.nc.Close() // whoever reads next fails the registered calls
 	}
 	c.wmu.Unlock()
-	return ticket{pc: pc, c: c, id: id}, nil
+	return ticket{pc: pc, c: c, id: id, deadline: now.Add(cl.opts.CallTimeout)}, nil
 }
 
 // wait is the second half of the exchange: it blocks until t's reply, the
-// call timeout or the death of t's connection. On success the returned pcall
-// owns f.Payload's backing buffer; on error the pcall has already been dealt
-// with and nil is returned.
+// call timeout or the death of t's connection. There is no reader goroutine:
+// the caller takes the connection's read token and reads its own reply. Only
+// a caller that finds the token taken waits as a follower — on its slot, its
+// timer (armed here, so a lone caller touches none) and the token, which the
+// reader hands on when it returns. On success the returned pcall owns
+// f.Payload's backing buffer; on error the pcall has already been dealt with
+// and nil is returned.
 func (cl *Client) wait(t ticket) (*pcall, Frame, error) {
 	pc, c := t.pc, t.c
 	select {
-	case f, ok := <-pc.ch:
-		if !ok {
-			// Conn death closed the channel; never recycle a closed-channel
-			// pcall — the pool must only hold live slots.
-			c.pmu.Lock()
-			err := c.deadErr
-			c.pmu.Unlock()
-			if err == nil {
-				err = ErrConnClosed
+	case <-c.token:
+	default:
+		rearm(&pc.timer, time.Until(t.deadline))
+		select {
+		case <-c.token:
+		case f, ok := <-pc.ch:
+			if ok {
+				cl.c.handoffs.Add(1)
+			}
+			return c.delivered(pc, f, ok)
+		case <-pc.timer.C:
+			return nil, Frame{}, c.timedOut(t)
+		}
+	}
+	pc, f, err := c.read(t)
+	c.token <- struct{}{}
+	return pc, f, err
+}
+
+// delivered is the receive from a call's slot: the reply a reader sent, or
+// the closed channel with which the connection's death fails the call. A slot
+// whose channel is closed is dropped, never recycled — the pool must only hold
+// live slots.
+func (c *cliConn) delivered(pc *pcall, f Frame, ok bool) (*pcall, Frame, error) {
+	if ok {
+		return pc, f, nil
+	}
+	c.pmu.Lock()
+	err := c.deadErr
+	c.pmu.Unlock()
+	return nil, Frame{}, err
+}
+
+// timedOut takes t's slot back after its timeout. A slot still registered is
+// the caller's again once its entry is deleted under pmu: nothing will ever be
+// sent on it. Otherwise a reader claimed it first (only a follower can find
+// that) and a send or a conn-death close is committed: take it and discard,
+// so the reply cannot leak into the buffered channel and the slot is not
+// recycled while the reader can still touch it.
+func (c *cliConn) timedOut(t ticket) error {
+	c.cl.c.timeouts.Add(1)
+	c.pmu.Lock()
+	_, registered := c.pending[t.id]
+	delete(c.pending, t.id)
+	c.pmu.Unlock()
+	if !registered {
+		if _, ok := <-t.pc.ch; !ok {
+			return ErrCallTimeout
+		}
+		c.cl.c.lateReplies.Add(1)
+	}
+	c.cl.putCall(t.pc)
+	return ErrCallTimeout
+}
+
+// read makes the caller, who holds c's token, the connection's reader until
+// t's reply arrives: every other frame goes to the slot registered under its
+// reqID, and one that matches no waiting call lost the race with its call's
+// timeout (or is a server fault) — its payload is drained,
+// flowwire.client.late_replies counts it and the connection keeps serving. It
+// can never reach a different caller, because its slot left pending under pmu
+// before the slot was reclaimed.
+//
+// The timeout is the connection's read deadline. Nothing of a frame is
+// consumed before its whole header is buffered, so a deadline between frames
+// fails this call alone and leaves the stream where the next reader expects
+// it; a deadline or any other error inside a frame tears the stream, breaks
+// the client and fails every pending call on the connection.
+func (c *cliConn) read(t ticket) (*pcall, Frame, error) {
+	select {
+	case f, ok := <-t.pc.ch: // an earlier reader got there first
+		return c.delivered(t.pc, f, ok)
+	default:
+	}
+	c.nc.SetReadDeadline(t.deadline) // a dead connection fails the Peek below
+	for {
+		if hdr, err := c.br.Peek(headerSize); err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				return nil, Frame{}, c.timedOut(t)
+			}
+			if err == io.EOF && len(hdr) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, Frame{}, c.kill(err)
+		}
+		plen, err := ReadFrameHeader(c.br, c.cl.opts.MaxFrame, &c.rf)
+		if err != nil {
+			return nil, Frame{}, c.kill(err)
+		}
+		c.pmu.Lock()
+		pc := c.pending[c.rf.ReqID]
+		delete(c.pending, c.rf.ReqID)
+		c.pmu.Unlock()
+		// The reader owns pc from the delete above until it returns or sends
+		// it: the payload lands in pc's reusable buffer with no copy between.
+		buf := &c.discard
+		if pc != nil {
+			buf = &pc.buf
+		} else {
+			c.cl.c.lateReplies.Add(1)
+		}
+		if cap(*buf) < plen {
+			*buf = make([]byte, plen)
+		}
+		*buf = (*buf)[:plen]
+		if _, err := io.ReadFull(c.br, *buf); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			err = c.kill(fmt.Errorf("flowwire: reply torn inside a frame: %w", err))
+			if pc != nil {
+				close(pc.ch) // claimed but undeliverable (harmless on the reader's own slot, which is dropped)
 			}
 			return nil, Frame{}, err
 		}
-		return pc, f, nil
-	case <-pc.timer.C:
-		cl.c.timeouts.Add(1)
-		c.pmu.Lock()
-		if _, registered := c.pending[t.id]; registered {
-			// The readLoop never claimed this call: deleting it under pmu
-			// guarantees nothing will ever be sent on pc.ch, so the slot is
-			// ours to recycle.
-			delete(c.pending, t.id)
-			c.pmu.Unlock()
-			cl.putCall(pc)
-			return nil, Frame{}, ErrCallTimeout
+		c.rf.Payload = *buf
+		if pc == t.pc {
+			return pc, c.rf, nil
 		}
-		c.pmu.Unlock()
-		// The readLoop claimed the call before the timeout could take it
-		// back: a send (or a conn-death close) is committed. Take it and
-		// discard — the reply must not leak into the buffered channel, and
-		// the slot must not be recycled while the readLoop can still touch
-		// it.
-		if _, ok := <-pc.ch; ok {
-			cl.c.lateReplies.Add(1)
-			cl.putCall(pc)
+		if pc != nil {
+			pc.ch <- c.rf
 		}
-		return nil, Frame{}, ErrCallTimeout
 	}
+}
+
+// kill breaks the connection on the reader's error and fails every call
+// pending on it by closing its slot's channel ("no reply; see deadErr"). It
+// returns the connection's error: cause, unless the client was closed or a
+// failed write killed the connection first.
+func (c *cliConn) kill(cause error) error {
+	switch {
+	case c.cl.closed.Load():
+		cause = ErrClientClosed
+	case cause == io.EOF:
+		cause = ErrConnClosed
+	}
+	if cause != ErrClientClosed {
+		c.cl.fail(cause)
+	}
+	c.pmu.Lock()
+	if !c.dead {
+		c.dead, c.deadErr = true, cause
+	}
+	cause = c.deadErr
+	waiting := c.pending
+	c.pending = nil
+	c.pmu.Unlock()
+	c.nc.Close()
+	for _, pc := range waiting {
+		close(pc.ch)
+	}
+	return cause
+}
+
+// rearm makes *tp a timer that fires after d, reusing the one already there.
+// The timer has a single owner and is not being received from, so
+// drain-before-Reset is the safe reuse pattern.
+func rearm(tp **time.Timer, d time.Duration) {
+	t := *tp
+	if t == nil {
+		*tp = time.NewTimer(d)
+		return
+	}
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
 }
 
 // call sends one request on a pooled connection and waits for its reply:

@@ -3,8 +3,12 @@ package flowwire
 import (
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"net"
+	"os"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,18 +17,20 @@ import (
 )
 
 // slowLookupServer is a hand-rolled single-connection server that answers
-// HELLO immediately but delays each of the first `slow` LOOKUP or LOOKUP_MANY
-// replies by `delay` — the deliberately slow server the timeout-race
-// regression needs. Lookup replies carry value = first key byte, so a caller
-// can prove the reply it got belongs to its own request and not to an earlier
-// timed-out one.
-func slowLookupServer(t *testing.T, slow int, delay time.Duration) Endpoint {
+// HELLO immediately and the i-th LOOKUP or LOOKUP_MANY after delayFor(i) — the
+// deliberately slow server the timeout-race tests need. Lookup replies carry
+// value = first key byte, so a caller can prove the reply it got belongs to
+// its own request and not to an earlier timed-out one. The returned counter
+// is the number of lookup replies written so far: a test that wants a late
+// reply drained waits for it to be on the wire first.
+func slowLookupServer(t *testing.T, delayFor func(i int) time.Duration) (Endpoint, *atomic.Int64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
+	written := new(atomic.Int64)
 	go func() {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -32,8 +38,7 @@ func slowLookupServer(t *testing.T, slow int, delay time.Duration) Endpoint {
 		}
 		defer nc.Close()
 		var wmu sync.Mutex
-		slowLeft := slow
-		for {
+		for i := 0; ; {
 			var f Frame
 			if err := ReadFrame(nc, 0, &f); err != nil {
 				return
@@ -45,13 +50,6 @@ func slowLookupServer(t *testing.T, slow int, delay time.Duration) Endpoint {
 				nc.Write(AppendFrame(nil, &Frame{Op: OpHello, ReqID: f.ReqID, Payload: payload}))
 				wmu.Unlock()
 			case OpLookup, OpLookupMany:
-				// Replies are concurrent so a delayed one does not
-				// head-of-line block the requests behind it.
-				wait := time.Duration(0)
-				if slowLeft > 0 {
-					slowLeft--
-					wait = delay
-				}
 				var p []byte
 				if f.Op == OpLookup {
 					p = binary.LittleEndian.AppendUint64([]byte{1}, uint64(f.Payload[0]))
@@ -63,25 +61,102 @@ func slowLookupServer(t *testing.T, slow int, delay time.Duration) Endpoint {
 					}
 					p = appendLookupManyReply(nil, res)
 				}
+				// Replies are concurrent so a delayed one does not
+				// head-of-line block the requests behind it.
 				go func(reply []byte, wait time.Duration) {
 					time.Sleep(wait)
 					wmu.Lock()
 					nc.Write(reply)
+					written.Add(1)
 					wmu.Unlock()
-				}(AppendFrame(nil, &Frame{Op: f.Op, ReqID: f.ReqID, Payload: p}), wait)
+				}(AppendFrame(nil, &Frame{Op: f.Op, ReqID: f.ReqID, Payload: p}), delayFor(i))
+				i++
 			}
 		}
 	}()
-	return Endpoint{Transport: TransportTCP, Addr: ln.Addr().String()}
+	return Endpoint{Transport: TransportTCP, Addr: ln.Addr().String()}, written
 }
 
-// TestLateReplyAfterTimeout pins the readLoop/timeout race: a reply that
+// manualServer accepts one connection, answers its HELLO and from then on
+// only listens: every later request is handed to the test on reqs, and the
+// test writes the replies — whole, partial or never — on the connection
+// itself.
+type manualServer struct {
+	ep   Endpoint
+	reqs chan Frame
+	conn chan net.Conn
+}
+
+func startManualServer(t *testing.T) *manualServer {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	ms := &manualServer{
+		ep:   Endpoint{Transport: TransportTCP, Addr: ln.Addr().String()},
+		reqs: make(chan Frame, 16), // more than any test keeps outstanding
+		conn: make(chan net.Conn, 1),
+	}
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		for first := true; ; first = false {
+			var f Frame
+			if err := ReadFrame(nc, 0, &f); err != nil {
+				return
+			}
+			if first {
+				payload := appendHelloReply(nil, HelloInfo{KeyLen: 20, Shards: 1, Capacity: 64})
+				nc.Write(AppendFrame(nil, &Frame{Op: OpHello, ReqID: f.ReqID, Payload: payload}))
+				ms.conn <- nc
+				continue
+			}
+			ms.reqs <- f
+		}
+	}()
+	return ms
+}
+
+// dial connects a one-connection client and returns it with the server's end
+// of the connection.
+func (ms *manualServer) dial(t *testing.T, opts Options) (*Client, net.Conn) {
+	t.Helper()
+	opts.Conns = 1
+	cl := dialTest(t, ms.ep, opts)
+	nc := <-ms.conn
+	t.Cleanup(func() { nc.Close() })
+	return cl, nc
+}
+
+// lookupManyReply encodes the reply to a one-key LOOKUP_MANY request:
+// a hit whose value is the key's first byte.
+func lookupManyReply(req *Frame) []byte {
+	p := appendLookupManyReply(nil, []flowserve.Result{{OK: true, Value: uint64(req.Payload[6])}})
+	return AppendFrame(nil, &Frame{Op: OpLookupMany, ReqID: req.ReqID, Payload: p})
+}
+
+// startOne starts a one-key LOOKUP_MANY and returns its ticket with the
+// request as the server received it.
+func (ms *manualServer) startOne(t *testing.T, cl *Client, key []byte) (LookupTicket, Frame) {
+	t.Helper()
+	lt, err := cl.StartLookupMany([][]byte{key})
+	if err != nil {
+		t.Fatalf("StartLookupMany: %v", err)
+	}
+	return lt, <-ms.reqs
+}
+
+// TestLateReplyAfterTimeout pins the reply/timeout race: a reply that
 // arrives after its call timed out must be discarded (counted as a late
-// reply), must not poison the client, and must never be delivered to a
-// later caller — the later caller gets its own reply, matched by reqID. The
-// timeout runs from the start of the exchange, so it holds alike for a
-// blocking call and for a ticket started and only waited on after CallTimeout
-// has passed.
+// reply by the reader that drains it), must not poison the client, and must
+// never be delivered to a later caller — the later caller gets its own reply,
+// matched by reqID. The timeout runs from the start of the exchange, so it
+// holds alike for a blocking call and for a ticket started and only waited on
+// after CallTimeout has passed.
 func TestLateReplyAfterTimeout(t *testing.T) {
 	const callTimeout = 60 * time.Millisecond
 	k1 := wkey(0x11)
@@ -111,7 +186,12 @@ func TestLateReplyAfterTimeout(t *testing.T) {
 		}, 0},
 	} {
 		t.Run(first.name, func(t *testing.T) {
-			addr := slowLookupServer(t, 1, 400*time.Millisecond)
+			addr, written := slowLookupServer(t, func(i int) time.Duration {
+				if i == 0 {
+					return 400 * time.Millisecond
+				}
+				return 0
+			})
 			cl, err := DialEndpoint(addr, Options{CallTimeout: callTimeout})
 			if err != nil {
 				t.Fatalf("DialEndpoint: %v", err)
@@ -134,14 +214,21 @@ func TestLateReplyAfterTimeout(t *testing.T) {
 				t.Fatalf("lookup after timeout = (%#x,%v), want (0x22,true)", v, ok)
 			}
 
-			// The late reply eventually lands and is discarded, not fatal.
-			waitFor(t, "the late reply to be counted", func() bool { return cl.Counters().LateReplies == 1 })
+			// Nobody reads in the background: the late reply sits in the stream
+			// until the next call's reader finds it ahead of its own reply, and
+			// is discarded there — counted, not fatal.
+			waitFor(t, "the late reply to be written", func() bool { return written.Load() == 2 })
+			if c := cl.Counters(); c.LateReplies != 0 {
+				t.Fatalf("late_replies = %d with no call made since the reply landed", c.LateReplies)
+			}
+			if v, ok := cl.Lookup(wkey(0x33)); !ok || v != 0x33 {
+				t.Fatalf("lookup draining the late reply = (%#x,%v)", v, ok)
+			}
+			if c := cl.Counters(); c.LateReplies != 1 {
+				t.Fatalf("late_replies = %d after the third lookup drained the stream, want 1", c.LateReplies)
+			}
 			if err := cl.Err(); err != nil {
 				t.Fatalf("late reply broke the client: %v", err)
-			}
-			// The connection is still fully usable after the discard.
-			if v, ok := cl.Lookup(wkey(0x33)); !ok || v != 0x33 {
-				t.Fatalf("lookup after late-reply discard = (%#x,%v)", v, ok)
 			}
 
 			snap := stats.NewSnapshot()
@@ -201,61 +288,19 @@ func pendingCalls(c *cliConn) int {
 	return len(c.pending)
 }
 
-// TestConnDeathBetweenStartAndWait pins the ticket's failure path: when the
-// server hangs up with tickets outstanding, every one of them fails with the
-// connection's error when waited, nothing is left in pending, and none of the
-// slots whose channel the death closed goes back to the pool.
-func TestConnDeathBetweenStartAndWait(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	const outstanding = 3
-	go func() {
-		nc, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer nc.Close()
-		// Answer the HELLO, swallow the lookups, then hang up.
-		var f Frame
-		for got := 0; got < outstanding; {
-			if err := ReadFrame(nc, 0, &f); err != nil {
-				return
-			}
-			if f.Op == OpHello {
-				payload := appendHelloReply(nil, HelloInfo{KeyLen: 20, Shards: 1, Capacity: 64})
-				nc.Write(AppendFrame(nil, &Frame{Op: OpHello, ReqID: f.ReqID, Payload: payload}))
-			} else {
-				got++
-			}
-		}
-	}()
-	cl, err := DialEndpoint(Endpoint{Transport: TransportTCP, Addr: ln.Addr().String()}, Options{})
-	if err != nil {
-		t.Fatalf("DialEndpoint: %v", err)
-	}
-	defer cl.Close()
-
-	var tickets [outstanding]LookupTicket
-	for i := range tickets {
-		if tickets[i], err = cl.StartLookupMany([][]byte{wkey(uint64(i))}); err != nil {
-			t.Fatalf("StartLookupMany %d: %v", i, err)
-		}
-	}
-	waitFor(t, "the hang-up to break the client", func() bool { return cl.Err() != nil })
-	res := make([]flowserve.Result, 1)
-	for i, lt := range tickets {
-		if err := lt.Wait(res, nil); err == nil || err != cl.Err() {
-			t.Fatalf("Wait %d = %v, want the connection's error %v", i, err, cl.Err())
-		}
+// assertConnDead checks what every connection death must leave behind on a
+// one-connection client: nothing pending, no slot with a closed channel in
+// the pool, and a start that refuses with the client's error.
+func assertConnDead(t *testing.T, cl *Client) {
+	t.Helper()
+	if cl.Err() == nil {
+		t.Fatal("the connection died and Err() is nil")
 	}
 	if n := pendingCalls(cl.conns[0]); n != 0 {
-		t.Fatalf("%d calls still pending on the dead connection", n)
+		t.Errorf("%d calls still pending on the dead connection", n)
 	}
 	// Whatever the pool hands out next must be a live slot.
-	for i := 0; i < 2*outstanding; i++ {
+	for i := 0; i < 8; i++ {
 		select {
 		case _, ok := <-cl.calls.Get().(*pcall).ch:
 			if !ok {
@@ -265,7 +310,310 @@ func TestConnDeathBetweenStartAndWait(t *testing.T) {
 		}
 	}
 	if _, err := cl.StartLookupMany([][]byte{wkey(1)}); err != cl.Err() {
-		t.Fatalf("StartLookupMany on the broken client = %v, want %v", err, cl.Err())
+		t.Errorf("StartLookupMany on the broken client = %v, want %v", err, cl.Err())
+	}
+}
+
+// TestConnDeathBetweenStartAndWait pins the ticket's failure path: a hang-up
+// is noticed by the next read on the connection, not in the background. With
+// tickets outstanding when the server hangs up, the first Wait reads the EOF,
+// breaks the client and fails every other ticket; each fails with the
+// connection's error when waited.
+func TestConnDeathBetweenStartAndWait(t *testing.T) {
+	ms := startManualServer(t)
+	cl, nc := ms.dial(t, Options{})
+	var tickets [3]LookupTicket
+	for i := range tickets {
+		tickets[i], _ = ms.startOne(t, cl, wkey(uint64(i)))
+	}
+	nc.Close() // every request swallowed, none answered
+	res := make([]flowserve.Result, 1)
+	for i, lt := range tickets {
+		if err := lt.Wait(res, nil); err == nil || err != cl.Err() {
+			t.Fatalf("Wait %d = %v, want the connection's error %v", i, err, cl.Err())
+		}
+	}
+	if !errors.Is(cl.Err(), ErrConnClosed) {
+		t.Errorf("Err() = %v, want ErrConnClosed", cl.Err())
+	}
+	assertConnDead(t, cl)
+}
+
+// TestTimeoutInsideAFrameBreaksTheConnection pins the fatal half of the read
+// deadline: the server sends a reply's header and half its payload and then
+// stalls past CallTimeout. The stream position is lost, so the call fails
+// with the read error (not ErrCallTimeout), the connection is dead, and a
+// second pending ticket fails with the same error.
+func TestTimeoutInsideAFrameBreaksTheConnection(t *testing.T) {
+	ms := startManualServer(t)
+	cl, nc := ms.dial(t, Options{CallTimeout: 60 * time.Millisecond})
+	lt1, req1 := ms.startOne(t, cl, wkey(0x11))
+	lt2, _ := ms.startOne(t, cl, wkey(0x22))
+	reply := lookupManyReply(&req1)
+	if _, err := nc.Write(reply[:headerSize+(len(reply)-headerSize)/2]); err != nil {
+		t.Fatal(err)
+	}
+	res := make([]flowserve.Result, 1)
+	err := lt1.Wait(res, nil)
+	if !errors.Is(err, os.ErrDeadlineExceeded) || errors.Is(err, ErrCallTimeout) {
+		t.Fatalf("Wait on a reply torn by the deadline = %v, want the read's deadline error", err)
+	}
+	if err != cl.Err() {
+		t.Fatalf("Err() = %v, want the torn read's error %v", cl.Err(), err)
+	}
+	if err2 := lt2.Wait(res, nil); err2 != err {
+		t.Fatalf("Wait on the other pending ticket = %v, want %v", err2, err)
+	}
+	if c := cl.Counters(); c.Timeouts != 0 {
+		t.Errorf("a torn stream was counted as %d per-call timeouts", c.Timeouts)
+	}
+	assertConnDead(t, cl)
+}
+
+// waited is what a LookupTicket.Wait on another goroutine came back with.
+type waited struct {
+	res flowserve.Result
+	err error
+}
+
+// waitAsReader waits on lt from a new goroutine and returns once that
+// goroutine holds the connection's read token, so whoever waits next on the
+// same connection does so as a follower.
+func waitAsReader(t *testing.T, cl *Client, lt LookupTicket) <-chan waited {
+	t.Helper()
+	done := make(chan waited, 1)
+	go func() {
+		res := make([]flowserve.Result, 1)
+		err := lt.Wait(res, nil)
+		done <- waited{res[0], err}
+	}()
+	waitFor(t, "the waiter to take the read token", func() bool { return len(cl.conns[0].token) == 0 })
+	return done
+}
+
+// TestFollowerTimesOutWhileAnotherCallerReads pins the per-call half of the
+// timeout on a shared connection. Ticket A is started first and ticket B half
+// a CallTimeout later; B's waiter takes the read token, so A's waiter follows
+// on its own timer. The server answers neither until A has timed out: A gets
+// ErrCallTimeout while B, still reading, then gets its own reply; A's reply,
+// sent last, is drained and counted by the next call.
+func TestFollowerTimesOutWhileAnotherCallerReads(t *testing.T) {
+	const callTimeout = 200 * time.Millisecond
+	ms := startManualServer(t)
+	cl, nc := ms.dial(t, Options{CallTimeout: callTimeout})
+	ltA, reqA := ms.startOne(t, cl, wkey(0xA1))
+	time.Sleep(callTimeout / 2)
+	ltB, reqB := ms.startOne(t, cl, wkey(0xB2))
+
+	doneB := waitAsReader(t, cl, ltB)
+
+	res := []flowserve.Result{{Value: 7, OK: true}}
+	if err := ltA.Wait(res, nil); !errors.Is(err, ErrCallTimeout) {
+		t.Fatalf("follower's Wait = %v, want ErrCallTimeout", err)
+	}
+	if res[0] != (flowserve.Result{Value: 7, OK: true}) {
+		t.Fatalf("a timed-out Wait wrote %+v into results", res[0])
+	}
+	select {
+	case o := <-doneB:
+		t.Fatalf("the reader returned (%+v, %v) before its reply was sent", o.res, o.err)
+	default:
+	}
+	nc.Write(lookupManyReply(&reqB))
+	if o := <-doneB; o.err != nil || o.res != (flowserve.Result{Value: 0xB2, OK: true}) {
+		t.Fatalf("reader's Wait = (%+v, %v), want its own value 0xb2", o.res, o.err)
+	}
+	if c := cl.Counters(); c.Timeouts != 1 || c.LateReplies != 0 || c.Handoffs != 0 {
+		t.Fatalf("counters = %+v, want exactly one timeout", c)
+	}
+
+	// A's reply lands now; the next call reads past it.
+	nc.Write(lookupManyReply(&reqA))
+	ltC, reqC := ms.startOne(t, cl, wkey(0xC3))
+	nc.Write(lookupManyReply(&reqC))
+	if err := ltC.Wait(res, nil); err != nil || res[0].Value != 0xC3 {
+		t.Fatalf("Wait after the timeout = (%+v, %v), want value 0xc3", res[0], err)
+	}
+	if c := cl.Counters(); c.LateReplies != 1 {
+		t.Fatalf("late_replies = %d after the late reply was drained, want 1", c.LateReplies)
+	}
+	if err := cl.Err(); err != nil {
+		t.Fatalf("a follower's timeout broke the client: %v", err)
+	}
+	if n := pendingCalls(cl.conns[0]); n != 0 {
+		t.Fatalf("%d calls still pending", n)
+	}
+}
+
+// TestHandoffsCounted pins flowwire.client.handoffs: a caller that reads its
+// own replies hands nothing off, however many it has outstanding; a reply
+// that one caller's read delivers to another caller waiting behind it is one.
+func TestHandoffsCounted(t *testing.T) {
+	_, tbl, addr := startServer(t, flowserve.Config{Shards: 1, Entries: 128, KeyLen: 20}, Config{})
+	if err := tbl.Insert(wkey(1), 11); err != nil {
+		t.Fatal(err)
+	}
+	solo := dialTest(t, addr, Options{Conns: 1})
+	for i := 0; i < 1000; i++ {
+		if v, ok := solo.Lookup(wkey(1)); !ok || v != 11 {
+			t.Fatalf("lookup %d = (%d,%v)", i, v, ok)
+		}
+	}
+	if c := solo.Counters(); c != (ClientCounters{}) {
+		t.Fatalf("counters after 1000 calls from one goroutine = %+v, want zeroes", c)
+	}
+
+	// Two goroutines, one connection: A's request is ahead of B's on the
+	// wire, B reads first, so A's reply crosses goroutines.
+	ms := startManualServer(t)
+	cl, nc := ms.dial(t, Options{})
+	ltA, reqA := ms.startOne(t, cl, wkey(0xA1))
+	ltB, reqB := ms.startOne(t, cl, wkey(0xB2))
+	doneB := waitAsReader(t, cl, ltB)
+	nc.Write(lookupManyReply(&reqA))
+	res := make([]flowserve.Result, 1)
+	if err := ltA.Wait(res, nil); err != nil || res[0].Value != 0xA1 {
+		t.Fatalf("follower's Wait = (%+v, %v), want its own value 0xa1", res[0], err)
+	}
+	nc.Write(lookupManyReply(&reqB))
+	if o := <-doneB; o.err != nil || o.res.Value != 0xB2 {
+		t.Fatalf("reader's Wait = (%+v, %v), want its own value 0xb2", o.res, o.err)
+	}
+	if c := cl.Counters(); c != (ClientCounters{Handoffs: 1}) {
+		t.Fatalf("counters = %+v, want exactly one hand-off", c)
+	}
+	snap := stats.NewSnapshot()
+	cl.CollectInto(snap)
+	if snap.Counter("flowwire.client.handoffs") != 1 {
+		t.Fatalf("CollectInto counters = %v", snap.Counters)
+	}
+}
+
+// TestTicketOnAConnectionKilledByAFailedWrite pins the failure nobody reads
+// for: a ticket whose own request write failed is still a ticket, and with no
+// reader goroutine to fail it, it fails from its own Wait — as does a ticket
+// started before it — with the write's error.
+func TestTicketOnAConnectionKilledByAFailedWrite(t *testing.T) {
+	ms := startManualServer(t)
+	cl, _ := ms.dial(t, Options{})
+	lt1, _ := ms.startOne(t, cl, wkey(1))
+	cl.conns[0].nc.Close() // the next write on the connection fails
+	lt2, err := cl.StartLookupMany([][]byte{wkey(2)})
+	if err != nil {
+		t.Fatalf("a start whose write failed = %v, want a ticket", err)
+	}
+	if cl.Err() == nil {
+		t.Fatal("a failed write left no sticky error")
+	}
+	res := make([]flowserve.Result, 1)
+	for i, lt := range []LookupTicket{lt2, lt1} {
+		if err := lt.Wait(res, nil); err == nil || err != cl.Err() {
+			t.Fatalf("Wait %d = %v, want the write's error %v", i, err, cl.Err())
+		}
+	}
+	assertConnDead(t, cl)
+}
+
+// TestDialStartsNoReaderGoroutine pins that a tcp client is goroutine-free:
+// four connections dialed, none of them with a reader behind it. The server
+// is one goroutine started before the count is taken.
+func TestDialStartsNoReaderGoroutine(t *testing.T) {
+	const conns = 4
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		// The dials complete in the listen backlog; the HELLO goes to one
+		// connection of the pool, found by polling all four.
+		var ncs [conns]net.Conn
+		for i := range ncs {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer nc.Close()
+			ncs[i] = nc
+		}
+		var f Frame
+		for i := 0; ; i = (i + 1) % conns {
+			ncs[i].SetReadDeadline(time.Now().Add(5 * time.Millisecond))
+			if err := ReadFrame(ncs[i], 0, &f); err == nil {
+				payload := appendHelloReply(nil, HelloInfo{KeyLen: 20, Shards: 1, Capacity: 64})
+				ncs[i].Write(AppendFrame(nil, &Frame{Op: OpHello, ReqID: f.ReqID, Payload: payload}))
+				return
+			} else if !errors.Is(err, os.ErrDeadlineExceeded) {
+				return
+			}
+		}
+	}()
+	before := runtime.NumGoroutine()
+	cl, err := DialEndpoint(Endpoint{Transport: TransportTCP, Addr: ln.Addr().String()}, Options{Conns: conns})
+	if err != nil {
+		t.Fatalf("DialEndpoint: %v", err)
+	}
+	defer cl.Close()
+	<-served // the server goroutine is gone: anything above before-1 is the client's
+	waitFor(t, "the dial's own goroutines to exit", func() bool { return runtime.NumGoroutine() <= before-1 })
+}
+
+// TestCallersShareOneConnectionUnderTimeouts is the property run for the read
+// token: 8 goroutines on one connection against a server that holds a seeded
+// 5 % of its replies past CallTimeout. Whoever happens to be reading, every
+// call returns its own value or ErrCallTimeout; once every reply is on the
+// wire and a last lookup has drained the stream, each timeout has its late
+// reply and nothing is pending.
+func TestCallersShareOneConnectionUnderTimeouts(t *testing.T) {
+	const (
+		callers, calls = 8, 100
+		callTimeout    = 20 * time.Millisecond
+	)
+	rng := rand.New(rand.NewSource(24)) // only the server's read loop draws from it
+	addr, written := slowLookupServer(t, func(int) time.Duration {
+		if rng.Intn(100) < 5 {
+			return 3 * callTimeout
+		}
+		return 0
+	})
+	cl := dialTest(t, addr, Options{Conns: 1, CallTimeout: callTimeout})
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				b := uint64(g*calls+i) % 256
+				v, ok, err := cl.LookupE(wkey(b))
+				if errors.Is(err, ErrCallTimeout) {
+					continue
+				}
+				if err != nil || !ok || v != b {
+					t.Errorf("caller %d call %d = (%#x,%v,%v), want its own value %#x", g, i, v, ok, err, b)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	waitFor(t, "every reply to be written", func() bool { return written.Load() == callers*calls })
+	if v, ok := cl.Lookup(wkey(0x77)); !ok || v != 0x77 {
+		t.Fatalf("draining lookup = (%#x,%v)", v, ok)
+	}
+	c := cl.Counters()
+	if c.Timeouts != c.LateReplies || c.Errors != 0 {
+		t.Fatalf("counters = %+v, want every timeout matched by its late reply and no errors", c)
+	}
+	if c.Timeouts == 0 {
+		t.Error("no call timed out: the run exercised nothing")
+	}
+	if err := cl.Err(); err != nil {
+		t.Fatalf("per-call timeouts broke the client: %v", err)
+	}
+	if n := pendingCalls(cl.conns[0]); n != 0 {
+		t.Fatalf("%d calls still pending", n)
 	}
 }
 

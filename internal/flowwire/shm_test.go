@@ -206,6 +206,41 @@ func TestShmConnDeadlines(t *testing.T) {
 	}
 }
 
+// TestShmDeadlineStoreWakesNobody pins that a deadline stored with nobody
+// parked leaves no wake-up behind. An unconditional signal pre-armed the wake
+// channel: the next park returned at once, the reader spun a second full
+// budget and parked again — two parks counted for one sleep. The peer writes
+// only once the reader is parked, so the wait is exactly one park.
+func TestShmDeadlineStoreWakesNobody(t *testing.T) {
+	client, server := shmLoopbackPair(t)
+	sc := server.(*shmConn)
+	server.SetReadDeadline(time.Now().Add(time.Minute))
+	if n := len(sc.rxWait.ch); n != 0 {
+		t.Fatalf("SetReadDeadline with nobody parked left %d wake-ups armed", n)
+	}
+	_, _, before := ShmCounters()
+	wrote := make(chan error, 1)
+	go func() {
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
+			if _, _, parks := ShmCounters(); parks > before && sc.rx.cons.Load() != 0 {
+				break
+			}
+		}
+		_, err := client.Write([]byte("x"))
+		wrote <- err
+	}()
+	buf := make([]byte, 16)
+	if n, err := server.Read(buf); err != nil || n != 1 {
+		t.Fatalf("read = %d, %v", n, err)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if _, _, after := ShmCounters(); after-before != 1 {
+		t.Fatalf("one sleep on an empty ring counted %d parks, want 1", after-before)
+	}
+}
+
 // TestShmConnPeerClose pins the hangup semantics: the peer closing hands
 // the reader any residual ring bytes first, then io.EOF — the same drain
 // order a socket gives, which the server's reader loop relies on to

@@ -103,8 +103,9 @@ type waiter struct {
 
 func newWaiter() waiter { return waiter{ch: make(chan struct{}, 1)} }
 
-// signal wakes a parked waiter (or pre-arms the channel for the next
-// park — a spurious wake costs one recheck loop, never correctness).
+// signal wakes a parked waiter. One that lands just after the waiter woke
+// pre-arms the channel for the next park: a spurious wake costs one recheck
+// loop and one more spin budget, never correctness.
 func (w *waiter) signal() {
 	select {
 	case w.ch <- struct{}{}:
@@ -114,17 +115,7 @@ func (w *waiter) signal() {
 
 // sleep blocks until a signal, the duration elapsing, or closeCh closing.
 func (w *waiter) sleep(d time.Duration, closeCh <-chan struct{}) {
-	if w.timer == nil {
-		w.timer = time.NewTimer(d)
-	} else {
-		if !w.timer.Stop() {
-			select {
-			case <-w.timer.C:
-			default:
-			}
-		}
-		w.timer.Reset(d)
-	}
+	rearm(&w.timer, d)
 	select {
 	case <-w.ch:
 	case <-w.timer.C:
@@ -355,25 +346,31 @@ func (c *shmConn) Close() error {
 func (c *shmConn) LocalAddr() net.Addr  { return c.addr }
 func (c *shmConn) RemoteAddr() net.Addr { return c.addr }
 
-func storeDeadline(dst *atomic.Int64, t time.Time) {
+// setDeadline stores a deadline and wakes the waiter it governs if — and only
+// if — that waiter is parked: store the deadline, then load the parked flag;
+// park stores the flag, then loads the deadline, so one side always sees the
+// other. An unconditional signal would pre-arm the wake channel with nobody
+// parked, and the next park would return at once and spin a second budget.
+func setDeadline(dst *atomic.Int64, t time.Time, parked *atomic.Uint32, w *waiter) {
 	if t.IsZero() {
 		dst.Store(0)
 	} else {
 		dst.Store(t.UnixNano())
 	}
+	if parked.Load() != 0 {
+		w.signal()
+	}
 }
 
-// SetReadDeadline implements net.Conn; a parked or spinning reader
-// observes the new deadline promptly (the signal wakes a parked one).
+// SetReadDeadline implements net.Conn; a parked or spinning reader observes
+// the new deadline promptly.
 func (c *shmConn) SetReadDeadline(t time.Time) error {
-	storeDeadline(&c.readDeadline, t)
-	c.rxWait.signal()
+	setDeadline(&c.readDeadline, t, c.rx.cons, &c.rxWait)
 	return nil
 }
 
 func (c *shmConn) SetWriteDeadline(t time.Time) error {
-	storeDeadline(&c.writeDeadline, t)
-	c.txWait.signal()
+	setDeadline(&c.writeDeadline, t, c.tx.prod, &c.txWait)
 	return nil
 }
 

@@ -6,7 +6,9 @@
 // pipelined LOOKUP_NB — plus the mutation and introspection ops a remote
 // table needs. *flowwire.Client implements flowserve.Reader and
 // flowserve.Writer, so in-process and remote tables are interchangeable
-// behind one serving API (DESIGN.md §9).
+// behind one serving API (DESIGN.md §9). The client runs no goroutine of its
+// own: the caller waiting for a reply reads its connection itself, one
+// reader per connection at a time (DESIGN.md §10, "Client call lifecycle").
 //
 // Frame layout (all integers little-endian):
 //

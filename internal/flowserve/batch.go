@@ -1,10 +1,6 @@
 package flowserve
 
-import (
-	"runtime"
-
-	"halo/internal/hashfn"
-)
+import "halo/internal/hashfn"
 
 // Batch is reusable scratch for LookupMany. Like HALO's non-blocking lookup
 // window, a batch belongs to one issuing context: a Batch is NOT safe for
@@ -131,41 +127,26 @@ func (b *Batch) LookupMany(keys [][]byte, results []Result) int {
 	return hits
 }
 
-// lookupGroup probes one shard's group of keys under a shared seqlock
-// window. If a writer invalidates the window, the whole group re-probes;
-// after maxOptimistic attempts it runs once under the writer lock. The
-// shard's region set is loaded once per attempt, so every key in the group
-// probes one consistent old/current pair. A clean pass writes nothing the
-// shard's other readers or its writer can see: the caller counts the group.
+// lookupGroup probes one shard's group of keys under one readWindow: if a
+// writer invalidates the window, the whole group re-probes. The region pair
+// is loaded once per attempt, so every key in the group probes one
+// consistent old/current pair. A clean pass writes nothing the shard's other
+// readers or its writer can see: the caller counts the group.
 func (b *Batch) lookupGroup(sh *shard, group []uint32, results []Result) int {
 	nw := b.t.keyWords
-	hits := 0
-	probeAll := func(rp *regionPair) {
-		hits = 0
+	for w := (readWindow{sh: sh}); ; {
+		rp := w.regions()
+		hits := 0
 		for _, i := range group {
-			v, ok := sh.probe(rp, &b.kw[i], nw, b.h[i], b.sig[i])
-			results[i] = Result{Value: v, OK: ok}
-			if ok {
+			res := Result{}
+			if r, _, slot, ok := sh.locate(rp, &b.kw[i], nw, b.h[i], b.sig[i]); ok {
+				res = Result{Value: sh.valueWord(r, slot, nw).Load(), OK: true}
 				hits++
 			}
+			results[i] = res
 		}
-	}
-	for attempt := 0; attempt < maxOptimistic; attempt++ {
-		s1 := sh.seq.Load()
-		if s1&1 != 0 {
-			sh.rd.retries.Add(1)
-			runtime.Gosched()
-			continue
-		}
-		probeAll(sh.regions.Load())
-		if sh.seq.Load() == s1 {
+		if w.done() {
 			return hits
 		}
-		sh.rd.retries.Add(1)
 	}
-	sh.rd.fallbacks.Add(1)
-	sh.mu.Lock()
-	probeAll(sh.regions.Load())
-	sh.mu.Unlock()
-	return hits
 }

@@ -478,108 +478,123 @@ func (sh *shard) keyEqual(r *region, slot uint32, kw *[maxKeyWords]uint64, nw in
 	return true
 }
 
-// probeRegion scans the key's candidate bucket pair in one region. It may
-// run concurrently with a writer; callers must validate the sequence window
-// before trusting the result (or hold mu).
-func (sh *shard) probeRegion(r *region, kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16) (uint64, bool) {
-	b1, b2 := r.buckets(h)
-	for _, b := range [2]uint64{b1, b2} {
-		base := b * EntriesPerBucket
-		for e := uint64(0); e < EntriesPerBucket; e++ {
-			ent := r.entries[base+e].Load()
-			if uint16(ent) != sig {
-				continue
+// locate is the table's one bucket scan: it finds the entry holding the key
+// in rp, scanning the key's candidate bucket pair in old, then in cur, and
+// returns the region, entry index and slot that hold it. During a migration
+// every key lives in exactly one region (momentarily in both mid-publish,
+// with the same value either way), so the first match wins. It may run
+// concurrently with a writer: a reader trusts the result only once its
+// readWindow is done.
+func (sh *shard) locate(rp *regionPair, kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16) (*region, uint64, uint32, bool) {
+	// Not a range over [2]*region{old, cur}: that form read ≈5 % slower on
+	// 16-key batches (BenchmarkLookupManyPinnedBatch).
+	r := rp.old
+	if r == nil {
+		r = rp.cur
+	}
+	for ; ; r = rp.cur {
+		b1, b2 := r.buckets(h)
+		for _, b := range [2]uint64{b1, b2} {
+			base := b * EntriesPerBucket
+			for e := uint64(0); e < EntriesPerBucket; e++ {
+				ent := r.entries[base+e].Load()
+				if uint16(ent) != sig {
+					continue
+				}
+				slot := uint32(ent >> 16)
+				if sh.keyEqual(r, slot, kw, nw) {
+					return r, base + e, slot, true
+				}
 			}
-			slot := uint32(ent >> 16)
-			if sh.keyEqual(r, slot, kw, nw) {
-				return r.kv[int(slot)*sh.kvStride+nw].Load(), true
-			}
+		}
+		if r == rp.cur {
+			return nil, 0, 0, false
 		}
 	}
-	return 0, false
 }
 
-// probe scans old-then-current regions. During a migration every key lives
-// in exactly one region (momentarily in both mid-publish, with the same
-// value either way), so the first match wins.
-func (sh *shard) probe(rp *regionPair, kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16) (uint64, bool) {
-	if rp.old != nil {
-		if v, ok := sh.probeRegion(rp.old, kw, nw, h, sig); ok {
-			return v, ok
-		}
-	}
-	return sh.probeRegion(rp.cur, kw, nw, h, sig)
+// valueWord is the value word of slot in r. A reader probes a key with
+// locate and, on a hit, loads this word inside the same window.
+func (sh *shard) valueWord(r *region, slot uint32, nw int) *atomic.Uint64 {
+	return &r.kv[int(slot)*sh.kvStride+nw]
 }
 
-// lookup runs the seqlock read protocol: snapshot the sequence, probe,
-// revalidate. A probe raced by a writer is discarded and retried; after
-// maxOptimistic attempts the reader takes the writer lock, so — unlike the
-// simulated table's give-up path — a torn result is never returned. The
-// region set is re-loaded inside the window, so a lookup racing a resize
-// swap either sees the pre-swap or post-swap regions, both complete.
-func (sh *shard) lookup(kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16) (uint64, bool) {
-	sh.rd.lookups.Add(1)
-	for attempt := 0; attempt < maxOptimistic; attempt++ {
-		s1 := sh.seq.Load()
-		if s1&1 != 0 {
-			// A writer is mid-mutation; yield rather than spin-read.
-			sh.rd.retries.Add(1)
-			runtime.Gosched()
-			continue
+// readWindow is the seqlock read protocol, shared by the single-key and the
+// batched path: regions snapshots the sequence and hands out the region pair
+// to probe, done revalidates. A probe raced by a writer is discarded and
+// retried; after maxOptimistic attempts regions takes the writer lock, so —
+// unlike the simulated table's give-up path — a torn result is never
+// returned. The region pair is loaded inside the window, so a probe racing a
+// resize swap sees either the pre-swap or the post-swap pair, both complete.
+//
+//	for w := (readWindow{sh: sh}); ; {
+//		rp := w.regions()
+//		... probe rp ...
+//		if w.done() {
+//			break
+//		}
+//	}
+type readWindow struct {
+	sh      *shard
+	seq     uint64
+	attempt int // == maxOptimistic once the window holds the writer lock
+}
+
+// regions opens the next attempt and returns the region pair to probe.
+func (w *readWindow) regions() *regionPair {
+	sh := w.sh
+	for ; w.attempt < maxOptimistic; w.attempt++ {
+		if w.seq = sh.seq.Load(); w.seq&1 == 0 {
+			return sh.regions.Load()
 		}
-		rp := sh.regions.Load()
-		v, ok := sh.probe(rp, kw, nw, h, sig)
-		if sh.seq.Load() == s1 {
-			if ok {
-				sh.rd.hits.Add(1)
-			}
-			return v, ok
-		}
+		// A writer is mid-mutation; yield rather than spin-read.
 		sh.rd.retries.Add(1)
+		runtime.Gosched()
 	}
 	// Writer storm: one exclusive probe settles it.
 	sh.rd.fallbacks.Add(1)
 	sh.mu.Lock()
-	v, ok := sh.probe(sh.regions.Load(), kw, nw, h, sig)
-	sh.mu.Unlock()
-	if ok {
+	return sh.regions.Load()
+}
+
+// done reports whether the probe since regions stands; when it does not,
+// the caller probes again. The fast path is one comparison, small enough to
+// inline into both read loops.
+func (w *readWindow) done() bool {
+	return w.sh.seq.Load() == w.seq || w.settle()
+}
+
+// settle is done's slow path, and a locked probe always takes it: the window
+// falls back to the lock only after its last attempt saw an odd sequence or
+// one that moved on, and under the lock the sequence is even and stands
+// still, so it can equal neither.
+func (w *readWindow) settle() bool {
+	if w.attempt == maxOptimistic {
+		w.sh.mu.Unlock()
+		return true
+	}
+	w.sh.rd.retries.Add(1)
+	w.attempt++
+	return false
+}
+
+// lookup probes one key under a readWindow.
+func (sh *shard) lookup(kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16) (uint64, bool) {
+	sh.rd.lookups.Add(1)
+	var res Result
+	for w := (readWindow{sh: sh}); ; {
+		res = Result{}
+		if r, _, slot, ok := sh.locate(w.regions(), kw, nw, h, sig); ok {
+			res = Result{Value: sh.valueWord(r, slot, nw).Load(), OK: true}
+		}
+		if w.done() {
+			break
+		}
+	}
+	if res.OK {
 		sh.rd.hits.Add(1)
 	}
-	return v, ok
-}
-
-// locateIn finds the bucket entry holding the key in one region. Caller
-// must hold mu.
-func (sh *shard) locateIn(r *region, kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16) (entIdx uint64, slot uint32, found bool) {
-	b1, b2 := r.buckets(h)
-	for _, b := range [2]uint64{b1, b2} {
-		base := b * EntriesPerBucket
-		for e := uint64(0); e < EntriesPerBucket; e++ {
-			ent := r.entries[base+e].Load()
-			if uint16(ent) != sig {
-				continue
-			}
-			s := uint32(ent >> 16)
-			if sh.keyEqual(r, s, kw, nw) {
-				return base + e, s, true
-			}
-		}
-	}
-	return 0, 0, false
-}
-
-// locate finds the key in either region of rp, returning the region that
-// holds it. Caller must hold mu.
-func (sh *shard) locate(rp *regionPair, kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16) (r *region, entIdx uint64, slot uint32, found bool) {
-	if rp.old != nil {
-		if entIdx, slot, found = sh.locateIn(rp.old, kw, nw, h, sig); found {
-			return rp.old, entIdx, slot, true
-		}
-	}
-	if entIdx, slot, found = sh.locateIn(rp.cur, kw, nw, h, sig); found {
-		return rp.cur, entIdx, slot, true
-	}
-	return nil, 0, 0, false
+	return res.Value, res.OK
 }
 
 // writeKV stores a slot's key words and value in r. The slot is free (no
@@ -593,53 +608,51 @@ func (sh *shard) writeKV(r *region, slot uint32, kw *[maxKeyWords]uint64, nw int
 	r.kv[base+nw].Store(value)
 }
 
-// placeLocked inserts an already-validated new key into the current region:
-// direct placement into a free candidate entry, else a BFS displacement
-// chain. Caller must hold mu. Returns false when the region cannot take the
-// key (no free slot or no displacement path).
-func (sh *shard) placeLocked(cur *region, kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16, value uint64) bool {
+// placeLocked is the table's one placement: it puts a key into cur by direct
+// placement into a free candidate entry, else by a BFS displacement chain.
+// An insert passes from == nil, having checked that the key is absent. A
+// migration passes from, the key's entry word in the old region, which is
+// cleared in the same seqlock window that publishes the new entry — so
+// readers always find the key in at least one region. Caller must hold mu.
+// Returns false when the region cannot take the key (no free slot or no
+// displacement path).
+func (sh *shard) placeLocked(cur *region, kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16, value uint64, from *atomic.Uint64) bool {
 	if len(cur.free) == 0 {
 		return false
 	}
 	b1, b2 := cur.buckets(h)
-
-	// Direct placement into a free entry of either candidate bucket.
-	if entIdx, ok := sh.freeEntry(cur, b1, b2); ok {
-		slot := cur.free[len(cur.free)-1]
-		cur.free = cur.free[:len(cur.free)-1]
-		sh.writeKV(cur, slot, kw, nw, value)
-		// Publishing one empty→live entry is atomic on its own, but the
-		// slot may be recycled: a reader that captured the old entry before
-		// the slot was freed could mix old and new key words into a phantom
-		// match. The seqlock window forces such readers to re-probe.
-		sh.beginWrite()
-		cur.entries[entIdx].Store(packEntry(sig, slot))
-		sh.endWrite()
-		return true
-	}
-
-	// Displacement: BFS for a move chain (read-only, outside the write
-	// window — the mutex already excludes other writers), then apply the
-	// moves and the final placement inside one window.
-	path := sh.findCuckooPath(cur, b1, b2)
-	if path == nil {
-		return false
+	entIdx, direct := sh.freeEntry(cur, b1, b2)
+	var path []pathNode
+	if !direct {
+		// BFS for a move chain: read-only, so outside the write window (the
+		// mutex already excludes other writers).
+		if path = sh.findCuckooPath(cur, b1, b2); path == nil {
+			return false
+		}
 	}
 	slot := cur.free[len(cur.free)-1]
 	cur.free = cur.free[:len(cur.free)-1]
 	sh.writeKV(cur, slot, kw, nw, value)
+	// Publishing one empty→live entry is atomic on its own, but the slot may
+	// be recycled: a reader that captured the old entry before the slot was
+	// freed could mix old and new key words into a phantom match. The
+	// seqlock window forces such readers to re-probe.
 	sh.beginWrite()
-	sh.applyCuckooPath(cur, path)
-	entIdx, ok := sh.freeEntry(cur, b1, b2)
-	if !ok {
-		// The displacement chain freed a slot in b1 or b2 by construction.
-		sh.endWrite()
-		cur.free = append(cur.free, slot)
-		panic("flowserve: displacement path freed no candidate entry")
+	if !direct {
+		sh.applyCuckooPath(cur, path)
+		if entIdx, direct = sh.freeEntry(cur, b1, b2); !direct {
+			// The displacement chain freed a slot in b1 or b2 by construction.
+			sh.endWrite()
+			cur.free = append(cur.free, slot)
+			panic("flowserve: displacement path freed no candidate entry")
+		}
+		sh.c.displacements.Add(uint64(len(path)))
 	}
 	cur.entries[entIdx].Store(packEntry(sig, slot))
+	if from != nil {
+		from.Store(0)
+	}
 	sh.endWrite()
-	sh.c.displacements.Add(uint64(len(path)))
 	return true
 }
 
@@ -652,7 +665,7 @@ func (sh *shard) insert(kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16, v
 		sh.c.insertExists.Add(1)
 		return ErrKeyExists
 	}
-	if !sh.placeLocked(rp.cur, kw, nw, h, sig, value) {
+	if !sh.placeLocked(rp.cur, kw, nw, h, sig, value, nil) {
 		// Full (or displacement-exhausted) current region: with auto-grow
 		// enabled and no resize already in flight, double and retry into
 		// the fresh region — its candidate buckets start empty.
@@ -662,7 +675,7 @@ func (sh *shard) insert(kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16, v
 		}
 		sh.startGrowLocked(2 * rp.cur.capacity)
 		rp = sh.regions.Load()
-		if !sh.placeLocked(rp.cur, kw, nw, h, sig, value) {
+		if !sh.placeLocked(rp.cur, kw, nw, h, sig, value, nil) {
 			sh.c.insertFull.Add(1)
 			return ErrTableFull
 		}
@@ -705,7 +718,7 @@ func (sh *shard) update(kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16, v
 	// A single-word value store is atomic on its own: concurrent readers
 	// see the old or the new value, both of which were live for this key,
 	// so no seqlock window is needed.
-	r.kv[int(slot)*sh.kvStride+nw].Store(value)
+	sh.valueWord(r, slot, nw).Store(value)
 	sh.c.updates.Add(1)
 	return true
 }
@@ -718,16 +731,35 @@ func (sh *shard) delete(kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16) b
 	if !found {
 		return false
 	}
-	// Clearing the entry is a single atomic store, but the freed slot can
-	// be recycled by a later insert; bump the seqlock so readers that
-	// captured this entry re-probe instead of reading recycled key words.
+	sh.removeLocked(r, entIdx, slot)
+	sh.c.deletes.Add(1)
+	return true
+}
+
+// removeLocked clears entry entIdx of r and frees its slot. Clearing the
+// entry is a single atomic store, but the freed slot can be recycled by a
+// later insert; bumping the seqlock makes readers that captured this entry
+// re-probe instead of reading recycled key words. Caller must hold mu.
+func (sh *shard) removeLocked(r *region, entIdx uint64, slot uint32) {
 	sh.beginWrite()
 	r.entries[entIdx].Store(0)
 	sh.endWrite()
 	r.free = append(r.free, slot)
 	sh.size.Add(^uint64(0))
-	sh.c.deletes.Add(1)
-	return true
+}
+
+// residentKey rebuilds the key held in r's slot into kw and kb and returns
+// its bytes, its primary hash and its value: a range walk filters on the
+// hash, and a migration rehashes for the grown region's bucket geometry —
+// hashes are computed over bytes. Caller must hold mu.
+func (sh *shard) residentKey(r *region, slot uint32, kw *[maxKeyWords]uint64, kb *[MaxKeyLen]byte) (key []byte, h, value uint64) {
+	nw := sh.kvStride - 1
+	base := int(slot) * sh.kvStride
+	for w := 0; w < nw; w++ {
+		kw[w] = r.kv[base+w].Load()
+	}
+	key = wordsToKey(kw, sh.keyLen, kb)
+	return key, hashfn.Hash(hashfn.SeedPrimary, key), r.kv[base+nw].Load()
 }
 
 // pathNode is one step of a displacement path: the entry at entIdx moves to

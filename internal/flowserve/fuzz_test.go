@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"halo/internal/hashfn"
 )
 
 // The fuzzed table stays tiny so random op streams reach the interesting
@@ -39,7 +41,7 @@ func applyFuzzOps(t *testing.T, data []byte) {
 		mk := binary.LittleEndian.Uint16(data[off+1:off+3]) % fuzzKeyUniverse
 		val := uint64(data[off+3])
 		k := key20(uint64(mk))
-		switch kind % 7 {
+		switch kind % 9 {
 		case 0: // insert
 			err := tbl.Insert(k, val)
 			_, exists := model[mk]
@@ -100,6 +102,34 @@ func applyFuzzOps(t *testing.T, data []byte) {
 			}
 		case 6: // tick migration forward a few buckets
 			tbl.ResizeStep(1 + int(val%4))
+		case 7: // scan a hash range: exactly the model's keys in it, once each
+			lo, hi := fuzzRange(data[off+1], data[off+2])
+			seen := map[uint16]uint64{}
+			tbl.ScanRange(lo, hi, func(key []byte, value uint64) {
+				sk := uint16(binary.LittleEndian.Uint64(key))
+				if _, dup := seen[sk]; dup {
+					t.Fatalf("op %d: ScanRange(%#x, %#x) emitted key %d twice", off/4, lo, hi, sk)
+				}
+				seen[sk] = value
+			})
+			want := modelInRange(model, lo, hi)
+			if len(seen) != len(want) {
+				t.Fatalf("op %d: ScanRange(%#x, %#x) emitted %d keys, model has %d in range", off/4, lo, hi, len(seen), len(want))
+			}
+			for sk, v := range want {
+				if got, ok := seen[sk]; !ok || got != v {
+					t.Fatalf("op %d: ScanRange(%#x, %#x) key %d = (%d,%v), model says %d", off/4, lo, hi, sk, got, ok, v)
+				}
+			}
+		case 8: // purge a hash range: exactly the model's keys in it go
+			lo, hi := fuzzRange(data[off+1], data[off+2])
+			want := modelInRange(model, lo, hi)
+			if got := tbl.PurgeRange(lo, hi); got != uint64(len(want)) {
+				t.Fatalf("op %d: PurgeRange(%#x, %#x) = %d, model has %d in range", off/4, lo, hi, got, len(want))
+			}
+			for sk := range want {
+				delete(model, sk)
+			}
 		}
 		if tbl.Size() != uint64(len(model)) {
 			t.Fatalf("op %d: Size = %d, model has %d entries", off/4, tbl.Size(), len(model))
@@ -114,9 +144,32 @@ func applyFuzzOps(t *testing.T, data []byte) {
 	}
 }
 
+// fuzzRange derives a range op's hash range from its two key bytes: lo's
+// top byte, and the range's width in 1/256ths of the hash space. A range
+// reaching past the end is [lo, end), spelled hi == 0 as the API does.
+func fuzzRange(b1, b2 byte) (lo, hi uint64) {
+	lo = uint64(b1) << 56
+	if hi = lo + (uint64(b2)+1)<<56; hi <= lo {
+		hi = 0
+	}
+	return lo, hi
+}
+
+// modelInRange returns the model's entries whose key's primary hash falls
+// in [lo, hi) (hi == 0: to the end).
+func modelInRange(model map[uint16]uint64, lo, hi uint64) map[uint16]uint64 {
+	in := map[uint16]uint64{}
+	for mk, v := range model {
+		if h := hashfn.Hash(hashfn.SeedPrimary, key20(uint64(mk))); h >= lo && (hi == 0 || h < hi) {
+			in[mk] = v
+		}
+	}
+	return in
+}
+
 // fuzzSeeds builds corpus inputs covering the paths random bytes take a
 // while to find: fill-to-full, churn (displacement chains), batched probes
-// over live/dead mixes.
+// over live/dead mixes, range scans and purges across a live resize.
 func fuzzSeeds() [][]byte {
 	op := func(kind byte, key uint16, val byte) []byte {
 		b := make([]byte, 4)
@@ -160,6 +213,27 @@ func fuzzSeeds() [][]byte {
 	for i := 0; i < fuzzKeyUniverse; i++ {
 		grow.Write(op(2, uint16(i), 0))
 	}
+	// Fill, grow, step once — so keys sit in both regions — then scan and
+	// purge: the range walk crosses old and cur. Key 0xff00 is the whole
+	// hash space; 0x3f40 is [1/4, 1/2); 0x5fa0 runs from 5/8 to the end.
+	var ranges bytes.Buffer
+	for i := 0; i < fuzzTableEntries; i++ {
+		ranges.Write(op(0, uint16(i), byte(i)))
+	}
+	ranges.Write(op(5, 0, 200))
+	ranges.Write(op(6, 0, 0))
+	for _, rg := range []uint16{0xff00, 0x3f40, 0x5fa0} {
+		ranges.Write(op(7, rg, 0))
+	}
+	ranges.Write(op(8, 0x3f40, 0))
+	ranges.Write(op(7, 0xff00, 0))
+	ranges.Write(op(6, 0, 0))
+	ranges.Write(op(8, 0x5fa0, 0))
+	ranges.Write(op(7, 0xff00, 0))
+	for i := 0; i < fuzzKeyUniverse; i++ {
+		ranges.Write(op(2, uint16(i), 0))
+	}
+	ranges.Write(op(8, 0xff00, 0))
 	return [][]byte{
 		{},
 		op(0, 1, 42),
@@ -167,6 +241,7 @@ func fuzzSeeds() [][]byte {
 		fill.Bytes(),
 		churn.Bytes(),
 		grow.Bytes(),
+		ranges.Bytes(),
 	}
 }
 

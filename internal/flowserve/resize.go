@@ -3,8 +3,6 @@ package flowserve
 import (
 	"fmt"
 	"time"
-
-	"halo/internal/hashfn"
 )
 
 // Incremental, bounded-pause shard resize (DESIGN.md §12).
@@ -167,69 +165,21 @@ func (sh *shard) migrateLocked(n int) {
 // partially migrated and safe to retry: moved entries are already cleared
 // from the old bucket.
 func (sh *shard) migrateBucketLocked(rp *regionPair, b uint64) bool {
-	old, cur := rp.old, rp.cur
-	nw := sh.kvStride - 1
-	base := b * EntriesPerBucket
 	var kw [maxKeyWords]uint64
-	var keyBuf [MaxKeyLen]byte
-	for e := uint64(0); e < EntriesPerBucket; e++ {
-		ent := old.entries[base+e].Load()
+	var kb [MaxKeyLen]byte
+	for e := b * EntriesPerBucket; e < (b+1)*EntriesPerBucket; e++ {
+		ent := rp.old.entries[e].Load()
 		if ent == 0 {
 			continue
 		}
-		sig := uint16(ent)
-		slot := uint32(ent >> 16)
-		kvBase := int(slot) * sh.kvStride
-		for i := 0; i < nw; i++ {
-			kw[i] = old.kv[kvBase+i].Load()
-		}
-		value := old.kv[kvBase+nw].Load()
-
 		// Rehash for the grown region's bucket geometry. The signature is
 		// derived from the same primary hash, so it is unchanged — only
 		// the bucket pair widens.
-		h := hashfn.Hash(hashfn.SeedPrimary, wordsToKey(&kw, sh.keyLen, &keyBuf))
-		if moved := sh.moveEntryLocked(cur, &kw, nw, h, sig, value, old, base+e); !moved {
+		_, h, value := sh.residentKey(rp.old, uint32(ent>>16), &kw, &kb)
+		if !sh.placeLocked(rp.cur, &kw, sh.kvStride-1, h, uint16(ent), value, &rp.old.entries[e]) {
 			return false
 		}
 		sh.c.migratedKeys.Add(1)
 	}
-	return true
-}
-
-// moveEntryLocked places a migrating key into cur and — inside one seqlock
-// window — publishes the new bucket entry and clears the old one, so
-// readers always find the key in at least one region.
-func (sh *shard) moveEntryLocked(cur *region, kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16, value uint64, old *region, oldEntIdx uint64) bool {
-	if len(cur.free) == 0 {
-		return false
-	}
-	b1, b2 := cur.buckets(h)
-	entIdx, direct := sh.freeEntry(cur, b1, b2)
-	var path []pathNode
-	if !direct {
-		path = sh.findCuckooPath(cur, b1, b2)
-		if path == nil {
-			return false
-		}
-	}
-	slot := cur.free[len(cur.free)-1]
-	cur.free = cur.free[:len(cur.free)-1]
-	sh.writeKV(cur, slot, kw, nw, value)
-	sh.beginWrite()
-	if !direct {
-		sh.applyCuckooPath(cur, path)
-		var ok bool
-		entIdx, ok = sh.freeEntry(cur, b1, b2)
-		if !ok {
-			sh.endWrite()
-			cur.free = append(cur.free, slot)
-			panic("flowserve: migration displacement path freed no candidate entry")
-		}
-		sh.c.displacements.Add(uint64(len(path)))
-	}
-	cur.entries[entIdx].Store(packEntry(sig, slot))
-	old.entries[oldEntIdx].Store(0)
-	sh.endWrite()
 	return true
 }

@@ -1,7 +1,5 @@
 package flowserve
 
-import "halo/internal/hashfn"
-
 // ScanRange visits every resident key whose primary hash falls in [lo, hi)
 // — hi == 0 meaning "to the end of the 64-bit hash space" — calling
 // emit(key, value) for each. Each shard is scanned atomically under its
@@ -16,35 +14,9 @@ import "halo/internal/hashfn"
 // callback must copy it to retain it, and must not call back into the
 // table (the shard mutex is held).
 func (t *Table) ScanRange(lo, hi uint64, emit func(key []byte, value uint64)) {
-	var kw [maxKeyWords]uint64
-	var kb [MaxKeyLen]byte
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		rp := sh.regions.Load()
-		for _, r := range [2]*region{rp.old, rp.cur} {
-			if r == nil {
-				continue
-			}
-			for i := range r.entries {
-				ent := r.entries[i].Load()
-				if ent == 0 {
-					continue
-				}
-				slot := uint32(ent >> 16)
-				base := int(slot) * sh.kvStride
-				for w := 0; w < sh.kvStride-1; w++ {
-					kw[w] = r.kv[base+w].Load()
-				}
-				key := wordsToKey(&kw, sh.keyLen, &kb)
-				h := hashfn.Hash(hashfn.SeedPrimary, key)
-				if h < lo || (hi != 0 && h >= hi) {
-					continue
-				}
-				emit(key, r.kv[base+sh.kvStride-1].Load())
-			}
-		}
-		sh.mu.Unlock()
-	}
+	t.walkRange(lo, hi, func(_ *shard, _ *region, _ uint64, _ uint32, key []byte, value uint64) {
+		emit(key, value)
+	})
 }
 
 // PurgeRange removes every resident key whose primary hash falls in
@@ -55,6 +27,18 @@ func (t *Table) ScanRange(lo, hi uint64, emit func(key []byte, value uint64)) {
 // atomically under its writer mutex, bumping the seqlock per cleared
 // entry so racing readers re-probe instead of observing recycled slots.
 func (t *Table) PurgeRange(lo, hi uint64) (removed uint64) {
+	t.walkRange(lo, hi, func(sh *shard, r *region, entIdx uint64, slot uint32, _ []byte, _ uint64) {
+		sh.removeLocked(r, entIdx, slot)
+		removed++
+	})
+	return removed
+}
+
+// walkRange is the one range walk under ScanRange and PurgeRange: shard by
+// shard, holding the shard's writer mutex, it calls visit for every entry
+// of old then cur whose key's primary hash falls in [lo, hi) (hi == 0: to
+// the end). visit may remove the entry it is given.
+func (t *Table) walkRange(lo, hi uint64, visit func(sh *shard, r *region, entIdx uint64, slot uint32, key []byte, value uint64)) {
 	var kw [maxKeyWords]uint64
 	var kb [MaxKeyLen]byte
 	for _, sh := range t.shards {
@@ -70,24 +54,12 @@ func (t *Table) PurgeRange(lo, hi uint64) (removed uint64) {
 					continue
 				}
 				slot := uint32(ent >> 16)
-				base := int(slot) * sh.kvStride
-				for w := 0; w < sh.kvStride-1; w++ {
-					kw[w] = r.kv[base+w].Load()
+				key, h, value := sh.residentKey(r, slot, &kw, &kb)
+				if h >= lo && (hi == 0 || h < hi) {
+					visit(sh, r, uint64(i), slot, key, value)
 				}
-				key := wordsToKey(&kw, sh.keyLen, &kb)
-				h := hashfn.Hash(hashfn.SeedPrimary, key)
-				if h < lo || (hi != 0 && h >= hi) {
-					continue
-				}
-				sh.beginWrite()
-				r.entries[i].Store(0)
-				sh.endWrite()
-				r.free = append(r.free, slot)
-				sh.size.Add(^uint64(0))
-				removed++
 			}
 		}
 		sh.mu.Unlock()
 	}
-	return removed
 }

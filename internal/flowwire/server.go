@@ -633,6 +633,12 @@ func (c *srvConn) serveOne(f *Frame) {
 		mi := cl.migInfo()
 		c.reply(OpMigStatus, StatusOK, f.ReqID, appendMigInfo(nil, &mi))
 	case OpMigApply:
+		if c.srv.cl == nil {
+			// Records bypass the ownership gate, so only a cluster node,
+			// which a migration addresses, may apply them.
+			c.reply(OpMigApply, StatusErrCluster, f.ReqID, nil)
+			return
+		}
 		recs, err := parseMigRecords(f.Payload, nil)
 		if err != nil {
 			c.reply(OpMigApply, StatusErrMalformed, f.ReqID, nil)

@@ -40,7 +40,10 @@ type clusterCounters struct {
 	migsFailed     atomic.Uint64
 	migRecordsIn   atomic.Uint64 // records applied on the gaining side
 	migConflictsIn atomic.Uint64
-	purgedKeys     atomic.Uint64 // keys purged after surrendering a range
+	// purgedKeys counts keys purged on either side of a migration: by the
+	// losing node after surrendering a range, and by the gaining node when a
+	// MIG_APPLY purge clears leftovers of an earlier attempt.
+	purgedKeys atomic.Uint64
 	// staleProbes counts keys probed under a map that a cutover replaced
 	// before the answer went out; their frames were redirected, so the table's
 	// lookup counter ran ahead of the lookups answered by exactly this much.
@@ -471,7 +474,8 @@ func (s *Server) handleMapUpdate(payload []byte) Status {
 	return StatusOK
 }
 
-// applyMigRecords applies one MIG_APPLY batch on the gaining node. Records
+// applyMigRecords applies one MIG_APPLY batch on the gaining node, which
+// must be a cluster node (serveOne refuses the frame otherwise). Records
 // bypass the ownership gate: during the handoff this node accepts the
 // moving range's records before its clients may route here.
 func (s *Server) applyMigRecords(recs []MigRecord) (processed, conflicts uint32, st Status) {
@@ -482,7 +486,8 @@ func (s *Server) applyMigRecords(recs []MigRecord) (processed, conflicts uint32,
 			if len(r.Key) != 8 {
 				return processed, conflicts, StatusErrMalformed
 			}
-			t.PurgeRange(r.Value, binary.LittleEndian.Uint64(r.Key))
+			// Leftovers of an earlier, failed attempt at this range.
+			s.cl.c.purgedKeys.Add(t.PurgeRange(r.Value, binary.LittleEndian.Uint64(r.Key)))
 		case MigSnapshot, MigInsert, MigUpdate:
 			if t.Update(r.Key, r.Value) {
 				if r.Kind == MigSnapshot {
@@ -498,9 +503,7 @@ func (s *Server) applyMigRecords(recs []MigRecord) (processed, conflicts uint32,
 		}
 		processed++
 	}
-	if s.cl != nil {
-		s.cl.c.migRecordsIn.Add(uint64(processed))
-		s.cl.c.migConflictsIn.Add(uint64(conflicts))
-	}
+	s.cl.c.migRecordsIn.Add(uint64(processed))
+	s.cl.c.migConflictsIn.Add(uint64(conflicts))
 	return processed, conflicts, StatusOK
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -157,4 +158,67 @@ func BenchmarkLookupManyTwoReaders(b *testing.B) {
 		}
 		wg.Wait()
 	})
+}
+
+// BenchmarkFill creates a table sized the way the repository benchmark sizes
+// one (a power of two at least 1.25× the flows, 8 shards, 20-byte keys) and
+// fills it, at the flow counts of its two table workloads: the set-up that
+// table-zipf-churn and table-uniform-1m time as setup_s and weigh as
+// mem_bytes_per_flow. ns/flow and B/flow are per resident flow; B/flow is
+// every byte allocated on the way, which a fill, freeing nothing, keeps.
+func BenchmarkFill(b *testing.B) {
+	for _, flows := range []int{100_000, 1 << 20} {
+		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
+			keys := make([][]byte, flows)
+			for i := range keys {
+				keys[i] = key20(uint64(i))
+			}
+			entries := uint64(1)
+			for entries < uint64(flows)*5/4 {
+				entries <<= 1
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				tbl := mustNew(b, Config{Shards: 8, Entries: entries, KeyLen: 20})
+				for i, k := range keys {
+					if err := tbl.Insert(k, uint64(i)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			total := float64(b.N * flows)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/flow")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/total, "B/flow")
+		})
+	}
+}
+
+// BenchmarkGrowStart times the insert that starts a shard's doubling from
+// 1M slots to 2M: the insert places its key, then installs the new region.
+// What that costs does not depend on how full the shard is, so GrowAt is set
+// for the second insert to cross it and the untimed set-up stays one table.
+// Migration is not in it: later writer operations and ResizeStep pay for
+// that, timed in flowserve.resize.pause_*.
+func BenchmarkGrowStart(b *testing.B) {
+	const slots = 1 << 20
+	k0, k1 := key20(0), key20(1)
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		tbl := mustNew(b, Config{Shards: 1, Entries: slots, KeyLen: 20, GrowAt: 1.5 / slots})
+		if err := tbl.Insert(k0, 0); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := tbl.Insert(k1, 1); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if tbl.Capacity() != 2*slots {
+			b.Fatalf("capacity %d after the threshold insert, want %d", tbl.Capacity(), 2*slots)
+		}
+	}
 }

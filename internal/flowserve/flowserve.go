@@ -30,10 +30,14 @@
 //     (see resize.go and DESIGN.md §12).
 //
 // Layout per shard region mirrors rte_hash (and the simulated cuckoo.Table):
-// an array of 8-entry buckets holding packed {signature, slot} words, plus a
-// key-value array of 8-byte words. Every word readers can observe is an
-// atomic.Uint64, which makes the seqlock race-detector-clean and bounds
-// tearing at word granularity (the seqlock then rules out cross-word mixes).
+// an array of 8-entry buckets holding packed {signature, slot} words, plus
+// key-value slots of 8-byte words. Unlike rte_hash, the slots are not
+// allocated up front for full capacity: they live in fixed-size pages, each
+// allocated the first time a slot in it is handed out, so a table holds
+// memory for the flows it has held, not for the flows it could hold. Every
+// word readers can observe is an atomic.Uint64, which makes the seqlock
+// race-detector-clean and bounds tearing at word granularity (the seqlock
+// then rules out cross-word mixes).
 package flowserve
 
 import (
@@ -284,10 +288,19 @@ func wordsToKey(kw *[maxKeyWords]uint64, keyLen int, out *[MaxKeyLen]byte) []byt
 	return out[:keyLen]
 }
 
+// pageShift sets the slot page size: 1<<pageShift slots to a page. At the
+// header-key width (20 bytes, four words a slot) a page is 32 KiB, the
+// allocator's largest small size class.
+const (
+	pageShift = 10
+	pageSlots = 1 << pageShift
+	pageMask  = pageSlots - 1
+)
+
 // region is one generation of a shard's storage: the bucket array, the
-// key-value slots it indexes, and the writer-owned free list. A shard has
-// one region in steady state and two while a resize migrates entries from
-// the old (smaller) region to the current one.
+// key-value slots it indexes, and the writer-owned slot allocator. A shard
+// has one region in steady state and two while a resize migrates entries
+// from the old (smaller) region to the current one.
 type region struct {
 	bucketCount uint64
 	capacity    uint64
@@ -296,36 +309,64 @@ type region struct {
 	// slot<<16 | signature, zero when empty (signatures are never zero).
 	entries []atomic.Uint64
 
-	// kv holds capacity*kvStride words: each slot is keyWords key words
-	// followed by one value word.
-	kv []atomic.Uint64
+	// pages is the slot page table: page p holds slots p<<pageShift onward,
+	// kvStride words each (keyWords key words, then one value word). Every
+	// page holds pageSlots slots but the last, which is cut to capacity. A
+	// page is nil until takeSlot first hands out one of its slots, and is
+	// never replaced after.
+	pages [][]atomic.Uint64
 
-	// free holds unallocated slots (writer-owned, guarded by the shard mu).
+	// The slot allocator, writer-owned (guarded by the shard mu): slots
+	// [0, next) have been handed out at least once, and free holds those of
+	// them a delete has given back since.
+	next uint64
 	free []uint32
 }
 
-// newRegion sizes storage for the requested entry count. The bucket count
-// is the entry count divided by the bucket width rounded UP, then rounded
-// up to a power of two — rounding down first (as the pre-resize code did)
-// left e.g. a 20-entry shard with only 16 addressable bucket entries while
-// Capacity() reported 20, so ErrTableFull fired below advertised capacity.
-func newRegion(entries uint64, keyWords int) *region {
+// newRegion sizes storage for the requested entry count: the bucket array
+// and an empty page table, no slots. The bucket count is the entry count
+// divided by the bucket width rounded UP, then rounded up to a power of two —
+// rounding down first (as the pre-resize code did) left e.g. a 20-entry shard
+// with only 16 addressable bucket entries while Capacity() reported 20, so
+// ErrTableFull fired below advertised capacity.
+func newRegion(entries uint64) *region {
 	want := (entries + EntriesPerBucket - 1) / EntriesPerBucket
 	bc := uint64(2)
 	for bc < want {
 		bc <<= 1
 	}
-	r := &region{
+	return &region{
 		bucketCount: bc,
 		capacity:    entries,
 		entries:     make([]atomic.Uint64, bc*EntriesPerBucket),
-		kv:          make([]atomic.Uint64, entries*uint64(keyWords+1)),
+		pages:       make([][]atomic.Uint64, (entries+pageMask)>>pageShift),
 	}
-	r.free = make([]uint32, 0, entries)
-	for i := int64(entries) - 1; i >= 0; i-- {
-		r.free = append(r.free, uint32(i))
+}
+
+// full reports whether every slot of r holds a key. Caller must hold mu.
+func (r *region) full() bool {
+	return len(r.free) == 0 && r.next == r.capacity
+}
+
+// takeSlot is the region's one slot allocator: it hands out a slot a delete
+// recycled if there is one, else the next never-used slot, allocating that
+// slot's page (stride words a slot) if it has none. Recycling first keeps
+// next at the most keys r has held at once; handing out never-used slots in
+// order keeps a fill sequential, page after page. Caller must hold mu and
+// have checked !r.full().
+func (r *region) takeSlot(stride int) uint32 {
+	if n := len(r.free); n > 0 {
+		slot := r.free[n-1]
+		r.free = r.free[:n-1]
+		return slot
 	}
-	return r
+	slot := uint32(r.next)
+	if p := slot >> pageShift; r.pages[p] == nil {
+		slots := min(pageSlots, r.capacity-uint64(p)<<pageShift)
+		r.pages[p] = make([]atomic.Uint64, slots*uint64(stride))
+	}
+	r.next++
+	return slot
 }
 
 // buckets returns the key's candidate bucket pair in this region's
@@ -451,7 +492,7 @@ func newShard(entries uint64, keyLen, keyWords int, growAt float64) *shard {
 		growAt:    growAt,
 		pauseHist: stats.NewHistogramRes(stats.HighResSubBits),
 	}
-	sh.regions.Store(&regionPair{cur: newRegion(entries, keyWords)})
+	sh.regions.Store(&regionPair{cur: newRegion(entries)})
 	return sh
 }
 
@@ -466,12 +507,28 @@ func packEntry(sig uint16, slot uint32) uint64 {
 func (sh *shard) beginWrite() { sh.seq.Add(1) } // even → odd
 func (sh *shard) endWrite()   { sh.seq.Add(1) } // odd → even
 
+// slotWords is the table's one slot address: slot's kvStride words in r,
+// its key words then its value word.
+//
+// The page it indexes was allocated by a plain store under mu, which a
+// reader does not hold. That is safe because a reader reaches a slot only
+// through a bucket entry it loaded, and the entry was published after the
+// page existed: placeLocked takes the slot (allocating its page), then
+// writeKV fills it, then an atomic store publishes the entry; the reader's
+// atomic load of that entry happens-after the store, so the page's
+// allocation happens-before the reader's load of it. A page is never
+// replaced, so no later store can race the load either.
+func (sh *shard) slotWords(r *region, slot uint32) []atomic.Uint64 {
+	off := int(slot&pageMask) * sh.kvStride
+	return r.pages[slot>>pageShift][off : off+sh.kvStride]
+}
+
 // keyEqual compares slot's stored key words in r against kw. Word loads are
 // atomic; consistency across words is the seqlock's job.
 func (sh *shard) keyEqual(r *region, slot uint32, kw *[maxKeyWords]uint64, nw int) bool {
-	base := int(slot) * sh.kvStride
+	words := sh.slotWords(r, slot)
 	for i := 0; i < nw; i++ {
-		if r.kv[base+i].Load() != kw[i] {
+		if words[i].Load() != kw[i] {
 			return false
 		}
 	}
@@ -516,7 +573,7 @@ func (sh *shard) locate(rp *regionPair, kw *[maxKeyWords]uint64, nw int, h uint6
 // valueWord is the value word of slot in r. A reader probes a key with
 // locate and, on a hit, loads this word inside the same window.
 func (sh *shard) valueWord(r *region, slot uint32, nw int) *atomic.Uint64 {
-	return &r.kv[int(slot)*sh.kvStride+nw]
+	return &sh.slotWords(r, slot)[nw]
 }
 
 // readWindow is the seqlock read protocol, shared by the single-key and the
@@ -598,14 +655,15 @@ func (sh *shard) lookup(kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16) (
 }
 
 // writeKV stores a slot's key words and value in r. The slot is free (no
-// bucket entry points to it), so this runs outside the seqlock window; the
-// entry store that publishes it orders after these writes.
+// bucket entry points to it) and its page allocated (takeSlot ran first), so
+// this runs outside the seqlock window; the entry store that publishes it
+// orders after these writes.
 func (sh *shard) writeKV(r *region, slot uint32, kw *[maxKeyWords]uint64, nw int, value uint64) {
-	base := int(slot) * sh.kvStride
+	words := sh.slotWords(r, slot)
 	for i := 0; i < nw; i++ {
-		r.kv[base+i].Store(kw[i])
+		words[i].Store(kw[i])
 	}
-	r.kv[base+nw].Store(value)
+	words[nw].Store(value)
 }
 
 // placeLocked is the table's one placement: it puts a key into cur by direct
@@ -617,7 +675,7 @@ func (sh *shard) writeKV(r *region, slot uint32, kw *[maxKeyWords]uint64, nw int
 // Returns false when the region cannot take the key (no free slot or no
 // displacement path).
 func (sh *shard) placeLocked(cur *region, kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16, value uint64, from *atomic.Uint64) bool {
-	if len(cur.free) == 0 {
+	if cur.full() {
 		return false
 	}
 	b1, b2 := cur.buckets(h)
@@ -630,8 +688,9 @@ func (sh *shard) placeLocked(cur *region, kw *[maxKeyWords]uint64, nw int, h uin
 			return false
 		}
 	}
-	slot := cur.free[len(cur.free)-1]
-	cur.free = cur.free[:len(cur.free)-1]
+	// Placement is now certain, so taking the slot (and perhaps its page)
+	// cannot leak one.
+	slot := cur.takeSlot(sh.kvStride)
 	sh.writeKV(cur, slot, kw, nw, value)
 	// Publishing one empty→live entry is atomic on its own, but the slot may
 	// be recycled: a reader that captured the old entry before the slot was
@@ -754,12 +813,12 @@ func (sh *shard) removeLocked(r *region, entIdx uint64, slot uint32) {
 // hashes are computed over bytes. Caller must hold mu.
 func (sh *shard) residentKey(r *region, slot uint32, kw *[maxKeyWords]uint64, kb *[MaxKeyLen]byte) (key []byte, h, value uint64) {
 	nw := sh.kvStride - 1
-	base := int(slot) * sh.kvStride
+	words := sh.slotWords(r, slot)
 	for w := 0; w < nw; w++ {
-		kw[w] = r.kv[base+w].Load()
+		kw[w] = words[w].Load()
 	}
 	key = wordsToKey(kw, sh.keyLen, kb)
-	return key, hashfn.Hash(hashfn.SeedPrimary, key), r.kv[base+nw].Load()
+	return key, hashfn.Hash(hashfn.SeedPrimary, key), words[nw].Load()
 }
 
 // pathNode is one step of a displacement path: the entry at entIdx moves to

@@ -273,7 +273,7 @@ func TestCollectInto(t *testing.T) {
 	// The full counter family is present (stable schema, zeros included).
 	for _, name := range []string{
 		"flowserve.lookup.retries", "flowserve.lookup.lock_fallbacks",
-		"flowserve.lookup.badlen", "flowserve.capacity",
+		"flowserve.lookup.badlen", "flowserve.capacity", "flowserve.bytes",
 		"flowserve.insert.exists", "flowserve.insert.full",
 		"flowserve.updates", "flowserve.displacements",
 		"flowserve.batch.calls", "flowserve.batch.keys",

@@ -21,24 +21,30 @@ const (
 // balloon allocations; it still allows several doublings from the seed size.
 const fuzzMaxCapacity = 1 << 12
 
-// applyFuzzOps interprets data as a stream of 4-byte operations
-// (kind, key-lo, key-hi, value) applied to a sharded table and to a plain
-// map reference model, failing on any behavioural divergence. Grow and
-// ResizeStep are ops in the stream, so the fuzzer interleaves incremental
-// migration with every other operation at arbitrary points. Single
-// goroutine: linearizable semantics are the spec here; concurrency is the
-// stress test's job.
+// applyFuzzOps runs a fuzz input against a fresh small sharded table.
 func applyFuzzOps(t *testing.T, data []byte) {
 	tbl, err := New(Config{Shards: fuzzShards, Entries: fuzzTableEntries, KeyLen: 20})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	applyOps(t, tbl, fuzzKeyUniverse, fuzzMaxCapacity, data, nil)
+}
+
+// applyOps interprets data as a stream of 4-byte operations
+// (kind, key-lo, key-hi, value) over the 20-byte keys [0, universe), applied
+// to tbl and to a plain map reference model, failing on any behavioural
+// divergence. Grow (while the capacity is below maxCap) and ResizeStep are
+// ops in the stream, so incremental migration interleaves with every other
+// operation at arbitrary points. after, when non-nil, runs after every op
+// with the model's size. Single goroutine: linearizable semantics are the
+// spec here; concurrency is the stress test's job.
+func applyOps(t *testing.T, tbl *Table, universe uint16, maxCap uint64, data []byte, after func(op, resident int)) {
 	model := map[uint16]uint64{}
 	var batch *Batch
 
 	for off := 0; off+4 <= len(data); off += 4 {
 		kind := data[off]
-		mk := binary.LittleEndian.Uint16(data[off+1:off+3]) % fuzzKeyUniverse
+		mk := binary.LittleEndian.Uint16(data[off+1:off+3]) % universe
 		val := uint64(data[off+3])
 		k := key20(uint64(mk))
 		switch kind % 9 {
@@ -83,11 +89,11 @@ func applyFuzzOps(t *testing.T, data []byte) {
 			keys := make([][]byte, span)
 			results := make([]Result, span)
 			for j := 0; j < span; j++ {
-				keys[j] = key20(uint64((mk + uint16(j)) % fuzzKeyUniverse))
+				keys[j] = key20(uint64((mk + uint16(j)) % universe))
 			}
 			batch.LookupMany(keys, results)
 			for j := 0; j < span; j++ {
-				wk := (mk + uint16(j)) % fuzzKeyUniverse
+				wk := (mk + uint16(j)) % universe
 				want, exists := model[wk]
 				if results[j].OK != exists || (results[j].OK && results[j].Value != want) {
 					t.Fatalf("op %d: LookupMany(key %d) = (%d,%v), model says (%d,%v)",
@@ -95,8 +101,11 @@ func applyFuzzOps(t *testing.T, data []byte) {
 				}
 			}
 		case 5: // grow by an odd increment (exercises irregular region sizes)
-			if c := tbl.Capacity(); c < fuzzMaxCapacity {
-				if err := tbl.Grow(c + 1 + uint64(val)); err != nil {
+			if c := tbl.Capacity(); c < maxCap {
+				// The one refusal allowed: inserts filled the current region
+				// before the migration in flight finished, so it stalled and
+				// Grow asks for deletes first (it leaves the resize in flight).
+				if err := tbl.Grow(c + 1 + uint64(val)); err != nil && (err == ErrShrink || !tbl.Resizing()) {
 					t.Fatalf("op %d: Grow(%d) = %v", off/4, c+1+uint64(val), err)
 				}
 			}
@@ -133,6 +142,9 @@ func applyFuzzOps(t *testing.T, data []byte) {
 		}
 		if tbl.Size() != uint64(len(model)) {
 			t.Fatalf("op %d: Size = %d, model has %d entries", off/4, tbl.Size(), len(model))
+		}
+		if after != nil {
+			after(off/4, len(model))
 		}
 	}
 

@@ -97,15 +97,16 @@ func (t *Table) ResizeStep(buckets int) bool {
 
 // startGrowLocked installs a fresh region of newCap entries as the current
 // region and demotes the live one to "old", resetting the migration cursor.
-// Caller must hold mu and have no resize in flight. The pointer swap moves
-// no keys, so readers need no seqlock window: both the pre- and post-swap
-// region sets contain every live key.
+// The fresh region is a bucket array and an empty page table: its slot pages
+// arrive as keys do. Caller must hold mu and have no resize in flight. The
+// pointer swap moves no keys, so readers need no seqlock window: both the
+// pre- and post-swap region sets contain every live key.
 func (sh *shard) startGrowLocked(newCap uint64) {
 	rp := sh.regions.Load()
 	if rp.old != nil {
 		panic("flowserve: startGrow with a resize already in flight")
 	}
-	next := newRegion(newCap, sh.kvStride-1)
+	next := newRegion(newCap)
 	sh.migrated = 0
 	sh.regions.Store(&regionPair{cur: next, old: rp.cur})
 	sh.c.grows.Add(1)

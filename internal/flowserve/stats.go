@@ -1,6 +1,11 @@
 package flowserve
 
-import "halo/internal/stats"
+import (
+	"sync/atomic"
+	"unsafe"
+
+	"halo/internal/stats"
+)
 
 // TableStats aggregates the per-shard operation counters and the batched
 // read path's stripes. Reader-side counters (Lookups, Hits, Retries,
@@ -83,6 +88,37 @@ func (t *Table) ResizePauses() *stats.Histogram {
 	return h
 }
 
+// storageBytes is what the table's storage occupies: bucket entries,
+// allocated slot pages, page tables and recycled-slot lists, over every
+// shard's current and old region. Like ResizePauses it takes each shard's
+// writer lock, the lock under which pages and lists change.
+func (t *Table) storageBytes() uint64 {
+	var n uint64
+	for _, sh := range t.shards {
+		sh.mu.Lock()
+		rp := sh.regions.Load()
+		for _, r := range [2]*region{rp.old, rp.cur} {
+			if r != nil {
+				n += r.bytes()
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// bytes is storageBytes for one region. Caller must hold the shard's mu.
+func (r *region) bytes() uint64 {
+	const word = uint64(unsafe.Sizeof(atomic.Uint64{}))
+	n := uint64(len(r.entries))*word +
+		uint64(len(r.pages))*uint64(unsafe.Sizeof(r.pages[0])) +
+		uint64(cap(r.free))*uint64(unsafe.Sizeof(uint32(0)))
+	for _, page := range r.pages {
+		n += uint64(len(page)) * word
+	}
+	return n
+}
+
 // CollectInto publishes the table's counters into a snapshot under the
 // flowserve.* names, following the repo-wide CollectInto convention. The
 // resize pause histogram is published both as a snapshot histogram
@@ -93,6 +129,7 @@ func (t *Table) CollectInto(snap *stats.Snapshot) {
 	snap.Add("flowserve.shards", uint64(len(t.shards)))
 	snap.Add("flowserve.size", t.Size())
 	snap.Add("flowserve.capacity", t.Capacity())
+	snap.Add("flowserve.bytes", t.storageBytes())
 	snap.Add("flowserve.lookups", s.Lookups)
 	snap.Add("flowserve.hits", s.Hits)
 	snap.Add("flowserve.misses", s.Misses)

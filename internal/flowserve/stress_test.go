@@ -325,6 +325,75 @@ func TestResizeStress(t *testing.T) {
 	t.Logf("resize stress stats: %+v", s)
 }
 
+// TestPublishAcrossPageBoundary races readers against the allocation of
+// slot pages (run it under -race: CI does). One writer inserts fresh keys
+// into a one-shard table, so its slots run in order across nine page
+// boundaries, and publishes each key's index once Insert returns. Readers
+// look up the newest published keys, whose slots may sit on a page allocated
+// a moment before; every one must hit with its own value.
+func TestPublishAcrossPageBoundary(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	const (
+		n       = 9*pageSlots + 100
+		readers = 2
+		span    = 16
+	)
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = key20(uint64(i))
+	}
+	tbl := mustNew(t, Config{Shards: 1, Entries: n, KeyLen: 20})
+
+	var published atomic.Int64 // keys[:published] are resident
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			batch := tbl.NewBatch()
+			results := make([]Result, span)
+			for p := int64(0); p < n; {
+				if p = published.Load(); p < span {
+					runtime.Gosched()
+					continue
+				}
+				i := p - 1
+				if v, ok := tbl.Lookup(keys[i]); !ok || v != valueFor(uint64(i)) {
+					t.Errorf("Lookup of published key %d = (%d,%v), want (%d,true)", i, v, ok, valueFor(uint64(i)))
+					return
+				}
+				batch.LookupMany(keys[p-span:p], results)
+				for j, res := range results {
+					if k := p - span + int64(j); !res.OK || res.Value != valueFor(uint64(k)) {
+						t.Errorf("LookupMany of published key %d = %+v, want (%d,true)", k, res, valueFor(uint64(k)))
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := range keys {
+		if err := tbl.Insert(keys[i], valueFor(uint64(i))); err != nil {
+			t.Errorf("Insert %d: %v", i, err)
+			break
+		}
+		published.Store(int64(i + 1))
+	}
+	published.Store(n) // release the readers even if an insert failed
+	wg.Wait()
+	allocated := 0
+	for _, page := range tbl.shards[0].regions.Load().cur.pages {
+		if page != nil {
+			allocated++
+		}
+	}
+	if allocated < 9 {
+		t.Fatalf("%d keys filled %d pages, want >= 9 (8 boundaries crossed)", n, allocated)
+	}
+}
+
 // TestConcurrentWritersDistinctShardsProgress checks writer parallelism is
 // real: writers pinned to different shards make progress concurrently
 // (the per-shard mutex is not accidentally global).

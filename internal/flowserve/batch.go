@@ -12,7 +12,6 @@ type Batch struct {
 
 	kw    [][maxKeyWords]uint64
 	h     []uint64
-	sig   []uint16
 	shard []uint32
 
 	count []uint32 // per-shard key count, then prefix-summed into offsets
@@ -30,13 +29,11 @@ func (b *Batch) grow(n int) {
 	if cap(b.kw) < n {
 		b.kw = make([][maxKeyWords]uint64, n)
 		b.h = make([]uint64, n)
-		b.sig = make([]uint16, n)
 		b.shard = make([]uint32, n)
 		b.order = make([]uint32, n)
 	}
 	b.kw = b.kw[:n]
 	b.h = b.h[:n]
-	b.sig = b.sig[:n]
 	b.shard = b.shard[:n]
 	b.order = b.order[:n]
 }
@@ -49,17 +46,17 @@ func (b *Batch) grow(n int) {
 // traffic) over the group.
 //
 // The issue pass records only the primary hash per key; candidate buckets
-// are derived per region inside the probe, because an in-flight resize
-// gives a shard two bucket geometries at once. Keys of the wrong length are
-// misses counted in the table-level badlen counter, as in Lookup. results
-// must be at least len(keys) long.
+// and the signature are derived per region inside the probe, because an
+// in-flight resize gives a shard two geometries at once. Keys of the wrong
+// length are misses counted in the table-level badlen counter, as in Lookup.
+// results must be at least len(keys) long.
 func (b *Batch) LookupMany(keys [][]byte, results []Result) int {
 	t := b.t
 	n := len(keys)
 	_ = results[:n]
 	b.grow(n)
 
-	// Issue pass: hash, signature and shard per key.
+	// Issue pass: hash and shard per key.
 	badLen := uint64(0)
 	for i, key := range keys {
 		if len(key) != t.keyLen {
@@ -70,7 +67,6 @@ func (b *Batch) LookupMany(keys [][]byte, results []Result) int {
 		keyToWords(key, &b.kw[i])
 		h := hashfn.Hash(hashfn.SeedPrimary, key)
 		b.h[i] = h
-		b.sig[i] = hashfn.Signature(h)
 		b.shard[i] = uint32(hashfn.ShardIndex(h, uint64(len(t.shards))))
 	}
 
@@ -139,7 +135,7 @@ func (b *Batch) lookupGroup(sh *shard, group []uint32, results []Result) int {
 		hits := 0
 		for _, i := range group {
 			res := Result{}
-			if r, _, slot, ok := sh.locate(rp, &b.kw[i], nw, b.h[i], b.sig[i]); ok {
+			if r, _, slot, ok := sh.locate(rp, &b.kw[i], nw, b.h[i]); ok {
 				res = Result{Value: sh.valueWord(r, slot, nw).Load(), OK: true}
 				hits++
 			}

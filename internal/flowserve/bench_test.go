@@ -197,6 +197,66 @@ func BenchmarkFill(b *testing.B) {
 	}
 }
 
+// BenchmarkLookupManyFlows is the table's half of the flow-count curve that
+// ROADMAP item 2(a) compares with the simulator's software-lookup curve:
+// 16-key pinned-batch lookups of uniformly drawn resident flows, at 16K to 4M
+// flows, in a table sized as the repository benchmark sizes one (a power of
+// two at least 1.25× the flows, 8 shards, 20-byte keys). Keys and draws are
+// generated before the clock starts, so ns/key is the table's own; where it
+// turns up against the machine's cache sizes is the knee. B/flow is the heap
+// growth of the table's creation and fill, as mem_bytes_per_flow weighs it.
+// Each size builds its table once, on its first round.
+func BenchmarkLookupManyFlows(b *testing.B) {
+	for _, flows := range []int{1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22} {
+		var (
+			tbl     *Table
+			arena   []byte
+			draws   []uint32
+			perFlow float64
+		)
+		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
+			if tbl == nil {
+				arena = make([]byte, flows*20)
+				for i := 0; i < flows; i++ {
+					copy(arena[i*20:], key20(uint64(i)))
+				}
+				rng := rand.New(rand.NewSource(1))
+				draws = make([]uint32, 1<<20)
+				for i := range draws {
+					draws[i] = uint32(rng.Intn(flows))
+				}
+				entries := uint64(1)
+				for entries < uint64(flows)*5/4 {
+					entries <<= 1
+				}
+				heap0 := heapInuse()
+				tbl = mustNew(b, Config{Shards: 8, Entries: entries, KeyLen: 20})
+				for i := 0; i < flows; i++ {
+					if err := tbl.Insert(arena[i*20:(i+1)*20], uint64(i)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				perFlow = float64(heapInuse()-heap0) / float64(flows)
+				b.ResetTimer()
+			}
+			batch := tbl.NewBatch()
+			bkeys := make([][]byte, 16)
+			results := make([]Result, 16)
+			for i := 0; i < b.N; i++ {
+				for j := range bkeys {
+					k := int(draws[(i*16+j)&(len(draws)-1)]) * 20
+					bkeys[j] = arena[k : k+20]
+				}
+				if batch.LookupMany(bkeys, results) != 16 {
+					b.Fatal("miss on a resident key")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*16), "ns/key")
+			b.ReportMetric(perFlow, "B/flow")
+		})
+	}
+}
+
 // BenchmarkGrowStart times the insert that starts a shard's doubling from
 // 1M slots to 2M: the insert places its key, then installs the new region.
 // What that costs does not depend on how full the shard is, so GrowAt is set

@@ -30,19 +30,23 @@
 //     (see resize.go and DESIGN.md §12).
 //
 // Layout per shard region mirrors rte_hash (and the simulated cuckoo.Table):
-// an array of 8-entry buckets holding packed {signature, slot} words, plus
-// key-value slots of 8-byte words. Unlike rte_hash, the slots are not
-// allocated up front for full capacity: they live in fixed-size pages, each
-// allocated the first time a slot in it is handed out, so a table holds
-// memory for the flows it has held, not for the flows it could hold. Every
-// word readers can observe is an atomic.Uint64, which makes the seqlock
-// race-detector-clean and bounds tearing at word granularity (the seqlock
-// then rules out cross-word mixes).
+// an array of 8-entry buckets holding packed {slot, signature} words, plus
+// key-value slots of 8-byte words. Unlike rte_hash, an entry is 4 bytes, not
+// 8: the slot index and a signature share one 32-bit word, the signature as
+// wide as the region's slot count leaves room for (16 bits down to 8), so a
+// bucket is half a cache line. Nor are the slots allocated up front for full
+// capacity: they live in fixed-size pages, each allocated the first time a
+// slot in it is handed out, so a table holds memory for the flows it has
+// held, not for the flows it could hold. Every word readers can observe is an
+// atomic (atomic.Uint32 entries, atomic.Uint64 slot words), which makes the
+// seqlock race-detector-clean and bounds tearing at word granularity (the
+// seqlock then rules out cross-word mixes).
 package flowserve
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -69,10 +73,12 @@ const MaxKeyLen = 64
 // maxKeyWords is MaxKeyLen in 8-byte words; probe scratch is sized to it.
 const maxKeyWords = MaxKeyLen / 8
 
-// maxPerShard is the exclusive upper bound on a shard's slot count: slot
-// indexes are stored as uint32 both in bucket entries and the free list, so
-// a shard holding 1<<32 entries would need a slot index that wraps to zero.
-const maxPerShard = 1 << 32
+// maxPerShard is the exclusive upper bound on a shard's slot count: a bucket
+// entry is slot<<sigBits | sig in 32 bits, so every slot index bit taken
+// past 16 narrows the signature by one, and 24 index bits leave the
+// narrowest signature the table accepts, 8 bits (one false signature match
+// in 256 probed entries).
+const maxPerShard = 1 << 24
 
 // migrateBuckets is how many old-region buckets a writer operation migrates
 // before doing its own work while a resize is in flight (at most
@@ -95,7 +101,9 @@ type Config struct {
 	// Entries is the total key-value capacity, split evenly across shards.
 	// Shard assignment is by hash, so a shard can fill slightly before the
 	// whole table does; size headroom (~10–20% at high shard counts) keeps
-	// ErrTableFull away.
+	// ErrTableFull away. A shard holds fewer than 1<<24 entries (its slot
+	// index shares a 32-bit bucket entry with a signature of at least 8
+	// bits), so Entries must be below Shards<<24; Grow has the same limit.
 	Entries uint64
 	// KeyLen is the fixed key size in bytes (1..MaxKeyLen).
 	KeyLen int
@@ -147,10 +155,8 @@ func New(cfg Config) (*Table, error) {
 		return nil, fmt.Errorf("flowserve: GrowAt %v out of range (0,1)", cfg.GrowAt)
 	}
 	perShard := (cfg.Entries + uint64(cfg.Shards) - 1) / uint64(cfg.Shards)
-	// >= (not >): slot indexes are uint32, so exactly 1<<32 entries would
-	// truncate to a zero capacity (see maxPerShard).
 	if perShard >= maxPerShard {
-		return nil, fmt.Errorf("flowserve: %d entries per shard exceeds slot index width", perShard)
+		return nil, fmt.Errorf("flowserve: %d entries per shard, want < %d: a bucket entry holds a 24-bit slot index beside an 8-bit signature", perShard, maxPerShard)
 	}
 	t := &Table{
 		shards:   make([]*shard, cfg.Shards),
@@ -198,13 +204,13 @@ func (t *Table) Size() uint64 {
 	return n
 }
 
-// route hashes a key and resolves the owning shard. Bucket indexes are NOT
-// derived here: they depend on a region's bucket count, which changes under
-// resize, so each probe derives them from the region it is about to scan.
-func (t *Table) route(key []byte, kw *[maxKeyWords]uint64) (sh *shard, h uint64, sig uint16) {
+// route hashes a key and resolves the owning shard. Bucket indexes and the
+// signature are NOT derived here: they depend on a region's bucket count and
+// signature width, which change under resize, so each probe derives them
+// from the region it is about to scan.
+func (t *Table) route(key []byte, kw *[maxKeyWords]uint64) (sh *shard, h uint64) {
 	keyToWords(key, kw)
 	h = hashfn.Hash(hashfn.SeedPrimary, key)
-	sig = hashfn.Signature(h)
 	sh = t.shards[hashfn.ShardIndex(h, uint64(len(t.shards)))]
 	return
 }
@@ -218,8 +224,8 @@ func (t *Table) Lookup(key []byte) (value uint64, ok bool) {
 		return 0, false
 	}
 	var kw [maxKeyWords]uint64
-	sh, h, sig := t.route(key, &kw)
-	return sh.lookup(&kw, t.keyWords, h, sig)
+	sh, h := t.route(key, &kw)
+	return sh.lookup(&kw, t.keyWords, h)
 }
 
 // Insert adds a key-value pair. Inserting an existing key returns
@@ -229,8 +235,8 @@ func (t *Table) Insert(key []byte, value uint64) error {
 		return ErrKeyLen
 	}
 	var kw [maxKeyWords]uint64
-	sh, h, sig := t.route(key, &kw)
-	return sh.insert(&kw, t.keyWords, h, sig, value)
+	sh, h := t.route(key, &kw)
+	return sh.insert(&kw, t.keyWords, h, value)
 }
 
 // Update changes the value of an existing key, reporting whether it was
@@ -240,8 +246,8 @@ func (t *Table) Update(key []byte, value uint64) bool {
 		return false
 	}
 	var kw [maxKeyWords]uint64
-	sh, h, sig := t.route(key, &kw)
-	return sh.update(&kw, t.keyWords, h, sig, value)
+	sh, h := t.route(key, &kw)
+	return sh.update(&kw, t.keyWords, h, value)
 }
 
 // Delete removes a key, reporting whether it was present.
@@ -250,8 +256,8 @@ func (t *Table) Delete(key []byte) bool {
 		return false
 	}
 	var kw [maxKeyWords]uint64
-	sh, h, sig := t.route(key, &kw)
-	return sh.delete(&kw, t.keyWords, h, sig)
+	sh, h := t.route(key, &kw)
+	return sh.delete(&kw, t.keyWords, h)
 }
 
 // keyToWords packs a key into little-endian 8-byte words, zero-padding the
@@ -305,9 +311,19 @@ type region struct {
 	bucketCount uint64
 	capacity    uint64
 
+	// sigBits is the signature width: the low sigBits bits of an entry hold
+	// the key's signature, the bits above them its slot index. newRegion
+	// fixes it at the widest that leaves room for every slot index below
+	// capacity, at most 16, so a region past 1<<16 slots loses a signature
+	// bit per doubling. sigMask is 1<<sigBits - 1.
+	sigBits uint
+	sigMask uint32
+
 	// entries holds bucketCount*EntriesPerBucket packed bucket entries:
-	// slot<<16 | signature, zero when empty (signatures are never zero).
-	entries []atomic.Uint64
+	// slot<<sigBits | signature, zero when empty (signatures are never zero).
+	// A bucket is 32 bytes, and the array is 64-byte aligned
+	// (TestEntriesLineAligned), so a bucket probe reads one cache line.
+	entries []atomic.Uint32
 
 	// pages is the slot page table: page p holds slots p<<pageShift onward,
 	// kvStride words each (keyWords key words, then one value word). Every
@@ -335,10 +351,13 @@ func newRegion(entries uint64) *region {
 	for bc < want {
 		bc <<= 1
 	}
+	sigBits := uint(min(16, 32-bits.Len64(entries-1)))
 	return &region{
 		bucketCount: bc,
 		capacity:    entries,
-		entries:     make([]atomic.Uint64, bc*EntriesPerBucket),
+		sigBits:     sigBits,
+		sigMask:     1<<sigBits - 1,
+		entries:     make([]atomic.Uint32, bc*EntriesPerBucket),
 		pages:       make([][]atomic.Uint64, (entries+pageMask)>>pageShift),
 	}
 }
@@ -369,10 +388,17 @@ func (r *region) takeSlot(stride int) uint32 {
 	return slot
 }
 
-// buckets returns the key's candidate bucket pair in this region's
-// geometry.
-func (r *region) buckets(h uint64) (b1, b2 uint64) {
-	return hashfn.BucketPair(h, r.bucketCount)
+// buckets returns the key's candidate bucket pair and its signature in this
+// region's geometry. The signature is the top sigBits bits of the primary
+// hash, zero mapped to one (zero marks an empty entry); b2 is derived from
+// it, so an entry alone names its alternate bucket, as a displacement needs.
+// At 16 bits this is hashfn.BucketPair and hashfn.Signature.
+func (r *region) buckets(h uint64) (b1, b2 uint64, sig uint32) {
+	if sig = uint32(h >> (64 - r.sigBits)); sig == 0 {
+		sig = 1
+	}
+	b1 = h & (r.bucketCount - 1)
+	return b1, hashfn.AltBucket(b1, uint16(sig), r.bucketCount), sig
 }
 
 // regionPair is the reader-visible storage set, swapped atomically. old is
@@ -496,12 +522,6 @@ func newShard(entries uint64, keyLen, keyWords int, growAt float64) *shard {
 	return sh
 }
 
-// packEntry encodes a live bucket entry; sig is never zero, so a zero word
-// means empty.
-func packEntry(sig uint16, slot uint32) uint64 {
-	return uint64(slot)<<16 | uint64(sig)
-}
-
 // beginWrite/endWrite bracket every mutation of reader-visible words. The
 // caller must hold mu.
 func (sh *shard) beginWrite() { sh.seq.Add(1) } // even → odd
@@ -542,7 +562,7 @@ func (sh *shard) keyEqual(r *region, slot uint32, kw *[maxKeyWords]uint64, nw in
 // with the same value either way), so the first match wins. It may run
 // concurrently with a writer: a reader trusts the result only once its
 // readWindow is done.
-func (sh *shard) locate(rp *regionPair, kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16) (*region, uint64, uint32, bool) {
+func (sh *shard) locate(rp *regionPair, kw *[maxKeyWords]uint64, nw int, h uint64) (*region, uint64, uint32, bool) {
 	// Not a range over [2]*region{old, cur}: that form read ≈5 % slower on
 	// 16-key batches (BenchmarkLookupManyPinnedBatch).
 	r := rp.old
@@ -550,15 +570,15 @@ func (sh *shard) locate(rp *regionPair, kw *[maxKeyWords]uint64, nw int, h uint6
 		r = rp.cur
 	}
 	for ; ; r = rp.cur {
-		b1, b2 := r.buckets(h)
+		b1, b2, sig := r.buckets(h)
 		for _, b := range [2]uint64{b1, b2} {
 			base := b * EntriesPerBucket
 			for e := uint64(0); e < EntriesPerBucket; e++ {
 				ent := r.entries[base+e].Load()
-				if uint16(ent) != sig {
+				if ent&r.sigMask != sig {
 					continue
 				}
-				slot := uint32(ent >> 16)
+				slot := ent >> r.sigBits
 				if sh.keyEqual(r, slot, kw, nw) {
 					return r, base + e, slot, true
 				}
@@ -636,12 +656,12 @@ func (w *readWindow) settle() bool {
 }
 
 // lookup probes one key under a readWindow.
-func (sh *shard) lookup(kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16) (uint64, bool) {
+func (sh *shard) lookup(kw *[maxKeyWords]uint64, nw int, h uint64) (uint64, bool) {
 	sh.rd.lookups.Add(1)
 	var res Result
 	for w := (readWindow{sh: sh}); ; {
 		res = Result{}
-		if r, _, slot, ok := sh.locate(w.regions(), kw, nw, h, sig); ok {
+		if r, _, slot, ok := sh.locate(w.regions(), kw, nw, h); ok {
 			res = Result{Value: sh.valueWord(r, slot, nw).Load(), OK: true}
 		}
 		if w.done() {
@@ -671,14 +691,15 @@ func (sh *shard) writeKV(r *region, slot uint32, kw *[maxKeyWords]uint64, nw int
 // An insert passes from == nil, having checked that the key is absent. A
 // migration passes from, the key's entry word in the old region, which is
 // cleared in the same seqlock window that publishes the new entry — so
-// readers always find the key in at least one region. Caller must hold mu.
-// Returns false when the region cannot take the key (no free slot or no
-// displacement path).
-func (sh *shard) placeLocked(cur *region, kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16, value uint64, from *atomic.Uint64) bool {
+// readers always find the key in at least one region. The entry takes cur's
+// signature of the key, whatever width the key's entry in the old region
+// had. Caller must hold mu. Returns false when the region cannot take the
+// key (no free slot or no displacement path).
+func (sh *shard) placeLocked(cur *region, kw *[maxKeyWords]uint64, nw int, h, value uint64, from *atomic.Uint32) bool {
 	if cur.full() {
 		return false
 	}
-	b1, b2 := cur.buckets(h)
+	b1, b2, sig := cur.buckets(h)
 	entIdx, direct := sh.freeEntry(cur, b1, b2)
 	var path []pathNode
 	if !direct {
@@ -707,7 +728,7 @@ func (sh *shard) placeLocked(cur *region, kw *[maxKeyWords]uint64, nw int, h uin
 		}
 		sh.c.displacements.Add(uint64(len(path)))
 	}
-	cur.entries[entIdx].Store(packEntry(sig, slot))
+	cur.entries[entIdx].Store(slot<<cur.sigBits | sig)
 	if from != nil {
 		from.Store(0)
 	}
@@ -715,16 +736,16 @@ func (sh *shard) placeLocked(cur *region, kw *[maxKeyWords]uint64, nw int, h uin
 	return true
 }
 
-func (sh *shard) insert(kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16, value uint64) error {
+func (sh *shard) insert(kw *[maxKeyWords]uint64, nw int, h, value uint64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.migrateLocked(migrateBuckets)
 	rp := sh.regions.Load()
-	if _, _, _, exists := sh.locate(rp, kw, nw, h, sig); exists {
+	if _, _, _, exists := sh.locate(rp, kw, nw, h); exists {
 		sh.c.insertExists.Add(1)
 		return ErrKeyExists
 	}
-	if !sh.placeLocked(rp.cur, kw, nw, h, sig, value, nil) {
+	if !sh.placeLocked(rp.cur, kw, nw, h, value, nil) {
 		// Full (or displacement-exhausted) current region: with auto-grow
 		// enabled and no resize already in flight, double and retry into
 		// the fresh region — its candidate buckets start empty.
@@ -734,7 +755,7 @@ func (sh *shard) insert(kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16, v
 		}
 		sh.startGrowLocked(2 * rp.cur.capacity)
 		rp = sh.regions.Load()
-		if !sh.placeLocked(rp.cur, kw, nw, h, sig, value, nil) {
+		if !sh.placeLocked(rp.cur, kw, nw, h, value, nil) {
 			sh.c.insertFull.Add(1)
 			return ErrTableFull
 		}
@@ -766,11 +787,11 @@ func (sh *shard) freeEntry(r *region, b1, b2 uint64) (uint64, bool) {
 	return 0, false
 }
 
-func (sh *shard) update(kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16, value uint64) bool {
+func (sh *shard) update(kw *[maxKeyWords]uint64, nw int, h, value uint64) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.migrateLocked(migrateBuckets)
-	r, _, slot, found := sh.locate(sh.regions.Load(), kw, nw, h, sig)
+	r, _, slot, found := sh.locate(sh.regions.Load(), kw, nw, h)
 	if !found {
 		return false
 	}
@@ -782,11 +803,11 @@ func (sh *shard) update(kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16, v
 	return true
 }
 
-func (sh *shard) delete(kw *[maxKeyWords]uint64, nw int, h uint64, sig uint16) bool {
+func (sh *shard) delete(kw *[maxKeyWords]uint64, nw int, h uint64) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.migrateLocked(migrateBuckets)
-	r, entIdx, slot, found := sh.locate(sh.regions.Load(), kw, nw, h, sig)
+	r, entIdx, slot, found := sh.locate(sh.regions.Load(), kw, nw, h)
 	if !found {
 		return false
 	}
@@ -859,7 +880,7 @@ func (sh *shard) findCuckooPath(r *region, b1, b2 uint64) []pathNode {
 			if ent == 0 {
 				continue
 			}
-			alt := hashfn.AltBucket(item.bucket, uint16(ent), r.bucketCount)
+			alt := hashfn.AltBucket(item.bucket, uint16(ent&r.sigMask), r.bucketCount)
 			nodes = append(nodes, pathNode{bucket: item.bucket, entry: base + e, parent: item.node})
 			nodeIdx := len(nodes) - 1
 			altBase := alt * EntriesPerBucket
@@ -891,7 +912,7 @@ func (sh *shard) applyCuckooPath(r *region, path []pathNode) {
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
 		ent := r.entries[n.entry].Load()
-		alt := hashfn.AltBucket(n.bucket, uint16(ent), r.bucketCount)
+		alt := hashfn.AltBucket(n.bucket, uint16(ent&r.sigMask), r.bucketCount)
 		altBase := alt * EntriesPerBucket
 		for ae := uint64(0); ae < EntriesPerBucket; ae++ {
 			if r.entries[altBase+ae].Load() == 0 {

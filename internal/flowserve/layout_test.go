@@ -83,6 +83,27 @@ func TestShardLayout(t *testing.T) {
 	}
 }
 
+// TestEntriesLineAligned guards the one-line bucket probe: a bucket is
+// EntriesPerBucket 4-byte entries, 32 bytes, and it sits within one 64-byte
+// line only if the entry array starts on a line. As with the shard, Go gives
+// no alignment directive; the array is pointer-free and a power-of-two
+// multiple of 64 bytes, so its size class (or, past 32 KiB, its own span)
+// aligns it.
+func TestEntriesLineAligned(t *testing.T) {
+	if sz := EntriesPerBucket * unsafe.Sizeof(atomic.Uint32{}); sz != cacheLine/2 {
+		t.Fatalf("a bucket is %d bytes, want %d", sz, cacheLine/2)
+	}
+	for bc := uint64(2); bc <= 1<<18; bc <<= 1 {
+		r := newRegion(bc * EntriesPerBucket)
+		if r.bucketCount != bc {
+			t.Fatalf("newRegion(%d) has %d buckets, want %d", bc*EntriesPerBucket, r.bucketCount, bc)
+		}
+		if a := uintptr(unsafe.Pointer(&r.entries[0])); a%cacheLine != 0 {
+			t.Errorf("%d buckets: entries at %#x are not %d-byte aligned", bc, a, cacheLine)
+		}
+	}
+}
+
 // TestStatsHitsNeverExceedLookups takes snapshots while a reader hammers
 // resident keys through both read paths. Every lookup is a hit, so any skew
 // between the two counters shows at once; a snapshot with Hits > Lookups

@@ -39,7 +39,7 @@ func (t *Table) Grow(newEntries uint64) error {
 	}
 	perShard := (newEntries + uint64(len(t.shards)) - 1) / uint64(len(t.shards))
 	if perShard >= maxPerShard {
-		return fmt.Errorf("flowserve: %d entries per shard exceeds slot index width", perShard)
+		return fmt.Errorf("flowserve: %d entries per shard, want < %d: a bucket entry holds a 24-bit slot index beside an 8-bit signature", perShard, maxPerShard)
 	}
 	for _, sh := range t.shards {
 		sh.mu.Lock()
@@ -173,11 +173,12 @@ func (sh *shard) migrateBucketLocked(rp *regionPair, b uint64) bool {
 		if ent == 0 {
 			continue
 		}
-		// Rehash for the grown region's bucket geometry. The signature is
-		// derived from the same primary hash, so it is unchanged — only
-		// the bucket pair widens.
-		_, h, value := sh.residentKey(rp.old, uint32(ent>>16), &kw, &kb)
-		if !sh.placeLocked(rp.cur, &kw, sh.kvStride-1, h, uint16(ent), value, &rp.old.entries[e]) {
+		// Rehash for the grown region's geometry: its bucket pair widens,
+		// and its signature may be a bit narrower (cur's slot indexes can
+		// need one more bit), so placeLocked derives both from the primary
+		// hash rather than reusing the old entry's.
+		_, h, value := sh.residentKey(rp.old, ent>>rp.old.sigBits, &kw, &kb)
+		if !sh.placeLocked(rp.cur, &kw, sh.kvStride-1, h, value, &rp.old.entries[e]) {
 			return false
 		}
 		sh.c.migratedKeys.Add(1)

@@ -1,24 +1,28 @@
 package flowserve
 
 import (
+	"math/bits"
 	"testing"
+
+	"halo/internal/hashfn"
 )
 
-// TestNewRejectsPerShardOverflow pins the slot-index-width guard: slot
-// indexes are uint32, so a shard of exactly 1<<32 entries would truncate to
-// capacity 0. Pre-PR the guard was `>`, which let 1<<32 through.
+// TestNewRejectsPerShardOverflow pins the slot-index-width guard: a bucket
+// entry holds a slot index of at most 24 bits beside its signature, so a
+// shard of 1<<24 entries or more is refused rather than given signatures
+// narrower than 8 bits.
 func TestNewRejectsPerShardOverflow(t *testing.T) {
 	cases := []Config{
-		{Shards: 1, Entries: 1 << 32, KeyLen: 20},
-		{Shards: 1, Entries: 1<<32 + 1, KeyLen: 20},
-		{Shards: 4, Entries: 4 << 32, KeyLen: 20},
-		// Ceil division: 4*(1<<32) - 3 entries over 4 shards is still 1<<32
+		{Shards: 1, Entries: 1 << 24, KeyLen: 20},
+		{Shards: 1, Entries: 1<<24 + 1, KeyLen: 20},
+		{Shards: 4, Entries: 4 << 24, KeyLen: 20},
+		// Ceil division: 4*(1<<24) - 3 entries over 4 shards is still 1<<24
 		// per shard.
-		{Shards: 4, Entries: 4<<32 - 3, KeyLen: 20},
+		{Shards: 4, Entries: 4<<24 - 3, KeyLen: 20},
 	}
 	for _, cfg := range cases {
 		if _, err := New(cfg); err == nil {
-			t.Fatalf("New(%+v) accepted a per-shard capacity that overflows uint32 slot indexes", cfg)
+			t.Fatalf("New(%+v) accepted a per-shard capacity whose slot indexes overflow 24 bits", cfg)
 		}
 	}
 }
@@ -26,8 +30,38 @@ func TestNewRejectsPerShardOverflow(t *testing.T) {
 // TestGrowRejectsPerShardOverflow is the same boundary applied to Grow.
 func TestGrowRejectsPerShardOverflow(t *testing.T) {
 	tbl := mustNew(t, Config{Shards: 1, Entries: 64, KeyLen: 20})
-	if err := tbl.Grow(1 << 32); err == nil || err == ErrShrink {
-		t.Fatalf("Grow(1<<32) on a 1-shard table = %v, want a slot-index-width error", err)
+	if err := tbl.Grow(1 << 24); err == nil || err == ErrShrink {
+		t.Fatalf("Grow(1<<24) on a 1-shard table = %v, want a slot-index-width error", err)
+	}
+}
+
+// TestBitBudgetAtMaxPerShard takes the largest shard New accepts and checks
+// that its region's hash bits keep out of hashfn.ShardIndex's bits 24..47:
+// the bucket index below them (at most 21 bits), the signature above them
+// (at least 8 bits), so sharding skews neither bucket occupancy nor
+// signature entropy within a shard. The largest slot index still fits above
+// the signature in 32 bits.
+func TestBitBudgetAtMaxPerShard(t *testing.T) {
+	tbl := mustNew(t, Config{Shards: 1, Entries: maxPerShard - 1, KeyLen: 20})
+	r := tbl.shards[0].regions.Load().cur
+	if n := bits.Len64(r.bucketCount - 1); n > 21 {
+		t.Fatalf("%d buckets take %d index bits, want <= 21", r.bucketCount, n)
+	}
+	if r.sigBits != 8 {
+		t.Fatalf("sigBits = %d at %d slots, want 8", r.sigBits, r.capacity)
+	}
+	if top := (r.capacity-1)<<r.sigBits | uint64(r.sigMask); top > 1<<32-1 {
+		t.Fatalf("largest entry %#x overflows 32 bits", top)
+	}
+	const shardBits = 1<<48 - 1<<24 // the bits ShardIndex reads at its widest
+	if hashfn.ShardIndex(^uint64(shardBits), 1<<24) != 0 || hashfn.ShardIndex(shardBits, 1<<24) != 1<<24-1 {
+		t.Fatal("hashfn.ShardIndex no longer reads exactly bits 24..47")
+	}
+	if b1, _, sig := r.buckets(shardBits); b1 != 0 || sig != 1 {
+		t.Fatalf("a hash of shard bits alone gives bucket %d, signature %#x: they overlap the shard index", b1, sig)
+	}
+	if b1, _, sig := r.buckets(^uint64(shardBits)); b1 != r.bucketCount-1 || sig != r.sigMask {
+		t.Fatalf("a hash without shard bits gives bucket %d, signature %#x: the bucket or signature bits reach into the shard index", b1, sig)
 	}
 }
 

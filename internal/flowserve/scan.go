@@ -53,7 +53,7 @@ func (t *Table) walkRange(lo, hi uint64, visit func(sh *shard, r *region, entIdx
 				if ent == 0 {
 					continue
 				}
-				slot := uint32(ent >> 16)
+				slot := ent >> r.sigBits
 				key, h, value := sh.residentKey(r, slot, &kw, &kb)
 				if h >= lo && (hi == 0 || h < hi) {
 					visit(sh, r, uint64(i), slot, key, value)

@@ -110,7 +110,7 @@ func (t *Table) storageBytes() uint64 {
 // bytes is storageBytes for one region. Caller must hold the shard's mu.
 func (r *region) bytes() uint64 {
 	const word = uint64(unsafe.Sizeof(atomic.Uint64{}))
-	n := uint64(len(r.entries))*word +
+	n := uint64(len(r.entries))*uint64(unsafe.Sizeof(r.entries[0])) +
 		uint64(len(r.pages))*uint64(unsafe.Sizeof(r.pages[0])) +
 		uint64(cap(r.free))*uint64(unsafe.Sizeof(uint32(0)))
 	for _, page := range r.pages {

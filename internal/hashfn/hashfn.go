@@ -100,9 +100,10 @@ func BucketPair(primaryHash uint64, bucketCount uint64) (b1, b2 uint64) {
 // accelerator per LLC slice; the flowserve runtime places one seqlock-guarded
 // sub-table per shard). shards must be a power of two, at most 1<<24. The
 // index comes from bits 24..47 of the hash — disjoint from both the bucket
-// index (low bits; a shard's table is far smaller than 2^24 buckets) and the
-// signature (top 16 bits) — so sharding skews neither per-shard bucket
-// occupancy nor signature entropy within a shard.
+// index (low bits; a flowserve shard has at most 2^21 buckets) and the
+// signature (top 16 bits, fewer in a large flowserve shard) — so sharding
+// skews neither per-shard bucket occupancy nor signature entropy within a
+// shard. flowserve's TestBitBudgetAtMaxPerShard checks both bounds.
 func ShardIndex(primaryHash uint64, shards uint64) uint64 {
 	return (primaryHash >> 24) & (shards - 1)
 }

@@ -152,10 +152,12 @@ func BenchmarkRunAllSerial(b *testing.B) {
 }
 
 // BenchmarkLookupFixtureBuild is the un-timed preamble every raw-lookup
-// experiment pays before its first simulated cycle (experiments.fixtureOn):
-// a fresh platform, a table populated to 75 % with the canonical synthetic
-// keys, and the table walked into the LLC. The small size is the fixture
-// most points build; the large one is fig10's DRAM placement.
+// experiment pays before its first simulated cycle: a fresh platform, a table
+// populated to 75 % with the canonical synthetic keys, and the table walked
+// into the LLC. It times the facade's sequential path — fill, then warm — not
+// experiments.fixtureOn, which runs the warm-up beside the fill. The small
+// size is the fixture most points build; the large one is fig10's DRAM
+// placement.
 func BenchmarkLookupFixtureBuild(b *testing.B) {
 	for _, entries := range []uint64{1 << 14, 1 << 21} {
 		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) {

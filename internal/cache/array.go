@@ -94,6 +94,27 @@ func newArray(sizeBytes, ways int) *array {
 	return &array{sets: make([][]line, sets), ways: ways, setMask: uint64(sets - 1)}
 }
 
+// clone returns a deep copy of a — every way, LRU stamp, directory bit, the
+// tick and the counters — with the copied sets carved from one slab of its
+// own, so the two arrays share no line.
+func (a *array) clone() *array {
+	c := *a
+	c.sets, c.slab = make([][]line, len(a.sets)), nil
+	used := 0
+	for _, set := range a.sets {
+		if set != nil {
+			used++
+		}
+	}
+	slab := make([]line, used*a.ways)
+	for i, set := range a.sets {
+		if set != nil {
+			c.sets[i], slab = append(slab[:0:a.ways], set...), slab[a.ways:]
+		}
+	}
+	return &c
+}
+
 func (a *array) setIndex(lineAddr mem.Addr) uint64 {
 	return (uint64(lineAddr) / mem.LineSize) & a.setMask
 }

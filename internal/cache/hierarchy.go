@@ -246,6 +246,16 @@ func New(cfg Config, ring *noc.Ring, dram *mem.DRAM) *Hierarchy {
 	return h
 }
 
+// CopyLLCFrom replaces h's LLC slices with deep copies of src's: every way,
+// LRU stamp and directory bit, each slice's tick and counters. h's private
+// caches, ports and own counters are left as they are. It lets a platform be
+// cloned after its table is warmed (halo.Platform.Clone).
+func (h *Hierarchy) CopyLLCFrom(src *Hierarchy) {
+	for i, a := range src.llc {
+		h.llc[i] = a.clone()
+	}
+}
+
 // Config returns the hierarchy's configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
 

@@ -279,6 +279,18 @@ func Attach(space *mem.Memory, base mem.Addr) (*Table, error) {
 	return t, nil
 }
 
+// CloneOnto returns a handle to t's table in space, a clone of t's memory
+// (mem.Memory.Clone): the same geometry, size and counters, a copy of the
+// free list and fresh scratch state, so the two handles evolve independently.
+func (t *Table) CloneOnto(space *mem.Memory) *Table {
+	c := *t
+	c.space = space
+	c.free = append([]uint32(nil), t.free...)
+	c.probeHook = nil
+	c.bfsNodes, c.bfsPath, c.bfsQueue, c.bfsVisited = nil, nil, nil, nil
+	return &c
+}
+
 // Base returns the table's metadata address — the value software loads into
 // RAX before issuing LOOKUP instructions.
 func (t *Table) Base() mem.Addr { return t.base }

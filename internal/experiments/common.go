@@ -85,27 +85,47 @@ func fixtureOn(p *halo.Platform, entries uint64, occupancy float64) *lookupFixtu
 	if err != nil {
 		panic(err)
 	}
-	fill := uint64(float64(entries) * occupancy)
-	if fill == 0 {
-		fill = 1
-	}
-	inserted := uint64(0)
-	var kb [testKeyLen]byte
-	for i := uint64(0); i < fill; i++ {
-		testKeyInto(i, kb[:])
-		if err := table.Insert(kb[:], i*2+1); err != nil {
-			break
-		}
-		inserted++
-	}
-	f := &lookupFixture{p: p, table: table, thread: cpu.NewThread(p.Hier, 0), fill: inserted}
+	fill := max(uint64(float64(entries)*occupancy), 1)
+	f := &lookupFixture{p: p, table: table, thread: cpu.NewThread(p.Hier, 0)}
+	f.fill = fillAndWarm(p, table, fill, func(i uint64) uint64 { return i*2 + 1 })
 	pool := p.Alloc.AllocLines(keyPoolLines)
 	f.keyPool = make([]mem.Addr, keyPoolLines)
 	for i := range f.keyPool {
 		f.keyPool[i] = pool + mem.Addr(i)*mem.LineSize
 	}
-	p.WarmTable(table)
 	return f
+}
+
+// fillAndWarm inserts the canonical keys 0..n-1, with value(i) as key i's
+// value, into a table just created on p, stopping at the first failure, and
+// returns how many went in. Meanwhile a second goroutine runs p.WarmTable,
+// which writes only p.Hier and reads only the geometry Create fixed, while an
+// Insert writes only p.Space and the handle's free list, size and counters:
+// the two overlap and leave exactly the state fill-then-warm does.
+func fillAndWarm(p *halo.Platform, table *cuckoo.Table, n uint64, value func(i uint64) uint64) uint64 {
+	warmed := make(chan struct{})
+	go func() {
+		p.WarmTable(table)
+		close(warmed)
+	}()
+	inserted := uint64(0)
+	var kb [testKeyLen]byte
+	for ; inserted < n; inserted++ {
+		testKeyInto(inserted, kb[:])
+		if table.Insert(kb[:], value(inserted)) != nil {
+			break
+		}
+	}
+	<-warmed
+	return inserted
+}
+
+// clone returns a second fixture in the state f's set-up left it in
+// (halo.Platform.Clone), with a thread of its own. Take it before either
+// fixture runs anything timed, and drop it inside the point that built f.
+func (f *lookupFixture) clone() *lookupFixture {
+	p, table := f.p.Clone(f.table)
+	return &lookupFixture{p: p, table: table, thread: newThreadOn(p), keyPool: f.keyPool, fill: f.fill}
 }
 
 // stageKeyDMA delivers key i into the recycled pool as a NIC would (DDIO:

@@ -121,10 +121,12 @@ func fig10SoftwarePass(f *lookupFixture, lookups int, lock bool) (total, data fl
 
 func runFig10Software(placement string, entries uint64, lookups int, snap *stats.Snapshot) Fig10Row {
 	// Locking cost is the delta between runs with and without the
-	// optimistic-lock protocol (fresh fixtures: separate simulator runs).
+	// optimistic-lock protocol: separate simulator runs from one populated
+	// and warmed state, so the second fixture is a clone of the first.
 	// The locked pass — the configuration under study — is snapshotted.
-	noLockTotal, noLockData := fig10SoftwarePass(newLookupFixture(entries, 0.75), lookups, false)
-	fLock := newLookupFixture(entries, 0.75)
+	fNoLock := newLookupFixture(entries, 0.75)
+	fLock := fNoLock.clone()
+	noLockTotal, noLockData := fig10SoftwarePass(fNoLock, lookups, false)
 	lockTotal, lockData := fig10SoftwarePass(fLock, lookups, true)
 	collectInto(snap, fLock.p, fLock.thread)
 	locking := lockTotal - noLockTotal

@@ -97,23 +97,14 @@ func runFig4Point(name string, sfh bool, flows uint64, lookups int, snap *stats.
 	if err != nil {
 		panic(err)
 	}
-	inserted := uint64(0)
-	var kb [testKeyLen]byte
-	for i := uint64(0); i < flows; i++ {
-		testKeyInto(i, kb[:])
-		if err := table.Insert(kb[:], i); err != nil {
-			break
-		}
-		inserted++
-	}
-	f := &lookupFixture{p: p, table: table, fill: inserted}
-	f.thread = newThreadOn(p)
-	p.WarmTable(table)
+	inserted := fillAndWarm(p, table, flows, func(i uint64) uint64 { return i })
+	f := &lookupFixture{p: p, table: table, thread: newThreadOn(p), fill: inserted}
 
 	// One warm pass so steady-state residency is established, then the
 	// measured pass over a *different* uniformly spread key set.
 	// Fibonacci-hash strides spread the looked-up keys uniformly across
 	// the whole table, as real flow traffic does.
+	var kb [testKeyLen]byte
 	for i := 0; i < lookups; i++ {
 		testKeyInto(uint64(i)*2654435761%inserted, kb[:])
 		table.TimedLookup(f.thread, kb[:], cuckoo.DefaultLookupOptions())

@@ -23,7 +23,10 @@ type Point struct {
 //
 //   - RunPoint builds every piece of state it needs from cfg and p alone —
 //     a fresh platform per point, mirroring the paper's separate gem5 runs
-//     — and touches no package-level mutable state. The runner executes
+//     — and touches no package-level mutable state. A point may clone a
+//     fixture it built, so two of its runs start from one fill and warm-up
+//     (lookupFixture.clone), but nothing crosses points: a fixture and its
+//     clones are dropped by the point that built them. The runner executes
 //     points on arbitrary goroutines in arbitrary order.
 //   - RunPoint is deterministic: the same (cfg, p) always returns the same
 //     row. All randomness must flow from seeds derived from cfg.Seed and

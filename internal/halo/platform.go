@@ -1,6 +1,9 @@
 package halo
 
 import (
+	"fmt"
+	"strings"
+
 	"halo/internal/cache"
 	"halo/internal/cuckoo"
 	"halo/internal/mem"
@@ -19,6 +22,7 @@ type Platform struct {
 	Hier  *cache.Hierarchy
 	Unit  *Unit
 
+	cfg    PlatformConfig
 	tables []*cuckoo.Table // tables created through NewTable, for snapshots
 }
 
@@ -51,7 +55,58 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 	ring := noc.NewRing(cfg.Ring)
 	hier := cache.New(cfg.Cache, ring, dram)
 	unit := NewUnit(cfg.Unit, hier, ring, space, alloc)
-	return &Platform{Space: space, Alloc: alloc, DRAM: dram, Ring: ring, Hier: hier, Unit: unit}
+	return &Platform{Space: space, Alloc: alloc, DRAM: dram, Ring: ring, Hier: hier, Unit: unit, cfg: cfg}
+}
+
+// Clone returns a second platform in the state p's set-up left it in, and
+// the clone's handle for t, one of p's tables: one fill and warm-up then
+// serves two measured runs. The clone is a fresh NewPlatform — unit, DRAM,
+// ring and private caches pristine, the unit's staging buffers at p's
+// addresses — given a copy-on-write clone of p's memory, p's allocator
+// position, a deep copy of p's LLC and a copy of every table registered
+// through NewTable. Anything timed leaves state only in the parts the clone
+// builds fresh, so Clone panics, naming the counters, once p's hierarchy,
+// unit or DRAM counters have moved.
+func (p *Platform) Clone(t *cuckoo.Table) (*Platform, *cuckoo.Table) {
+	if moved := p.movedCounters(); moved != "" {
+		panic("halo: Clone of a platform that has run timed traffic: " + moved)
+	}
+	c := NewPlatform(p.cfg)
+	*c.Space = *p.Space.Clone() // the unit and accelerators hold c.Space
+	*c.Alloc = *p.Alloc
+	c.Hier.CopyLLCFrom(p.Hier)
+	var ct *cuckoo.Table
+	for _, pt := range p.tables {
+		c.tables = append(c.tables, pt.CloneOnto(c.Space))
+		if pt == t {
+			ct = c.tables[len(c.tables)-1]
+		}
+	}
+	if ct == nil {
+		panic("halo: Clone of a table not created through NewTable")
+	}
+	return c, ct
+}
+
+// movedCounters lists the hierarchy, unit and DRAM counters that are not
+// zero, "" when none is.
+func (p *Platform) movedCounters() string {
+	s := stats.NewSnapshot()
+	p.Hier.Stats().CollectInto(s)
+	p.Unit.Stats().CollectInto(s)
+	p.Unit.Distributor().CollectInto(s)
+	d := p.DRAM.Stats()
+	s.Add("dram.reads", d.Reads)
+	s.Add("dram.writes", d.Writes)
+	s.Add("dram.row_hits", d.RowHits)
+	s.Add("dram.row_misses", d.RowMisses)
+	var moved []string
+	for _, name := range s.Names() {
+		if v := s.Counter(name); v != 0 {
+			moved = append(moved, fmt.Sprintf("%s=%d", name, v))
+		}
+	}
+	return strings.Join(moved, ", ")
 }
 
 // NewTable creates a cuckoo table in the platform's memory and registers it

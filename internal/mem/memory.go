@@ -39,8 +39,10 @@ type page = [pageSize]byte
 //
 // Memory is not safe for concurrent use. Every simulated platform owns its
 // memory exclusively, matching how the worker pool shards experiment points.
+// A Clone shares pages with its source, so the two must stay with one owner.
 type Memory struct {
 	dense  []*page          // indexed by page number, below densePages
+	shared []bool           // shared[n]: a Clone may hold dense[n] too, so copy before writing; as long as dense
 	sparse map[uint64]*page // page numbers at or beyond densePages
 	pages  uint64           // allocated pages, both kinds
 }
@@ -48,10 +50,33 @@ type Memory struct {
 // NewMemory returns an empty memory.
 func NewMemory() *Memory { return &Memory{} }
 
+// Clone returns a copy of m. The dense pages are copied on write: both sides
+// keep the same page and mark it shared, and the first write to it through
+// either side copies it (a page nobody writes is never copied). Sparse pages
+// are copied at once. A Line alias taken with create set before the Clone
+// still points at the shared page, so it must not be written afterwards.
+func (m *Memory) Clone() *Memory {
+	c := &Memory{dense: append([]*page(nil), m.dense...), shared: make([]bool, len(m.dense)), pages: m.pages}
+	for n, p := range m.dense {
+		if p != nil {
+			m.shared[n], c.shared[n] = true, true
+		}
+	}
+	if m.sparse != nil {
+		c.sparse = make(map[uint64]*page, len(m.sparse))
+		for n, p := range m.sparse {
+			cp := new(page)
+			*cp = *p
+			c.sparse[n] = cp
+		}
+	}
+	return c
+}
+
 func (m *Memory) page(addr Addr, create bool) *page {
 	n := uint64(addr >> pageBits)
 	if n < uint64(len(m.dense)) {
-		if p := m.dense[n]; p != nil || !create {
+		if p := m.dense[n]; !create || p != nil && !m.shared[n] {
 			return p
 		}
 	}
@@ -59,7 +84,8 @@ func (m *Memory) page(addr Addr, create bool) *page {
 }
 
 // pageSlow handles what the flat-table hit does not: a page beyond the
-// table's current length, the first write to a page, and the sparse range.
+// table's current length, the first write to a page or to a shared one, and
+// the sparse range.
 func (m *Memory) pageSlow(n uint64, create bool) *page {
 	if n >= densePages {
 		p := m.sparse[n]
@@ -77,9 +103,17 @@ func (m *Memory) pageSlow(n uint64, create bool) *page {
 		return nil
 	}
 	if n >= uint64(len(m.dense)) {
-		grown := make([]*page, min(max(n+1, 2*uint64(len(m.dense))), densePages))
+		size := min(max(n+1, 2*uint64(len(m.dense))), densePages)
+		grown, shared := make([]*page, size), make([]bool, size)
 		copy(grown, m.dense)
-		m.dense = grown
+		copy(shared, m.shared)
+		m.dense, m.shared = grown, shared
+	}
+	if m.shared[n] {
+		p := new(page)
+		*p = *m.dense[n]
+		m.dense[n], m.shared[n] = p, false
+		return p
 	}
 	p := new(page)
 	m.dense[n] = p
@@ -92,11 +126,13 @@ var zeroLine [LineSize]byte
 
 // Line returns the 64-byte cache line containing addr as a slice aliasing
 // the backing page: loads and stores through it are loads and stores of
-// simulated memory, with no copy. Lines never straddle a page, and pages
-// never move, so the alias stays valid for the life of the Memory.
+// simulated memory, with no copy. Lines never straddle a page, and a page
+// moves only when the first write after a Clone copies it, so an alias taken
+// with create set stays valid until the next Clone.
 //
-// With create false an unwritten page is not allocated; the result is then
-// a shared all-zero line that must not be written.
+// With create false the line may lie in a page shared with a clone, so the
+// alias is for reading, until the next write to its page; an unwritten page
+// is not allocated, and the result is then a shared all-zero line.
 func (m *Memory) Line(addr Addr, create bool) []byte {
 	p := m.page(addr, create)
 	if p == nil {

@@ -197,6 +197,74 @@ func TestStraddlingScalarsNextToALine(t *testing.T) {
 	}
 }
 
+// TestCloneCopiesOnWrite: after Clone, a write on either side is invisible
+// to the other, whatever the page kind and write path; a page nobody writes
+// stays shared, and copying one leaves the footprint alone.
+func TestCloneCopiesOnWrite(t *testing.T) {
+	dense, sparse, straddle := Addr(0x30040), Addr(densePages)<<pageBits+0x40, Addr(pageSize-4)
+	untouched := Addr(5 * pageSize)
+	writes := []struct {
+		name  string
+		at    Addr // read back with Load64
+		write func(m *Memory, v uint64)
+	}{
+		{"dense page", dense, func(m *Memory, v uint64) { m.Store64(dense, v) }},
+		{"sparse page", sparse, func(m *Memory, v uint64) { m.Store64(sparse, v) }},
+		{"Line alias", dense + 8, func(m *Memory, v uint64) {
+			binary.LittleEndian.PutUint64(m.Line(dense+8, true)[8:], v)
+		}},
+		{"straddling Store64", straddle, func(m *Memory, v uint64) { m.Store64(straddle, v) }},
+	}
+	for _, w := range writes {
+		for _, writeClone := range []bool{false, true} {
+			m := NewMemory()
+			for _, a := range []Addr{dense, dense + 8, sparse, straddle, untouched} {
+				m.Store64(a, 1)
+			}
+			c := m.Clone()
+			footprint := m.FootprintBytes()
+			writer, other := m, c
+			if writeClone {
+				writer, other = c, m
+			}
+			w.write(writer, 2)
+			if got := writer.Load64(w.at); got != 2 {
+				t.Errorf("%s, clone writes %v: the writer reads %d, want 2", w.name, writeClone, got)
+			}
+			if got := other.Load64(w.at); got != 1 {
+				t.Errorf("%s, clone writes %v: the other side reads %d, want 1", w.name, writeClone, got)
+			}
+			if m.FootprintBytes() != footprint || c.FootprintBytes() != footprint {
+				t.Errorf("%s: footprints %d and %d after a copy, want %d", w.name, m.FootprintBytes(), c.FootprintBytes(), footprint)
+			}
+			if &m.Line(untouched, false)[0] != &c.Line(untouched, false)[0] {
+				t.Errorf("%s: a page neither side wrote was copied", w.name)
+			}
+		}
+	}
+}
+
+// TestCloneOfAClone: three memories descended from one page each write it;
+// every one reads back only its own value.
+func TestCloneOfAClone(t *testing.T) {
+	m := NewMemory()
+	m.Store64(0x40, 1)
+	c1 := m.Clone()
+	c1.Store64(0x40, 2) // c1 now owns a copy, which c2 starts out sharing
+	c2 := c1.Clone()
+	if got := c2.Load64(0x40); got != 2 {
+		t.Fatalf("a clone of a clone reads %d, want its source's 2", got)
+	}
+	m.Store64(0x40, 10)
+	c1.Store64(0x40, 20)
+	c2.Store64(0x40, 30)
+	for i, mm := range []*Memory{m, c1, c2} {
+		if got, want := mm.Load64(0x40), uint64(10*(i+1)); got != want {
+			t.Errorf("memory %d reads %d, want %d", i, got, want)
+		}
+	}
+}
+
 func TestZeroValueMemoryIsUsable(t *testing.T) {
 	var m Memory
 	if m.Load32(0x1234) != 0 || m.Load32(Addr(1)<<50) != 0 {

@@ -11,18 +11,15 @@ import (
 )
 
 // load is one fan-out of worker goroutines, each looping draw → lookup →
-// verify (→ churn) over the population through its own loadgen.Caller. Sweep
-// points and both grow phases are this loop; they differ only in the fields.
+// verify (→ churn) over the population through its own loadgen.Caller and
+// the shared rw, until ops lookups have been handed out.
 type load struct {
 	pop     *loadgen.Population
 	oracle  *loadgen.Oracle
 	workers int
 	batch   int
 	seed    uint64
-
-	reader func() flowserve.Reader  // one worker's Reader
-	limit  func() int               // flows [0,limit) are installed and may be drawn
-	stop   func(claimed int64) bool // claimed: lookups handed out so far, this batch included
+	ops     int64
 
 	// With pace set the load is open loop: workers claim batch ticks off a
 	// shared fixed-rate schedule (see pacer) and a batch's latency runs from
@@ -31,14 +28,10 @@ type load struct {
 	// omission). Closed loop (nil) measures from the actual send.
 	pace *pacer
 
-	// resizing, when set, reports a table resize in flight; batches issued
-	// under one are timed into migHist instead of hist.
-	resizing func() bool
-
-	// churn > 0: each worker takes one flow out of w and puts it back per
+	// churn > 0: each worker takes one flow out of rw and puts it back per
 	// this many lookups.
 	churn int
-	w     flowserve.Writer
+	rw    flowserve.ReadWriter
 }
 
 type loadResult struct {
@@ -47,20 +40,20 @@ type loadResult struct {
 	excused int64 // misses the oracle put down to a churner in flux
 	// Per-LookupMany-call latency, ns, at high resolution so the p99.9 tail
 	// is within ~0.4% instead of the default ~6%.
-	hist, migHist *stats.Histogram
+	hist *stats.Histogram
 }
 
 func newHist() *stats.Histogram { return stats.NewHistogramRes(stats.HighResSubBits) }
 
-// run returns once every worker has seen stop, or failed: a result the
-// oracle does not account for ends its worker with an error, and the first
-// such error is run's.
+// run returns once every worker has claimed past ops, or failed: a result
+// the oracle does not account for ends its worker with an error, and the
+// first such error is run's.
 func (l load) run() (loadResult, error) {
 	var (
 		claimed atomic.Int64
 		wg      sync.WaitGroup
 		mu      sync.Mutex // guards res and first
-		res     = loadResult{hist: newHist(), migHist: newHist()}
+		res     = loadResult{hist: newHist()}
 		first   error
 	)
 	start := time.Now()
@@ -68,12 +61,11 @@ func (l load) run() (loadResult, error) {
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			hist, migHist := newHist(), newHist()
-			excused, err := l.worker(wi, &claimed, hist, migHist)
+			hist := newHist()
+			excused, err := l.worker(wi, &claimed, hist)
 			mu.Lock()
 			defer mu.Unlock()
 			res.hist.Merge(hist)
-			res.migHist.Merge(migHist)
 			res.excused += excused
 			if first == nil {
 				first = err
@@ -82,34 +74,29 @@ func (l load) run() (loadResult, error) {
 	}
 	wg.Wait()
 	res.elapsed = time.Since(start)
-	res.lookups = int64(res.hist.Count()+res.migHist.Count()) * int64(l.batch)
+	res.lookups = int64(res.hist.Count()) * int64(l.batch)
 	return res, first
 }
 
-// worker is one goroutine's loop: claim a batch, draw, time the lookup into
-// the histogram its phase calls for, verify, churn when due.
-func (l load) worker(wi int, claimed *atomic.Int64, hist, migHist *stats.Histogram) (excused int64, err error) {
-	rd := l.reader()
+// worker is one goroutine's loop: claim a batch, draw, time the lookup,
+// verify, churn when due.
+func (l load) worker(wi int, claimed *atomic.Int64, hist *stats.Histogram) (excused int64, err error) {
 	c := l.pop.NewCaller(l.oracle, loadgen.Mix(l.seed, uint64(wi)), l.batch)
 	sinceChurn := 0
 	for {
 		n := claimed.Add(int64(l.batch))
-		if l.stop(n) {
+		if n > l.ops {
 			return excused, nil
 		}
-		c.Draw(l.limit())
-		h := hist
-		if l.resizing != nil && l.resizing() {
-			h = migHist
-		}
+		c.Draw(len(l.pop.Keys))
 		var t0 time.Time
 		if l.pace != nil {
 			t0 = l.pace.wait(n/int64(l.batch) - 1)
 		} else {
 			t0 = time.Now()
 		}
-		rd.LookupMany(c.Keys, c.Results)
-		h.Observe(uint64(time.Since(t0).Nanoseconds()))
+		l.rw.LookupMany(c.Keys, c.Results)
+		hist.Observe(uint64(time.Since(t0).Nanoseconds()))
 		ex, err := c.Verify()
 		if err != nil {
 			return excused, err
@@ -117,7 +104,7 @@ func (l load) worker(wi int, claimed *atomic.Int64, hist, migHist *stats.Histogr
 		excused += int64(ex)
 		if sinceChurn += l.batch; l.churn > 0 && sinceChurn >= l.churn {
 			sinceChurn = 0
-			if err := c.Churn(l.w); err != nil {
+			if err := c.Churn(l.rw); err != nil {
 				return excused, err
 			}
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -53,14 +54,13 @@ func startNodes(t *testing.T, n int) []flowwire.Endpoint {
 	return eps
 }
 
-// testTargets builds the three targets in process: a table, one flowwire
-// server on tcp loopback, and a 3-node cluster with one MoveRange a point.
-func testTargets(t *testing.T) map[string]target {
+// testTargets builds both targets in process: one flowwire server on tcp
+// loopback, and a 3-node cluster with one MoveRange a point. It also returns
+// the single server's endpoint.
+func testTargets(t *testing.T) (map[string]target, flowwire.Endpoint) {
 	t.Helper()
-	table := tableTarget(testFlows, []int{1, 2})
-	// Two toy points on a shared test machine say nothing about scaling.
-	table.scaling = false
-	client, err := clientTarget(startNodes(t, 1)[0], testFlows, []int{2})
+	ep := startNodes(t, 1)[0]
+	client, err := clientTarget(ep, testFlows, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,17 +73,17 @@ func testTargets(t *testing.T) map[string]target {
 			t.Errorf("coordinator: %v", err)
 		}
 	})
-	return map[string]target{"table": table, "client": client, "cluster": cluster}
+	return map[string]target{"client": client, "cluster": cluster}, ep
 }
 
-// dropper loses the first result of one batch in a hundred.
-type dropper struct {
-	flowserve.Reader
+// droppingConn loses the first result of one batch in a hundred.
+type droppingConn struct {
+	conn
 	calls *atomic.Uint64
 }
 
-func (d dropper) LookupMany(keys [][]byte, res []flowserve.Result) int {
-	hits := d.Reader.LookupMany(keys, res)
+func (d droppingConn) LookupMany(keys [][]byte, res []flowserve.Result) int {
+	hits := d.conn.LookupMany(keys, res)
 	if d.calls.Add(1)%100 == 0 && res[0].OK {
 		res[0] = flowserve.Result{}
 		hits--
@@ -91,36 +91,45 @@ func (d dropper) LookupMany(keys [][]byte, res []flowserve.Result) int {
 	return hits
 }
 
-// droppingConn hands its workers droppers.
-type droppingConn struct {
+// strayConn has a second client look one key up on the same server the
+// first time the workers call: the server then serves one key the sweep
+// never issued.
+type strayConn struct {
 	conn
-	calls *atomic.Uint64
+	once  *sync.Once
+	stray *flowwire.Client
 }
 
-func (d droppingConn) reader() flowserve.Reader { return dropper{d.conn.reader(), d.calls} }
+func (s strayConn) LookupMany(keys [][]byte, res []flowserve.Result) int {
+	s.once.Do(func() { s.stray.Lookup(keys[0]) })
+	return s.conn.LookupMany(keys, res)
+}
 
-// dropping wraps every conn the target opens.
-func dropping(tg target) target {
-	open, calls := tg.open, new(atomic.Uint64)
+// wrapped returns tg with every conn it opens passed through wrap.
+func wrapped(tg target, wrap func(conn) conn) target {
+	open := tg.open
 	tg.open = func(n int) (conn, error) {
 		c, err := open(n)
-		return droppingConn{c, calls}, err
+		if err != nil {
+			return nil, err
+		}
+		return wrap(c), nil
 	}
 	return tg
 }
 
-// TestSweepAllTargets drives the one sweep loop over all three targets with
-// -check semantics, read-only and with churn; then shows that a single lost
-// result fails the point in both — with churn that used to pass silently as a
-// "transient" miss.
+// TestSweepAllTargets drives the one sweep loop over both targets, read-only
+// and with churn; then shows that a single lost result fails the point in
+// both — with churn that used to pass silently as a "transient" miss — and
+// that the ledger needs no flag to catch a key served but never issued.
 func TestSweepAllTargets(t *testing.T) {
 	doc := &benchjson.Document{Config: map[string]string{}}
-	targets := testTargets(t)
-	for _, name := range []string{"table", "client", "cluster"} {
+	targets, ep := testTargets(t)
+	for _, name := range []string{"client", "cluster"} {
 		for _, churn := range []int{0, 64} {
 			cfg := sweepConfig{
 				flows: testFlows, mixes: []string{"uniform", "zipf"}, workers: 4, ops: 20_000,
-				batch: 16, churn: churn, seed: 1, rates: []int{0}, check: true, doc: doc,
+				batch: 16, churn: churn, seed: 1, rates: []int{0}, doc: doc,
 			}
 			before := len(doc.Benchmarks)
 			if err := sweep(cfg, targets[name]); err != nil {
@@ -139,7 +148,8 @@ func TestSweepAllTargets(t *testing.T) {
 				}
 			}
 
-			err := sweep(cfg, dropping(targets[name]))
+			calls := new(atomic.Uint64)
+			err := sweep(cfg, wrapped(targets[name], func(c conn) conn { return droppingConn{c, calls} }))
 			if err == nil || !strings.Contains(err.Error(), "missed with no writer in flux") {
 				t.Fatalf("%s churn=%d with a dropped result: err = %v", name, churn, err)
 			}
@@ -147,6 +157,20 @@ func TestSweepAllTargets(t *testing.T) {
 	}
 	if id := targets["cluster"].identity; id["mode"] != "cluster" || id["migrations"] != "1" || id["epoch"] != "1" {
 		t.Errorf("cluster target's identity is %v", id)
+	}
+
+	stray, err := flowwire.DialEndpoint(ep, flowwire.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stray.Close()
+	cfg := sweepConfig{
+		flows: testFlows, mixes: []string{"uniform"}, workers: 2, ops: 2_000,
+		batch: 16, seed: 1, rates: []int{0}, doc: doc,
+	}
+	err = sweep(cfg, wrapped(targets["client"], func(c conn) conn { return strayConn{c, new(sync.Once), stray} }))
+	if err == nil || !strings.Contains(err.Error(), "lookup ledger off by 1 ") {
+		t.Fatalf("a stray lookup from a second client: err = %v", err)
 	}
 }
 

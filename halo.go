@@ -261,8 +261,8 @@ func (s *System) ReadMemory(addr Addr, buf []byte) { s.platform.Space.ReadAt(add
 
 // Serving layer (DESIGN.md §8–9). Unlike everything above, this is not a
 // simulation: ServeTable is the real concurrent sharded flow table that
-// cmd/flowload load-tests and cmd/flowserved exposes over TCP via the
-// flowwire protocol.
+// cmd/flowserved exposes over the flowwire protocol and cmd/flowload
+// load-tests through it.
 type (
 	// ServeTable is the concurrent sharded serving table (real memory, real
 	// goroutines — the live counterpart of the simulated Table).

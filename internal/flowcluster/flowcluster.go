@@ -52,7 +52,7 @@ type Options struct {
 
 // routerCounters make routing behavior observable under flowcluster.*:
 // redirects and refreshes quantify a migration's cost, errors feed
-// flowload's -check gate exactly like flowwire.client.errors does.
+// flowload's coerced-error gate exactly like flowwire.client.errors does.
 type routerCounters struct {
 	redirects  atomic.Uint64 // WRONG_SHARD replies followed
 	refreshes  atomic.Uint64 // shard-map refetches
@@ -235,7 +235,7 @@ func (r *Router) CollectInto(snap *stats.Snapshot) {
 	}
 }
 
-// Errors returns the router-level error count (flowload's -check gate).
+// Errors returns the router-level error count (flowload's coerced-error gate).
 func (r *Router) Errors() uint64 { return r.c.errors.Load() }
 
 // StatsSnapshot aggregates every node's typed stats plus the router's own

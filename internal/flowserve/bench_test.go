@@ -11,8 +11,7 @@ import (
 )
 
 // Benchmarks pinning the cost of the two batched-lookup entry points: a
-// caller-pinned Batch (flowload's hot loop via the Reader interface used to
-// pin one per worker) versus Table.LookupMany's pooled scratch. The pool
+// caller-pinned Batch (what a PinnedReader holds for one goroutine) versus Table.LookupMany's pooled scratch. The pool
 // Get/Put must stay in the noise relative to a 16-key batch probe.
 func benchTable(b *testing.B) (*Table, [][]byte) {
 	b.Helper()

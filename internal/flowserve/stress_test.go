@@ -160,7 +160,9 @@ func TestSeqlockStress(t *testing.T) {
 // a ResizeStep ticker and batch/single readers all run against the moving
 // regions. Same key-class invariants as TestSeqlockStress: residents always
 // hit with their own value, ghosts never hit, churn hits carry the key's own
-// value — through every migration.
+// value — through every migration. The lookup ledger is exact too: the
+// table's Lookups counter grows by exactly the keys the readers issued, at
+// least one batch of them while a migration was in flight.
 func TestResizeStress(t *testing.T) {
 	const (
 		residents = 1000
@@ -188,13 +190,18 @@ func TestResizeStress(t *testing.T) {
 	var fail atomic.Value
 	report := func(msg string) { fail.CompareAndSwap(nil, msg) }
 	var done atomic.Bool
+	var issued, midResize atomic.Uint64 // keys the readers looked up; batches issued mid-migration
+	lookupsBefore := tbl.Stats().Lookups
 
 	var wg sync.WaitGroup
 
 	// Grower: monotonically expands the key set, tripping threshold grows.
+	// The readers keep going until it is done, so they overlap every grow.
+	var grown atomic.Bool
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer grown.Store(true)
 		for i := uint64(0); i < growKeys && fail.Load() == nil; i++ {
 			if err := tbl.Insert(key(growBase+i), valueFor(growBase+i)); err != nil {
 				report("grower Insert with auto-grow on: " + err.Error())
@@ -275,19 +282,24 @@ func TestResizeStress(t *testing.T) {
 					return "ghost"
 				}
 			}
-			for op := 0; op < readerOps && fail.Load() == nil; op++ {
+			for op := 0; (op < readerOps || !grown.Load()) && fail.Load() == nil; op++ {
 				if op%8 == 0 {
 					for j := range keys {
 						idx[j] = drawKey()
 						keys[j] = key(idx[j])
 					}
+					if tbl.Resizing() {
+						midResize.Add(1)
+					}
 					batch.LookupMany(keys, results)
+					issued.Add(batchSize)
 					for j := range keys {
 						checkHit(idx[j], results[j].Value, results[j].OK, class(idx[j]))
 					}
 				} else {
 					i := drawKey()
 					v, ok := tbl.Lookup(key(i))
+					issued.Add(1)
 					checkHit(i, v, ok, class(i))
 				}
 			}
@@ -300,6 +312,14 @@ func TestResizeStress(t *testing.T) {
 	if msg := fail.Load(); msg != nil {
 		t.Fatal(msg)
 	}
+	if served := tbl.Stats().Lookups - lookupsBefore; served != issued.Load() {
+		t.Fatalf("lookup ledger off by %d: readers issued %d keys, the table counted %d",
+			int64(served-issued.Load()), issued.Load(), served)
+	}
+	if midResize.Load() == 0 {
+		t.Fatal("no reader batch was issued while a migration was in flight")
+	}
+	t.Logf("%d reader batches issued mid-migration", midResize.Load())
 	for tbl.ResizeStep(64) {
 	}
 

@@ -72,7 +72,7 @@ func (o *Options) applyDefaults() {
 // interfaces have error-free read signatures, so transport failures are
 // coerced into misses — these counters make that coercion observable: a
 // load driver that sees hits drop can tell a cold table from a broken
-// client (flowload -check fails on a nonzero error delta).
+// client (flowload fails a sweep point on a nonzero error delta).
 type clientCounters struct {
 	errors      atomic.Uint64 // calls coerced into a miss/false by a failure
 	timeouts    atomic.Uint64 // calls that hit CallTimeout
@@ -82,8 +82,8 @@ type clientCounters struct {
 
 // Client is a remote flowserve table: it implements flowserve.Reader and
 // flowserve.Writer over the wire protocol, so a *Client drops in wherever a
-// *flowserve.Table serves (flowload's -remote mode drives both through one
-// code path). It has no goroutines: a call writes its request and then reads
+// *flowserve.Table serves (flowload's -remote mode drives it through the
+// same Reader/Writer code path the cluster router takes). It has no goroutines: a call writes its request and then reads
 // the connection until its own reply arrives, so a dead peer is noticed by
 // the next call, not in the background. Connection-level transport failures
 // are sticky: the first one breaks the client, every later call fails fast,
@@ -224,7 +224,7 @@ type ClientCounters struct {
 
 // Counters snapshots the client-side counters. In a healthy run every field
 // but Handoffs is zero; flowload surfaces the delta per sweep point and
-// -check fails on nonzero Errors.
+// fails the point on nonzero Errors.
 func (cl *Client) Counters() ClientCounters {
 	return ClientCounters{
 		Errors:      cl.c.errors.Load(),

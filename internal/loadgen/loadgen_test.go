@@ -108,48 +108,70 @@ func TestOverlappingChurnersStayInFlux(t *testing.T) {
 	wantVerify(t, c, 0, "missed with no writer in flux")
 }
 
-// Real churners overlapping on a two-flow population against a real table: a
-// reader must never see a miss the oracle does not account for, nor a wrong
-// value. Run with -race.
+// Real churners overlapping against a real table: a reader must never see a
+// miss the oracle does not account for, nor a wrong value. Two flows on one
+// shard make every churner collide on every flow; a Zipf population on four
+// shards with one churner per reader is the multi-shard serving shape. Run
+// with -race.
 func TestConcurrentChurnersNeverUnexcused(t *testing.T) {
-	pop := NewPopulation(2, trafficgen.Uniform, 3)
-	o := NewOracle(pop, true)
-	tbl, err := pop.NewTable(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var (
-		stop atomic.Bool
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := pop.NewCaller(o, Mix(3, uint64(w)), 1)
-			for !stop.Load() {
-				if err := c.Churn(tbl); err != nil {
-					t.Error(err)
-					return
-				}
+	for _, tc := range []struct {
+		name                      string
+		flows                     int
+		pop                       trafficgen.Popularity
+		shards, readers, churners int
+	}{
+		{"two flows", 2, trafficgen.Uniform, 1, 1, 2},
+		{"zipf 4 shards", 2_000, trafficgen.Zipf, 4, 4, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pop := NewPopulation(tc.flows, tc.pop, 3)
+			o := NewOracle(pop, true)
+			tbl, err := pop.NewTable(tc.shards)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
+			var (
+				stop    atomic.Bool
+				wg      sync.WaitGroup
+				readers sync.WaitGroup
+				excused atomic.Int64
+			)
+			for w := 0; w < tc.churners; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					c := pop.NewCaller(o, Mix(3, uint64(w)), 1)
+					for !stop.Load() {
+						if err := c.Churn(tbl); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			for r := 0; r < tc.readers; r++ {
+				readers.Add(1)
+				go func(r int) {
+					defer readers.Done()
+					c := pop.NewCaller(o, 99+uint64(r), 4)
+					for n := 0; n < 20000/tc.readers; n++ {
+						c.Draw(len(pop.Keys))
+						tbl.LookupMany(c.Keys, c.Results)
+						ex, err := c.Verify()
+						if err != nil {
+							t.Errorf("reader %d batch %d: %v", r, n, err)
+							return
+						}
+						excused.Add(int64(ex))
+					}
+				}(r)
+			}
+			readers.Wait()
+			stop.Store(true)
+			wg.Wait()
+			t.Logf("%d excused misses", excused.Load())
+		})
 	}
-	c := pop.NewCaller(o, 99, 4)
-	excused := 0
-	for n := 0; n < 20000; n++ {
-		c.Draw(len(pop.Keys))
-		tbl.LookupMany(c.Keys, c.Results)
-		ex, err := c.Verify()
-		if err != nil {
-			t.Errorf("batch %d: %v", n, err)
-			break
-		}
-		excused += ex
-	}
-	stop.Store(true)
-	wg.Wait()
-	t.Logf("%d excused misses", excused)
 }
 
 func TestSameSeedReplaysSameBatches(t *testing.T) {

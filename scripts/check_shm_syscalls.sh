@@ -30,7 +30,7 @@ status=0
 # One sweep point, closed loop: ops lookups, client-side syscalls summarised
 # by strace -c (-f follows the runtime's threads).
 strace -f -c -o "$trace" \
-	./flowload.shmcheck -remote "$ep" -check \
+	./flowload.shmcheck -remote "$ep" \
 	-conns 2 -mix uniform -flows 10000 -ops "$ops" || status=$?
 kill -TERM "$srv"
 wait "$srv" || status=$?

@@ -111,7 +111,7 @@ func Generate(scn Scenario, seed uint64) *Workload {
 	// inside the rule's prefix).
 	w.Flows = make([]packet.FiveTuple, scn.Flows)
 	w.FlowRule = make([]int, scn.Flows)
-	seen := make(map[packet.FiveTuple]bool, scn.Flows)
+	seen := newTupleSet(scn.Flows)
 	for i := 0; i < scn.Flows; i++ {
 		r := i % scn.Rules
 		// Free host bits: an r-bit prefix with r <= 8 is already covered by
@@ -130,8 +130,7 @@ func Generate(scn Scenario, seed uint64) *Workload {
 				DstPort: uint16(baseDstPort + r),
 				Proto:   packet.ProtoUDP,
 			}
-			if !seen[f] {
-				seen[f] = true
+			if seen.add(f) {
 				w.Flows[i] = f
 				w.FlowRule[i] = r
 				break
@@ -242,7 +241,7 @@ func (w *Workload) InstallRules(ts *classify.TupleSpace) error {
 func RandomTuples(n int, seed uint64) []packet.FiveTuple {
 	rng := sim.NewRand(seed)
 	out := make([]packet.FiveTuple, 0, n)
-	seen := make(map[packet.FiveTuple]bool, n)
+	seen := newTupleSet(n)
 	for len(out) < n {
 		f := packet.FiveTuple{
 			SrcIP:   rng.Uint32(),
@@ -251,8 +250,7 @@ func RandomTuples(n int, seed uint64) []packet.FiveTuple {
 			DstPort: uint16(rng.Uint32()),
 			Proto:   packet.ProtoTCP,
 		}
-		if !seen[f] {
-			seen[f] = true
+		if seen.add(f) {
 			out = append(out, f)
 		}
 	}

@@ -454,9 +454,10 @@ type shard struct {
 	c    shardCounters
 
 	// Resize state.
-	migrated  uint64           // old-region buckets fully migrated
-	growAt    float64          // auto-grow load factor; 0 = disabled
-	pauseHist *stats.Histogram // ns per migration step
+	migrated     uint64           // old-region buckets fully migrated
+	growAt       float64          // auto-grow load factor; 0 = disabled
+	pauseHist    *stats.Histogram // ns per migration step
+	growStartMax uint64           // ns, longest new-region allocation in startGrowLocked
 
 	// BFS displacement scratch.
 	bfsNodes   []pathNode
@@ -464,7 +465,7 @@ type shard struct {
 	bfsPath    []pathNode
 	bfsVisited map[uint64]bool
 
-	_ [48]byte // rounds the struct up to whole lines (TestShardLayout)
+	_ [40]byte // rounds the struct up to whole lines (TestShardLayout)
 }
 
 // readCounters are the per-shard counters the read path writes. They are

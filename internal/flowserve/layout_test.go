@@ -24,7 +24,7 @@ func TestShardLayout(t *testing.T) {
 		"kvStride": geometry, "keyLen": geometry, "regions": geometry, "seq": geometry,
 		"rd": reader,
 		"mu": writer, "size": writer, "c": writer,
-		"migrated": writer, "growAt": writer, "pauseHist": writer,
+		"migrated": writer, "growAt": writer, "pauseHist": writer, "growStartMax": writer,
 		"bfsNodes": writer, "bfsQueue": writer, "bfsPath": writer, "bfsVisited": writer,
 	}
 	lines := map[uintptr]string{} // line number → the class that owns it

@@ -100,13 +100,17 @@ func (t *Table) ResizeStep(buckets int) bool {
 // The fresh region is a bucket array and an empty page table: its slot pages
 // arrive as keys do. Caller must hold mu and have no resize in flight. The
 // pointer swap moves no keys, so readers need no seqlock window: both the
-// pre- and post-swap region sets contain every live key.
+// pre- and post-swap region sets contain every live key. The allocation is
+// the one resize pause the migration-step histogram does not see, so its
+// longest time is kept apart (flowserve.resize.grow_start_max_ns).
 func (sh *shard) startGrowLocked(newCap uint64) {
 	rp := sh.regions.Load()
 	if rp.old != nil {
 		panic("flowserve: startGrow with a resize already in flight")
 	}
+	start := time.Now()
 	next := newRegion(newCap)
+	sh.growStartMax = max(sh.growStartMax, uint64(time.Since(start).Nanoseconds()))
 	sh.migrated = 0
 	sh.regions.Store(&regionPair{cur: next, old: rp.cur})
 	sh.c.grows.Add(1)

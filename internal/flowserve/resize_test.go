@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"halo/internal/hashfn"
+	"halo/internal/stats"
 )
 
 // TestNewRejectsPerShardOverflow pins the slot-index-width guard: a bucket
@@ -181,6 +182,35 @@ func TestGrowErrShrink(t *testing.T) {
 	}
 	if err := tbl.Grow(10); err != ErrShrink {
 		t.Fatalf("Grow(smaller) = %v, want ErrShrink", err)
+	}
+}
+
+// TestGrowStartGauge: a grow start's new-region allocation, which the
+// migration-step pause histogram never times, shows as its own gauge. It is
+// one table's maximum: a rollup of two snapshots, as a cluster's STATS
+// merges its nodes', carries the sum (DESIGN.md §12).
+func TestGrowStartGauge(t *testing.T) {
+	tbl := mustNew(t, Config{Shards: 2, Entries: 1 << 12, KeyLen: 20})
+	const name = "flowserve.resize.grow_start_max_ns"
+	snap := stats.NewSnapshot()
+	tbl.CollectInto(snap)
+	if g := snap.Counter(name); g != 0 {
+		t.Fatalf("grow_start_max_ns = %d before any grow, want 0", g)
+	}
+	if err := tbl.Grow(1 << 16); err != nil {
+		t.Fatalf("Grow: %v", err)
+	}
+	snap = stats.NewSnapshot()
+	tbl.CollectInto(snap)
+	g := snap.Counter(name)
+	if g == 0 {
+		t.Fatal("grow_start_max_ns = 0 after Grow started two resizes")
+	}
+	rollup := stats.NewSnapshot()
+	rollup.Merge(snap)
+	rollup.Merge(snap)
+	if r := rollup.Counter(name); r != 2*g {
+		t.Fatalf("rollup of two snapshots reads %d, want the sum %d", r, 2*g)
 	}
 }
 

@@ -76,16 +76,26 @@ func (t *Table) Stats() TableStats {
 }
 
 // ResizePauses returns a merged copy of the per-shard migration-step pause
-// histograms (ns per bounded step). Taking each shard's writer lock briefly
-// is what makes the merge safe against an in-flight step.
+// histograms (ns per bounded step).
 func (t *Table) ResizePauses() *stats.Histogram {
+	h, _ := t.resizePauses()
+	return h
+}
+
+// resizePauses is ResizePauses plus the longest grow start any shard has
+// taken, in ns: the new region's allocation under mu, which the step
+// histogram does not time. Taking each shard's writer lock briefly is what
+// makes the merge safe against an in-flight step or grow start.
+func (t *Table) resizePauses() (*stats.Histogram, uint64) {
 	h := stats.NewHistogramRes(stats.HighResSubBits)
+	var growStart uint64
 	for _, sh := range t.shards {
 		sh.mu.Lock()
 		h.Merge(sh.pauseHist)
+		growStart = max(growStart, sh.growStartMax)
 		sh.mu.Unlock()
 	}
-	return h
+	return h, growStart
 }
 
 // storageBytes is what the table's storage occupies: bucket entries,
@@ -123,7 +133,10 @@ func (r *region) bytes() uint64 {
 // flowserve.* names, following the repo-wide CollectInto convention. The
 // resize pause histogram is published both as a snapshot histogram
 // (flowserve.resize.pause_ns) and as flattened quantile gauges, which is
-// what crosses the flowwire STATS frame (counters-only JSON).
+// what crosses the flowwire STATS frame (counters-only JSON). The *_max_ns
+// gauges are this table's maxima: Snapshot.Merge adds counters, so a cluster
+// rollup of several nodes carries the sum of their maxima, an upper bound on
+// the longest pause rather than that pause.
 func (t *Table) CollectInto(snap *stats.Snapshot) {
 	s := t.Stats()
 	snap.Add("flowserve.shards", uint64(len(t.shards)))
@@ -150,9 +163,10 @@ func (t *Table) CollectInto(snap *stats.Snapshot) {
 	snap.Add("flowserve.resize.migrated_keys", s.MigratedKeys)
 	snap.Add("flowserve.resize.stalls", s.ResizeStalls)
 	snap.Add("flowserve.resize.active", s.ResizingShards)
-	pauses := t.ResizePauses()
+	pauses, growStart := t.resizePauses()
 	snap.Add("flowserve.resize.pause_p50_ns", pauses.Quantile(0.50))
 	snap.Add("flowserve.resize.pause_p99_ns", pauses.Quantile(0.99))
 	snap.Add("flowserve.resize.pause_max_ns", pauses.Quantile(1.0))
+	snap.Add("flowserve.resize.grow_start_max_ns", growStart)
 	snap.MergeHist("flowserve.resize.pause_ns", pauses)
 }

@@ -63,9 +63,10 @@ type Workload struct {
 	// flows and sends this climbing.
 	Retries uint64
 
-	rng  *sim.Rand
-	cdf  []float64 // Zipf CDF over flows (nil for uniform)
-	perm []int     // popularity-rank → flow index
+	draws Stream    // the workload's own draws, over the RNG that built it
+	cdf   []float64 // Zipf CDF over flows (nil for uniform)
+	guide []int32   // Zipf guide table: guide[k] is the first rank whose CDF is in bucket k or later
+	perm  []int     // popularity-rank → flow index
 }
 
 const baseSrcIP = 0x0a000000 // 10.0.0.0/8 source space
@@ -76,7 +77,8 @@ func Generate(scn Scenario, seed uint64) *Workload {
 	if scn.Flows <= 0 || scn.Rules <= 0 || scn.Rules > 32 {
 		panic(fmt.Sprintf("trafficgen: bad scenario %+v", scn))
 	}
-	w := &Workload{Scenario: scn, rng: sim.NewRand(seed)}
+	w := &Workload{Scenario: scn}
+	rng := sim.NewRand(seed)
 
 	// Rules: rule r owns destination port baseDstPort+r and a source
 	// prefix of r bits, giving every rule a distinct mask (and therefore
@@ -124,9 +126,9 @@ func Generate(scn Scenario, seed uint64) *Workload {
 		hostMask := uint32(0x00FFFFFF) >> uint(shift)
 		for {
 			f := packet.FiveTuple{
-				SrcIP:   baseSrcIP | (w.rng.Uint32() & hostMask),
-				DstIP:   0xc0a80000 | w.rng.Uint32()&0xFFFF,
-				SrcPort: uint16(1024 + w.rng.Intn(60000)),
+				SrcIP:   baseSrcIP | (rng.Uint32() & hostMask),
+				DstIP:   0xc0a80000 | rng.Uint32()&0xFFFF,
+				SrcPort: uint16(1024 + rng.Intn(60000)),
 				DstPort: uint16(baseDstPort + r),
 				Proto:   packet.ProtoUDP,
 			}
@@ -140,14 +142,16 @@ func Generate(scn Scenario, seed uint64) *Workload {
 	}
 
 	if scn.Popularity == Zipf {
-		w.buildZipf(0.9)
+		w.buildZipf(0.9, rng)
 	}
+	w.draws = Stream{w: w, rng: rng}
 	return w
 }
 
-// buildZipf precomputes the popularity CDF (rank r has weight 1/r^s) and a
-// random rank→flow permutation so hot flows are spread across rules.
-func (w *Workload) buildZipf(s float64) {
+// buildZipf precomputes the popularity CDF (rank r has weight 1/r^s), its
+// guide table, and a random rank→flow permutation so hot flows are spread
+// across rules.
+func (w *Workload) buildZipf(s float64, rng *sim.Rand) {
 	n := len(w.Flows)
 	w.cdf = make([]float64, n)
 	sum := 0.0
@@ -158,36 +162,60 @@ func (w *Workload) buildZipf(s float64) {
 	for i := range w.cdf {
 		w.cdf[i] /= sum
 	}
-	w.perm = w.rng.Perm(n)
-}
-
-// NextFlow draws the next packet's flow index from the popularity
-// distribution.
-func (w *Workload) NextFlow() int {
-	return w.nextFlow(w.rng)
-}
-
-func (w *Workload) nextFlow(rng *sim.Rand) int {
-	if w.cdf == nil {
-		return rng.Intn(len(w.Flows))
+	// One merge-like pass: guide[k] is the first rank whose CDF falls in
+	// bucket k or later (the last rank if none does), so a draw in bucket k
+	// has its rank in guide[k]..guide[k+1].
+	w.guide = make([]int32, n+1)
+	r := 0
+	for k := range w.guide {
+		for r < n-1 && bucket(w.cdf[r], n) < k {
+			r++
+		}
+		w.guide[k] = int32(r)
 	}
-	x := rng.Float64()
-	lo, hi := 0, len(w.cdf)-1
+	w.perm = rng.Perm(n)
+}
+
+// bucket is y's guide bucket, ⌊y·n⌋ clamped to n−1. The guide and the draws
+// share it, and it never decreases in y, so a CDF value in an earlier bucket
+// than x is below x and one in a later bucket is above it.
+func bucket(y float64, n int) int {
+	return min(int(y*float64(n)), n-1)
+}
+
+// rank returns the first rank whose CDF reaches x, or the last rank if none
+// does: exactly what a binary search of the whole CDF returns, found by
+// searching only x's guide bucket.
+func (w *Workload) rank(x float64) int {
+	k := bucket(x, len(w.cdf))
+	return searchCDF(w.cdf, x, int(w.guide[k]), int(w.guide[k+1]))
+}
+
+// searchCDF returns the first index in [lo, hi] whose CDF value reaches x,
+// or hi if none does.
+func searchCDF(cdf []float64, x float64, lo, hi int) int {
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if w.cdf[mid] < x {
+		if cdf[mid] < x {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return w.perm[lo]
+	return lo
 }
 
+// NextFlow draws the next packet's flow index from the popularity
+// distribution.
+func (w *Workload) NextFlow() int { return w.draws.NextFlow() }
+
+// NextPacket materialises the next packet of the workload's own stream.
+func (w *Workload) NextPacket() (packet.Packet, int) { return w.draws.NextPacket() }
+
 // Stream draws flows from a workload's popularity distribution with its own
-// RNG. The workload's flow population, CDF and permutation are immutable
-// after Generate, so any number of streams can draw from one workload
-// concurrently — one stream per load-generator goroutine.
+// RNG. The workload's flow population, CDF, guide and permutation are
+// immutable after Generate, so any number of streams can draw from one
+// workload concurrently — one stream per load-generator goroutine.
 type Stream struct {
 	w   *Workload
 	rng *sim.Rand
@@ -200,24 +228,17 @@ func (w *Workload) NewStream(seed uint64) *Stream {
 }
 
 // NextFlow draws the stream's next flow index.
-func (s *Stream) NextFlow() int { return s.w.nextFlow(s.rng) }
+func (s *Stream) NextFlow() int {
+	if s.w.cdf == nil {
+		return s.rng.Intn(len(s.w.Flows))
+	}
+	return s.w.perm[s.w.rank(s.rng.Float64())]
+}
 
 // NextPacket materialises the stream's next packet.
 func (s *Stream) NextPacket() (packet.Packet, int) {
 	fi := s.NextFlow()
 	f := s.w.Flows[fi]
-	return packet.Packet{
-		SrcIP: f.SrcIP, DstIP: f.DstIP,
-		SrcPort: f.SrcPort, DstPort: f.DstPort,
-		Proto:        f.Proto,
-		PayloadBytes: 22,
-	}, fi
-}
-
-// NextPacket materialises the next packet of the stream.
-func (w *Workload) NextPacket() (packet.Packet, int) {
-	fi := w.NextFlow()
-	f := w.Flows[fi]
 	return packet.Packet{
 		SrcIP: f.SrcIP, DstIP: f.DstIP,
 		SrcPort: f.SrcPort, DstPort: f.DstPort,

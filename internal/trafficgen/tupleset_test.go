@@ -137,21 +137,28 @@ func TestTupleSetAgreesWithMap(t *testing.T) {
 }
 
 // BenchmarkGenerate times a whole population build, dominated at 1M flows by
-// the uniqueness check; ns/flow is the figure to compare.
+// the uniqueness check; ns/flow is the figure to compare. The Zipf arm adds
+// the CDF, its guide table and the rank permutation.
 func BenchmarkGenerate(b *testing.B) {
-	for _, flows := range []int{100_000, 1_050_000} {
-		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
-			scn := Scenario{Name: "bench", Flows: flows, Rules: 1, Popularity: Uniform}
-			for i := 0; i < b.N; i++ {
-				Generate(scn, uint64(i))
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*flows), "ns/flow")
-		})
+	for _, pop := range []struct {
+		name string
+		pop  Popularity
+	}{{"uniform", Uniform}, {"zipf", Zipf}} {
+		for _, flows := range []int{100_000, 1_050_000} {
+			b.Run(fmt.Sprintf("%s/flows=%d", pop.name, flows), func(b *testing.B) {
+				scn := Scenario{Name: "bench", Flows: flows, Rules: 1, Popularity: pop.pop}
+				for i := 0; i < b.N; i++ {
+					Generate(scn, uint64(i))
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*flows), "ns/flow")
+			})
+		}
 	}
 }
 
 // BenchmarkStreamNextFlow times one draw from a stream: an Intn for uniform
-// traffic, a Float64 and a binary search of the CDF for Zipf.
+// traffic; for Zipf a Float64, a binary search of the draw's guide bucket
+// (a few ranks) and the check that it found the full search's rank.
 func BenchmarkStreamNextFlow(b *testing.B) {
 	for _, pop := range []struct {
 		name string

@@ -160,14 +160,6 @@ type Hierarchy struct {
 
 	stats Stats
 
-	// txnFree recycles access transactions (see accessTxn); txnAllocs and
-	// txnReuses count how often the pool had to grow versus hand back a
-	// recycled object. They are deliberately NOT part of Stats: the stats
-	// document is byte-compared across runs and pooling is invisible to it.
-	txnFree   *accessTxn
-	txnAllocs uint64
-	txnReuses uint64
-
 	// OnAccelInvalidate, when set, is called whenever a line with the
 	// accelerator core-valid bit set leaves the LLC or is written, so HALO
 	// metadata caches stay coherent (paper §4.3).
@@ -176,44 +168,18 @@ type Hierarchy struct {
 
 // accessTxn carries one access's state through the hierarchy's stages —
 // private-cache probe, LLC/directory service, fill, snoop, install — in
-// place of per-hop continuation captures. Transactions come from a free list
-// and return to it on completion, so the steady-state access path performs
-// no allocation.
+// place of per-hop continuation captures. Each access declares one on its
+// own stack (`var tx accessTxn`, then field assignments; DESIGN.md §7 says
+// why not a composite literal), and the stages take its address without
+// keeping it, so the access path performs no allocation.
 type accessTxn struct {
 	requester int // core for CoreAccess, slice for AccelAccess
 	lineAddr  mem.Addr
 	write     bool
-	issued    sim.Cycle
 	t         sim.Cycle // the txn's clock as it moves through stages
 	where     HitWhere
 	home      int
 	l         *line // LLC line under service after the LLC stage
-	next      *accessTxn
-}
-
-// acquireTxn pops a recycled transaction, or grows the pool by one.
-func (h *Hierarchy) acquireTxn() *accessTxn {
-	tx := h.txnFree
-	if tx == nil {
-		h.txnAllocs++
-		return &accessTxn{}
-	}
-	h.txnReuses++
-	h.txnFree = tx.next
-	*tx = accessTxn{}
-	return tx
-}
-
-// releaseTxn returns a completed transaction to the free list.
-func (h *Hierarchy) releaseTxn(tx *accessTxn) {
-	tx.next = h.txnFree
-	h.txnFree = tx
-}
-
-// TxnPoolStats reports the transaction pool's allocation and reuse counts
-// (observability for the zero-allocation access path; not part of Stats).
-func (h *Hierarchy) TxnPoolStats() (allocs, reuses uint64) {
-	return h.txnAllocs, h.txnReuses
 }
 
 // New builds a hierarchy over the given interconnect and memory controller.
@@ -234,7 +200,7 @@ func New(cfg Config, ring *noc.Ring, dram *mem.DRAM) *Hierarchy {
 		llcPort: make([]*sim.CalendarResource, cfg.Slices),
 	}
 	for i := range h.llcPort {
-		h.llcPort[i] = sim.NewCalendarResource(0)
+		h.llcPort[i] = sim.NewCalendarResource()
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1[i] = newArray(cfg.L1SizeBytes, cfg.L1Ways)
@@ -442,26 +408,20 @@ func (h *Hierarchy) dropPrivateVictim(core int, a *array, v *line) {
 
 // CoreAccess models one load (write=false) or store (write=true) from a core
 // through its private caches into the shared LLC and memory. The access runs
-// as a pooled transaction through three stages: private-cache probe, home
+// as one transaction through three stages: private-cache probe, home
 // LLC-slice service, private install.
 func (h *Hierarchy) CoreAccess(at sim.Cycle, core int, addr mem.Addr, write bool) AccessResult {
-	tx := h.acquireTxn()
+	var tx accessTxn
 	tx.requester = core
 	tx.lineAddr = mem.LineAddr(addr)
 	tx.write = write
-	tx.issued = at
 	tx.t = at + h.cfg.L1Latency
 
-	if h.corePrivateStage(tx) {
-		res := AccessResult{sim.Ticket{Issued: at, Done: tx.t}, tx.where}
-		h.releaseTxn(tx)
-		return res
+	if !h.corePrivateStage(&tx) {
+		h.coreLLCStage(&tx)
+		h.coreInstallStage(&tx)
 	}
-	h.coreLLCStage(tx)
-	h.coreInstallStage(tx)
-	res := AccessResult{sim.Ticket{Issued: at, Done: tx.t}, tx.where}
-	h.releaseTxn(tx)
-	return res
+	return AccessResult{sim.Ticket{Issued: at, Done: tx.t}, tx.where}
 }
 
 // corePrivateStage tries to service the access from the requester's L1/L2.
@@ -622,11 +582,10 @@ func (h *Hierarchy) coreInstallStage(tx *accessTxn) {
 // lines cost AccelLocalLatency, remote-slice lines add the CHA-to-CHA hop
 // path both ways.
 func (h *Hierarchy) AccelAccess(at sim.Cycle, slice int, addr mem.Addr, write bool) AccessResult {
-	tx := h.acquireTxn()
+	var tx accessTxn
 	tx.requester = slice
 	tx.lineAddr = mem.LineAddr(addr)
 	tx.write = write
-	tx.issued = at
 	h.stats.AccelAccesses++
 
 	tx.home = h.homeSlice(tx.lineAddr)
@@ -634,13 +593,11 @@ func (h *Hierarchy) AccelAccess(at sim.Cycle, slice int, addr mem.Addr, write bo
 	if tx.home != slice {
 		tx.t += sim.Cycle(h.ring.Hops(slice, tx.home)) * h.cfg.AccelHopCycles
 	}
-	h.accelLLCStage(tx)
-	h.accelFinishStage(tx)
+	h.accelLLCStage(&tx)
+	h.accelFinishStage(&tx)
 
 	h.stats.AccelAccessCycles += uint64(tx.t - at)
-	res := AccessResult{sim.Ticket{Issued: at, Done: tx.t}, tx.where}
-	h.releaseTxn(tx)
-	return res
+	return AccessResult{sim.Ticket{Issued: at, Done: tx.t}, tx.where}
 }
 
 // accelLLCStage services an accelerator access at the home slice's data
@@ -768,15 +725,6 @@ func (h *Hierarchy) LockLine(at sim.Cycle, slice int, addr mem.Addr, until sim.C
 		l.lockFreeAt = until
 	}
 	return at
-}
-
-// UnlockLine clears a line's lock bit immediately.
-func (h *Hierarchy) UnlockLine(addr mem.Addr) {
-	lineAddr := mem.LineAddr(addr)
-	if l := h.llc[h.homeSlice(lineAddr)].peek(lineAddr); l != nil {
-		l.locked = false
-		l.lockFreeAt = 0
-	}
 }
 
 // MarkAccelValid sets the accelerator core-valid bit on a line so LLC

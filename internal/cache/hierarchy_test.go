@@ -261,17 +261,6 @@ func TestLockExpiresLazily(t *testing.T) {
 	}
 }
 
-func TestUnlockLineClearsEarly(t *testing.T) {
-	h := testHierarchy()
-	h.WarmLLC(0xd000)
-	h.LockLine(0, 0, 0xd000, 10000)
-	h.UnlockLine(0xd000)
-	w := h.CoreAccess(10, 1, 0xd000, true)
-	if w.Done >= 10000 {
-		t.Fatal("explicit unlock did not clear the lock")
-	}
-}
-
 func TestAccelInvalidateCallbackOnWrite(t *testing.T) {
 	h := testHierarchy()
 	var invalidated []mem.Addr

@@ -43,6 +43,9 @@ const (
 	MetaBytes = mem.LineSize
 )
 
+// maxKeyLen is the longest key a table holds.
+const maxKeyLen = 64
+
 // Magic identifies a HALO-compatible table in simulated memory.
 const Magic = 0x484c4f54 // "HLOT"
 
@@ -101,7 +104,7 @@ type Table struct {
 	// insert paths allocate nothing. Table handles were never safe for
 	// concurrent use (the stats counters race); the scratch buffers lean on
 	// the same single-owner contract.
-	cmpBuf     [64]byte // key-compare buffer (KeyLen is validated ≤ 64)
+	cmpBuf     [maxKeyLen]byte // key-compare buffer (KeyLen is validated ≤ maxKeyLen)
 	bfsNodes   []pathNode
 	bfsPath    []pathNode
 	bfsQueue   []frontierItem
@@ -178,8 +181,8 @@ func bucketCountFor(cfg Config) uint64 {
 // Create lays a new empty table out in memory using the allocator and
 // returns its handle.
 func Create(space *mem.Memory, alloc *mem.Allocator, cfg Config) (*Table, error) {
-	if cfg.KeyLen <= 0 || cfg.KeyLen > 64 {
-		return nil, fmt.Errorf("cuckoo: key length %d out of range 1..64", cfg.KeyLen)
+	if cfg.KeyLen <= 0 || cfg.KeyLen > maxKeyLen {
+		return nil, fmt.Errorf("cuckoo: key length %d out of range 1..%d", cfg.KeyLen, maxKeyLen)
 	}
 	if cfg.Entries == 0 {
 		return nil, errors.New("cuckoo: zero capacity")
@@ -226,34 +229,69 @@ func Create(space *mem.Memory, alloc *mem.Allocator, cfg Config) (*Table, error)
 	return t, nil
 }
 
-// Attach opens an existing table at base (e.g. from another handle's
-// address). The metadata block comes from simulated memory, which anything
-// may have written, so it is validated against what Create would have laid
-// out; a block that fails, or a bucket entry pointing outside the key-value
-// array or at a slot another entry already owns, is ErrNotHaloible. Free-slot
-// state is reconstructed by scanning the buckets.
-func Attach(space *mem.Memory, base mem.Addr) (*Table, error) {
+// Meta is a table's metadata block decoded: the geometry Create lays out
+// in the table's first line, which the HALO accelerator reads to walk
+// buckets without software help.
+type Meta struct {
+	KeyLen      int
+	BucketCount uint64
+	BucketBase  mem.Addr
+	KVBase      mem.Addr
+	KVSlotSize  uint64
+	Capacity    uint64
+	Flags       uint32
+}
+
+// ReadMeta decodes the metadata block at base. The block comes from
+// simulated memory, which anything may have written, so it is validated
+// against what Create would have laid out: the magic, a key length in
+// 1..64, a capacity that 32-bit slot indexes cover, the bucket count and
+// slot size that capacity and key length imply, and line-aligned arrays.
+// A block that fails any of these is ErrNotHaloible.
+func ReadMeta(space *mem.Memory, base mem.Addr) (Meta, error) {
 	if space.Load32(base+metaMagic) != Magic {
-		return nil, ErrNotHaloible
+		return Meta{}, ErrNotHaloible
+	}
+	m := Meta{
+		KeyLen:      int(space.Load32(base + metaKeyLen)),
+		BucketCount: space.Load64(base + metaBucketCount),
+		BucketBase:  mem.Addr(space.Load64(base + metaBucketBase)),
+		KVBase:      mem.Addr(space.Load64(base + metaKVBase)),
+		KVSlotSize:  space.Load64(base + metaKVSlotSize),
+		Capacity:    space.Load64(base + metaCapacity),
+		Flags:       space.Load32(base + metaFlags),
+	}
+	switch {
+	case m.KeyLen < 1 || m.KeyLen > maxKeyLen,
+		m.Capacity == 0 || m.Capacity > 1<<32, // slot indexes are 32-bit
+		m.BucketCount != bucketCountFor(Config{Entries: m.Capacity, SFH: m.Flags&FlagSFH != 0}),
+		m.KVSlotSize != slotSize(m.KeyLen),
+		m.BucketBase%mem.LineSize != 0 || m.KVBase%mem.LineSize != 0:
+		return Meta{}, ErrNotHaloible
+	}
+	return m, nil
+}
+
+// Attach opens an existing table at base (e.g. from another handle's
+// address). The metadata block must pass ReadMeta; a bucket entry pointing
+// outside the key-value array or at a slot another entry already owns is
+// ErrNotHaloible too. Free-slot state is reconstructed by scanning the
+// buckets.
+func Attach(space *mem.Memory, base mem.Addr) (*Table, error) {
+	m, err := ReadMeta(space, base)
+	if err != nil {
+		return nil, err
 	}
 	t := &Table{
 		space:       space,
 		base:        base,
-		keyLen:      int(space.Load32(base + metaKeyLen)),
-		bucketCount: space.Load64(base + metaBucketCount),
-		bucketBase:  mem.Addr(space.Load64(base + metaBucketBase)),
-		kvBase:      mem.Addr(space.Load64(base + metaKVBase)),
-		kvSlotSize:  space.Load64(base + metaKVSlotSize),
-		capacity:    space.Load64(base + metaCapacity),
-		flags:       space.Load32(base + metaFlags),
-	}
-	switch {
-	case t.keyLen < 1 || t.keyLen > len(t.cmpBuf),
-		t.capacity == 0 || t.capacity > 1<<32, // slot indexes are 32-bit
-		t.bucketCount != bucketCountFor(Config{Entries: t.capacity, SFH: t.IsSFH()}),
-		t.kvSlotSize != slotSize(t.keyLen),
-		t.bucketBase%mem.LineSize != 0 || t.kvBase%mem.LineSize != 0:
-		return nil, ErrNotHaloible
+		keyLen:      m.KeyLen,
+		bucketCount: m.BucketCount,
+		bucketBase:  m.BucketBase,
+		kvBase:      m.KVBase,
+		kvSlotSize:  m.KVSlotSize,
+		capacity:    m.Capacity,
+		flags:       m.Flags,
 	}
 	used := make([]uint64, (t.capacity+63)/64)
 	for b := uint64(0); b < t.bucketCount; b++ {

@@ -102,48 +102,28 @@ type Accelerator struct {
 	// outstanding holds completion cycles of admitted queries, ascending.
 	outstanding []sim.Cycle
 
-	// txnFree recycles query transactions (see queryTxn).
-	txnFree *queryTxn
+	// txn is the scratch of the query in progress (see queryTxn).
+	txn queryTxn
 
 	stats AccelStats
 }
 
-// maxScratchKeyLen is the largest key the recycled transaction scratch
-// covers — the cuckoo package's key-length ceiling. Larger lengths can only
-// come from corrupt metadata or oversized walk queries and fall back to a
-// fresh allocation.
-const maxScratchKeyLen = 64
+// maxKeyLen is the longest key a query carries — the cuckoo package's
+// key-length ceiling. Table metadata and walk queries asking for more fault.
+const maxKeyLen = 64
 
 // queryTxn carries one query's mutable state through the walk's stages: the
 // fetched key bytes, the key-comparison buffer, and the set of lines the
-// hardware lock covers. Transactions are recycled through a per-accelerator
-// free list so the steady-state lookup path allocates nothing; the list (not
-// a single slot) matters because tree walks can re-enter the accelerator
-// through LockLine-triggered accesses.
+// hardware lock covers. Each Accelerator owns one, reused by every query,
+// so the lookup path allocates nothing. One is enough: nothing a query calls
+// re-enters the accelerator (LockLine reaches only AccelAccess and the
+// metadata-cache invalidation). A stack value would re-zero all 280 bytes
+// on every query.
 type queryTxn struct {
-	key    [maxScratchKeyLen]byte
-	cmp    [maxScratchKeyLen]byte
+	key    [maxKeyLen]byte
+	cmp    [maxKeyLen]byte
 	locked [2 + 2*cuckoo.EntriesPerBucket]mem.Addr // ≤2 buckets + ≤8 candidates each
 	nLock  int
-	next   *queryTxn
-}
-
-// acquireTxn pops a recycled transaction or allocates the pool's next one.
-func (a *Accelerator) acquireTxn() *queryTxn {
-	tx := a.txnFree
-	if tx == nil {
-		return &queryTxn{}
-	}
-	a.txnFree = tx.next
-	tx.next = nil
-	tx.nLock = 0
-	return tx
-}
-
-// releaseTxn returns a completed transaction to the free list.
-func (a *Accelerator) releaseTxn(tx *queryTxn) {
-	tx.next = a.txnFree
-	a.txnFree = tx
 }
 
 // NewAccelerator builds the accelerator for a slice.
@@ -154,7 +134,7 @@ func NewAccelerator(slice int, cfg AccelConfig, hier *cache.Hierarchy, space *me
 		hier:     hier,
 		space:    space,
 		meta:     NewMetadataCache(cfg.MetaCacheTables),
-		hashUnit: sim.NewCalendarResource(0),
+		hashUnit: sim.NewCalendarResource(),
 		flowReg:  NewFlowRegister(flowRegBits),
 	}
 }
@@ -226,7 +206,8 @@ func (a *Accelerator) access(at sim.Cycle, addr mem.Addr, write bool) cache.Acce
 // the key-value pair.
 func (a *Accelerator) Process(at sim.Cycle, q Query) QueryResult {
 	a.stats.Queries++
-	tx := a.acquireTxn()
+	tx := &a.txn
+	tx.nLock = 0
 	t := a.admit(at)
 	issued := t
 
@@ -248,7 +229,6 @@ func (a *Accelerator) Process(at sim.Cycle, q Query) QueryResult {
 			a.stats.Faults++
 			r := QueryResult{Fault: true, Issued: issued, Done: t, Slice: a.slice}
 			a.finish(q, r)
-			a.releaseTxn(tx)
 			return r
 		}
 		if !a.cfg.MetaCacheOff {
@@ -264,7 +244,7 @@ func (a *Accelerator) Process(at sim.Cycle, q Query) QueryResult {
 		res = a.access(t, q.KeyAddr+mem.Addr(meta.KeyLen)-1, false)
 		t = res.Done
 	}
-	key := tx.keyBuf(meta.KeyLen)
+	key := tx.key[:meta.KeyLen]
 	a.space.ReadAt(q.KeyAddr, key)
 
 	// Step 2: hash (pipelined unit: occupied 1 cycle, latency HashLatency).
@@ -274,7 +254,8 @@ func (a *Accelerator) Process(at sim.Cycle, q Query) QueryResult {
 	sig := hashfn.Signature(h)
 	b1 := h & (meta.BucketCount - 1)
 	b2 := hashfn.AltBucket(b1, sig, meta.BucketCount)
-	if meta.SFH {
+	sfh := meta.Flags&cuckoo.FlagSFH != 0
+	if sfh {
 		b2 = b1
 	}
 	a.flowReg.Observe(h)
@@ -284,7 +265,7 @@ func (a *Accelerator) Process(at sim.Cycle, q Query) QueryResult {
 	value, found := uint64(0), false
 	buckets := [2]uint64{b1, b2}
 	n := 2
-	if meta.SFH {
+	if sfh {
 		n = 1
 	}
 	for bi := 0; bi < n && !found; bi++ {
@@ -339,22 +320,11 @@ func (a *Accelerator) Process(at sim.Cycle, q Query) QueryResult {
 	}
 	r := QueryResult{Value: value, Found: found, Issued: issued, Done: t, Slice: a.slice}
 	a.finish(q, r)
-	a.releaseTxn(tx)
 	return r
 }
 
 func (a *Accelerator) finish(q Query, r QueryResult) {
 	a.recordCompletion(r.Done)
-}
-
-// keyBuf returns the transaction's key scratch sized for n bytes, falling
-// back to a fresh slice for lengths beyond the scratch (possible only with
-// corrupt metadata or oversized walk keys).
-func (tx *queryTxn) keyBuf(n int) []byte {
-	if n >= 0 && n <= maxScratchKeyLen {
-		return tx.key[:n]
-	}
-	return make([]byte, n)
 }
 
 // lock records a line address in the transaction's locked set. The set is
@@ -367,9 +337,6 @@ func (tx *queryTxn) lock(addr mem.Addr) {
 func (a *Accelerator) keyEqual(tx *queryTxn, meta TableMeta, idx uint32, key []byte) bool {
 	kvAddr := meta.KVBase + mem.Addr(uint64(idx)*meta.KVSlotSize)
 	buf := tx.cmp[:len(key)]
-	if len(key) > maxScratchKeyLen {
-		buf = make([]byte, len(key))
-	}
 	a.space.ReadAt(kvAddr, buf)
 	for i := range buf {
 		if buf[i] != key[i] {

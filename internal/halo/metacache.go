@@ -7,34 +7,19 @@ import (
 
 // TableMeta is the accelerator's parsed view of a table's metadata line —
 // exactly the fields the hardware needs to walk buckets without software
-// help.
+// help — tagged with the line's address.
 type TableMeta struct {
-	Base        mem.Addr
-	KeyLen      int
-	BucketCount uint64
-	BucketBase  mem.Addr
-	KVBase      mem.Addr
-	KVSlotSize  uint64
-	SFH         bool
+	Base mem.Addr
+	cuckoo.Meta
 }
 
-// parseMeta decodes a metadata line from simulated memory. ok is false when
-// the magic does not match (the accelerator then raises a fault to software;
-// in this model the query simply reports not-found with Fault set).
+// parseMeta decodes a metadata line from simulated memory with
+// cuckoo.ReadMeta. ok is false when the line is not one cuckoo.Create could
+// have laid out (the accelerator then raises a fault to software; in this
+// model the query simply reports not-found with Fault set).
 func parseMeta(space *mem.Memory, base mem.Addr) (TableMeta, bool) {
-	if space.Load32(base) != cuckoo.Magic {
-		return TableMeta{}, false
-	}
-	flags := space.Load32(base + 40)
-	return TableMeta{
-		Base:        base,
-		KeyLen:      int(space.Load32(base + 4)),
-		BucketCount: space.Load64(base + 8),
-		BucketBase:  mem.Addr(space.Load64(base + 16)),
-		KVBase:      mem.Addr(space.Load64(base + 24)),
-		KVSlotSize:  space.Load64(base + 32),
-		SFH:         flags&cuckoo.FlagSFH != 0,
-	}, true
+	m, err := cuckoo.ReadMeta(space, base)
+	return TableMeta{Base: base, Meta: m}, err == nil
 }
 
 // MetadataCache holds recently used tables' metadata inside one accelerator

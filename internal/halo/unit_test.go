@@ -182,6 +182,56 @@ func TestFaultOnGarbageTable(t *testing.T) {
 	}
 }
 
+// TestFaultOnInvalidMetadata patches one field of a valid table's metadata
+// line at a time. The accelerator must reject every line cuckoo.Attach
+// rejects, and every walk key length outside 1..64, as a counted fault: no
+// panic, and no key buffer sized from the corrupt length.
+func TestFaultOnInvalidMetadata(t *testing.T) {
+	const offKeyLen, offBucketCount = 4, 8 // cuckoo's metadata layout
+	for _, tc := range []struct {
+		name  string
+		patch func(p *Platform, tbl *cuckoo.Table)
+	}{
+		{"key length 2^32-1", func(p *Platform, tbl *cuckoo.Table) { p.Space.Store32(tbl.Base()+offKeyLen, 1<<32-1) }},
+		{"key length 65", func(p *Platform, tbl *cuckoo.Table) { p.Space.Store32(tbl.Base()+offKeyLen, 65) }},
+		{"bucket count 0", func(p *Platform, tbl *cuckoo.Table) { p.Space.Store64(tbl.Base()+offBucketCount, 0) }},
+		{"bucket count disagrees with capacity", func(p *Platform, tbl *cuckoo.Table) {
+			p.Space.Store64(tbl.Base()+offBucketCount, 2*tbl.BucketCount())
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := testPlatform(t)
+			tbl := populatedTable(t, p, 512, 100)
+			tc.patch(p, tbl)
+			if _, err := cuckoo.Attach(p.Space, tbl.Base()); err == nil {
+				t.Fatal("cuckoo.Attach accepted the patched line")
+			}
+			keyAddr := p.Alloc.AllocLines(1)
+			p.Space.WriteAt(keyAddr, key16(7))
+			a := p.Unit.Accelerator(0)
+			r := a.Process(0, Query{TableAddr: tbl.Base(), KeyAddr: keyAddr})
+			if !r.Fault || r.Found {
+				t.Fatalf("query = %+v, want a fault", r)
+			}
+			if got := a.Stats().Faults; got != 1 {
+				t.Fatalf("faults = %d, want 1", got)
+			}
+		})
+	}
+	for _, keyLen := range []int{-1, 0, 65} {
+		p := testPlatform(t)
+		root := buildTinyTree(p)
+		keyAddr := p.Alloc.AllocLines(2)
+		th := cpu.NewThread(p.Hier, 0)
+		if r := p.Unit.WalkB(th, root, keyAddr, keyLen); !r.Fault || r.Found {
+			t.Errorf("walk with key length %d = %+v, want a fault", keyLen, r)
+		}
+		if got := p.Unit.Stats().Faults; got != 1 {
+			t.Errorf("walk with key length %d: faults = %d, want 1", keyLen, got)
+		}
+	}
+}
+
 func TestScoreboardBackpressure(t *testing.T) {
 	p := testPlatform(t)
 	tbl := populatedTable(t, p, 4096, 3000)

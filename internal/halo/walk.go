@@ -84,7 +84,7 @@ const defaultMaxWalkDepth = 64
 type WalkResult struct {
 	Value  uint64
 	Found  bool
-	Fault  bool // bad node magic or depth exceeded
+	Fault  bool // key length outside 1..64, bad node magic or depth exceeded
 	Depth  int
 	Issued sim.Cycle
 	Done   sim.Cycle
@@ -96,9 +96,13 @@ type WalkResult struct {
 // walk holds no locks (trees here are read-mostly; updates rebuild).
 func (a *Accelerator) ProcessWalk(at sim.Cycle, q WalkQuery) WalkResult {
 	a.stats.Queries++
-	tx := a.acquireTxn()
 	t := a.admit(at)
 	issued := t
+	if q.KeyLen < 1 || q.KeyLen > maxKeyLen {
+		a.stats.Faults++
+		a.recordCompletion(t)
+		return WalkResult{Fault: true, Issued: issued, Done: t, Slice: a.slice}
+	}
 
 	res := a.access(t, q.KeyAddr, false)
 	t = res.Done
@@ -106,7 +110,7 @@ func (a *Accelerator) ProcessWalk(at sim.Cycle, q WalkQuery) WalkResult {
 		res = a.access(t, q.KeyAddr+mem.Addr(q.KeyLen)-1, false)
 		t = res.Done
 	}
-	key := tx.keyBuf(q.KeyLen)
+	key := a.txn.key[:q.KeyLen]
 	a.space.ReadAt(q.KeyAddr, key)
 
 	maxDepth := q.MaxDepth
@@ -157,7 +161,6 @@ func (a *Accelerator) ProcessWalk(at sim.Cycle, q WalkQuery) WalkResult {
 	}
 	r.Done = t
 	a.recordCompletion(t)
-	a.releaseTxn(tx)
 	return r
 }
 

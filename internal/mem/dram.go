@@ -61,10 +61,10 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 		bus:   make([]*sim.CalendarResource, cfg.Channels),
 	}
 	for i := range d.banks {
-		d.banks[i].busy = sim.NewCalendarResource(0)
+		d.banks[i].busy = sim.NewCalendarResource()
 	}
 	for i := range d.bus {
-		d.bus[i] = sim.NewCalendarResource(0)
+		d.bus[i] = sim.NewCalendarResource()
 	}
 	return d
 }

@@ -1,32 +1,31 @@
 package sim
 
-// CalendarResource models a unit that can service one operation at a time,
-// like Resource, but keeps a window of busy intervals instead of a single
-// tail timestamp. Claims arriving with out-of-order timestamps — the normal
-// case when several threads' timelines interleave — are fitted into the
-// earliest idle gap at or after their arrival, so a latecomer is delayed
-// only by genuine utilisation, never by the mere existence of later claims.
+// CalendarResource models a unit that can service one operation at a time.
+// It keeps a window of busy intervals rather than a single tail timestamp:
+// claims arriving with out-of-order timestamps — the normal case when
+// several threads' timelines interleave — are fitted into the earliest idle
+// gap at or after their arrival, so a latecomer is delayed only by genuine
+// utilisation, never by the mere existence of later claims.
 //
 // The interval window is bounded: intervals older than the newest claim by
-// more than `horizon` merge into a floor timestamp. Claim binary-searches
-// the sorted window for its insertion region, so deep out-of-order arrivals
-// cost O(log window) search plus the O(window) copy-insert.
+// more than calendarHorizon cycles merge into a floor timestamp, which binds
+// only claims arriving even further out of order. Claim binary-searches the
+// sorted window for its insertion region, so deep out-of-order arrivals cost
+// O(log window) search plus the O(window) copy-insert.
 type CalendarResource struct {
 	intervals []interval // sorted by start, non-overlapping, non-touching
 	floor     Cycle      // claims may not start before this (merged history)
-	horizon   Cycle
 }
 
 type interval struct{ start, end Cycle }
 
-// NewCalendarResource builds a resource that remembers busy intervals within
-// `horizon` cycles of the newest claim (older history merges into a floor
-// that is only binding for claims arriving even further out of order).
-func NewCalendarResource(horizon Cycle) *CalendarResource {
-	if horizon == 0 {
-		horizon = 4096
-	}
-	return &CalendarResource{horizon: horizon}
+// calendarHorizon is how far behind the newest claim, in cycles, a
+// CalendarResource still backfills.
+const calendarHorizon Cycle = 4096
+
+// NewCalendarResource builds an idle resource.
+func NewCalendarResource() *CalendarResource {
+	return &CalendarResource{}
 }
 
 // Claim reserves the resource for `occupancy` cycles starting no earlier
@@ -74,14 +73,14 @@ func (c *CalendarResource) Claim(at Cycle, occupancy Cycle) (start Cycle) {
 	return start
 }
 
-// compact folds history older than the horizon into the floor and merges
+// compact folds history older than calendarHorizon into the floor and merges
 // the just-inserted interval (at idx) with touching neighbours. The rest of
 // the window is untouched: previous compactions left it strictly disjoint,
 // and an insertion can only create adjacency next to idx.
 func (c *CalendarResource) compact(idx int, newest Cycle) {
 	cutoff := Cycle(0)
-	if newest > c.horizon {
-		cutoff = newest - c.horizon
+	if newest > calendarHorizon {
+		cutoff = newest - calendarHorizon
 	}
 	// Expired intervals form a prefix (ends ascend). The new interval ends
 	// after `newest`, so it never folds and idx stays in range.
@@ -111,34 +110,4 @@ func (c *CalendarResource) compact(idx int, newest Cycle) {
 		}
 		c.intervals = c.intervals[:idx+1+copy(c.intervals[idx+1:], c.intervals[idx+2:])]
 	}
-}
-
-// BusyUntil reports the end of the latest reservation (0 when idle).
-func (c *CalendarResource) BusyUntil() Cycle {
-	if len(c.intervals) == 0 {
-		return c.floor
-	}
-	return c.intervals[len(c.intervals)-1].end
-}
-
-// Utilisation reports the busy fraction of the window [from, to), for tests
-// and saturation diagnostics.
-func (c *CalendarResource) Utilisation(from, to Cycle) float64 {
-	if to <= from {
-		return 0
-	}
-	var busy Cycle
-	for _, iv := range c.intervals {
-		s, e := iv.start, iv.end
-		if s < from {
-			s = from
-		}
-		if e > to {
-			e = to
-		}
-		if e > s {
-			busy += e - s
-		}
-	}
-	return float64(busy) / float64(to-from)
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestCalendarSerialisesOverlap(t *testing.T) {
-	c := NewCalendarResource(0)
+	c := NewCalendarResource()
 	if got := c.Claim(10, 5); got != 10 {
 		t.Fatalf("first claim at %d, want 10", got)
 	}
@@ -19,7 +19,7 @@ func TestCalendarSerialisesOverlap(t *testing.T) {
 }
 
 func TestCalendarBackfillsGaps(t *testing.T) {
-	c := NewCalendarResource(0)
+	c := NewCalendarResource()
 	c.Claim(100, 10) // busy [100,110)
 	// An out-of-order claim at t=5 fits long before the existing interval
 	// — the tail-latch Resource would have pushed it to 110.
@@ -38,7 +38,7 @@ func TestCalendarBackfillsGaps(t *testing.T) {
 }
 
 func TestCalendarZeroOccupancy(t *testing.T) {
-	c := NewCalendarResource(0)
+	c := NewCalendarResource()
 	c.Claim(0, 0) // treated as 1
 	if got := c.Claim(0, 1); got != 1 {
 		t.Fatalf("claim after zero-occupancy at %d, want 1", got)
@@ -46,25 +46,28 @@ func TestCalendarZeroOccupancy(t *testing.T) {
 }
 
 func TestCalendarHorizonFoldsHistory(t *testing.T) {
-	c := NewCalendarResource(100)
-	for i := Cycle(0); i < 50; i++ {
-		c.Claim(i*10, 5)
+	const step, claims = 410, 50 // claims spread over ~5 horizons
+	c := NewCalendarResource()
+	for i := Cycle(0); i < claims; i++ {
+		c.Claim(i*step, 5)
 	}
-	// History far behind the newest claim merged into the floor; claims in
-	// the distant past are clamped to it rather than backfilled.
-	got := c.Claim(0, 5)
-	if got == 0 {
-		t.Fatal("ancient claim backfilled beyond the horizon")
+	// History more than a horizon behind the newest claim merged into the
+	// floor (the end of the last folded claim): the window keeps only the
+	// claims inside the horizon, and claims in the distant past are clamped
+	// to the floor rather than backfilled.
+	if n := len(c.intervals); n > int(calendarHorizon/step)+2 {
+		t.Fatalf("interval window holds %d entries, want history folded", n)
 	}
-	if len(c.intervals) > 64 {
-		t.Fatalf("interval window grew to %d entries", len(c.intervals))
+	newest := Cycle((claims - 1) * step)
+	if got := c.Claim(0, 5); got < newest-calendarHorizon-step {
+		t.Fatalf("ancient claim at %d backfilled beyond the horizon (newest claim at %d)", got, newest)
 	}
 }
 
 func TestCalendarNoOverlapProperty(t *testing.T) {
 	check := func(seed uint64, nRaw uint8) bool {
 		rng := NewRand(seed)
-		c := NewCalendarResource(0)
+		c := NewCalendarResource()
 		n := int(nRaw%100) + 2
 		type claim struct{ start, end Cycle }
 		var claims []claim
@@ -93,18 +96,6 @@ func TestCalendarNoOverlapProperty(t *testing.T) {
 	}
 }
 
-func TestCalendarUtilisation(t *testing.T) {
-	c := NewCalendarResource(0)
-	c.Claim(0, 50)
-	c.Claim(100, 50)
-	if u := c.Utilisation(0, 200); u < 0.49 || u > 0.51 {
-		t.Fatalf("utilisation = %v, want 0.5", u)
-	}
-	if c.BusyUntil() != 150 {
-		t.Fatalf("BusyUntil = %d", c.BusyUntil())
-	}
-}
-
 // refCalendar is the pre-optimisation reference implementation: linear scan
 // in Claim and a full merge/fold pass per claim. The binary-search Claim
 // must reproduce its results — start cycles, floor and interval window —
@@ -112,7 +103,6 @@ func TestCalendarUtilisation(t *testing.T) {
 type refCalendar struct {
 	intervals []interval
 	floor     Cycle
-	horizon   Cycle
 }
 
 func (c *refCalendar) claim(at Cycle, occupancy Cycle) (start Cycle) {
@@ -140,8 +130,8 @@ func (c *refCalendar) claim(at Cycle, occupancy Cycle) (start Cycle) {
 	copy(c.intervals[idx+1:], c.intervals[idx:])
 	c.intervals[idx] = iv
 	cutoff := Cycle(0)
-	if start > c.horizon {
-		cutoff = start - c.horizon
+	if start > calendarHorizon {
+		cutoff = start - calendarHorizon
 	}
 	out := c.intervals[:0]
 	for _, iv := range c.intervals {
@@ -166,20 +156,22 @@ func (c *refCalendar) claim(at Cycle, occupancy Cycle) (start Cycle) {
 // TestCalendarMatchesReferenceModel drives the optimised calendar and the
 // reference side by side over randomized claim streams with deep
 // out-of-order windows, including patterns that trigger horizon folding and
-// neighbour merging on both sides of an insertion.
+// neighbour merging on both sides of an insertion. The first stream reaches
+// back less than half a horizon, so its claims backfill; the second reaches
+// back two horizons, so many of its claims land below the folded floor.
 func TestCalendarMatchesReferenceModel(t *testing.T) {
-	for _, horizon := range []Cycle{0, 64, 4096} {
-		rng := NewRand(0xCA1 + uint64(horizon))
-		c := NewCalendarResource(horizon)
-		ref := &refCalendar{horizon: c.horizon}
+	for _, depth := range []int{2000, 2 * int(calendarHorizon)} {
+		rng := NewRand(0xCA1 + uint64(depth))
+		c := NewCalendarResource()
+		ref := &refCalendar{}
 		base := Cycle(0)
 		for i := 0; i < 5000; i++ {
 			// A slowly advancing base with a deep out-of-order window behind
-			// it: claims land up to 2000 cycles in the past, and occasionally
-			// far in the future.
+			// it: claims land up to depth cycles in the past, and
+			// occasionally far in the future.
 			base += Cycle(rng.Intn(8))
 			at := base
-			if back := Cycle(rng.Intn(2000)); back < at {
+			if back := Cycle(rng.Intn(depth)); back < at {
 				at -= back
 			} else {
 				at = 0
@@ -209,13 +201,14 @@ func TestCalendarMatchesReferenceModel(t *testing.T) {
 }
 
 // BenchmarkCalendarClaim measures Claim with a deep out-of-order window:
-// sixteen interleaved timelines, each claiming monotonically but far apart
-// from one another, the access pattern LLC ports see under the worker pool.
+// sixteen interleaved timelines, each claiming monotonically but spread
+// across most of the horizon, the access pattern LLC ports see under the
+// worker pool.
 func BenchmarkCalendarClaim(b *testing.B) {
-	c := NewCalendarResource(1 << 16)
+	c := NewCalendarResource()
 	var lanes [16]Cycle
 	for i := range lanes {
-		lanes[i] = Cycle(i * 3000)
+		lanes[i] = Cycle(i * 250)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,9 +1,23 @@
+// Package sim holds the simulator's notion of time: the Cycle, the Ticket a
+// timed operation returns, the CalendarResource through which a shared unit
+// serialises its users, and the seeded Rand behind every stochastic choice.
+//
+// Time is explicit, not event-driven. Every component — caches, DRAM, the
+// on-chip interconnect, CPU cores, the HALO accelerators — takes the cycle
+// `at` at which an operation arrives and returns the cycle at which it
+// finishes; there is no event queue and no global clock to advance. A unit
+// that several timelines share (an LLC port, a DRAM bank, a hash unit) is a
+// CalendarResource, which fits each claim into the earliest idle gap at or
+// after its arrival. Nothing here reads wall time or global random state, so
+// the same inputs always produce the same cycle counts.
 package sim
+
+// Cycle is a point in simulated time, measured in CPU clock cycles.
+type Cycle uint64
 
 // Ticket is a completion token for a multi-cycle operation: a component
 // returns a Ticket whose Done cycle tells the caller when the result is
-// available. Tickets compose: a pipeline stage that depends on several
-// operations waits for the max of their Done cycles.
+// available.
 type Ticket struct {
 	Issued Cycle
 	Done   Cycle
@@ -11,49 +25,3 @@ type Ticket struct {
 
 // Latency returns the number of cycles between issue and completion.
 func (t Ticket) Latency() Cycle { return t.Done - t.Issued }
-
-// After returns a ticket issued like t but completing no earlier than `at`.
-func (t Ticket) After(at Cycle) Ticket {
-	if t.Done < at {
-		t.Done = at
-	}
-	return t
-}
-
-// MaxDone returns the latest completion cycle among the tickets, or `def`
-// when the list is empty.
-func MaxDone(def Cycle, tickets ...Ticket) Cycle {
-	done := def
-	for _, t := range tickets {
-		if t.Done > done {
-			done = t.Done
-		}
-	}
-	return done
-}
-
-// Resource models a unit that can service one operation at a time with a
-// fixed occupancy per operation (e.g. a DRAM bank, a hash unit, a bus port).
-// Claim serialises requests: an operation arriving while the resource is busy
-// queues behind the previous one.
-type Resource struct {
-	freeAt Cycle
-}
-
-// Claim reserves the resource starting no earlier than `at` for `occupancy`
-// cycles and returns the cycle at which the claimed use begins.
-func (r *Resource) Claim(at Cycle, occupancy Cycle) (start Cycle) {
-	if r.freeAt > at {
-		start = r.freeAt
-	} else {
-		start = at
-	}
-	r.freeAt = start + occupancy
-	return start
-}
-
-// FreeAt reports when the resource next becomes idle.
-func (r *Resource) FreeAt() Cycle { return r.freeAt }
-
-// Reset makes the resource immediately available.
-func (r *Resource) Reset() { r.freeAt = 0 }

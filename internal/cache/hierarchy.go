@@ -166,22 +166,6 @@ type Hierarchy struct {
 	OnAccelInvalidate func(lineAddr mem.Addr)
 }
 
-// accessTxn carries one access's state through the hierarchy's stages —
-// private-cache probe, LLC/directory service, fill, snoop, install — in
-// place of per-hop continuation captures. Each access declares one on its
-// own stack (`var tx accessTxn`, then field assignments; DESIGN.md §7 says
-// why not a composite literal), and the stages take its address without
-// keeping it, so the access path performs no allocation.
-type accessTxn struct {
-	requester int // core for CoreAccess, slice for AccelAccess
-	lineAddr  mem.Addr
-	write     bool
-	t         sim.Cycle // the txn's clock as it moves through stages
-	where     HitWhere
-	home      int
-	l         *line // LLC line under service after the LLC stage
-}
-
 // New builds a hierarchy over the given interconnect and memory controller.
 func New(cfg Config, ring *noc.Ring, dram *mem.DRAM) *Hierarchy {
 	if cfg.Cores <= 0 || cfg.Cores > 32 {
@@ -348,9 +332,7 @@ func (h *Hierarchy) evictLLC(at sim.Cycle, v *line) {
 		h.l2[core].invalidate(v.tag)
 		h.stats.BackInvalidations++
 	}
-	if v.accelValid && h.OnAccelInvalidate != nil {
-		h.OnAccelInvalidate(v.tag)
-	}
+	h.dropAccelCopy(v)
 	if dirty {
 		h.dram.Access(at, v.tag, true)
 		h.stats.Writebacks++
@@ -407,43 +389,23 @@ func (h *Hierarchy) dropPrivateVictim(core int, a *array, v *line) {
 }
 
 // CoreAccess models one load (write=false) or store (write=true) from a core
-// through its private caches into the shared LLC and memory. The access runs
-// as one transaction through three stages: private-cache probe, home
-// LLC-slice service, private install.
+// through its private caches into the shared LLC and memory: private-cache
+// probe, then home LLC-slice service, then private install.
 func (h *Hierarchy) CoreAccess(at sim.Cycle, core int, addr mem.Addr, write bool) AccessResult {
-	var tx accessTxn
-	tx.requester = core
-	tx.lineAddr = mem.LineAddr(addr)
-	tx.write = write
-	tx.t = at + h.cfg.L1Latency
-
-	if !h.corePrivateStage(&tx) {
-		h.coreLLCStage(&tx)
-		h.coreInstallStage(&tx)
-	}
-	return AccessResult{sim.Ticket{Issued: at, Done: tx.t}, tx.where}
-}
-
-// corePrivateStage tries to service the access from the requester's L1/L2.
-// It returns true when a private cache completes the access (tx.t and
-// tx.where are final); otherwise the transaction's clock carries the probe
-// and miss-handling costs and the access continues at the home LLC slice.
-func (h *Hierarchy) corePrivateStage(tx *accessTxn) bool {
-	core, lineAddr, write := tx.requester, tx.lineAddr, tx.write
+	lineAddr := mem.LineAddr(addr)
+	t := at + h.cfg.L1Latency
 	if l := h.l1[core].lookup(lineAddr); l != nil {
 		if !write {
-			tx.where = InL1
-			return true
+			return AccessResult{sim.Ticket{Issued: at, Done: t}, InL1}
 		}
 		if l.state != Shared {
 			l.state = Modified
 			l.dirty = true
-			tx.where = InL1
-			return true
+			return AccessResult{sim.Ticket{Issued: at, Done: t}, InL1}
 		}
 		// Write to a Shared line: fall through to the LLC for ownership.
 	} else if l2l := h.l2[core].lookup(lineAddr); l2l != nil {
-		tx.t += h.cfg.L2Latency
+		t += h.cfg.L2Latency
 		if !write || l2l.state != Shared {
 			st := l2l.state
 			if write {
@@ -455,101 +417,20 @@ func (h *Hierarchy) corePrivateStage(tx *accessTxn) bool {
 			if write {
 				nl.dirty = true
 			}
-			tx.where = InL2
-			return true
+			return AccessResult{sim.Ticket{Issued: at, Done: t}, InL2}
 		}
 	} else {
-		tx.t += h.cfg.L2Latency
+		t += h.cfg.L2Latency
 	}
-	tx.t += h.cfg.MissHandling
-	return false
-}
+	t += h.cfg.MissHandling
 
-// coreLLCStage services the access at the home LLC slice: ring transit, port
-// claim, directory lookup, DRAM fill on miss, lock stall and snoop on hit.
-// On return tx.l is the LLC line under service and tx.t the service
-// completion time (before the return hop).
-func (h *Hierarchy) coreLLCStage(tx *accessTxn) {
-	core, lineAddr, write := tx.requester, tx.lineAddr, tx.write
 	home := h.homeSlice(lineAddr)
-	tx.home = home
-	arrive := tx.t + h.ring.Delay(core, home)
-	start := h.llcPort[home].Claim(arrive, h.cfg.PortOccupancy)
-	done := start + h.cfg.LLCLatency
-	tx.where = InLLC
-
-	l := h.llc[home].lookup(lineAddr)
-	if l == nil {
-		// LLC miss: fetch from DRAM and fill.
-		dt := h.dram.Access(done, lineAddr, false)
-		done = dt.Done
-		l = h.ensureLLC(done, home, lineAddr, Exclusive)
-		tx.where = InMemory
-	} else {
-		if write {
-			if until := lockedUntil(l, done); until > 0 {
-				h.stats.LockStalls++
-				h.stats.LockStallCycles += uint64(until - done)
-				done = until
-			}
-		}
-		if owner := h.exclusiveOwner(l); owner >= 0 && owner != core {
-			// Source the line from the remote private cache.
-			done += h.snoopPenaltyFor(owner, lineAddr)
-			tx.where = InRemoteCache
-			h.stats.RemoteCacheHits++
-			// Owner's copy is downgraded (read) or invalidated (write);
-			// either way its dirty data is now captured by the LLC copy.
-			if op := h.l1[owner].peek(lineAddr); op != nil && op.dirty {
-				l.dirty = true
-			}
-			if op := h.l2[owner].peek(lineAddr); op != nil && op.dirty {
-				l.dirty = true
-			}
-			if write {
-				h.l1[owner].invalidate(lineAddr)
-				h.l2[owner].invalidate(lineAddr)
-				l.coreValid &^= 1 << owner
-			} else {
-				if op := h.l1[owner].peek(lineAddr); op != nil {
-					op.state = Shared
-					op.dirty = false
-				}
-				if op := h.l2[owner].peek(lineAddr); op != nil {
-					op.state = Shared
-					op.dirty = false
-				}
-			}
-		} else if write {
-			// Invalidate all other sharers.
-			for c := 0; c < h.cfg.Cores; c++ {
-				if c == core || l.coreValid&(1<<c) == 0 {
-					continue
-				}
-				h.l1[c].invalidate(lineAddr)
-				h.l2[c].invalidate(lineAddr)
-				l.coreValid &^= 1 << c
-			}
-		}
-		if l.accelValid && write {
-			if h.OnAccelInvalidate != nil {
-				h.OnAccelInvalidate(lineAddr)
-			}
-			l.accelValid = false
-		}
-	}
-	tx.l = l
-	tx.t = done
-}
-
-// coreInstallStage picks the private-cache state, installs the line into the
-// requester's L1/L2 and charges the return ring hop.
-func (h *Hierarchy) coreInstallStage(tx *accessTxn) {
-	core, lineAddr, write, l := tx.requester, tx.lineAddr, tx.write, tx.l
+	l, done, where := h.serviceLLC(t+h.ring.Delay(core, home), h.cfg.LLCLatency, core, home, lineAddr, write)
 	var st State
 	if write {
+		h.invalidateSharers(l, core)
+		h.dropAccelCopy(l)
 		st = Modified
-		l.dirty = true
 	} else if l.coreValid == 0 {
 		st = Exclusive
 	} else {
@@ -574,104 +455,89 @@ func (h *Hierarchy) coreInstallStage(tx *accessTxn) {
 			pl.dirty = true
 		}
 	}
-	tx.t += h.ring.Delay(tx.home, core)
+	return AccessResult{sim.Ticket{Issued: at, Done: done + h.ring.Delay(home, core)}, where}
 }
 
 // AccelAccess models a HALO accelerator at `slice` touching a line. The
 // access never allocates into private caches and is serviced CHA-side: local
 // lines cost AccelLocalLatency, remote-slice lines add the CHA-to-CHA hop
-// path both ways.
+// path both ways. A write lands in the LLC, so every core copy goes stale.
 func (h *Hierarchy) AccelAccess(at sim.Cycle, slice int, addr mem.Addr, write bool) AccessResult {
-	var tx accessTxn
-	tx.requester = slice
-	tx.lineAddr = mem.LineAddr(addr)
-	tx.write = write
-	h.stats.AccelAccesses++
-
-	tx.home = h.homeSlice(tx.lineAddr)
-	tx.t = at
-	if tx.home != slice {
-		tx.t += sim.Cycle(h.ring.Hops(slice, tx.home)) * h.cfg.AccelHopCycles
+	lineAddr := mem.LineAddr(addr)
+	home := h.homeSlice(lineAddr)
+	hops := sim.Cycle(h.ring.Hops(slice, home)) * h.cfg.AccelHopCycles
+	l, done, where := h.serviceLLC(at+hops, h.cfg.AccelLocalLatency, -1, home, lineAddr, write)
+	if where == InMemory {
+		h.stats.AccelLLCMisses++
 	}
-	h.accelLLCStage(&tx)
-	h.accelFinishStage(&tx)
-
-	h.stats.AccelAccessCycles += uint64(tx.t - at)
-	return AccessResult{sim.Ticket{Issued: at, Done: tx.t}, tx.where}
+	if write {
+		h.invalidateSharers(l, -1)
+	}
+	done += hops
+	h.stats.AccelAccesses++
+	h.stats.AccelAccessCycles += uint64(done - at)
+	return AccessResult{sim.Ticket{Issued: at, Done: done}, where}
 }
 
-// accelLLCStage services an accelerator access at the home slice's data
-// array: port claim, directory lookup, DRAM fill on miss, lock stall and
-// core snoop on hit. tx.l and tx.t are set on return.
-func (h *Hierarchy) accelLLCStage(tx *accessTxn) {
-	lineAddr, write, home := tx.lineAddr, tx.write, tx.home
-	start := h.llcPort[home].Claim(tx.t, h.cfg.PortOccupancy)
-	done := start + h.cfg.AccelLocalLatency
-	tx.where = InLLC
-
+// serviceLLC is an access's turn at lineAddr's home slice, arriving at cycle
+// `arrive` from requester (a core, or -1 for an accelerator): port claim,
+// directory lookup taking `latency`, DRAM fill on a miss; on a hit, a write
+// stalls until the line's lock clears, and a core other than the requester
+// holding the line exclusively is snooped and downgraded to Shared, its dirty
+// data captured by the LLC copy. It returns the line, the cycle service
+// completes and where the data came from.
+func (h *Hierarchy) serviceLLC(arrive, latency sim.Cycle, requester, home int, lineAddr mem.Addr, write bool) (*line, sim.Cycle, HitWhere) {
+	done := h.llcPort[home].Claim(arrive, h.cfg.PortOccupancy) + latency
 	l := h.llc[home].lookup(lineAddr)
 	if l == nil {
-		dt := h.dram.Access(done, lineAddr, false)
-		done = dt.Done
-		l = h.ensureLLC(done, home, lineAddr, Exclusive)
-		tx.where = InMemory
-		h.stats.AccelLLCMisses++
-	} else {
-		if write {
-			if until := lockedUntil(l, done); until > 0 {
-				h.stats.LockStalls++
-				h.stats.LockStallCycles += uint64(until - done)
-				done = until
-			}
+		done = h.dram.Access(done, lineAddr, false).Done
+		return h.ensureLLC(done, home, lineAddr, Exclusive), done, InMemory
+	}
+	where := InLLC
+	if write {
+		if until := lockedUntil(l, done); until > 0 {
+			h.stats.LockStalls++
+			h.stats.LockStallCycles += uint64(until - done)
+			done = until
 		}
-		if owner := h.exclusiveOwner(l); owner >= 0 {
-			// Latest data may live in a core's private cache: snoop it.
-			done += h.snoopPenaltyFor(owner, lineAddr)
-			tx.where = InRemoteCache
-			h.stats.RemoteCacheHits++
-			if op := h.l1[owner].peek(lineAddr); op != nil {
-				if op.dirty {
-					l.dirty = true
-				}
-				op.state = Shared
-				op.dirty = false
-			}
-			if op := h.l2[owner].peek(lineAddr); op != nil {
-				if op.dirty {
-					l.dirty = true
-				}
-				op.state = Shared
-				op.dirty = false
-			}
-			if write {
-				h.l1[owner].invalidate(lineAddr)
-				h.l2[owner].invalidate(lineAddr)
-				l.coreValid &^= 1 << owner
+	}
+	if owner := h.exclusiveOwner(l); owner >= 0 && owner != requester {
+		done += h.snoopPenaltyFor(owner, lineAddr)
+		where = InRemoteCache
+		h.stats.RemoteCacheHits++
+		for _, op := range [2]*line{h.l1[owner].peek(lineAddr), h.l2[owner].peek(lineAddr)} {
+			if op != nil {
+				l.dirty = l.dirty || op.dirty
+				op.state, op.dirty = Shared, false
 			}
 		}
 	}
-	tx.l = l
-	tx.t = done
+	return l, done, where
 }
 
-// accelFinishStage applies the write's directory consequences and charges
-// the return CHA-to-CHA hops.
-func (h *Hierarchy) accelFinishStage(tx *accessTxn) {
-	lineAddr, l := tx.lineAddr, tx.l
-	if tx.write {
-		// Accelerator writes land in the LLC; core copies are stale.
-		for c := 0; c < h.cfg.Cores; c++ {
-			if l.coreValid&(1<<c) == 0 {
-				continue
-			}
-			h.l1[c].invalidate(lineAddr)
-			h.l2[c].invalidate(lineAddr)
+// invalidateSharers makes a write's LLC line the only up-to-date copy but
+// the writer's: every private copy except core keep's (-1 keeps none) is
+// dropped with its directory bit, and the LLC line is marked dirty.
+func (h *Hierarchy) invalidateSharers(l *line, keep int) {
+	for c := 0; c < h.cfg.Cores; c++ {
+		if c == keep || l.coreValid&(1<<c) == 0 {
+			continue
 		}
-		l.coreValid = 0
-		l.dirty = true
+		h.l1[c].invalidate(l.tag)
+		h.l2[c].invalidate(l.tag)
+		l.coreValid &^= 1 << c
 	}
-	if tx.home != tx.requester {
-		tx.t += sim.Cycle(h.ring.Hops(tx.requester, tx.home)) * h.cfg.AccelHopCycles
+	l.dirty = true
+}
+
+// dropAccelCopy tells the HALO metadata caches that a line they may hold is
+// being written or evicted, and clears its accelerator core-valid bit.
+func (h *Hierarchy) dropAccelCopy(l *line) {
+	if l.accelValid {
+		if h.OnAccelInvalidate != nil {
+			h.OnAccelInvalidate(l.tag)
+		}
+		l.accelValid = false
 	}
 }
 
@@ -741,21 +607,9 @@ func (h *Hierarchy) MarkAccelValid(addr mem.Addr) {
 // charging core time (the device pays, not the thread under test).
 func (h *Hierarchy) DMAWrite(addr mem.Addr) {
 	lineAddr := mem.LineAddr(addr)
-	home := h.homeSlice(lineAddr)
-	l := h.ensureLLC(0, home, lineAddr, Modified)
-	for c := 0; c < h.cfg.Cores; c++ {
-		if l.coreValid&(1<<c) == 0 {
-			continue
-		}
-		h.l1[c].invalidate(lineAddr)
-		h.l2[c].invalidate(lineAddr)
-	}
-	l.coreValid = 0
-	l.dirty = true
-	if l.accelValid && h.OnAccelInvalidate != nil {
-		h.OnAccelInvalidate(lineAddr)
-		l.accelValid = false
-	}
+	l := h.ensureLLC(0, h.homeSlice(lineAddr), lineAddr, Modified)
+	h.invalidateSharers(l, -1)
+	h.dropAccelCopy(l)
 }
 
 // WarmLLC installs a line into the LLC without charging time, for experiment
@@ -770,20 +624,8 @@ func (h *Hierarchy) WarmRange(first, last mem.Addr) {
 	}
 }
 
-// WarmPrivate installs a line into a core's L1/L2 (and the LLC, keeping
-// inclusivity) without charging time.
-func (h *Hierarchy) WarmPrivate(core int, addr mem.Addr) {
-	lineAddr := mem.LineAddr(addr)
-	l := h.ensureLLC(0, h.homeSlice(lineAddr), lineAddr, Exclusive)
-	l.coreValid |= 1 << core
-	if h.l2[core].peek(lineAddr) == nil || h.l1[core].peek(lineAddr) == nil {
-		h.installPrivate(core, lineAddr, Shared)
-	}
-}
-
 // Present reports where a line currently resides for a given core's view,
-// without disturbing LRU or counters. Used by tests and the hybrid-mode
-// controller.
+// without disturbing LRU or counters.
 func (h *Hierarchy) Present(core int, addr mem.Addr) (inL1, inL2, inLLC bool) {
 	lineAddr := mem.LineAddr(addr)
 	inL1 = h.l1[core].peek(lineAddr) != nil

@@ -13,8 +13,8 @@ import (
 // of the set — peek, victim inside the eviction, then peek and victim again
 // inside the install — with the victim way zeroed in between. The tests drive
 // two hierarchies through identical histories, warm one through WarmLLC /
-// WarmRange / WarmPrivate and the other through this, and require every way
-// of every array, every lruTick and every counter to come out the same.
+// WarmRange and the other through this, and require every way of every
+// array, every lruTick and every counter to come out the same.
 
 // refVictim is the old victim(): the lowest invalid way, else the LRU way
 // skipping locked lines, else the LRU way outright.
@@ -71,23 +71,6 @@ func refWarmLLC(h *Hierarchy, addr mem.Addr) {
 		*v = line{}
 	}
 	refInstall(h.llc[home], lineAddr, Exclusive)
-}
-
-func refWarmPrivate(h *Hierarchy, core int, addr mem.Addr) {
-	lineAddr := mem.LineAddr(addr)
-	refWarmLLC(h, addr)
-	h.llc[h.homeSlice(lineAddr)].peek(lineAddr).coreValid |= 1 << core
-	if h.l2[core].peek(lineAddr) != nil && h.l1[core].peek(lineAddr) != nil {
-		return
-	}
-	for _, a := range [2]*array{h.l2[core], h.l1[core]} {
-		if a.peek(lineAddr) == nil {
-			if v := refVictim(a, lineAddr); v.valid() {
-				h.dropPrivateVictim(core, a, v)
-			}
-		}
-		refInstall(a, lineAddr, Shared)
-	}
 }
 
 // requireSameState compares two hierarchies way by way. A set that was never
@@ -167,18 +150,17 @@ func TestOneScanWarmMatchesFourScanReference(t *testing.T) {
 		lines := sameSetLines(p.got, ways)
 		p.warm(lines[0]) // one way filled, the rest never used
 		requireSameState(t, "first fill", p.got, p.want)
-		// A hole below a filled way: private arrays get them from
-		// invalidations, and the lowest invalid way must win.
-		core := 1
-		p.both(func(h *Hierarchy) {
-			for _, a := range lines[:2] {
-				h.CoreAccess(0, core, a, false)
-			}
-			h.l1[core].invalidate(lines[0])
-		})
-		p.got.WarmPrivate(core, lines[0])
-		refWarmPrivate(p.want, core, lines[0])
+		// A hole below a filled way: the lowest invalid way must win. (An
+		// LLC way is never emptied in use, but slot is also the private
+		// arrays' victim choice, and they get holes from invalidations.)
+		p.warm(lines[1])
+		home := p.got.homeSlice(lines[0])
+		p.both(func(h *Hierarchy) { h.llc[home].invalidate(lines[0]) })
+		p.warm(lines[0])
 		requireSameState(t, "fill the hole", p.got, p.want)
+		if set := p.got.llc[home].sets[p.got.llc[home].setIndex(lines[0])]; set[0].tag != lines[0] {
+			t.Fatalf("refill went to way %+v, not the hole at way 0", set)
+		}
 	})
 
 	t.Run("full set with a locked way", func(t *testing.T) {
@@ -246,11 +228,8 @@ func TestWarmEquivalenceProperty(t *testing.T) {
 		for step := 0; step < 3000; step++ {
 			a, core, slice := addr(), rng.Intn(4), rng.Intn(4)
 			switch rng.Intn(8) {
-			case 0, 1:
+			case 0, 1, 2:
 				p.warm(a)
-			case 2:
-				p.got.WarmPrivate(core, a)
-				refWarmPrivate(p.want, core, a)
 			case 3:
 				n := mem.Addr(rng.Intn(24)) * mem.LineSize
 				p.got.WarmRange(a, a+n)

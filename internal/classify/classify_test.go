@@ -53,7 +53,7 @@ func TestMaskSpecificityAndValidity(t *testing.T) {
 
 func TestRuleEncodingRoundTrip(t *testing.T) {
 	m := Match{Priority: 1234, RuleID: 0x00abcdef, Action: Action{Kind: ActionNAT, Port: 40000}}
-	if got := decodeRule(encodeRule(m)); got != m {
+	if got := DecodeRuleValue(encodeRule(m)); got != m {
 		t.Fatalf("rule round trip: %+v vs %+v", got, m)
 	}
 	// Values must fit the HALO result-word payload.
@@ -245,25 +245,30 @@ func TestClassifyHaloNBScalesWithTuples(t *testing.T) {
 	}
 }
 
-func newEMC(t *testing.T, entries uint64) *EMC {
+// newEMC builds an EMC keyed on packed five-tuples, and a thread to look
+// flows up from.
+func newEMC(t *testing.T, entries uint64) (*EMC, *cpu.Thread) {
 	t.Helper()
-	space := mem.NewMemory()
-	alloc := mem.NewAllocator(0x1000, 1<<30)
-	e, err := NewEMC(space, alloc, entries)
+	p := halo.NewPlatform(halo.DefaultPlatformConfig())
+	e, err := NewEMCKeyLen(p.Space, p.Alloc, entries, packet.KeyBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return e, cpu.NewThread(p.Hier, 0)
+}
+
+func lookupEMC(e *EMC, th *cpu.Thread, f packet.FiveTuple) (Match, bool) {
+	return e.LookupTimedRaw(th, f.Packed(), cuckoo.DefaultLookupOptions())
 }
 
 func TestEMCLearnAndHit(t *testing.T) {
-	e := newEMC(t, 1024)
+	e, th := newEMC(t, 1024)
 	f := flow(3)
-	if _, ok := e.Lookup(f); ok {
+	if _, ok := lookupEMC(e, th, f); ok {
 		t.Fatal("empty EMC hit")
 	}
-	e.Learn(f, Match{RuleID: 42, Action: Action{Kind: ActionOutput, Port: 1}})
-	m, ok := e.Lookup(f)
+	e.LearnRaw(f.Packed(), Match{RuleID: 42, Action: Action{Kind: ActionOutput, Port: 1}})
+	m, ok := lookupEMC(e, th, f)
 	if !ok || m.RuleID != 42 {
 		t.Fatalf("EMC lookup after learn = %+v, %v", m, ok)
 	}
@@ -274,11 +279,11 @@ func TestEMCLearnAndHit(t *testing.T) {
 }
 
 func TestEMCLearnUpdatesExisting(t *testing.T) {
-	e := newEMC(t, 64)
+	e, th := newEMC(t, 64)
 	f := flow(1)
-	e.Learn(f, Match{RuleID: 1})
-	e.Learn(f, Match{RuleID: 2})
-	m, _ := e.Lookup(f)
+	e.LearnRaw(f.Packed(), Match{RuleID: 1})
+	e.LearnRaw(f.Packed(), Match{RuleID: 2})
+	m, _ := lookupEMC(e, th, f)
 	if m.RuleID != 2 {
 		t.Fatalf("re-learn did not update: %+v", m)
 	}
@@ -288,18 +293,18 @@ func TestEMCLearnUpdatesExisting(t *testing.T) {
 }
 
 func TestEMCEvictsWhenFull(t *testing.T) {
-	e := newEMC(t, 64)
+	e, th := newEMC(t, 64)
 	for i := uint32(0); i < 500; i++ {
-		e.Learn(flow(i), Match{RuleID: i})
+		e.LearnRaw(flow(i).Packed(), Match{RuleID: i})
 	}
 	if e.Table().Size() > 64 {
 		t.Fatalf("EMC grew beyond capacity: %d", e.Table().Size())
 	}
 	// Recent flows should be present; ancient ones evicted.
-	if _, ok := e.Lookup(flow(499)); !ok {
+	if _, ok := lookupEMC(e, th, flow(499)); !ok {
 		t.Fatal("most recent flow evicted")
 	}
-	if _, ok := e.Lookup(flow(0)); ok {
+	if _, ok := lookupEMC(e, th, flow(0)); ok {
 		t.Fatal("oldest flow survived 500 learns into a 64-entry EMC")
 	}
 }

@@ -7,18 +7,15 @@ import (
 	"halo/internal/cuckoo"
 	"halo/internal/halo"
 	"halo/internal/mem"
-	"halo/internal/packet"
 )
 
 // EMC is the exact-match cache: the first, fastest classification layer
 // (paper Fig. 2a). It maps exact flow keys to their resolved match, learning
 // entries from MegaFlow results and evicting old flows when full (OVS's EMC
-// holds 8K flows by default). Keys are raw bytes of a fixed length: packed
-// five-tuples by default, or a raw header region for datapaths that key on
-// wire bytes.
+// holds 8K flows by default). Keys are raw bytes of the length fixed at
+// construction, such as the header window a datapath keys on.
 type EMC struct {
-	table    *cuckoo.Table
-	capacity uint64
+	table *cuckoo.Table
 
 	hits    uint64
 	misses  uint64
@@ -33,18 +30,13 @@ type EMC struct {
 // DefaultEMCEntries matches OVS's default EMC size.
 const DefaultEMCEntries = 8192
 
-// NewEMC builds an exact-match cache keyed on packed five-tuples.
-func NewEMC(space *mem.Memory, alloc *mem.Allocator, entries uint64) (*EMC, error) {
-	return NewEMCKeyLen(space, alloc, entries, packet.KeyBytes)
-}
-
-// NewEMCKeyLen builds an exact-match cache with a custom key length.
+// NewEMCKeyLen builds an exact-match cache for keys of keyLen bytes.
 func NewEMCKeyLen(space *mem.Memory, alloc *mem.Allocator, entries uint64, keyLen int) (*EMC, error) {
 	tbl, err := cuckoo.Create(space, alloc, cuckoo.Config{Entries: entries, KeyLen: keyLen})
 	if err != nil {
 		return nil, fmt.Errorf("classify: creating EMC: %w", err)
 	}
-	return &EMC{table: tbl, capacity: entries}, nil
+	return &EMC{table: tbl}, nil
 }
 
 // Table exposes the backing table (for HALO offload and warming).
@@ -61,39 +53,12 @@ func (e *EMC) HitRate() float64 {
 	return float64(e.hits) / float64(e.hits+e.misses)
 }
 
-// Lookup finds a flow functionally by five-tuple.
-func (e *EMC) Lookup(t packet.FiveTuple) (Match, bool) {
-	return e.LookupRaw(t.Packed())
-}
-
-// LookupRaw finds a flow functionally by raw key.
-func (e *EMC) LookupRaw(key []byte) (Match, bool) {
-	v, ok := e.table.Lookup(key)
-	if ok {
-		e.hits++
-		return decodeRule(v), true
-	}
-	e.misses++
-	return Match{}, false
-}
-
-// LookupTimed finds a flow, charging the thread for the software probe.
-func (e *EMC) LookupTimed(th *cpu.Thread, t packet.FiveTuple, opts cuckoo.LookupOptions) (Match, bool) {
-	v, ok := e.table.TimedLookup(th, t.Packed(), opts)
-	if ok {
-		e.hits++
-		return decodeRule(v), true
-	}
-	e.misses++
-	return Match{}, false
-}
-
 // LookupTimedRaw finds a flow by raw key, charging the thread.
 func (e *EMC) LookupTimedRaw(th *cpu.Thread, key []byte, opts cuckoo.LookupOptions) (Match, bool) {
 	v, ok := e.table.TimedLookup(th, key, opts)
 	if ok {
 		e.hits++
-		return decodeRule(v), true
+		return DecodeRuleValue(v), true
 	}
 	e.misses++
 	return Match{}, false
@@ -105,26 +70,10 @@ func (e *EMC) LookupHaloBAt(th *cpu.Thread, unit *halo.Unit, keyAddr mem.Addr) (
 	v, ok := unit.LookupBAt(th, e.table.Base(), keyAddr)
 	if ok {
 		e.hits++
-		return decodeRule(v), true
+		return DecodeRuleValue(v), true
 	}
 	e.misses++
 	return Match{}, false
-}
-
-// LookupHaloB finds a flow through a blocking accelerator lookup.
-func (e *EMC) LookupHaloB(th *cpu.Thread, unit *halo.Unit, t packet.FiveTuple) (Match, bool) {
-	v, ok := unit.LookupB(th, e.table.Base(), t.Packed())
-	if ok {
-		e.hits++
-		return decodeRule(v), true
-	}
-	e.misses++
-	return Match{}, false
-}
-
-// Learn installs a resolved flow by five-tuple.
-func (e *EMC) Learn(t packet.FiveTuple, m Match) {
-	e.LearnRaw(t.Packed(), m)
 }
 
 // LearnRaw installs a resolved flow by raw key, evicting the oldest learned

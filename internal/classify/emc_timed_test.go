@@ -13,19 +13,26 @@ import (
 
 func TestEMCTimedAndHaloLookupsAgree(t *testing.T) {
 	p := halo.NewPlatform(halo.DefaultPlatformConfig())
-	e, err := NewEMC(p.Space, p.Alloc, 1024)
+	e, err := NewEMCKeyLen(p.Space, p.Alloc, 1024, packet.KeyBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	th := cpu.NewThread(p.Hier, 0)
 	for i := uint32(0); i < 500; i++ {
-		e.Learn(flow(i), Match{RuleID: i + 1})
+		e.LearnRaw(flow(i).Packed(), Match{RuleID: i + 1})
 	}
+	keyAddr := p.Alloc.AllocLines(1)
 	for i := uint32(0); i < 500; i++ {
-		f := flow(i)
-		fm, fok := e.Lookup(f)
-		tm, tok := e.LookupTimed(th, f, cuckoo.DefaultLookupOptions())
-		hm, hok := e.LookupHaloB(th, p.Unit, f)
+		key := flow(i).Packed()
+		v, fok := e.Table().Lookup(key) // the functional reference
+		fm := DecodeRuleValue(v)
+		tm, tok := e.LookupTimedRaw(th, key, cuckoo.DefaultLookupOptions())
+		p.Space.WriteAt(keyAddr, key)
+		p.Hier.DMAWrite(keyAddr)
+		hm, hok := e.LookupHaloBAt(th, p.Unit, keyAddr)
+		if !fok || fm.RuleID != i+1 {
+			t.Fatalf("learned flow %d reads back as %+v, %v", i, fm, fok)
+		}
 		if fm != tm || fok != tok {
 			t.Fatalf("timed EMC lookup diverged on flow %d", i)
 		}
@@ -36,7 +43,7 @@ func TestEMCTimedAndHaloLookupsAgree(t *testing.T) {
 	if e.HitRate() < 0.7 {
 		t.Fatalf("hit rate %.2f after all-hit lookups", e.HitRate())
 	}
-	if _, ok := e.LookupTimed(th, flow(9999), cuckoo.DefaultLookupOptions()); ok {
+	if _, ok := e.LookupTimedRaw(th, flow(9999).Packed(), cuckoo.DefaultLookupOptions()); ok {
 		t.Fatal("timed lookup found an absent flow")
 	}
 }
@@ -101,8 +108,8 @@ func TestRuleSource(t *testing.T) {
 
 func TestEncodeDecodeRuleValueExported(t *testing.T) {
 	m := Match{Priority: 7, RuleID: 1234, Action: Action{Kind: ActionMirror, Port: 3}}
-	if DecodeRuleValue(EncodeRuleValue(m)) != m {
-		t.Fatal("exported rule codec round trip failed")
+	if DecodeRuleValue(encodeRule(m)) != m {
+		t.Fatal("exported rule decoder round trip failed")
 	}
 }
 

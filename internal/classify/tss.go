@@ -21,20 +21,15 @@ func encodeRule(m Match) uint64 {
 		uint64(uint16(m.Action.Port))<<4 | uint64(m.Action.Kind&0xF)
 }
 
-func decodeRule(v uint64) Match {
+// DecodeRuleValue unpacks a classifier table value into its Match (for
+// datapaths that read the tables directly).
+func DecodeRuleValue(v uint64) Match {
 	return Match{
 		Priority: uint16(v >> 44),
 		RuleID:   uint32(v >> 20 & 0xFFFFFF),
 		Action:   Action{Kind: ActionKind(v & 0xF), Port: int(uint16(v >> 4))},
 	}
 }
-
-// EncodeRuleValue packs a Match into the 61-bit table value used across the
-// classifier tables (exported for datapaths that read tables directly).
-func EncodeRuleValue(m Match) uint64 { return encodeRule(m) }
-
-// DecodeRuleValue unpacks a table value produced by EncodeRuleValue.
-func DecodeRuleValue(v uint64) Match { return decodeRule(v) }
 
 // Tuple is one wildcard pattern's rule table: a mask plus a cuckoo hash
 // table of masked keys.
@@ -179,7 +174,7 @@ func (ts *TupleSpace) Classify(t packet.FiveTuple) (Match, bool) {
 		if !ok {
 			continue
 		}
-		m := decodeRule(v)
+		m := DecodeRuleValue(v)
 		switch ts.mode {
 		case FirstMatch:
 			return m, true
@@ -214,7 +209,7 @@ func (ts *TupleSpace) ClassifyTimed(th *cpu.Thread, t packet.FiveTuple, opts cuc
 		if !ok {
 			continue
 		}
-		m := decodeRule(v)
+		m := DecodeRuleValue(v)
 		switch ts.mode {
 		case FirstMatch:
 			return m, true
@@ -255,7 +250,7 @@ func (ts *TupleSpace) ClassifyHaloNB(th *cpu.Thread, unit *halo.Unit, t packet.F
 		if !r.Found {
 			continue
 		}
-		m := decodeRule(r.Value)
+		m := DecodeRuleValue(r.Value)
 		if ts.mode == FirstMatch {
 			return m, true
 		}
@@ -280,7 +275,7 @@ func (ts *TupleSpace) ClassifyHaloB(th *cpu.Thread, unit *halo.Unit, t packet.Fi
 		if !ok {
 			continue
 		}
-		m := decodeRule(v)
+		m := DecodeRuleValue(v)
 		if ts.mode == FirstMatch {
 			return m, true
 		}

@@ -227,9 +227,9 @@ func (a *Accelerator) Process(at sim.Cycle, q Query) QueryResult {
 		meta, ok = parseMeta(a.space, q.TableAddr)
 		if !ok {
 			a.stats.Faults++
-			r := QueryResult{Fault: true, Issued: issued, Done: t, Slice: a.slice}
-			a.finish(q, r)
-			return r
+			t = a.deliver(t, q, ResultDone|ResultFault)
+			a.recordCompletion(t)
+			return QueryResult{Fault: true, Issued: issued, Done: t, Slice: a.slice}
 		}
 		if !a.cfg.MetaCacheOff {
 			a.meta.Put(meta)
@@ -299,11 +299,7 @@ func (a *Accelerator) Process(at sim.Cycle, q Query) QueryResult {
 	}
 
 	// Step 5: deliver the result.
-	if q.NonBlocking {
-		res = a.access(t, q.ResultAddr, true)
-		t = res.Done
-		a.space.Store64(q.ResultAddr, EncodeResult(value, found))
-	}
+	t = a.deliver(t, q, EncodeResult(value, found))
 
 	// Engage the hardware locks for the window the walk occupied. With the
 	// explicit-time model the release is known at lock time, so the lock
@@ -318,13 +314,20 @@ func (a *Accelerator) Process(at sim.Cycle, q Query) QueryResult {
 	} else {
 		a.stats.Misses++
 	}
-	r := QueryResult{Value: value, Found: found, Issued: issued, Done: t, Slice: a.slice}
-	a.finish(q, r)
-	return r
+	a.recordCompletion(t)
+	return QueryResult{Value: value, Found: found, Issued: issued, Done: t, Slice: a.slice}
 }
 
-func (a *Accelerator) finish(q Query, r QueryResult) {
-	a.recordCompletion(r.Done)
+// deliver writes a non-blocking query's result word into its result line at
+// cycle t and returns the cycle the write completes. A blocking query's
+// result travels back on the command path instead, so it returns t.
+func (a *Accelerator) deliver(t sim.Cycle, q Query, word uint64) sim.Cycle {
+	if !q.NonBlocking {
+		return t
+	}
+	t = a.access(t, q.ResultAddr, true).Done
+	a.space.Store64(q.ResultAddr, word)
+	return t
 }
 
 // lock records a line address in the transaction's locked set. The set is

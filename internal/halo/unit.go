@@ -19,7 +19,8 @@ const (
 	ResultDone uint64 = 1 << 63
 	// ResultFound marks a hit; the low bits then carry the value.
 	ResultFound uint64 = 1 << 62
-	// ResultFault marks a query that failed metadata validation.
+	// ResultFault marks a query that failed metadata validation (with
+	// ResultDone, so a poller still sees it complete).
 	ResultFault uint64 = 1 << 61
 	// ResultValueMask extracts the value bits.
 	ResultValueMask uint64 = (1 << 61) - 1
@@ -199,21 +200,12 @@ func (u *Unit) stageKey(th *cpu.Thread, key []byte) mem.Addr {
 }
 
 // LookupB performs a blocking accelerator lookup (the LOOKUP_B instruction):
-// the core stalls until the result returns over the interconnect.
+// the core stages the key, then stalls until the result returns over the
+// interconnect.
 func (u *Unit) LookupB(th *cpu.Thread, tableAddr mem.Addr, key []byte) (uint64, bool) {
 	start := th.Now
 	keyAddr := u.stageKey(th, key)
-	th.ALU(1)   // RAX already holds the table address; address formation
-	th.Other(1) // the LOOKUP_B instruction itself
-	r := u.dispatch(th.Now, Query{
-		Core:      th.Core,
-		TableAddr: tableAddr,
-		KeyAddr:   keyAddr,
-	})
-	// Result returns to the issuing core on the command path.
-	th.WaitUntil(r.Done + u.cmdDelay(r.Slice, th.Core))
-	th.Record("lat.lookup.accel", th.Now-start)
-	return r.Value, r.Found
+	return u.lookupB(th, start, tableAddr, keyAddr)
 }
 
 // LookupBAt issues LOOKUP_B against a key already resident in simulated
@@ -221,10 +213,16 @@ func (u *Unit) LookupB(th *cpu.Thread, tableAddr mem.Addr, key []byte) (uint64, 
 // DDIO-delivered packet buffer (clean in the LLC), so the accelerator's key
 // fetch avoids the dirty-line snoop that staged keys pay.
 func (u *Unit) LookupBAt(th *cpu.Thread, tableAddr, keyAddr mem.Addr) (uint64, bool) {
-	start := th.Now
-	th.ALU(1)
-	th.Other(1)
+	return u.lookupB(th, th.Now, tableAddr, keyAddr)
+}
+
+// lookupB issues LOOKUP_B for a key at keyAddr and waits for its result,
+// recording the latency from `start`.
+func (u *Unit) lookupB(th *cpu.Thread, start sim.Cycle, tableAddr, keyAddr mem.Addr) (uint64, bool) {
+	th.ALU(1)   // RAX already holds the table address; address formation
+	th.Other(1) // the LOOKUP_B instruction itself
 	r := u.dispatch(th.Now, Query{Core: th.Core, TableAddr: tableAddr, KeyAddr: keyAddr})
+	// Result returns to the issuing core on the command path.
 	th.WaitUntil(r.Done + u.cmdDelay(r.Slice, th.Core))
 	th.Record("lat.lookup.accel", th.Now-start)
 	return r.Value, r.Found

@@ -182,6 +182,33 @@ func TestFaultOnGarbageTable(t *testing.T) {
 	}
 }
 
+// TestNonBlockingFaultMarksResultWord: a LOOKUP_NB against invalid metadata
+// still completes its result slot — the accelerator writes the result line
+// as on a hit or a miss, with ResultFault set — so a poller sees it done.
+func TestNonBlockingFaultMarksResultWord(t *testing.T) {
+	p := testPlatform(t)
+	garbage := p.Alloc.AllocLines(1)
+	keyAddr := p.Alloc.AllocLines(1)
+	resultAddr := p.Alloc.AllocLines(1)
+	p.Space.WriteAt(keyAddr, key16(1))
+	a := p.Unit.Accelerator(0)
+	r := a.Process(0, Query{TableAddr: garbage, KeyAddr: keyAddr, ResultAddr: resultAddr, NonBlocking: true})
+	w := p.Space.Load64(resultAddr)
+	if _, found, done := DecodeResult(w); !r.Fault || found || !done || w&ResultFault == 0 {
+		t.Fatalf("query %+v left result word %#x, want done with ResultFault", r, w)
+	}
+	// The metadata fetch, then the result-line write.
+	if got := a.Stats().DataAccess; got != 2 {
+		t.Fatalf("data accesses = %d, want 2", got)
+	}
+
+	th := cpu.NewThread(p.Hier, 0)
+	res := p.Unit.LookupManyNB(th, []NBQuery{{TableAddr: garbage, Key: key16(2)}})
+	if !res[0].Fault || res[0].Found {
+		t.Fatalf("LookupManyNB against garbage metadata = %+v, want a fault", res[0])
+	}
+}
+
 // TestFaultOnInvalidMetadata patches one field of a valid table's metadata
 // line at a time. The accelerator must reject every line cuckoo.Attach
 // rejects, and every walk key length outside 1..64, as a counted fault: no

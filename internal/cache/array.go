@@ -94,25 +94,30 @@ func newArray(sizeBytes, ways int) *array {
 	return &array{sets: make([][]line, sets), ways: ways, setMask: uint64(sets - 1)}
 }
 
-// clone returns a deep copy of a — every way, LRU stamp, directory bit, the
-// tick and the counters — with the copied sets carved from one slab of its
-// own, so the two arrays share no line.
-func (a *array) clone() *array {
-	c := *a
-	c.sets, c.slab = make([][]line, len(a.sets)), nil
+// copyFrom makes a a deep copy of src, an array of the same geometry —
+// every way, LRU stamp, directory bit, the tick and the counters — with the
+// copied sets carved from one slab of a's own, so the two arrays share no
+// line. a keeps its set table and drops whatever it held.
+func (a *array) copyFrom(src *array) {
+	if len(a.sets) != len(src.sets) || a.ways != src.ways {
+		panic("cache: copying between arrays of different geometry")
+	}
+	sets := a.sets
+	*a = *src
+	a.sets, a.slab = sets, nil
 	used := 0
-	for _, set := range a.sets {
+	for _, set := range src.sets {
 		if set != nil {
 			used++
 		}
 	}
 	slab := make([]line, used*a.ways)
-	for i, set := range a.sets {
+	for i, set := range src.sets {
+		sets[i] = nil
 		if set != nil {
-			c.sets[i], slab = append(slab[:0:a.ways], set...), slab[a.ways:]
+			sets[i], slab = append(slab[:0:a.ways], set...), slab[a.ways:]
 		}
 	}
-	return &c
 }
 
 func (a *array) setIndex(lineAddr mem.Addr) uint64 {

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"unsafe"
 
 	"halo/internal/mem"
 	"halo/internal/noc"
@@ -158,7 +159,8 @@ type Hierarchy struct {
 
 	llcPort []*sim.CalendarResource
 
-	stats Stats
+	stats   Stats
+	touched mem.Addr // sink for WarmRange's set loads
 
 	// OnAccelInvalidate, when set, is called whenever a line with the
 	// accelerator core-valid bit set leaves the LLC or is written, so HALO
@@ -196,13 +198,14 @@ func New(cfg Config, ring *noc.Ring, dram *mem.DRAM) *Hierarchy {
 	return h
 }
 
-// CopyLLCFrom replaces h's LLC slices with deep copies of src's: every way,
-// LRU stamp and directory bit, each slice's tick and counters. h's private
-// caches, ports and own counters are left as they are. It lets a platform be
-// cloned after its table is warmed (halo.Platform.Clone).
+// CopyLLCFrom makes h's LLC slices deep copies of src's, a hierarchy of the
+// same configuration: every way, LRU stamp and directory bit, each slice's
+// tick and counters. It only reads src. h's private caches, ports and own
+// counters are left as they are. It lets a platform be cloned after its
+// table is warmed (halo.Platform.Clone).
 func (h *Hierarchy) CopyLLCFrom(src *Hierarchy) {
 	for i, a := range src.llc {
-		h.llc[i] = a.clone()
+		h.llc[i].copyFrom(a)
 	}
 }
 
@@ -616,11 +619,41 @@ func (h *Hierarchy) DMAWrite(addr mem.Addr) {
 // preconditioning ("10K lookups to warm up", paper §5.2).
 func (h *Hierarchy) WarmLLC(addr mem.Addr) { h.WarmRange(addr, addr) }
 
+// warmGroup is how many lines WarmRange looks up before it warms the first
+// of them.
+const warmGroup = 16
+
+// waysPerHostLine is how many ways one 64-byte host cache line holds.
+const waysPerHostLine = 64 / int(unsafe.Sizeof(line{}))
+
 // WarmRange warms every line from the one holding first to the one holding
-// last, in address order.
+// last, in address order. It works on groups of warmGroup lines: it finds
+// each line's set and loads one way from each host cache line the set spans
+// — independent host misses that overlap — and only then warms the group in
+// order, each warm finding its set already in the host's cache. The loads
+// only touch the sets; every decision is ensureLLC's.
 func (h *Hierarchy) WarmRange(first, last mem.Addr) {
-	for a := mem.LineAddr(first); a <= last; a += mem.LineSize {
-		h.ensureLLC(0, h.homeSlice(a), a, Exclusive)
+	var homes [warmGroup]int
+	var sets [warmGroup][]line
+	for a := mem.LineAddr(first); a <= last; {
+		n := 0
+		for ; n < warmGroup && a+mem.Addr(n)*mem.LineSize <= last; n++ {
+			la := a + mem.Addr(n)*mem.LineSize
+			homes[n] = h.homeSlice(la)
+			llc := h.llc[homes[n]]
+			sets[n] = llc.sets[llc.setIndex(la)]
+		}
+		var w mem.Addr
+		for _, set := range sets[:n] {
+			for i := 0; i < len(set); i += waysPerHostLine {
+				w ^= set[i].tag
+			}
+		}
+		h.touched ^= w
+		for j := range n {
+			h.ensureLLC(0, homes[j], a, Exclusive)
+			a += mem.LineSize
+		}
 	}
 }
 

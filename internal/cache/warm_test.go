@@ -278,3 +278,17 @@ func TestNeverUsedTailIsInvalid(t *testing.T) {
 		t.Fatalf("slot skipped the hole: way %p, set covers %d ways", l, len(a.sets[0]))
 	}
 }
+
+// BenchmarkWarmRange warms a 2M-entry table's worth of lines (its buckets
+// and key-value slots, ~80 MiB) into a fresh default LLC, 2.5 times its
+// size, so most fills evict.
+func BenchmarkWarmRange(b *testing.B) {
+	const lines = 1_310_720
+	for range b.N {
+		b.StopTimer()
+		h := testHierarchy()
+		b.StartTimer()
+		h.WarmRange(0x10000, 0x10000+lines*mem.LineSize-1)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/lines, "ns/line")
+}

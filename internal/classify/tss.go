@@ -82,6 +82,23 @@ func NewTupleSpace(space *mem.Memory, alloc *mem.Allocator, mode SearchMode, ent
 	return &TupleSpace{space: space, alloc: alloc, mode: mode, entriesPerTuple: entriesPerTuple}
 }
 
+// Clone returns ts on a clone of p, the platform whose memory ts was built
+// in (halo.Platform.Clone): the same tuples, masks and rules over the
+// clone's copies of the tuple tables, which stay unregistered as ts's are,
+// and fresh search scratch. The two classifiers then evolve independently.
+func (ts *TupleSpace) Clone(p *halo.Platform) (*halo.Platform, *TupleSpace) {
+	tables := make([]*cuckoo.Table, len(ts.tuples))
+	for i, tp := range ts.tuples {
+		tables[i] = tp.Table
+	}
+	cp, cloned := p.Clone(tables...)
+	c := NewTupleSpace(cp.Space, cp.Alloc, ts.mode, ts.entriesPerTuple)
+	for i, tp := range ts.tuples {
+		c.tuples = append(c.tuples, &Tuple{Mask: tp.Mask, Table: cloned[i], rules: tp.rules})
+	}
+	return cp, c
+}
+
 // Tuples returns the live tuples, most-recently-hit ordering preserved as
 // inserted (OVS sorts by hit frequency; workloads here control order
 // explicitly).

@@ -109,6 +109,7 @@ type Table struct {
 	bfsPath    []pathNode
 	bfsQueue   []frontierItem
 	bfsVisited map[uint64]bool
+	touched    uint64 // sink for Fill's bucket loads
 }
 
 // TableStats counts operations against one table handle, functional and
@@ -505,13 +506,77 @@ const maxDisplacements = 128
 // Insert adds a key-value pair. Inserting an existing key returns
 // ErrKeyExists (use Update to change a value). The duplicate check counts as
 // a lookup (and a hit when the key exists); it and the search for an empty
-// entry share one read of each candidate bucket.
+// entry share one read of each candidate bucket. It is Fill's insert for a
+// group of one key, with nothing to overlap.
 func (t *Table) Insert(key []byte, value uint64) error {
 	if len(key) != t.keyLen {
 		return ErrKeyLen
 	}
+	return t.insertStaged(key, t.stage(key), value)
+}
+
+// fillGroup is how many keys Fill hashes, and whose candidate buckets it
+// touches, before it inserts the first of them: enough independent host
+// memory misses in flight to cover one miss's latency.
+const fillGroup = 16
+
+// Fill inserts keys 0..n-1 in order, key i (written by key into a buffer of
+// KeyLen bytes) with value(i), stopping at the first insert that fails. It
+// returns how many went in and that failure (nil when all did), and leaves
+// exactly the table, counters and free list that Insert-ing the same pairs
+// one by one does, value called in the same order. key must depend only on
+// i: Fill may ask for a key past the one that fails.
+//
+// Fill works on groups of fillGroup keys the way DPDK's bulk path does
+// (paper §2.2): it hashes the group, then loads the first word of every candidate
+// bucket in one tight loop — independent loads whose host cache misses
+// overlap — and only then inserts the group in order, each insert finding
+// its buckets already on their way in. The loads only touch lines; every
+// decision is the insert's.
+func (t *Table) Fill(n uint64, key func(i uint64, k []byte), value func(i uint64) uint64) (uint64, error) {
+	kl := uint64(t.keyLen)
+	keys := make([]byte, fillGroup*kl)
+	var group [fillGroup]staged
+	for first := uint64(0); first < n; first += fillGroup {
+		g := min(n-first, fillGroup)
+		for j := range g {
+			k := keys[j*kl : (j+1)*kl]
+			key(first+j, k)
+			group[j] = t.stage(k)
+		}
+		var w uint64
+		for _, s := range group[:g] {
+			w ^= binary.LittleEndian.Uint64(t.bucket(s.b1, false))
+			w ^= binary.LittleEndian.Uint64(t.bucket(s.b2, false))
+		}
+		t.touched ^= w
+		for j := range g {
+			if err := t.insertStaged(keys[j*kl:(j+1)*kl], group[j], value(first+j)); err != nil {
+				return first + j, err
+			}
+		}
+	}
+	return n, nil
+}
+
+// staged is a key hashed for insertion: its signature and candidate buckets.
+type staged struct {
+	sig    uint16
+	b1, b2 uint64
+}
+
+func (t *Table) stage(key []byte) staged {
+	var s staged
+	_, s.sig, s.b1, s.b2 = t.Hashes(key)
+	return s
+}
+
+// insertStaged is the one insert body: the duplicate check and the search
+// for an empty entry share one scan of each candidate bucket; a full pair
+// of buckets falls back to a BFS displacement path.
+func (t *Table) insertStaged(key []byte, s staged, value uint64) error {
 	t.stats.Lookups++
-	_, sig, b1, b2 := t.Hashes(key)
+	sig, b1, b2 := s.sig, s.b1, s.b2
 	slot, _, free1 := t.scan(b1, sig, key)
 	free2 := -1
 	if slot < 0 && !t.IsSFH() {

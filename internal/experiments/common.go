@@ -28,6 +28,8 @@ type Config struct {
 	// internal/stats). Collection never influences the simulation, so runs
 	// with and without a collector produce identical rows.
 	Stats *stats.Collector
+
+	protos *prototypes // the running sweep's, set per point by RunPoint
 }
 
 // DefaultConfig runs experiments at paper scale.
@@ -98,34 +100,53 @@ func fixtureOn(p *halo.Platform, entries uint64, occupancy float64) *lookupFixtu
 
 // fillAndWarm inserts the canonical keys 0..n-1, with value(i) as key i's
 // value, into a table just created on p, stopping at the first failure, and
-// returns how many went in. Meanwhile a second goroutine runs p.WarmTable,
-// which writes only p.Hier and reads only the geometry Create fixed, while an
-// Insert writes only p.Space and the handle's free list, size and counters:
-// the two overlap and leave exactly the state fill-then-warm does.
+// returns how many went in. The fill is the table's staged Fill, with the
+// warm-up beside it (warmBeside).
 func fillAndWarm(p *halo.Platform, table *cuckoo.Table, n uint64, value func(i uint64) uint64) uint64 {
+	var inserted uint64
+	warmBeside(p, table, func() { inserted, _ = table.Fill(n, testKeyInto, value) })
+	return inserted
+}
+
+// warmBeside runs fill, which loads table, while a second goroutine runs
+// p.WarmTable(table). The warm-up writes only p.Hier and reads only the
+// geometry Create fixed, while a fill writes only p.Space and the handle's
+// free list, size and counters (and whatever state of its own fill keeps):
+// the two overlap and leave exactly the state fill-then-warm does.
+func warmBeside(p *halo.Platform, table *cuckoo.Table, fill func()) {
 	warmed := make(chan struct{})
 	go func() {
 		p.WarmTable(table)
 		close(warmed)
 	}()
-	inserted := uint64(0)
-	var kb [testKeyLen]byte
-	for ; inserted < n; inserted++ {
-		testKeyInto(inserted, kb[:])
-		if table.Insert(kb[:], value(inserted)) != nil {
-			break
-		}
-	}
+	fill()
 	<-warmed
-	return inserted
+}
+
+// platform implements prototypeOf.
+func (f *lookupFixture) platform() *halo.Platform { return f.p }
+
+// fixtureKey names a shared lookup fixture.
+type fixtureKey struct {
+	entries   uint64
+	occupancy float64
+}
+
+// sharedFixture returns a clone of the run's prototype of
+// newLookupFixture(entries, occupancy): every point of a run that asks for
+// the same fixture starts from one fill and warm-up.
+func sharedFixture(cfg Config, entries uint64, occupancy float64) *lookupFixture {
+	return shared(cfg, fixtureKey{entries, occupancy}, func() *lookupFixture {
+		return newLookupFixture(entries, occupancy)
+	}).clone()
 }
 
 // clone returns a second fixture in the state f's set-up left it in
-// (halo.Platform.Clone), with a thread of its own. Take it before either
-// fixture runs anything timed, and drop it inside the point that built f.
+// (halo.Platform.Clone), with a thread of its own. Take it before f runs
+// anything timed.
 func (f *lookupFixture) clone() *lookupFixture {
-	p, table := f.p.Clone(f.table)
-	return &lookupFixture{p: p, table: table, thread: newThreadOn(p), keyPool: f.keyPool, fill: f.fill}
+	p, tables := f.p.Clone(f.table)
+	return &lookupFixture{p: p, table: tables[0], thread: newThreadOn(p), keyPool: f.keyPool, fill: f.fill}
 }
 
 // stageKeyDMA delivers key i into the recycled pool as a NIC would (DDIO:

@@ -59,9 +59,9 @@ var fig10 = experiment[fig10Cell, Fig10Row, *Fig10Result]{
 	run: func(cfg Config, _ int, c fig10Cell, snap *stats.Snapshot) Fig10Row {
 		lookups := pickSize(cfg, 1500, 6000)
 		if c.solution == "software" {
-			return runFig10Software(c.name, c.entries, lookups, snap)
+			return runFig10Software(cfg, c.name, c.entries, lookups, snap)
 		}
-		return runFig10Halo(c.name, c.entries, lookups, snap)
+		return runFig10Halo(cfg, c.name, c.entries, lookups, snap)
 	},
 	assemble: assembleFig10,
 	render:   func(r *Fig10Result, w io.Writer) { r.Table.Render(w) },
@@ -119,13 +119,13 @@ func fig10SoftwarePass(f *lookupFixture, lookups int, lock bool) (total, data fl
 	return elapsed, float64(stall) / float64(lookups)
 }
 
-func runFig10Software(placement string, entries uint64, lookups int, snap *stats.Snapshot) Fig10Row {
+func runFig10Software(cfg Config, placement string, entries uint64, lookups int, snap *stats.Snapshot) Fig10Row {
 	// Locking cost is the delta between runs with and without the
 	// optimistic-lock protocol: separate simulator runs from one populated
-	// and warmed state, so the second fixture is a clone of the first.
-	// The locked pass — the configuration under study — is snapshotted.
-	fNoLock := newLookupFixture(entries, 0.75)
-	fLock := fNoLock.clone()
+	// and warmed state, the one the halo cell at this placement starts
+	// from too. The locked pass — the configuration under study — is
+	// snapshotted.
+	fNoLock, fLock := sharedFixture(cfg, entries, 0.75), sharedFixture(cfg, entries, 0.75)
 	noLockTotal, noLockData := fig10SoftwarePass(fNoLock, lookups, false)
 	lockTotal, lockData := fig10SoftwarePass(fLock, lookups, true)
 	collectInto(snap, fLock.p, fLock.thread)
@@ -143,8 +143,8 @@ func runFig10Software(placement string, entries uint64, lookups int, snap *stats
 	}
 }
 
-func runFig10Halo(placement string, entries uint64, lookups int, snap *stats.Snapshot) Fig10Row {
-	f := newLookupFixture(entries, 0.75)
+func runFig10Halo(cfg Config, placement string, entries uint64, lookups int, snap *stats.Snapshot) Fig10Row {
+	f := sharedFixture(cfg, entries, 0.75)
 	for i := 0; i < lookups/2; i++ { // warm
 		f.p.Unit.LookupBAt(f.thread, f.table.Base(), f.stageKeyDMA(uint64(i)))
 	}

@@ -61,7 +61,7 @@ var fig11 = experiment[fig11Cell, float64, *Fig11Result]{
 	cells: fig11Cells,
 	label: func(c fig11Cell) string { return fmt.Sprintf("%s/%d-tuples", c.mode, c.tuples) },
 	run: func(cfg Config, _ int, c fig11Cell, snap *stats.Snapshot) float64 {
-		return runFig11Point(c.mode, c.tuples, pickSize(cfg, 400, 3000), cfg.Seed, snap)
+		return runFig11Point(cfg, c.mode, c.tuples, pickSize(cfg, 400, 3000), snap)
 	},
 	assemble: assembleFig11,
 	render:   func(r *Fig11Result, w io.Writer) { r.Table.Render(w) },
@@ -150,17 +150,46 @@ func newFig11TupleSpace(p *halo.Platform, nt int, seed uint64) (*classify.TupleS
 	return ts, matchKeys
 }
 
-func runFig11Point(mode Fig9Mode, nt, classifications int, seed uint64, snap *stats.Snapshot) float64 {
+// fig11Space is a Fig. 11 tuple space, warmed, on its own platform, with
+// the query keys that hit its rules: the set-up every mode of one tuple
+// count shares.
+type fig11Space struct {
+	p    *halo.Platform
+	ts   *classify.TupleSpace
+	keys []packet.FiveTuple
+}
+
+func (s *fig11Space) platform() *halo.Platform { return s.p }
+
+// fig11SpaceKey names a shared tuple space.
+type fig11SpaceKey struct {
+	tuples int
+	seed   uint64
+}
+
+// sharedFig11Space returns the run's prototype tuple space of nt tuples.
+// Only the table modes run on it, each on a clone; the TCAM modes read
+// its rules and keys.
+func sharedFig11Space(cfg Config, nt int) *fig11Space {
+	return shared(cfg, fig11SpaceKey{nt, cfg.Seed}, func() *fig11Space {
+		p := halo.NewPlatform(halo.DefaultPlatformConfig())
+		ts, keys := newFig11TupleSpace(p, nt, cfg.Seed)
+		for _, tp := range ts.Tuples() {
+			p.WarmTable(tp.Table)
+		}
+		return &fig11Space{p: p, ts: ts, keys: keys}
+	})
+}
+
+func runFig11Point(cfg Config, mode Fig9Mode, nt, classifications int, snap *stats.Snapshot) float64 {
+	space := sharedFig11Space(cfg, nt)
 	if mode == ModeTCAM || mode == ModeSRAMTCAM {
-		return runFig11TCAM(mode, nt, classifications, seed, snap)
+		return runFig11TCAM(mode, space, classifications, cfg.Seed, snap)
 	}
-	p := halo.NewPlatform(halo.DefaultPlatformConfig())
-	ts, keys := newFig11TupleSpace(p, nt, seed)
-	for _, tp := range ts.Tuples() {
-		p.WarmTable(tp.Table)
-	}
+	p, ts := space.ts.Clone(space.p)
+	keys := space.keys
 	th := newThreadOn(p)
-	rng := sim.NewRand(seed ^ 0xfeed)
+	rng := sim.NewRand(cfg.Seed ^ 0xfeed)
 	next := func() packet.FiveTuple { return keys[rng.Intn(len(keys))] }
 
 	// Between classifications a PMD thread does packet IO and batching work
@@ -208,19 +237,23 @@ func runFig11Point(mode Fig9Mode, nt, classifications int, seed uint64, snap *st
 	return float64(classifyCycles) / float64(classifications)
 }
 
-func runFig11TCAM(mode Fig9Mode, nt, classifications int, seed uint64, snap *stats.Snapshot) float64 {
+func runFig11TCAM(mode Fig9Mode, space *fig11Space, classifications int, seed uint64, snap *stats.Snapshot) float64 {
 	kind := tcam.ClassicTCAM
 	if mode == ModeSRAMTCAM {
 		kind = tcam.SRAMTCAM
 	}
 	// A TCAM holds every rule of every tuple in one table; a single
-	// search covers all wildcard patterns at once.
-	p := halo.NewPlatform(halo.DefaultPlatformConfig())
-	ts, keys := newFig11TupleSpace(p, nt, seed)
-	dev := tcam.New(tcam.DefaultConfig(kind, nt*1024, packet.KeyBytes))
-	for _, tp := range ts.Tuples() {
+	// search covers all wildcard patterns at once. The rules are read
+	// straight from the shared tuple space (reading is all this does with
+	// it). A TCAM search touches no simulated memory, so the issuing thread
+	// runs on a plain platform.
+	tuples := space.ts.Tuples()
+	dev := tcam.New(tcam.DefaultConfig(kind, len(tuples)*1024, packet.KeyBytes))
+	for _, tp := range tuples {
 		installTupleIntoTCAM(dev, tp)
 	}
+	keys := space.keys
+	p := halo.NewPlatform(halo.DefaultPlatformConfig())
 	th := newThreadOn(p)
 	rng := sim.NewRand(seed ^ 0xfeed)
 	start := th.Now

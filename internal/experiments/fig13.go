@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"halo/internal/cuckoo"
 	"halo/internal/halo"
 	"halo/internal/metrics"
 	"halo/internal/nf"
@@ -58,8 +59,8 @@ var fig13 = experiment[fig13Cell, Fig13Point, *Fig13Result]{
 	run: func(cfg Config, _ int, c fig13Cell, snap *stats.Snapshot) Fig13Point {
 		packets := pickSize(cfg, 1500, 8000)
 		// The HALO run — the configuration under study — is snapshotted.
-		sw := runFig13Point(c.name, nf.EngineSoftware, c.size, packets, cfg.Seed, nil)
-		hw := runFig13Point(c.name, nf.EngineHalo, c.size, packets, cfg.Seed, snap)
+		sw := runFig13Point(cfg, c.name, nf.EngineSoftware, c.size, packets, nil)
+		hw := runFig13Point(cfg, c.name, nf.EngineHalo, c.size, packets, snap)
 		return Fig13Point{NF: c.name, Entries: c.size, SWCpp: sw, HaloCpp: hw, Speedup: sw / hw}
 	},
 	assemble: assembleFig13,
@@ -92,56 +93,84 @@ func (r *Fig13Result) Point(name string, entries uint64) (Fig13Point, bool) {
 	return Fig13Point{}, false
 }
 
-func runFig13Point(name string, engine nf.Engine, entries uint64, packets int, seed uint64, snap *stats.Snapshot) float64 {
-	p := halo.NewPlatform(halo.DefaultPlatformConfig())
-	// Capacity above the preloaded population so misses stay rare.
-	capEntries := entries * 4 / 3
+// tableNF is a hash-table NF as Fig. 13 uses one: nf.NAT, nf.Prads or
+// nf.Filter.
+type tableNF interface {
+	Table() *cuckoo.Table
+	Clone(engine nf.Engine) (*halo.Platform, nf.NF)
+}
 
-	flows := trafficgen.RandomTuples(int(entries), seed)
-	var theNF nf.NF
-	switch name {
-	case "nat":
-		n, err := nf.NewNAT(p, engine, capEntries)
-		if err != nil {
-			panic(err)
-		}
-		if err := n.Preload(flows); err != nil {
-			panic(err)
-		}
-		p.WarmTable(n.Table())
-		theNF = n
-	case "prads":
-		n, err := nf.NewPrads(p, engine, capEntries)
-		if err != nil {
-			panic(err)
-		}
-		hosts := make([]uint32, len(flows))
-		for i, f := range flows {
-			hosts[i] = f.SrcIP
-		}
-		if err := n.Preload(hosts); err != nil {
-			panic(err)
-		}
-		p.WarmTable(n.Table())
-		theNF = n
-	case "packet-filter":
-		n, err := nf.NewFilter(p, engine, capEntries)
-		if err != nil {
-			panic(err)
-		}
-		for i, f := range flows {
-			if err := n.AddRule(f, i%3 == 0); err != nil {
-				panic(err)
+// fig13NF is one NF with its table preloaded and warmed, on its own
+// platform, and the flows it was loaded with: the set-up both engines of a
+// cell share. Its NF was built for the software engine, but only its clones
+// run.
+type fig13NF struct {
+	p     *halo.Platform
+	nf    tableNF
+	flows []packet.FiveTuple
+}
+
+func (s *fig13NF) platform() *halo.Platform { return s.p }
+
+// fig13NFKey names a shared NF set-up.
+type fig13NFKey struct {
+	name    string
+	entries uint64
+	seed    uint64
+}
+
+// sharedFig13NF returns the run's prototype of the named NF preloaded with
+// entries flows. The preload fills the table with its warm-up beside it
+// (warmBeside).
+func sharedFig13NF(cfg Config, name string, entries uint64) *fig13NF {
+	return shared(cfg, fig13NFKey{name, entries, cfg.Seed}, func() *fig13NF {
+		p := halo.NewPlatform(halo.DefaultPlatformConfig())
+		// Capacity above the preloaded population so misses stay rare.
+		capEntries := entries * 4 / 3
+		flows := trafficgen.RandomTuples(int(entries), cfg.Seed)
+		var (
+			n       tableNF
+			err     error
+			preload func() error
+		)
+		switch name {
+		case "nat":
+			var nat *nf.NAT
+			nat, err = nf.NewNAT(p, nf.EngineSoftware, capEntries)
+			n, preload = nat, func() error { return nat.Preload(flows) }
+		case "prads":
+			var pr *nf.Prads
+			pr, err = nf.NewPrads(p, nf.EngineSoftware, capEntries)
+			hosts := make([]uint32, len(flows))
+			for i, f := range flows {
+				hosts[i] = f.SrcIP
 			}
+			n, preload = pr, func() error { return pr.Preload(hosts) }
+		case "packet-filter":
+			var f *nf.Filter
+			f, err = nf.NewFilter(p, nf.EngineSoftware, capEntries)
+			n, preload = f, func() error { return f.Preload(flows, func(i int) bool { return i%3 == 0 }) }
+		default:
+			panic("unknown NF " + name)
 		}
-		p.WarmTable(n.Table())
-		theNF = n
-	default:
-		panic("unknown NF " + name)
-	}
+		if err != nil {
+			panic(err)
+		}
+		warmBeside(p, n.Table(), func() { err = preload() })
+		if err != nil {
+			panic(err)
+		}
+		return &fig13NF{p: p, nf: n, flows: flows}
+	})
+}
+
+func runFig13Point(cfg Config, name string, engine nf.Engine, entries uint64, packets int, snap *stats.Snapshot) float64 {
+	proto := sharedFig13NF(cfg, name, entries)
+	p, theNF := proto.nf.Clone(engine)
+	flows := proto.flows
 
 	th := newThreadOn(p)
-	rng := sim.NewRand(seed ^ 0xf13)
+	rng := sim.NewRand(cfg.Seed ^ 0xf13)
 	next := func() packet.Packet {
 		f := flows[rng.Intn(len(flows))]
 		return packet.Packet{

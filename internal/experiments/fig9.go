@@ -89,7 +89,7 @@ var fig9 = experiment[fig9Cell, float64, *Fig9Result]{
 		return fmt.Sprintf("%s/%d-entries/%.0f%%", c.mode, c.size, c.occ*100)
 	},
 	run: func(cfg Config, _ int, c fig9Cell, snap *stats.Snapshot) float64 {
-		return runFig9Point(c.mode, c.size, c.occ, pickSize(cfg, 1500, 5000), snap)
+		return runFig9Point(cfg, c.mode, c.size, c.occ, pickSize(cfg, 1500, 5000), snap)
 	},
 	assemble: assembleFig9,
 	render:   func(r *Fig9Result, w io.Writer) { r.Table.Render(w) },
@@ -137,12 +137,12 @@ func (r *Fig9Result) Point(mode Fig9Mode, entries uint64, occ float64) (Fig9Poin
 	return Fig9Point{}, false
 }
 
-func runFig9Point(mode Fig9Mode, entries uint64, occ float64, lookups int, snap *stats.Snapshot) float64 {
+func runFig9Point(cfg Config, mode Fig9Mode, entries uint64, occ float64, lookups int, snap *stats.Snapshot) float64 {
 	switch mode {
 	case ModeTCAM, ModeSRAMTCAM:
 		return runFig9TCAM(mode, entries, occ, lookups, snap)
 	}
-	f := newLookupFixture(entries, occ)
+	f := sharedFixture(cfg, entries, occ)
 	th := f.thread
 	defer collectInto(snap, f.p, th)
 

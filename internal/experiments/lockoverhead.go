@@ -56,7 +56,7 @@ func (r haloLockRow) fill(res *LockOverheadResult) { res.HaloLockStallPct = floa
 // lockCell is one measurement: its label and how to take it.
 type lockCell struct {
 	label string
-	run   func(lookups int, snap *stats.Snapshot) lockRow
+	run   func(cfg Config, lookups int, snap *stats.Snapshot) lockRow
 }
 
 func lockCells(Config) []lockCell {
@@ -65,17 +65,17 @@ func lockCells(Config) []lockCell {
 		// interleaved so the version line actually bounces between cores.
 		// Only the locked pass is snapshotted: it is the configuration
 		// under study.
-		{"software-lock", func(lookups int, snap *stats.Snapshot) lockRow {
+		{"software-lock", func(cfg Config, lookups int, snap *stats.Snapshot) lockRow {
 			return lockPassRow{
-				WithLock:    runLockPass(lookups, true, snap),
-				WithoutLock: runLockPass(lookups, false, nil),
+				WithLock:    runLockPass(cfg, lookups, true, snap),
+				WithoutLock: runLockPass(cfg, lookups, false, nil),
 			}
 		}},
-		{"remote-latency", func(_ int, snap *stats.Snapshot) lockRow { return runLatencyProbe(snap) }},
+		{"remote-latency", func(_ Config, _ int, snap *stats.Snapshot) lockRow { return runLatencyProbe(snap) }},
 		// HALO's hardware lock under the same read/write mix — lock stalls
 		// happen in the cache, with no instruction overhead.
-		{"halo-lock", func(lookups int, snap *stats.Snapshot) lockRow {
-			return haloLockRow(runHaloLockPass(lookups, snap))
+		{"halo-lock", func(cfg Config, lookups int, snap *stats.Snapshot) lockRow {
+			return haloLockRow(runHaloLockPass(cfg, lookups, snap))
 		}},
 	}
 }
@@ -86,7 +86,7 @@ var lockoverhead = experiment[lockCell, lockRow, *LockOverheadResult]{
 	cells: lockCells,
 	label: func(c lockCell) string { return c.label },
 	run: func(cfg Config, _ int, c lockCell, snap *stats.Snapshot) lockRow {
-		return c.run(pickSize(cfg, 2000, 10000), snap)
+		return c.run(cfg, pickSize(cfg, 2000, 10000), snap)
 	},
 	assemble: assembleLockOverhead,
 	render:   func(r *LockOverheadResult, w io.Writer) { r.Table.Render(w) },
@@ -141,8 +141,8 @@ func assembleLockOverhead(_ Config, _ []lockCell, rows []lockRow) *LockOverheadR
 
 // runLockPass measures software cycles/lookup with a writer thread on
 // another core updating the table between reader bursts.
-func runLockPass(lookups int, lock bool, snap *stats.Snapshot) float64 {
-	f := newLookupFixture(1<<14, 0.60)
+func runLockPass(cfg Config, lookups int, lock bool, snap *stats.Snapshot) float64 {
+	f := sharedFixture(cfg, 1<<14, 0.60)
 	opts := cuckoo.LookupOptions{OptimisticLock: lock, Prefetch: false}
 	writer := newThreadOn(f.p)
 	writer.Core = 1
@@ -171,8 +171,8 @@ func runLockPass(lookups int, lock bool, snap *stats.Snapshot) float64 {
 
 // runHaloLockPass measures the share of HALO lookup time lost to hardware
 // lock stalls under the same write mix.
-func runHaloLockPass(lookups int, snap *stats.Snapshot) float64 {
-	f := newLookupFixture(1<<14, 0.60)
+func runHaloLockPass(cfg Config, lookups int, snap *stats.Snapshot) float64 {
+	f := sharedFixture(cfg, 1<<14, 0.60)
 	writer := newThreadOn(f.p)
 	writer.Core = 1
 	writeSeq := f.fill

@@ -60,7 +60,7 @@ var scaling = experiment[scalingCell, float64, *ScalingResult]{
 	cells: scalingCells,
 	label: func(c scalingCell) string { return fmt.Sprintf("%s/%d-cores", c.mode, c.cores) },
 	run: func(cfg Config, _ int, c scalingCell, snap *stats.Snapshot) float64 {
-		return runScalingPoint(c.mode, c.cores, pickSize(cfg, 300, 1500), snap)
+		return runScalingPoint(cfg, c.mode, c.cores, pickSize(cfg, 300, 1500), snap)
 	},
 	assemble: assembleScaling,
 	render:   func(r *ScalingResult, w io.Writer) { r.Table.Render(w) },
@@ -104,8 +104,8 @@ func (r *ScalingResult) Point(mode Fig9Mode, cores int) (ScalingPoint, bool) {
 
 // runScalingPoint runs n lookup threads plus one updater in lockstep rounds
 // and returns aggregate lookups per cycle.
-func runScalingPoint(mode Fig9Mode, n, rounds int, snap *stats.Snapshot) float64 {
-	f := newLookupFixture(1<<15, 0.60)
+func runScalingPoint(cfg Config, mode Fig9Mode, n, rounds int, snap *stats.Snapshot) float64 {
+	f := sharedFixture(cfg, 1<<15, 0.60)
 	p := f.p
 	threads := make([]*cpu.Thread, n)
 	for i := range threads {

@@ -22,15 +22,19 @@ type Point struct {
 // The contract that makes fan-out safe:
 //
 //   - RunPoint builds every piece of state it needs from cfg and p alone —
-//     a fresh platform per point, mirroring the paper's separate gem5 runs
-//     — and touches no package-level mutable state. A point may clone a
-//     fixture it built, so two of its runs start from one fill and warm-up
-//     (lookupFixture.clone), but nothing crosses points: a fixture and its
-//     clones are dropped by the point that built them. The runner executes
-//     points on arbitrary goroutines in arbitrary order.
+//     a platform of its own per point, mirroring the paper's separate gem5
+//     runs — and touches no package-level mutable state. The one thing
+//     that crosses points is a read-only prototype: a set-up several points
+//     of one run start from (a warmed lookup fixture, Fig. 11's tuple space,
+//     a Fig. 13 NF table), built once per run by the first point that asks
+//     (shared). A point gets it only as a Platform.Clone, nothing runs on or
+//     writes the prototype itself, and the run drops it when its last point
+//     finishes. The runner executes points on arbitrary goroutines in
+//     arbitrary order.
 //   - RunPoint is deterministic: the same (cfg, p) always returns the same
 //     row. All randomness must flow from seeds derived from cfg.Seed and
-//     the point's coordinates.
+//     the point's coordinates, and a clone of a prototype runs exactly as a
+//     fresh build of it would.
 //   - Rows are plain values (structs of scalars, or slices of such
 //     structs) with no pointers, so two rows are equal exactly when their
 //     %#v renderings are byte-identical — which is how the runner's verify
@@ -44,6 +48,8 @@ type Sweep struct {
 	RunPoint func(cfg Config, p Point) any
 	// Render combines the rows (in Points order) into printed tables.
 	Render func(cfg Config, rows []any, w io.Writer)
+
+	protos *prototypes // the prototypes RunPoint's points share
 }
 
 // experiment is the typed description every registry entry is built from.
@@ -68,10 +74,12 @@ type experiment[C, R, Res any] struct {
 }
 
 // sweep derives the untyped decomposition the runner consumes. It is the
-// one place that stamps a Point, files a point's snapshot with cfg.Stats
-// and recovers the typed rows.
+// one place that stamps a Point, files a point's snapshot with cfg.Stats,
+// hands a point its run's prototypes and recovers the typed rows.
 func (e experiment[C, R, Res]) sweep() Sweep {
+	protos := &prototypes{}
 	return Sweep{
+		protos: protos,
 		Points: func(cfg Config) []Point {
 			cells := e.cells(cfg)
 			pts := make([]Point, len(cells))
@@ -81,8 +89,11 @@ func (e experiment[C, R, Res]) sweep() Sweep {
 			return pts
 		},
 		RunPoint: func(cfg Config, p Point) any {
+			cells := e.cells(cfg)
+			defer protos.finish(len(cells))
+			cfg.protos = protos
 			snap := pointSnapshot(cfg)
-			row := e.run(cfg, p.Index, e.cells(cfg)[p.Index], snap)
+			row := e.run(cfg, p.Index, cells[p.Index], snap)
 			recordSnap(cfg, p, snap)
 			return row
 		},

@@ -2,6 +2,7 @@ package halo
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"halo/internal/cache"
@@ -59,15 +60,21 @@ func NewPlatform(cfg PlatformConfig) *Platform {
 }
 
 // Clone returns a second platform in the state p's set-up left it in, and
-// the clone's handle for t, one of p's tables: one fill and warm-up then
-// serves two measured runs. The clone is a fresh NewPlatform — unit, DRAM,
-// ring and private caches pristine, the unit's staging buffers at p's
-// addresses — given a copy-on-write clone of p's memory, p's allocator
-// position, a deep copy of p's LLC and a copy of every table registered
-// through NewTable. Anything timed leaves state only in the parts the clone
+// the clone's handles for ts, tables in p's memory: one fill and warm-up
+// then serves several measured runs. The clone is a fresh NewPlatform —
+// unit, DRAM, ring and private caches pristine, the unit's staging buffers
+// at p's addresses — given a copy-on-write clone of p's memory, p's
+// allocator position and a deep copy of p's LLC. Every table registered
+// through NewTable is copied and registered in the clone; any other handle
+// in ts is copied unregistered, as its source is, so the clone's snapshots
+// read like p's. Anything timed leaves state only in the parts the clone
 // builds fresh, so Clone panics, naming the counters, once p's hierarchy,
 // unit or DRAM counters have moved.
-func (p *Platform) Clone(t *cuckoo.Table) (*Platform, *cuckoo.Table) {
+//
+// Once p's pages are all marked shared (mem.Memory.MarkShared), Clone only
+// reads p: a prototype nothing runs on may be cloned on several goroutines
+// at once, and each clone used on its own.
+func (p *Platform) Clone(ts ...*cuckoo.Table) (*Platform, []*cuckoo.Table) {
 	if moved := p.movedCounters(); moved != "" {
 		panic("halo: Clone of a platform that has run timed traffic: " + moved)
 	}
@@ -75,17 +82,18 @@ func (p *Platform) Clone(t *cuckoo.Table) (*Platform, *cuckoo.Table) {
 	*c.Space = *p.Space.Clone() // the unit and accelerators hold c.Space
 	*c.Alloc = *p.Alloc
 	c.Hier.CopyLLCFrom(p.Hier)
-	var ct *cuckoo.Table
 	for _, pt := range p.tables {
 		c.tables = append(c.tables, pt.CloneOnto(c.Space))
-		if pt == t {
-			ct = c.tables[len(c.tables)-1]
+	}
+	handles := make([]*cuckoo.Table, len(ts))
+	for i, t := range ts {
+		if j := slices.Index(p.tables, t); j >= 0 {
+			handles[i] = c.tables[j]
+		} else {
+			handles[i] = t.CloneOnto(c.Space)
 		}
 	}
-	if ct == nil {
-		panic("halo: Clone of a table not created through NewTable")
-	}
-	return c, ct
+	return c, handles
 }
 
 // movedCounters lists the hierarchy, unit and DRAM counters that are not

@@ -39,7 +39,9 @@ type page = [pageSize]byte
 //
 // Memory is not safe for concurrent use. Every simulated platform owns its
 // memory exclusively, matching how the worker pool shards experiment points.
-// A Clone shares pages with its source, so the two must stay with one owner.
+// A Clone shares pages with its source, and each side copies a shared page
+// before writing it, so a source and its clones may have different owners
+// once Clone no longer writes the source (see MarkShared).
 type Memory struct {
 	dense  []*page          // indexed by page number, below densePages
 	shared []bool           // shared[n]: a Clone may hold dense[n] too, so copy before writing; as long as dense
@@ -56,11 +58,10 @@ func NewMemory() *Memory { return &Memory{} }
 // are copied at once. A Line alias taken with create set before the Clone
 // still points at the shared page, so it must not be written afterwards.
 func (m *Memory) Clone() *Memory {
+	m.MarkShared()
 	c := &Memory{dense: append([]*page(nil), m.dense...), shared: make([]bool, len(m.dense)), pages: m.pages}
 	for n, p := range m.dense {
-		if p != nil {
-			m.shared[n], c.shared[n] = true, true
-		}
+		c.shared[n] = p != nil
 	}
 	if m.sparse != nil {
 		c.sparse = make(map[uint64]*page, len(m.sparse))
@@ -71,6 +72,18 @@ func (m *Memory) Clone() *Memory {
 		}
 	}
 	return c
+}
+
+// MarkShared marks every dense page of m shared, as Clone does: the next
+// write to one through m copies it first. It writes m only for pages not
+// yet marked, so after it Clone only reads m — a memory nobody writes any
+// more can then be cloned on several goroutines at once.
+func (m *Memory) MarkShared() {
+	for n, p := range m.dense {
+		if p != nil && !m.shared[n] {
+			m.shared[n] = true
+		}
+	}
 }
 
 func (m *Memory) page(addr Addr, create bool) *page {

@@ -52,11 +52,35 @@ func (f *Filter) Dropped() uint64 { return f.dropped }
 
 // AddRule installs a drop or accept rule for a flow.
 func (f *Filter) AddRule(flow packet.FiveTuple, drop bool) error {
-	v := filterAccept
+	return f.table.Insert(flow.HeaderKey(), filterRule(drop))
+}
+
+// filterRule is the table value of a drop or accept rule.
+func filterRule(drop bool) uint64 {
 	if drop {
-		v = filterDrop
+		return filterDrop
 	}
-	return f.table.Insert(flow.HeaderKey(), v)
+	return filterAccept
+}
+
+// Preload installs one rule per flow, flow i's a drop rule when drop(i)
+// holds, as AddRule-ing them in order would. It stops at the first rule
+// that does not go in.
+func (f *Filter) Preload(flows []packet.FiveTuple, drop func(i int) bool) error {
+	_, err := f.table.Fill(uint64(len(flows)),
+		func(i uint64, k []byte) { flows[i].PutHeaderKey(k) },
+		func(i uint64) uint64 { return filterRule(drop(int(i))) })
+	return err
+}
+
+// Clone returns the filter in its current state on a clone of its platform
+// (halo.Platform.Clone), doing its lookups with engine: one preloaded,
+// warmed table then serves a run per engine.
+func (f *Filter) Clone(engine Engine) (*halo.Platform, NF) {
+	p, tables := f.p.Clone(f.table)
+	c := *f
+	c.engine, c.p, c.table, c.ring = engine, p, tables[0], f.ring.on(p)
+	return p, &c
 }
 
 // ProcessPacket implements NF.

@@ -55,15 +55,24 @@ func (n *NAT) HitRate() float64 {
 	return float64(n.hits) / float64(n.hits+n.misses)
 }
 
+// Clone returns the NAT in its current state on a clone of its platform
+// (halo.Platform.Clone), doing its lookups with engine: one preloaded,
+// warmed table then serves a run per engine.
+func (n *NAT) Clone(engine Engine) (*halo.Platform, NF) {
+	p, tables := n.p.Clone(n.table)
+	c := *n
+	c.engine, c.p, c.table, c.ring = engine, p, tables[0], n.ring.on(p)
+	return p, &c
+}
+
 // Preload installs bindings for a set of flows so measurement runs are
-// lookup-dominated, as in the paper's 1K/10K/100K-entry configurations.
+// lookup-dominated, as in the paper's 1K/10K/100K-entry configurations. It
+// stops at the first flow that does not go in.
 func (n *NAT) Preload(flows []packet.FiveTuple) error {
-	for _, f := range flows {
-		if err := n.table.Insert(f.HeaderKey(), n.allocBinding()); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := n.table.Fill(uint64(len(flows)),
+		func(i uint64, k []byte) { flows[i].PutHeaderKey(k) },
+		func(uint64) uint64 { return n.allocBinding() })
+	return err
 }
 
 func (n *NAT) allocBinding() uint64 {

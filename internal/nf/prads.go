@@ -64,6 +64,16 @@ func (pr *Prads) AssetPackets(srcIP uint32) (uint64, bool) {
 	return pr.p.Space.Load64(mem.Addr(rec)), true
 }
 
+// Clone returns the tracker in its current state on a clone of its platform
+// (halo.Platform.Clone), doing its lookups with engine: one preloaded,
+// warmed table then serves a run per engine.
+func (pr *Prads) Clone(engine Engine) (*halo.Platform, NF) {
+	p, tables := pr.p.Clone(pr.table)
+	c := *pr
+	c.engine, c.p, c.table, c.ring = engine, p, tables[0], pr.ring.on(p)
+	return p, &c
+}
+
 // Preload registers a set of hosts as known assets.
 func (pr *Prads) Preload(hosts []uint32) error {
 	var key [4]byte

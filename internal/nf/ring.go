@@ -27,6 +27,14 @@ func newPktRing(p *halo.Platform) *pktRing {
 	return &pktRing{p: p, base: p.Alloc.AllocLines(ringBuffers), n: ringBuffers}
 }
 
+// on returns the ring at the same addresses and position on p, a clone of
+// r's platform.
+func (r *pktRing) on(p *halo.Platform) *pktRing {
+	c := *r
+	c.p = p
+	return &c
+}
+
 // deliver DMA-writes the packet's wire form into the next buffer and returns
 // the buffer address. No core time is charged (the NIC pays).
 func (r *pktRing) deliver(pkt *packet.Packet) mem.Addr {

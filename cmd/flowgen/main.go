@@ -30,6 +30,10 @@ func main() {
 		count     = flag.Int("count", 100000, "packets to record with -out")
 	)
 	flag.Parse()
+	if err := checkFlags(*flows, *rules, *out, *count); err != nil {
+		fmt.Fprintln(os.Stderr, "flowgen:", err)
+		os.Exit(2)
+	}
 
 	if *scenarios {
 		fmt.Println("paper §3.2 traffic configurations:")
@@ -88,5 +92,16 @@ func main() {
 		}
 		fmt.Printf("  %v  (flow %d, rule %d)\n", pkt.Key(), fi, w.FlowRule[fi]+1)
 	}
-	_ = os.Stdout
+}
+
+// checkFlags rejects the values trafficgen.Generate would panic on, and a
+// trace with no packets, before any work starts.
+func checkFlags(flows, rules int, out string, count int) error {
+	if err := (trafficgen.Scenario{Flows: flows, Rules: rules}).Validate(); err != nil {
+		return err
+	}
+	if out != "" && count <= 0 {
+		return fmt.Errorf("-count %d: -out needs at least 1 packet", count)
+	}
+	return nil
 }

@@ -57,6 +57,10 @@ func main() {
 		trace    = flag.String("trace", "", "replay a flowgen trace file instead of generating traffic")
 	)
 	flag.Parse()
+	if err := checkFlags(*flows, *rules, *packets); err != nil {
+		fmt.Fprintln(os.Stderr, "haloswitch:", err)
+		os.Exit(2)
+	}
 
 	var factory trafficFactory
 	if *trace != "" {
@@ -111,6 +115,18 @@ func main() {
 		os.Exit(1)
 	}
 	io.WriteString(os.Stdout, res.report)
+}
+
+// checkFlags rejects the values trafficgen.Generate would panic on, and a
+// run with no packets to average over, before any work starts.
+func checkFlags(flows, rules, packets int) error {
+	if err := (trafficgen.Scenario{Flows: flows, Rules: rules}).Validate(); err != nil {
+		return err
+	}
+	if packets <= 0 {
+		return fmt.Errorf("-packets %d: a run needs at least 1 packet", packets)
+	}
+	return nil
 }
 
 // compareEngines runs all three engines on the pool and prints each report

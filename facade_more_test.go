@@ -33,33 +33,6 @@ func TestFacadeMemoryAndDMA(t *testing.T) {
 	}
 }
 
-func TestFacadeTree(t *testing.T) {
-	sys := halo.New()
-	rules := []halo.TreeRule{halo.AnyTreeRule(1, 7)}
-	r2 := halo.AnyTreeRule(9, 8)
-	r2.Lo[3], r2.Hi[3] = 80, 80 // dst port 80 outranks the default
-	rules = append(rules, r2)
-	tree, err := sys.BuildTree(rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	web := halo.FiveTuple{SrcIP: 1, DstPort: 80, Proto: 6}
-	if v, ok := tree.Classify(web); !ok || v != 8 {
-		t.Fatalf("tree classify = (%d,%v)", v, ok)
-	}
-	other := halo.FiveTuple{SrcIP: 1, DstPort: 81, Proto: 6}
-	if v, ok := tree.Classify(other); !ok || v != 7 {
-		t.Fatalf("default classify = (%d,%v)", v, ok)
-	}
-	// Accelerated walk agrees.
-	th := sys.Thread(0)
-	keyBuf := sys.AllocLines(1)
-	sys.DMAWrite(keyBuf, halo.TreeKey(web))
-	if v, ok := tree.ClassifyHalo(th, sys.Unit(), keyBuf); !ok || v != 8 {
-		t.Fatalf("accelerated classify = (%d,%v)", v, ok)
-	}
-}
-
 func TestFacadeWithConfig(t *testing.T) {
 	cfg := halo.DefaultPlatformConfig()
 	cfg.Unit.Accel.ScoreboardDepth = 4

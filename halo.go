@@ -26,7 +26,6 @@ import (
 	"halo/internal/classify"
 	"halo/internal/cpu"
 	"halo/internal/cuckoo"
-	"halo/internal/dtree"
 	"halo/internal/flowserve"
 	ihalo "halo/internal/halo"
 	"halo/internal/mem"
@@ -219,27 +218,6 @@ func nfEngine(accelerated bool) nf.Engine {
 		return nf.EngineHalo
 	}
 	return nf.EngineSoftware
-}
-
-// Decision-tree classification (the paper's §4.8 generality demonstration).
-type (
-	// Tree is a HiCuts/EffiCuts-style decision tree resident in simulated
-	// memory, walkable by software or by the HALO accelerators.
-	Tree = dtree.Tree
-	// TreeRule is one range rule over the five-tuple.
-	TreeRule = dtree.Rule
-)
-
-// AnyTreeRule returns a tree rule matching every packet.
-func AnyTreeRule(priority uint16, value uint64) TreeRule { return dtree.AnyRule(priority, value) }
-
-// TreeKey encodes a five-tuple in the tree's wire-order key format.
-func TreeKey(t FiveTuple) []byte { return dtree.Key(t) }
-
-// BuildTree constructs a decision tree over range rules in this system's
-// memory.
-func (s *System) BuildTree(rules []TreeRule) (*Tree, error) {
-	return dtree.Build(s.platform.Space, s.platform.Alloc, rules)
 }
 
 // AllocLines reserves n cache lines of simulated memory (e.g. for packet

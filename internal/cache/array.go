@@ -226,11 +226,3 @@ func (a *array) invalidate(lineAddr mem.Addr) {
 		*l = line{}
 	}
 }
-
-func (a *array) hitRate() float64 {
-	total := a.hits + a.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(a.hits) / float64(total)
-}

@@ -109,7 +109,7 @@ type Accelerator struct {
 }
 
 // maxKeyLen is the longest key a query carries — the cuckoo package's
-// key-length ceiling. Table metadata and walk queries asking for more fault.
+// key-length ceiling. Table metadata asking for more faults.
 const maxKeyLen = 64
 
 // queryTxn carries one query's mutable state through the walk's stages: the

@@ -8,8 +8,8 @@ import (
 
 // TestAccessAllocatesNothing pins the allocation-free query path: once the
 // table is warm, a blocking lookup (hit, miss, and hit under the hardware
-// lock) and a tree walk allocate nothing. Each case checks first that it
-// takes the path it names.
+// lock) allocates nothing. Each case checks first that it takes the path it
+// names.
 func TestAccessAllocatesNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -43,22 +43,4 @@ func TestAccessAllocatesNothing(t *testing.T) {
 			}
 		})
 	}
-	t.Run("WalkB", func(t *testing.T) {
-		p := testPlatform(t)
-		root := buildTinyTree(p)
-		keyAddr := p.Alloc.AllocLines(1)
-		p.Space.WriteAt(keyAddr, []byte{5, 0, 0, 0})
-		th := cpu.NewThread(p.Hier, 0)
-		var r WalkResult
-		walk := func() { r = p.Unit.WalkB(th, root, keyAddr, 4) }
-		for i := 0; i < 1000; i++ {
-			walk()
-		}
-		if !r.Found || r.Value != 100 {
-			t.Fatalf("walk = %+v, want the left leaf", r)
-		}
-		if allocs := testing.AllocsPerRun(1000, walk); allocs != 0 {
-			t.Fatalf("%v allocs per walk, want 0", allocs)
-		}
-	})
 }

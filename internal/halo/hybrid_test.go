@@ -132,3 +132,36 @@ func TestHybridStaleRegisterDoesNotBounceMode(t *testing.T) {
 			hy.Mode(), hy.Switches(), ModeSoftware)
 	}
 }
+
+func TestHybridLookupAt(t *testing.T) {
+	p := testPlatform(t)
+	tbl := populatedTable(t, p, 512, 300)
+	hy := NewHybrid(DefaultHybridConfig(), p.Unit)
+	th := cpu.NewThread(p.Hier, 0)
+	keyBuf := p.Alloc.AllocLines(1)
+	for i := uint64(0); i < 300; i++ {
+		key := key16(i)
+		p.Space.WriteAt(keyBuf, key)
+		p.Hier.DMAWrite(keyBuf)
+		v, ok := hy.LookupAt(th, tbl, key, keyBuf)
+		if !ok || v != i*2+1 {
+			t.Fatalf("hybrid LookupAt(%d) = (%d,%v)", i, v, ok)
+		}
+	}
+	// Drive it into software mode with a tiny flow set and check LookupAt
+	// still answers through the software path.
+	cfg := DefaultHybridConfig()
+	cfg.WindowCycles = 5_000
+	hy2 := NewHybrid(cfg, p.Unit)
+	for i := 0; i < 30000 && hy2.Mode() != ModeSoftware; i++ {
+		key := key16(uint64(i % 3))
+		p.Space.WriteAt(keyBuf, key)
+		hy2.LookupAt(th, tbl, key, keyBuf)
+	}
+	if hy2.Mode() != ModeSoftware {
+		t.Fatal("hybrid never switched to software")
+	}
+	if v, ok := hy2.LookupAt(th, tbl, key16(1), keyBuf); !ok || v != 3 {
+		t.Fatal("software-mode LookupAt wrong")
+	}
+}

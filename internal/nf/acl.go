@@ -122,6 +122,6 @@ func (a *ACL) ProcessPacket(th *cpu.Thread, pkt *packet.Packet) Verdict {
 	} else {
 		a.denied++
 	}
-	a.Stats.record(verdict)
+	a.Stats.record()
 	return verdict
 }

@@ -104,6 +104,6 @@ func (f *Filter) ProcessPacket(th *cpu.Thread, pkt *packet.Packet) Verdict {
 		verdict = VerdictDrop
 		f.dropped++
 	}
-	f.Stats.record(verdict)
+	f.Stats.record()
 	return verdict
 }

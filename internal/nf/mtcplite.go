@@ -77,7 +77,7 @@ func (m *MTCPLite) ProcessPacket(th *cpu.Thread, pkt *packet.Packet) Verdict {
 	th.ALU(16)
 	if pkt.Proto != packet.ProtoTCP {
 		th.Other(4)
-		m.Stats.record(VerdictDrop)
+		m.Stats.record()
 		return VerdictDrop
 	}
 	key := m.keyBuf[:]
@@ -86,7 +86,7 @@ func (m *MTCPLite) ProcessPacket(th *cpu.Thread, pkt *packet.Packet) Verdict {
 	if !ok {
 		// New connection: allocate a TCB (SYN handling).
 		if uint64(m.nextTCB)*tcbBytes >= m.capacity*tcbBytes {
-			m.Stats.record(VerdictDrop)
+			m.Stats.record()
 			return VerdictDrop
 		}
 		tcb = uint64(m.tcbBase) + uint64(m.nextTCB)*tcbBytes
@@ -94,12 +94,12 @@ func (m *MTCPLite) ProcessPacket(th *cpu.Thread, pkt *packet.Packet) Verdict {
 		th.ALU(12)
 		th.Other(10)
 		if err := m.table.TimedInsert(th, key, tcb); err != nil {
-			m.Stats.record(VerdictDrop)
+			m.Stats.record()
 			return VerdictDrop
 		}
 		m.p.Space.Store32(mem.Addr(tcb), tcpSynReceived)
 		th.Store(mem.Addr(tcb))
-		m.Stats.record(VerdictAccept)
+		m.Stats.record()
 		return VerdictAccept
 	}
 
@@ -130,6 +130,6 @@ func (m *MTCPLite) ProcessPacket(th *cpu.Thread, pkt *packet.Packet) Verdict {
 	th.Store(tcbAddr)
 	th.Other(8)
 	th.LocalStore(8)
-	m.Stats.record(VerdictAccept)
+	m.Stats.record()
 	return VerdictAccept
 }

@@ -106,7 +106,7 @@ func (n *NAT) ProcessPacket(th *cpu.Thread, pkt *packet.Packet) Verdict {
 		th.Other(8)
 		pkt.Key().PutHeaderKey(n.keyBuf[:])
 		if err := n.table.TimedInsert(th, n.keyBuf[:], binding); err != nil {
-			n.Stats.record(VerdictDrop)
+			n.Stats.record()
 			return VerdictDrop
 		}
 	} else {
@@ -119,6 +119,6 @@ func (n *NAT) ProcessPacket(th *cpu.Thread, pkt *packet.Packet) Verdict {
 	th.ALU(16)
 	th.LocalStore(6)
 	th.Other(6)
-	n.Stats.record(VerdictRewritten)
+	n.Stats.record()
 	return VerdictRewritten
 }

@@ -59,17 +59,10 @@ type NF interface {
 
 // Stats tracks common counters for NF implementations.
 type Stats struct {
-	packets  uint64
-	verdicts [4]uint64
+	packets uint64
 }
 
-func (s *Stats) record(v Verdict) {
-	s.packets++
-	s.verdicts[v]++
-}
+func (s *Stats) record() { s.packets++ }
 
 // Packets reports processed packets.
 func (s *Stats) Packets() uint64 { return s.packets }
-
-// Verdicts reports per-verdict counts.
-func (s *Stats) Verdicts() [4]uint64 { return s.verdicts }

@@ -115,14 +115,14 @@ func (pr *Prads) ProcessPacket(th *cpu.Thread, pkt *packet.Packet) Verdict {
 	}
 	if !ok {
 		if pr.nextRecord >= uint32(pr.capacity) {
-			pr.Stats.record(VerdictAccept)
+			pr.Stats.record()
 			return VerdictAccept // table full: stop tracking new assets
 		}
 		rec = uint64(pr.newRecord())
 		th.ALU(6)
 		th.Other(6)
 		if err := pr.table.TimedInsert(th, key[:], rec); err != nil {
-			pr.Stats.record(VerdictAccept)
+			pr.Stats.record()
 			return VerdictAccept
 		}
 	}
@@ -136,6 +136,6 @@ func (pr *Prads) ProcessPacket(th *cpu.Thread, pkt *packet.Packet) Verdict {
 	th.ALU(6)
 	th.Store(recAddr)
 	th.Other(4)
-	pr.Stats.record(VerdictAlert)
+	pr.Stats.record()
 	return VerdictAlert
 }

@@ -29,8 +29,7 @@ type SnortLite struct {
 	tableBase mem.Addr
 	rowLines  uint64
 
-	alerts uint64
-	rng    *sim.Rand
+	rng *sim.Rand
 
 	keyBuf     [packet.KeyBytes]byte // per-packet key scratch
 	payloadBuf [256]byte             // synthetic-payload scratch (Scan only reads)
@@ -140,9 +139,6 @@ func (s *SnortLite) WorkingSetBytes() uint64 {
 	return uint64(s.nstates) * s.rowLines * mem.LineSize
 }
 
-// Alerts reports raised alerts.
-func (s *SnortLite) Alerts() uint64 { return s.alerts }
-
 // Name implements NF.
 func (s *SnortLite) Name() string { return "snortlite" }
 
@@ -194,12 +190,11 @@ func (s *SnortLite) ProcessPacket(th *cpu.Thread, pkt *packet.Packet) Verdict {
 	th.Other(8)
 	payload := s.syntheticPayload(pkt)
 	if s.Scan(th, payload) {
-		s.alerts++
 		th.Other(20) // alert formatting path
 		th.LocalStore(8)
-		s.Stats.record(VerdictAlert)
+		s.Stats.record()
 		return VerdictAlert
 	}
-	s.Stats.record(VerdictAccept)
+	s.Stats.record()
 	return VerdictAccept
 }

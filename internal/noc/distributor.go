@@ -57,9 +57,6 @@ func NewQueryDistributor(ring *Ring, policy DispatchPolicy) *QueryDistributor {
 // SetBusy sets or clears an accelerator's busy bit.
 func (d *QueryDistributor) SetBusy(slice int, busy bool) { d.busy[slice] = busy }
 
-// Busy reports an accelerator's busy bit.
-func (d *QueryDistributor) Busy(slice int) bool { return d.busy[slice] }
-
 // Stats returns a copy of the dispatch statistics.
 func (d *QueryDistributor) Stats() DistributorStats { return d.stats }
 

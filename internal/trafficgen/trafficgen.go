@@ -72,10 +72,27 @@ type Workload struct {
 const baseSrcIP = 0x0a000000 // 10.0.0.0/8 source space
 const baseDstPort = 2000
 
-// Generate builds a deterministic workload for a scenario.
+// maxRules is the most rules a scenario may ask for: rule r owns an r-bit
+// source prefix, so a 32-bit source address has room for 32 of them.
+const maxRules = 32
+
+// Validate reports whether Generate can build the scenario: it needs at least
+// one flow and 1..32 rules.
+func (scn Scenario) Validate() error {
+	switch {
+	case scn.Flows <= 0:
+		return fmt.Errorf("%d flows: a scenario needs at least 1", scn.Flows)
+	case scn.Rules < 1 || scn.Rules > maxRules:
+		return fmt.Errorf("%d rules: a scenario needs 1..%d", scn.Rules, maxRules)
+	}
+	return nil
+}
+
+// Generate builds a deterministic workload for a scenario. It panics if the
+// scenario fails Validate.
 func Generate(scn Scenario, seed uint64) *Workload {
-	if scn.Flows <= 0 || scn.Rules <= 0 || scn.Rules > 32 {
-		panic(fmt.Sprintf("trafficgen: bad scenario %+v", scn))
+	if err := scn.Validate(); err != nil {
+		panic(fmt.Sprintf("trafficgen: bad scenario %+v: %v", scn, err))
 	}
 	w := &Workload{Scenario: scn}
 	rng := sim.NewRand(seed)

@@ -26,11 +26,9 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "generator seed")
 		scenarios = flag.Bool("scenarios", false, "print the paper's five traffic configurations")
 		csv       = flag.Bool("csv", false, "emit the packet sample as CSV")
-		out       = flag.String("out", "", "write a binary trace (rules + packets) to this file")
-		count     = flag.Int("count", 100000, "packets to record with -out")
 	)
 	flag.Parse()
-	if err := checkFlags(*flows, *rules, *out, *count); err != nil {
+	if err := checkFlags(*flows, *rules); err != nil {
 		fmt.Fprintln(os.Stderr, "flowgen:", err)
 		os.Exit(2)
 	}
@@ -55,24 +53,6 @@ func main() {
 		Name: "cli", Flows: *flows, Rules: *rules, Popularity: pop,
 	}, *seed)
 
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flowgen:", err)
-			os.Exit(1)
-		}
-		if err := w.WriteTrace(f, *count); err != nil {
-			fmt.Fprintln(os.Stderr, "flowgen:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "flowgen:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d rules and %d packets to %s\n", len(w.Rules), *count, *out)
-		return
-	}
-
 	fmt.Printf("rules (%d):\n", len(w.Rules))
 	for i, r := range w.Rules {
 		fmt.Printf("  #%-3d %v pattern=%v action=port-%d priority=%d\n",
@@ -94,14 +74,8 @@ func main() {
 	}
 }
 
-// checkFlags rejects the values trafficgen.Generate would panic on, and a
-// trace with no packets, before any work starts.
-func checkFlags(flows, rules int, out string, count int) error {
-	if err := (trafficgen.Scenario{Flows: flows, Rules: rules}).Validate(); err != nil {
-		return err
-	}
-	if out != "" && count <= 0 {
-		return fmt.Errorf("-count %d: -out needs at least 1 packet", count)
-	}
-	return nil
+// checkFlags rejects the values trafficgen.Generate would panic on before
+// any work starts.
+func checkFlags(flows, rules int) error {
+	return trafficgen.Scenario{Flows: flows, Rules: rules}.Validate()
 }

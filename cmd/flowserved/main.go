@@ -59,6 +59,14 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight work on SIGTERM")
 	)
 	flag.Parse()
+	// A negative timeout is already past: every connection would be reset
+	// before HELLO, or force-closed the moment SIGTERM arrives.
+	if *idleTimeout < 0 {
+		fatalf("-idle-timeout %v: must not be negative (0 selects the default)", *idleTimeout)
+	}
+	if *drainTimeout < 0 {
+		fatalf("-drain-timeout %v: must not be negative", *drainTimeout)
+	}
 
 	ep, err := flowwire.ParseEndpoint(*endpoint)
 	if err != nil {

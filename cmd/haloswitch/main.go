@@ -19,30 +19,13 @@ import (
 	"os"
 	"strings"
 
-	"halo/internal/classify"
 	"halo/internal/cpu"
 	ihalo "halo/internal/halo"
 	"halo/internal/metrics"
-	"halo/internal/packet"
 	"halo/internal/runner"
 	"halo/internal/trafficgen"
 	"halo/internal/vswitch"
 )
-
-// workloadRules adapts a generated workload to the switch's rule installer.
-type workloadRules struct{ w *trafficgen.Workload }
-
-func (wr workloadRules) Install(ts *classify.TupleSpace) error { return wr.w.InstallRules(ts) }
-
-// traffic bundles a packet source with its rule installer. Each engine run
-// gets a fresh one so stateful sources never cross goroutines.
-type traffic struct {
-	nextPacket   func() packet.Packet
-	installRules func(*vswitch.Switch) error
-}
-
-// trafficFactory builds an independent, identically-seeded traffic source.
-type trafficFactory func() (traffic, error)
 
 func main() {
 	var (
@@ -54,7 +37,6 @@ func main() {
 		openflow = flag.Bool("openflow", false, "enable the OpenFlow slow-path layer (rules install there; megaflows are learned)")
 		zipf     = flag.Bool("zipf", false, "zipf flow popularity instead of uniform")
 		seed     = flag.Uint64("seed", 1, "workload seed")
-		trace    = flag.String("trace", "", "replay a flowgen trace file instead of generating traffic")
 	)
 	flag.Parse()
 	if err := checkFlags(*flows, *rules, *packets); err != nil {
@@ -62,54 +44,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	var factory trafficFactory
-	if *trace != "" {
-		path := *trace
-		factory = func() (traffic, error) {
-			f, err := os.Open(path)
-			if err != nil {
-				return traffic{}, err
-			}
-			tr, err := trafficgen.ReadTrace(f)
-			f.Close()
-			if err != nil {
-				return traffic{}, err
-			}
-			return traffic{
-				nextPacket: tr.NextPacket,
-				installRules: func(sw *vswitch.Switch) error {
-					target := sw.Mega
-					if sw.Open != nil {
-						target = sw.Open
-					}
-					return tr.InstallRules(target)
-				},
-			}, nil
-		}
-	} else {
-		pop := trafficgen.Uniform
-		if *zipf {
-			pop = trafficgen.Zipf
-		}
-		scn := trafficgen.Scenario{Name: "cli", Flows: *flows, Rules: *rules, Popularity: pop}
-		wseed := *seed
-		factory = func() (traffic, error) {
-			w := trafficgen.Generate(scn, wseed)
-			return traffic{
-				nextPacket: func() packet.Packet { pkt, _ := w.NextPacket(); return pkt },
-				installRules: func(sw *vswitch.Switch) error {
-					return sw.InstallRules([]vswitch.RuleInstaller{workloadRules{w}})
-				},
-			}, nil
-		}
+	pop := trafficgen.Uniform
+	if *zipf {
+		pop = trafficgen.Zipf
 	}
+	scn := trafficgen.Scenario{Name: "cli", Flows: *flows, Rules: *rules, Popularity: pop}
 
 	if *compare {
-		compareEngines(factory, *packets, *openflow)
+		compareEngines(scn, *seed, *packets, *openflow)
 		return
 	}
 
-	res := runEngine(*engine, factory, *packets, *openflow)
+	res := runEngine(*engine, scn, *seed, *packets, *openflow)
 	if res.err != nil {
 		fmt.Fprintln(os.Stderr, "haloswitch:", res.err)
 		os.Exit(1)
@@ -131,10 +77,10 @@ func checkFlags(flows, rules, packets int) error {
 
 // compareEngines runs all three engines on the pool and prints each report
 // in fixed order plus a head-to-head summary.
-func compareEngines(factory trafficFactory, packets int, openflow bool) {
+func compareEngines(scn trafficgen.Scenario, seed uint64, packets int, openflow bool) {
 	engines := []string{"software", "halo", "hybrid"}
 	results := runner.Map(0, engines, func(i int, e string) engineResult {
-		return runEngine(e, factory, packets, openflow)
+		return runEngine(e, scn, seed, packets, openflow)
 	})
 	for i, res := range results {
 		if res.err != nil {
@@ -159,9 +105,9 @@ type engineResult struct {
 }
 
 // runEngine executes one full switch simulation on its own platform and
-// returns the rendered report. It is self-contained so the compare path
-// can run engines on separate goroutines.
-func runEngine(engine string, factory trafficFactory, packets int, openflow bool) engineResult {
+// its own generated workload, and returns the rendered report. It is
+// self-contained so the compare path can run engines on separate goroutines.
+func runEngine(engine string, scn trafficgen.Scenario, seed uint64, packets int, openflow bool) engineResult {
 	cfg := vswitch.DefaultConfig()
 	switch engine {
 	case "software":
@@ -174,30 +120,26 @@ func runEngine(engine string, factory trafficFactory, packets int, openflow bool
 	}
 	cfg.OpenFlow = openflow
 
-	src, err := factory()
-	if err != nil {
-		return engineResult{err: err}
-	}
-
 	p := ihalo.NewPlatform(ihalo.DefaultPlatformConfig())
 	sw, err := vswitch.New(p, cfg)
 	if err != nil {
 		return engineResult{err: err}
 	}
-	if err := src.installRules(sw); err != nil {
+	w := trafficgen.Generate(scn, seed)
+	if err := w.InstallRules(sw.RuleLayer()); err != nil {
 		return engineResult{err: err}
 	}
 	sw.Warm()
 	th := cpu.NewThread(p.Hier, 0)
 
 	for i := 0; i < packets/2; i++ { // warm-up pass
-		pkt := src.nextPacket()
+		pkt, _ := w.NextPacket()
 		sw.ProcessPacket(th, &pkt)
 	}
 	sw.ResetStats()
 	th.ResetCounts() // latency histograms cover the measured window only
 	for i := 0; i < packets; i++ {
-		pkt := src.nextPacket()
+		pkt, _ := w.NextPacket()
 		if _, ok := sw.ProcessPacket(th, &pkt); !ok {
 			return engineResult{err: fmt.Errorf("unclassified packet (rule generation bug)")}
 		}

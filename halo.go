@@ -95,7 +95,7 @@ type (
 	// Switch is the OVS-style virtual switch datapath.
 	Switch = vswitch.Switch
 
-	// SwitchConfig sizes a Switch.
+	// SwitchConfig selects a Switch's engine and layers.
 	SwitchConfig = vswitch.Config
 
 	// PlatformConfig configures the simulated machine.

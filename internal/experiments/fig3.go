@@ -3,7 +3,6 @@ package experiments
 import (
 	"io"
 
-	"halo/internal/classify"
 	"halo/internal/cpu"
 	"halo/internal/halo"
 	"halo/internal/metrics"
@@ -26,10 +25,6 @@ type Fig3Result struct {
 	Rows  []Fig3Row
 	Table *metrics.Table
 }
-
-type workloadRules struct{ w *trafficgen.Workload }
-
-func (wr workloadRules) Install(ts *classify.TupleSpace) error { return wr.w.InstallRules(ts) }
 
 // fig3Scenarios returns the traffic configurations of the sweep under cfg.
 func fig3Scenarios(cfg Config) []trafficgen.Scenario {
@@ -71,7 +66,7 @@ func runFig3Scenario(cfg Config, _ int, scn trafficgen.Scenario, snap *stats.Sna
 		panic(err)
 	}
 	w := trafficgen.Generate(scn, cfg.Seed)
-	if err := sw.InstallRules([]vswitch.RuleInstaller{workloadRules{w}}); err != nil {
+	if err := w.InstallRules(sw.RuleLayer()); err != nil {
 		panic(err)
 	}
 	sw.Warm()

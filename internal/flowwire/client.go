@@ -50,7 +50,16 @@ type Options struct {
 	MaxFrame uint32
 }
 
-func (o *Options) applyDefaults() {
+func (o *Options) applyDefaults() error {
+	if err := nonNegative("Options.DialTimeout", o.DialTimeout); err != nil {
+		return err
+	}
+	if err := nonNegative("Options.WriteTimeout", o.WriteTimeout); err != nil {
+		return err
+	}
+	if err := nonNegative("Options.CallTimeout", o.CallTimeout); err != nil {
+		return err
+	}
 	if o.Conns <= 0 {
 		o.Conns = 1
 	}
@@ -66,6 +75,7 @@ func (o *Options) applyDefaults() {
 	if o.MaxFrame == 0 {
 		o.MaxFrame = DefaultMaxFrame
 	}
+	return nil
 }
 
 // clientCounters tracks client-side failure visibility. The Reader/Writer
@@ -165,7 +175,9 @@ type cliConn struct {
 // at ep and performs the HELLO handshake to learn the table geometry — and,
 // on a cluster node, the node's shard-map epoch and identity.
 func DialEndpoint(ep Endpoint, opts Options) (*Client, error) {
-	opts.applyDefaults()
+	if err := opts.applyDefaults(); err != nil {
+		return nil, err
+	}
 	cl := &Client{opts: opts, ep: ep}
 	cl.calls.New = func() any { return &pcall{ch: make(chan Frame, 1)} }
 	for i := 0; i < opts.Conns; i++ {

@@ -60,11 +60,26 @@ func (cfg *Config) applyDefaults() error {
 	if cfg.MaxFrame < headerSize {
 		return fmt.Errorf("flowwire: MaxFrame %d smaller than the %d-byte header", cfg.MaxFrame, headerSize)
 	}
+	if err := nonNegative("Config.IdleTimeout", cfg.IdleTimeout); err != nil {
+		return err
+	}
+	if err := nonNegative("Config.WriteTimeout", cfg.WriteTimeout); err != nil {
+		return err
+	}
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 2 * time.Minute
 	}
 	if cfg.WriteTimeout == 0 {
 		cfg.WriteTimeout = 30 * time.Second
+	}
+	return nil
+}
+
+// nonNegative refuses a negative timeout: its first deadline would already
+// be past, so every connection would fail on its first read or write.
+func nonNegative(field string, d time.Duration) error {
+	if d < 0 {
+		return fmt.Errorf("flowwire: %s %v is negative (0 selects the default)", field, d)
 	}
 	return nil
 }

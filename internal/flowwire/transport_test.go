@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -135,6 +136,48 @@ func TestBadTransportRejected(t *testing.T) {
 		t.Fatalf("an empty transport should default to tcp, got %v", err)
 	}
 	ln.Close()
+}
+
+// TestNegativeTimeoutsRefused pins that a negative timeout is a
+// configuration error naming its field, raised before anything listens or
+// dials (a negative deadline is already past, so the server would reset every
+// connection before answering HELLO), while zero still selects the default.
+func TestNegativeTimeoutsRefused(t *testing.T) {
+	tbl, err := flowserve.New(flowserve.Config{Shards: 1, Entries: 128, KeyLen: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Nothing listens here: a dial that got past the check would fail with
+	// a dial error instead of the field's.
+	ep := Endpoint{Transport: TransportUnix, Addr: filepath.Join(t.TempDir(), "absent.sock")}
+	for _, tc := range []struct {
+		field string // "" means no error expected
+		cfg   Config
+		opts  *Options // nil: the row builds a server
+	}{
+		{"", Config{}, nil},
+		{"Config.IdleTimeout", Config{IdleTimeout: -time.Second}, nil},
+		{"Config.WriteTimeout", Config{WriteTimeout: -time.Nanosecond}, nil},
+		{"Options.DialTimeout", Config{}, &Options{DialTimeout: -time.Second}},
+		{"Options.WriteTimeout", Config{}, &Options{WriteTimeout: -time.Second}},
+		{"Options.CallTimeout", Config{}, &Options{CallTimeout: -time.Second}},
+	} {
+		if tc.opts != nil {
+			_, err = DialEndpoint(ep, *tc.opts)
+		} else {
+			tc.cfg.Table = tbl
+			var srv *Server
+			if srv, err = NewServer(tc.cfg); err == nil && (srv.cfg.IdleTimeout != 2*time.Minute || srv.cfg.WriteTimeout != 30*time.Second) {
+				t.Errorf("zero timeouts became %v/%v, want the 2m/30s defaults", srv.cfg.IdleTimeout, srv.cfg.WriteTimeout)
+			}
+		}
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("zero timeouts: %v", err)
+		case tc.field != "" && (err == nil || !strings.Contains(err.Error(), tc.field+" -")):
+			t.Errorf("negative %s: err = %v, want one naming the field", tc.field, err)
+		}
+	}
 }
 
 // TestMalformedFramesAllTransports runs the protocol-violation suite over

@@ -18,7 +18,7 @@ func TestHybridEngineClassifiesIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	wH := trafficgen.Generate(smallScenario, 99)
-	if err := swH.InstallRules([]RuleInstaller{workloadInstaller{wH}}); err != nil {
+	if err := wH.InstallRules(swH.RuleLayer()); err != nil {
 		t.Fatal(err)
 	}
 	swH.Warm()
@@ -51,7 +51,7 @@ func TestHybridEngineSwitchesToSoftwareOnTinyFlowSet(t *testing.T) {
 	}
 	scn := trafficgen.Scenario{Name: "tiny", Flows: 8, Rules: 1, Popularity: trafficgen.Uniform}
 	w := trafficgen.Generate(scn, 5)
-	if err := sw.InstallRules([]RuleInstaller{workloadInstaller{w}}); err != nil {
+	if err := w.InstallRules(sw.RuleLayer()); err != nil {
 		t.Fatal(err)
 	}
 	sw.Warm()

@@ -18,7 +18,7 @@ func newOpenFlowSwitch(t *testing.T, scn trafficgen.Scenario) (*Switch, *traffic
 		t.Fatal(err)
 	}
 	w := trafficgen.Generate(scn, 99)
-	if err := sw.InstallRules([]RuleInstaller{workloadInstaller{w}}); err != nil {
+	if err := w.InstallRules(sw.RuleLayer()); err != nil {
 		t.Fatal(err)
 	}
 	sw.Warm()

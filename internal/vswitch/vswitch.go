@@ -5,7 +5,6 @@
 package vswitch
 
 import (
-	"errors"
 	"fmt"
 
 	"halo/internal/classify"
@@ -88,14 +87,11 @@ const (
 	EngineHybrid
 )
 
-// Config sizes the switch.
+// Config selects the switch's engine and layers; the table and ring sizes
+// are the OVS/DPDK defaults below.
 type Config struct {
-	Engine          Engine
-	EMCEntries      uint64
-	TupleEntries    uint64
-	PacketBuffers   int
-	EMCInsertProb   int // learn 1-in-N EMC misses (OVS default: 100)
-	SoftwareLookups cuckoo.LookupOptions
+	Engine        Engine
+	EMCInsertProb int // learn 1-in-N EMC misses (OVS default: 100)
 	// OpenFlow enables the third classification layer (paper Fig. 2a):
 	// rules install there, the MegaFlow layer starts empty and learns
 	// megaflows from OpenFlow results. The paper's analysis skips this
@@ -106,17 +102,21 @@ type Config struct {
 
 // DefaultConfig mirrors OVS/DPDK defaults.
 func DefaultConfig() Config {
-	return Config{
-		Engine:       EngineSoftware,
-		EMCEntries:   classify.DefaultEMCEntries,
-		TupleEntries: 1024,
-		// DPDK mempools recycle last-freed-first, so the hot buffer set is
-		// about one RX burst, not the whole pool.
-		PacketBuffers:   64,
-		EMCInsertProb:   100,
-		SoftwareLookups: cuckoo.DefaultLookupOptions(),
-	}
+	return Config{Engine: EngineSoftware, EMCInsertProb: 100}
 }
+
+// Table and ring sizes, OVS/DPDK defaults.
+const (
+	emcEntries   = classify.DefaultEMCEntries
+	tupleEntries = 1024
+	// DPDK mempools recycle last-freed-first, so the hot buffer set is
+	// about one RX burst, not the whole pool.
+	packetBuffers = 64
+)
+
+// softwareLookups is the optimized DPDK software-lookup configuration the
+// software engine's timed lookups run with.
+var softwareLookups = cuckoo.DefaultLookupOptions()
 
 // The EMC keys on the raw header window (packet.HeaderKeyOff..+HeaderKeyLen),
 // the way RSS-style header hashing does, so the HALO lookup's key address
@@ -155,10 +155,7 @@ type Switch struct {
 // New builds a switch on a platform. The MegaFlow layer uses first-match
 // semantics, as OVS's does.
 func New(p *halo.Platform, cfg Config) (*Switch, error) {
-	if cfg.PacketBuffers <= 0 {
-		return nil, errors.New("vswitch: need at least one packet buffer")
-	}
-	emc, err := classify.NewEMCKeyLen(p.Space, p.Alloc, cfg.EMCEntries, hdrKeyLen)
+	emc, err := classify.NewEMCKeyLen(p.Space, p.Alloc, emcEntries, hdrKeyLen)
 	if err != nil {
 		return nil, err
 	}
@@ -166,15 +163,15 @@ func New(p *halo.Platform, cfg Config) (*Switch, error) {
 		cfg:      cfg,
 		p:        p,
 		EMC:      emc,
-		Mega:     classify.NewTupleSpace(p.Space, p.Alloc, classify.FirstMatch, cfg.TupleEntries),
-		bufBase:  p.Alloc.AllocLines(uint64(cfg.PacketBuffers)),
-		descBase: p.Alloc.AllocLines(uint64(cfg.PacketBuffers+3) / 4),
+		Mega:     classify.NewTupleSpace(p.Space, p.Alloc, classify.FirstMatch, tupleEntries),
+		bufBase:  p.Alloc.AllocLines(packetBuffers),
+		descBase: p.Alloc.AllocLines((packetBuffers + 3) / 4),
 	}
 	if cfg.Engine == EngineHybrid {
 		sw.hybrid = halo.NewHybrid(halo.DefaultHybridConfig(), p.Unit)
 	}
 	if cfg.OpenFlow {
-		sw.Open = classify.NewTupleSpace(p.Space, p.Alloc, classify.HighestPriority, cfg.TupleEntries)
+		sw.Open = classify.NewTupleSpace(p.Space, p.Alloc, classify.HighestPriority, tupleEntries)
 	}
 	return sw, nil
 }
@@ -249,7 +246,7 @@ func (sw *Switch) ResetStats() {
 // buffer via DDIO.
 func (sw *Switch) deliver(pkt *packet.Packet) (bufAddr, descAddr mem.Addr) {
 	i := sw.nextBuf
-	sw.nextBuf = (sw.nextBuf + 1) % sw.cfg.PacketBuffers
+	sw.nextBuf = (sw.nextBuf + 1) % packetBuffers
 	bufAddr = sw.bufBase + mem.Addr(i)*mem.LineSize
 	descAddr = sw.descBase + mem.Addr(i/4)*mem.LineSize
 
@@ -305,7 +302,7 @@ func (sw *Switch) ProcessPacket(th *cpu.Thread, pkt *packet.Packet) (classify.Ma
 			m = classify.DecodeRuleValue(v)
 		}
 	default:
-		m, ok = sw.EMC.LookupTimedRaw(th, hdrKey, sw.cfg.SoftwareLookups)
+		m, ok = sw.EMC.LookupTimedRaw(th, hdrKey, softwareLookups)
 	}
 	sw.breakdown[StageEMC] += uint64(th.Now - t0)
 
@@ -316,7 +313,7 @@ func (sw *Switch) ProcessPacket(th *cpu.Thread, pkt *packet.Packet) (classify.Ma
 		case EngineHalo, EngineHybrid:
 			m, ok = sw.Mega.ClassifyHaloNB(th, sw.p.Unit, key)
 		default:
-			m, ok = sw.Mega.ClassifyTimed(th, key, sw.cfg.SoftwareLookups)
+			m, ok = sw.Mega.ClassifyTimed(th, key, softwareLookups)
 		}
 		if ok {
 			sw.megaHits++
@@ -335,7 +332,7 @@ func (sw *Switch) ProcessPacket(th *cpu.Thread, pkt *packet.Packet) (classify.Ma
 		// megaflow so later packets short-circuit (the upcall path).
 		if !ok && sw.Open != nil {
 			t0 = th.Now
-			m, ok = sw.Open.ClassifyTimed(th, key, sw.cfg.SoftwareLookups)
+			m, ok = sw.Open.ClassifyTimed(th, key, softwareLookups)
 			if ok {
 				sw.openHits++
 				if mask, pattern, found := sw.Open.RuleSource(key, m); found {
@@ -374,25 +371,13 @@ func (sw *Switch) learnEMC(th *cpu.Thread, hdrKey []byte, m classify.Match) {
 	th.Store(sw.EMC.Table().Base()) // version/metadata touch
 }
 
-// InstallRules loads a rule set into the MegaFlow layer, or — when the
-// OpenFlow layer is enabled — into it, leaving the MegaFlow layer to learn.
-func (sw *Switch) InstallRules(rules []RuleInstaller) error {
-	target := sw.Mega
+// RuleLayer is the tuple space rules install into: the OpenFlow layer when
+// it is enabled, leaving the MegaFlow layer to learn, else MegaFlow.
+func (sw *Switch) RuleLayer() *classify.TupleSpace {
 	if sw.Open != nil {
-		target = sw.Open
+		return sw.Open
 	}
-	for _, r := range rules {
-		if err := r.Install(target); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RuleInstaller abstracts rule sources (trafficgen workloads implement it
-// via adapter functions to avoid an import cycle).
-type RuleInstaller interface {
-	Install(ts *classify.TupleSpace) error
+	return sw.Mega
 }
 
 // Warm pre-loads the switch's tables into the LLC.

@@ -3,15 +3,10 @@ package vswitch
 import (
 	"testing"
 
-	"halo/internal/classify"
 	"halo/internal/cpu"
 	"halo/internal/halo"
 	"halo/internal/trafficgen"
 )
-
-type workloadInstaller struct{ w *trafficgen.Workload }
-
-func (wi workloadInstaller) Install(ts *classify.TupleSpace) error { return wi.w.InstallRules(ts) }
 
 func newSwitch(t *testing.T, engine Engine, scn trafficgen.Scenario) (*Switch, *trafficgen.Workload, *cpu.Thread) {
 	t.Helper()
@@ -23,7 +18,7 @@ func newSwitch(t *testing.T, engine Engine, scn trafficgen.Scenario) (*Switch, *
 		t.Fatal(err)
 	}
 	w := trafficgen.Generate(scn, 99)
-	if err := sw.InstallRules([]RuleInstaller{workloadInstaller{w}}); err != nil {
+	if err := w.InstallRules(sw.RuleLayer()); err != nil {
 		t.Fatal(err)
 	}
 	sw.Warm()
@@ -76,7 +71,7 @@ func TestEMCConvergesOnSmallFlowCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := trafficgen.Generate(smallScenario, 99)
-	if err := sw.InstallRules([]RuleInstaller{workloadInstaller{w}}); err != nil {
+	if err := w.InstallRules(sw.RuleLayer()); err != nil {
 		t.Fatal(err)
 	}
 	sw.Warm()

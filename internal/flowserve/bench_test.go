@@ -255,29 +255,3 @@ func BenchmarkLookupManyFlows(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkGrowStart times the insert that starts a shard's doubling from
-// 1M slots to 2M: the insert places its key, then installs the new region.
-// What that costs does not depend on how full the shard is, so GrowAt is set
-// for the second insert to cross it and the untimed set-up stays one table.
-// Migration is not in it: later writer operations and ResizeStep pay for
-// that, timed in flowserve.resize.pause_*.
-func BenchmarkGrowStart(b *testing.B) {
-	const slots = 1 << 20
-	k0, k1 := key20(0), key20(1)
-	for n := 0; n < b.N; n++ {
-		b.StopTimer()
-		tbl := mustNew(b, Config{Shards: 1, Entries: slots, KeyLen: 20, GrowAt: 1.5 / slots})
-		if err := tbl.Insert(k0, 0); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := tbl.Insert(k1, 1); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if tbl.Capacity() != 2*slots {
-			b.Fatalf("capacity %d after the threshold insert, want %d", tbl.Capacity(), 2*slots)
-		}
-	}
-}

@@ -23,11 +23,9 @@
 //   - Batch lookups group keys per shard and validate one sequence window
 //     per group (see batch.go), the software analogue of issuing LOOKUP_NB
 //     for a batch and polling the results with SNAPSHOT_READ.
-//   - Shards grow under live traffic: a resize installs a second, larger
-//     region and migrates buckets incrementally — a bounded number per
-//     writer operation or explicit ResizeStep tick — while readers probe
-//     old-then-new under the same sequence window and never block
-//     (see resize.go and DESIGN.md §12).
+//   - Capacity is fixed at New, as in rte_hash: a shard that cannot place a
+//     key returns ErrTableFull. Capacity across nodes moves with
+//     flowcluster's MoveRange (DESIGN.md §8, "Capacity").
 //
 // Layout per shard region mirrors rte_hash (and the simulated cuckoo.Table):
 // an array of 8-entry buckets holding packed {slot, signature} words, plus
@@ -52,7 +50,6 @@ import (
 	"sync/atomic"
 
 	"halo/internal/hashfn"
-	"halo/internal/stats"
 )
 
 // EntriesPerBucket matches the simulated table and rte_hash: eight entries
@@ -80,18 +77,11 @@ const maxKeyWords = MaxKeyLen / 8
 // in 256 probed entries).
 const maxPerShard = 1 << 24
 
-// migrateBuckets is how many old-region buckets a writer operation migrates
-// before doing its own work while a resize is in flight (at most
-// migrateBuckets × EntriesPerBucket key moves: the bound on the pause a
-// resize adds to any one operation). Readers never migrate.
-const migrateBuckets = 2
-
 // Common errors.
 var (
 	ErrTableFull = errors.New("flowserve: shard full (displacement path exhausted)")
 	ErrKeyLen    = errors.New("flowserve: key length does not match table")
 	ErrKeyExists = errors.New("flowserve: key already present")
-	ErrShrink    = errors.New("flowserve: Grow target does not exceed current capacity")
 )
 
 // Config parametrises table creation.
@@ -103,16 +93,11 @@ type Config struct {
 	// whole table does; size headroom (~10–20% at high shard counts) keeps
 	// ErrTableFull away. A shard holds fewer than 1<<24 entries (its slot
 	// index shares a 32-bit bucket entry with a signature of at least 8
-	// bits), so Entries must be below Shards<<24; Grow has the same limit.
+	// bits), so Entries must be below Shards<<24. It is fixed for the
+	// table's life.
 	Entries uint64
 	// KeyLen is the fixed key size in bytes (1..MaxKeyLen).
 	KeyLen int
-
-	// GrowAt, when non-zero, enables auto-grow: a shard whose load factor
-	// exceeds GrowAt after an insert (or that fails an insert outright)
-	// starts an incremental doubling. Must be in (0,1). Zero disables
-	// auto-grow; Table.Grow still works.
-	GrowAt float64
 }
 
 // Table is a sharded concurrent flow table. Lookups are safe from any number
@@ -151,9 +136,6 @@ func New(cfg Config) (*Table, error) {
 	if cfg.Entries == 0 {
 		return nil, errors.New("flowserve: zero capacity")
 	}
-	if cfg.GrowAt != 0 && (cfg.GrowAt <= 0 || cfg.GrowAt >= 1) {
-		return nil, fmt.Errorf("flowserve: GrowAt %v out of range (0,1)", cfg.GrowAt)
-	}
 	perShard := (cfg.Entries + uint64(cfg.Shards) - 1) / uint64(cfg.Shards)
 	if perShard >= maxPerShard {
 		return nil, fmt.Errorf("flowserve: %d entries per shard, want < %d: a bucket entry holds a 24-bit slot index beside an 8-bit signature", perShard, maxPerShard)
@@ -165,7 +147,7 @@ func New(cfg Config) (*Table, error) {
 		stripes:  make([]readStripe, batchStripes),
 	}
 	for i := range t.shards {
-		t.shards[i] = newShard(perShard, cfg.KeyLen, t.keyWords, cfg.GrowAt)
+		t.shards[i] = newShard(perShard, cfg.KeyLen, t.keyWords)
 	}
 	t.batchPool = newBatchPool(t)
 	return t, nil
@@ -177,13 +159,11 @@ func (t *Table) KeyLen() int { return t.keyLen }
 // Shards returns the number of shards.
 func (t *Table) Shards() int { return len(t.shards) }
 
-// Capacity returns the total key-value capacity. During a resize a shard
-// reports its new (larger) region's capacity — that is where every key,
-// resident or incoming, ends up.
+// Capacity returns the total key-value capacity.
 func (t *Table) Capacity() uint64 {
 	var c uint64
 	for _, sh := range t.shards {
-		c += sh.regions.Load().cur.capacity
+		c += sh.region.capacity
 	}
 	return c
 }
@@ -205,9 +185,8 @@ func (t *Table) Size() uint64 {
 }
 
 // route hashes a key and resolves the owning shard. Bucket indexes and the
-// signature are NOT derived here: they depend on a region's bucket count and
-// signature width, which change under resize, so each probe derives them
-// from the region it is about to scan.
+// signature are derived from the primary hash by the shard's region, in its
+// geometry, when it probes.
 func (t *Table) route(key []byte, kw *[maxKeyWords]uint64) (sh *shard, h uint64) {
 	keyToWords(key, kw)
 	h = hashfn.Hash(hashfn.SeedPrimary, key)
@@ -280,9 +259,9 @@ func keyToWords(key []byte, kw *[maxKeyWords]uint64) {
 	}
 }
 
-// wordsToKey unpacks keyToWords' representation back into bytes — the
-// migration path rehashes resident keys for the grown region's bucket
-// geometry, and hashes are computed over bytes.
+// wordsToKey unpacks keyToWords' representation back into bytes — a range
+// walk filters resident keys on their primary hash, and hashes are computed
+// over bytes.
 func wordsToKey(kw *[maxKeyWords]uint64, keyLen int, out *[MaxKeyLen]byte) []byte {
 	for w := 0; w*8 < keyLen; w++ {
 		v := kw[w]
@@ -303,10 +282,8 @@ const (
 	pageMask  = pageSlots - 1
 )
 
-// region is one generation of a shard's storage: the bucket array, the
-// key-value slots it indexes, and the writer-owned slot allocator. A shard
-// has one region in steady state and two while a resize migrates entries
-// from the old (smaller) region to the current one.
+// region is a shard's storage: the bucket array, the key-value slots it
+// indexes, and the writer-owned slot allocator. It is sized once, at New.
 type region struct {
 	bucketCount uint64
 	capacity    uint64
@@ -315,7 +292,7 @@ type region struct {
 	// the key's signature, the bits above them its slot index. newRegion
 	// fixes it at the widest that leaves room for every slot index below
 	// capacity, at most 16, so a region past 1<<16 slots loses a signature
-	// bit per doubling. sigMask is 1<<sigBits - 1.
+	// bit per doubling of its capacity. sigMask is 1<<sigBits - 1.
 	sigBits uint
 	sigMask uint32
 
@@ -342,9 +319,9 @@ type region struct {
 // newRegion sizes storage for the requested entry count: the bucket array
 // and an empty page table, no slots. The bucket count is the entry count
 // divided by the bucket width rounded UP, then rounded up to a power of two —
-// rounding down first (as the pre-resize code did) left e.g. a 20-entry shard
-// with only 16 addressable bucket entries while Capacity() reported 20, so
-// ErrTableFull fired below advertised capacity.
+// rounding down first left e.g. a 20-entry shard with only 16 addressable
+// bucket entries while Capacity() reported 20, so ErrTableFull fired below
+// advertised capacity.
 func newRegion(entries uint64) *region {
 	want := (entries + EntriesPerBucket - 1) / EntriesPerBucket
 	bc := uint64(2)
@@ -401,14 +378,6 @@ func (r *region) buckets(h uint64) (b1, b2 uint64, sig uint32) {
 	return b1, hashfn.AltBucket(b1, uint16(sig), r.bucketCount), sig
 }
 
-// regionPair is the reader-visible storage set, swapped atomically. old is
-// nil in steady state; while a resize is in flight readers probe old first,
-// then cur, under one seqlock window.
-type regionPair struct {
-	cur *region
-	old *region
-}
-
 // cacheLine is the coherence granule the shard layout is built around.
 const cacheLine = 64
 
@@ -423,17 +392,15 @@ const cacheLine = 64
 // counters never take the mutex line away from the writer.
 type shard struct {
 	// Read-mostly geometry plus the seqlock. seq is the one word here a
-	// writer stores to, and only around an insert, delete or migration step,
-	// after which readers must re-fetch it anyway; sharing its line with the
-	// geometry keeps a clean probe at two shard lines (this one and the
+	// writer stores to, and only around an insert or delete, after which
+	// readers must re-fetch it anyway; sharing its line with the geometry
+	// keeps a clean probe at two shard lines (this one and the
 	// reader-written one below) instead of three.
 	kvStride int // keyWords + 1 value word
 	keyLen   int
 
-	// regions is the current storage set. Readers load it once per probe
-	// attempt; writers swap it under mu (the swap itself moves no keys, so
-	// either view is complete).
-	regions atomic.Pointer[regionPair]
+	// region is the shard's storage, set at New and never replaced.
+	region *region
 
 	// seq is the seqlock generation: odd while a writer is mutating. Readers
 	// snapshot it before probing and revalidate after.
@@ -453,19 +420,13 @@ type shard struct {
 	size atomic.Uint64
 	c    shardCounters
 
-	// Resize state.
-	migrated     uint64           // old-region buckets fully migrated
-	growAt       float64          // auto-grow load factor; 0 = disabled
-	pauseHist    *stats.Histogram // ns per migration step
-	growStartMax uint64           // ns, longest new-region allocation in startGrowLocked
-
 	// BFS displacement scratch.
 	bfsNodes   []pathNode
 	bfsQueue   []frontierItem
 	bfsPath    []pathNode
 	bfsVisited map[uint64]bool
 
-	_ [40]byte // rounds the struct up to whole lines (TestShardLayout)
+	_ [48]byte // rounds the struct up to whole lines (TestShardLayout)
 }
 
 // readCounters are the per-shard counters the read path writes. They are
@@ -487,12 +448,6 @@ type shardCounters struct {
 	updates       atomic.Uint64
 	deletes       atomic.Uint64
 	displacements atomic.Uint64
-
-	grows           atomic.Uint64 // resizes started (one per doubling)
-	resizeSteps     atomic.Uint64 // bounded migration steps executed
-	migratedBuckets atomic.Uint64
-	migratedKeys    atomic.Uint64
-	resizeStalls    atomic.Uint64 // steps that could not place a key (table truly full)
 }
 
 // batchStripes is how many counter stripes a table deals out to its batches.
@@ -512,15 +467,8 @@ type readStripe struct {
 	_      [cacheLine - 24]byte
 }
 
-func newShard(entries uint64, keyLen, keyWords int, growAt float64) *shard {
-	sh := &shard{
-		kvStride:  keyWords + 1,
-		keyLen:    keyLen,
-		growAt:    growAt,
-		pauseHist: stats.NewHistogramRes(stats.HighResSubBits),
-	}
-	sh.regions.Store(&regionPair{cur: newRegion(entries)})
-	return sh
+func newShard(entries uint64, keyLen, keyWords int) *shard {
+	return &shard{kvStride: keyWords + 1, keyLen: keyLen, region: newRegion(entries)}
 }
 
 // beginWrite/endWrite bracket every mutation of reader-visible words. The
@@ -557,38 +505,26 @@ func (sh *shard) keyEqual(r *region, slot uint32, kw *[maxKeyWords]uint64, nw in
 }
 
 // locate is the table's one bucket scan: it finds the entry holding the key
-// in rp, scanning the key's candidate bucket pair in old, then in cur, and
-// returns the region, entry index and slot that hold it. During a migration
-// every key lives in exactly one region (momentarily in both mid-publish,
-// with the same value either way), so the first match wins. It may run
-// concurrently with a writer: a reader trusts the result only once its
-// readWindow is done.
-func (sh *shard) locate(rp *regionPair, kw *[maxKeyWords]uint64, nw int, h uint64) (*region, uint64, uint32, bool) {
-	// Not a range over [2]*region{old, cur}: that form read ≈5 % slower on
-	// 16-key batches (BenchmarkLookupManyPinnedBatch).
-	r := rp.old
-	if r == nil {
-		r = rp.cur
-	}
-	for ; ; r = rp.cur {
-		b1, b2, sig := r.buckets(h)
-		for _, b := range [2]uint64{b1, b2} {
-			base := b * EntriesPerBucket
-			for e := uint64(0); e < EntriesPerBucket; e++ {
-				ent := r.entries[base+e].Load()
-				if ent&r.sigMask != sig {
-					continue
-				}
-				slot := ent >> r.sigBits
-				if sh.keyEqual(r, slot, kw, nw) {
-					return r, base + e, slot, true
-				}
+// in r, the shard's region, scanning the key's candidate bucket pair, and
+// returns the entry index and slot that hold it. It may run concurrently
+// with a writer: a reader trusts the result only once its readWindow is
+// done.
+func (sh *shard) locate(r *region, kw *[maxKeyWords]uint64, nw int, h uint64) (uint64, uint32, bool) {
+	b1, b2, sig := r.buckets(h)
+	for _, b := range [2]uint64{b1, b2} {
+		base := b * EntriesPerBucket
+		for e := uint64(0); e < EntriesPerBucket; e++ {
+			ent := r.entries[base+e].Load()
+			if ent&r.sigMask != sig {
+				continue
+			}
+			slot := ent >> r.sigBits
+			if sh.keyEqual(r, slot, kw, nw) {
+				return base + e, slot, true
 			}
 		}
-		if r == rp.cur {
-			return nil, 0, 0, false
-		}
 	}
+	return 0, 0, false
 }
 
 // valueWord is the value word of slot in r. A reader probes a key with
@@ -598,16 +534,14 @@ func (sh *shard) valueWord(r *region, slot uint32, nw int) *atomic.Uint64 {
 }
 
 // readWindow is the seqlock read protocol, shared by the single-key and the
-// batched path: regions snapshots the sequence and hands out the region pair
-// to probe, done revalidates. A probe raced by a writer is discarded and
-// retried; after maxOptimistic attempts regions takes the writer lock, so —
-// unlike the simulated table's give-up path — a torn result is never
-// returned. The region pair is loaded inside the window, so a probe racing a
-// resize swap sees either the pre-swap or the post-swap pair, both complete.
+// batched path: open snapshots the sequence, done revalidates. A probe raced
+// by a writer is discarded and retried; after maxOptimistic attempts open
+// takes the writer lock, so — unlike the simulated table's give-up path — a
+// torn result is never returned.
 //
 //	for w := (readWindow{sh: sh}); ; {
-//		rp := w.regions()
-//		... probe rp ...
+//		w.open()
+//		... probe sh.region ...
 //		if w.done() {
 //			break
 //		}
@@ -618,12 +552,12 @@ type readWindow struct {
 	attempt int // == maxOptimistic once the window holds the writer lock
 }
 
-// regions opens the next attempt and returns the region pair to probe.
-func (w *readWindow) regions() *regionPair {
+// open opens the next attempt.
+func (w *readWindow) open() {
 	sh := w.sh
 	for ; w.attempt < maxOptimistic; w.attempt++ {
 		if w.seq = sh.seq.Load(); w.seq&1 == 0 {
-			return sh.regions.Load()
+			return
 		}
 		// A writer is mid-mutation; yield rather than spin-read.
 		sh.rd.retries.Add(1)
@@ -632,10 +566,9 @@ func (w *readWindow) regions() *regionPair {
 	// Writer storm: one exclusive probe settles it.
 	sh.rd.fallbacks.Add(1)
 	sh.mu.Lock()
-	return sh.regions.Load()
 }
 
-// done reports whether the probe since regions stands; when it does not,
+// done reports whether the probe since open stands; when it does not,
 // the caller probes again. The fast path is one comparison, small enough to
 // inline into both read loops.
 func (w *readWindow) done() bool {
@@ -659,10 +592,12 @@ func (w *readWindow) settle() bool {
 // lookup probes one key under a readWindow.
 func (sh *shard) lookup(kw *[maxKeyWords]uint64, nw int, h uint64) (uint64, bool) {
 	sh.rd.lookups.Add(1)
+	r := sh.region
 	var res Result
 	for w := (readWindow{sh: sh}); ; {
+		w.open()
 		res = Result{}
-		if r, _, slot, ok := sh.locate(w.regions(), kw, nw, h); ok {
+		if _, slot, ok := sh.locate(r, kw, nw, h); ok {
 			res = Result{Value: sh.valueWord(r, slot, nw).Load(), OK: true}
 		}
 		if w.done() {
@@ -687,52 +622,46 @@ func (sh *shard) writeKV(r *region, slot uint32, kw *[maxKeyWords]uint64, nw int
 	words[nw].Store(value)
 }
 
-// placeLocked is the table's one placement: it puts a key into cur by direct
-// placement into a free candidate entry, else by a BFS displacement chain.
-// An insert passes from == nil, having checked that the key is absent. A
-// migration passes from, the key's entry word in the old region, which is
-// cleared in the same seqlock window that publishes the new entry — so
-// readers always find the key in at least one region. The entry takes cur's
-// signature of the key, whatever width the key's entry in the old region
-// had. Caller must hold mu. Returns false when the region cannot take the
-// key (no free slot or no displacement path).
-func (sh *shard) placeLocked(cur *region, kw *[maxKeyWords]uint64, nw int, h, value uint64, from *atomic.Uint32) bool {
-	if cur.full() {
+// placeLocked is the table's one placement: it puts an absent key into the
+// shard's region by direct placement into a free candidate entry, else by a
+// BFS displacement chain. Caller must hold mu and have checked that the key
+// is absent. Returns false when the region cannot take the key (no free slot
+// or no displacement path).
+func (sh *shard) placeLocked(kw *[maxKeyWords]uint64, nw int, h, value uint64) bool {
+	r := sh.region
+	if r.full() {
 		return false
 	}
-	b1, b2, sig := cur.buckets(h)
-	entIdx, direct := sh.freeEntry(cur, b1, b2)
+	b1, b2, sig := r.buckets(h)
+	entIdx, direct := sh.freeEntry(r, b1, b2)
 	var path []pathNode
 	if !direct {
 		// BFS for a move chain: read-only, so outside the write window (the
 		// mutex already excludes other writers).
-		if path = sh.findCuckooPath(cur, b1, b2); path == nil {
+		if path = sh.findCuckooPath(r, b1, b2); path == nil {
 			return false
 		}
 	}
 	// Placement is now certain, so taking the slot (and perhaps its page)
 	// cannot leak one.
-	slot := cur.takeSlot(sh.kvStride)
-	sh.writeKV(cur, slot, kw, nw, value)
+	slot := r.takeSlot(sh.kvStride)
+	sh.writeKV(r, slot, kw, nw, value)
 	// Publishing one empty→live entry is atomic on its own, but the slot may
 	// be recycled: a reader that captured the old entry before the slot was
 	// freed could mix old and new key words into a phantom match. The
 	// seqlock window forces such readers to re-probe.
 	sh.beginWrite()
 	if !direct {
-		sh.applyCuckooPath(cur, path)
-		if entIdx, direct = sh.freeEntry(cur, b1, b2); !direct {
+		sh.applyCuckooPath(r, path)
+		if entIdx, direct = sh.freeEntry(r, b1, b2); !direct {
 			// The displacement chain freed a slot in b1 or b2 by construction.
 			sh.endWrite()
-			cur.free = append(cur.free, slot)
+			r.free = append(r.free, slot)
 			panic("flowserve: displacement path freed no candidate entry")
 		}
 		sh.c.displacements.Add(uint64(len(path)))
 	}
-	cur.entries[entIdx].Store(slot<<cur.sigBits | sig)
-	if from != nil {
-		from.Store(0)
-	}
+	r.entries[entIdx].Store(slot<<r.sigBits | sig)
 	sh.endWrite()
 	return true
 }
@@ -740,38 +669,16 @@ func (sh *shard) placeLocked(cur *region, kw *[maxKeyWords]uint64, nw int, h, va
 func (sh *shard) insert(kw *[maxKeyWords]uint64, nw int, h, value uint64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.migrateLocked(migrateBuckets)
-	rp := sh.regions.Load()
-	if _, _, _, exists := sh.locate(rp, kw, nw, h); exists {
+	if _, _, exists := sh.locate(sh.region, kw, nw, h); exists {
 		sh.c.insertExists.Add(1)
 		return ErrKeyExists
 	}
-	if !sh.placeLocked(rp.cur, kw, nw, h, value, nil) {
-		// Full (or displacement-exhausted) current region: with auto-grow
-		// enabled and no resize already in flight, double and retry into
-		// the fresh region — its candidate buckets start empty.
-		if sh.growAt == 0 || rp.old != nil {
-			sh.c.insertFull.Add(1)
-			return ErrTableFull
-		}
-		sh.startGrowLocked(2 * rp.cur.capacity)
-		rp = sh.regions.Load()
-		if !sh.placeLocked(rp.cur, kw, nw, h, value, nil) {
-			sh.c.insertFull.Add(1)
-			return ErrTableFull
-		}
+	if !sh.placeLocked(kw, nw, h, value) {
+		sh.c.insertFull.Add(1)
+		return ErrTableFull
 	}
 	sh.size.Add(1)
 	sh.c.inserts.Add(1)
-	// Threshold auto-grow: start the next doubling before the shard is
-	// actually full, so the migration amortises over ordinary traffic
-	// instead of stalling an insert.
-	if sh.growAt > 0 && rp.old == nil {
-		cur := sh.regions.Load().cur
-		if float64(sh.size.Load()) > sh.growAt*float64(cur.capacity) {
-			sh.startGrowLocked(2 * cur.capacity)
-		}
-	}
 	return nil
 }
 
@@ -791,8 +698,8 @@ func (sh *shard) freeEntry(r *region, b1, b2 uint64) (uint64, bool) {
 func (sh *shard) update(kw *[maxKeyWords]uint64, nw int, h, value uint64) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.migrateLocked(migrateBuckets)
-	r, _, slot, found := sh.locate(sh.regions.Load(), kw, nw, h)
+	r := sh.region
+	_, slot, found := sh.locate(r, kw, nw, h)
 	if !found {
 		return false
 	}
@@ -807,8 +714,8 @@ func (sh *shard) update(kw *[maxKeyWords]uint64, nw int, h, value uint64) bool {
 func (sh *shard) delete(kw *[maxKeyWords]uint64, nw int, h uint64) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.migrateLocked(migrateBuckets)
-	r, entIdx, slot, found := sh.locate(sh.regions.Load(), kw, nw, h)
+	r := sh.region
+	entIdx, slot, found := sh.locate(r, kw, nw, h)
 	if !found {
 		return false
 	}
@@ -831,8 +738,7 @@ func (sh *shard) removeLocked(r *region, entIdx uint64, slot uint32) {
 
 // residentKey rebuilds the key held in r's slot into kw and kb and returns
 // its bytes, its primary hash and its value: a range walk filters on the
-// hash, and a migration rehashes for the grown region's bucket geometry —
-// hashes are computed over bytes. Caller must hold mu.
+// hash. Caller must hold mu.
 func (sh *shard) residentKey(r *region, slot uint32, kw *[maxKeyWords]uint64, kb *[MaxKeyLen]byte) (key []byte, h, value uint64) {
 	nw := sh.kvStride - 1
 	words := sh.slotWords(r, slot)

@@ -277,11 +277,6 @@ func TestCollectInto(t *testing.T) {
 		"flowserve.insert.exists", "flowserve.insert.full",
 		"flowserve.updates", "flowserve.displacements",
 		"flowserve.batch.calls", "flowserve.batch.keys",
-		"flowserve.grows", "flowserve.resize.steps",
-		"flowserve.resize.migrated_buckets", "flowserve.resize.migrated_keys",
-		"flowserve.resize.stalls", "flowserve.resize.active",
-		"flowserve.resize.pause_p50_ns", "flowserve.resize.pause_p99_ns",
-		"flowserve.resize.pause_max_ns", "flowserve.resize.grow_start_max_ns",
 	} {
 		if _, present := snap.Counters[name]; !present {
 			t.Fatalf("counter %s missing from snapshot", name)

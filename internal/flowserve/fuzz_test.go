@@ -17,28 +17,22 @@ const (
 	fuzzKeyUniverse  = 96 // ~1.5x capacity: fills the table and keeps colliding
 )
 
-// fuzzMaxCapacity bounds fuzz-driven Grow so a hostile op stream cannot
-// balloon allocations; it still allows several doublings from the seed size.
-const fuzzMaxCapacity = 1 << 12
-
 // applyFuzzOps runs a fuzz input against a fresh small sharded table.
 func applyFuzzOps(t *testing.T, data []byte) {
 	tbl, err := New(Config{Shards: fuzzShards, Entries: fuzzTableEntries, KeyLen: 20})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	applyOps(t, tbl, fuzzKeyUniverse, fuzzMaxCapacity, data, nil)
+	applyOps(t, tbl, fuzzKeyUniverse, data, nil)
 }
 
 // applyOps interprets data as a stream of 4-byte operations
 // (kind, key-lo, key-hi, value) over the 20-byte keys [0, universe), applied
 // to tbl and to a plain map reference model, failing on any behavioural
-// divergence. Grow (while the capacity is below maxCap) and ResizeStep are
-// ops in the stream, so incremental migration interleaves with every other
-// operation at arbitrary points. after, when non-nil, runs after every op
-// with the model's size. Single goroutine: linearizable semantics are the
-// spec here; concurrency is the stress test's job.
-func applyOps(t *testing.T, tbl *Table, universe uint16, maxCap uint64, data []byte, after func(op, resident int)) {
+// divergence. after, when non-nil, runs after every op with the model's
+// size. Single goroutine: linearizable semantics are the spec here;
+// concurrency is the stress test's job.
+func applyOps(t *testing.T, tbl *Table, universe uint16, data []byte, after func(op, resident int)) {
 	model := map[uint16]uint64{}
 	var batch *Batch
 
@@ -47,7 +41,7 @@ func applyOps(t *testing.T, tbl *Table, universe uint16, maxCap uint64, data []b
 		mk := binary.LittleEndian.Uint16(data[off+1:off+3]) % universe
 		val := uint64(data[off+3])
 		k := key20(uint64(mk))
-		switch kind % 9 {
+		switch kind % 7 {
 		case 0: // insert
 			err := tbl.Insert(k, val)
 			_, exists := model[mk]
@@ -100,18 +94,7 @@ func applyOps(t *testing.T, tbl *Table, universe uint16, maxCap uint64, data []b
 						off/4, wk, results[j].Value, results[j].OK, want, exists)
 				}
 			}
-		case 5: // grow by an odd increment (exercises irregular region sizes)
-			if c := tbl.Capacity(); c < maxCap {
-				// The one refusal allowed: inserts filled the current region
-				// before the migration in flight finished, so it stalled and
-				// Grow asks for deletes first (it leaves the resize in flight).
-				if err := tbl.Grow(c + 1 + uint64(val)); err != nil && (err == ErrShrink || !tbl.Resizing()) {
-					t.Fatalf("op %d: Grow(%d) = %v", off/4, c+1+uint64(val), err)
-				}
-			}
-		case 6: // tick migration forward a few buckets
-			tbl.ResizeStep(1 + int(val%4))
-		case 7: // scan a hash range: exactly the model's keys in it, once each
+		case 5: // scan a hash range: exactly the model's keys in it, once each
 			lo, hi := fuzzRange(data[off+1], data[off+2])
 			seen := map[uint16]uint64{}
 			tbl.ScanRange(lo, hi, func(key []byte, value uint64) {
@@ -130,7 +113,7 @@ func applyOps(t *testing.T, tbl *Table, universe uint16, maxCap uint64, data []b
 					t.Fatalf("op %d: ScanRange(%#x, %#x) key %d = (%d,%v), model says %d", off/4, lo, hi, sk, got, ok, v)
 				}
 			}
-		case 8: // purge a hash range: exactly the model's keys in it go
+		case 6: // purge a hash range: exactly the model's keys in it go
 			lo, hi := fuzzRange(data[off+1], data[off+2])
 			want := modelInRange(model, lo, hi)
 			if got := tbl.PurgeRange(lo, hi); got != uint64(len(want)) {
@@ -181,7 +164,8 @@ func modelInRange(model map[uint16]uint64, lo, hi uint64) map[uint16]uint64 {
 
 // fuzzSeeds builds corpus inputs covering the paths random bytes take a
 // while to find: fill-to-full, churn (displacement chains), batched probes
-// over live/dead mixes, range scans and purges across a live resize.
+// over live/dead mixes, a refill into the slots a purge freed, and range
+// scans and purges.
 func fuzzSeeds() [][]byte {
 	op := func(kind byte, key uint16, val byte) []byte {
 		b := make([]byte, 4)
@@ -207,52 +191,42 @@ func fuzzSeeds() [][]byte {
 		churn.Write(op(3, uint16(i*3)%fuzzKeyUniverse, byte(i+1)))
 		churn.Write(op(4, uint16(i*5)%fuzzKeyUniverse, 0))
 	}
-	var grow bytes.Buffer // fill, grow, interleave migration ticks with churn
-	for i := 0; i < fuzzTableEntries; i++ {
-		grow.Write(op(0, uint16(i), byte(i)))
+	var refill bytes.Buffer // fill past capacity, purge 5/8..end, refill
+	for i := 0; i < fuzzKeyUniverse; i++ {
+		refill.Write(op(0, uint16(i), byte(i)))
 	}
-	grow.Write(op(5, 0, 200)) // capacity + 201: irregular region size
-	for i := 0; i < fuzzTableEntries; i++ {
-		grow.Write(op(6, 0, byte(i)))                            // ResizeStep
-		grow.Write(op(2, uint16(i), 0))                          // lookup mid-migration
-		grow.Write(op(1, uint16(i*5)%fuzzKeyUniverse, 0))        // delete
-		grow.Write(op(0, uint16(i*11)%fuzzKeyUniverse, byte(i))) // insert
-		grow.Write(op(4, uint16(i*3)%fuzzKeyUniverse, 0))        // batch
-		if i%16 == 0 {
-			grow.Write(op(5, 0, byte(i))) // stack further grows
-		}
+	refill.Write(op(6, 0x5fa0, 0))
+	for i := 0; i < fuzzKeyUniverse; i++ {
+		refill.Write(op(0, uint16(i), byte(i+1))) // the purged keys take recycled slots
+		refill.Write(op(4, uint16(i*3)%fuzzKeyUniverse, 0))
 	}
 	for i := 0; i < fuzzKeyUniverse; i++ {
-		grow.Write(op(2, uint16(i), 0))
+		refill.Write(op(2, uint16(i), 0))
 	}
-	// Fill, grow, step once — so keys sit in both regions — then scan and
-	// purge: the range walk crosses old and cur. Key 0xff00 is the whole
-	// hash space; 0x3f40 is [1/4, 1/2); 0x5fa0 runs from 5/8 to the end.
+	// Fill, then scan and purge. Key 0xff00 is the whole hash space; 0x3f40
+	// is [1/4, 1/2); 0x5fa0 runs from 5/8 to the end.
 	var ranges bytes.Buffer
 	for i := 0; i < fuzzTableEntries; i++ {
 		ranges.Write(op(0, uint16(i), byte(i)))
 	}
-	ranges.Write(op(5, 0, 200))
-	ranges.Write(op(6, 0, 0))
 	for _, rg := range []uint16{0xff00, 0x3f40, 0x5fa0} {
-		ranges.Write(op(7, rg, 0))
+		ranges.Write(op(5, rg, 0))
 	}
-	ranges.Write(op(8, 0x3f40, 0))
-	ranges.Write(op(7, 0xff00, 0))
-	ranges.Write(op(6, 0, 0))
-	ranges.Write(op(8, 0x5fa0, 0))
-	ranges.Write(op(7, 0xff00, 0))
+	ranges.Write(op(6, 0x3f40, 0))
+	ranges.Write(op(5, 0xff00, 0))
+	ranges.Write(op(6, 0x5fa0, 0))
+	ranges.Write(op(5, 0xff00, 0))
 	for i := 0; i < fuzzKeyUniverse; i++ {
 		ranges.Write(op(2, uint16(i), 0))
 	}
-	ranges.Write(op(8, 0xff00, 0))
+	ranges.Write(op(6, 0xff00, 0))
 	return [][]byte{
 		{},
 		op(0, 1, 42),
 		bytes.Repeat(op(0, 5, 9), 3), // duplicate inserts
 		fill.Bytes(),
 		churn.Bytes(),
-		grow.Bytes(),
+		refill.Bytes(),
 		ranges.Bytes(),
 	}
 }

@@ -21,10 +21,9 @@ func TestShardLayout(t *testing.T) {
 		writer   = "writer-owned"
 	)
 	class := map[string]string{
-		"kvStride": geometry, "keyLen": geometry, "regions": geometry, "seq": geometry,
+		"kvStride": geometry, "keyLen": geometry, "region": geometry, "seq": geometry,
 		"rd": reader,
 		"mu": writer, "size": writer, "c": writer,
-		"migrated": writer, "growAt": writer, "pauseHist": writer, "growStartMax": writer,
 		"bfsNodes": writer, "bfsQueue": writer, "bfsPath": writer, "bfsVisited": writer,
 	}
 	lines := map[uintptr]string{} // line number → the class that owns it

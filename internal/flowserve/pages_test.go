@@ -8,60 +8,52 @@ import (
 	"halo/internal/stats"
 )
 
-// checkPages checks the slot allocator of every region of sh against its
+// checkPages checks the slot allocator of sh's region against its
 // invariants: the allocated pages are exactly the first ceil(next/pageSlots);
 // every page holds pageSlots slots but the last, which is cut to the region's
 // capacity; and next is at most maxResident, the most keys the table has held
 // at once, because a recycled slot goes out before a never-used one. It
-// returns the most pages a region has allocated and whether a region's last
-// page is allocated.
+// returns how many pages are allocated and whether the last one is.
 func checkPages(t *testing.T, op int, sh *shard, maxResident int) (pages int, lastAllocated bool) {
 	t.Helper()
-	rp := sh.regions.Load()
-	for _, r := range [2]*region{rp.old, rp.cur} {
-		if r == nil {
-			continue
-		}
-		if want := (r.capacity + pageMask) >> pageShift; uint64(len(r.pages)) != want {
-			t.Fatalf("op %d: capacity %d has %d pages in its table, want %d", op, r.capacity, len(r.pages), want)
-		}
-		if r.next > uint64(maxResident) {
-			t.Fatalf("op %d: next = %d, but at most %d keys were ever resident: a recycled slot was passed over", op, r.next, maxResident)
-		}
-		used := int((r.next + pageMask) >> pageShift)
-		for p, page := range r.pages {
-			if (page != nil) != (p < used) {
-				t.Fatalf("op %d: page %d allocated = %v with next = %d (want the first %d pages)", op, p, page != nil, r.next, used)
-			}
-			slots := uint64(pageSlots)
-			if p == len(r.pages)-1 {
-				slots = r.capacity - uint64(p)<<pageShift
-				lastAllocated = lastAllocated || page != nil
-			}
-			if page != nil && uint64(len(page)) != slots*uint64(sh.kvStride) {
-				t.Fatalf("op %d: page %d of a %d-slot region holds %d words, want %d slots of %d",
-					op, p, r.capacity, len(page), slots, sh.kvStride)
-			}
-		}
-		pages = max(pages, used)
+	r := sh.region
+	if want := (r.capacity + pageMask) >> pageShift; uint64(len(r.pages)) != want {
+		t.Fatalf("op %d: capacity %d has %d pages in its table, want %d", op, r.capacity, len(r.pages), want)
 	}
-	return pages, lastAllocated
+	if r.next > uint64(maxResident) {
+		t.Fatalf("op %d: next = %d, but at most %d keys were ever resident: a recycled slot was passed over", op, r.next, maxResident)
+	}
+	used := int((r.next + pageMask) >> pageShift)
+	for p, page := range r.pages {
+		if (page != nil) != (p < used) {
+			t.Fatalf("op %d: page %d allocated = %v with next = %d (want the first %d pages)", op, p, page != nil, r.next, used)
+		}
+		slots := uint64(pageSlots)
+		if p == len(r.pages)-1 {
+			slots = r.capacity - uint64(p)<<pageShift
+			lastAllocated = page != nil
+		}
+		if page != nil && uint64(len(page)) != slots*uint64(sh.kvStride) {
+			t.Fatalf("op %d: page %d of a %d-slot region holds %d words, want %d slots of %d",
+				op, p, r.capacity, len(page), slots, sh.kvStride)
+		}
+	}
+	return used, lastAllocated
 }
 
 // TestSlotPagesAgainstModel runs a seeded op stream over a one-shard table
 // whose capacity is not a page multiple, checked exactly against a map (the
 // fuzz harness's model) and, after every op, against the slot allocator's
 // invariants. FuzzFlowServeOps' shards hold 16 slots and never leave page 0;
-// this stream fills past seven pages first, then churns, scans, purges and
-// grows across them. The capacity leaves the bucket array two entries
-// spare, so near full a displacement search fails too, and a placement that
-// took its slot before knowing it would succeed leaks it.
+// this stream fills past seven of the table's eight pages first, then
+// churns, scans and purges across them. The capacity leaves the bucket array
+// two entries spare, so near full a displacement search fails too, and a
+// placement that took its slot before knowing it would succeed leaks it.
 func TestSlotPagesAgainstModel(t *testing.T) {
 	const (
 		capacity = 8*pageSlots - 2 // 1024 buckets of 8
 		fill     = 7*pageSlots + 512
 		universe = 12_000
-		maxCap   = universe // grows stop short of holding every key
 		churn    = 20_000
 	)
 	var data []byte
@@ -74,31 +66,24 @@ func TestSlotPagesAgainstModel(t *testing.T) {
 	// Op kinds as applyOps numbers them, weighted by repetition: inserts
 	// outrun deletes ten to one (a key universe ~90 % resident would overfill
 	// the table) so the table keeps hitting ErrTableFull, with lookups,
-	// batches, updates and migration ticks between. Rarer, as they walk the
-	// whole table: a scan, a 1/256 purge, or — in the second half only, the
-	// first fills the table — a grow by 1 + val, an irregular capacity again,
-	// whose few spare slots inserts fill before the migration is done, so
-	// migrations stall too.
-	mix := []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 3, 3, 4, 6, 6}
+	// batches and updates between. Rarer, as they walk the whole table: a
+	// scan or a 1/256 purge.
+	mix := []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 3, 3, 4}
 	rng := sim.NewRand(0x9a6e5)
 	for i := 0; i < churn; i++ {
 		kind := mix[rng.Uint64n(uint64(len(mix)))]
 		key := rng.Uint64n(universe)
 		switch rng.Uint64n(1000) {
 		case 0, 1, 2, 3, 4:
-			if i >= churn/2 {
-				kind = 5
-			}
-		case 5, 6, 7, 8, 9:
-			kind = 7
-		case 10:
-			kind = 8
+			kind = 5
+		case 5:
+			kind = 6
 		}
-		if kind == 7 || kind == 8 {
+		if kind == 5 || kind == 6 {
 			// lo's top byte, then the width in 1/256ths of the hash space:
 			// scans any width, purges 1/256.
 			key = rng.Uint64n(256) | rng.Uint64n(256)<<8
-			if kind == 8 {
+			if kind == 6 {
 				key &= 0xff
 			}
 		}
@@ -107,7 +92,7 @@ func TestSlotPagesAgainstModel(t *testing.T) {
 
 	tbl := mustNew(t, Config{Shards: 1, Entries: capacity, KeyLen: 20})
 	maxResident, maxPages, lastSeen := 0, 0, false
-	applyOps(t, tbl, universe, maxCap, data, func(op, resident int) {
+	applyOps(t, tbl, universe, data, func(op, resident int) {
 		maxResident = max(maxResident, resident)
 		pages, last := checkPages(t, op, tbl.shards[0], maxResident)
 		maxPages, lastSeen = max(maxPages, pages), lastSeen || last
@@ -117,8 +102,8 @@ func TestSlotPagesAgainstModel(t *testing.T) {
 	if maxPages < 8 || !lastSeen {
 		t.Fatalf("stream reached %d pages (want 8); last page allocated: %v", maxPages, lastSeen)
 	}
-	if s.Grows == 0 || s.ResizeStalls == 0 || s.InsertFull == 0 || s.Deletes == 0 {
-		t.Fatalf("stream missed a regime (grows, stalls, full inserts, deletes): %+v", s)
+	if s.InsertFull == 0 || s.Deletes == 0 {
+		t.Fatalf("stream missed a regime (full inserts, deletes): %+v", s)
 	}
 }
 

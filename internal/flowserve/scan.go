@@ -36,28 +36,23 @@ func (t *Table) PurgeRange(lo, hi uint64) (removed uint64) {
 
 // walkRange is the one range walk under ScanRange and PurgeRange: shard by
 // shard, holding the shard's writer mutex, it calls visit for every entry
-// of old then cur whose key's primary hash falls in [lo, hi) (hi == 0: to
-// the end). visit may remove the entry it is given.
+// of the shard's region whose key's primary hash falls in [lo, hi) (hi == 0:
+// to the end). visit may remove the entry it is given.
 func (t *Table) walkRange(lo, hi uint64, visit func(sh *shard, r *region, entIdx uint64, slot uint32, key []byte, value uint64)) {
 	var kw [maxKeyWords]uint64
 	var kb [MaxKeyLen]byte
 	for _, sh := range t.shards {
 		sh.mu.Lock()
-		rp := sh.regions.Load()
-		for _, r := range [2]*region{rp.old, rp.cur} {
-			if r == nil {
+		r := sh.region
+		for i := range r.entries {
+			ent := r.entries[i].Load()
+			if ent == 0 {
 				continue
 			}
-			for i := range r.entries {
-				ent := r.entries[i].Load()
-				if ent == 0 {
-					continue
-				}
-				slot := ent >> r.sigBits
-				key, h, value := sh.residentKey(r, slot, &kw, &kb)
-				if h >= lo && (hi == 0 || h < hi) {
-					visit(sh, r, uint64(i), slot, key, value)
-				}
+			slot := ent >> r.sigBits
+			key, h, value := sh.residentKey(r, slot, &kw, &kb)
+			if h >= lo && (hi == 0 || h < hi) {
+				visit(sh, r, uint64(i), slot, key, value)
 			}
 		}
 		sh.mu.Unlock()

@@ -528,16 +528,6 @@ func rearm(tp **time.Timer, d time.Duration) {
 	t.Reset(d)
 }
 
-// call sends one request on a pooled connection and waits for its reply:
-// start, then wait. do is the only caller.
-func (cl *Client) call(op Op, payload []byte) (*pcall, Frame, error) {
-	t, err := cl.start(op, payload)
-	if err != nil {
-		return nil, Frame{}, err
-	}
-	return cl.wait(t)
-}
-
 // replyErr maps a non-OK reply onto the typed error vocabulary. WRONG_SHARD
 // replies carry the server's map epoch in the payload and become a
 // *WrongShardError — the redirect the cluster router follows; everything
@@ -580,10 +570,15 @@ func (cl *Client) accept(pc *pcall, f *Frame, op Op, wantLen int) (*pcall, []byt
 }
 
 // do is the one blocking exchange every op method goes through: send the
-// request and wait for the reply (call), then validate it (accept). On every
-// error path the slot has been released and pc is nil.
+// request on a pooled connection (start), wait for its reply (wait), then
+// validate it (accept). On every error path the slot has been released and
+// pc is nil.
 func (cl *Client) do(op Op, payload []byte, wantLen int) (*pcall, []byte, error) {
-	pc, f, err := cl.call(op, payload)
+	t, err := cl.start(op, payload)
+	if err != nil {
+		return nil, nil, err
+	}
+	pc, f, err := cl.wait(t)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -692,25 +687,27 @@ func (lt LookupTicket) Wait(results []flowserve.Result, idx []int) error {
 	return err
 }
 
-// LookupManyE is LookupMany with the error surfaced. On a typed error reply
-// (WRONG_SHARD during a shard-map epoch change, a key-length mismatch) or a
-// transport failure, every result is zeroed and the error returned — the
-// caller decides whether to re-route (the cluster router) or coerce to
-// misses (LookupMany). Wrong-length keys are still answered locally as
-// misses without failing the batch.
-func (cl *Client) LookupManyE(keys [][]byte, results []flowserve.Result) (int, error) {
+// LookupMany implements flowserve.Reader: all keys travel in one
+// LOOKUP_MANY frame (the paper's batched LOOKUP_NB), with wrong-length keys
+// answered locally as misses. On a typed error reply, a refusal or a
+// transport failure every result is a miss and flowwire.client.errors counts
+// the call. The request payload is built in a pooled buffer and the reply
+// parsed out of the call slot's reused buffer — the steady-state batch path
+// allocates nothing. Callers that need the error (the cluster router) start
+// and wait a LookupTicket instead.
+func (cl *Client) LookupMany(keys [][]byte, results []flowserve.Result) int {
 	results = results[:len(keys)]
 	// Zeroed up front, so every early return below leaves misses behind.
 	clear(results)
 	if len(keys) == 0 {
-		return 0, nil
+		return 0
 	}
 	var idx []int // nil on the common all-valid path
 	lt, err := cl.StartLookupMany(keys)
 	if errors.Is(err, flowserve.ErrKeyLen) {
 		var valid [][]byte
 		if valid, idx = validKeys(keys, cl.hello.KeyLen); len(valid) == 0 {
-			return 0, nil
+			return 0
 		}
 		lt, err = cl.StartLookupMany(valid)
 	}
@@ -718,7 +715,8 @@ func (cl *Client) LookupManyE(keys [][]byte, results []flowserve.Result) (int, e
 		err = lt.Wait(results, idx)
 	}
 	if err != nil {
-		return 0, err
+		cl.count(err)
+		return 0
 	}
 	hits := 0
 	for _, r := range results {
@@ -726,18 +724,6 @@ func (cl *Client) LookupManyE(keys [][]byte, results []flowserve.Result) (int, e
 			hits++
 		}
 	}
-	return hits, nil
-}
-
-// LookupMany implements flowserve.Reader: all keys travel in one
-// LOOKUP_MANY frame (the paper's batched LOOKUP_NB), with wrong-length keys
-// answered locally as misses. On any failure every result is a miss and
-// flowwire.client.errors counts the call. The request payload is built in a
-// pooled buffer and the reply parsed out of the call slot's reused buffer —
-// the steady-state batch path allocates nothing.
-func (cl *Client) LookupMany(keys [][]byte, results []flowserve.Result) int {
-	hits, err := cl.LookupManyE(keys, results)
-	cl.count(err)
 	return hits
 }
 

@@ -810,7 +810,8 @@ func TestClientErrorCounterOnServerGone(t *testing.T) {
 // TestOversizedRequestRefusedLocally pins the request side of MaxFrame: a
 // batch whose frame would exceed it is refused before it reaches the
 // connection. Sent, it would earn ERR_OVERSIZED and a close, and every
-// goroutine sharing the pool would serve misses from then on.
+// goroutine sharing the pool would serve misses from then on. LookupMany
+// coerces the refusal to misses and counts it as one error.
 func TestOversizedRequestRefusedLocally(t *testing.T) {
 	_, tbl, addr := startServer(t, flowserve.Config{Shards: 1, Entries: 128, KeyLen: 20}, Config{})
 	if err := tbl.Insert(wkey(1), 11); err != nil {
@@ -824,11 +825,11 @@ func TestOversizedRequestRefusedLocally(t *testing.T) {
 	}
 	results := make([]flowserve.Result, len(keys))
 	results[0].OK = true
-	if _, err := cl.LookupManyE(keys, results); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("LookupManyE of %d keys = %v, want ErrFrameTooLarge", len(keys), err)
+	if _, err := cl.StartLookupMany(keys); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("StartLookupMany of %d keys = %v, want ErrFrameTooLarge", len(keys), err)
 	}
-	if results[0].OK {
-		t.Fatal("a refused batch left a hit behind")
+	if hits := cl.LookupMany(keys, results); hits != 0 || results[0].OK {
+		t.Fatalf("a refused batch reported %d hits, first result %+v", hits, results[0])
 	}
 	if err := cl.Err(); err != nil {
 		t.Fatalf("a per-call refusal broke the client: %v", err)
@@ -836,7 +837,7 @@ func TestOversizedRequestRefusedLocally(t *testing.T) {
 	if v, ok := cl.Lookup(wkey(1)); !ok || v != 11 {
 		t.Fatalf("Lookup after the refusal = (%d,%v), want (11,true)", v, ok)
 	}
-	if c := cl.Counters(); c.LateReplies != 0 || c.Errors != 0 {
-		t.Fatalf("counters after the refusal = %+v, want zeroes", c)
+	if c := cl.Counters(); c.LateReplies != 0 || c.Errors != 1 {
+		t.Fatalf("counters after the refusal = %+v, want one error and no late replies", c)
 	}
 }

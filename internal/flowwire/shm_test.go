@@ -327,40 +327,69 @@ func TestShmConnFullRingBackpressure(t *testing.T) {
 }
 
 // TestShmLoopbackSteadyStateAllocs extends the zero-alloc gate to the full
-// client hot path over shm: once the pools and the conn's park timer are
-// warm, a LookupMany round trip allocates nothing on the calling goroutine
-// — the ring transport must not cost the client the 0 B/op contract the
-// socket transports already meet.
+// client hot path, over shm and over tcp: once the pools and the conn's park
+// timer are warm, each row — a LookupMany of 64 resident keys, a Lookup (the
+// call wire-shm-single measures), an Update, and a Delete then Insert of one
+// resident key — allocates nothing in the process, client and server
+// together. The ring transport must not cost the client the 0 B/op contract
+// the socket transports already meet.
 func TestShmLoopbackSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates on sync operations")
 	}
 	const batch = 64
-	_, tbl, addr := startServerOn(t, TransportShm, flowserve.Config{Shards: 4, Entries: 8192, KeyLen: 20}, Config{})
-	keys := make([][]byte, batch)
-	for i := range keys {
-		keys[i] = wkey(uint64(i))
-		if err := tbl.Insert(keys[i], uint64(i)); err != nil {
+	for _, transport := range []string{TransportShm, TransportTCP} {
+		_, tbl, addr := startServerOn(t, transport, flowserve.Config{Shards: 4, Entries: 8192, KeyLen: 20}, Config{})
+		keys := make([][]byte, batch)
+		for i := range keys {
+			keys[i] = wkey(uint64(i))
+			if err := tbl.Insert(keys[i], uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cl := dialTest(t, addr, Options{})
+		results := make([]flowserve.Result, batch)
+		rows := []struct {
+			name string
+			op   func(i int)
+		}{
+			{"LookupMany", func(int) {
+				if hits := cl.LookupMany(keys, results); hits != batch {
+					t.Fatalf("%s LookupMany hits = %d, want %d", transport, hits, batch)
+				}
+			}},
+			{"Lookup", func(i int) {
+				if v, ok := cl.Lookup(keys[i]); !ok || v != uint64(i) {
+					t.Fatalf("%s Lookup of resident key %d = (%d,%v)", transport, i, v, ok)
+				}
+			}},
+			{"Update", func(i int) {
+				if !cl.Update(keys[i], uint64(i)) {
+					t.Fatalf("%s Update of resident key %d missed", transport, i)
+				}
+			}},
+			{"Delete+Insert", func(i int) {
+				if !cl.Delete(keys[i]) {
+					t.Fatalf("%s Delete of resident key %d missed", transport, i)
+				}
+				if err := cl.Insert(keys[i], uint64(i)); err != nil {
+					t.Fatalf("%s Insert of key %d: %v", transport, i, err)
+				}
+			}},
+		}
+		for _, row := range rows {
+			i := 0
+			run := func() { row.op(i % batch); i++ }
+			for warm := 0; warm < 64; warm++ {
+				run()
+			}
+			if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+				t.Errorf("%s Client.%s allocates %.2f times per op, want 0", transport, row.name, allocs)
+			}
+		}
+		if err := cl.Err(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	cl := dialTest(t, addr, Options{})
-	results := make([]flowserve.Result, batch)
-	for i := 0; i < 64; i++ {
-		if hits := cl.LookupMany(keys, results); hits != batch {
-			t.Fatalf("warmup hits = %d", hits)
-		}
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if hits := cl.LookupMany(keys, results); hits != batch {
-			t.Fatalf("hits = %d", hits)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("shm LookupMany allocates %.1f times per op, want 0", allocs)
-	}
-	if err := cl.Err(); err != nil {
-		t.Fatal(err)
 	}
 }
 

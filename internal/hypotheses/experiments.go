@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"halo/internal/flowserve"
 	"halo/internal/flowwire"
 	"halo/internal/loadgen"
-	"halo/internal/stats"
 	"halo/internal/trafficgen"
 )
 
@@ -205,112 +203,6 @@ func pipeliningExperiment(transport string) Experiment {
 			return sr, nil
 		},
 	}
-}
-
-// resizePauseBoundExperiment: PR 9 made shards grow incrementally — a
-// bounded number of buckets migrates per writer operation while readers stay
-// wait-free. The claim that design stands on is that growing the table is
-// NOT a latency event: batch lookup p99 measured while migrations are in
-// flight stays within 2x (loadgen.GrowP99Bound) of the same table's
-// steady-state p99. This is a bound claim, not a dominance claim — migration
-// is allowed to cost something, just never a stall.
-func resizePauseBoundExperiment() Experiment {
-	return Experiment{
-		Name:  "resize-pause-bound",
-		Title: "Batch lookup p99 during incremental resize stays within 2x of steady state",
-		Kind:  KindBound,
-		Bound: loadgen.GrowP99Bound,
-		ArmA:  "during-resize",
-		ArmB:  "steady-state",
-		Run: func(cfg Config, seed uint64) (SeedResult, error) {
-			pop := loadgen.NewPopulation(cfg.Flows, trafficgen.Uniform, seed)
-			var bestMig, bestStd uint64
-			for r := 0; r < cfg.Repeats; r++ {
-				// A fresh table per repeat: growth is one-shot, so the
-				// migration arm cannot be replayed against warmed state.
-				mig, std, err := measureResizePause(pop, cfg, seed)
-				if err != nil {
-					return SeedResult{}, err
-				}
-				if r == 0 || mig < bestMig {
-					bestMig = mig
-				}
-				if r == 0 || std < bestStd {
-					bestStd = std
-				}
-			}
-			perKey := float64(cfg.Batch)
-			return SeedResult{
-				ANsPerOp: float64(bestMig) / perKey,
-				BNsPerOp: float64(bestStd) / perKey,
-			}, nil
-		},
-	}
-}
-
-// measureResizePause runs one growth episode single-goroutine and returns
-// (migration-phase p99, steady-state p99) batch latencies in ns. The table
-// is loadgen's grow-episode table (loadgen.GrowDoublings doublings below the
-// population's capacity, auto-grow on); inserts stream in chunks between
-// lookup batches, so every doubling's migration interleaves with the
-// measured reads — exactly how a writer-driven resize amortises in
-// production. Batches issued while a shard is mid-resize land in the
-// migration histogram; the steady histogram is measured after the
-// migrations drain, over the full population.
-func measureResizePause(pop *loadgen.Population, cfg Config, seed uint64) (migP99, stdP99 uint64, err error) {
-	const insertChunk = 32 // inserts between measured batches while growing
-	tbl, installed, err := pop.NewGrowTable(cfg.Shards)
-	if err != nil {
-		return 0, 0, err
-	}
-	batch := tbl.NewBatch()
-	c := pop.NewCaller(loadgen.NewOracle(pop, false), seed^0x47524f57, cfg.Batch) // "GROW"
-	serveBatch := func(hist *stats.Histogram) error {
-		c.Draw(installed)
-		t0 := time.Now()
-		batch.LookupMany(c.Keys, c.Results)
-		hist.Observe(uint64(time.Since(t0).Nanoseconds()))
-		_, err := c.Verify()
-		return err
-	}
-
-	// Migration phase: grow the population to full size, measuring batches
-	// between insert chunks. Batches that land while no shard is resizing
-	// are discarded (scratch) — the arm is "during resize", not "while also
-	// inserting".
-	migHist := stats.NewHistogramRes(stats.HighResSubBits)
-	scratch := stats.NewHistogramRes(stats.HighResSubBits)
-	for installed < len(pop.Keys) {
-		next := min(installed+insertChunk, len(pop.Keys))
-		if err := pop.Install(tbl, installed, next, 1); err != nil {
-			return 0, 0, fmt.Errorf("grow: %w", err)
-		}
-		installed = next
-		// Single goroutine: only our own inserts advance migration, so the
-		// resizing state cannot change under the batch we are about to time.
-		hist := scratch
-		if tbl.Resizing() {
-			hist = migHist
-		}
-		if err := serveBatch(hist); err != nil {
-			return 0, 0, err
-		}
-	}
-	for tbl.ResizeStep(64) {
-	}
-	if migHist.Count() == 0 {
-		return 0, 0, fmt.Errorf("no batches observed while a migration was in flight (flows %d, capacity %d)",
-			len(pop.Keys), tbl.Capacity())
-	}
-
-	// Steady phase: same table, migrations drained, full population.
-	stdHist := stats.NewHistogramRes(stats.HighResSubBits)
-	for done := int64(0); done < cfg.Ops; done += int64(cfg.Batch) {
-		if err := serveBatch(stdHist); err != nil {
-			return 0, 0, err
-		}
-	}
-	return migHist.Quantile(0.99), stdHist.Quantile(0.99), nil
 }
 
 // pinnedReaderExperiment: PR 5 introduced the Reader interface, whose

@@ -66,9 +66,6 @@ const (
 	KindDominance Kind = "statistical/dominance"
 	// KindEquivalence predicts arm A is within the equivalence band of B.
 	KindEquivalence Kind = "statistical/equivalence"
-	// KindBound predicts arm A's cost never exceeds Bound × arm B's — a
-	// ceiling claim (A may be slower, but only so much), judged per seed.
-	KindBound Kind = "statistical/bound"
 )
 
 // Experiment is one registered hypothesis.
@@ -76,9 +73,7 @@ type Experiment struct {
 	Name       string // directory name under hypotheses/ (less the transport suffix of wire-pipelining-depth-*)
 	Title      string // the hypothesis statement
 	Kind       Kind
-	ArmA, ArmB string // display names; A is the predicted winner (dominance) or candidate (equivalence/bound)
-	// Bound is the max allowed A/B cost ratio for KindBound experiments.
-	Bound float64
+	ArmA, ArmB string // display names; A is the predicted winner (dominance) or candidate (equivalence)
 	// Run measures both arms for one seed and returns the per-arm cost.
 	Run func(cfg Config, seed uint64) (SeedResult, error)
 }
@@ -106,7 +101,6 @@ func Registry() []Experiment {
 		shardBatchExperiment(),
 		pinnedReaderExperiment(),
 		shmVsUnixExperiment(),
-		resizePauseBoundExperiment(),
 		pipeliningExperiment(flowwire.TransportTCP),
 		pipeliningExperiment(flowwire.TransportUnix),
 	}
@@ -147,8 +141,6 @@ func RunExperiment(e Experiment, cfg Config) (Result, error) {
 	switch e.Kind {
 	case KindEquivalence:
 		res.Verdict = ClassifyEquivalence(imps, th)
-	case KindBound:
-		res.Verdict = ClassifyBound(imps, e.Bound)
 	default:
 		res.Verdict = ClassifyDominance(imps, th)
 	}
@@ -161,11 +153,7 @@ func RunExperiment(e Experiment, cfg Config) (Result, error) {
 func (r Result) Render(w io.Writer) {
 	e := r.Experiment
 	fmt.Fprintf(w, "### %s — %s\n\n", e.Name, e.Title)
-	fmt.Fprintf(w, "Type: %s · A = %s · B = %s", e.Kind, e.ArmA, e.ArmB)
-	if e.Kind == KindBound {
-		fmt.Fprintf(w, " · bound = %.2fx", e.Bound)
-	}
-	fmt.Fprintf(w, "\n\n")
+	fmt.Fprintf(w, "Type: %s · A = %s · B = %s\n\n", e.Kind, e.ArmA, e.ArmB)
 	fmt.Fprintf(w, "| seed | A ns/lookup | B ns/lookup | A vs B |\n")
 	fmt.Fprintf(w, "|---|---|---|---|\n")
 	for _, sr := range r.Seeds {

@@ -29,8 +29,6 @@ const (
 	VerdictRefuted       = "refuted"        // some seed contradicts the claim beyond the noise band
 	VerdictEquivalent    = "equivalent"     // within the equivalence band on every seed
 	VerdictNotEquivalent = "not-equivalent" // consistently outside the band
-	VerdictWithinBound   = "within-bound"   // A/B ratio under the bound on every seed
-	VerdictExceedsBound  = "exceeds-bound"  // some seed's ratio breaks the bound
 )
 
 // inconclusiveBound is the BLIS "any seed under 10%" rule for dominance
@@ -83,29 +81,6 @@ func ClassifyDominance(imps []float64, th benchjson.Thresholds) Verdict {
 		v.Class = VerdictDirectional
 		v.Detail = fmt.Sprintf("A ahead on every seed (weakest %.1f%%), below the %.0f%% significant tier",
 			v.Min*100, th.Significant*100)
-	}
-	return v
-}
-
-// ClassifyBound judges a claim of the form "A stays within bound × B" — a
-// hard ceiling, not a comparison: A is allowed (expected, even) to be slower
-// than B, the claim is only that the slowdown never exceeds the bound. imps
-// holds the per-seed improvement of A over B in the benchjson orientation
-// (imp = (B-A)/B for ns/op), so the A/B cost ratio is 1-imp. Unlike
-// dominance, ONE seed over the ceiling breaks the claim — a bound that holds
-// on average but not always is not a bound.
-func ClassifyBound(imps []float64, bound float64) Verdict {
-	if len(imps) == 0 {
-		return Verdict{Class: VerdictInconclusive, Detail: "no seeds measured"}
-	}
-	v := summarize(imps)
-	worst := 1 - v.Min // largest A/B cost ratio across seeds
-	if worst <= bound {
-		v.Class = VerdictWithinBound
-		v.Detail = fmt.Sprintf("worst seed costs %.2fx of B, under the %.2fx bound", worst, bound)
-	} else {
-		v.Class = VerdictExceedsBound
-		v.Detail = fmt.Sprintf("a seed costs %.2fx of B, over the %.2fx bound", worst, bound)
 	}
 	return v
 }

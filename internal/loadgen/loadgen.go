@@ -1,6 +1,6 @@
 // Package loadgen is the root module's one load generator: the seeded flow
 // population and the value every flow carries, the flowserve.Table sized and
-// filled for it (including the grow-episode table), one goroutine's
+// filled for it, one goroutine's
 // draw → lookup → verify scratch, and the oracle that judges a miss exactly.
 // cmd/flowload and internal/hypotheses drive every target through it, so a
 // lookup is drawn, timed and verified the same way whether it lands on an
@@ -18,15 +18,6 @@ import (
 	"halo/internal/flowserve"
 	"halo/internal/packet"
 	"halo/internal/trafficgen"
-)
-
-// The grow episode: the table starts GrowDoublings doublings below the
-// capacity its population needs, and the claim measured on it (DESIGN.md §12)
-// is that batch-lookup p99 while shards migrate stays within GrowP99Bound of
-// the same table's steady-state p99.
-const (
-	GrowDoublings = 3
-	GrowP99Bound  = 2.0
 )
 
 // Mix derives an independent sub-seed from a run seed (splitmix64), so the
@@ -81,25 +72,6 @@ func (p *Population) NewTable(shards int) (*flowserve.Table, error) {
 		return nil, err
 	}
 	return tbl, p.Install(tbl, 0, len(p.Keys), 1)
-}
-
-// NewGrowTable returns the grow episode's table: auto-grow on, capacity
-// GrowDoublings doublings below what the population needs, and flows
-// [0,prefix) — a prefix that fits the initial capacity comfortably —
-// installed. Installing the rest forces the doublings.
-func (p *Population) NewGrowTable(shards int) (tbl *flowserve.Table, prefix int, err error) {
-	initial := max(Entries(len(p.Keys))>>GrowDoublings, uint64(shards)*flowserve.EntriesPerBucket)
-	tbl, err = flowserve.New(flowserve.Config{
-		Shards:  shards,
-		Entries: initial,
-		KeyLen:  packet.HeaderKeyLen,
-		GrowAt:  0.8,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	prefix = min(max(int(initial*6/10), 1), len(p.Keys))
-	return tbl, prefix, p.Install(tbl, 0, prefix, 1)
 }
 
 // Install inserts flows [lo,hi) through w, striped across par goroutines (a

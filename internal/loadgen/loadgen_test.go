@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"halo/internal/flowserve"
-	"halo/internal/stats"
 	"halo/internal/trafficgen"
 )
 
@@ -185,36 +184,6 @@ func TestSameSeedReplaysSameBatches(t *testing.T) {
 			if a.idx[j] != b.idx[j] || a.idx[j] >= 100 {
 				t.Fatalf("batch %d key %d: drew %d and %d under limit 100", n, j, a.idx[j], b.idx[j])
 			}
-		}
-	}
-}
-
-// The grow table holds its prefix, and installing the rest takes every shard
-// through GrowDoublings doublings.
-func TestGrowTableForcesTheDoublings(t *testing.T) {
-	const shards = 4
-	pop := NewPopulation(20_000, trafficgen.Uniform, 9)
-	tbl, prefix, err := pop.NewGrowTable(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prefix < 1 || prefix >= len(pop.Keys) || tbl.Size() != uint64(prefix) {
-		t.Fatalf("prefix %d of %d flows, table holds %d", prefix, len(pop.Keys), tbl.Size())
-	}
-	if err := pop.Install(tbl, prefix, len(pop.Keys), 1); err != nil {
-		t.Fatal(err)
-	}
-	snap := stats.NewSnapshot()
-	tbl.CollectInto(snap)
-	if grows := snap.Counters["flowserve.grows"]; grows < shards*GrowDoublings {
-		t.Fatalf("%d grows across %d shards, want >= %d each", grows, shards, GrowDoublings)
-	}
-	c := pop.NewCaller(NewOracle(pop, false), 1, 16)
-	for n := 0; n < 100; n++ {
-		c.Draw(len(pop.Keys))
-		tbl.LookupMany(c.Keys, c.Results)
-		if _, err := c.Verify(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

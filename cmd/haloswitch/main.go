@@ -5,11 +5,11 @@
 // Usage:
 //
 //	haloswitch -flows 100000 -rules 10 -packets 20000 -engine halo
-//	haloswitch -compare            # software, halo and hybrid side by side
+//	haloswitch -compare            # software and halo side by side
 //
-// -compare runs the three engines concurrently on the worker pool, each
-// on its own platform with its own identically-seeded traffic source, so
-// the reports match what three separate single-engine runs would print.
+// -compare runs both engines concurrently on the worker pool, each on its
+// own platform with its own identically-seeded traffic source, so the
+// reports match what two separate single-engine runs would print.
 package main
 
 import (
@@ -32,14 +32,14 @@ func main() {
 		flows    = flag.Int("flows", 100_000, "number of concurrent flows")
 		rules    = flag.Int("rules", 10, "number of wildcard rules (tuples)")
 		packets  = flag.Int("packets", 20_000, "packets to forward (after warm-up)")
-		engine   = flag.String("engine", "software", "classification engine: software | halo | hybrid")
-		compare  = flag.Bool("compare", false, "run software, halo and hybrid engines concurrently and compare")
+		engine   = flag.String("engine", "software", "classification engine: software | halo")
+		compare  = flag.Bool("compare", false, "run the software and halo engines concurrently and compare")
 		openflow = flag.Bool("openflow", false, "enable the OpenFlow slow-path layer (rules install there; megaflows are learned)")
 		zipf     = flag.Bool("zipf", false, "zipf flow popularity instead of uniform")
 		seed     = flag.Uint64("seed", 1, "workload seed")
 	)
 	flag.Parse()
-	if err := checkFlags(*flows, *rules, *packets); err != nil {
+	if err := checkFlags(*engine, *flows, *rules, *packets); err != nil {
 		fmt.Fprintln(os.Stderr, "haloswitch:", err)
 		os.Exit(2)
 	}
@@ -63,9 +63,12 @@ func main() {
 	io.WriteString(os.Stdout, res.report)
 }
 
-// checkFlags rejects the values trafficgen.Generate would panic on, and a
-// run with no packets to average over, before any work starts.
-func checkFlags(flows, rules, packets int) error {
+// checkFlags rejects an unknown engine, the values trafficgen.Generate would
+// panic on, and a run with no packets to average over, before any work starts.
+func checkFlags(engine string, flows, rules, packets int) error {
+	if engine != "software" && engine != "halo" {
+		return fmt.Errorf("-engine %q: want software or halo", engine)
+	}
 	if err := (trafficgen.Scenario{Flows: flows, Rules: rules}).Validate(); err != nil {
 		return err
 	}
@@ -75,10 +78,10 @@ func checkFlags(flows, rules, packets int) error {
 	return nil
 }
 
-// compareEngines runs all three engines on the pool and prints each report
-// in fixed order plus a head-to-head summary.
+// compareEngines runs both engines on the pool and prints each report in
+// fixed order plus a head-to-head summary.
 func compareEngines(scn trafficgen.Scenario, seed uint64, packets int, openflow bool) {
-	engines := []string{"software", "halo", "hybrid"}
+	engines := []string{"software", "halo"}
 	results := runner.Map(0, engines, func(i int, e string) engineResult {
 		return runEngine(e, scn, seed, packets, openflow)
 	})
@@ -107,16 +110,11 @@ type engineResult struct {
 // runEngine executes one full switch simulation on its own platform and
 // its own generated workload, and returns the rendered report. It is
 // self-contained so the compare path can run engines on separate goroutines.
+// engine is "software" or "halo" (checkFlags).
 func runEngine(engine string, scn trafficgen.Scenario, seed uint64, packets int, openflow bool) engineResult {
 	cfg := vswitch.DefaultConfig()
-	switch engine {
-	case "software":
-	case "halo":
+	if engine == "halo" {
 		cfg.Engine = vswitch.EngineHalo
-	case "hybrid":
-		cfg.Engine = vswitch.EngineHybrid
-	default:
-		return engineResult{err: fmt.Errorf("unknown engine %q", engine)}
 	}
 	cfg.OpenFlow = openflow
 
@@ -169,27 +167,13 @@ func runEngine(engine string, scn trafficgen.Scenario, seed uint64, packets int,
 	if h := th.Hist("lat.packet"); h != nil {
 		fmt.Fprintf(&out, "packet latency:      %s\n", metrics.Quantiles(h.Quantile))
 	}
-	// Per-mode lookup latency histograms: a hybrid run shows both engines'
-	// distributions plus the combined hybrid view.
+	// Per-engine lookup latency histograms.
 	for _, lh := range []struct{ name, label string }{
 		{"lat.lookup.software", "software lookups"},
 		{"lat.lookup.accel", "accel lookups"},
-		{"lat.lookup.hybrid", "hybrid lookups"},
 	} {
 		if h := th.Hist(lh.name); h != nil {
 			fmt.Fprintf(&out, "%-21s%s (n=%d, mean %.1f)\n", lh.label+":", metrics.Quantiles(h.Quantile), h.Count(), h.Mean())
-		}
-	}
-	if mode, ok := sw.HybridMode(); ok {
-		fmt.Fprintf(&out, "hybrid mode:         %v\n", mode)
-	}
-	if hy := sw.Hybrid(); hy != nil {
-		swLookups, hwLookups := hy.Lookups()
-		fmt.Fprintf(&out, "hybrid routing:      %d software / %d accel (%d window scans, incl. warm-up)\n",
-			swLookups, hwLookups, hy.Scans())
-		for _, ev := range hy.Timeline() {
-			fmt.Fprintf(&out, "mode switch:         cycle %d: %v -> %v (flow estimate %.1f)\n",
-				ev.At, ev.From, ev.To, ev.Estimate)
 		}
 	}
 	if cfg.Engine == vswitch.EngineHalo {

@@ -577,9 +577,7 @@ func (c *srvConn) serveOne(f *Frame) {
 			NodeID:   NoNode,
 		}
 		if cl := c.srv.cl; cl != nil {
-			if m := cl.m.Load(); m != nil {
-				hi.Epoch = m.Epoch
-			}
+			hi.Epoch = cl.m.Load().Epoch
 			hi.NodeID = cl.selfID.Load()
 		}
 		c.out = AppendFrameHeader(c.out[:0], OpHello, StatusOK, f.ReqID, helloReplyLen)

@@ -52,7 +52,9 @@ type clusterCounters struct {
 
 // cluster is a server's cluster-mode state.
 type cluster struct {
-	self   Endpoint
+	self Endpoint
+	// m is never nil: newCluster installs a validated map and
+	// handleMapUpdate replaces it only with a parsed one.
 	m      atomic.Pointer[ShardMap]
 	selfID atomic.Uint32 // index of self in the installed map, or NoNode
 
@@ -100,9 +102,7 @@ func (cl *cluster) collectInto(snap *stats.Snapshot) {
 	snap.Add("flowwire.cluster.mig_conflicts_in", cl.c.migConflictsIn.Load())
 	snap.Add("flowwire.cluster.purged_keys", cl.c.purgedKeys.Load())
 	snap.Add("flowwire.cluster.stale_probes", cl.c.staleProbes.Load())
-	if m := cl.m.Load(); m != nil {
-		snap.Add("flowwire.cluster.epoch", m.Epoch)
-	}
+	snap.Add("flowwire.cluster.epoch", cl.m.Load().Epoch)
 }
 
 // ownsAll reports whether this node owns every key under m.
@@ -147,7 +147,7 @@ func (s *Server) applyLocal(op Op, key []byte, value uint64) (Status, bool) {
 // with the map epoch for the redirect payload.
 func (s *Server) applyMutation(op Op, key []byte, value uint64) (st Status, found bool, epoch uint64) {
 	cl := s.cl
-	if cl == nil || cl.m.Load() == nil {
+	if cl == nil {
 		st, found = s.applyLocal(op, key, value)
 		return st, found, 0
 	}
@@ -267,8 +267,7 @@ func (s *Server) handleMigStart(rg Range, dst Endpoint) Status {
 	if cl == nil || rg.Empty() {
 		return StatusErrCluster
 	}
-	m := cl.m.Load()
-	if m == nil || !rangeOwnedBy(m, rg, cl.selfID.Load()) {
+	if !rangeOwnedBy(cl.m.Load(), rg, cl.selfID.Load()) {
 		return StatusErrCluster
 	}
 	mcl, err := DialEndpoint(dst, Options{Conns: 1})
@@ -413,10 +412,10 @@ func (s *Server) handleMapUpdate(payload []byte) Status {
 		return StatusErrCluster
 	}
 	cur := cl.m.Load()
-	if cur != nil && m.Epoch < cur.Epoch {
+	if m.Epoch < cur.Epoch {
 		return StatusErrCluster
 	}
-	if cur != nil && m.Epoch == cur.Epoch {
+	if m.Epoch == cur.Epoch {
 		return StatusOK // idempotent re-push
 	}
 	newID := NoNode

@@ -133,6 +133,39 @@ func TestListenRemovesStaleShmArtifacts(t *testing.T) {
 	}
 }
 
+// TestStaleShmSweepTakesPathLiterally: the segment sweep matches the socket
+// path as a literal name prefix, not a glob pattern. A path holding glob
+// metacharacters must still lose its own orphaned segments and must leave a
+// neighbour's files alone, including when the pattern would not even parse.
+func TestStaleShmSweepTakesPathLiterally(t *testing.T) {
+	for _, tc := range []struct{ name, decoy string }{
+		{"fs[1].sock", "fs1.sock"}, // [1] would match the decoy's "1"
+		{"fs[2.sock", "fs2.sock"},  // unclosed [: a malformed pattern
+		{"fs*.sock", "fsx.sock"},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, tc.name)
+		own := path + shmSegSuffix + "9.1"
+		decoy := filepath.Join(dir, tc.decoy+shmSegSuffix+"9.1")
+		for _, f := range []string{own, decoy} {
+			if err := os.WriteFile(f, make([]byte, 128), 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ln, err := ListenEndpoint(Endpoint{Transport: TransportShm, Addr: path})
+		if err != nil {
+			t.Fatalf("%s: Listen: %v", tc.name, err)
+		}
+		ln.Close()
+		if _, err := os.Lstat(own); !os.IsNotExist(err) {
+			t.Errorf("%s: own orphaned segment survived the sweep", tc.name)
+		}
+		if _, err := os.Lstat(decoy); err != nil {
+			t.Errorf("%s: sweep removed %s's segment: %v", tc.name, tc.decoy, err)
+		}
+	}
+}
+
 // shmLoopbackPair builds a raw connected shm conn pair (no flowwire server
 // on top) for conn-level tests.
 func shmLoopbackPair(t *testing.T) (client, server net.Conn) {

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -99,9 +100,14 @@ func removeStaleShm(path string) {
 	} else if err == nil {
 		return // path exists but is not a socket: let the bind report it
 	}
-	stale, _ := filepath.Glob(path + shmSegSuffix + "*")
-	for _, seg := range stale {
-		os.Remove(seg)
+	// A literal prefix match, not filepath.Glob: the path may hold glob
+	// metacharacters.
+	dir, prefix := filepath.Dir(path), filepath.Base(path)+shmSegSuffix
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), prefix) {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package halo
 import (
 	"halo/internal/cpu"
 	"halo/internal/cuckoo"
-	"halo/internal/mem"
 	"halo/internal/sim"
 	"halo/internal/stats"
 )
@@ -27,24 +26,19 @@ func (m Mode) String() string {
 	return "halo"
 }
 
+// softwareThreshold is the active-flow estimate below which lookups run in
+// software (paper §6: 64 flows — the L1-resident regime).
+const softwareThreshold = 64
+
 // HybridConfig tunes the controller.
 type HybridConfig struct {
-	// SoftwareThreshold is the active-flow estimate below which lookups
-	// run in software (paper: 64 flows — the L1-resident regime).
-	SoftwareThreshold float64
 	// WindowCycles is the flow-register scan period.
 	WindowCycles sim.Cycle
-	// SoftwareOpts configures the software path when selected.
-	SoftwareOpts cuckoo.LookupOptions
 }
 
-// DefaultHybridConfig matches the paper's evaluation (§6: 64 flows).
+// DefaultHybridConfig matches the paper's evaluation.
 func DefaultHybridConfig() HybridConfig {
-	return HybridConfig{
-		SoftwareThreshold: 64,
-		WindowCycles:      100_000,
-		SoftwareOpts:      cuckoo.DefaultLookupOptions(),
-	}
+	return HybridConfig{WindowCycles: 100_000}
 }
 
 // Hybrid switches between software and accelerator lookups based on the
@@ -73,14 +67,6 @@ type Hybrid struct {
 	scans     uint64
 	swLookups uint64
 	hwLookups uint64
-	timeline  []SwitchEvent
-}
-
-// SwitchEvent records one mode transition for timelines and reports.
-type SwitchEvent struct {
-	At       sim.Cycle
-	From, To Mode
-	Estimate float64 // the flow estimate that triggered the switch
 }
 
 // NewHybrid builds a controller over a HALO unit, starting in accelerator
@@ -105,9 +91,6 @@ func (h *Hybrid) Lookups() (software, accel uint64) { return h.swLookups, h.hwLo
 
 // Scans returns how many measurement windows have closed.
 func (h *Hybrid) Scans() uint64 { return h.scans }
-
-// Timeline returns the mode-switch history in occurrence order.
-func (h *Hybrid) Timeline() []SwitchEvent { return h.timeline }
 
 // CollectInto adds the controller's counters to a snapshot under the
 // hybrid.* names.
@@ -162,11 +145,10 @@ func (h *Hybrid) maybeScan(now sim.Cycle) {
 		return
 	}
 	want := ModeAccel
-	if est < h.cfg.SoftwareThreshold {
+	if est < softwareThreshold {
 		want = ModeSoftware
 	}
 	if want != h.mode {
-		h.timeline = append(h.timeline, SwitchEvent{At: now, From: h.mode, To: want, Estimate: est})
 		h.mode = want
 		h.switches++
 	}
@@ -174,44 +156,20 @@ func (h *Hybrid) maybeScan(now sim.Cycle) {
 
 // Lookup performs one flow lookup through whichever engine the controller
 // currently selects, charging the thread either way.
-func (h *Hybrid) Lookup(th *cpu.Thread, table *cuckoo.Table, key []byte) (uint64, bool) {
+func (h *Hybrid) Lookup(th *cpu.Thread, table *cuckoo.Table, key []byte) (v uint64, ok bool) {
 	start := th.Now
 	h.maybeScan(th.Now)
 	h.windowLookups++
 	if h.mode == ModeSoftware {
-		v, ok := h.lookupSoftware(th, table, key)
-		th.Record("lat.lookup.hybrid", th.Now-start)
-		return v, ok
+		h.swLookups++
+		// Maintain the software-side flow register: hash + mask + OR.
+		h.softReg.ObserveKey(key)
+		th.ALU(3)
+		v, ok = table.TimedLookup(th, key, cuckoo.DefaultLookupOptions())
+	} else {
+		h.hwLookups++
+		v, ok = h.unit.LookupB(th, table.Base(), key)
 	}
-	h.hwLookups++
-	v, ok := h.unit.LookupB(th, table.Base(), key)
 	th.Record("lat.lookup.hybrid", th.Now-start)
 	return v, ok
-}
-
-// LookupAt performs one flow lookup where the key already resides in
-// simulated memory at keyAddr (a packet buffer); key carries the same bytes
-// for the software path. Datapaths use this form so the accelerator mode
-// avoids key staging.
-func (h *Hybrid) LookupAt(th *cpu.Thread, table *cuckoo.Table, key []byte, keyAddr mem.Addr) (uint64, bool) {
-	start := th.Now
-	h.maybeScan(th.Now)
-	h.windowLookups++
-	if h.mode == ModeSoftware {
-		v, ok := h.lookupSoftware(th, table, key)
-		th.Record("lat.lookup.hybrid", th.Now-start)
-		return v, ok
-	}
-	h.hwLookups++
-	v, ok := h.unit.LookupBAt(th, table.Base(), keyAddr)
-	th.Record("lat.lookup.hybrid", th.Now-start)
-	return v, ok
-}
-
-func (h *Hybrid) lookupSoftware(th *cpu.Thread, table *cuckoo.Table, key []byte) (uint64, bool) {
-	h.swLookups++
-	// Maintain the software-side flow register: hash + mask + OR.
-	h.softReg.ObserveKey(key)
-	th.ALU(3)
-	return table.TimedLookup(th, key, h.cfg.SoftwareOpts)
 }

@@ -133,35 +133,35 @@ func TestHybridStaleRegisterDoesNotBounceMode(t *testing.T) {
 	}
 }
 
-func TestHybridLookupAt(t *testing.T) {
+func TestHybridLookupValues(t *testing.T) {
 	p := testPlatform(t)
 	tbl := populatedTable(t, p, 512, 300)
 	hy := NewHybrid(DefaultHybridConfig(), p.Unit)
 	th := cpu.NewThread(p.Hier, 0)
-	keyBuf := p.Alloc.AllocLines(1)
 	for i := uint64(0); i < 300; i++ {
-		key := key16(i)
-		p.Space.WriteAt(keyBuf, key)
-		p.Hier.DMAWrite(keyBuf)
-		v, ok := hy.LookupAt(th, tbl, key, keyBuf)
-		if !ok || v != i*2+1 {
-			t.Fatalf("hybrid LookupAt(%d) = (%d,%v)", i, v, ok)
+		if v, ok := hy.Lookup(th, tbl, key16(i)); !ok || v != i*2+1 {
+			t.Fatalf("accel-mode Lookup(%d) = (%d,%v), want (%d,true)", i, v, ok, i*2+1)
 		}
 	}
-	// Drive it into software mode with a tiny flow set and check LookupAt
+	if sw, hw := hy.Lookups(); sw != 0 || hw != 300 {
+		t.Fatalf("lookups sw=%d hw=%d, want all 300 on the accelerator", sw, hw)
+	}
+	// Drive it into software mode with a tiny flow set and check Lookup
 	// still answers through the software path.
 	cfg := DefaultHybridConfig()
 	cfg.WindowCycles = 5_000
 	hy2 := NewHybrid(cfg, p.Unit)
 	for i := 0; i < 30000 && hy2.Mode() != ModeSoftware; i++ {
-		key := key16(uint64(i % 3))
-		p.Space.WriteAt(keyBuf, key)
-		hy2.LookupAt(th, tbl, key, keyBuf)
+		hy2.Lookup(th, tbl, key16(uint64(i%3)))
 	}
 	if hy2.Mode() != ModeSoftware {
 		t.Fatal("hybrid never switched to software")
 	}
-	if v, ok := hy2.LookupAt(th, tbl, key16(1), keyBuf); !ok || v != 3 {
-		t.Fatal("software-mode LookupAt wrong")
+	sw, _ := hy2.Lookups()
+	if v, ok := hy2.Lookup(th, tbl, key16(1)); !ok || v != 3 {
+		t.Fatalf("software-mode Lookup(1) = (%d,%v), want (3,true)", v, ok)
+	}
+	if sw2, _ := hy2.Lookups(); sw2 != sw+1 {
+		t.Fatal("software-mode Lookup did not take the software path")
 	}
 }

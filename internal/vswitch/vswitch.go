@@ -81,17 +81,12 @@ const (
 	// EngineHalo offloads the EMC to blocking accelerator lookups and the
 	// MegaFlow search to non-blocking batches.
 	EngineHalo
-	// EngineHybrid is EngineHalo governed by the linear-counting flow
-	// registers: when the active flow estimate drops below the paper's
-	// 64-flow threshold the EMC lookup runs in software (paper §4.6).
-	EngineHybrid
 )
 
 // Config selects the switch's engine and layers; the table and ring sizes
 // are the OVS/DPDK defaults below.
 type Config struct {
-	Engine        Engine
-	EMCInsertProb int // learn 1-in-N EMC misses (OVS default: 100)
+	Engine Engine
 	// OpenFlow enables the third classification layer (paper Fig. 2a):
 	// rules install there, the MegaFlow layer starts empty and learns
 	// megaflows from OpenFlow results. The paper's analysis skips this
@@ -102,7 +97,7 @@ type Config struct {
 
 // DefaultConfig mirrors OVS/DPDK defaults.
 func DefaultConfig() Config {
-	return Config{Engine: EngineSoftware, EMCInsertProb: 100}
+	return Config{Engine: EngineSoftware}
 }
 
 // Table and ring sizes, OVS/DPDK defaults.
@@ -112,6 +107,8 @@ const (
 	// DPDK mempools recycle last-freed-first, so the hot buffer set is
 	// about one RX burst, not the whole pool.
 	packetBuffers = 64
+	// emcInsertProb learns 1 in N MegaFlow-resolved EMC misses (OVS default).
+	emcInsertProb = 100
 )
 
 // softwareLookups is the optimized DPDK software-lookup configuration the
@@ -128,12 +125,11 @@ const (
 
 // Switch is one datapath instance bound to a platform.
 type Switch struct {
-	cfg    Config
-	p      *halo.Platform
-	EMC    *classify.EMC
-	Mega   *classify.TupleSpace
-	Open   *classify.TupleSpace // nil unless cfg.OpenFlow
-	hybrid *halo.Hybrid
+	cfg  Config
+	p    *halo.Platform
+	EMC  *classify.EMC
+	Mega *classify.TupleSpace
+	Open *classify.TupleSpace // nil unless cfg.OpenFlow
 
 	bufBase  mem.Addr
 	descBase mem.Addr
@@ -147,7 +143,7 @@ type Switch struct {
 	openHits   uint64
 
 	// hdrKeyBuf is the per-packet header-key scratch; every consumer of the
-	// key (EMC/hybrid/MegaFlow lookups, LearnRaw) copies what it retains, so
+	// key (EMC/MegaFlow lookups, LearnRaw) copies what it retains, so
 	// one buffer per switch is safe.
 	hdrKeyBuf [hdrKeyLen]byte
 }
@@ -167,30 +163,15 @@ func New(p *halo.Platform, cfg Config) (*Switch, error) {
 		bufBase:  p.Alloc.AllocLines(packetBuffers),
 		descBase: p.Alloc.AllocLines((packetBuffers + 3) / 4),
 	}
-	if cfg.Engine == EngineHybrid {
-		sw.hybrid = halo.NewHybrid(halo.DefaultHybridConfig(), p.Unit)
-	}
 	if cfg.OpenFlow {
 		sw.Open = classify.NewTupleSpace(p.Space, p.Alloc, classify.HighestPriority, tupleEntries)
 	}
 	return sw, nil
 }
 
-// HybridMode reports the hybrid controller's current mode; the second value
-// is false for non-hybrid engines.
-func (sw *Switch) HybridMode() (halo.Mode, bool) {
-	if sw.hybrid == nil {
-		return 0, false
-	}
-	return sw.hybrid.Mode(), true
-}
-
-// Hybrid returns the hybrid controller, or nil for non-hybrid engines.
-func (sw *Switch) Hybrid() *halo.Hybrid { return sw.hybrid }
-
 // CollectInto gathers the switch's counters into a snapshot: per-stage
-// cycles, MegaFlow/OpenFlow outcomes, the classification tables' operation
-// counts, and — for the hybrid engine — the controller's counters.
+// cycles, MegaFlow/OpenFlow outcomes and the classification tables'
+// operation counts.
 func (sw *Switch) CollectInto(s *stats.Snapshot) {
 	s.Add("vswitch.packets", sw.packets)
 	for st := StagePacketIO; st <= StageOther; st++ {
@@ -207,9 +188,6 @@ func (sw *Switch) CollectInto(s *stats.Snapshot) {
 		for _, tp := range sw.Open.Tuples() {
 			tp.Table.Stats().CollectInto(s)
 		}
-	}
-	if sw.hybrid != nil {
-		sw.hybrid.CollectInto(s)
 	}
 }
 
@@ -292,16 +270,9 @@ func (sw *Switch) ProcessPacket(th *cpu.Thread, pkt *packet.Packet) (classify.Ma
 	var ok bool
 	hdrKey := sw.hdrKeyBuf[:]
 	sw.p.Space.ReadAt(bufAddr+hdrKeyOff, hdrKey)
-	switch sw.cfg.Engine {
-	case EngineHalo:
+	if sw.cfg.Engine == EngineHalo {
 		m, ok = sw.EMC.LookupHaloBAt(th, sw.p.Unit, bufAddr+hdrKeyOff)
-	case EngineHybrid:
-		var v uint64
-		v, ok = sw.hybrid.LookupAt(th, sw.EMC.Table(), hdrKey, bufAddr+hdrKeyOff)
-		if ok {
-			m = classify.DecodeRuleValue(v)
-		}
-	default:
+	} else {
 		m, ok = sw.EMC.LookupTimedRaw(th, hdrKey, softwareLookups)
 	}
 	sw.breakdown[StageEMC] += uint64(th.Now - t0)
@@ -309,17 +280,16 @@ func (sw *Switch) ProcessPacket(th *cpu.Thread, pkt *packet.Packet) (classify.Ma
 	// --- MegaFlow tuple space search on EMC miss.
 	if !ok {
 		t0 = th.Now
-		switch sw.cfg.Engine {
-		case EngineHalo, EngineHybrid:
+		if sw.cfg.Engine == EngineHalo {
 			m, ok = sw.Mega.ClassifyHaloNB(th, sw.p.Unit, key)
-		default:
+		} else {
 			m, ok = sw.Mega.ClassifyTimed(th, key, softwareLookups)
 		}
 		if ok {
 			sw.megaHits++
-			// Probabilistic EMC insertion (OVS: 1 in EMCInsertProb).
+			// Probabilistic EMC insertion (OVS: 1 in emcInsertProb).
 			sw.pktCount++
-			if sw.cfg.EMCInsertProb <= 1 || sw.pktCount%uint64(sw.cfg.EMCInsertProb) == 0 {
+			if sw.pktCount%emcInsertProb == 0 {
 				sw.learnEMC(th, hdrKey, m)
 			}
 		} else {

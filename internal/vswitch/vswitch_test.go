@@ -61,33 +61,31 @@ func TestHaloEngineClassifiesIdentically(t *testing.T) {
 }
 
 func TestEMCConvergesOnSmallFlowCount(t *testing.T) {
-	// 2000 flows fit the 8K EMC; with eager learning the EMC absorbs the
-	// working set after one pass and the MegaFlow layer goes quiet.
-	p := halo.NewPlatform(halo.DefaultPlatformConfig())
-	cfg := DefaultConfig()
-	cfg.EMCInsertProb = 1
-	sw, err := New(p, cfg)
-	if err != nil {
-		t.Fatal(err)
+	// 200 flows fit the 8K EMC; at OVS's 1-in-100 learning the EMC absorbs
+	// the working set within the first pass of packets and the MegaFlow
+	// layer goes quiet.
+	scn := trafficgen.Scenario{Name: "test-tiny", Flows: 200, Rules: 4, Popularity: trafficgen.Uniform}
+	sw, w, th := newSwitch(t, EngineSoftware, scn)
+	const converge, window = 100_000, 20_000
+	for i := 0; i < converge; i++ {
+		pkt, _ := w.NextPacket()
+		sw.ProcessPacket(th, &pkt)
 	}
-	w := trafficgen.Generate(smallScenario, 99)
-	if err := w.InstallRules(sw.RuleLayer()); err != nil {
-		t.Fatal(err)
-	}
-	sw.Warm()
-	th := cpu.NewThread(p.Hier, 0)
-	for i := 0; i < 20000; i++ {
+	hits0, misses0 := sw.MegaStats()
+	for i := 0; i < window; i++ {
 		pkt, _ := w.NextPacket()
 		sw.ProcessPacket(th, &pkt)
 	}
 	if sw.EMC.HitRate() < 0.7 {
 		t.Fatalf("EMC hit rate %.2f after convergence window", sw.EMC.HitRate())
 	}
-	// With OVS's default probabilistic insertion (1/100), convergence is
-	// much slower — that difference is intentional behaviour.
 	hits, misses := sw.MegaStats()
 	if hits == 0 {
 		t.Fatalf("megaflow never consulted (hits=%d misses=%d)", hits, misses)
+	}
+	if consults := hits + misses - hits0 - misses0; consults > window/100 {
+		t.Fatalf("megaflow consulted %d times in the last %d packets; the EMC did not absorb %d flows",
+			consults, window, scn.Flows)
 	}
 }
 

@@ -218,9 +218,9 @@ const installPar = 8
 type target struct {
 	// identity is stamped into the document's workload identity. The mode,
 	// the transport (the wire transport, or "cluster" for a node set), the
-	// endpoint set and shard-map epoch all belong: UDS vs TCP loopback, or a
-	// different topology or number of preceding cutovers, is a different
-	// experiment at identical settings.
+	// endpoint set and, for a cluster, the shard-map epoch all belong: UDS vs
+	// TCP loopback, or a different topology or number of preceding cutovers,
+	// is a different experiment at identical settings.
 	identity map[string]string
 	prefix   string // point-name segment after "FlowServe/"
 	counts   []int
@@ -269,8 +269,7 @@ func clientTarget(ep flowwire.Endpoint, flows int, connCounts []int) (target, er
 		ep, hello.Shards, hello.Capacity, hello.KeyLen)
 	return target{
 		identity: map[string]string{
-			"mode": "remote", "transport": ep.Transport,
-			"endpoints": ep.String(), "epoch": fmt.Sprint(hello.Epoch),
+			"mode": "remote", "transport": ep.Transport, "endpoints": ep.String(),
 		},
 		prefix: "remote/", counts: connCounts,
 		open: func(n int) (conn, error) {

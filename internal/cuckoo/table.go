@@ -346,9 +346,6 @@ func (t *Table) Capacity() uint64 { return t.capacity }
 // Size returns the number of live entries.
 func (t *Table) Size() uint64 { return t.size }
 
-// LoadFactor returns Size/Capacity.
-func (t *Table) LoadFactor() float64 { return float64(t.size) / float64(t.capacity) }
-
 // IsSFH reports whether the table uses the single-function-hash layout.
 func (t *Table) IsSFH() bool { return t.flags&FlagSFH != 0 }
 

@@ -11,9 +11,9 @@
 // batch's keys by owning node, writes the per-node sub-batches back-to-back
 // from the caller's goroutine over the pooled per-node clients and then
 // collects the replies in the same order, reading each node's connection
-// itself — a client has no reader goroutine, so the fan-out wakes nobody;
-// single-key reads and mutations
-// route to the range owner through one loop (Router.do). When a
+// itself — a client has no reader goroutine, so the fan-out wakes nobody; a
+// single-key Lookup is a one-key LookupMany, and mutations route to the
+// range owner through one loop (Router.do). When a
 // node answers WRONG_SHARD — its map is newer than the router's, i.e. a live
 // migration cut over — the router refetches the map from that node, installs
 // it and re-routes the rejected keys, so a migration in flight costs
@@ -57,7 +57,7 @@ type routerCounters struct {
 	redirects  atomic.Uint64 // WRONG_SHARD replies followed
 	refreshes  atomic.Uint64 // shard-map refetches
 	errors     atomic.Uint64 // operations coerced to miss/false by failure
-	batches    atomic.Uint64 // LookupMany calls
+	batches    atomic.Uint64 // LookupMany calls, one-key Lookups included
 	subBatches atomic.Uint64 // per-node sub-batches issued
 	exhausted  atomic.Uint64 // operations that ran out of redirect rounds
 }
@@ -260,7 +260,7 @@ func (r *Router) StatsSnapshot() (*stats.Snapshot, error) {
 	return rollup, nil
 }
 
-// do is the one single-key routing loop: op runs against key's owner under
+// do is the one single-key mutation loop: op runs against key's owner under
 // the current view, and a WRONG_SHARD reply is followed (redirected installs
 // the rejecting node's map) for up to maxRedirects further rounds. Whatever
 // else op returns — nil, a table-semantics error, a transport failure — is
@@ -292,13 +292,12 @@ func (r *Router) count(err error) {
 	}
 }
 
-// Lookup implements flowserve.Reader, following WRONG_SHARD redirects.
-func (r *Router) Lookup(key []byte) (value uint64, ok bool) {
-	r.count(r.do(key, func(cl *flowwire.Client) (err error) {
-		value, ok, err = cl.LookupE(key)
-		return err
-	}))
-	return value, ok
+// Lookup implements flowserve.Reader as a one-key LookupMany: one frame to
+// the owner, following WRONG_SHARD redirects.
+func (r *Router) Lookup(key []byte) (uint64, bool) {
+	keys, res := [1][]byte{key}, [1]flowserve.Result{}
+	r.LookupMany(keys[:], res[:])
+	return res[0].Value, res[0].OK
 }
 
 // scatter is one LookupMany call's scratch, pooled per router so the steady

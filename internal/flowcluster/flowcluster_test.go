@@ -509,10 +509,13 @@ func TestWrongShardDirect(t *testing.T) {
 	}
 	defer cl.Close()
 
-	_, _, err = cl.LookupE(key)
+	lt, err := cl.StartLookupMany([][]byte{key})
+	if err == nil {
+		err = lt.Wait(make([]flowserve.Result, 1), nil)
+	}
 	var ws *flowwire.WrongShardError
 	if !asWrongShard(err, &ws) || ws.Epoch != m.Epoch {
-		t.Fatalf("LookupE at wrong node = %v, want WrongShardError epoch %d", err, m.Epoch)
+		t.Fatalf("one-key LOOKUP_MANY at wrong node = %v, want WrongShardError epoch %d", err, m.Epoch)
 	}
 	if _, err := cl.UpdateE(key, 1); !asWrongShard(err, &ws) {
 		t.Fatalf("UpdateE at wrong node = %v", err)
@@ -530,12 +533,6 @@ func TestWrongShardDirect(t *testing.T) {
 	}
 	if err := cl.Err(); err != nil {
 		t.Fatalf("connection wedged: %v", err)
-	}
-
-	// HELLO advertises the cluster identity.
-	h := cl.Hello()
-	if h.Epoch != m.Epoch || h.NodeID != 0 {
-		t.Fatalf("HELLO = %+v, want epoch %d node 0", h, m.Epoch)
 	}
 }
 
@@ -881,10 +878,11 @@ func TestRouterSteadyStateAllocs(t *testing.T) {
 	if errs := r.Errors(); errs != 0 {
 		t.Fatalf("router errors = %d", errs)
 	}
-	// 64 warm-up calls, AllocsPerRun's own warm-up call and its 300 runs, one
-	// sub-batch per node each: the gated batch really did reach all three.
-	if got := r.c.subBatches.Load() - subBatches; got != 3*365 {
-		t.Fatalf("LookupMany issued %d sub-batches, want %d", got, 3*365)
+	// 64 warm-up calls, AllocsPerRun's own warm-up call and its 300 runs: one
+	// sub-batch per node for each LookupMany — the gated batch really did
+	// reach all three — and one for each Lookup, a one-key LookupMany.
+	if got := r.c.subBatches.Load() - subBatches; got != 4*365 {
+		t.Fatalf("Lookup and LookupMany issued %d sub-batches, want %d", got, 4*365)
 	}
 }
 

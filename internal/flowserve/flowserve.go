@@ -168,12 +168,6 @@ func (t *Table) Capacity() uint64 {
 	return c
 }
 
-// LoadFactor returns Size()/Capacity() — a racy-but-monotonic-enough gauge
-// under concurrent writes, exact when quiescent.
-func (t *Table) LoadFactor() float64 {
-	return float64(t.Size()) / float64(t.Capacity())
-}
-
 // Size returns the number of live entries (a racy sum under concurrent
 // writes, exact when quiescent).
 func (t *Table) Size() uint64 {

@@ -84,7 +84,7 @@ func TestFrameBufPoolSteadyStateAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		fb := getFrameBuf()
-		fb.b = AppendFrameHeader(fb.b[:0], OpLookup, StatusOK, 7, 0)
+		fb.b = AppendFrameHeader(fb.b[:0], OpLookupMany, StatusOK, 7, 0)
 		putFrameBuf(fb)
 	})
 	if allocs != 0 {

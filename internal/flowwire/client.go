@@ -172,8 +172,7 @@ type cliConn struct {
 }
 
 // DialEndpoint connects a pool of opts.Conns connections to the flowserved
-// at ep and performs the HELLO handshake to learn the table geometry — and,
-// on a cluster node, the node's shard-map epoch and identity.
+// at ep and performs the HELLO handshake to learn the table geometry.
 func DialEndpoint(ep Endpoint, opts Options) (*Client, error) {
 	if err := opts.applyDefaults(); err != nil {
 		return nil, err
@@ -594,31 +593,14 @@ func (cl *Client) count(err error) {
 	}
 }
 
-// LookupE is Lookup with the error surfaced: a WRONG_SHARD redirect, a
-// table-semantics error or a transport failure comes back typed instead of
-// being coerced into a miss. The cluster router routes and retries on it;
-// plain Reader callers use Lookup.
-func (cl *Client) LookupE(key []byte) (uint64, bool, error) {
-	if len(key) != cl.hello.KeyLen {
-		return 0, false, flowserve.ErrKeyLen
-	}
-	pc, p, err := cl.do(OpLookup, key, 9)
-	if err != nil {
-		return 0, false, err
-	}
-	value, ok := binary.LittleEndian.Uint64(p[1:9]), p[0] != 0
-	cl.putCall(pc)
-	return value, ok, nil
-}
-
 // Lookup implements flowserve.Reader: a blocking single-key remote lookup
-// (the wire LOOKUP op, the paper's LOOKUP_B). Wrong-length keys are misses;
-// transport failures are misses too, and are counted in
-// flowwire.client.errors.
+// (the paper's LOOKUP_B), sent as a one-key LOOKUP_MANY frame and waited on
+// at once. Wrong-length keys are misses; transport failures are misses too,
+// and are counted in flowwire.client.errors.
 func (cl *Client) Lookup(key []byte) (uint64, bool) {
-	value, ok, err := cl.LookupE(key)
-	cl.count(err)
-	return value, ok
+	keys, res := [1][]byte{key}, [1]flowserve.Result{}
+	cl.LookupMany(keys[:], res[:])
+	return res[0].Value, res[0].OK
 }
 
 // validKeys returns the keys of length keyLen and their indexes in keys.

@@ -1,7 +1,6 @@
 package flowwire
 
 import (
-	"encoding/binary"
 	"errors"
 	"math/rand"
 	"net"
@@ -17,7 +16,7 @@ import (
 )
 
 // slowLookupServer is a hand-rolled single-connection server that answers
-// HELLO immediately and the i-th LOOKUP or LOOKUP_MANY after delayFor(i) — the
+// HELLO immediately and the i-th LOOKUP_MANY after delayFor(i) — the
 // deliberately slow server the timeout-race tests need. Lookup replies carry
 // value = first key byte, so a caller can prove the reply it got belongs to
 // its own request and not to an earlier timed-out one. The returned counter
@@ -49,18 +48,13 @@ func slowLookupServer(t *testing.T, delayFor func(i int) time.Duration) (Endpoin
 				wmu.Lock()
 				nc.Write(AppendFrame(nil, &Frame{Op: OpHello, ReqID: f.ReqID, Payload: payload}))
 				wmu.Unlock()
-			case OpLookup, OpLookupMany:
-				var p []byte
-				if f.Op == OpLookup {
-					p = binary.LittleEndian.AppendUint64([]byte{1}, uint64(f.Payload[0]))
-				} else {
-					keys, _ := parseLookupManyReq(f.Payload, 20, nil)
-					res := make([]flowserve.Result, len(keys))
-					for i, k := range keys {
-						res[i] = flowserve.Result{OK: true, Value: uint64(k[0])}
-					}
-					p = appendLookupManyReply(nil, res)
+			case OpLookupMany:
+				keys, _ := parseLookupManyReq(f.Payload, 20, nil)
+				res := make([]flowserve.Result, len(keys))
+				for i, k := range keys {
+					res[i] = flowserve.Result{OK: true, Value: uint64(k[0])}
 				}
+				p := appendLookupManyReply(nil, res)
 				// Replies are concurrent so a delayed one does not
 				// head-of-line block the requests behind it.
 				go func(reply []byte, wait time.Duration) {
@@ -137,6 +131,17 @@ func (ms *manualServer) dial(t *testing.T, opts Options) (*Client, net.Conn) {
 func lookupManyReply(req *Frame) []byte {
 	p := appendLookupManyReply(nil, []flowserve.Result{{OK: true, Value: uint64(req.Payload[6])}})
 	return AppendFrame(nil, &Frame{Op: OpLookupMany, ReqID: req.ReqID, Payload: p})
+}
+
+// lookupE is Client.Lookup with the error surfaced: a one-key ticket started
+// and waited at once.
+func lookupE(cl *Client, key []byte) (uint64, bool, error) {
+	var res [1]flowserve.Result
+	lt, err := cl.StartLookupMany([][]byte{key})
+	if err == nil {
+		err = lt.Wait(res[:], nil)
+	}
+	return res[0].Value, res[0].OK, err
 }
 
 // startOne starts a one-key LOOKUP_MANY and returns its ticket with the
@@ -586,7 +591,7 @@ func TestCallersShareOneConnectionUnderTimeouts(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < calls; i++ {
 				b := uint64(g*calls+i) % 256
-				v, ok, err := cl.LookupE(wkey(b))
+				v, ok, err := lookupE(cl, wkey(b))
 				if errors.Is(err, ErrCallTimeout) {
 					continue
 				}
@@ -659,6 +664,53 @@ func TestStartRefusedBeforeTheConnection(t *testing.T) {
 	}
 }
 
+// TestLookupIsAOneKeyLookupMany pins what a blocking Client.Lookup puts on
+// the wire: one LOOKUP_MANY frame carrying its one key, which a server's
+// coalescer counts as exactly one frame and one key.
+func TestLookupIsAOneKeyLookupMany(t *testing.T) {
+	t.Run("frame", func(t *testing.T) {
+		ms := startManualServer(t)
+		cl, nc := ms.dial(t, Options{})
+		type answer struct {
+			value uint64
+			ok    bool
+		}
+		got := make(chan answer, 1)
+		go func() {
+			v, ok := cl.Lookup(wkey(0x42))
+			got <- answer{v, ok}
+		}()
+		req := <-ms.reqs
+		keys, st := parseLookupManyReq(req.Payload, 20, nil)
+		if req.Op != OpLookupMany || st != StatusOK || len(keys) != 1 || string(keys[0]) != string(wkey(0x42)) {
+			t.Fatalf("Lookup sent a %s frame whose payload parses to %d keys (%s), want one LOOKUP_MANY key", req.Op, len(keys), st)
+		}
+		nc.Write(lookupManyReply(&req))
+		if a := <-got; !a.ok || a.value != 0x42 {
+			t.Fatalf("Lookup = (%#x,%v), want (0x42,true)", a.value, a.ok)
+		}
+	})
+	t.Run("coalescer", func(t *testing.T) {
+		srv, tbl, addr := startServer(t, flowserve.Config{Shards: 1, Entries: 128, KeyLen: 20}, Config{})
+		if err := tbl.Insert(wkey(1), 11); err != nil {
+			t.Fatal(err)
+		}
+		cl := dialTest(t, addr, Options{})
+		counts := func() (frames, keys uint64) {
+			snap := stats.NewSnapshot()
+			srv.CollectInto(snap)
+			return snap.Counter("flowwire.coalesce.frames"), snap.Counter("flowwire.coalesce.keys")
+		}
+		frames0, keys0 := counts()
+		if v, ok := cl.Lookup(wkey(1)); !ok || v != 11 {
+			t.Fatalf("Lookup = (%d,%v), want (11,true)", v, ok)
+		}
+		if frames, keys := counts(); frames-frames0 != 1 || keys-keys0 != 1 {
+			t.Fatalf("one Lookup moved %d frames and %d keys through the coalescer, want 1 and 1", frames-frames0, keys-keys0)
+		}
+	})
+}
+
 // TestWriteErrorMarksConnDead pins the post-write-error contract: once a
 // write fails (here: the peer stops reading and the write deadline fires
 // with the socket buffers full), the connection is explicitly dead — later
@@ -686,7 +738,7 @@ func TestWriteErrorMarksConnDead(t *testing.T) {
 	}()
 	cl, err := DialEndpoint(Endpoint{Transport: TransportTCP, Addr: ln.Addr().String()}, Options{
 		WriteTimeout: 50 * time.Millisecond,
-		CallTimeout:  200 * time.Millisecond,
+		CallTimeout:  10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("DialEndpoint: %v", err)

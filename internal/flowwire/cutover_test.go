@@ -111,7 +111,7 @@ func TestLookupParkedAcrossCutoverIsRedirected(t *testing.T) {
 	// The lookup: gated under epoch 1, then the hook cuts over, then it probes.
 	cutover = AppendShardMap(nil, next)
 	armed.Store(true)
-	_, ok, err := a.LookupE(key)
+	_, ok, err := lookupE(a, key)
 	if st := cutoverS.Load(); st != uint32(StatusOK)+1 {
 		t.Fatalf("the cutover did not run inside the lookup (status+1 = %d)", st)
 	}
@@ -122,7 +122,7 @@ func TestLookupParkedAcrossCutoverIsRedirected(t *testing.T) {
 	if ws.Epoch != next.Epoch {
 		t.Fatalf("redirect carries epoch %d, want the new map's %d", ws.Epoch, next.Epoch)
 	}
-	if v, ok, err := b.LookupE(key); err != nil || !ok || v != 4242 {
+	if v, ok, err := lookupE(b, key); err != nil || !ok || v != 4242 {
 		t.Fatalf("lookup on the gaining node = (%d, %v, %v)", v, ok, err)
 	}
 	if got := srvs[0].cl.c.staleProbes.Load(); got != 1 {

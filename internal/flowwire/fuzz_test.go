@@ -23,7 +23,7 @@ import (
 // TestMalformedFramesBothTransports pins the per-transport plumbing.
 func FuzzFrameCodec(f *testing.F) {
 	// Well-formed frames of each op.
-	f.Add(AppendFrame(nil, &Frame{Op: OpLookup, ReqID: 1, Payload: wkey(1)}))
+	f.Add(lookupFrame(nil, 1, wkey(1)))
 	f.Add(AppendFrame(nil, &Frame{Op: OpLookupMany, ReqID: 2,
 		Payload: appendLookupManyReq(nil, [][]byte{wkey(1), wkey(2)}, 20)}))
 	f.Add(AppendFrame(nil, &Frame{Op: OpLookupMany, Status: StatusOK, ReqID: 3,
@@ -35,9 +35,9 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add(full[:7])
 	f.Add(full[:len(full)-4])
 	// Oversized length prefix.
-	f.Add(AppendFrameHeader(nil, OpLookup, StatusOK, 6, 1<<30)[:4])
+	f.Add(AppendFrameHeader(nil, OpLookupMany, StatusOK, 6, 1<<30)[:4])
 	// Bad version / bad reserved byte.
-	bad := AppendFrame(nil, &Frame{Op: OpLookup, ReqID: 7, Payload: wkey(4)})
+	bad := lookupFrame(nil, 7, wkey(4))
 	bad[4] = Version + 1
 	f.Add(append([]byte(nil), bad...))
 	bad[4], bad[7] = Version, 0xFF

@@ -15,8 +15,21 @@ import (
 // connection reads a burst, serves it in order, flushes when nothing more is
 // buffered.
 
+// lookupFrame appends a one-key LOOKUP_MANY request, the frame Client.Lookup
+// sends.
 func lookupFrame(buf []byte, reqID uint64, key []byte) []byte {
-	return AppendFrame(buf, &Frame{Op: OpLookup, ReqID: reqID, Payload: key})
+	payload := appendLookupManyReq(nil, [][]byte{key}, len(key))
+	return AppendFrame(buf, &Frame{Op: OpLookupMany, ReqID: reqID, Payload: payload})
+}
+
+// oneResult decodes the reply to a one-key lookup frame.
+func oneResult(t *testing.T, f Frame) flowserve.Result {
+	t.Helper()
+	var res [1]flowserve.Result
+	if n, err := parseLookupManyReply(f.Payload, res[:], nil); err != nil || n != 1 {
+		t.Fatalf("reply %+v is not a one-key lookup reply (%d results, %v)", f, n, err)
+	}
+	return res[0]
 }
 
 func insertFrame(buf []byte, reqID uint64, key []byte, value uint64) []byte {
@@ -59,11 +72,8 @@ func TestBurstMutationsSplitLookupRuns(t *testing.T) {
 			t.Fatalf("reply %d = %+v, want id %d OK", id, f, id)
 		}
 		if hit, isLookup := wantHit[id]; isLookup {
-			if got := f.Payload[0] != 0; got != hit {
-				t.Fatalf("lookup %d hit = %v, want %v", id, got, hit)
-			}
-			if hit && binary.LittleEndian.Uint64(f.Payload[1:]) != 77 {
-				t.Fatalf("lookup %d value = %v", id, f.Payload)
+			if r := oneResult(t, f); r.OK != hit || (hit && r.Value != 77) {
+				t.Fatalf("lookup %d = %+v, want hit %v with value 77", id, r, hit)
 			}
 		}
 	}
@@ -90,14 +100,14 @@ func TestBurstWithHalfDeliveredTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := uint64(1); id <= 2; id++ {
-		if f := readReply(t, nc); f.ReqID != id || f.Status != StatusOK || (f.Payload[0] != 0) != (id == 1) {
+		if f := readReply(t, nc); f.ReqID != id || f.Status != StatusOK || oneResult(t, f).OK != (id == 1) {
 			t.Fatalf("reply %d before the tail arrived = %+v", id, f)
 		}
 	}
 	if _, err := nc.Write(buf[cut:]); err != nil {
 		t.Fatal(err)
 	}
-	if f := readReply(t, nc); f.ReqID != 3 || f.Status != StatusOK || f.Payload[0] != 1 {
+	if f := readReply(t, nc); f.ReqID != 3 || f.Status != StatusOK || !oneResult(t, f).OK {
 		t.Fatalf("tail reply = %+v", f)
 	}
 }

@@ -229,7 +229,7 @@ func FuzzShmRing(f *testing.F) {
 		var in []byte
 		for i := 0; i < 3; i++ {
 			p := payload[len(payload)*i/3 : len(payload)*(i+1)/3]
-			in = AppendFrame(in, &Frame{Op: OpLookup, ReqID: uint64(i + 1), Payload: p})
+			in = AppendFrame(in, &Frame{Op: OpLookupMany, ReqID: uint64(i + 1), Payload: p})
 		}
 
 		// Push through the ring: write a fuzz-chosen chunk, drain fully,

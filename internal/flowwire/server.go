@@ -446,20 +446,18 @@ func rejectStatus(err error) Status {
 	return StatusOK
 }
 
-func isLookup(op Op) bool { return op == OpLookup || op == OpLookupMany }
-
 // serveBurst answers frames in arrival order. A run of consecutive
-// LOOKUP/LOOKUP_MANY frames shares one Batch.LookupMany; anything else ends
-// the run and is served after it, so per-connection FIFO semantics hold.
+// LOOKUP_MANY frames shares one Batch.LookupMany; anything else ends the run
+// and is served after it, so per-connection FIFO semantics hold.
 func (c *srvConn) serveBurst(frames []Frame) {
 	for i := 0; i < len(frames); {
-		if !isLookup(frames[i].Op) {
+		if frames[i].Op != OpLookupMany {
 			c.serveOne(&frames[i])
 			i++
 			continue
 		}
 		j := i + 1
-		for j < len(frames) && isLookup(frames[j].Op) {
+		for j < len(frames) && frames[j].Op == OpLookupMany {
 			j++
 		}
 		c.serveLookups(frames[i:j])
@@ -481,16 +479,8 @@ func (c *srvConn) serveLookups(frames []Frame) {
 	for i := range frames {
 		f := &frames[i]
 		before := len(c.keys)
-		st := StatusOK
-		if f.Op == OpLookup {
-			if len(f.Payload) != keyLen {
-				st = StatusErrKeyLen
-			} else {
-				c.keys = append(c.keys, f.Payload)
-			}
-		} else {
-			c.keys, st = parseLookupManyReq(f.Payload, keyLen, c.keys)
-		}
+		var st Status
+		c.keys, st = parseLookupManyReq(f.Payload, keyLen, c.keys)
 		// Whole-frame ownership: the router builds per-node sub-batches, so a
 		// frame mixing owned and unowned keys means a stale map — redirect the
 		// frame and let the router re-route everything.
@@ -547,15 +537,6 @@ func (c *srvConn) serveLookups(frames []Frame) {
 			c.replyWrongShard(f.Op, f.ReqID, m.Epoch)
 		case c.statuses[i] != StatusOK:
 			c.reply(f.Op, c.statuses[i], f.ReqID, nil)
-		case f.Op == OpLookup:
-			c.out = AppendFrameHeader(c.out[:0], OpLookup, StatusOK, f.ReqID, 9)
-			ok := byte(0)
-			if res[0].OK {
-				ok = 1
-			}
-			c.out = append(c.out, ok)
-			c.out = binary.LittleEndian.AppendUint64(c.out, res[0].Value)
-			c.send()
 		default:
 			c.out = AppendFrameHeader(c.out[:0], OpLookupMany, StatusOK, f.ReqID, 4+9*len(res))
 			c.out = appendLookupManyReply(c.out, res)
@@ -570,18 +551,8 @@ func (c *srvConn) serveOne(f *Frame) {
 	keyLen := t.KeyLen()
 	switch f.Op {
 	case OpHello:
-		hi := HelloInfo{
-			KeyLen:   keyLen,
-			Shards:   t.Shards(),
-			Capacity: t.Capacity(),
-			NodeID:   NoNode,
-		}
-		if cl := c.srv.cl; cl != nil {
-			hi.Epoch = cl.m.Load().Epoch
-			hi.NodeID = cl.selfID.Load()
-		}
 		c.out = AppendFrameHeader(c.out[:0], OpHello, StatusOK, f.ReqID, helloReplyLen)
-		c.out = appendHelloReply(c.out, hi)
+		c.out = appendHelloReply(c.out, HelloInfo{KeyLen: keyLen, Shards: t.Shards(), Capacity: t.Capacity()})
 		c.send()
 	case OpInsert, OpUpdate:
 		if len(f.Payload) < 8 {

@@ -202,26 +202,47 @@ func readReply(t *testing.T, nc net.Conn) Frame {
 	return f
 }
 
+// TestServerRejectsUnknownOp pins the typed reply to an op the server does
+// not speak — an unassigned code, and 2, the retired single-key LOOKUP whose
+// well-formed one-key payload must not be served as a lookup — and that the
+// connection keeps serving after it.
 func TestServerRejectsUnknownOp(t *testing.T) {
-	_, _, addr := startServer(t, flowserve.Config{Shards: 1, Entries: 128, KeyLen: 20}, Config{})
-	nc := rawConn(t, addr)
-	nc.Write(AppendFrame(nil, &Frame{Op: Op(99), ReqID: 41}))
-	f := readReply(t, nc)
-	if f.Status != StatusErrOp || f.ReqID != 41 {
-		t.Fatalf("unknown op reply = %+v, want ERR_OP/41", f)
+	_, tbl, addr := startServer(t, flowserve.Config{Shards: 1, Entries: 128, KeyLen: 20}, Config{})
+	if err := tbl.Insert(wkey(1), 11); err != nil {
+		t.Fatal(err)
 	}
-	// An unknown op is a typed reply, not a connection killer.
-	nc.Write(AppendFrame(nil, &Frame{Op: OpLookup, ReqID: 42, Payload: wkey(1)}))
-	f = readReply(t, nc)
-	if f.Op != OpLookup || f.Status != StatusOK || f.ReqID != 42 {
-		t.Fatalf("lookup after unknown op = %+v", f)
+	for _, tc := range []struct {
+		name    string
+		op      Op
+		payload []byte
+	}{
+		{"unassigned", Op(99), nil},
+		{"retired-lookup", Op(2), wkey(1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nc := rawConn(t, addr)
+			nc.Write(AppendFrame(nil, &Frame{Op: tc.op, ReqID: 41, Payload: tc.payload}))
+			f := readReply(t, nc)
+			if f.Op != tc.op || f.Status != StatusErrOp || f.ReqID != 41 || len(f.Payload) != 0 {
+				t.Fatalf("op %d reply = %+v, want ERR_OP/41 with no payload", tc.op, f)
+			}
+			// An unknown op is a typed reply, not a connection killer.
+			nc.Write(lookupFrame(nil, 42, wkey(1)))
+			f = readReply(t, nc)
+			if f.Op != OpLookupMany || f.Status != StatusOK || f.ReqID != 42 {
+				t.Fatalf("lookup after op %d = %+v", tc.op, f)
+			}
+			if r := oneResult(t, f); !r.OK || r.Value != 11 {
+				t.Fatalf("lookup after op %d = %+v, want 11", tc.op, r)
+			}
+		})
 	}
 }
 
 func TestServerRejectsBadVersion(t *testing.T) {
 	_, _, addr := startServer(t, flowserve.Config{Shards: 1, Entries: 128, KeyLen: 20}, Config{})
 	nc := rawConn(t, addr)
-	buf := AppendFrame(nil, &Frame{Op: OpLookup, ReqID: 7, Payload: wkey(1)})
+	buf := lookupFrame(nil, 7, wkey(1))
 	buf[4] = Version + 9
 	nc.Write(buf)
 	f := readReply(t, nc)
@@ -256,7 +277,7 @@ func TestServerRejectsShortLengthFrame(t *testing.T) {
 func TestServerClosesOnHalfFrame(t *testing.T) {
 	srv, _, addr := startServer(t, flowserve.Config{Shards: 1, Entries: 128, KeyLen: 20}, Config{})
 	nc := rawConn(t, addr)
-	full := AppendFrame(nil, &Frame{Op: OpLookup, ReqID: 3, Payload: wkey(1)})
+	full := lookupFrame(nil, 3, wkey(1))
 	nc.Write(full[:len(full)-4]) // die mid-frame
 	nc.Close()
 	// The server closes without a reply and without counting an accepted
@@ -302,9 +323,9 @@ func TestServerRejectsMalformedLookupManyPayload(t *testing.T) {
 	}
 
 	// The connection survived both typed errors.
-	nc.Write(AppendFrame(nil, &Frame{Op: OpLookup, ReqID: 53, Payload: wkey(1)}))
+	nc.Write(lookupFrame(nil, 53, wkey(1)))
 	f = readReply(t, nc)
-	if f.Status != StatusOK || f.Payload[0] != 1 {
+	if f.Status != StatusOK || !oneResult(t, f).OK {
 		t.Fatalf("lookup after payload errors = %+v", f)
 	}
 }
@@ -338,7 +359,7 @@ func TestServerCoalescesPipelinedLookups(t *testing.T) {
 			payload := appendLookupManyReq(nil, [][]byte{wkey(i % n), wkey((i + 1) % n)}, 20)
 			buf = AppendFrame(buf, &Frame{Op: OpLookupMany, ReqID: i, Payload: payload})
 		} else {
-			buf = AppendFrame(buf, &Frame{Op: OpLookup, ReqID: i, Payload: wkey(i % n)})
+			buf = lookupFrame(buf, i, wkey(i%n))
 		}
 	}
 	if _, err := nc.Write(buf); err != nil {
@@ -349,15 +370,13 @@ func TestServerCoalescesPipelinedLookups(t *testing.T) {
 		if f.ReqID != i || f.Status != StatusOK {
 			t.Fatalf("reply %d = %+v (replies must stay in FIFO order)", i, f)
 		}
-		if f.Op == OpLookup {
-			if f.Payload[0] != 1 || binary.LittleEndian.Uint64(f.Payload[1:]) != i%n+1 {
-				t.Fatalf("reply %d carried %v", i, f.Payload)
-			}
-		} else {
-			res := make([]flowserve.Result, 2)
-			if c, err := parseLookupManyReply(f.Payload, res, nil); err != nil || c != 2 || !res[0].OK || res[0].Value != i%n+1 {
-				t.Fatalf("batched reply %d = %+v (%v)", i, res, err)
-			}
+		res := make([]flowserve.Result, 2)
+		want := 1
+		if i%4 == 0 {
+			want = 2
+		}
+		if c, err := parseLookupManyReply(f.Payload, res, nil); err != nil || c != want || !res[0].OK || res[0].Value != i%n+1 {
+			t.Fatalf("reply %d = %d results %+v (%v)", i, c, res, err)
 		}
 	}
 	calls := srv.c.coalesceCalls.Load()
@@ -398,9 +417,10 @@ func TestMutationOrderingThroughCoalescer(t *testing.T) {
 		binary.LittleEndian.PutUint64(ins, round*10)
 		copy(ins[8:], k)
 		wants = append(wants, expect{emit(OpInsert, ins), OpInsert, 0, true})
-		wants = append(wants, expect{emit(OpLookup, k), OpLookup, round * 10, true})
+		lookup := appendLookupManyReq(nil, [][]byte{k}, len(k))
+		wants = append(wants, expect{emit(OpLookupMany, lookup), OpLookupMany, round * 10, true})
 		wants = append(wants, expect{emit(OpDelete, k), OpDelete, 0, true})
-		wants = append(wants, expect{emit(OpLookup, k), OpLookup, 0, false})
+		wants = append(wants, expect{emit(OpLookupMany, lookup), OpLookupMany, 0, false})
 	}
 	if _, err := nc.Write(buf); err != nil {
 		t.Fatal(err)
@@ -410,11 +430,9 @@ func TestMutationOrderingThroughCoalescer(t *testing.T) {
 		if f.ReqID != w.id || f.Status != StatusOK {
 			t.Fatalf("reply = %+v, want id %d OK", f, w.id)
 		}
-		if w.op == OpLookup {
-			ok := f.Payload[0] != 0
-			v := binary.LittleEndian.Uint64(f.Payload[1:])
-			if ok != w.ok || (ok && v != w.value) {
-				t.Fatalf("lookup %d = (%d,%v), want (%d,%v)", w.id, v, ok, w.value, w.ok)
+		if w.op == OpLookupMany {
+			if r := oneResult(t, f); r.OK != w.ok || (r.OK && r.Value != w.value) {
+				t.Fatalf("lookup %d = %+v, want (%d,%v)", w.id, r, w.value, w.ok)
 			}
 		}
 	}

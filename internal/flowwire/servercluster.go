@@ -50,13 +50,16 @@ type clusterCounters struct {
 	staleProbes atomic.Uint64
 }
 
+// noNode is a cluster's selfID while its installed map does not name it.
+const noNode = ^uint32(0)
+
 // cluster is a server's cluster-mode state.
 type cluster struct {
 	self Endpoint
 	// m is never nil: newCluster installs a validated map and
 	// handleMapUpdate replaces it only with a parsed one.
 	m      atomic.Pointer[ShardMap]
-	selfID atomic.Uint32 // index of self in the installed map, or NoNode
+	selfID atomic.Uint32 // index of self in the installed map, or noNode
 
 	// migActive tells mutators to take the full lock; it is only ever
 	// flipped under mu, so holding RLock and observing false guarantees no
@@ -74,13 +77,13 @@ func newCluster(self Endpoint, nodes []Endpoint) (*cluster, error) {
 	if self.IsZero() {
 		return nil, fmt.Errorf("flowwire: cluster mode requires Config.Self")
 	}
-	selfID := NoNode
+	selfID := noNode
 	for i, ep := range nodes {
 		if ep == self {
 			selfID = uint32(i)
 		}
 	}
-	if selfID == NoNode {
+	if selfID == noNode {
 		return nil, fmt.Errorf("flowwire: Config.Self %s not in cluster list %s", self, EndpointList(nodes))
 	}
 	m := UniformMap(nodes)
@@ -184,10 +187,8 @@ func (s *Server) applyMutation(op Op, key []byte, value uint64) (st Status, foun
 			// full lock, so enqueue order IS apply order).
 			var kind MigKind
 			switch {
-			case op == OpInsert && st == StatusOK:
-				kind = MigInsert
-			case op == OpUpdate && found:
-				kind = MigUpdate
+			case op == OpInsert && st == StatusOK, op == OpUpdate && found:
+				kind = MigUpsert
 			case op == OpDelete && found:
 				kind = MigDelete
 			}
@@ -206,7 +207,7 @@ func (s *Server) applyMutation(op Op, key []byte, value uint64) (st Status, foun
 
 // rangeOwnedBy reports whether every hash in rg is owned by node id under m.
 func rangeOwnedBy(m *ShardMap, rg Range, id uint32) bool {
-	if id == NoNode {
+	if id == noNode {
 		return false
 	}
 	own, ok := m.RangeOwner(rg)
@@ -418,7 +419,7 @@ func (s *Server) handleMapUpdate(payload []byte) Status {
 	if m.Epoch == cur.Epoch {
 		return StatusOK // idempotent re-push
 	}
-	newID := NoNode
+	newID := noNode
 	for i, ep := range m.Nodes {
 		if ep == cl.self {
 			newID = uint32(i)
@@ -487,7 +488,7 @@ func (s *Server) applyMigRecords(recs []MigRecord) (processed, conflicts uint32,
 			}
 			// Leftovers of an earlier, failed attempt at this range.
 			s.cl.c.purgedKeys.Add(t.PurgeRange(r.Value, binary.LittleEndian.Uint64(r.Key)))
-		case MigSnapshot, MigInsert, MigUpdate:
+		case MigSnapshot, MigUpsert:
 			if t.Update(r.Key, r.Value) {
 				if r.Kind == MigSnapshot {
 					conflicts++

@@ -369,10 +369,10 @@ const (
 	// last record for a key always carries its final value; a snapshot
 	// record finding the key present is counted as a (benign) conflict.
 	MigSnapshot MigKind = 1
-	// MigInsert is a double-written live INSERT: upsert.
-	MigInsert MigKind = 2
-	// MigUpdate is a double-written live UPDATE: upsert.
-	MigUpdate MigKind = 3
+	// MigUpsert is a double-written live INSERT or UPDATE: upsert, with no
+	// conflict counted. (Kind 3, once a separate UPDATE kind, is retired and
+	// fails the parse.)
+	MigUpsert MigKind = 2
 	// MigDelete is a double-written live DELETE: delete-if-present (a miss
 	// is a benign conflict: the key's snapshot record was behind it and
 	// never applied, or the range was fresh).
@@ -421,7 +421,9 @@ func parseMigRecords(p []byte, recs []MigRecord) ([]MigRecord, error) {
 			return nil, fmt.Errorf("flowwire: MIG_APPLY truncated at record %d", i)
 		}
 		kind := MigKind(p[0])
-		if kind < MigSnapshot || kind > MigPurge {
+		switch kind {
+		case MigSnapshot, MigUpsert, MigDelete, MigPurge:
+		default:
 			return nil, fmt.Errorf("flowwire: MIG_APPLY record %d has kind %d", i, kind)
 		}
 		value := binary.LittleEndian.Uint64(p[1:9])

@@ -184,8 +184,7 @@ func TestMigRecordCodecRoundTrip(t *testing.T) {
 	recs := []MigRecord{
 		{Kind: MigPurge, Value: 100, Key: []byte{200, 0, 0, 0, 0, 0, 0, 0}},
 		{Kind: MigSnapshot, Value: 7, Key: []byte("snapshot-key-0000000")},
-		{Kind: MigInsert, Value: 8, Key: []byte("insert-key-000000000")},
-		{Kind: MigUpdate, Value: 9, Key: []byte("update-key-000000000")},
+		{Kind: MigUpsert, Value: 8, Key: []byte("upsert-key-000000000")},
 		{Kind: MigDelete, Value: 0, Key: []byte("delete-key-000000000")},
 	}
 	got, err := parseMigRecords(appendMigRecords(nil, recs), nil)
@@ -200,10 +199,13 @@ func TestMigRecordCodecRoundTrip(t *testing.T) {
 			t.Fatalf("record %d = %+v, want %+v", i, got[i], recs[i])
 		}
 	}
-	// A bad kind is rejected.
-	bad := appendMigRecords(nil, []MigRecord{{Kind: 9, Value: 1, Key: []byte("x")}})
-	if _, err := parseMigRecords(bad, nil); err == nil {
-		t.Fatal("kind 9 parsed")
+	// A bad kind is rejected: an unassigned one, and 3, the retired UPDATE
+	// kind that MigUpsert replaced.
+	for _, kind := range []MigKind{9, 3} {
+		bad := appendMigRecords(nil, []MigRecord{{Kind: kind, Value: 1, Key: []byte("x")}})
+		if _, err := parseMigRecords(bad, nil); err == nil {
+			t.Fatalf("kind %d parsed", kind)
+		}
 	}
 }
 

@@ -202,14 +202,14 @@ func TestMalformedFramesAllTransports(t *testing.T) {
 			if f := readReply(t, nc); f.Status != StatusErrOp || f.ReqID != 1 {
 				t.Fatalf("unknown op reply = %+v", f)
 			}
-			nc.Write(AppendFrame(nil, &Frame{Op: OpLookup, ReqID: 2, Payload: wkey(1)}))
+			nc.Write(lookupFrame(nil, 2, wkey(1)))
 			if f := readReply(t, nc); f.Status != StatusOK || f.ReqID != 2 {
 				t.Fatalf("lookup after reject = %+v", f)
 			}
 
 			// Bad version: typed reject, then the server hangs up.
 			nc = dial()
-			bad := AppendFrame(nil, &Frame{Op: OpLookup, ReqID: 3, Payload: wkey(1)})
+			bad := lookupFrame(nil, 3, wkey(1))
 			bad[4] = Version + 1
 			nc.Write(bad)
 			if f := readReply(t, nc); f.Status != StatusErrVersion || f.ReqID != 3 {
@@ -219,7 +219,7 @@ func TestMalformedFramesAllTransports(t *testing.T) {
 
 			// Oversized length prefix: unrecoverable, reject + close.
 			nc = dial()
-			nc.Write(AppendFrameHeader(nil, OpLookup, StatusOK, 4, 1<<20)[:4])
+			nc.Write(AppendFrameHeader(nil, OpLookupMany, StatusOK, 4, 1<<20)[:4])
 			if f := readReply(t, nc); f.Status != StatusErrOversized {
 				t.Fatalf("oversized reply = %+v", f)
 			}
@@ -227,7 +227,7 @@ func TestMalformedFramesAllTransports(t *testing.T) {
 
 			// Truncated frame: peer dies mid-payload; server just closes.
 			nc = dial()
-			full := AppendFrame(nil, &Frame{Op: OpLookup, ReqID: 5, Payload: wkey(1)})
+			full := lookupFrame(nil, 5, wkey(1))
 			nc.Write(full[:len(full)-4])
 			nc.Close()
 		})

@@ -1,14 +1,15 @@
 // Package flowwire puts the flowserve runtime on the network: a
 // length-prefixed binary protocol over TCP, a server runtime
 // (cmd/flowserved) and a pooled pipelined client, both speaking the same
-// versioned frame format. The ops mirror the paper's lookup split —
-// LOOKUP is the blocking single-key LOOKUP_B, LOOKUP_MANY the batched
-// pipelined LOOKUP_NB — plus the mutation and introspection ops a remote
-// table needs. *flowwire.Client implements flowserve.Reader and
-// flowserve.Writer, so in-process and remote tables are interchangeable
-// behind one serving API (DESIGN.md §9). The client runs no goroutine of its
-// own: the caller waiting for a reply reads its connection itself, one
-// reader per connection at a time (DESIGN.md §10, "Client call lifecycle").
+// versioned frame format. Every lookup travels as one LOOKUP_MANY frame,
+// the wire form of the paper's batched LOOKUP_NB; a blocking single-key
+// lookup (LOOKUP_B) is a one-key frame waited on at once. The other ops are
+// the mutation and introspection ops a remote table needs. *flowwire.Client
+// implements flowserve.Reader and flowserve.Writer, so in-process and remote
+// tables are interchangeable behind one serving API (DESIGN.md §9). The
+// client runs no goroutine of its own: the caller waiting for a reply reads
+// its connection itself, one reader per connection at a time (DESIGN.md §10,
+// "Client call lifecycle").
 //
 // Frame layout (all integers little-endian):
 //
@@ -59,11 +60,11 @@ const MaxBatchKeys = 1 << 16
 // Op identifies a request kind.
 type Op uint8
 
-// Wire operations.
+// Wire operations. Code 2, once a single-key LOOKUP, is retired and earns
+// ERR_OP like any unknown op.
 const (
 	OpHello      Op = 1 // table geometry handshake
-	OpLookup     Op = 2 // blocking single-key lookup (LOOKUP_B)
-	OpLookupMany Op = 3 // batched lookup (LOOKUP_NB)
+	OpLookupMany Op = 3 // every lookup: a batch (LOOKUP_NB) or one key (LOOKUP_B)
 	OpInsert     Op = 4
 	OpUpdate     Op = 5
 	OpDelete     Op = 6
@@ -82,8 +83,6 @@ func (o Op) String() string {
 	switch o {
 	case OpHello:
 		return "HELLO"
-	case OpLookup:
-		return "LOOKUP"
 	case OpLookupMany:
 		return "LOOKUP_MANY"
 	case OpInsert:
@@ -112,7 +111,7 @@ func (o Op) String() string {
 type Status uint8
 
 // Reply status codes. Codes ≤ StatusErrFull map onto flowserve error
-// semantics; the rest are protocol-level.
+// semantics; the rest are protocol-level. Code 8 is retired and never sent.
 const (
 	StatusOK           Status = 0
 	StatusErrKeyLen    Status = 1 // key length does not match the table
@@ -122,7 +121,6 @@ const (
 	StatusErrVersion   Status = 5 // unsupported protocol version
 	StatusErrOp        Status = 6 // unknown op code
 	StatusErrOversized Status = 7 // frame exceeds the server's limit
-	StatusErrDraining  Status = 8 // server is draining; request not served
 	StatusErrInternal  Status = 9
 	// StatusErrWrongShard is the redirect reply: this node does not own the
 	// key's hash range under its installed shard map. The payload carries
@@ -154,8 +152,6 @@ func (s Status) String() string {
 		return "ERR_OP"
 	case StatusErrOversized:
 		return "ERR_OVERSIZED"
-	case StatusErrDraining:
-		return "ERR_DRAINING"
 	case StatusErrInternal:
 		return "ERR_INTERNAL"
 	case StatusErrWrongShard:
@@ -348,31 +344,22 @@ func getFrameBuf() *frameBuf { return frameBufPool.Get().(*frameBuf) }
 
 func putFrameBuf(fb *frameBuf) { frameBufPool.Put(fb) }
 
-// NoNode is the HelloInfo.NodeID of a standalone (non-cluster) server.
-const NoNode = ^uint32(0)
-
-// HelloInfo is the table geometry a HELLO reply reports, extended on
-// cluster nodes with the node's installed shard-map epoch and its own index
-// in that map (NoNode on a standalone server).
+// HelloInfo is the table geometry a HELLO reply reports.
 type HelloInfo struct {
 	KeyLen   int
 	Shards   int
 	Capacity uint64
-	Epoch    uint64 // shard-map epoch (0 when no map is installed)
-	NodeID   uint32 // this node's index in the shard map, or NoNode
 }
 
-// helloReplyLen is the HELLO reply payload size: geometry (16 bytes), epoch
-// and node ID.
-const helloReplyLen = 28
+// helloReplyLen is the HELLO reply payload size: keyLen u32, shards u32,
+// capacity u64.
+const helloReplyLen = 16
 
 // appendHelloReply encodes a HELLO reply payload.
 func appendHelloReply(dst []byte, h HelloInfo) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.KeyLen))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(h.Shards))
-	dst = binary.LittleEndian.AppendUint64(dst, h.Capacity)
-	dst = binary.LittleEndian.AppendUint64(dst, h.Epoch)
-	return binary.LittleEndian.AppendUint32(dst, h.NodeID)
+	return binary.LittleEndian.AppendUint64(dst, h.Capacity)
 }
 
 // parseHelloReply decodes a HELLO reply payload.
@@ -384,8 +371,6 @@ func parseHelloReply(p []byte) (HelloInfo, error) {
 		KeyLen:   int(binary.LittleEndian.Uint32(p[0:4])),
 		Shards:   int(binary.LittleEndian.Uint32(p[4:8])),
 		Capacity: binary.LittleEndian.Uint64(p[8:16]),
-		Epoch:    binary.LittleEndian.Uint64(p[16:24]),
-		NodeID:   binary.LittleEndian.Uint32(p[24:28]),
 	}, nil
 }
 

@@ -13,9 +13,9 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []Frame{
 		{Op: OpHello, ReqID: 0},
-		{Op: OpLookup, ReqID: 1, Payload: []byte("twenty-byte-key-....")},
+		{Op: OpDelete, ReqID: 1, Payload: []byte("twenty-byte-key-....")},
 		{Op: OpLookupMany, Status: StatusOK, ReqID: 1<<64 - 1, Payload: make([]byte, 4096)},
-		{Op: OpStats, Status: StatusErrDraining, ReqID: 7},
+		{Op: OpStats, Status: StatusErrInternal, ReqID: 7},
 	}
 	for _, want := range cases {
 		buf := AppendFrame(nil, &want)
@@ -32,7 +32,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameChaining(t *testing.T) {
 	var buf []byte
 	for i := uint64(0); i < 10; i++ {
-		buf = AppendFrame(buf, &Frame{Op: OpLookup, ReqID: i, Payload: []byte{byte(i)}})
+		buf = AppendFrame(buf, &Frame{Op: OpLookupMany, ReqID: i, Payload: []byte{byte(i)}})
 	}
 	r := bytes.NewReader(buf)
 	for i := uint64(0); i < 10; i++ {
@@ -60,7 +60,7 @@ func TestReadFrameRejectsShortLength(t *testing.T) {
 }
 
 func TestReadFrameRejectsOversized(t *testing.T) {
-	frame := AppendFrame(nil, &Frame{Op: OpLookup, ReqID: 1, Payload: make([]byte, 1024)})
+	frame := AppendFrame(nil, &Frame{Op: OpLookupMany, ReqID: 1, Payload: make([]byte, 1024)})
 	var f Frame
 	if err := ReadFrame(bytes.NewReader(frame), 256, &f); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame = %v, want ErrFrameTooLarge", err)
@@ -72,7 +72,7 @@ func TestReadFrameRejectsOversized(t *testing.T) {
 }
 
 func TestReadFrameRejectsBadVersion(t *testing.T) {
-	buf := AppendFrame(nil, &Frame{Op: OpLookup, ReqID: 1})
+	buf := AppendFrame(nil, &Frame{Op: OpLookupMany, ReqID: 1})
 	buf[4] = Version + 1
 	var f Frame
 	if err := ReadFrame(bytes.NewReader(buf), 0, &f); !errors.Is(err, ErrBadVersion) {
@@ -81,7 +81,7 @@ func TestReadFrameRejectsBadVersion(t *testing.T) {
 }
 
 func TestReadFrameRejectsReservedByte(t *testing.T) {
-	buf := AppendFrame(nil, &Frame{Op: OpLookup, ReqID: 1})
+	buf := AppendFrame(nil, &Frame{Op: OpLookupMany, ReqID: 1})
 	buf[7] = 0xff
 	var f Frame
 	if err := ReadFrame(bytes.NewReader(buf), 0, &f); !errors.Is(err, ErrBadReserved) {
@@ -90,7 +90,7 @@ func TestReadFrameRejectsReservedByte(t *testing.T) {
 }
 
 func TestReadFrameShortRead(t *testing.T) {
-	full := AppendFrame(nil, &Frame{Op: OpLookup, ReqID: 9, Payload: make([]byte, 64)})
+	full := AppendFrame(nil, &Frame{Op: OpLookupMany, ReqID: 9, Payload: make([]byte, 64)})
 	for _, cut := range []int{2, lenSize, headerSize - 1, headerSize + 10} {
 		var f Frame
 		err := ReadFrame(bytes.NewReader(full[:cut]), 0, &f)
@@ -172,7 +172,7 @@ func TestLookupManyCodec(t *testing.T) {
 }
 
 func TestStatusErrMapping(t *testing.T) {
-	if err := StatusOK.Err(OpLookup); err != nil {
+	if err := StatusOK.Err(OpLookupMany); err != nil {
 		t.Fatalf("StatusOK = %v", err)
 	}
 	if err := StatusErrExists.Err(OpInsert); !errors.Is(err, flowserve.ErrKeyExists) {
@@ -185,7 +185,7 @@ func TestStatusErrMapping(t *testing.T) {
 		t.Fatalf("ERR_KEYLEN = %v, want flowserve.ErrKeyLen", err)
 	}
 	var pe *ProtocolError
-	if err := StatusErrMalformed.Err(OpLookup); !errors.As(err, &pe) || pe.Status != StatusErrMalformed {
+	if err := StatusErrMalformed.Err(OpLookupMany); !errors.As(err, &pe) || pe.Status != StatusErrMalformed {
 		t.Fatalf("ERR_MALFORMED = %v, want *ProtocolError", err)
 	}
 	// Round trip through statusOf.

@@ -27,8 +27,11 @@ func (m Mode) String() string {
 }
 
 // softwareThreshold is the active-flow estimate below which lookups run in
-// software (paper §6: 64 flows — the L1-resident regime).
-const softwareThreshold = 64
+// software: the top of the range a linear-counting register of regBits bits
+// estimates usefully (~2 × regBits, Fig. 8b), so the threshold and the
+// register are sized together. The paper's 32-bit registers give its 64 flows (§6: the
+// L1-resident regime).
+func softwareThreshold(regBits uint) float64 { return 2 * float64(regBits) }
 
 // HybridConfig tunes the controller.
 type HybridConfig struct {
@@ -145,7 +148,7 @@ func (h *Hybrid) maybeScan(now sim.Cycle) {
 		return
 	}
 	want := ModeAccel
-	if est < softwareThreshold {
+	if est < softwareThreshold(h.unit.cfg.FlowRegBits) {
 		want = ModeSoftware
 	}
 	if want != h.mode {

@@ -72,26 +72,6 @@ func TestFrameCodecSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestFrameBufPoolSteadyStateAllocs pins the pooled-buffer plumbing itself:
-// a get→grow→put cycle must not allocate once the pool is primed (pooling
-// *frameBuf pointers, not bare slices, avoids the interface-conversion
-// allocation sync.Pool would otherwise charge per Put).
-func TestFrameBufPoolSteadyStateAllocs(t *testing.T) {
-	for i := 0; i < 16; i++ {
-		fb := getFrameBuf()
-		fb.b = append(fb.b[:0], make([]byte, 4<<10)...)
-		putFrameBuf(fb)
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		fb := getFrameBuf()
-		fb.b = AppendFrameHeader(fb.b[:0], OpLookupMany, StatusOK, 7, 0)
-		putFrameBuf(fb)
-	})
-	if allocs != 0 {
-		t.Fatalf("frame buffer pool cycle allocates %.1f times per op, want 0", allocs)
-	}
-}
-
 // benchLoopbackLookupMany measures the end-to-end serve path (client encode,
 // server decode/serve/encode, client decode) over a real transport; run with
 // -benchmem to see per-op allocations on the full hot path.

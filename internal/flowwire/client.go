@@ -138,24 +138,20 @@ type pcall struct {
 }
 
 func (cl *Client) putCall(pc *pcall) {
-	if pc == nil {
-		return
-	}
 	if pc.timer != nil {
 		pc.timer.Stop()
 	}
 	cl.calls.Put(pc)
 }
 
-// cliConn is one pooled connection. Writes serialise on wmu (reqID
-// assignment + frame encode into the conn-owned wbuf scratch + flush). Reads
+// cliConn is one pooled connection. Writes serialise on wmu (request encode
+// into the conn-owned wbuf scratch, reqID assignment, one Write). Reads
 // belong to whoever holds the read token: token is a one-slot channel that
 // holds the token while nobody reads, and the goroutine that takes it owns
 // br, rf and discard — the stream position — until it puts the token back.
 type cliConn struct {
 	cl     *Client
 	nc     net.Conn
-	bw     *bufio.Writer
 	wmu    sync.Mutex
 	wbuf   []byte // request frame scratch, guarded by wmu
 	nextID uint64
@@ -186,17 +182,16 @@ func DialEndpoint(ep Endpoint, opts Options) (*Client, error) {
 			return nil, fmt.Errorf("flowwire: dial %s: %w", ep, err)
 		}
 		c := &cliConn{
-			cl: cl, nc: nc, bw: bufio.NewWriterSize(nc, 64<<10), br: bufio.NewReaderSize(nc, 64<<10),
+			cl: cl, nc: nc, br: bufio.NewReaderSize(nc, 64<<10),
 			token: make(chan struct{}, 1), pending: make(map[uint64]*pcall),
 		}
 		c.token <- struct{}{}
 		cl.conns = append(cl.conns, c)
 	}
-	pc, p, err := cl.do(OpHello, nil, helloReplyLen)
-	if err == nil {
+	err := cl.do(OpHello, nil, helloReplyLen, func(p []byte) (err error) {
 		cl.hello, err = parseHelloReply(p)
-		cl.putCall(pc)
-	}
+		return err
+	})
 	if err == nil && (cl.hello.KeyLen <= 0 || cl.hello.KeyLen > flowserve.MaxKeyLen) {
 		err = fmt.Errorf("reply reports key length %d", cl.hello.KeyLen)
 	}
@@ -279,58 +274,61 @@ type ticket struct {
 	deadline time.Time
 }
 
-// start is the first half of the exchange: it registers a call slot on a
-// pooled connection and writes the request, without waiting for the reply.
-// The call timeout runs from here. A request longer than MaxFrame is refused
-// before the connection is touched: the server would answer ERR_OVERSIZED and
-// hang up on every caller sharing the pool, so the refusal is per-call, not
-// sticky. An error means nothing was registered or written and there is no
+// start is the first half of the exchange: on a pooled connection it encodes
+// the request, registers a call slot and writes the frame, without waiting for
+// the reply. The call timeout runs from here. enc appends the payload (nil:
+// none) to the connection's scratch after a header-sized gap, and the header
+// is then written into that gap, so the frame is built once and goes out in
+// one Write. A request longer than MaxFrame is refused once encoded: the
+// server would answer ERR_OVERSIZED and hang up on every caller sharing the
+// pool, so the refusal is per-call, not sticky, and the oversized scratch is
+// dropped. An error means nothing was registered or written and there is no
 // ticket to wait on; a write that fails after registration is still a ticket,
 // and wait reports the connection's error.
-func (cl *Client) start(op Op, payload []byte) (ticket, error) {
+func (cl *Client) start(op Op, enc func(dst []byte) []byte) (ticket, error) {
 	if cl.closed.Load() {
 		return ticket{}, ErrClientClosed
 	}
 	if err := cl.Err(); err != nil {
 		return ticket{}, err
 	}
-	if n := uint64(headerSize + len(payload)); n > uint64(cl.opts.MaxFrame) {
-		return ticket{}, fmt.Errorf("%w: %s request of %d bytes (limit %d)", ErrFrameTooLarge, op, n, cl.opts.MaxFrame)
-	}
 	c := cl.conns[cl.rr.Add(1)%uint64(len(cl.conns))]
 
-	pc := cl.calls.Get().(*pcall)
 	c.wmu.Lock()
+	c.wbuf = append(c.wbuf[:0], make([]byte, headerSize)...)
+	if enc != nil {
+		c.wbuf = enc(c.wbuf)
+	}
+	if n := uint64(len(c.wbuf)); n > uint64(cl.opts.MaxFrame) {
+		c.wbuf = nil
+		c.wmu.Unlock()
+		return ticket{}, fmt.Errorf("%w: %s request of %d bytes (limit %d)", ErrFrameTooLarge, op, n, cl.opts.MaxFrame)
+	}
 	c.pmu.Lock()
 	if c.dead {
 		err := c.deadErr
 		c.pmu.Unlock()
 		c.wmu.Unlock()
-		cl.putCall(pc)
 		return ticket{}, err
 	}
 	c.nextID++
 	id := c.nextID
+	pc := cl.calls.Get().(*pcall)
 	c.pending[id] = pc
 	c.pmu.Unlock()
-	// Encode into the conn-owned scratch under wmu: no per-call buffer. Every
-	// write arms its own deadline first and nothing else writes to the
+	AppendFrameHeader(c.wbuf[:0], op, StatusOK, id, len(c.wbuf)-headerSize)
+	// Every write arms its own deadline first and nothing else writes to the
 	// connection, so the deadline is never cleared: a stale one cannot fire
 	// under a later write.
-	c.wbuf = AppendFrameHeader(c.wbuf[:0], op, StatusOK, id, len(payload))
-	c.wbuf = append(c.wbuf, payload...)
 	now := time.Now()
 	err := c.nc.SetWriteDeadline(now.Add(cl.opts.WriteTimeout))
 	if err == nil {
-		_, err = c.bw.Write(c.wbuf)
-	}
-	if err == nil {
-		err = c.bw.Flush()
+		_, err = c.nc.Write(c.wbuf)
 	}
 	if err != nil {
-		// The bufio writer may hold partial frame bytes; this connection
-		// must never write again. Mark it dead before releasing wmu so the
-		// next caller fails fast instead of appending to a torn stream.
+		// Part of the frame may be on the wire; this connection must never
+		// write again. Mark it dead before releasing wmu so the next caller
+		// fails fast instead of appending to a torn stream.
 		c.pmu.Lock()
 		if !c.dead {
 			c.dead = true
@@ -350,8 +348,8 @@ func (cl *Client) start(op Op, payload []byte) (ticket, error) {
 // a caller that finds the token taken waits as a follower — on its slot, its
 // timer (armed here, so a lone caller touches none) and the token, which the
 // reader hands on when it returns. On success the returned pcall owns
-// f.Payload's backing buffer; on error the pcall has already been dealt with
-// and nil is returned.
+// f.Payload's backing buffer and finish releases it; on error the pcall has
+// already been dealt with and nil is returned.
 func (cl *Client) wait(t ticket) (*pcall, Frame, error) {
 	pc, c := t.pc, t.c
 	select {
@@ -538,50 +536,47 @@ func replyErr(f *Frame, op Op) error {
 	return f.Status.Err(op)
 }
 
-// anyLen is do's wantLen for the replies whose length only their own payload
-// knows (STATS, SHARD_MAP, MIG_STATUS).
+// anyLen is finish's wantLen for the replies whose length only their own
+// payload knows (STATS, SHARD_MAP, MIG_STATUS).
 const anyLen = -1
 
-// accept validates a reply that wait delivered in slot pc: a non-OK status
-// becomes the typed error, and the reply must be for op and exactly wantLen
-// payload bytes long. A reply that fails those two checks means the stream
-// can no longer be trusted, so it breaks the client. On success the caller
-// owns the slot: it decodes the returned payload, which aliases the slot's
-// buffer, and then releases the slot with putCall. On error the slot has been
-// released here and the returned pcall is nil.
-func (cl *Client) accept(pc *pcall, f *Frame, op Op, wantLen int) (*pcall, []byte, error) {
-	var err error
+// finish is the second half of every exchange: it waits for t's reply,
+// validates it and hands its payload to dec (nil: nothing to decode). A
+// non-OK status becomes the typed error, and the reply must be for op and
+// exactly wantLen payload bytes long; one that fails those two checks means
+// the stream can no longer be trusted, so it breaks the client. The payload
+// aliases the call slot's buffer, valid only inside dec; whether a decode
+// error is sticky is dec's to say. finish releases the slot on every path.
+func (cl *Client) finish(t ticket, op Op, wantLen int, dec func(p []byte) error) error {
+	pc, f, err := cl.wait(t)
+	if err != nil {
+		return err
+	}
 	switch {
 	case f.Op != op:
 		err = fmt.Errorf("flowwire: reply op %s to a %s request", f.Op, op)
 		cl.fail(err)
 	case f.Status != StatusOK:
-		err = replyErr(f, op)
+		err = replyErr(&f, op)
 	case wantLen != anyLen && len(f.Payload) != wantLen:
 		err = fmt.Errorf("flowwire: %s reply payload is %d bytes, want %d", op, len(f.Payload), wantLen)
 		cl.fail(err)
+	case dec != nil:
+		err = dec(f.Payload)
 	}
-	if err != nil {
-		cl.putCall(pc)
-		return nil, nil, err
-	}
-	return pc, f.Payload, nil
+	cl.putCall(pc)
+	return err
 }
 
-// do is the one blocking exchange every op method goes through: send the
-// request on a pooled connection (start), wait for its reply (wait), then
-// validate it (accept). On every error path the slot has been released and
-// pc is nil.
-func (cl *Client) do(op Op, payload []byte, wantLen int) (*pcall, []byte, error) {
-	t, err := cl.start(op, payload)
+// do is the one blocking exchange every op method but the lookups goes
+// through: encode and send the request on a pooled connection (start), then
+// wait for, validate and decode its reply (finish).
+func (cl *Client) do(op Op, enc func(dst []byte) []byte, wantLen int, dec func(p []byte) error) error {
+	t, err := cl.start(op, enc)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	pc, f, err := cl.wait(t)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cl.accept(pc, &f, op, wantLen)
+	return cl.finish(t, op, wantLen, dec)
 }
 
 // count makes a failure that an error-free Reader/Writer signature is about
@@ -628,9 +623,10 @@ type LookupTicket struct {
 
 // StartLookupMany writes one LOOKUP_MANY frame carrying keys and returns
 // without waiting for the reply. Every key must be KeyLen bytes long: a
-// wrong-length key fails the start with ErrKeyLen, and a batch too large for
-// MaxFrame with ErrFrameTooLarge, before a connection is touched. The request
-// payload is built in a pooled buffer.
+// wrong-length key fails the start with ErrKeyLen before a connection is
+// touched, and a batch too large for MaxFrame with ErrFrameTooLarge before a
+// byte is written. The keys are encoded straight into the connection's
+// request scratch.
 func (cl *Client) StartLookupMany(keys [][]byte) (LookupTicket, error) {
 	keyLen := cl.hello.KeyLen
 	for _, k := range keys {
@@ -638,10 +634,7 @@ func (cl *Client) StartLookupMany(keys [][]byte) (LookupTicket, error) {
 			return LookupTicket{}, flowserve.ErrKeyLen
 		}
 	}
-	req := getFrameBuf()
-	req.b = appendLookupManyReq(req.b[:0], keys, keyLen)
-	t, err := cl.start(OpLookupMany, req.b)
-	putFrameBuf(req) // start copied the payload onto the wire before returning
+	t, err := cl.start(OpLookupMany, func(dst []byte) []byte { return appendLookupManyReq(dst, keys, keyLen) })
 	return LookupTicket{t: t, n: len(keys)}, err
 }
 
@@ -649,34 +642,28 @@ func (cl *Client) StartLookupMany(keys [][]byte) (LookupTicket, error) {
 // one entry per key started — or in results[j] when idx is nil. On a typed
 // error reply (WRONG_SHARD during a shard-map epoch change), a timeout or a
 // transport failure, results is left untouched and the error returned. The
-// reply is parsed straight out of the call slot's reused buffer.
+// reply is parsed straight out of the call slot's reused buffer; a reply of
+// the right length whose count disagrees breaks the client.
 func (lt LookupTicket) Wait(results []flowserve.Result, idx []int) error {
 	cl := lt.t.c.cl
-	pc, f, err := cl.wait(lt.t)
-	if err != nil {
+	return cl.finish(lt.t, OpLookupMany, 4+9*lt.n, func(p []byte) error {
+		// finish checked the length, so a parse that succeeds filled all lt.n.
+		_, err := parseLookupManyReply(p, results, idx)
+		if err != nil {
+			cl.fail(err)
+		}
 		return err
-	}
-	pc, p, err := cl.accept(pc, &f, OpLookupMany, 4+9*lt.n)
-	if err != nil {
-		return err
-	}
-	// accept checked the length, so a parse that succeeds filled all lt.n.
-	_, err = parseLookupManyReply(p, results, idx)
-	cl.putCall(pc)
-	if err != nil {
-		cl.fail(err)
-	}
-	return err
+	})
 }
 
 // LookupMany implements flowserve.Reader: all keys travel in one
 // LOOKUP_MANY frame (the paper's batched LOOKUP_NB), with wrong-length keys
 // answered locally as misses. On a typed error reply, a refusal or a
 // transport failure every result is a miss and flowwire.client.errors counts
-// the call. The request payload is built in a pooled buffer and the reply
-// parsed out of the call slot's reused buffer — the steady-state batch path
-// allocates nothing. Callers that need the error (the cluster router) start
-// and wait a LookupTicket instead.
+// the call. The request is encoded straight into the connection's scratch and
+// the reply parsed out of the call slot's reused buffer — the steady-state
+// batch path allocates nothing. Callers that need the error (the cluster
+// router) start and wait a LookupTicket instead.
 func (cl *Client) LookupMany(keys [][]byte, results []flowserve.Result) int {
 	results = results[:len(keys)]
 	// Zeroed up front, so every early return below leaves misses behind.
@@ -709,28 +696,19 @@ func (cl *Client) LookupMany(keys [][]byte, results []flowserve.Result) int {
 	return hits
 }
 
-// mutate is the INSERT/UPDATE exchange: the value+key payload is built in a
-// pooled buffer like every other request.
-func (cl *Client) mutate(op Op, key []byte, value uint64, wantLen int) (*pcall, []byte, error) {
+// mutate is the INSERT/UPDATE exchange: a value+key payload and, for
+// UPDATE, the one-byte found reply.
+func (cl *Client) mutate(op Op, key []byte, value uint64, wantLen int) (found bool, err error) {
 	if len(key) != cl.hello.KeyLen {
-		return nil, nil, flowserve.ErrKeyLen
+		return false, flowserve.ErrKeyLen
 	}
-	req := getFrameBuf()
-	req.b = append(binary.LittleEndian.AppendUint64(req.b[:0], value), key...)
-	pc, p, err := cl.do(op, req.b, wantLen)
-	putFrameBuf(req)
-	return pc, p, err
-}
-
-// found decodes the one-byte reply UPDATE and DELETE share and releases the
-// call slot.
-func (cl *Client) found(pc *pcall, p []byte, err error) (bool, error) {
-	if err != nil {
-		return false, err
-	}
-	found := p[0] != 0
-	cl.putCall(pc)
-	return found, nil
+	err = cl.do(op, func(dst []byte) []byte {
+		return append(binary.LittleEndian.AppendUint64(dst, value), key...)
+	}, wantLen, func(p []byte) error {
+		found = len(p) == 1 && p[0] != 0
+		return nil
+	})
+	return found, err
 }
 
 // Insert implements flowserve.Writer over the wire. Table-semantics
@@ -738,15 +716,14 @@ func (cl *Client) found(pc *pcall, p []byte, err error) (bool, error) {
 // ErrKeyLen); a redirect as *WrongShardError; transport failures as the
 // underlying error.
 func (cl *Client) Insert(key []byte, value uint64) error {
-	pc, _, err := cl.mutate(OpInsert, key, value, 0)
-	cl.putCall(pc)
+	_, err := cl.mutate(OpInsert, key, value, 0)
 	return err
 }
 
 // UpdateE is Update with the error surfaced (WRONG_SHARD redirect, transport
 // failure) so the cluster router can re-route instead of reporting a miss.
 func (cl *Client) UpdateE(key []byte, value uint64) (bool, error) {
-	return cl.found(cl.mutate(OpUpdate, key, value, 1))
+	return cl.mutate(OpUpdate, key, value, 1)
 }
 
 // Update implements flowserve.Writer; false on absent key or failure
@@ -758,11 +735,15 @@ func (cl *Client) Update(key []byte, value uint64) bool {
 }
 
 // DeleteE is Delete with the error surfaced, mirroring UpdateE.
-func (cl *Client) DeleteE(key []byte) (bool, error) {
+func (cl *Client) DeleteE(key []byte) (found bool, err error) {
 	if len(key) != cl.hello.KeyLen {
 		return false, flowserve.ErrKeyLen
 	}
-	return cl.found(cl.do(OpDelete, key, 1))
+	err = cl.do(OpDelete, func(dst []byte) []byte { return append(dst, key...) }, 1, func(p []byte) error {
+		found = p[0] != 0
+		return nil
+	})
+	return found, err
 }
 
 // Delete implements flowserve.Writer; false on absent key or failure
@@ -778,30 +759,29 @@ func (cl *Client) Delete(key []byte) bool {
 // STATS op. The cluster router merges per-node snapshots into its rollup
 // with stats.Snapshot.Merge, the same code path CollectInto feeds.
 func (cl *Client) StatsSnapshot() (*stats.Snapshot, error) {
-	pc, p, err := cl.do(OpStats, nil, anyLen)
+	snap := stats.NewSnapshot()
+	err := cl.do(OpStats, nil, anyLen, func(p []byte) error {
+		if err := json.Unmarshal(p, snap); err != nil {
+			return fmt.Errorf("flowwire: STATS payload: %w", err)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	defer cl.putCall(pc)
-	snap := stats.NewSnapshot()
-	if err := json.Unmarshal(p, snap); err != nil {
-		return nil, fmt.Errorf("flowwire: STATS payload: %w", err)
 	}
 	return snap, nil
 }
 
 // FetchShardMap fetches the node's installed shard map via the SHARD_MAP op.
 // A standalone (non-cluster) node reports a nil map at epoch 0.
-func (cl *Client) FetchShardMap() (*ShardMap, error) {
-	pc, p, err := cl.do(OpShardMap, nil, anyLen)
-	if err != nil {
-		return nil, err
-	}
-	defer cl.putCall(pc)
-	if len(p) == 0 {
-		return nil, nil
-	}
-	return ParseShardMap(p)
+func (cl *Client) FetchShardMap() (m *ShardMap, err error) {
+	err = cl.do(OpShardMap, nil, anyLen, func(p []byte) (err error) {
+		if len(p) > 0 {
+			m, err = ParseShardMap(p)
+		}
+		return err
+	})
+	return m, err
 }
 
 // PushShardMap installs a shard map on the node via the MAP_UPDATE op. On
@@ -810,35 +790,24 @@ func (cl *Client) FetchShardMap() (*ShardMap, error) {
 // drained into the gaining node, so a returned nil error IS the zero-loss
 // point of the cutover.
 func (cl *Client) PushShardMap(m *ShardMap) error {
-	req := getFrameBuf()
-	req.b = AppendShardMap(req.b[:0], m)
-	pc, _, err := cl.do(OpMapUpdate, req.b, 0)
-	putFrameBuf(req)
-	cl.putCall(pc)
-	return err
+	return cl.do(OpMapUpdate, func(dst []byte) []byte { return AppendShardMap(dst, m) }, 0, nil)
 }
 
 // MigrateStart asks the node (the losing side A) to begin migrating the hash
 // range rg to the node at dst: snapshot+stream the range and double-write
 // every mutation that lands in it until the cutover map arrives.
 func (cl *Client) MigrateStart(rg Range, dst Endpoint) error {
-	req := getFrameBuf()
-	req.b = appendMigStartReq(req.b[:0], rg, dst)
-	pc, _, err := cl.do(OpMigStart, req.b, 0)
-	putFrameBuf(req)
-	cl.putCall(pc)
-	return err
+	return cl.do(OpMigStart, func(b []byte) []byte { return appendMigStartReq(b, rg, dst) }, 0, nil)
 }
 
 // MigrateStatus fetches the node's migration ledger (snapshot progress and
 // the enqueued == sent == acked record counts the coordinator checks).
-func (cl *Client) MigrateStatus() (MigInfo, error) {
-	pc, p, err := cl.do(OpMigStatus, nil, anyLen)
-	if err != nil {
-		return MigInfo{}, err
-	}
-	defer cl.putCall(pc)
-	return parseMigInfo(p)
+func (cl *Client) MigrateStatus() (info MigInfo, err error) {
+	err = cl.do(OpMigStatus, nil, anyLen, func(p []byte) (err error) {
+		info, err = parseMigInfo(p)
+		return err
+	})
+	return info, err
 }
 
 // MigApply streams a batch of migrated records to the gaining node and
@@ -846,14 +815,9 @@ func (cl *Client) MigrateStatus() (MigInfo, error) {
 // (snapshot/double-write overlaps). The losing node's migration sender is
 // the only caller.
 func (cl *Client) MigApply(recs []MigRecord) (applied, conflicts uint32, err error) {
-	req := getFrameBuf()
-	req.b = appendMigRecords(req.b[:0], recs)
-	pc, p, err := cl.do(OpMigApply, req.b, 8)
-	putFrameBuf(req)
-	if err != nil {
-		return 0, 0, err
-	}
-	applied, conflicts = binary.LittleEndian.Uint32(p[0:4]), binary.LittleEndian.Uint32(p[4:8])
-	cl.putCall(pc)
-	return applied, conflicts, nil
+	err = cl.do(OpMigApply, func(dst []byte) []byte { return appendMigRecords(dst, recs) }, 8, func(p []byte) error {
+		applied, conflicts = binary.LittleEndian.Uint32(p[0:4]), binary.LittleEndian.Uint32(p[4:8])
+		return nil
+	})
+	return applied, conflicts, err
 }

@@ -1,11 +1,13 @@
 package flowwire
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"net"
 	"os"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,7 +41,7 @@ func slowLookupServer(t *testing.T, delayFor func(i int) time.Duration) (Endpoin
 		var wmu sync.Mutex
 		for i := 0; ; {
 			var f Frame
-			if err := ReadFrame(nc, 0, &f); err != nil {
+			if _, err := ReadFrameInto(nc, 0, &f, nil); err != nil {
 				return
 			}
 			switch f.Op {
@@ -100,7 +102,7 @@ func startManualServer(t *testing.T) *manualServer {
 		}
 		for first := true; ; first = false {
 			var f Frame
-			if err := ReadFrame(nc, 0, &f); err != nil {
+			if _, err := ReadFrameInto(nc, 0, &f, nil); err != nil {
 				return
 			}
 			if first {
@@ -546,7 +548,7 @@ func TestDialStartsNoReaderGoroutine(t *testing.T) {
 		var f Frame
 		for i := 0; ; i = (i + 1) % conns {
 			ncs[i].SetReadDeadline(time.Now().Add(5 * time.Millisecond))
-			if err := ReadFrame(ncs[i], 0, &f); err == nil {
+			if _, err := ReadFrameInto(ncs[i], 0, &f, nil); err == nil {
 				payload := appendHelloReply(nil, HelloInfo{KeyLen: 20, Shards: 1, Capacity: 64})
 				ncs[i].Write(AppendFrame(nil, &Frame{Op: OpHello, ReqID: f.ReqID, Payload: payload}))
 				return
@@ -622,45 +624,161 @@ func TestCallersShareOneConnectionUnderTimeouts(t *testing.T) {
 	}
 }
 
-// TestStartRefusedBeforeTheConnection pins what StartLookupMany checks
-// locally: a wrong-length key or a batch over MaxFrame fails the start with
-// nothing registered or written, so there is no ticket to wait on and the
-// client is as good as before.
+// TestStartRefusedBeforeTheConnection pins what a call checks locally: a
+// wrong-length key, or a request of any op whose frame is over MaxFrame,
+// fails the start with nothing registered or written, so there is no ticket
+// to wait on, the connection keeps no oversized scratch and the client is as
+// good as before.
 func TestStartRefusedBeforeTheConnection(t *testing.T) {
+	const maxFrame = 4096
 	_, tbl, addr := startServer(t, flowserve.Config{Shards: 1, Entries: 128, KeyLen: 20}, Config{})
 	if err := tbl.Insert(wkey(1), 11); err != nil {
 		t.Fatal(err)
 	}
-	cl := dialTest(t, addr, Options{Conns: 1, MaxFrame: 4096})
+	cl := dialTest(t, addr, Options{Conns: 1, MaxFrame: maxFrame})
 	c := cl.conns[0]
 	sent := c.nextID // the HELLO; nothing else writes until the calls below
 
-	if _, err := cl.StartLookupMany([][]byte{wkey(1), wkey(2)[:19]}); !errors.Is(err, flowserve.ErrKeyLen) {
-		t.Fatalf("StartLookupMany with a 19-byte key = %v, want ErrKeyLen", err)
-	}
-	big := make([][]byte, 4096/20+1)
+	big := make([][]byte, maxFrame/20+1)
+	recs := make([]MigRecord, maxFrame/31+1)
 	for i := range big {
 		big[i] = wkey(1)
 	}
-	if _, err := cl.StartLookupMany(big); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("StartLookupMany of %d keys = %v, want ErrFrameTooLarge", len(big), err)
+	for i := range recs {
+		recs[i] = MigRecord{Kind: MigUpsert, Value: uint64(i), Key: wkey(uint64(i))}
 	}
-	c.wmu.Lock()
-	if c.nextID != sent {
-		t.Errorf("refused starts advanced the connection's reqID from %d to %d", sent, c.nextID)
+	nodes := make([]Endpoint, maxFrame/16)
+	for i := range nodes {
+		nodes[i] = Endpoint{Transport: TransportTCP, Addr: "127.0.0.1:7411"}
 	}
-	c.wmu.Unlock()
-	if n := pendingCalls(c); n != 0 {
-		t.Errorf("refused starts left %d calls pending", n)
+	m := UniformMap(nodes)
+	if n := len(AppendShardMap(nil, m)); n <= maxFrame {
+		t.Fatalf("the oversized shard map encodes to %d bytes, within MaxFrame", n)
 	}
-	if err := cl.Err(); err != nil {
-		t.Fatalf("a refused start broke the client: %v", err)
+	for _, tc := range []struct {
+		name string
+		want error
+		call func() error
+	}{
+		{"a 19-byte key", flowserve.ErrKeyLen, func() error {
+			_, err := cl.StartLookupMany([][]byte{wkey(1), wkey(2)[:19]})
+			return err
+		}},
+		{"a LOOKUP_MANY of " + strconv.Itoa(len(big)) + " keys", ErrFrameTooLarge, func() error {
+			_, err := cl.StartLookupMany(big)
+			return err
+		}},
+		{"a MIG_APPLY of " + strconv.Itoa(len(recs)) + " records", ErrFrameTooLarge, func() error {
+			_, _, err := cl.MigApply(recs)
+			return err
+		}},
+		{"a MAP_UPDATE of " + strconv.Itoa(len(nodes)) + " nodes", ErrFrameTooLarge, func() error {
+			return cl.PushShardMap(m)
+		}},
+	} {
+		if err := tc.call(); !errors.Is(err, tc.want) {
+			t.Fatalf("%s = %v, want %v", tc.name, err, tc.want)
+		}
+		c.wmu.Lock()
+		if c.nextID != sent {
+			t.Errorf("%s advanced the connection's reqID from %d to %d", tc.name, sent, c.nextID)
+		}
+		if cap(c.wbuf) > maxFrame {
+			t.Errorf("%s left the connection a %d-byte scratch", tc.name, cap(c.wbuf))
+		}
+		c.wmu.Unlock()
+		if n := pendingCalls(c); n != 0 {
+			t.Errorf("%s left %d calls pending", tc.name, n)
+		}
+		if err := cl.Err(); err != nil {
+			t.Fatalf("refusing %s broke the client: %v", tc.name, err)
+		}
+		if c := cl.Counters(); c != (ClientCounters{}) {
+			t.Fatalf("counters after refusing %s = %+v, want zeroes", tc.name, c)
+		}
+		if v, ok := cl.Lookup(wkey(1)); !ok || v != 11 {
+			t.Fatalf("Lookup after refusing %s = (%d,%v), want (11,true)", tc.name, v, ok)
+		}
+		sent++ // the Lookup
 	}
-	if v, ok := cl.Lookup(wkey(1)); !ok || v != 11 {
-		t.Fatalf("Lookup after the refusals = (%d,%v), want (11,true)", v, ok)
+}
+
+// TestBadRepliesStickyOrNot pins which malformed replies break the client.
+// A reply for another op, or a LOOKUP_MANY reply whose length or count does
+// not match the request, means the stream can no longer be trusted: the call
+// fails and Err() is set. A STATS, SHARD_MAP or MIG_STATUS payload that its
+// parser rejects fails that call alone, and the client keeps serving.
+func TestBadRepliesStickyOrNot(t *testing.T) {
+	lookup := func(cl *Client) error {
+		_, _, err := lookupE(cl, wkey(7))
+		return err
 	}
-	if c := cl.Counters(); c != (ClientCounters{}) {
-		t.Fatalf("counters after the refusals = %+v, want zeroes", c)
+	reply := func(op Op, payload []byte) func(req *Frame) []byte {
+		return func(req *Frame) []byte {
+			return AppendFrame(nil, &Frame{Op: op, ReqID: req.ReqID, Payload: payload})
+		}
+	}
+	oneHit := appendLookupManyReply(nil, []flowserve.Result{{OK: true, Value: 1}})
+	twoHits := appendLookupManyReply(nil, []flowserve.Result{{OK: true, Value: 1}, {OK: true, Value: 2}})
+	countTwo := binary.LittleEndian.AppendUint32(nil, 2)
+	countTwo = append(countTwo, oneHit[4:]...) // one result's bytes claiming two
+	for _, tc := range []struct {
+		name   string
+		call   func(cl *Client) error
+		reply  func(req *Frame) []byte
+		sticky bool
+	}{
+		{"another op", lookup, reply(OpStats, oneHit), true},
+		{"LOOKUP_MANY of the wrong length", lookup, reply(OpLookupMany, twoHits), true},
+		{"LOOKUP_MANY whose count disagrees", lookup, reply(OpLookupMany, countTwo), true},
+		{"STATS that is not JSON", func(cl *Client) error {
+			_, err := cl.StatsSnapshot()
+			return err
+		}, reply(OpStats, []byte("{not json")), false},
+		{"SHARD_MAP that does not parse", func(cl *Client) error {
+			_, err := cl.FetchShardMap()
+			return err
+		}, reply(OpShardMap, []byte{1, 2, 3}), false},
+		{"MIG_STATUS that is not JSON", func(cl *Client) error {
+			_, err := cl.MigrateStatus()
+			return err
+		}, reply(OpMigStatus, []byte("{not json")), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ms := startManualServer(t)
+			cl, nc := ms.dial(t, Options{})
+			errc := make(chan error, 1)
+			go func() { errc <- tc.call(cl) }()
+			req := <-ms.reqs
+			nc.Write(tc.reply(&req))
+			if err := <-errc; err == nil {
+				t.Fatal("a malformed reply was accepted")
+			}
+			if tc.sticky {
+				if cl.Err() == nil {
+					t.Fatal("the malformed reply left the client serving")
+				}
+				return
+			}
+			if err := cl.Err(); err != nil {
+				t.Fatalf("a per-call decode failure broke the client: %v", err)
+			}
+			type answer struct {
+				value uint64
+				ok    bool
+				err   error
+			}
+			got := make(chan answer, 1)
+			go func() {
+				v, ok, err := lookupE(cl, wkey(7))
+				got <- answer{v, ok, err}
+			}()
+			req = <-ms.reqs
+			nc.Write(lookupManyReply(&req))
+			if a := <-got; a.err != nil || !a.ok || a.value != uint64(wkey(7)[0]) {
+				t.Fatalf("lookup after the failure = (%d,%v,%v), want (%d,true,nil)", a.value, a.ok, a.err, wkey(7)[0])
+			}
+		})
 	}
 }
 
@@ -714,7 +832,7 @@ func TestLookupIsAOneKeyLookupMany(t *testing.T) {
 // TestWriteErrorMarksConnDead pins the post-write-error contract: once a
 // write fails (here: the peer stops reading and the write deadline fires
 // with the socket buffers full), the connection is explicitly dead — later
-// calls fail fast instead of appending frames to a torn bufio stream — and
+// calls fail fast instead of appending frames to a torn stream — and
 // the failure is sticky on the client.
 func TestWriteErrorMarksConnDead(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -730,7 +848,7 @@ func TestWriteErrorMarksConnDead(t *testing.T) {
 		}
 		// Answer the HELLO, then go silent: never read another byte.
 		var f Frame
-		if err := ReadFrame(nc, 0, &f); err == nil && f.Op == OpHello {
+		if _, err := ReadFrameInto(nc, 0, &f, nil); err == nil && f.Op == OpHello {
 			payload := appendHelloReply(nil, HelloInfo{KeyLen: 20, Shards: 1, Capacity: 64})
 			nc.Write(AppendFrame(nil, &Frame{Op: OpHello, ReqID: f.ReqID, Payload: payload}))
 		}

@@ -11,10 +11,9 @@ import (
 // headers, oversized lengths, bad versions, garbage payloads — and checks
 // the codec invariants the server and client rely on:
 //
-//   - ReadFrame never panics and never accepts a frame past maxFrame;
-//   - an accepted frame re-encodes byte-identically (the zero-copy append
-//     path and the allocating path agree);
-//   - ReadFrameInto and ReadFrame agree on every input;
+//   - ReadFrameInto never panics and never accepts a frame past maxFrame;
+//   - an accepted frame re-encodes byte-identically;
+//   - decoding into fresh and into reused scratch agree on every input;
 //   - the LOOKUP_MANY payload parsers never panic on adversarial payloads
 //     and never return more keys/results than the payload can hold.
 //
@@ -46,18 +45,18 @@ func FuzzFrameCodec(f *testing.F) {
 	const maxFrame = 1 << 16
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fr Frame
-		err := ReadFrame(bytes.NewReader(data), maxFrame, &fr)
+		_, err := ReadFrameInto(bytes.NewReader(data), maxFrame, &fr, nil)
 		var fr2 Frame
 		scratch := make([]byte, 0, 64)
 		_, err2 := ReadFrameInto(bytes.NewReader(data), maxFrame, &fr2, scratch)
 		if (err == nil) != (err2 == nil) {
-			t.Fatalf("ReadFrame err=%v but ReadFrameInto err=%v", err, err2)
+			t.Fatalf("fresh scratch err=%v but reused scratch err=%v", err, err2)
 		}
 		if err != nil {
 			return
 		}
 		if fr2.Op != fr.Op || fr2.Status != fr.Status || fr2.ReqID != fr.ReqID || !bytes.Equal(fr2.Payload, fr.Payload) {
-			t.Fatalf("ReadFrameInto decoded %+v, ReadFrame decoded %+v", fr2, fr)
+			t.Fatalf("reused scratch decoded %+v, fresh scratch decoded %+v", fr2, fr)
 		}
 		if len(fr.Payload) > maxFrame {
 			t.Fatalf("accepted %d-byte payload past the %d limit", len(fr.Payload), maxFrame)
@@ -70,7 +69,7 @@ func FuzzFrameCodec(f *testing.F) {
 			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", enc, data[:len(enc)])
 		}
 		var fr3 Frame
-		if err := ReadFrame(bytes.NewReader(enc), maxFrame, &fr3); err != nil {
+		if _, err := ReadFrameInto(bytes.NewReader(enc), maxFrame, &fr3, nil); err != nil {
 			t.Fatalf("re-encoded frame failed to decode: %v", err)
 		}
 

@@ -64,9 +64,10 @@ const (
 )
 
 // DefaultShmRingBytes is the per-direction ring capacity Listen gives shm
-// connections: large enough that a 64 KiB bufio flush never blocks the
-// producer when the consumer keeps up, small enough that per-connection
-// segments stay cheap (two rings + the control page ≈ 516 KiB).
+// connections: large enough that neither the server's 64 KiB reply flush nor
+// a client request frame of that size blocks the producer when the consumer
+// keeps up, small enough that per-connection segments stay cheap (two rings +
+// the control page ≈ 516 KiB).
 const DefaultShmRingBytes = 1 << 18
 
 var errBadSegment = errors.New("flowwire: bad shm segment")

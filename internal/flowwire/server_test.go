@@ -196,7 +196,7 @@ func readReply(t *testing.T, nc net.Conn) Frame {
 	t.Helper()
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var f Frame
-	if err := ReadFrame(nc, 0, &f); err != nil {
+	if _, err := ReadFrameInto(nc, 0, &f, nil); err != nil {
 		t.Fatalf("reading reply: %v", err)
 	}
 	return f

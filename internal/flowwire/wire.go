@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"halo/internal/flowserve"
 )
@@ -313,36 +312,6 @@ func ReadFrameInto(r io.Reader, maxFrame uint32, f *Frame, buf []byte) ([]byte, 
 	f.Payload = buf
 	return buf, nil
 }
-
-// ReadFrame reads one frame from r into f, allocating a fresh f.Payload the
-// caller owns indefinitely. Tests and cold paths use this; hot paths use
-// ReadFrameInto with reused scratch.
-func ReadFrame(r io.Reader, maxFrame uint32, f *Frame) error {
-	payloadLen, err := ReadFrameHeader(r, maxFrame, f)
-	if err != nil {
-		return err
-	}
-	f.Payload = make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, f.Payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return err
-	}
-	return nil
-}
-
-// frameBuf is a pooled byte buffer in which the client builds a request
-// payload (a LOOKUP_MANY key list, a shard map, a migration batch) before
-// call copies it onto the wire. Pooling the wrapper (not the bare slice)
-// keeps Put/Get free of interface-conversion allocations.
-type frameBuf struct{ b []byte }
-
-var frameBufPool = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, 512)} }}
-
-func getFrameBuf() *frameBuf { return frameBufPool.Get().(*frameBuf) }
-
-func putFrameBuf(fb *frameBuf) { frameBufPool.Put(fb) }
 
 // HelloInfo is the table geometry a HELLO reply reports.
 type HelloInfo struct {

@@ -20,8 +20,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	for _, want := range cases {
 		buf := AppendFrame(nil, &want)
 		var got Frame
-		if err := ReadFrame(bytes.NewReader(buf), 0, &got); err != nil {
-			t.Fatalf("ReadFrame(%v): %v", want.Op, err)
+		if _, err := ReadFrameInto(bytes.NewReader(buf), 0, &got, nil); err != nil {
+			t.Fatalf("ReadFrameInto(%v): %v", want.Op, err)
 		}
 		if got.Op != want.Op || got.Status != want.Status || got.ReqID != want.ReqID || !bytes.Equal(got.Payload, want.Payload) {
 			t.Fatalf("round trip mangled frame: got %+v want %+v", got, want)
@@ -37,7 +37,7 @@ func TestFrameChaining(t *testing.T) {
 	r := bytes.NewReader(buf)
 	for i := uint64(0); i < 10; i++ {
 		var f Frame
-		if err := ReadFrame(r, 0, &f); err != nil {
+		if _, err := ReadFrameInto(r, 0, &f, nil); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if f.ReqID != i || len(f.Payload) != 1 || f.Payload[0] != byte(i) {
@@ -45,7 +45,7 @@ func TestFrameChaining(t *testing.T) {
 		}
 	}
 	var f Frame
-	if err := ReadFrame(r, 0, &f); err != io.EOF {
+	if _, err := ReadFrameInto(r, 0, &f, nil); err != io.EOF {
 		t.Fatalf("read past the last frame: %v, want io.EOF", err)
 	}
 }
@@ -54,7 +54,7 @@ func TestReadFrameRejectsShortLength(t *testing.T) {
 	buf := binary.LittleEndian.AppendUint32(nil, headerRest-1)
 	buf = append(buf, make([]byte, headerRest)...)
 	var f Frame
-	if err := ReadFrame(bytes.NewReader(buf), 0, &f); !errors.Is(err, ErrShortFrame) {
+	if _, err := ReadFrameInto(bytes.NewReader(buf), 0, &f, nil); !errors.Is(err, ErrShortFrame) {
 		t.Fatalf("short length = %v, want ErrShortFrame", err)
 	}
 }
@@ -62,11 +62,11 @@ func TestReadFrameRejectsShortLength(t *testing.T) {
 func TestReadFrameRejectsOversized(t *testing.T) {
 	frame := AppendFrame(nil, &Frame{Op: OpLookupMany, ReqID: 1, Payload: make([]byte, 1024)})
 	var f Frame
-	if err := ReadFrame(bytes.NewReader(frame), 256, &f); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := ReadFrameInto(bytes.NewReader(frame), 256, &f, nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame = %v, want ErrFrameTooLarge", err)
 	}
 	// The same frame passes a roomier limit.
-	if err := ReadFrame(bytes.NewReader(frame), 4096, &f); err != nil {
+	if _, err := ReadFrameInto(bytes.NewReader(frame), 4096, &f, nil); err != nil {
 		t.Fatalf("frame under the limit = %v", err)
 	}
 }
@@ -75,7 +75,7 @@ func TestReadFrameRejectsBadVersion(t *testing.T) {
 	buf := AppendFrame(nil, &Frame{Op: OpLookupMany, ReqID: 1})
 	buf[4] = Version + 1
 	var f Frame
-	if err := ReadFrame(bytes.NewReader(buf), 0, &f); !errors.Is(err, ErrBadVersion) {
+	if _, err := ReadFrameInto(bytes.NewReader(buf), 0, &f, nil); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("bad version = %v, want ErrBadVersion", err)
 	}
 }
@@ -84,7 +84,7 @@ func TestReadFrameRejectsReservedByte(t *testing.T) {
 	buf := AppendFrame(nil, &Frame{Op: OpLookupMany, ReqID: 1})
 	buf[7] = 0xff
 	var f Frame
-	if err := ReadFrame(bytes.NewReader(buf), 0, &f); !errors.Is(err, ErrBadReserved) {
+	if _, err := ReadFrameInto(bytes.NewReader(buf), 0, &f, nil); !errors.Is(err, ErrBadReserved) {
 		t.Fatalf("reserved byte = %v, want ErrBadReserved", err)
 	}
 }
@@ -93,14 +93,14 @@ func TestReadFrameShortRead(t *testing.T) {
 	full := AppendFrame(nil, &Frame{Op: OpLookupMany, ReqID: 9, Payload: make([]byte, 64)})
 	for _, cut := range []int{2, lenSize, headerSize - 1, headerSize + 10} {
 		var f Frame
-		err := ReadFrame(bytes.NewReader(full[:cut]), 0, &f)
+		_, err := ReadFrameInto(bytes.NewReader(full[:cut]), 0, &f, nil)
 		if err != io.ErrUnexpectedEOF {
 			t.Fatalf("truncated at %d = %v, want io.ErrUnexpectedEOF", cut, err)
 		}
 	}
 	// A cut before any byte of the next frame is a clean EOF.
 	var f Frame
-	if err := ReadFrame(bytes.NewReader(nil), 0, &f); err != io.EOF {
+	if _, err := ReadFrameInto(bytes.NewReader(nil), 0, &f, nil); err != io.EOF {
 		t.Fatalf("empty stream = %v, want io.EOF", err)
 	}
 }

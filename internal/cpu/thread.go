@@ -34,14 +34,6 @@ type InstrCounts struct {
 // Total returns the number of retired instructions.
 func (c InstrCounts) Total() uint64 { return c.Loads + c.Stores + c.Arith + c.Other }
 
-// Add accumulates another count set.
-func (c *InstrCounts) Add(o InstrCounts) {
-	c.Loads += o.Loads
-	c.Stores += o.Stores
-	c.Arith += o.Arith
-	c.Other += o.Other
-}
-
 // StallStats attributes load-stall cycles to the structure that serviced the
 // load, supporting the paper's Fig. 4 analysis.
 type StallStats struct {

@@ -134,9 +134,6 @@ type TableStats struct {
 // Stats returns a copy of the operation counters.
 func (t *Table) Stats() TableStats { return t.stats }
 
-// ResetStats zeroes the operation counters.
-func (t *Table) ResetStats() { t.stats = TableStats{} }
-
 // CollectInto adds the table's counters to a snapshot under the cuckoo.*
 // names; calling it for several tables accumulates them.
 func (s TableStats) CollectInto(snap *stats.Snapshot) {

@@ -45,10 +45,10 @@ func (b *Batch) grow(n int) {
 // single seqlock window, amortising the read protocol (and its cache-line
 // traffic) over the group.
 //
-// The issue pass records only the primary hash per key; the shard's region
-// derives candidate buckets and the signature from it inside the probe. Keys
-// of the wrong length are misses counted in the table-level badlen counter,
-// as in Lookup.
+// The issue pass records only the primary hash per key; the shard derives
+// candidate buckets and the signature from it inside the probe. Keys of the
+// wrong length are misses counted in the table-level badlen counter, as in
+// Lookup.
 // results must be at least len(keys) long.
 func (b *Batch) LookupMany(keys [][]byte, results []Result) int {
 	t := b.t
@@ -128,15 +128,13 @@ func (b *Batch) LookupMany(keys [][]byte, results []Result) int {
 // writes nothing the shard's other readers or its writer can see: the caller
 // counts the group.
 func (b *Batch) lookupGroup(sh *shard, group []uint32, results []Result) int {
-	nw := b.t.keyWords
-	r := sh.region
 	for w := (readWindow{sh: sh}); ; {
 		w.open()
 		hits := 0
 		for _, i := range group {
 			res := Result{}
-			if _, slot, ok := sh.locate(r, &b.kw[i], nw, b.h[i]); ok {
-				res = Result{Value: sh.valueWord(r, slot, nw).Load(), OK: true}
+			if _, slot, ok := sh.locate(&b.kw[i], b.h[i]); ok {
+				res = Result{Value: sh.valueWord(slot).Load(), OK: true}
 				hits++
 			}
 			results[i] = res

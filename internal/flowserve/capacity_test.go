@@ -28,31 +28,31 @@ func TestNewRejectsPerShardOverflow(t *testing.T) {
 }
 
 // TestBitBudgetAtMaxPerShard takes the largest shard New accepts and checks
-// that its region's hash bits keep out of hashfn.ShardIndex's bits 24..47:
+// that its hash bits keep out of hashfn.ShardIndex's bits 24..47:
 // the bucket index below them (at most 21 bits), the signature above them
 // (at least 8 bits), so sharding skews neither bucket occupancy nor
 // signature entropy within a shard. The largest slot index still fits above
 // the signature in 32 bits.
 func TestBitBudgetAtMaxPerShard(t *testing.T) {
 	tbl := mustNew(t, Config{Shards: 1, Entries: maxPerShard - 1, KeyLen: 20})
-	r := tbl.shards[0].region
-	if n := bits.Len64(r.bucketCount - 1); n > 21 {
-		t.Fatalf("%d buckets take %d index bits, want <= 21", r.bucketCount, n)
+	sh := tbl.shards[0]
+	if n := bits.Len64(sh.bucketCount() - 1); n > 21 {
+		t.Fatalf("%d buckets take %d index bits, want <= 21", sh.bucketCount(), n)
 	}
-	if r.sigBits != 8 {
-		t.Fatalf("sigBits = %d at %d slots, want 8", r.sigBits, r.capacity)
+	if sh.sigBits != 8 {
+		t.Fatalf("sigBits = %d at %d slots, want 8", sh.sigBits, sh.capacity)
 	}
-	if top := (r.capacity-1)<<r.sigBits | uint64(r.sigMask); top > 1<<32-1 {
+	if top := (sh.capacity-1)<<sh.sigBits | uint64(sh.sigMask); top > 1<<32-1 {
 		t.Fatalf("largest entry %#x overflows 32 bits", top)
 	}
 	const shardBits = 1<<48 - 1<<24 // the bits ShardIndex reads at its widest
 	if hashfn.ShardIndex(^uint64(shardBits), 1<<24) != 0 || hashfn.ShardIndex(shardBits, 1<<24) != 1<<24-1 {
 		t.Fatal("hashfn.ShardIndex no longer reads exactly bits 24..47")
 	}
-	if b1, _, sig := r.buckets(shardBits); b1 != 0 || sig != 1 {
+	if b1, _, sig := sh.buckets(shardBits); b1 != 0 || sig != 1 {
 		t.Fatalf("a hash of shard bits alone gives bucket %d, signature %#x: they overlap the shard index", b1, sig)
 	}
-	if b1, _, sig := r.buckets(^uint64(shardBits)); b1 != r.bucketCount-1 || sig != r.sigMask {
+	if b1, _, sig := sh.buckets(^uint64(shardBits)); b1 != sh.bucketCount()-1 || sig != sh.sigMask {
 		t.Fatalf("a hash without shard bits gives bucket %d, signature %#x: the bucket or signature bits reach into the shard index", b1, sig)
 	}
 }
@@ -75,10 +75,9 @@ func TestCapacityAddressable(t *testing.T) {
 	} {
 		tbl := mustNew(t, cfg)
 		for _, sh := range tbl.shards {
-			r := sh.region
-			if r.capacity > r.bucketCount*EntriesPerBucket {
+			if sh.capacity > sh.bucketCount()*EntriesPerBucket {
 				t.Fatalf("cfg %+v: shard capacity %d exceeds %d addressable bucket entries",
-					cfg, r.capacity, r.bucketCount*EntriesPerBucket)
+					cfg, sh.capacity, sh.bucketCount()*EntriesPerBucket)
 			}
 		}
 	}

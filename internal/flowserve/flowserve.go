@@ -27,11 +27,11 @@
 //     key returns ErrTableFull. Capacity across nodes moves with
 //     flowcluster's MoveRange (DESIGN.md §8, "Capacity").
 //
-// Layout per shard region mirrors rte_hash (and the simulated cuckoo.Table):
-// an array of 8-entry buckets holding packed {slot, signature} words, plus
+// Storage per shard mirrors rte_hash (and the simulated cuckoo.Table): an
+// array of 8-entry buckets holding packed {slot, signature} words, plus
 // key-value slots of 8-byte words. Unlike rte_hash, an entry is 4 bytes, not
 // 8: the slot index and a signature share one 32-bit word, the signature as
-// wide as the region's slot count leaves room for (16 bits down to 8), so a
+// wide as the shard's slot count leaves room for (16 bits down to 8), so a
 // bucket is half a cache line. Nor are the slots allocated up front for full
 // capacity: they live in fixed-size pages, each allocated the first time a
 // slot in it is handed out, so a table holds memory for the flows it has
@@ -104,9 +104,8 @@ type Config struct {
 // of goroutines concurrently with mutations; mutations themselves serialise
 // per shard on an internal mutex.
 type Table struct {
-	shards   []*shard
-	keyLen   int
-	keyWords int
+	shards []*shard
+	keyLen int
 
 	// badLen counts lookups whose key length does not match the table.
 	// Such keys never hash to a shard, so charging any shard's counters
@@ -141,13 +140,12 @@ func New(cfg Config) (*Table, error) {
 		return nil, fmt.Errorf("flowserve: %d entries per shard, want < %d: a bucket entry holds a 24-bit slot index beside an 8-bit signature", perShard, maxPerShard)
 	}
 	t := &Table{
-		shards:   make([]*shard, cfg.Shards),
-		keyLen:   cfg.KeyLen,
-		keyWords: (cfg.KeyLen + 7) / 8,
-		stripes:  make([]readStripe, batchStripes),
+		shards:  make([]*shard, cfg.Shards),
+		keyLen:  cfg.KeyLen,
+		stripes: make([]readStripe, batchStripes),
 	}
 	for i := range t.shards {
-		t.shards[i] = newShard(perShard, cfg.KeyLen, t.keyWords)
+		t.shards[i] = newShard(perShard, cfg.KeyLen)
 	}
 	t.batchPool = newBatchPool(t)
 	return t, nil
@@ -163,7 +161,7 @@ func (t *Table) Shards() int { return len(t.shards) }
 func (t *Table) Capacity() uint64 {
 	var c uint64
 	for _, sh := range t.shards {
-		c += sh.region.capacity
+		c += sh.capacity
 	}
 	return c
 }
@@ -179,8 +177,8 @@ func (t *Table) Size() uint64 {
 }
 
 // route hashes a key and resolves the owning shard. Bucket indexes and the
-// signature are derived from the primary hash by the shard's region, in its
-// geometry, when it probes.
+// signature are derived from the primary hash by the shard, in its geometry,
+// when it probes.
 func (t *Table) route(key []byte, kw *[maxKeyWords]uint64) (sh *shard, h uint64) {
 	keyToWords(key, kw)
 	h = hashfn.Hash(hashfn.SeedPrimary, key)
@@ -198,7 +196,7 @@ func (t *Table) Lookup(key []byte) (value uint64, ok bool) {
 	}
 	var kw [maxKeyWords]uint64
 	sh, h := t.route(key, &kw)
-	return sh.lookup(&kw, t.keyWords, h)
+	return sh.lookup(&kw, h)
 }
 
 // Insert adds a key-value pair. Inserting an existing key returns
@@ -209,7 +207,7 @@ func (t *Table) Insert(key []byte, value uint64) error {
 	}
 	var kw [maxKeyWords]uint64
 	sh, h := t.route(key, &kw)
-	return sh.insert(&kw, t.keyWords, h, value)
+	return sh.insert(&kw, h, value)
 }
 
 // Update changes the value of an existing key, reporting whether it was
@@ -220,7 +218,7 @@ func (t *Table) Update(key []byte, value uint64) bool {
 	}
 	var kw [maxKeyWords]uint64
 	sh, h := t.route(key, &kw)
-	return sh.update(&kw, t.keyWords, h, value)
+	return sh.update(&kw, h, value)
 }
 
 // Delete removes a key, reporting whether it was present.
@@ -230,7 +228,7 @@ func (t *Table) Delete(key []byte) bool {
 	}
 	var kw [maxKeyWords]uint64
 	sh, h := t.route(key, &kw)
-	return sh.delete(&kw, t.keyWords, h)
+	return sh.delete(&kw, h)
 }
 
 // keyToWords packs a key into little-endian 8-byte words, zero-padding the
@@ -276,131 +274,54 @@ const (
 	pageMask  = pageSlots - 1
 )
 
-// region is a shard's storage: the bucket array, the key-value slots it
-// indexes, and the writer-owned slot allocator. It is sized once, at New.
-type region struct {
-	bucketCount uint64
-	capacity    uint64
-
-	// sigBits is the signature width: the low sigBits bits of an entry hold
-	// the key's signature, the bits above them its slot index. newRegion
-	// fixes it at the widest that leaves room for every slot index below
-	// capacity, at most 16, so a region past 1<<16 slots loses a signature
-	// bit per doubling of its capacity. sigMask is 1<<sigBits - 1.
-	sigBits uint
-	sigMask uint32
-
-	// entries holds bucketCount*EntriesPerBucket packed bucket entries:
-	// slot<<sigBits | signature, zero when empty (signatures are never zero).
-	// A bucket is 32 bytes, and the array is 64-byte aligned
-	// (TestEntriesLineAligned), so a bucket probe reads one cache line.
-	entries []atomic.Uint32
-
-	// pages is the slot page table: page p holds slots p<<pageShift onward,
-	// kvStride words each (keyWords key words, then one value word). Every
-	// page holds pageSlots slots but the last, which is cut to capacity. A
-	// page is nil until takeSlot first hands out one of its slots, and is
-	// never replaced after.
-	pages [][]atomic.Uint64
-
-	// The slot allocator, writer-owned (guarded by the shard mu): slots
-	// [0, next) have been handed out at least once, and free holds those of
-	// them a delete has given back since.
-	next uint64
-	free []uint32
-}
-
-// newRegion sizes storage for the requested entry count: the bucket array
-// and an empty page table, no slots. The bucket count is the entry count
-// divided by the bucket width rounded UP, then rounded up to a power of two —
-// rounding down first left e.g. a 20-entry shard with only 16 addressable
-// bucket entries while Capacity() reported 20, so ErrTableFull fired below
-// advertised capacity.
-func newRegion(entries uint64) *region {
-	want := (entries + EntriesPerBucket - 1) / EntriesPerBucket
-	bc := uint64(2)
-	for bc < want {
-		bc <<= 1
-	}
-	sigBits := uint(min(16, 32-bits.Len64(entries-1)))
-	return &region{
-		bucketCount: bc,
-		capacity:    entries,
-		sigBits:     sigBits,
-		sigMask:     1<<sigBits - 1,
-		entries:     make([]atomic.Uint32, bc*EntriesPerBucket),
-		pages:       make([][]atomic.Uint64, (entries+pageMask)>>pageShift),
-	}
-}
-
-// full reports whether every slot of r holds a key. Caller must hold mu.
-func (r *region) full() bool {
-	return len(r.free) == 0 && r.next == r.capacity
-}
-
-// takeSlot is the region's one slot allocator: it hands out a slot a delete
-// recycled if there is one, else the next never-used slot, allocating that
-// slot's page (stride words a slot) if it has none. Recycling first keeps
-// next at the most keys r has held at once; handing out never-used slots in
-// order keeps a fill sequential, page after page. Caller must hold mu and
-// have checked !r.full().
-func (r *region) takeSlot(stride int) uint32 {
-	if n := len(r.free); n > 0 {
-		slot := r.free[n-1]
-		r.free = r.free[:n-1]
-		return slot
-	}
-	slot := uint32(r.next)
-	if p := slot >> pageShift; r.pages[p] == nil {
-		slots := min(pageSlots, r.capacity-uint64(p)<<pageShift)
-		r.pages[p] = make([]atomic.Uint64, slots*uint64(stride))
-	}
-	r.next++
-	return slot
-}
-
-// buckets returns the key's candidate bucket pair and its signature in this
-// region's geometry. The signature is the top sigBits bits of the primary
-// hash, zero mapped to one (zero marks an empty entry); b2 is derived from
-// it, so an entry alone names its alternate bucket, as a displacement needs.
-// At 16 bits this is hashfn.BucketPair and hashfn.Signature.
-func (r *region) buckets(h uint64) (b1, b2 uint64, sig uint32) {
-	if sig = uint32(h >> (64 - r.sigBits)); sig == 0 {
-		sig = 1
-	}
-	b1 = h & (r.bucketCount - 1)
-	return b1, hashfn.AltBucket(b1, uint16(sig), r.bucketCount), sig
-}
-
 // cacheLine is the coherence granule the shard layout is built around.
 const cacheLine = 64
 
-// shard is one independent sub-table: an 8-entry-bucket cuckoo table whose
-// reader-visible words are all atomics, guarded by a seqlock for readers and
-// a mutex for writers.
+// shard is one independent sub-table and its storage: an 8-entry-bucket
+// cuckoo table whose reader-visible words are all atomics, guarded by a
+// seqlock for readers and a mutex for writers. It is sized once, at New.
 //
 // The fields are laid out so that every 64-byte line has one kind of writer
-// (DESIGN.md §8, "Who writes which cache line"; TestShardLayout is the
-// guard). A line a reader writes is never one a writer writes, so an Update —
-// which opens no seqlock window — costs the reader nothing, and a reader's
-// counters never take the mutex line away from the writer.
+// (DESIGN.md §8, "Who writes which cache line"; TestShardLayout and
+// TestShardLinesDisjoint are the guards). A line a reader writes is never one
+// a writer writes, so an Update — which opens no seqlock window — costs the
+// reader nothing, and a reader's counters never take the mutex line away
+// from the writer.
 type shard struct {
-	// Read-mostly geometry plus the seqlock. seq is the one word here a
-	// writer stores to, and only around an insert or delete, after which
-	// readers must re-fetch it anyway; sharing its line with the geometry
-	// keeps a clean probe at two shard lines (this one and the
-	// reader-written one below) instead of three.
-	kvStride int // keyWords + 1 value word
-	keyLen   int
+	// Probe-read: everything a clean probe reads of the shard, plus the
+	// seqlock. seq is the one word here a writer stores to, and only around
+	// an insert or delete, after which readers must re-fetch it anyway;
+	// sharing its line with the geometry keeps a clean probe at two shard
+	// lines (this one and the reader-written one below).
 
-	// region is the shard's storage, set at New and never replaced.
-	region *region
+	// entries holds the packed bucket entries, EntriesPerBucket to a bucket
+	// and a power-of-two count of buckets: slot<<sigBits | signature, zero
+	// when empty (signatures are never zero). A bucket is 32 bytes, and the
+	// array is 64-byte aligned (TestEntriesLineAligned), so a bucket probe
+	// reads one cache line.
+	entries []atomic.Uint32
+
+	// pages is the slot page table: page p holds slots p<<pageShift onward,
+	// kvStride words each (the key's words, then one value word). Every page
+	// holds pageSlots slots but the last, which is cut to capacity. A page is
+	// nil until takeSlot first hands out one of its slots, and is never
+	// replaced after.
+	pages [][]atomic.Uint64
 
 	// seq is the seqlock generation: odd while a writer is mutating. Readers
 	// snapshot it before probing and revalidate after.
 	seq atomic.Uint64
 
-	_ [cacheLine - 32]byte
+	// sigBits is the signature width: the low sigBits bits of an entry hold
+	// the key's signature, the bits above them its slot index. newShard fixes
+	// it at the widest that leaves room for every slot index below capacity,
+	// at most 16, so a shard past 1<<16 slots loses a signature bit per
+	// doubling of its capacity. sigMask is 1<<sigBits - 1.
+	sigMask  uint32
+	sigBits  uint8
+	kvStride uint8 // the key's words + 1 value word: the table's one key width
+
+	_ [cacheLine - 62]byte
 
 	// Reader-written: single-key lookups count here; the batched path counts
 	// its rare retries and fallbacks here and everything else in its stripe.
@@ -414,13 +335,20 @@ type shard struct {
 	size atomic.Uint64
 	c    shardCounters
 
+	// The slot allocator: slots [0, next) of capacity have been handed out
+	// at least once, and free holds those of them a delete has given back
+	// since.
+	capacity uint64
+	next     uint64
+	free     []uint32
+
 	// BFS displacement scratch.
 	bfsNodes   []pathNode
 	bfsQueue   []frontierItem
 	bfsPath    []pathNode
 	bfsVisited map[uint64]bool
 
-	_ [48]byte // rounds the struct up to whole lines (TestShardLayout)
+	_ [8]byte // rounds the struct up to whole lines (TestShardLayout)
 }
 
 // readCounters are the per-shard counters the read path writes. They are
@@ -461,8 +389,72 @@ type readStripe struct {
 	_      [cacheLine - 24]byte
 }
 
-func newShard(entries uint64, keyLen, keyWords int) *shard {
-	return &shard{kvStride: keyWords + 1, keyLen: keyLen, region: newRegion(entries)}
+// newShard sizes a shard for the requested entry count and key length: the
+// bucket array and an empty page table, no slots. The bucket count is the
+// entry count divided by the bucket width rounded UP, then rounded up to a
+// power of two — rounding down first left e.g. a 20-entry shard with only 16
+// addressable bucket entries while Capacity() reported 20, so ErrTableFull
+// fired below advertised capacity.
+func newShard(entries uint64, keyLen int) *shard {
+	want := (entries + EntriesPerBucket - 1) / EntriesPerBucket
+	bc := uint64(2)
+	for bc < want {
+		bc <<= 1
+	}
+	sigBits := uint8(min(16, 32-bits.Len64(entries-1)))
+	return &shard{
+		entries:  make([]atomic.Uint32, bc*EntriesPerBucket),
+		pages:    make([][]atomic.Uint64, (entries+pageMask)>>pageShift),
+		sigMask:  1<<sigBits - 1,
+		sigBits:  sigBits,
+		kvStride: uint8((keyLen+7)/8 + 1),
+		capacity: entries,
+	}
+}
+
+// bucketCount is the number of buckets in entries, a power of two.
+func (sh *shard) bucketCount() uint64 {
+	return uint64(len(sh.entries)) / EntriesPerBucket
+}
+
+// full reports whether every slot of sh holds a key. Caller must hold mu.
+func (sh *shard) full() bool {
+	return len(sh.free) == 0 && sh.next == sh.capacity
+}
+
+// takeSlot is the shard's one slot allocator: it hands out a slot a delete
+// recycled if there is one, else the next never-used slot, allocating that
+// slot's page if it has none. Recycling first keeps next at the most keys sh
+// has held at once; handing out never-used slots in order keeps a fill
+// sequential, page after page. Caller must hold mu and have checked
+// !sh.full().
+func (sh *shard) takeSlot() uint32 {
+	if n := len(sh.free); n > 0 {
+		slot := sh.free[n-1]
+		sh.free = sh.free[:n-1]
+		return slot
+	}
+	slot := uint32(sh.next)
+	if p := slot >> pageShift; sh.pages[p] == nil {
+		slots := min(pageSlots, sh.capacity-uint64(p)<<pageShift)
+		sh.pages[p] = make([]atomic.Uint64, slots*uint64(sh.kvStride))
+	}
+	sh.next++
+	return slot
+}
+
+// buckets returns the key's candidate bucket pair and its signature in this
+// shard's geometry. The signature is the top sigBits bits of the primary
+// hash, zero mapped to one (zero marks an empty entry); b2 is derived from
+// it, so an entry alone names its alternate bucket, as a displacement needs.
+// At 16 bits this is hashfn.BucketPair and hashfn.Signature.
+func (sh *shard) buckets(h uint64) (b1, b2 uint64, sig uint32) {
+	if sig = uint32(h >> (64 - sh.sigBits)); sig == 0 {
+		sig = 1
+	}
+	bc := sh.bucketCount()
+	b1 = h & (bc - 1)
+	return b1, hashfn.AltBucket(b1, uint16(sig), bc), sig
 }
 
 // beginWrite/endWrite bracket every mutation of reader-visible words. The
@@ -470,8 +462,8 @@ func newShard(entries uint64, keyLen, keyWords int) *shard {
 func (sh *shard) beginWrite() { sh.seq.Add(1) } // even → odd
 func (sh *shard) endWrite()   { sh.seq.Add(1) } // odd → even
 
-// slotWords is the table's one slot address: slot's kvStride words in r,
-// its key words then its value word.
+// slotWords is the table's one slot address: slot's kvStride words, its key
+// words then its value word.
 //
 // The page it indexes was allocated by a plain store under mu, which a
 // reader does not hold. That is safe because a reader reaches a slot only
@@ -481,16 +473,17 @@ func (sh *shard) endWrite()   { sh.seq.Add(1) } // odd → even
 // atomic load of that entry happens-after the store, so the page's
 // allocation happens-before the reader's load of it. A page is never
 // replaced, so no later store can race the load either.
-func (sh *shard) slotWords(r *region, slot uint32) []atomic.Uint64 {
-	off := int(slot&pageMask) * sh.kvStride
-	return r.pages[slot>>pageShift][off : off+sh.kvStride]
+func (sh *shard) slotWords(slot uint32) []atomic.Uint64 {
+	stride := int(sh.kvStride)
+	off := int(slot&pageMask) * stride
+	return sh.pages[slot>>pageShift][off : off+stride]
 }
 
-// keyEqual compares slot's stored key words in r against kw. Word loads are
+// keyEqual compares slot's stored key words against kw. Word loads are
 // atomic; consistency across words is the seqlock's job.
-func (sh *shard) keyEqual(r *region, slot uint32, kw *[maxKeyWords]uint64, nw int) bool {
-	words := sh.slotWords(r, slot)
-	for i := 0; i < nw; i++ {
+func (sh *shard) keyEqual(slot uint32, kw *[maxKeyWords]uint64) bool {
+	words := sh.slotWords(slot)
+	for i := range words[:len(words)-1] {
 		if words[i].Load() != kw[i] {
 			return false
 		}
@@ -499,21 +492,20 @@ func (sh *shard) keyEqual(r *region, slot uint32, kw *[maxKeyWords]uint64, nw in
 }
 
 // locate is the table's one bucket scan: it finds the entry holding the key
-// in r, the shard's region, scanning the key's candidate bucket pair, and
-// returns the entry index and slot that hold it. It may run concurrently
-// with a writer: a reader trusts the result only once its readWindow is
-// done.
-func (sh *shard) locate(r *region, kw *[maxKeyWords]uint64, nw int, h uint64) (uint64, uint32, bool) {
-	b1, b2, sig := r.buckets(h)
+// by scanning the key's candidate bucket pair, and returns the entry index
+// and slot that hold it. It may run concurrently with a writer: a reader
+// trusts the result only once its readWindow is done.
+func (sh *shard) locate(kw *[maxKeyWords]uint64, h uint64) (uint64, uint32, bool) {
+	b1, b2, sig := sh.buckets(h)
 	for _, b := range [2]uint64{b1, b2} {
 		base := b * EntriesPerBucket
 		for e := uint64(0); e < EntriesPerBucket; e++ {
-			ent := r.entries[base+e].Load()
-			if ent&r.sigMask != sig {
+			ent := sh.entries[base+e].Load()
+			if ent&sh.sigMask != sig {
 				continue
 			}
-			slot := ent >> r.sigBits
-			if sh.keyEqual(r, slot, kw, nw) {
+			slot := ent >> sh.sigBits
+			if sh.keyEqual(slot, kw) {
 				return base + e, slot, true
 			}
 		}
@@ -521,10 +513,11 @@ func (sh *shard) locate(r *region, kw *[maxKeyWords]uint64, nw int, h uint64) (u
 	return 0, 0, false
 }
 
-// valueWord is the value word of slot in r. A reader probes a key with
-// locate and, on a hit, loads this word inside the same window.
-func (sh *shard) valueWord(r *region, slot uint32, nw int) *atomic.Uint64 {
-	return &sh.slotWords(r, slot)[nw]
+// valueWord is the value word of slot. A reader probes a key with locate
+// and, on a hit, loads this word inside the same window.
+func (sh *shard) valueWord(slot uint32) *atomic.Uint64 {
+	words := sh.slotWords(slot)
+	return &words[len(words)-1]
 }
 
 // readWindow is the seqlock read protocol, shared by the single-key and the
@@ -535,7 +528,7 @@ func (sh *shard) valueWord(r *region, slot uint32, nw int) *atomic.Uint64 {
 //
 //	for w := (readWindow{sh: sh}); ; {
 //		w.open()
-//		... probe sh.region ...
+//		... probe sh ...
 //		if w.done() {
 //			break
 //		}
@@ -584,15 +577,14 @@ func (w *readWindow) settle() bool {
 }
 
 // lookup probes one key under a readWindow.
-func (sh *shard) lookup(kw *[maxKeyWords]uint64, nw int, h uint64) (uint64, bool) {
+func (sh *shard) lookup(kw *[maxKeyWords]uint64, h uint64) (uint64, bool) {
 	sh.rd.lookups.Add(1)
-	r := sh.region
 	var res Result
 	for w := (readWindow{sh: sh}); ; {
 		w.open()
 		res = Result{}
-		if _, slot, ok := sh.locate(r, kw, nw, h); ok {
-			res = Result{Value: sh.valueWord(r, slot, nw).Load(), OK: true}
+		if _, slot, ok := sh.locate(kw, h); ok {
+			res = Result{Value: sh.valueWord(slot).Load(), OK: true}
 		}
 		if w.done() {
 			break
@@ -604,70 +596,70 @@ func (sh *shard) lookup(kw *[maxKeyWords]uint64, nw int, h uint64) (uint64, bool
 	return res.Value, res.OK
 }
 
-// writeKV stores a slot's key words and value in r. The slot is free (no
+// writeKV stores a slot's key words and value. The slot is free (no
 // bucket entry points to it) and its page allocated (takeSlot ran first), so
 // this runs outside the seqlock window; the entry store that publishes it
 // orders after these writes.
-func (sh *shard) writeKV(r *region, slot uint32, kw *[maxKeyWords]uint64, nw int, value uint64) {
-	words := sh.slotWords(r, slot)
-	for i := 0; i < nw; i++ {
+func (sh *shard) writeKV(slot uint32, kw *[maxKeyWords]uint64, value uint64) {
+	words := sh.slotWords(slot)
+	nw := len(words) - 1
+	for i := range words[:nw] {
 		words[i].Store(kw[i])
 	}
 	words[nw].Store(value)
 }
 
 // placeLocked is the table's one placement: it puts an absent key into the
-// shard's region by direct placement into a free candidate entry, else by a
-// BFS displacement chain. Caller must hold mu and have checked that the key
-// is absent. Returns false when the region cannot take the key (no free slot
-// or no displacement path).
-func (sh *shard) placeLocked(kw *[maxKeyWords]uint64, nw int, h, value uint64) bool {
-	r := sh.region
-	if r.full() {
+// shard by direct placement into a free candidate entry, else by a BFS
+// displacement chain. Caller must hold mu and have checked that the key is
+// absent. Returns false when the shard cannot take the key (no free slot or
+// no displacement path).
+func (sh *shard) placeLocked(kw *[maxKeyWords]uint64, h, value uint64) bool {
+	if sh.full() {
 		return false
 	}
-	b1, b2, sig := r.buckets(h)
-	entIdx, direct := sh.freeEntry(r, b1, b2)
+	b1, b2, sig := sh.buckets(h)
+	entIdx, direct := sh.freeEntry(b1, b2)
 	var path []pathNode
 	if !direct {
 		// BFS for a move chain: read-only, so outside the write window (the
 		// mutex already excludes other writers).
-		if path = sh.findCuckooPath(r, b1, b2); path == nil {
+		if path = sh.findCuckooPath(b1, b2); path == nil {
 			return false
 		}
 	}
 	// Placement is now certain, so taking the slot (and perhaps its page)
 	// cannot leak one.
-	slot := r.takeSlot(sh.kvStride)
-	sh.writeKV(r, slot, kw, nw, value)
+	slot := sh.takeSlot()
+	sh.writeKV(slot, kw, value)
 	// Publishing one empty→live entry is atomic on its own, but the slot may
 	// be recycled: a reader that captured the old entry before the slot was
 	// freed could mix old and new key words into a phantom match. The
 	// seqlock window forces such readers to re-probe.
 	sh.beginWrite()
 	if !direct {
-		sh.applyCuckooPath(r, path)
-		if entIdx, direct = sh.freeEntry(r, b1, b2); !direct {
+		sh.applyCuckooPath(path)
+		if entIdx, direct = sh.freeEntry(b1, b2); !direct {
 			// The displacement chain freed a slot in b1 or b2 by construction.
 			sh.endWrite()
-			r.free = append(r.free, slot)
+			sh.free = append(sh.free, slot)
 			panic("flowserve: displacement path freed no candidate entry")
 		}
 		sh.c.displacements.Add(uint64(len(path)))
 	}
-	r.entries[entIdx].Store(slot<<r.sigBits | sig)
+	sh.entries[entIdx].Store(slot<<sh.sigBits | sig)
 	sh.endWrite()
 	return true
 }
 
-func (sh *shard) insert(kw *[maxKeyWords]uint64, nw int, h, value uint64) error {
+func (sh *shard) insert(kw *[maxKeyWords]uint64, h, value uint64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, _, exists := sh.locate(sh.region, kw, nw, h); exists {
+	if _, _, exists := sh.locate(kw, h); exists {
 		sh.c.insertExists.Add(1)
 		return ErrKeyExists
 	}
-	if !sh.placeLocked(kw, nw, h, value) {
+	if !sh.placeLocked(kw, h, value) {
 		sh.c.insertFull.Add(1)
 		return ErrTableFull
 	}
@@ -676,12 +668,12 @@ func (sh *shard) insert(kw *[maxKeyWords]uint64, nw int, h, value uint64) error 
 	return nil
 }
 
-// freeEntry returns the index of an empty entry in bucket b1 or b2 of r.
-func (sh *shard) freeEntry(r *region, b1, b2 uint64) (uint64, bool) {
+// freeEntry returns the index of an empty entry in bucket b1 or b2.
+func (sh *shard) freeEntry(b1, b2 uint64) (uint64, bool) {
 	for _, b := range [2]uint64{b1, b2} {
 		base := b * EntriesPerBucket
 		for e := uint64(0); e < EntriesPerBucket; e++ {
-			if r.entries[base+e].Load() == 0 {
+			if sh.entries[base+e].Load() == 0 {
 				return base + e, true
 			}
 		}
@@ -689,57 +681,55 @@ func (sh *shard) freeEntry(r *region, b1, b2 uint64) (uint64, bool) {
 	return 0, false
 }
 
-func (sh *shard) update(kw *[maxKeyWords]uint64, nw int, h, value uint64) bool {
+func (sh *shard) update(kw *[maxKeyWords]uint64, h, value uint64) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	r := sh.region
-	_, slot, found := sh.locate(r, kw, nw, h)
+	_, slot, found := sh.locate(kw, h)
 	if !found {
 		return false
 	}
 	// A single-word value store is atomic on its own: concurrent readers
 	// see the old or the new value, both of which were live for this key,
 	// so no seqlock window is needed.
-	sh.valueWord(r, slot, nw).Store(value)
+	sh.valueWord(slot).Store(value)
 	sh.c.updates.Add(1)
 	return true
 }
 
-func (sh *shard) delete(kw *[maxKeyWords]uint64, nw int, h uint64) bool {
+func (sh *shard) delete(kw *[maxKeyWords]uint64, h uint64) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	r := sh.region
-	entIdx, slot, found := sh.locate(r, kw, nw, h)
+	entIdx, slot, found := sh.locate(kw, h)
 	if !found {
 		return false
 	}
-	sh.removeLocked(r, entIdx, slot)
+	sh.removeLocked(entIdx, slot)
 	sh.c.deletes.Add(1)
 	return true
 }
 
-// removeLocked clears entry entIdx of r and frees its slot. Clearing the
+// removeLocked clears entry entIdx and frees its slot. Clearing the
 // entry is a single atomic store, but the freed slot can be recycled by a
 // later insert; bumping the seqlock makes readers that captured this entry
 // re-probe instead of reading recycled key words. Caller must hold mu.
-func (sh *shard) removeLocked(r *region, entIdx uint64, slot uint32) {
+func (sh *shard) removeLocked(entIdx uint64, slot uint32) {
 	sh.beginWrite()
-	r.entries[entIdx].Store(0)
+	sh.entries[entIdx].Store(0)
 	sh.endWrite()
-	r.free = append(r.free, slot)
+	sh.free = append(sh.free, slot)
 	sh.size.Add(^uint64(0))
 }
 
-// residentKey rebuilds the key held in r's slot into kw and kb and returns
-// its bytes, its primary hash and its value: a range walk filters on the
-// hash. Caller must hold mu.
-func (sh *shard) residentKey(r *region, slot uint32, kw *[maxKeyWords]uint64, kb *[MaxKeyLen]byte) (key []byte, h, value uint64) {
-	nw := sh.kvStride - 1
-	words := sh.slotWords(r, slot)
-	for w := 0; w < nw; w++ {
+// residentKey rebuilds the keyLen-byte key held in slot into kw and kb and
+// returns its bytes, its primary hash and its value: a range walk filters on
+// the hash. Caller must hold mu.
+func (sh *shard) residentKey(slot uint32, keyLen int, kw *[maxKeyWords]uint64, kb *[MaxKeyLen]byte) (key []byte, h, value uint64) {
+	words := sh.slotWords(slot)
+	nw := len(words) - 1
+	for w := range words[:nw] {
 		kw[w] = words[w].Load()
 	}
-	key = wordsToKey(kw, sh.keyLen, kb)
+	key = wordsToKey(kw, keyLen, kb)
 	return key, hashfn.Hash(hashfn.SeedPrimary, key), words[nw].Load()
 }
 
@@ -757,10 +747,10 @@ type frontierItem struct {
 	node   int
 }
 
-// findCuckooPath BFS-searches r for a chain of moves freeing an entry in b1
+// findCuckooPath BFS-searches the shard for a chain of moves freeing an entry in b1
 // or b2, mirroring cuckoo.Table.findCuckooPath. Caller must hold mu; the
 // returned slice aliases writer-owned scratch.
-func (sh *shard) findCuckooPath(r *region, b1, b2 uint64) []pathNode {
+func (sh *shard) findCuckooPath(b1, b2 uint64) []pathNode {
 	nodes := sh.bfsNodes[:0]
 	queue := append(sh.bfsQueue[:0], frontierItem{b1, -1}, frontierItem{b2, -1})
 	head := 0
@@ -777,16 +767,16 @@ func (sh *shard) findCuckooPath(r *region, b1, b2 uint64) []pathNode {
 		head++
 		base := item.bucket * EntriesPerBucket
 		for e := uint64(0); e < EntriesPerBucket; e++ {
-			ent := r.entries[base+e].Load()
+			ent := sh.entries[base+e].Load()
 			if ent == 0 {
 				continue
 			}
-			alt := hashfn.AltBucket(item.bucket, uint16(ent&r.sigMask), r.bucketCount)
+			alt := hashfn.AltBucket(item.bucket, uint16(ent&sh.sigMask), sh.bucketCount())
 			nodes = append(nodes, pathNode{bucket: item.bucket, entry: base + e, parent: item.node})
 			nodeIdx := len(nodes) - 1
 			altBase := alt * EntriesPerBucket
 			for ae := uint64(0); ae < EntriesPerBucket; ae++ {
-				if r.entries[altBase+ae].Load() == 0 {
+				if sh.entries[altBase+ae].Load() == 0 {
 					path := sh.bfsPath[:0]
 					for i := nodeIdx; i >= 0; i = nodes[i].parent {
 						path = append(path, nodes[i])
@@ -809,16 +799,16 @@ func (sh *shard) findCuckooPath(r *region, b1, b2 uint64) []pathNode {
 
 // applyCuckooPath executes the moves leaf-first so no entry is ever
 // unreachable. Caller must hold mu and have opened the seqlock window.
-func (sh *shard) applyCuckooPath(r *region, path []pathNode) {
+func (sh *shard) applyCuckooPath(path []pathNode) {
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
-		ent := r.entries[n.entry].Load()
-		alt := hashfn.AltBucket(n.bucket, uint16(ent&r.sigMask), r.bucketCount)
+		ent := sh.entries[n.entry].Load()
+		alt := hashfn.AltBucket(n.bucket, uint16(ent&sh.sigMask), sh.bucketCount())
 		altBase := alt * EntriesPerBucket
 		for ae := uint64(0); ae < EntriesPerBucket; ae++ {
-			if r.entries[altBase+ae].Load() == 0 {
-				r.entries[altBase+ae].Store(ent)
-				r.entries[n.entry].Store(0)
+			if sh.entries[altBase+ae].Load() == 0 {
+				sh.entries[altBase+ae].Store(ent)
+				sh.entries[n.entry].Store(0)
 				break
 			}
 		}

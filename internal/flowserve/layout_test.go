@@ -9,44 +9,60 @@ import (
 	"unsafe"
 )
 
-// TestShardLayout guards the one-writer-per-line layout: Go offers no
-// alignment directive, so the padding in shard is hand-counted and the
-// 64-byte alignment of a shard comes only from its allocation size class.
-// A field added in the wrong place, or one that pushes the struct past a
-// multiple of the line, fails here rather than as a throughput regression.
-func TestShardLayout(t *testing.T) {
-	const (
-		geometry = "read-mostly + seqlock"
-		reader   = "reader-written"
-		writer   = "writer-owned"
-	)
-	class := map[string]string{
-		"kvStride": geometry, "keyLen": geometry, "region": geometry, "seq": geometry,
-		"rd": reader,
-		"mu": writer, "size": writer, "c": writer,
-		"bfsNodes": writer, "bfsQueue": writer, "bfsPath": writer, "bfsVisited": writer,
-	}
-	lines := map[uintptr]string{} // line number → the class that owns it
+// The cache-line classes of shard's fields (DESIGN.md §8, "Who writes which
+// cache line"): every line of a shard holds words of one class only.
+const (
+	probeRead     = "probe-read + seqlock"
+	readerWritten = "reader-written"
+	writerOwned   = "writer-owned"
+)
+
+var shardFieldClass = map[string]string{
+	"entries": probeRead, "pages": probeRead, "seq": probeRead,
+	"sigMask": probeRead, "sigBits": probeRead, "kvStride": probeRead,
+	"rd": readerWritten,
+	"mu": writerOwned, "size": writerOwned, "c": writerOwned,
+	"capacity": writerOwned, "next": writerOwned, "free": writerOwned,
+	"bfsNodes": writerOwned, "bfsQueue": writerOwned, "bfsPath": writerOwned, "bfsVisited": writerOwned,
+}
+
+// shardFieldLines calls line(n, class) for every 64-byte line n a field of
+// the shard at base covers, after checking that the field has a class.
+func shardFieldLines(t *testing.T, base uintptr, line func(n uintptr, field, class string)) {
+	t.Helper()
 	typ := reflect.TypeOf(shard{})
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
 		if f.Name == "_" {
 			continue
 		}
-		c, ok := class[f.Name]
+		c, ok := shardFieldClass[f.Name]
 		if !ok {
-			t.Fatalf("shard.%s has no cache-line class: add it to this test and place it with its writers", f.Name)
+			t.Fatalf("shard.%s has no cache-line class: add it to shardFieldClass and place it with its writers", f.Name)
 		}
-		for l := f.Offset / cacheLine; l <= (f.Offset+f.Type.Size()-1)/cacheLine; l++ {
-			if owner, taken := lines[l]; taken && owner != c {
-				t.Errorf("shard.%s (%s, offset %d) shares line %d with a %s word", f.Name, c, f.Offset, l, owner)
-			}
-			lines[l] = c
+		first := base + f.Offset
+		for n := first / cacheLine; n <= (first+f.Type.Size()-1)/cacheLine; n++ {
+			line(n, f.Name, c)
 		}
 	}
-	// A clean probe touches exactly two shard lines: the geometry/seqlock
+}
+
+// TestShardLayout guards the one-writer-per-line layout: Go offers no
+// alignment directive, so the padding in shard is hand-counted and the
+// 64-byte alignment of a shard comes only from its allocation size class.
+// A field added in the wrong place, or one that pushes the struct past a
+// multiple of the line, fails here rather than as a throughput regression.
+func TestShardLayout(t *testing.T) {
+	lines := map[uintptr]string{} // line number → the class that owns it
+	shardFieldLines(t, 0, func(n uintptr, field, c string) {
+		if owner, taken := lines[n]; taken && owner != c {
+			t.Errorf("shard.%s (%s) shares line %d with a %s word", field, c, n, owner)
+		}
+		lines[n] = c
+	})
+	// A clean probe touches exactly two shard lines: the probe-read/seqlock
 	// line and the reader's counters.
-	for _, c := range []string{geometry, reader} {
+	for _, c := range []string{probeRead, readerWritten} {
 		n := 0
 		for _, owner := range lines {
 			if owner == c {
@@ -82,6 +98,31 @@ func TestShardLayout(t *testing.T) {
 	}
 }
 
+// TestShardLinesDisjoint looks past the struct to the heap: in a table of 8
+// shards, no 64-byte line at any real address holds words of two classes,
+// whether the words belong to one shard or to two. A probe-read line that
+// also held a writer-owned word would be taken from every reader of the
+// shard by each insert and delete; TestShardLayout sees only offsets, so it
+// cannot catch a shard's words landing beside another object's.
+func TestShardLinesDisjoint(t *testing.T) {
+	tbl := mustNew(t, Config{Shards: 8, Entries: 8 * 1024, KeyLen: 20})
+	type owner struct {
+		shard int
+		field string
+		class string
+	}
+	lines := map[uintptr]owner{}
+	for i, sh := range tbl.shards {
+		shardFieldLines(t, uintptr(unsafe.Pointer(sh)), func(n uintptr, field, c string) {
+			if o, taken := lines[n]; taken && o.class != c {
+				t.Errorf("line %#x holds shard %d's %s (%s) and shard %d's %s (%s)",
+					n*cacheLine, i, field, c, o.shard, o.field, o.class)
+			}
+			lines[n] = owner{i, field, c}
+		})
+	}
+}
+
 // TestEntriesLineAligned guards the one-line bucket probe: a bucket is
 // EntriesPerBucket 4-byte entries, 32 bytes, and it sits within one 64-byte
 // line only if the entry array starts on a line. As with the shard, Go gives
@@ -93,11 +134,11 @@ func TestEntriesLineAligned(t *testing.T) {
 		t.Fatalf("a bucket is %d bytes, want %d", sz, cacheLine/2)
 	}
 	for bc := uint64(2); bc <= 1<<18; bc <<= 1 {
-		r := newRegion(bc * EntriesPerBucket)
-		if r.bucketCount != bc {
-			t.Fatalf("newRegion(%d) has %d buckets, want %d", bc*EntriesPerBucket, r.bucketCount, bc)
+		sh := newShard(bc*EntriesPerBucket, 20)
+		if got := sh.bucketCount(); got != bc {
+			t.Fatalf("newShard(%d) has %d buckets, want %d", bc*EntriesPerBucket, got, bc)
 		}
-		if a := uintptr(unsafe.Pointer(&r.entries[0])); a%cacheLine != 0 {
+		if a := uintptr(unsafe.Pointer(&sh.entries[0])); a%cacheLine != 0 {
 			t.Errorf("%d buckets: entries at %#x are not %d-byte aligned", bc, a, cacheLine)
 		}
 	}

@@ -8,34 +8,33 @@ import (
 	"halo/internal/stats"
 )
 
-// checkPages checks the slot allocator of sh's region against its
+// checkPages checks sh's slot allocator against its
 // invariants: the allocated pages are exactly the first ceil(next/pageSlots);
-// every page holds pageSlots slots but the last, which is cut to the region's
+// every page holds pageSlots slots but the last, which is cut to the shard's
 // capacity; and next is at most maxResident, the most keys the table has held
 // at once, because a recycled slot goes out before a never-used one. It
 // returns how many pages are allocated and whether the last one is.
 func checkPages(t *testing.T, op int, sh *shard, maxResident int) (pages int, lastAllocated bool) {
 	t.Helper()
-	r := sh.region
-	if want := (r.capacity + pageMask) >> pageShift; uint64(len(r.pages)) != want {
-		t.Fatalf("op %d: capacity %d has %d pages in its table, want %d", op, r.capacity, len(r.pages), want)
+	if want := (sh.capacity + pageMask) >> pageShift; uint64(len(sh.pages)) != want {
+		t.Fatalf("op %d: capacity %d has %d pages in its table, want %d", op, sh.capacity, len(sh.pages), want)
 	}
-	if r.next > uint64(maxResident) {
-		t.Fatalf("op %d: next = %d, but at most %d keys were ever resident: a recycled slot was passed over", op, r.next, maxResident)
+	if sh.next > uint64(maxResident) {
+		t.Fatalf("op %d: next = %d, but at most %d keys were ever resident: a recycled slot was passed over", op, sh.next, maxResident)
 	}
-	used := int((r.next + pageMask) >> pageShift)
-	for p, page := range r.pages {
+	used := int((sh.next + pageMask) >> pageShift)
+	for p, page := range sh.pages {
 		if (page != nil) != (p < used) {
-			t.Fatalf("op %d: page %d allocated = %v with next = %d (want the first %d pages)", op, p, page != nil, r.next, used)
+			t.Fatalf("op %d: page %d allocated = %v with next = %d (want the first %d pages)", op, p, page != nil, sh.next, used)
 		}
 		slots := uint64(pageSlots)
-		if p == len(r.pages)-1 {
-			slots = r.capacity - uint64(p)<<pageShift
+		if p == len(sh.pages)-1 {
+			slots = sh.capacity - uint64(p)<<pageShift
 			lastAllocated = page != nil
 		}
 		if page != nil && uint64(len(page)) != slots*uint64(sh.kvStride) {
-			t.Fatalf("op %d: page %d of a %d-slot region holds %d words, want %d slots of %d",
-				op, p, r.capacity, len(page), slots, sh.kvStride)
+			t.Fatalf("op %d: page %d of a %d-slot shard holds %d words, want %d slots of %d",
+				op, p, sh.capacity, len(page), slots, sh.kvStride)
 		}
 	}
 	return used, lastAllocated

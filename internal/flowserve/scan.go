@@ -14,7 +14,7 @@ package flowserve
 // callback must copy it to retain it, and must not call back into the
 // table (the shard mutex is held).
 func (t *Table) ScanRange(lo, hi uint64, emit func(key []byte, value uint64)) {
-	t.walkRange(lo, hi, func(_ *shard, _ *region, _ uint64, _ uint32, key []byte, value uint64) {
+	t.walkRange(lo, hi, func(_ *shard, _ uint64, _ uint32, key []byte, value uint64) {
 		emit(key, value)
 	})
 }
@@ -27,8 +27,8 @@ func (t *Table) ScanRange(lo, hi uint64, emit func(key []byte, value uint64)) {
 // atomically under its writer mutex, bumping the seqlock per cleared
 // entry so racing readers re-probe instead of observing recycled slots.
 func (t *Table) PurgeRange(lo, hi uint64) (removed uint64) {
-	t.walkRange(lo, hi, func(sh *shard, r *region, entIdx uint64, slot uint32, _ []byte, _ uint64) {
-		sh.removeLocked(r, entIdx, slot)
+	t.walkRange(lo, hi, func(sh *shard, entIdx uint64, slot uint32, _ []byte, _ uint64) {
+		sh.removeLocked(entIdx, slot)
 		removed++
 	})
 	return removed
@@ -36,23 +36,22 @@ func (t *Table) PurgeRange(lo, hi uint64) (removed uint64) {
 
 // walkRange is the one range walk under ScanRange and PurgeRange: shard by
 // shard, holding the shard's writer mutex, it calls visit for every entry
-// of the shard's region whose key's primary hash falls in [lo, hi) (hi == 0:
-// to the end). visit may remove the entry it is given.
-func (t *Table) walkRange(lo, hi uint64, visit func(sh *shard, r *region, entIdx uint64, slot uint32, key []byte, value uint64)) {
+// of the shard whose key's primary hash falls in [lo, hi) (hi == 0: to the
+// end). visit may remove the entry it is given.
+func (t *Table) walkRange(lo, hi uint64, visit func(sh *shard, entIdx uint64, slot uint32, key []byte, value uint64)) {
 	var kw [maxKeyWords]uint64
 	var kb [MaxKeyLen]byte
 	for _, sh := range t.shards {
 		sh.mu.Lock()
-		r := sh.region
-		for i := range r.entries {
-			ent := r.entries[i].Load()
+		for i := range sh.entries {
+			ent := sh.entries[i].Load()
 			if ent == 0 {
 				continue
 			}
-			slot := ent >> r.sigBits
-			key, h, value := sh.residentKey(r, slot, &kw, &kb)
+			slot := ent >> sh.sigBits
+			key, h, value := sh.residentKey(slot, t.keyLen, &kw, &kb)
 			if h >= lo && (hi == 0 || h < hi) {
-				visit(sh, r, uint64(i), slot, key, value)
+				visit(sh, uint64(i), slot, key, value)
 			}
 		}
 		sh.mu.Unlock()

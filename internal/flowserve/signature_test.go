@@ -15,22 +15,21 @@ import (
 func TestNarrowSignatureCollisions(t *testing.T) {
 	tbl := mustNew(t, Config{Shards: 1, Entries: 1 << 20, KeyLen: 20})
 	sh := tbl.shards[0]
-	r := sh.region
-	if r.sigBits != 12 {
-		t.Fatalf("sigBits = %d at %d slots, want 12", r.sigBits, r.capacity)
+	if sh.sigBits != 12 {
+		t.Fatalf("sigBits = %d at %d slots, want 12", sh.sigBits, sh.capacity)
 	}
 	hash := func(i uint64) uint64 { return hashfn.Hash(hashfn.SeedPrimary, key20(i)) }
 	seen := map[uint64]uint64{} // b1<<16 | sig → the first key with it
 	var a, b uint64
 	for i := uint64(0); ; i++ {
-		b1, _, sig := r.buckets(hash(i))
+		b1, _, sig := sh.buckets(hash(i))
 		if j, ok := seen[b1<<16|uint64(sig)]; ok {
 			a, b = j, i
 			break
 		}
 		seen[b1<<16|uint64(sig)] = i
 	}
-	home, altA, _ := r.buckets(hash(a))
+	home, altA, _ := sh.buckets(hash(a))
 
 	insert := func(i uint64) {
 		t.Helper()
@@ -58,7 +57,7 @@ func TestNarrowSignatureCollisions(t *testing.T) {
 	keysIn := func(bucket uint64, n int, skip uint64, ok func(alt uint64) bool) []uint64 {
 		var out []uint64
 		for i := uint64(0); len(out) < n; i++ {
-			if b1, b2, _ := r.buckets(hash(i)); b1 == bucket && i != a && i != b && i != skip && ok(b2) {
+			if b1, b2, _ := sh.buckets(hash(i)); b1 == bucket && i != a && i != b && i != skip && ok(b2) {
 				out = append(out, i)
 			}
 		}
@@ -70,7 +69,7 @@ func TestNarrowSignatureCollisions(t *testing.T) {
 	// full too, so placing it must displace: the search starts at entry 0 of
 	// the home bucket and moves a to its own alternate bucket, still empty.
 	k := keysIn(home, 1, a, func(alt uint64) bool { return alt != altA })[0]
-	_, kAlt, _ := r.buckets(hash(k))
+	_, kAlt, _ := sh.buckets(hash(k))
 	for _, f := range append(keysIn(home, 6, k, all), keysIn(kAlt, 8, k, all)...) {
 		insert(f)
 	}
@@ -80,7 +79,7 @@ func TestNarrowSignatureCollisions(t *testing.T) {
 	}
 	var kw [maxKeyWords]uint64
 	keyToWords(key20(a), &kw)
-	if idx, _, ok := sh.locate(r, &kw, tbl.keyWords, hash(a)); !ok || idx/EntriesPerBucket != altA {
+	if idx, _, ok := sh.locate(&kw, hash(a)); !ok || idx/EntriesPerBucket != altA {
 		t.Fatalf("a sits in bucket %d after the displacement, want its alternate %d", idx/EntriesPerBucket, altA)
 	}
 	expect("a displaced", a, true)
@@ -91,27 +90,26 @@ func TestNarrowSignatureCollisions(t *testing.T) {
 	expect("a deleted", a, false)
 }
 
-// checkEntries checks every live entry of sh's region: its slot is below the
-// region's capacity, and its low sigBits are the region's signature of the
-// key stored in the slot, in one of the key's candidate buckets.
-func checkEntries(t *testing.T, op int, sh *shard) {
+// checkEntries checks every live entry of sh, a shard of tbl: its slot is
+// below the shard's capacity, and its low sigBits are the shard's signature
+// of the key stored in the slot, in one of the key's candidate buckets.
+func checkEntries(t *testing.T, op int, tbl *Table, sh *shard) {
 	t.Helper()
 	var kw [maxKeyWords]uint64
 	var kb [MaxKeyLen]byte
-	r := sh.region
-	for i := range r.entries {
-		ent := r.entries[i].Load()
+	for i := range sh.entries {
+		ent := sh.entries[i].Load()
 		if ent == 0 {
 			continue
 		}
-		slot := ent >> r.sigBits
-		if uint64(slot) >= r.capacity {
-			t.Fatalf("op %d: entry %#x names slot %d of a %d-slot region", op, ent, slot, r.capacity)
+		slot := ent >> sh.sigBits
+		if uint64(slot) >= sh.capacity {
+			t.Fatalf("op %d: entry %#x names slot %d of a %d-slot shard", op, ent, slot, sh.capacity)
 		}
-		_, h, _ := sh.residentKey(r, slot, &kw, &kb)
-		b1, b2, sig := r.buckets(h)
-		if ent&r.sigMask != sig {
-			t.Fatalf("op %d: entry %#x carries signature %#x, the %d-bit region's for its key is %#x", op, ent, ent&r.sigMask, r.sigBits, sig)
+		_, h, _ := sh.residentKey(slot, tbl.keyLen, &kw, &kb)
+		b1, b2, sig := sh.buckets(h)
+		if ent&sh.sigMask != sig {
+			t.Fatalf("op %d: entry %#x carries signature %#x, the %d-bit shard's for its key is %#x", op, ent, ent&sh.sigMask, sh.sigBits, sig)
 		}
 		if b := uint64(i) / EntriesPerBucket; b != b1 && b != b2 {
 			t.Fatalf("op %d: key of entry %#x sits in bucket %d, its candidates are %d and %d", op, ent, b, b1, b2)
@@ -161,12 +159,12 @@ func TestSignatureWidthAcrossGrow(t *testing.T) {
 
 	for _, tc := range []struct {
 		slots   uint64
-		sigBits uint
+		sigBits uint8
 	}{{1 << 16, 16}, {1 << 17, 15}, {1 << 18, 14}} {
 		tbl := mustNew(t, Config{Shards: 1, Entries: tc.slots, KeyLen: 20})
 		sh := tbl.shards[0]
-		if got := sh.region.sigBits; got != tc.sigBits {
-			t.Fatalf("%d slots: region has %d signature bits, want %d", tc.slots, got, tc.sigBits)
+		if got := sh.sigBits; got != tc.sigBits {
+			t.Fatalf("%d slots: shard has %d signature bits, want %d", tc.slots, got, tc.sigBits)
 		}
 		every := 4
 		if raceEnabled {
@@ -174,12 +172,12 @@ func TestSignatureWidthAcrossGrow(t *testing.T) {
 		}
 		applyOps(t, tbl, universe, data, func(op, _ int) {
 			if op%every == 0 {
-				checkEntries(t, op, sh)
+				checkEntries(t, op, tbl, sh)
 			}
 		})
 		if s := tbl.Stats(); s.Deletes == 0 || s.Updates == 0 {
 			t.Fatalf("%d slots: stream missed a regime (deletes, updates): %+v", tc.slots, s)
 		}
-		checkEntries(t, len(data)/4, sh)
+		checkEntries(t, len(data)/4, tbl, sh)
 	}
 }

@@ -62,25 +62,25 @@ func (t *Table) Stats() TableStats {
 
 // storageBytes is what the table's storage occupies: bucket entries,
 // allocated slot pages, page tables and recycled-slot lists, over every
-// shard's region. It takes each shard's writer lock, the lock under which
+// shard. It takes each shard's writer lock, the lock under which
 // pages and lists change.
 func (t *Table) storageBytes() uint64 {
 	var n uint64
 	for _, sh := range t.shards {
 		sh.mu.Lock()
-		n += sh.region.bytes()
+		n += sh.bytes()
 		sh.mu.Unlock()
 	}
 	return n
 }
 
-// bytes is storageBytes for one region. Caller must hold the shard's mu.
-func (r *region) bytes() uint64 {
+// bytes is storageBytes for one shard. Caller must hold its mu.
+func (sh *shard) bytes() uint64 {
 	const word = uint64(unsafe.Sizeof(atomic.Uint64{}))
-	n := uint64(len(r.entries))*uint64(unsafe.Sizeof(r.entries[0])) +
-		uint64(len(r.pages))*uint64(unsafe.Sizeof(r.pages[0])) +
-		uint64(cap(r.free))*uint64(unsafe.Sizeof(uint32(0)))
-	for _, page := range r.pages {
+	n := uint64(len(sh.entries))*uint64(unsafe.Sizeof(sh.entries[0])) +
+		uint64(len(sh.pages))*uint64(unsafe.Sizeof(sh.pages[0])) +
+		uint64(cap(sh.free))*uint64(unsafe.Sizeof(uint32(0)))
+	for _, page := range sh.pages {
 		n += uint64(len(page)) * word
 	}
 	return n

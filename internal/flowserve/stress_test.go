@@ -291,7 +291,7 @@ func TestPublishAcrossPageBoundary(t *testing.T) {
 	published.Store(n) // release the readers even if an insert failed
 	wg.Wait()
 	allocated := 0
-	for _, page := range tbl.shards[0].region.pages {
+	for _, page := range tbl.shards[0].pages {
 		if page != nil {
 			allocated++
 		}

@@ -102,7 +102,6 @@ type clientCounters struct {
 // counted (Counters, CollectInto), so callers can gate on the delta.
 type Client struct {
 	opts  Options
-	ep    Endpoint
 	hello HelloInfo
 	conns []*cliConn
 	rr    atomic.Uint64 // round-robin cursor
@@ -173,7 +172,7 @@ func DialEndpoint(ep Endpoint, opts Options) (*Client, error) {
 	if err := opts.applyDefaults(); err != nil {
 		return nil, err
 	}
-	cl := &Client{opts: opts, ep: ep}
+	cl := &Client{opts: opts}
 	cl.calls.New = func() any { return &pcall{ch: make(chan Frame, 1)} }
 	for i := 0; i < opts.Conns; i++ {
 		nc, err := dialTransport(ep, opts.DialTimeout)
@@ -204,9 +203,6 @@ func DialEndpoint(ep Endpoint, opts Options) (*Client, error) {
 
 // Hello returns the table geometry reported at dial time.
 func (cl *Client) Hello() HelloInfo { return cl.hello }
-
-// Endpoint returns the endpoint this client dialed.
-func (cl *Client) Endpoint() Endpoint { return cl.ep }
 
 // KeyLen returns the remote table's fixed key length.
 func (cl *Client) KeyLen() int { return cl.hello.KeyLen }

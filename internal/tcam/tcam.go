@@ -107,9 +107,6 @@ func New(cfg Config) *Device {
 	return &Device{cfg: cfg, byMask: make(map[string]int), ones: ones, scratch: make([]byte, 2*cfg.KeyBytes)}
 }
 
-// Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }
-
 // Len returns the number of installed entries.
 func (d *Device) Len() int { return len(d.data) }
 

@@ -185,8 +185,8 @@ func BenchmarkLookupFixtureBuild(b *testing.B) {
 func benchRunAllPool(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		if err := runner.RunAll(runner.Options{Workers: workers},
-			experiments.QuickConfig(), io.Discard); err != nil {
+		if err := runner.Run(runner.Options{Workers: workers},
+			experiments.QuickConfig(), experiments.Registry(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -44,7 +44,7 @@ func run() int {
 		experiment = flag.String("experiment", "", "run a single experiment (see -list)")
 		list       = flag.Bool("list", false, "list experiment IDs and exit")
 		seed       = flag.Uint64("seed", 0x48414c4f, "workload seed")
-		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for sweep points")
+		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for sweep points (<= 0: GOMAXPROCS)")
 		verify     = flag.Bool("verify", false, "run every point serially too and fail on divergence")
 		jsonPath   = flag.String("json", "", "also write the stats document (rows + counters + histograms) to this file")
 		validate   = flag.String("validate", "", "validate a stats document written by -json and exit")
@@ -94,10 +94,6 @@ func run() int {
 		runners = []experiments.Runner{r}
 	}
 
-	workers := *parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -125,7 +121,7 @@ func run() int {
 			}
 		}()
 	}
-	opt := runner.Options{Workers: workers, Verify: *verify}
+	opt := runner.Options{Workers: *parallel, Verify: *verify}
 	start := time.Now()
 	var err error
 	if *jsonPath != "" {
@@ -151,6 +147,6 @@ func run() int {
 	if *verify {
 		fmt.Fprintf(os.Stderr, "verify: parallel and serial results identical for every point\n")
 	}
-	fmt.Fprintf(os.Stderr, "(completed in %v, %d workers)\n", elapsed, opt.Workers)
+	fmt.Fprintf(os.Stderr, "(completed in %v, -parallel %d)\n", elapsed, *parallel)
 	return 0
 }

@@ -23,11 +23,6 @@ type Config struct {
 	Quick bool
 	// Seed drives all workload randomness.
 	Seed uint64
-	// Stats, when non-nil, receives one component snapshot per sweep point
-	// (counters and latency histograms under the stable dotted names of
-	// internal/stats). Collection never influences the simulation, so runs
-	// with and without a collector produce identical rows.
-	Stats *stats.Collector
 
 	protos *prototypes // the running sweep's, set per point by RunPoint
 }
@@ -180,8 +175,9 @@ type statsCollector interface {
 	CollectInto(*stats.Snapshot)
 }
 
-// collectInto gathers every collector into snap; a nil snap (stats disabled)
-// makes it a no-op, so run functions collect unconditionally.
+// collectInto gathers every collector into snap. A nil snap makes it a
+// no-op: a run passes nil for an arm it measures but keeps out of the
+// point's stats.
 func collectInto(snap *stats.Snapshot, cs ...statsCollector) {
 	if snap == nil {
 		return
@@ -191,22 +187,6 @@ func collectInto(snap *stats.Snapshot, cs ...statsCollector) {
 			c.CollectInto(snap)
 		}
 	}
-}
-
-// pointSnapshot returns a fresh snapshot when cfg wants stats, nil otherwise.
-func pointSnapshot(cfg Config) *stats.Snapshot {
-	if cfg.Stats == nil {
-		return nil
-	}
-	return stats.NewSnapshot()
-}
-
-// recordSnap files a point's snapshot with the configured collector.
-func recordSnap(cfg Config, pt Point, snap *stats.Snapshot) {
-	if cfg.Stats == nil || snap == nil || snap.Empty() {
-		return
-	}
-	cfg.Stats.Record(pt.Experiment, pt.Index, snap)
 }
 
 // pickSize returns quick or full depending on cfg.

@@ -1,18 +1,18 @@
 package experiments
 
 import (
-	"io"
 	"strings"
 	"testing"
 )
 
 // The experiment tests assert the paper's qualitative results — who wins, in
-// which regime, and roughly by how much — at quick scale. Absolute paper
-// numbers are recorded in EXPERIMENTS.md.
+// which regime, and roughly by how much — at quick scale, on each
+// experiment's first QuickConfig pass (quickResult), which the determinism
+// test shares. Absolute paper numbers are recorded in EXPERIMENTS.md.
 
 func TestFig3BreakdownShape(t *testing.T) {
 	t.Parallel()
-	r := RunFig3(QuickConfig())
+	r := quickResult(fig3)
 	if len(r.Rows) != 5 {
 		t.Fatalf("%d rows, want 5 traffic configurations", len(r.Rows))
 	}
@@ -44,7 +44,7 @@ func TestFig3BreakdownShape(t *testing.T) {
 
 func TestFig4CacheBehaviourShape(t *testing.T) {
 	t.Parallel()
-	r := RunFig4(QuickConfig())
+	r := quickResult(fig4)
 	byKind := map[string][]Fig4Row{}
 	for _, row := range r.Rows {
 		byKind[row.Kind] = append(byKind[row.Kind], row)
@@ -75,7 +75,7 @@ func TestFig4CacheBehaviourShape(t *testing.T) {
 
 func TestTable1InstructionProfile(t *testing.T) {
 	t.Parallel()
-	r := RunTable1(QuickConfig())
+	r := quickResult(table1)
 	if r.InstructionsPerLookup < 150 || r.InstructionsPerLookup > 280 {
 		t.Errorf("instructions per lookup = %.0f, paper 210", r.InstructionsPerLookup)
 	}
@@ -92,7 +92,7 @@ func TestTable1InstructionProfile(t *testing.T) {
 
 func TestLockOverheadShape(t *testing.T) {
 	t.Parallel()
-	r := RunLockOverhead(QuickConfig())
+	r := quickResult(lockoverhead)
 	// Paper: ~13.1% of lookup time in locking. Accept a broad band.
 	if r.LockSharePct < 0.01 || r.LockSharePct > 0.30 {
 		t.Errorf("lock share = %.3f, paper ~0.131", r.LockSharePct)
@@ -113,7 +113,7 @@ func TestLockOverheadShape(t *testing.T) {
 
 func TestFig8FlowRegisterShape(t *testing.T) {
 	t.Parallel()
-	r := RunFig8(QuickConfig())
+	r := quickResult(fig8)
 	// Paper Fig. 8b: a register estimates ~2x its bit count accurately.
 	for _, pt := range r.Points {
 		if pt.Flows <= 2*int(pt.RegisterBits) && pt.RegisterBits >= 16 {
@@ -139,7 +139,7 @@ func TestFig8FlowRegisterShape(t *testing.T) {
 
 func TestFig9SingleLookupShape(t *testing.T) {
 	t.Parallel()
-	r := RunFig9(QuickConfig())
+	r := quickResult(fig9)
 	// LLC regime (2^14, 2^17): HALO beats software clearly.
 	for _, size := range []uint64{1 << 14, 1 << 17} {
 		pt, ok := r.Point(ModeHaloB, size, 0.75)
@@ -173,7 +173,7 @@ func TestFig9SingleLookupShape(t *testing.T) {
 
 func TestFig10BreakdownShape(t *testing.T) {
 	t.Parallel()
-	r := RunFig10(QuickConfig())
+	r := quickResult(fig10)
 	swLLC, ok1 := r.Row("software", "llc")
 	haloLLC, ok2 := r.Row("halo", "llc")
 	swDRAM, ok3 := r.Row("software", "dram")
@@ -206,7 +206,7 @@ func TestFig10BreakdownShape(t *testing.T) {
 
 func TestFig11TupleSpaceShape(t *testing.T) {
 	t.Parallel()
-	r := RunFig11(QuickConfig())
+	r := quickResult(fig11)
 	nb5, _ := r.Point(ModeHaloNB, 5)
 	nb20, _ := r.Point(ModeHaloNB, 20)
 	b5, _ := r.Point(ModeHaloB, 5)
@@ -246,7 +246,7 @@ func TestFig11TupleSpaceShape(t *testing.T) {
 
 func TestFig12CollocationShape(t *testing.T) {
 	t.Parallel()
-	r := RunFig12(QuickConfig())
+	r := quickResult(fig12)
 	for _, nfName := range []string{"acl", "snortlite", "mtcplite"} {
 		for _, flows := range []int{1_000, 100_000} {
 			sw, ok1 := r.Point(nfName, flows, "software")
@@ -277,7 +277,7 @@ func TestFig12CollocationShape(t *testing.T) {
 
 func TestTable4PowerShape(t *testing.T) {
 	t.Parallel()
-	r := RunTable4(QuickConfig())
+	r := quickResult(table4)
 	if len(r.Rows) != 5 {
 		t.Fatalf("%d rows", len(r.Rows))
 	}
@@ -292,7 +292,7 @@ func TestTable4PowerShape(t *testing.T) {
 
 func TestFig13NFSpeedupShape(t *testing.T) {
 	t.Parallel()
-	r := RunFig13(QuickConfig())
+	r := quickResult(fig13)
 	for _, name := range []string{"nat", "prads", "packet-filter"} {
 		pt, ok := r.Point(name, 100_000)
 		if !ok {
@@ -317,7 +317,7 @@ func TestFig13NFSpeedupShape(t *testing.T) {
 
 func TestAblationsShape(t *testing.T) {
 	t.Parallel()
-	r := RunAblations(QuickConfig())
+	r := quickResult(ablations)
 	if r.MetaCacheSpeedup < 1.02 {
 		t.Errorf("metadata cache speedup %.2f; should matter", r.MetaCacheSpeedup)
 	}
@@ -335,7 +335,7 @@ func TestAblationsShape(t *testing.T) {
 
 func TestScalingShape(t *testing.T) {
 	t.Parallel()
-	r := RunScaling(QuickConfig())
+	r := quickResult(scaling)
 	for _, mode := range []Fig9Mode{ModeSoftware, ModeHaloNB} {
 		one, ok1 := r.Point(mode, 1)
 		many, ok2 := r.Point(mode, 15)
@@ -359,7 +359,7 @@ func TestScalingShape(t *testing.T) {
 
 func TestUpdatesShape(t *testing.T) {
 	t.Parallel()
-	r := RunUpdates(QuickConfig())
+	r := quickResult(updates)
 	for _, size := range []int{1_000, 10_000} {
 		ck, ok1 := r.Point("cuckoo", size)
 		tc, ok2 := r.Point("tcam", size)
@@ -389,7 +389,7 @@ func TestUpdatesShape(t *testing.T) {
 
 func TestHybridShape(t *testing.T) {
 	t.Parallel()
-	r := RunHybrid(QuickConfig())
+	r := quickResult(hybrid)
 	if len(r.Rows) != 3 {
 		t.Fatalf("%d rows, want 3 traffic phases", len(r.Rows))
 	}
@@ -459,12 +459,8 @@ func TestRunnersRenderNonEmpty(t *testing.T) {
 	// Cheap runners render actual tables (expensive ones are covered by
 	// the shape tests above).
 	for _, id := range []string{"table4", "fig8"} {
-		r, _ := Find(id)
-		var sb strings.Builder
-		r.Run(QuickConfig(), &sb)
-		if !strings.Contains(sb.String(), "==") {
+		if !strings.Contains(quick[id].pass1().render, "==") {
 			t.Errorf("%s rendered no table", id)
 		}
 	}
-	var _ io.Writer = &strings.Builder{}
 }

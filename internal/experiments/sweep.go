@@ -7,14 +7,12 @@ import (
 )
 
 // Point is one independently runnable unit of an experiment's sweep. A
-// point carries only coordinates — the owning experiment's ID, its position
-// in the sweep, and a human-readable label — so it is trivially cheap to
-// enumerate and can be handed to any goroutine (or, in principle, any
-// process) for execution.
+// point carries only coordinates — its position in the sweep and a
+// human-readable label — so it is trivially cheap to enumerate and can be
+// handed to any goroutine (or, in principle, any process) for execution.
 type Point struct {
-	Experiment string
-	Index      int
-	Label      string
+	Index int
+	Label string
 }
 
 // Sweep decomposes an experiment into points that can run concurrently.
@@ -32,9 +30,9 @@ type Point struct {
 //     finishes. The runner executes points on arbitrary goroutines in
 //     arbitrary order.
 //   - RunPoint is deterministic: the same (cfg, p) always returns the same
-//     row. All randomness must flow from seeds derived from cfg.Seed and
-//     the point's coordinates, and a clone of a prototype runs exactly as a
-//     fresh build of it would.
+//     row and the same snapshot. All randomness must flow from seeds
+//     derived from cfg.Seed and the point's coordinates, and a clone of a
+//     prototype runs exactly as a fresh build of it would.
 //   - Rows are plain values (structs of scalars, or slices of such
 //     structs) with no pointers, so two rows are equal exactly when their
 //     %#v renderings are byte-identical — which is how the runner's verify
@@ -44,8 +42,12 @@ type Point struct {
 type Sweep struct {
 	// Points enumerates the sweep for cfg, in result order.
 	Points func(cfg Config) []Point
-	// RunPoint executes one point on fresh state and returns its row.
-	RunPoint func(cfg Config, p Point) any
+	// RunPoint executes one point on fresh state and returns its row and
+	// the component stats it collected (counters and latency histograms
+	// under the stable dotted names of internal/stats), or a nil snapshot
+	// when the point collected none. Collecting never influences the
+	// simulation.
+	RunPoint func(cfg Config, p Point) (row any, snap *stats.Snapshot)
 	// Render combines the rows (in Points order) into printed tables.
 	Render func(cfg Config, rows []any, w io.Writer)
 
@@ -65,8 +67,9 @@ type experiment[C, R, Res any] struct {
 	cells func(cfg Config) []C
 	// label names a cell; unique within the experiment.
 	label func(c C) string
-	// run measures cell i. It collects component stats into snap, which is
-	// nil when nobody asked for them (collectInto accepts that).
+	// run measures cell i and collects its component stats into snap,
+	// always a fresh snapshot. A run passes collectInto a nil snapshot only
+	// for an arm that should stay out of the point's stats.
 	run func(cfg Config, i int, c C, snap *stats.Snapshot) R
 	// assemble receives rows[i] for cells[i].
 	assemble func(cfg Config, cells []C, rows []R) Res
@@ -74,8 +77,8 @@ type experiment[C, R, Res any] struct {
 }
 
 // sweep derives the untyped decomposition the runner consumes. It is the
-// one place that stamps a Point, files a point's snapshot with cfg.Stats,
-// hands a point its run's prototypes and recovers the typed rows.
+// one place that stamps a Point, gives a point its snapshot, hands a point
+// its run's prototypes and recovers the typed rows.
 func (e experiment[C, R, Res]) sweep() Sweep {
 	protos := &prototypes{}
 	return Sweep{
@@ -84,18 +87,20 @@ func (e experiment[C, R, Res]) sweep() Sweep {
 			cells := e.cells(cfg)
 			pts := make([]Point, len(cells))
 			for i, c := range cells {
-				pts[i] = Point{Experiment: e.id, Index: i, Label: e.label(c)}
+				pts[i] = Point{Index: i, Label: e.label(c)}
 			}
 			return pts
 		},
-		RunPoint: func(cfg Config, p Point) any {
+		RunPoint: func(cfg Config, p Point) (any, *stats.Snapshot) {
 			cells := e.cells(cfg)
 			defer protos.finish(len(cells))
 			cfg.protos = protos
-			snap := pointSnapshot(cfg)
+			snap := stats.NewSnapshot()
 			row := e.run(cfg, p.Index, cells[p.Index], snap)
-			recordSnap(cfg, p, snap)
-			return row
+			if snap.Empty() {
+				snap = nil
+			}
+			return row, snap
 		},
 		Render: func(cfg Config, rows []any, w io.Writer) {
 			e.render(e.fromRows(cfg, rows), w)
@@ -133,7 +138,7 @@ func runSerial(cfg Config, s Sweep) []any {
 	pts := s.Points(cfg)
 	rows := make([]any, len(pts))
 	for i, p := range pts {
-		rows[i] = s.RunPoint(cfg, p)
+		rows[i], _ = s.RunPoint(cfg, p)
 	}
 	return rows
 }

@@ -10,8 +10,8 @@
 //
 // Verify mode makes the determinism contract executable: every point runs
 // twice — once in the pool, once serially on the coordinating goroutine —
-// and any divergence in the rendered row values (which embed simulated
-// cycle counts) fails the run.
+// and any divergence in the row values (which embed simulated cycle counts)
+// or in the point's component snapshot fails the run.
 package runner
 
 import (
@@ -43,12 +43,13 @@ func (o Options) workers() int {
 	return o.Workers
 }
 
-// expState tracks one experiment's in-flight points. rows is indexed by
-// Point.Index; done closes when the last point lands so the renderer can
-// stream experiments in order while later ones still compute.
+// expState tracks one experiment's in-flight points. rows and snaps are
+// indexed by Point.Index; done closes when the last point lands so the
+// renderer can stream experiments in order while later ones still compute.
 type expState struct {
 	points []experiments.Point
 	rows   []any
+	snaps  []*stats.Snapshot
 	errs   []error
 	remain int
 	done   chan struct{}
@@ -79,6 +80,7 @@ func run(opt Options, cfg experiments.Config, runners []experiments.Runner, w io
 		states[i] = &expState{
 			points: pts,
 			rows:   make([]any, len(pts)),
+			snaps:  make([]*stats.Snapshot, len(pts)),
 			remain: len(pts),
 			done:   make(chan struct{}),
 		}
@@ -99,12 +101,13 @@ func run(opt Options, cfg experiments.Config, runners []experiments.Runner, w io
 			defer wg.Done()
 			for t := range queue {
 				st := states[t.exp]
-				row, err := runPoint(runners[t.exp], cfg, t.point)
+				row, snap, err := runPoint(runners[t.exp], cfg, t.point)
 				mu.Lock()
 				if err != nil {
 					st.errs = append(st.errs, err)
 				}
 				st.rows[t.point.Index] = row
+				st.snaps[t.point.Index] = snap
 				st.remain--
 				if st.remain == 0 {
 					close(st.done)
@@ -124,11 +127,9 @@ func run(opt Options, cfg experiments.Config, runners []experiments.Runner, w io
 	// experiment i renders.
 	var failures []error
 	for i, r := range runners {
-		<-states[i].done
+		<-states[i].done // every write to the state happened before done closed
 		st := states[i]
-		mu.Lock()
 		errs := st.errs
-		mu.Unlock()
 		if opt.Verify && len(errs) == 0 {
 			errs = verifyExperiment(r, cfg, st)
 		}
@@ -145,14 +146,11 @@ func run(opt Options, cfg experiments.Config, runners []experiments.Runner, w io
 
 // RunDoc executes the runners like Run (rendered tables still stream to w)
 // and additionally returns the machine-readable stats document: every
-// point's row marshalled verbatim, its component snapshot from cfg.Stats
-// (seeded with a fresh collector when nil), and per-experiment merged
-// snapshots. The document depends only on (cfg, runners) — never on worker
-// count or scheduling — so serial and pooled runs encode to identical bytes.
+// point's row marshalled verbatim, the component snapshot its run returned,
+// and per-experiment merged snapshots. The document depends only on (cfg,
+// runners) — never on worker count or scheduling — so serial and pooled
+// runs encode to identical bytes.
 func RunDoc(opt Options, cfg experiments.Config, runners []experiments.Runner, w io.Writer) (*stats.Document, error) {
-	if cfg.Stats == nil {
-		cfg.Stats = stats.NewCollector()
-	}
 	states, err := run(opt, cfg, runners, w)
 	if err != nil {
 		return nil, err
@@ -167,12 +165,8 @@ func RunDoc(opt Options, cfg experiments.Config, runners []experiments.Runner, w
 			if err != nil {
 				return nil, fmt.Errorf("runner: marshalling %s point %q row: %w", r.ID, p.Label, err)
 			}
-			pd := stats.PointDoc{Label: p.Label, Row: row}
-			if snap := cfg.Stats.Snapshot(r.ID, p.Index); snap != nil {
-				pd.Snapshot = snap
-				merged.Merge(snap)
-			}
-			ed.Points = append(ed.Points, pd)
+			ed.Points = append(ed.Points, stats.PointDoc{Label: p.Label, Row: row, Snapshot: st.snaps[j]})
+			merged.Merge(st.snaps[j])
 		}
 		if !merged.Empty() {
 			ed.Snapshot = merged
@@ -182,29 +176,34 @@ func RunDoc(opt Options, cfg experiments.Config, runners []experiments.Runner, w
 	return doc, nil
 }
 
-// RunAll runs the whole experiment registry on the pool.
-func RunAll(opt Options, cfg experiments.Config, w io.Writer) error {
-	return Run(opt, cfg, experiments.Registry(), w)
-}
-
 // verifyExperiment recomputes every point serially and compares it with
-// the pooled row. Rows are plain pointer-free values, so their %#v
-// rendering (simulated cycle counts included) is a faithful
-// serialization: any scheduling-dependent behaviour shows up as a diff.
+// the pooled row and snapshot. Rows are plain pointer-free values, so their
+// %#v rendering (simulated cycle counts included) is a faithful
+// serialization, and a snapshot is compared in its document encoding: any
+// scheduling-dependent behaviour shows up as a diff.
 func verifyExperiment(r experiments.Runner, cfg experiments.Config, st *expState) []error {
 	var errs []error
 	for i, p := range st.points {
-		ref, err := runPoint(r, cfg, p)
+		row, snap, err := runPoint(r, cfg, p)
 		if err != nil {
 			errs = append(errs, err)
 			continue
 		}
-		want := fmt.Sprintf("%#v", ref)
+		want := fmt.Sprintf("%#v", row)
 		got := fmt.Sprintf("%#v", st.rows[i])
 		if got != want {
 			errs = append(errs, fmt.Errorf(
 				"experiment %s point %q: pooled result diverges from serial\n  serial: %s\n  pooled: %s",
 				r.ID, p.Label, want, got))
+		}
+		// A snapshot's encoding cannot fail: counters are integers and
+		// Histogram.MarshalJSON returns no error.
+		wantSnap, _ := json.Marshal(snap)
+		gotSnap, _ := json.Marshal(st.snaps[i])
+		if string(gotSnap) != string(wantSnap) {
+			errs = append(errs, fmt.Errorf(
+				"experiment %s point %q: pooled snapshot diverges from serial\n  serial: %s\n  pooled: %s",
+				r.ID, p.Label, wantSnap, gotSnap))
 		}
 	}
 	return errs
@@ -212,13 +211,14 @@ func verifyExperiment(r experiments.Runner, cfg experiments.Config, st *expState
 
 // runPoint executes one sweep point, converting panics into errors so one
 // bad point cannot take the pool down.
-func runPoint(r experiments.Runner, cfg experiments.Config, p experiments.Point) (row any, err error) {
+func runPoint(r experiments.Runner, cfg experiments.Config, p experiments.Point) (row any, snap *stats.Snapshot, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("experiment %s point %q panicked: %v", r.ID, p.Label, rec)
 		}
 	}()
-	return r.Sweep.RunPoint(cfg, p), nil
+	row, snap = r.Sweep.RunPoint(cfg, p)
+	return row, snap, nil
 }
 
 // Map runs fn over items on up to `workers` goroutines (<=0 means
@@ -226,13 +226,7 @@ func runPoint(r experiments.Runner, cfg experiments.Config, p experiments.Point)
 // primitive for callers outside the experiment registry, e.g. running
 // several engine configurations of a switch simulation concurrently.
 func Map[T, R any](workers int, items []T, fn func(i int, item T) R) []R {
-	n := workers
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > len(items) {
-		n = len(items)
-	}
+	n := min(Options{Workers: workers}.workers(), len(items))
 	out := make([]R, len(items))
 	var next atomic.Int64
 	next.Store(-1)

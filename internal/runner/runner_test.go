@@ -62,18 +62,19 @@ func TestVerifyPassesOnRealExperiments(t *testing.T) {
 	}
 }
 
-// fakeSweep builds a sweep of n points whose rows come from run.
-func fakeSweep(id string, n int, run func(i int) any) experiments.Sweep {
+// fakeSweep builds a sweep of n points whose rows come from run and which
+// collect no snapshot.
+func fakeSweep(n int, run func(i int) any) experiments.Sweep {
 	return experiments.Sweep{
 		Points: func(cfg experiments.Config) []experiments.Point {
 			pts := make([]experiments.Point, n)
 			for i := range pts {
-				pts[i] = experiments.Point{Experiment: id, Index: i, Label: fmt.Sprintf("p%d", i)}
+				pts[i] = experiments.Point{Index: i, Label: fmt.Sprintf("p%d", i)}
 			}
 			return pts
 		},
-		RunPoint: func(cfg experiments.Config, p experiments.Point) any {
-			return run(p.Index)
+		RunPoint: func(cfg experiments.Config, p experiments.Point) (any, *stats.Snapshot) {
+			return run(p.Index), nil
 		},
 		Render: func(cfg experiments.Config, rows []any, w io.Writer) {
 			for _, r := range rows {
@@ -92,7 +93,7 @@ func TestRenderOrderPreserved(t *testing.T) {
 		id := fmt.Sprintf("exp%d", e)
 		runners = append(runners, experiments.Runner{
 			ID: id, Paper: "fake",
-			Sweep: fakeSweep(id, 7, func(i int) any { return fmt.Sprintf("%s-row%d", id, i) }),
+			Sweep: fakeSweep(7, func(i int) any { return fmt.Sprintf("%s-row%d", id, i) }),
 		})
 	}
 	var want strings.Builder
@@ -113,31 +114,42 @@ func TestRenderOrderPreserved(t *testing.T) {
 	}
 }
 
-// TestVerifyCatchesNondeterminism: a point whose result depends on run
-// count must fail verify mode.
+// TestVerifyCatchesNondeterminism: a point whose row, or only whose
+// snapshot, depends on run count must fail verify mode.
 func TestVerifyCatchesNondeterminism(t *testing.T) {
 	t.Parallel()
-	var calls atomic.Int64
-	bad := experiments.Runner{
-		ID: "bad", Paper: "fake",
-		Sweep: fakeSweep("bad", 3, func(i int) any {
-			if i == 1 {
-				return calls.Add(1) // differs every execution
-			}
-			return int64(i)
-		}),
+	var rowCalls, snapCalls atomic.Int64
+	badRow := fakeSweep(3, func(i int) any {
+		if i == 1 {
+			return rowCalls.Add(1) // differs every execution
+		}
+		return int64(i)
+	})
+	badSnap := fakeSweep(3, func(i int) any { return int64(i) })
+	badSnap.RunPoint = func(cfg experiments.Config, p experiments.Point) (any, *stats.Snapshot) {
+		snap := stats.NewSnapshot()
+		snap.Add("fake.runs", 1)
+		if p.Index == 1 {
+			snap.Add("fake.runs", uint64(snapCalls.Add(1))) // differs every execution
+		}
+		return int64(p.Index), snap
 	}
-	var out strings.Builder
-	err := runner.Run(runner.Options{Workers: 2, Verify: true}, experiments.QuickConfig(),
-		[]experiments.Runner{bad}, &out)
-	if err == nil {
-		t.Fatal("verify mode missed a nondeterministic point")
-	}
-	if !strings.Contains(err.Error(), `point "p1"`) {
-		t.Errorf("error does not name the diverging point: %v", err)
-	}
-	if out.Len() != 0 {
-		t.Errorf("diverging experiment was rendered anyway:\n%s", out.String())
+	for _, bad := range []experiments.Runner{
+		{ID: "bad-row", Paper: "fake", Sweep: badRow},
+		{ID: "bad-snapshot", Paper: "fake", Sweep: badSnap},
+	} {
+		var out strings.Builder
+		err := runner.Run(runner.Options{Workers: 2, Verify: true}, experiments.QuickConfig(),
+			[]experiments.Runner{bad}, &out)
+		if err == nil {
+			t.Fatalf("%s: verify mode missed a nondeterministic point", bad.ID)
+		}
+		if !strings.Contains(err.Error(), `point "p1"`) || strings.Contains(err.Error(), `point "p0"`) {
+			t.Errorf("%s: error does not name just the diverging point: %v", bad.ID, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: diverging experiment was rendered anyway:\n%s", bad.ID, out.String())
+		}
 	}
 }
 
@@ -146,13 +158,13 @@ func TestVerifyCatchesNondeterminism(t *testing.T) {
 func TestPanicBecomesError(t *testing.T) {
 	t.Parallel()
 	runners := []experiments.Runner{
-		{ID: "boom", Paper: "fake", Sweep: fakeSweep("boom", 3, func(i int) any {
+		{ID: "boom", Paper: "fake", Sweep: fakeSweep(3, func(i int) any {
 			if i == 2 {
 				panic("synthetic failure")
 			}
 			return i
 		})},
-		{ID: "fine", Paper: "fake", Sweep: fakeSweep("fine", 2, func(i int) any { return i })},
+		{ID: "fine", Paper: "fake", Sweep: fakeSweep(2, func(i int) any { return i })},
 	}
 	var out strings.Builder
 	err := runner.Run(runner.Options{Workers: 4}, experiments.QuickConfig(), runners, &out)
@@ -175,7 +187,7 @@ func TestPanicBecomesError(t *testing.T) {
 func TestZeroPointExperiment(t *testing.T) {
 	t.Parallel()
 	empty := experiments.Runner{ID: "empty", Paper: "fake",
-		Sweep: fakeSweep("empty", 0, func(i int) any { return nil })}
+		Sweep: fakeSweep(0, func(i int) any { return nil })}
 	var out strings.Builder
 	if err := runner.Run(runner.Options{Workers: 2}, experiments.QuickConfig(),
 		[]experiments.Runner{empty}, &out); err != nil {

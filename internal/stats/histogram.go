@@ -5,7 +5,9 @@
 // The package sits below every simulator component (it imports only the
 // standard library), so cpu threads, the cache hierarchy, accelerator units,
 // the query distributor, cuckoo tables and the hybrid controller can all
-// publish into one Snapshot without import cycles. Everything here is
+// publish into one Snapshot without import cycles. Every experiment sweep
+// point fills a fresh Snapshot of its own and returns it beside its row;
+// the runner files it in the point's document entry. Everything here is
 // deterministic: maps serialize in sorted order, histograms quantize to
 // fixed bucket boundaries, and documents contain no timestamps or
 // host-dependent values, so the same simulation always produces the same

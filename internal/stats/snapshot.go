@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // Snapshot aggregates one measurement's counters and latency histograms
 // under stable dotted names (e.g. "cache.llc.misses", "lat.lookup.accel").
@@ -83,44 +80,4 @@ func (s *Snapshot) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Collector gathers per-point snapshots from concurrently executing sweep
-// points, keyed by (experiment ID, point index). Recording the same point
-// twice overwrites — the runner's verify mode runs every point twice, and
-// the determinism contract guarantees both runs produce identical data.
-type Collector struct {
-	mu   sync.Mutex
-	recs map[string]map[int]*Snapshot
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector { return &Collector{} }
-
-// Record stores a point's snapshot (last write wins).
-func (c *Collector) Record(experiment string, index int, s *Snapshot) {
-	if c == nil || s == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.recs == nil {
-		c.recs = make(map[string]map[int]*Snapshot)
-	}
-	pts := c.recs[experiment]
-	if pts == nil {
-		pts = make(map[int]*Snapshot)
-		c.recs[experiment] = pts
-	}
-	pts[index] = s
-}
-
-// Snapshot returns the snapshot recorded for a point, or nil.
-func (c *Collector) Snapshot(experiment string, index int) *Snapshot {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.recs[experiment][index]
 }

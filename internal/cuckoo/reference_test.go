@@ -145,11 +145,26 @@ func (r *refTable) hasFree(b uint64) bool {
 	return false
 }
 
-func (r *refTable) findPath(b1, b2 uint64) []pathNode {
-	var nodes []pathNode
-	queue := []frontierItem{{b1, -1}, {b2, -1}}
+// refStep is one move of a reference displacement path: the entry at
+// (bucket, slot) moves to its alternative bucket; parent is the step it
+// makes room for.
+type refStep struct {
+	bucket uint64
+	slot   int
+	parent int
+}
+
+// refFrontier is one queued bucket of the reference BFS.
+type refFrontier struct {
+	bucket uint64
+	node   int
+}
+
+func (r *refTable) findPath(b1, b2 uint64) []refStep {
+	var nodes []refStep
+	queue := []refFrontier{{b1, -1}, {b2, -1}}
 	visited := map[uint64]bool{b1: true, b2: true}
-	for head := 0; head < len(queue) && len(nodes) < maxDisplacements*EntriesPerBucket; head++ {
+	for head := 0; head < len(queue) && len(nodes) < hashfn.MaxDisplacements*EntriesPerBucket; head++ {
 		item := queue[head]
 		for e := 0; e < EntriesPerBucket; e++ {
 			sig, _ := r.readEntry(item.bucket, e)
@@ -157,10 +172,10 @@ func (r *refTable) findPath(b1, b2 uint64) []pathNode {
 				continue
 			}
 			alt := hashfn.AltBucket(item.bucket, sig, r.meta.bucketCount)
-			nodes = append(nodes, pathNode{bucket: item.bucket, slot: e, parent: item.node})
+			nodes = append(nodes, refStep{bucket: item.bucket, slot: e, parent: item.node})
 			nodeIdx := len(nodes) - 1
 			if r.hasFree(alt) {
-				var path []pathNode
+				var path []refStep
 				for i := nodeIdx; i >= 0; i = nodes[i].parent {
 					path = append(path, nodes[i])
 				}
@@ -169,14 +184,14 @@ func (r *refTable) findPath(b1, b2 uint64) []pathNode {
 			}
 			if !visited[alt] {
 				visited[alt] = true
-				queue = append(queue, frontierItem{alt, nodeIdx})
+				queue = append(queue, refFrontier{alt, nodeIdx})
 			}
 		}
 	}
 	return nil
 }
 
-func (r *refTable) applyPath(path []pathNode) {
+func (r *refTable) applyPath(path []refStep) {
 	r.stats.Displacements += uint64(len(path))
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]

@@ -22,7 +22,7 @@ import (
 
 // EntriesPerBucket is the bucket width; 8 entries of 8 bytes fill one 64 B
 // cache line, DPDK's default.
-const EntriesPerBucket = 8
+const EntriesPerBucket = hashfn.EntriesPerBucket
 
 const entryBytes = 8
 
@@ -66,8 +66,8 @@ var (
 
 // Config parametrises table creation.
 type Config struct {
-	// Entries is the capacity in key-value slots; bucket count is derived
-	// as the next power of two of Entries/EntriesPerBucket (min 2).
+	// Entries is the capacity in key-value slots; the bucket count is
+	// hashfn.BucketCount of it (of five times it for SFH).
 	Entries uint64
 	// KeyLen is the fixed key size in bytes (network headers: 4..64).
 	KeyLen int
@@ -104,12 +104,9 @@ type Table struct {
 	// insert paths allocate nothing. Table handles were never safe for
 	// concurrent use (the stats counters race); the scratch buffers lean on
 	// the same single-owner contract.
-	cmpBuf     [maxKeyLen]byte // key-compare buffer (KeyLen is validated ≤ maxKeyLen)
-	bfsNodes   []pathNode
-	bfsPath    []pathNode
-	bfsQueue   []frontierItem
-	bfsVisited map[uint64]bool
-	touched    uint64 // sink for Fill's bucket loads
+	cmpBuf  [maxKeyLen]byte // key-compare buffer (KeyLen is validated ≤ maxKeyLen)
+	disp    hashfn.Displacer
+	touched uint64 // sink for Fill's bucket loads
 }
 
 // TableStats counts operations against one table handle, functional and
@@ -163,17 +160,12 @@ func Footprint(cfg Config) uint64 {
 }
 
 func bucketCountFor(cfg Config) uint64 {
-	want := cfg.Entries / EntriesPerBucket
 	if cfg.SFH {
 		// SFH tables achieve only ~20% utilisation (paper §3.3): allocate
 		// 5x the buckets so the same flow count still installs.
-		want = cfg.Entries * 5 / EntriesPerBucket
+		return hashfn.BucketCount(cfg.Entries * 5)
 	}
-	bc := uint64(2)
-	for bc < want {
-		bc <<= 1
-	}
-	return bc
+	return hashfn.BucketCount(cfg.Entries)
 }
 
 // Create lays a new empty table out in memory using the allocator and
@@ -323,7 +315,7 @@ func (t *Table) CloneOnto(space *mem.Memory) *Table {
 	c.space = space
 	c.free = append([]uint32(nil), t.free...)
 	c.probeHook = nil
-	c.bfsNodes, c.bfsPath, c.bfsQueue, c.bfsVisited = nil, nil, nil, nil
+	c.disp = hashfn.Displacer{}
 	return &c
 }
 
@@ -468,8 +460,7 @@ func (t *Table) bumpVersion() {
 // for a key. SFH tables return the primary bucket twice.
 func (t *Table) Hashes(key []byte) (h uint64, sig uint16, b1, b2 uint64) {
 	h = hashfn.Hash(hashfn.SeedPrimary, key)
-	sig = hashfn.Signature(h)
-	b1, b2 = hashfn.BucketPair(h, t.bucketCount)
+	b1, b2, sig = hashfn.Buckets(h, t.bucketCount, hashfn.SigBits)
 	if t.IsSFH() {
 		b2 = b1
 	}
@@ -492,10 +483,6 @@ func (t *Table) Lookup(key []byte) (value uint64, ok bool) {
 	}
 	return 0, false
 }
-
-// maxDisplacements bounds the BFS cuckoo path length before declaring the
-// table full.
-const maxDisplacements = 128
 
 // Insert adds a key-value pair. Inserting an existing key returns
 // ErrKeyExists (use Update to change a value). The duplicate check counts as
@@ -600,7 +587,7 @@ func (t *Table) insertStaged(key []byte, s staged, value uint64) error {
 // displaceAndPlace makes room in b1 or b2 by a BFS displacement path and
 // installs the key there. It reports false when no path exists.
 func (t *Table) displaceAndPlace(b1, b2 uint64, sig uint16, key []byte, value uint64) bool {
-	path := t.findCuckooPath(b1, b2)
+	path := t.disp.Path(b1, b2, t.bucketCount, t.sigs)
 	if path == nil {
 		return false
 	}
@@ -616,84 +603,30 @@ func (t *Table) displaceAndPlace(b1, b2 uint64, sig uint16, key []byte, value ui
 	return true
 }
 
-// pathNode is one step of a displacement path: the entry at (bucket, slot)
-// moves to its alternative bucket.
-type pathNode struct {
-	bucket uint64
-	slot   int
-	parent int
-}
-
-// frontierItem is one BFS queue entry in findCuckooPath.
-type frontierItem struct {
-	bucket uint64
-	node   int
-}
-
-// findCuckooPath BFS-searches for a chain of moves freeing a slot in b1 or
-// b2. It returns the chain leaf-first-resolved (root..leaf order) or nil.
-// The returned slice aliases the table's scratch state and is only valid
-// until the next insert.
-func (t *Table) findCuckooPath(b1, b2 uint64) []pathNode {
-	nodes := t.bfsNodes[:0]
-	queue := append(t.bfsQueue[:0], frontierItem{b1, -1}, frontierItem{b2, -1})
-	head := 0
-	if t.bfsVisited == nil {
-		t.bfsVisited = make(map[uint64]bool)
+// sigs returns bucket b's signatures in entry order, for the displacement
+// search.
+func (t *Table) sigs(b uint64) (s [EntriesPerBucket]uint16) {
+	line := t.bucket(b, false)
+	for e := range s {
+		s[e] = entrySig(line, e)
 	}
-	visited := t.bfsVisited
-	clear(visited)
-	visited[b1], visited[b2] = true, true
-	defer func() { t.bfsNodes, t.bfsQueue = nodes[:0], queue[:0] }()
-
-	for head < len(queue) && len(nodes) < maxDisplacements*EntriesPerBucket {
-		item := queue[head]
-		head++
-		line := t.bucket(item.bucket, false)
-		for e := 0; e < EntriesPerBucket; e++ {
-			sig := entrySig(line, e)
-			if sig == 0 {
-				continue
-			}
-			alt := hashfn.AltBucket(item.bucket, sig, t.bucketCount)
-			nodes = append(nodes, pathNode{bucket: item.bucket, slot: e, parent: item.node})
-			nodeIdx := len(nodes) - 1
-			// Does the alternative bucket have a free slot?
-			if firstFree(t.bucket(alt, false)) >= 0 {
-				// Collect leaf→root, then reverse to root→leaf order.
-				path := t.bfsPath[:0]
-				for i := nodeIdx; i >= 0; i = nodes[i].parent {
-					path = append(path, nodes[i])
-				}
-				for l, r := 0, len(path)-1; l < r; l, r = l+1, r-1 {
-					path[l], path[r] = path[r], path[l]
-				}
-				t.bfsPath = path
-				return path
-			}
-			if !visited[alt] {
-				visited[alt] = true
-				queue = append(queue, frontierItem{alt, nodeIdx})
-			}
-		}
-	}
-	return nil
+	return s
 }
 
 // applyCuckooPath executes the moves leaf-first so no entry is ever
 // unreachable; each move bumps the change counter (a concurrent optimistic
 // reader would retry, paper Fig. 7a).
-func (t *Table) applyCuckooPath(path []pathNode) {
+func (t *Table) applyCuckooPath(path []hashfn.Move) {
 	t.stats.Displacements += uint64(len(path))
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
-		src := t.bucket(n.bucket, true)
-		sig, idx := entrySig(src, n.slot), entryIdx(src, n.slot)
-		alt := hashfn.AltBucket(n.bucket, sig, t.bucketCount)
+		src := t.bucket(n.Bucket, true)
+		sig, idx := entrySig(src, n.Entry), entryIdx(src, n.Entry)
+		alt := hashfn.AltBucket(n.Bucket, sig, t.bucketCount)
 		if ae := firstFree(t.bucket(alt, false)); ae >= 0 {
 			t.bumpVersion()
 			putEntry(t.bucket(alt, true), ae, sig, idx)
-			putEntry(src, n.slot, 0, 0)
+			putEntry(src, n.Entry, 0, 0)
 			t.bumpVersion()
 		}
 	}

@@ -5,11 +5,6 @@ import (
 	"halo/internal/hashfn"
 )
 
-// altOf is a local alias keeping the timed path readable.
-func altOf(bucket uint64, sig uint16, bucketCount uint64) uint64 {
-	return hashfn.AltBucket(bucket, sig, bucketCount)
-}
-
 // This file contains the *timed* software lookup and update paths: the same
 // algorithms as the functional ones, but executed against a cpu.Thread so
 // that every load, store and arithmetic instruction the compiled DPDK-style
@@ -240,7 +235,7 @@ func (t *Table) TimedInsert(th *cpu.Thread, key []byte, value uint64) error {
 
 	// Displacement path: each move is two bucket stores plus two counter
 	// bumps (the write-side of the optimistic lock).
-	path := t.findCuckooPath(b1, b2)
+	path := t.disp.Path(b1, b2, t.bucketCount, t.sigs)
 	if path == nil {
 		return ErrTableFull
 	}
@@ -249,12 +244,12 @@ func (t *Table) TimedInsert(th *cpu.Thread, key []byte, value uint64) error {
 	// counter again (write visible).
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
-		th.Load(t.BucketAddr(n.bucket))
+		th.Load(t.BucketAddr(n.Bucket))
 		th.ALU(8)
 		th.Store(t.VersionAddr())
-		alt := altOf(n.bucket, entrySig(t.bucket(n.bucket, false), n.slot), t.bucketCount)
+		alt := hashfn.AltBucket(n.Bucket, entrySig(t.bucket(n.Bucket, false), n.Entry), t.bucketCount)
 		th.Store(t.BucketAddr(alt))
-		th.Store(t.BucketAddr(n.bucket))
+		th.Store(t.BucketAddr(n.Bucket))
 		th.Store(t.VersionAddr())
 		th.Other(3)
 	}

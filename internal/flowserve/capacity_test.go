@@ -49,10 +49,10 @@ func TestBitBudgetAtMaxPerShard(t *testing.T) {
 	if hashfn.ShardIndex(^uint64(shardBits), 1<<24) != 0 || hashfn.ShardIndex(shardBits, 1<<24) != 1<<24-1 {
 		t.Fatal("hashfn.ShardIndex no longer reads exactly bits 24..47")
 	}
-	if b1, _, sig := sh.buckets(shardBits); b1 != 0 || sig != 1 {
+	if b1, _, sig := hashfn.Buckets(shardBits, sh.bucketCount(), sh.sigBits); b1 != 0 || sig != 1 {
 		t.Fatalf("a hash of shard bits alone gives bucket %d, signature %#x: they overlap the shard index", b1, sig)
 	}
-	if b1, _, sig := sh.buckets(^uint64(shardBits)); b1 != sh.bucketCount()-1 || sig != sh.sigMask {
+	if b1, _, sig := hashfn.Buckets(^uint64(shardBits), sh.bucketCount(), sh.sigBits); b1 != sh.bucketCount()-1 || uint32(sig) != sh.sigMask {
 		t.Fatalf("a hash without shard bits gives bucket %d, signature %#x: the bucket or signature bits reach into the shard index", b1, sig)
 	}
 }

@@ -54,15 +54,12 @@ import (
 
 // EntriesPerBucket matches the simulated table and rte_hash: eight entries
 // per bucket.
-const EntriesPerBucket = 8
+const EntriesPerBucket = hashfn.EntriesPerBucket
 
 // maxOptimistic bounds seqlock probe attempts before a reader falls back to
 // the writer lock. Retries are counted in flowserve.lookup.retries; the
 // fallback in flowserve.lookup.lock_fallbacks.
 const maxOptimistic = 8
-
-// maxDisplacements bounds the BFS cuckoo search, as in the simulated table.
-const maxDisplacements = 128
 
 // MaxKeyLen is the largest supported fixed key length in bytes.
 const MaxKeyLen = 64
@@ -342,11 +339,7 @@ type shard struct {
 	next     uint64
 	free     []uint32
 
-	// BFS displacement scratch.
-	bfsNodes   []pathNode
-	bfsQueue   []frontierItem
-	bfsPath    []pathNode
-	bfsVisited map[uint64]bool
+	disp hashfn.Displacer // BFS displacement scratch
 
 	_ [8]byte // rounds the struct up to whole lines (TestShardLayout)
 }
@@ -390,20 +383,12 @@ type readStripe struct {
 }
 
 // newShard sizes a shard for the requested entry count and key length: the
-// bucket array and an empty page table, no slots. The bucket count is the
-// entry count divided by the bucket width rounded UP, then rounded up to a
-// power of two — rounding down first left e.g. a 20-entry shard with only 16
-// addressable bucket entries while Capacity() reported 20, so ErrTableFull
-// fired below advertised capacity.
+// bucket array (hashfn.BucketCount buckets) and an empty page table, no
+// slots.
 func newShard(entries uint64, keyLen int) *shard {
-	want := (entries + EntriesPerBucket - 1) / EntriesPerBucket
-	bc := uint64(2)
-	for bc < want {
-		bc <<= 1
-	}
-	sigBits := uint8(min(16, 32-bits.Len64(entries-1)))
+	sigBits := uint8(min(hashfn.SigBits, 32-bits.Len64(entries-1)))
 	return &shard{
-		entries:  make([]atomic.Uint32, bc*EntriesPerBucket),
+		entries:  make([]atomic.Uint32, hashfn.BucketCount(entries)*EntriesPerBucket),
 		pages:    make([][]atomic.Uint64, (entries+pageMask)>>pageShift),
 		sigMask:  1<<sigBits - 1,
 		sigBits:  sigBits,
@@ -441,20 +426,6 @@ func (sh *shard) takeSlot() uint32 {
 	}
 	sh.next++
 	return slot
-}
-
-// buckets returns the key's candidate bucket pair and its signature in this
-// shard's geometry. The signature is the top sigBits bits of the primary
-// hash, zero mapped to one (zero marks an empty entry); b2 is derived from
-// it, so an entry alone names its alternate bucket, as a displacement needs.
-// At 16 bits this is hashfn.BucketPair and hashfn.Signature.
-func (sh *shard) buckets(h uint64) (b1, b2 uint64, sig uint32) {
-	if sig = uint32(h >> (64 - sh.sigBits)); sig == 0 {
-		sig = 1
-	}
-	bc := sh.bucketCount()
-	b1 = h & (bc - 1)
-	return b1, hashfn.AltBucket(b1, uint16(sig), bc), sig
 }
 
 // beginWrite/endWrite bracket every mutation of reader-visible words. The
@@ -496,12 +467,12 @@ func (sh *shard) keyEqual(slot uint32, kw *[maxKeyWords]uint64) bool {
 // and slot that hold it. It may run concurrently with a writer: a reader
 // trusts the result only once its readWindow is done.
 func (sh *shard) locate(kw *[maxKeyWords]uint64, h uint64) (uint64, uint32, bool) {
-	b1, b2, sig := sh.buckets(h)
+	b1, b2, sig := hashfn.Buckets(h, sh.bucketCount(), sh.sigBits)
 	for _, b := range [2]uint64{b1, b2} {
 		base := b * EntriesPerBucket
 		for e := uint64(0); e < EntriesPerBucket; e++ {
 			ent := sh.entries[base+e].Load()
-			if ent&sh.sigMask != sig {
+			if ent&sh.sigMask != uint32(sig) {
 				continue
 			}
 			slot := ent >> sh.sigBits
@@ -618,13 +589,13 @@ func (sh *shard) placeLocked(kw *[maxKeyWords]uint64, h, value uint64) bool {
 	if sh.full() {
 		return false
 	}
-	b1, b2, sig := sh.buckets(h)
+	b1, b2, sig := hashfn.Buckets(h, sh.bucketCount(), sh.sigBits)
 	entIdx, direct := sh.freeEntry(b1, b2)
-	var path []pathNode
+	var path []hashfn.Move
 	if !direct {
 		// BFS for a move chain: read-only, so outside the write window (the
 		// mutex already excludes other writers).
-		if path = sh.findCuckooPath(b1, b2); path == nil {
+		if path = sh.disp.Path(b1, b2, sh.bucketCount(), sh.sigs); path == nil {
 			return false
 		}
 	}
@@ -647,7 +618,7 @@ func (sh *shard) placeLocked(kw *[maxKeyWords]uint64, h, value uint64) bool {
 		}
 		sh.c.displacements.Add(uint64(len(path)))
 	}
-	sh.entries[entIdx].Store(slot<<sh.sigBits | sig)
+	sh.entries[entIdx].Store(slot<<sh.sigBits | uint32(sig))
 	sh.endWrite()
 	return true
 }
@@ -733,82 +704,28 @@ func (sh *shard) residentKey(slot uint32, keyLen int, kw *[maxKeyWords]uint64, k
 	return key, hashfn.Hash(hashfn.SeedPrimary, key), words[nw].Load()
 }
 
-// pathNode is one step of a displacement path: the entry at entIdx moves to
-// its alternative bucket.
-type pathNode struct {
-	bucket uint64
-	entry  uint64
-	parent int
-}
-
-// frontierItem is one BFS queue entry in findCuckooPath.
-type frontierItem struct {
-	bucket uint64
-	node   int
-}
-
-// findCuckooPath BFS-searches the shard for a chain of moves freeing an entry in b1
-// or b2, mirroring cuckoo.Table.findCuckooPath. Caller must hold mu; the
-// returned slice aliases writer-owned scratch.
-func (sh *shard) findCuckooPath(b1, b2 uint64) []pathNode {
-	nodes := sh.bfsNodes[:0]
-	queue := append(sh.bfsQueue[:0], frontierItem{b1, -1}, frontierItem{b2, -1})
-	head := 0
-	if sh.bfsVisited == nil {
-		sh.bfsVisited = make(map[uint64]bool)
+// sigs returns bucket b's signatures in entry order, for the displacement
+// search. Caller must hold mu.
+func (sh *shard) sigs(b uint64) (s [EntriesPerBucket]uint16) {
+	for e := range s {
+		s[e] = uint16(sh.entries[b*EntriesPerBucket+uint64(e)].Load() & sh.sigMask)
 	}
-	visited := sh.bfsVisited
-	clear(visited)
-	visited[b1], visited[b2] = true, true
-	defer func() { sh.bfsNodes, sh.bfsQueue = nodes[:0], queue[:0] }()
-
-	for head < len(queue) && len(nodes) < maxDisplacements*EntriesPerBucket {
-		item := queue[head]
-		head++
-		base := item.bucket * EntriesPerBucket
-		for e := uint64(0); e < EntriesPerBucket; e++ {
-			ent := sh.entries[base+e].Load()
-			if ent == 0 {
-				continue
-			}
-			alt := hashfn.AltBucket(item.bucket, uint16(ent&sh.sigMask), sh.bucketCount())
-			nodes = append(nodes, pathNode{bucket: item.bucket, entry: base + e, parent: item.node})
-			nodeIdx := len(nodes) - 1
-			altBase := alt * EntriesPerBucket
-			for ae := uint64(0); ae < EntriesPerBucket; ae++ {
-				if sh.entries[altBase+ae].Load() == 0 {
-					path := sh.bfsPath[:0]
-					for i := nodeIdx; i >= 0; i = nodes[i].parent {
-						path = append(path, nodes[i])
-					}
-					for l, rr := 0, len(path)-1; l < rr; l, rr = l+1, rr-1 {
-						path[l], path[rr] = path[rr], path[l]
-					}
-					sh.bfsPath = path
-					return path
-				}
-			}
-			if !visited[alt] {
-				visited[alt] = true
-				queue = append(queue, frontierItem{alt, nodeIdx})
-			}
-		}
-	}
-	return nil
+	return s
 }
 
 // applyCuckooPath executes the moves leaf-first so no entry is ever
 // unreachable. Caller must hold mu and have opened the seqlock window.
-func (sh *shard) applyCuckooPath(path []pathNode) {
+func (sh *shard) applyCuckooPath(path []hashfn.Move) {
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
-		ent := sh.entries[n.entry].Load()
-		alt := hashfn.AltBucket(n.bucket, uint16(ent&sh.sigMask), sh.bucketCount())
+		src := n.Bucket*EntriesPerBucket + uint64(n.Entry)
+		ent := sh.entries[src].Load()
+		alt := hashfn.AltBucket(n.Bucket, uint16(ent&sh.sigMask), sh.bucketCount())
 		altBase := alt * EntriesPerBucket
 		for ae := uint64(0); ae < EntriesPerBucket; ae++ {
 			if sh.entries[altBase+ae].Load() == 0 {
 				sh.entries[altBase+ae].Store(ent)
-				sh.entries[n.entry].Store(0)
+				sh.entries[src].Store(0)
 				break
 			}
 		}

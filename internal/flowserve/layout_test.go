@@ -23,7 +23,7 @@ var shardFieldClass = map[string]string{
 	"rd": readerWritten,
 	"mu": writerOwned, "size": writerOwned, "c": writerOwned,
 	"capacity": writerOwned, "next": writerOwned, "free": writerOwned,
-	"bfsNodes": writerOwned, "bfsQueue": writerOwned, "bfsPath": writerOwned, "bfsVisited": writerOwned,
+	"disp": writerOwned,
 }
 
 // shardFieldLines calls line(n, class) for every 64-byte line n a field of

@@ -22,14 +22,14 @@ func TestNarrowSignatureCollisions(t *testing.T) {
 	seen := map[uint64]uint64{} // b1<<16 | sig → the first key with it
 	var a, b uint64
 	for i := uint64(0); ; i++ {
-		b1, _, sig := sh.buckets(hash(i))
+		b1, _, sig := hashfn.Buckets(hash(i), sh.bucketCount(), sh.sigBits)
 		if j, ok := seen[b1<<16|uint64(sig)]; ok {
 			a, b = j, i
 			break
 		}
 		seen[b1<<16|uint64(sig)] = i
 	}
-	home, altA, _ := sh.buckets(hash(a))
+	home, altA, _ := hashfn.Buckets(hash(a), sh.bucketCount(), sh.sigBits)
 
 	insert := func(i uint64) {
 		t.Helper()
@@ -57,7 +57,7 @@ func TestNarrowSignatureCollisions(t *testing.T) {
 	keysIn := func(bucket uint64, n int, skip uint64, ok func(alt uint64) bool) []uint64 {
 		var out []uint64
 		for i := uint64(0); len(out) < n; i++ {
-			if b1, b2, _ := sh.buckets(hash(i)); b1 == bucket && i != a && i != b && i != skip && ok(b2) {
+			if b1, b2, _ := hashfn.Buckets(hash(i), sh.bucketCount(), sh.sigBits); b1 == bucket && i != a && i != b && i != skip && ok(b2) {
 				out = append(out, i)
 			}
 		}
@@ -69,7 +69,7 @@ func TestNarrowSignatureCollisions(t *testing.T) {
 	// full too, so placing it must displace: the search starts at entry 0 of
 	// the home bucket and moves a to its own alternate bucket, still empty.
 	k := keysIn(home, 1, a, func(alt uint64) bool { return alt != altA })[0]
-	_, kAlt, _ := sh.buckets(hash(k))
+	_, kAlt, _ := hashfn.Buckets(hash(k), sh.bucketCount(), sh.sigBits)
 	for _, f := range append(keysIn(home, 6, k, all), keysIn(kAlt, 8, k, all)...) {
 		insert(f)
 	}
@@ -107,8 +107,8 @@ func checkEntries(t *testing.T, op int, tbl *Table, sh *shard) {
 			t.Fatalf("op %d: entry %#x names slot %d of a %d-slot shard", op, ent, slot, sh.capacity)
 		}
 		_, h, _ := sh.residentKey(slot, tbl.keyLen, &kw, &kb)
-		b1, b2, sig := sh.buckets(h)
-		if ent&sh.sigMask != sig {
+		b1, b2, sig := hashfn.Buckets(h, sh.bucketCount(), sh.sigBits)
+		if ent&sh.sigMask != uint32(sig) {
 			t.Fatalf("op %d: entry %#x carries signature %#x, the %d-bit shard's for its key is %#x", op, ent, ent&sh.sigMask, sh.sigBits, sig)
 		}
 		if b := uint64(i) / EntriesPerBucket; b != b1 && b != b2 {

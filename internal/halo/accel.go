@@ -251,9 +251,7 @@ func (a *Accelerator) Process(at sim.Cycle, q Query) QueryResult {
 	hs := a.hashUnit.Claim(t, 1)
 	t = hs + a.cfg.HashLatency
 	h := hashfn.Hash(hashfn.SeedPrimary, key)
-	sig := hashfn.Signature(h)
-	b1 := h & (meta.BucketCount - 1)
-	b2 := hashfn.AltBucket(b1, sig, meta.BucketCount)
+	b1, b2, sig := hashfn.Buckets(h, meta.BucketCount, hashfn.SigBits)
 	sfh := meta.Flags&cuckoo.FlagSFH != 0
 	if sfh {
 		b2 = b1

@@ -1,11 +1,17 @@
-// Package hashfn implements the hash algorithms shared by the software
-// cuckoo hash table, the HALO accelerator's hash unit, and the linear-counting
-// flow register.
+// Package hashfn implements the hash algorithms and the cuckoo geometry
+// shared by the simulated cuckoo table, the HALO accelerator's hash unit, the
+// flowserve shards and the linear-counting flow register.
 //
 // The HALO hash unit (paper Fig. 6) is built from multipliers, shifters and
 // XOR gates; the functions here mirror that structure: a multiply–shift–xor
 // mixing chain over the key words, parameterised by a seed so that two
 // independent functions drive the two cuckoo buckets.
+//
+// The geometry (geometry.go) is decided here once, because HALO works only if
+// the accelerator finds a key exactly where software put it (paper §2.2, Fig.
+// 2b): the bucket width and displacement bound, the bucket count for a
+// capacity, a key's signature and candidate bucket pair, and the BFS search
+// for a chain of cuckoo moves.
 package hashfn
 
 import "encoding/binary"
@@ -71,30 +77,6 @@ func finalize(h, extra uint64) uint64 {
 	return h
 }
 
-// Signature derives the 16-bit bucket-entry signature stored next to each
-// key-value pointer (paper Fig. 2b). It must be derived from the primary
-// hash so the accelerator can compare signatures without re-reading keys.
-func Signature(primaryHash uint64) uint16 {
-	sig := uint16(primaryHash >> 48)
-	if sig == 0 {
-		// Zero is reserved to mean "empty entry" in bucket storage.
-		sig = 1
-	}
-	return sig
-}
-
-// BucketPair returns the two candidate bucket indexes for a key in a table
-// with bucketCount buckets (bucketCount must be a power of two). The
-// secondary index is derived from the primary hash and the signature the way
-// DPDK's rte_hash does, so the alternative bucket is computable from bucket
-// contents alone during cuckoo displacement.
-func BucketPair(primaryHash uint64, bucketCount uint64) (b1, b2 uint64) {
-	mask := bucketCount - 1
-	b1 = primaryHash & mask
-	alt := AltBucket(b1, Signature(primaryHash), bucketCount)
-	return b1, alt
-}
-
 // ShardIndex derives a shard index in [0, shards) from the primary hash for
 // tables partitioned across independent sub-tables (HALO places one
 // accelerator per LLC slice; the flowserve runtime places one seqlock-guarded
@@ -106,18 +88,4 @@ func BucketPair(primaryHash uint64, bucketCount uint64) (b1, b2 uint64) {
 // shard. flowserve's TestBitBudgetAtMaxPerShard checks both bounds.
 func ShardIndex(primaryHash uint64, shards uint64) uint64 {
 	return (primaryHash >> 24) & (shards - 1)
-}
-
-// AltBucket computes the alternative bucket for an entry given its current
-// bucket and signature. The XOR displacement depends only on the signature,
-// which makes AltBucket an involution: AltBucket(AltBucket(b, s), s) == b.
-// That property is what lets a cuckoo move push an entry to its alternative
-// bucket knowing only the bucket contents, and lets it move back later.
-func AltBucket(bucket uint64, sig uint16, bucketCount uint64) uint64 {
-	mask := bucketCount - 1
-	h := mix(0x5bd1e995, uint64(sig))
-	// OR with 1 so the displacement is never zero (alt != bucket) while
-	// remaining a fixed XOR mask, preserving the involution.
-	disp := (h & mask) | 1
-	return bucket ^ disp
 }

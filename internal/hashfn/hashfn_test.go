@@ -65,14 +65,35 @@ func TestHashAvalanche(t *testing.T) {
 	}
 }
 
-func TestSignatureNeverZero(t *testing.T) {
-	check := func(h uint64) bool { return Signature(h) != 0 }
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
+// bucketPair16 is the 16-bit derivation Buckets generalises (the former
+// Signature and BucketPair), kept as the reference its width-16 output must
+// equal bit for bit.
+func bucketPair16(h, n uint64) (b1, b2 uint64, sig uint16) {
+	sig = uint16(h >> 48)
+	if sig == 0 {
+		sig = 1
 	}
-	// The reserved case maps to 1.
-	if Signature(0x0000ffffffffffff) != 1 {
-		t.Fatal("zero high bits should map signature to 1")
+	b1 = h & (n - 1)
+	return b1, AltBucket(b1, sig, n), sig
+}
+
+func TestSignatureNeverZero(t *testing.T) {
+	for w := uint8(8); w <= SigBits; w++ {
+		check := func(h uint64) bool {
+			_, _, sig := Buckets(h, 1<<12, w)
+			_, _, ref := bucketPair16(h, 1<<12)
+			return sig != 0 && sig>>w == 0 && (w != 16 || sig == ref)
+		}
+		if err := quick.Check(check, nil); err != nil {
+			t.Fatalf("width %d: %v", w, err)
+		}
+		// The reserved case maps to 1.
+		if _, _, sig := Buckets(^uint64(0)>>w, 1<<12, w); sig != 1 {
+			t.Fatalf("width %d: zero high bits gave signature %d, want 1", w, sig)
+		}
+		if _, _, sig := Buckets(^uint64(0), 1<<12, w); sig != 1<<w-1 {
+			t.Fatalf("width %d: all-ones hash gave signature %#x, want %#x", w, sig, 1<<w-1)
+		}
 	}
 }
 
@@ -96,17 +117,43 @@ func TestAltBucketInvolution(t *testing.T) {
 
 func TestBucketPairConsistentWithAltBucket(t *testing.T) {
 	const n = 1 << 12
-	for i := uint64(0); i < 1000; i++ {
-		h := Hash64(SeedPrimary, i)
-		b1, b2 := BucketPair(h, n)
-		if b1 >= n || b2 >= n {
-			t.Fatalf("bucket out of range: %d %d", b1, b2)
+	for w := uint8(8); w <= SigBits; w++ {
+		for i := uint64(0); i < 1000; i++ {
+			h := Hash64(SeedPrimary, i)
+			b1, b2, sig := Buckets(h, n, w)
+			if b1 >= n || b2 >= n {
+				t.Fatalf("width %d: bucket out of range: %d %d", w, b1, b2)
+			}
+			if b1 != h&(n-1) {
+				t.Fatalf("width %d: b1 %d is not the hash's low bits", w, b1)
+			}
+			if AltBucket(b1, sig, n) != b2 {
+				t.Fatalf("width %d: Buckets disagrees with AltBucket", w)
+			}
+			if AltBucket(b2, sig, n) != b1 {
+				t.Fatalf("width %d: alt of alt is not the primary bucket", w)
+			}
+			if w == 16 {
+				if r1, r2, rsig := bucketPair16(h, n); r1 != b1 || r2 != b2 || rsig != sig {
+					t.Fatalf("width 16: Buckets = (%d, %d, %#x), 16-bit reference (%d, %d, %#x)", b1, b2, sig, r1, r2, rsig)
+				}
+			}
 		}
-		if AltBucket(b1, Signature(h), n) != b2 {
-			t.Fatal("BucketPair disagrees with AltBucket")
+	}
+}
+
+func TestBucketCount(t *testing.T) {
+	for _, c := range []struct{ entries, want uint64 }{
+		{1, 2}, {8, 2}, {16, 2}, {17, 4}, {20, 4}, {32, 4}, {33, 8},
+		{130, 32}, {1024, 128}, {1030, 256}, {1 << 20, 1 << 17},
+	} {
+		if got := BucketCount(c.entries); got != c.want {
+			t.Errorf("BucketCount(%d) = %d, want %d", c.entries, got, c.want)
 		}
-		if AltBucket(b2, Signature(h), n) != b1 {
-			t.Fatal("alt of alt is not the primary bucket")
+	}
+	for e := uint64(1); e <= 4096; e++ {
+		if bc := BucketCount(e); bc&(bc-1) != 0 || bc*EntriesPerBucket < e || bc > 2 && (bc/2)*EntriesPerBucket >= e {
+			t.Fatalf("BucketCount(%d) = %d: not the least power of two >= 2 holding %d entries", e, bc, e)
 		}
 	}
 }
@@ -116,7 +163,7 @@ func TestBucketDistributionUniform(t *testing.T) {
 	counts := make([]int, n)
 	const draws = 256 * 1000
 	for i := 0; i < draws; i++ {
-		b1, _ := BucketPair(Hash64(SeedPrimary, uint64(i)), n)
+		b1, _, _ := Buckets(Hash64(SeedPrimary, uint64(i)), n, SigBits)
 		counts[b1]++
 	}
 	// Chi-squared-ish sanity: each bucket expects 1000 hits; allow ±20%.
@@ -159,9 +206,9 @@ func TestShardIndexIndependentOfBucketAndSignature(t *testing.T) {
 			continue
 		}
 		drawn++
-		b1, _ := BucketPair(h, buckets)
+		b1, _, sig := Buckets(h, buckets, SigBits)
 		bucketCounts[b1]++
-		sigs[Signature(h)] = true
+		sigs[sig] = true
 	}
 	for b, c := range bucketCounts {
 		if c < 60 || c > 190 { // expect 125 per bucket

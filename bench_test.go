@@ -12,132 +12,48 @@ import (
 	"halo/internal/runner"
 )
 
-// Per-figure benchmarks: each regenerates one of the paper's artefacts (at
-// quick scale) and reports its headline numbers as custom metrics. Wall-clock
-// ns/op measures the simulator itself; the sim-* metrics are the simulated
-// results that correspond to the paper's figures.
-
-func BenchmarkFig3PacketBreakdown(b *testing.B) {
-	var res *experiments.Fig3Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunFig3(experiments.QuickConfig())
+// BenchmarkExperiment runs each registry experiment at quick scale, serially,
+// as one sub-benchmark per ID. Wall-clock ns/op measures the simulator
+// itself; the simulated results are pinned byte for byte by
+// halobench_output.txt and the quick goldens, not reported here.
+func BenchmarkExperiment(b *testing.B) {
+	cfg := experiments.QuickConfig()
+	for _, r := range experiments.Registry() {
+		b.Run(r.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r.Run(cfg, io.Discard)
+			}
+		})
 	}
-	last := res.Rows[len(res.Rows)-1]
-	b.ReportMetric(last.CyclesPerPacket, "sim-cyc/pkt")
-	b.ReportMetric(100*last.ClassificationShare, "sim-classify-%")
 }
 
-func BenchmarkFig4HashTableCacheBehavior(b *testing.B) {
-	var res *experiments.Fig4Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunFig4(experiments.QuickConfig())
+// BenchmarkFig9SingleLookup runs Fig. 9's sweep point by point, as the
+// runner does, and reports HALO's throughput over software's at 2^17
+// entries, 75 % full: the paper's LLC-resident headline.
+func BenchmarkFig9SingleLookup(b *testing.B) {
+	r, ok := experiments.Find("fig9")
+	if !ok {
+		b.Fatal("fig9 is not in the registry")
 	}
-	last := res.Rows[len(res.Rows)-1]
-	b.ReportMetric(last.LLCMPKL, "sim-llc-mpkl")
-}
-
-func BenchmarkTable1InstructionProfile(b *testing.B) {
-	var res *experiments.Table1Result
+	cfg := experiments.QuickConfig()
+	cycles := map[string]float64{} // cycles per lookup, by point label
 	for i := 0; i < b.N; i++ {
-		res = experiments.RunTable1(experiments.QuickConfig())
-	}
-	b.ReportMetric(res.InstructionsPerLookup, "sim-instr/lookup")
-	b.ReportMetric(100*res.MemoryShare, "sim-memory-%")
-}
-
-func BenchmarkLockOverhead(b *testing.B) {
-	var res *experiments.LockOverheadResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunLockOverhead(experiments.QuickConfig())
-	}
-	b.ReportMetric(100*res.LockSharePct, "sim-lock-%")
-	b.ReportMetric(res.RemoteOverLLC, "sim-remote/llc")
-}
-
-func BenchmarkFig8FlowRegister(b *testing.B) {
-	var res *experiments.Fig8Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunFig8(experiments.QuickConfig())
-	}
-	// 32-bit register estimating 64 flows: the paper's design point.
-	for _, pt := range res.Points {
-		if pt.RegisterBits == 32 && pt.Flows == 64 {
-			b.ReportMetric(100*pt.MeanRelErr, "sim-relerr-%")
+		for _, p := range r.Sweep.Points(cfg) {
+			row, _ := r.Sweep.RunPoint(cfg, p)
+			cycles[p.Label] = row.(float64)
 		}
 	}
-}
-
-func BenchmarkFig9SingleLookup(b *testing.B) {
-	var res *experiments.Fig9Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunFig9(experiments.QuickConfig())
+	at := func(mode experiments.Fig9Mode) float64 {
+		label := string(mode) + "/131072-entries/75%"
+		c, ok := cycles[label]
+		if !ok {
+			b.Fatalf("fig9 has no point %s", label)
+		}
+		return c
 	}
-	if pt, ok := res.Point(experiments.ModeHaloB, 1<<17, 0.75); ok {
-		b.ReportMetric(pt.Normalized, "sim-haloB-speedup")
-	}
-	if pt, ok := res.Point(experiments.ModeHaloNB, 1<<17, 0.75); ok {
-		b.ReportMetric(pt.Normalized, "sim-haloNB-speedup")
-	}
-}
-
-func BenchmarkFig10LatencyBreakdown(b *testing.B) {
-	var res *experiments.Fig10Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunFig10(experiments.QuickConfig())
-	}
-	sw, _ := res.Row("software", "llc")
-	ha, _ := res.Row("halo", "llc")
-	b.ReportMetric(sw.DataAcc/ha.DataAcc, "sim-dataaccess-gain")
-	b.ReportMetric(sw.Compute/ha.Compute, "sim-compute-gain")
-}
-
-func BenchmarkFig11TupleSpaceSearch(b *testing.B) {
-	var res *experiments.Fig11Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunFig11(experiments.QuickConfig())
-	}
-	if pt, ok := res.Point(experiments.ModeHaloNB, 20); ok {
-		b.ReportMetric(pt.NormalizedToSoft, "sim-NB20-speedup")
-	}
-}
-
-func BenchmarkFig12Collocation(b *testing.B) {
-	var res *experiments.Fig12Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunFig12(experiments.QuickConfig())
-	}
-	if pt, ok := res.Point("snortlite", 100_000, "software"); ok {
-		b.ReportMetric(100*pt.ThroughputDrop, "sim-swdrop-%")
-	}
-	if pt, ok := res.Point("snortlite", 100_000, "halo"); ok {
-		b.ReportMetric(100*pt.ThroughputDrop, "sim-halodrop-%")
-	}
-}
-
-func BenchmarkTable4PowerArea(b *testing.B) {
-	var res *experiments.Table4Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunTable4(experiments.QuickConfig())
-	}
-	b.ReportMetric(res.EfficiencyVs1MB, "sim-efficiency-x")
-}
-
-func BenchmarkFig13NFSpeedup(b *testing.B) {
-	var res *experiments.Fig13Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunFig13(experiments.QuickConfig())
-	}
-	if pt, ok := res.Point("nat", 100_000); ok {
-		b.ReportMetric(pt.Speedup, "sim-nat-speedup")
-	}
-}
-
-func BenchmarkAblations(b *testing.B) {
-	var res *experiments.AblationResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunAblations(experiments.QuickConfig())
-	}
-	b.ReportMetric(res.MetaCacheSpeedup, "sim-metacache-gain")
+	software := at(experiments.ModeSoftware)
+	b.ReportMetric(software/at(experiments.ModeHaloB), "sim-haloB-speedup")
+	b.ReportMetric(software/at(experiments.ModeHaloNB), "sim-haloNB-speedup")
 }
 
 // Full-suite benchmarks: the serial path against the worker pool at
@@ -146,8 +62,11 @@ func BenchmarkAblations(b *testing.B) {
 // pool's overhead.
 
 func BenchmarkRunAllSerial(b *testing.B) {
+	cfg := experiments.QuickConfig()
 	for i := 0; i < b.N; i++ {
-		experiments.RunAll(experiments.QuickConfig(), io.Discard)
+		for _, r := range experiments.Registry() {
+			r.Run(cfg, io.Discard)
+		}
 	}
 }
 

@@ -33,26 +33,22 @@ func TestMaskApply(t *testing.T) {
 	if got.DstPort != 9 || got.Proto != 6 {
 		t.Fatalf("non-wildcarded fields changed: %+v", got)
 	}
-	if ExactMask.Apply(tup) != tup {
+	if (Mask{SrcIPBits: 32, DstIPBits: 32}).Apply(tup) != tup {
 		t.Fatal("exact mask changed the tuple")
 	}
 }
 
-func TestMaskSpecificityAndValidity(t *testing.T) {
-	if !ExactMask.Valid() || ExactMask.Specificity() != 104 {
-		t.Fatalf("exact mask specificity = %d", ExactMask.Specificity())
+func TestMaskValidity(t *testing.T) {
+	if !(Mask{SrcIPBits: 32, DstIPBits: 32}).Valid() {
+		t.Fatal("exact mask rejected")
 	}
 	if (Mask{SrcIPBits: 40}).Valid() {
 		t.Fatal("overlong prefix accepted")
 	}
-	all := Mask{SrcPortWild: true, DstPortWild: true, ProtoWild: true}
-	if all.Specificity() != 0 {
-		t.Fatalf("all-wild specificity = %d", all.Specificity())
-	}
 }
 
 func TestRuleEncodingRoundTrip(t *testing.T) {
-	m := Match{Priority: 1234, RuleID: 0x00abcdef, Action: Action{Kind: ActionNAT, Port: 40000}}
+	m := Match{Priority: 1234, RuleID: 0x00abcdef, Action: Action{Kind: 0xF, Port: 40000}}
 	if got := DecodeRuleValue(encodeRule(m)); got != m {
 		t.Fatalf("rule round trip: %+v vs %+v", got, m)
 	}
@@ -77,7 +73,7 @@ func TestTupleSpaceFirstMatch(t *testing.T) {
 	if err := ts.InsertRule(m1, f, Match{RuleID: 1, Action: Action{Kind: ActionOutput, Port: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.InsertRule(m2, f, Match{RuleID: 2, Action: Action{Kind: ActionDrop}}); err != nil {
+	if err := ts.InsertRule(m2, f, Match{RuleID: 2}); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := ts.Classify(f)
@@ -110,27 +106,6 @@ func TestTupleSpaceHighestPriority(t *testing.T) {
 	got, ok := ts.Classify(f)
 	if !ok || got.RuleID != 2 || got.Priority != 99 {
 		t.Fatalf("priority match = %+v", got)
-	}
-}
-
-func TestTupleSpaceDeleteRule(t *testing.T) {
-	ts := newTSS(t, FirstMatch)
-	m := Mask{SrcIPBits: 32, DstIPBits: 32}
-	f := flow(1)
-	if err := ts.InsertRule(m, f, Match{RuleID: 7}); err != nil {
-		t.Fatal(err)
-	}
-	if ts.RuleCount() != 1 {
-		t.Fatalf("rule count = %d", ts.RuleCount())
-	}
-	if !ts.DeleteRule(m, f) {
-		t.Fatal("delete failed")
-	}
-	if _, ok := ts.Classify(f); ok {
-		t.Fatal("deleted rule still matches")
-	}
-	if ts.DeleteRule(Mask{SrcIPBits: 8}, f) {
-		t.Fatal("delete with unknown mask succeeded")
 	}
 }
 

@@ -107,7 +107,7 @@ func TestRuleSource(t *testing.T) {
 }
 
 func TestEncodeDecodeRuleValueExported(t *testing.T) {
-	m := Match{Priority: 7, RuleID: 1234, Action: Action{Kind: ActionMirror, Port: 3}}
+	m := Match{Priority: 7, RuleID: 1234, Action: Action{Kind: ActionOutput, Port: 3}}
 	if DecodeRuleValue(encodeRule(m)) != m {
 		t.Fatal("exported rule decoder round trip failed")
 	}

@@ -23,9 +23,6 @@ type Mask struct {
 	ProtoWild   bool
 }
 
-// ExactMask matches every header bit (the EMC's implicit mask).
-var ExactMask = Mask{SrcIPBits: 32, DstIPBits: 32}
-
 func prefixMask(bits uint8) uint32 {
 	if bits == 0 {
 		return 0
@@ -69,22 +66,6 @@ func (m Mask) Valid() bool {
 	return m.SrcIPBits <= 32 && m.DstIPBits <= 32
 }
 
-// Specificity counts matched bits — a coarse priority tiebreak used when
-// generating rule sets.
-func (m Mask) Specificity() int {
-	s := int(m.SrcIPBits) + int(m.DstIPBits)
-	if !m.SrcPortWild {
-		s += 16
-	}
-	if !m.DstPortWild {
-		s += 16
-	}
-	if !m.ProtoWild {
-		s += 8
-	}
-	return s
-}
-
 func (m Mask) String() string {
 	return fmt.Sprintf("Mask{src/%d dst/%d sp=%v dp=%v proto=%v}",
 		m.SrcIPBits, m.DstIPBits, !m.SrcPortWild, !m.DstPortWild, !m.ProtoWild)
@@ -93,13 +74,9 @@ func (m Mask) String() string {
 // ActionKind is what the switch does with a matched packet.
 type ActionKind uint8
 
-// Action kinds.
-const (
-	ActionDrop ActionKind = iota
-	ActionOutput
-	ActionNAT
-	ActionMirror
-)
+// ActionOutput forwards the packet to Action.Port. Its value, 1, is part
+// of every encoded rule value (encodeRule), so it must not change.
+const ActionOutput ActionKind = 1
 
 // Action is a match's consequence.
 type Action struct {

@@ -1,7 +1,6 @@
 package classify
 
 import (
-	"errors"
 	"fmt"
 
 	"halo/internal/cpu"
@@ -71,11 +70,6 @@ type TupleSpace struct {
 	nbResults  []halo.NBResult
 }
 
-// Errors.
-var (
-	ErrNoSuchMask = errors.New("classify: no tuple with that mask")
-)
-
 // NewTupleSpace builds an empty classifier whose tuples hold up to
 // entriesPerTuple rules each (the paper evaluates 1024-entry tuples).
 func NewTupleSpace(space *mem.Memory, alloc *mem.Allocator, mode SearchMode, entriesPerTuple uint64) *TupleSpace {
@@ -116,14 +110,12 @@ func (ts *TupleSpace) RuleCount() uint64 {
 	return n
 }
 
-func (ts *TupleSpace) tupleFor(m Mask, create bool) (*Tuple, error) {
+// tupleFor returns the tuple with mask m, creating it on first use.
+func (ts *TupleSpace) tupleFor(m Mask) (*Tuple, error) {
 	for _, tp := range ts.tuples {
 		if tp.Mask == m {
 			return tp, nil
 		}
-	}
-	if !create {
-		return nil, ErrNoSuchMask
 	}
 	tbl, err := cuckoo.Create(ts.space, ts.alloc, cuckoo.Config{
 		Entries: ts.entriesPerTuple,
@@ -143,7 +135,7 @@ func (ts *TupleSpace) InsertRule(mask Mask, pattern packet.FiveTuple, match Matc
 	if !mask.Valid() {
 		return fmt.Errorf("classify: invalid mask %v", mask)
 	}
-	tp, err := ts.tupleFor(mask, true)
+	tp, err := ts.tupleFor(mask)
 	if err != nil {
 		return err
 	}
@@ -152,19 +144,6 @@ func (ts *TupleSpace) InsertRule(mask Mask, pattern packet.FiveTuple, match Matc
 	}
 	tp.rules++
 	return nil
-}
-
-// DeleteRule removes a rule.
-func (ts *TupleSpace) DeleteRule(mask Mask, pattern packet.FiveTuple) bool {
-	tp, err := ts.tupleFor(mask, false)
-	if err != nil {
-		return false
-	}
-	if tp.Table.Delete(mask.Key(pattern)) {
-		tp.rules--
-		return true
-	}
-	return false
 }
 
 // RuleSource returns the mask and canonical masked pattern of the rule that

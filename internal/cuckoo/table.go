@@ -262,51 +262,6 @@ func ReadMeta(space *mem.Memory, base mem.Addr) (Meta, error) {
 	return m, nil
 }
 
-// Attach opens an existing table at base (e.g. from another handle's
-// address). The metadata block must pass ReadMeta; a bucket entry pointing
-// outside the key-value array or at a slot another entry already owns is
-// ErrNotHaloible too. Free-slot state is reconstructed by scanning the
-// buckets.
-func Attach(space *mem.Memory, base mem.Addr) (*Table, error) {
-	m, err := ReadMeta(space, base)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		space:       space,
-		base:        base,
-		keyLen:      m.KeyLen,
-		bucketCount: m.BucketCount,
-		bucketBase:  m.BucketBase,
-		kvBase:      m.KVBase,
-		kvSlotSize:  m.KVSlotSize,
-		capacity:    m.Capacity,
-		flags:       m.Flags,
-	}
-	used := make([]uint64, (t.capacity+63)/64)
-	for b := uint64(0); b < t.bucketCount; b++ {
-		line := t.bucket(b, false)
-		for e := 0; e < EntriesPerBucket; e++ {
-			if entrySig(line, e) == 0 {
-				continue
-			}
-			idx := uint64(entryIdx(line, e))
-			if idx >= t.capacity || used[idx/64]&(1<<(idx%64)) != 0 {
-				return nil, ErrNotHaloible
-			}
-			used[idx/64] |= 1 << (idx % 64)
-			t.size++
-		}
-	}
-	t.free = make([]uint32, 0, t.capacity-t.size)
-	for i := int64(t.capacity) - 1; i >= 0; i-- {
-		if used[i/64]&(1<<(i%64)) == 0 {
-			t.free = append(t.free, uint32(i))
-		}
-	}
-	return t, nil
-}
-
 // CloneOnto returns a handle to t's table in space, a clone of t's memory
 // (mem.Memory.Clone): the same geometry, size and counters, a copy of the
 // free list and fresh scratch state, so the two handles evolve independently.

@@ -3,7 +3,6 @@ package cuckoo
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -158,66 +157,31 @@ func TestVersionBumpsOnMovesAndDeletes(t *testing.T) {
 	}
 }
 
-func TestAttachReconstructsState(t *testing.T) {
+func TestReadMetaRejectsGarbage(t *testing.T) {
 	space := mem.NewMemory()
-	alloc := mem.NewAllocator(0x1000, 1<<30)
-	tbl, err := Create(space, alloc, Config{Entries: 512, KeyLen: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 400; i++ {
-		if err := tbl.Insert(key16(i), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	re, err := Attach(space, tbl.Base())
-	if err != nil {
-		t.Fatalf("Attach: %v", err)
-	}
-	if re.Size() != 400 {
-		t.Fatalf("attached size = %d, want 400", re.Size())
-	}
-	for i := uint64(0); i < 400; i++ {
-		if v, ok := re.Lookup(key16(i)); !ok || v != i {
-			t.Fatalf("attached lookup %d failed", i)
-		}
-	}
-	// Inserting through the attached handle avoids used slots.
-	for i := uint64(1000); i < 1100; i++ {
-		if err := re.Insert(key16(i), i); err != nil {
-			t.Fatalf("attached insert: %v", err)
-		}
-	}
-	for i := uint64(0); i < 400; i++ {
-		if v, ok := re.Lookup(key16(i)); !ok || v != i {
-			t.Fatalf("old key %d corrupted by attached inserts", i)
-		}
+	if _, err := ReadMeta(space, 0x5000); err != ErrNotHaloible {
+		t.Fatalf("ReadMeta of garbage err = %v", err)
 	}
 }
 
-func TestAttachRejectsGarbage(t *testing.T) {
-	space := mem.NewMemory()
-	if _, err := Attach(space, 0x5000); err != ErrNotHaloible {
-		t.Fatalf("attach to garbage err = %v", err)
-	}
-}
-
-// TestAttachValidatesMetadata patches one metadata field at a time on a
-// valid table. Before validation, key length 200 attached cleanly and the
+// TestReadMetaValidatesMetadata patches one metadata field at a time on a
+// valid table. Before validation, key length 200 was accepted and the
 // first signature match panicked slicing the 64-byte compare buffer.
-func TestAttachValidatesMetadata(t *testing.T) {
+func TestReadMetaValidatesMetadata(t *testing.T) {
 	for _, sfh := range []bool{false, true} {
 		space := mem.NewMemory()
 		tbl, err := Create(space, mem.NewAllocator(0x1000, 1<<30), Config{Entries: 512, KeyLen: 16, SFH: sfh})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tbl.Insert(key16(1), 1); err != nil {
-			t.Fatal(err)
-		}
 		base := tbl.Base()
-		if _, err := Attach(space, base); err != nil {
-			t.Fatalf("sfh=%v: Attach to an untouched table: %v", sfh, err)
+		m, err := ReadMeta(space, base)
+		if err != nil {
+			t.Fatalf("sfh=%v: ReadMeta of an untouched table: %v", sfh, err)
+		}
+		if want := (Meta{KeyLen: 16, BucketCount: tbl.bucketCount, BucketBase: tbl.bucketBase, KVBase: tbl.kvBase,
+			KVSlotSize: tbl.kvSlotSize, Capacity: 512, Flags: tbl.flags}); m != want {
+			t.Fatalf("sfh=%v: ReadMeta = %+v, want %+v", sfh, m, want)
 		}
 		for _, tc := range []struct {
 			name  string
@@ -234,58 +198,15 @@ func TestAttachValidatesMetadata(t *testing.T) {
 			{"capacity beyond 32-bit indexes", func() { space.Store64(base+metaCapacity, 1<<40) }},
 			{"unaligned bucket base", func() { space.Store64(base+metaBucketBase, uint64(tbl.bucketBase)+8) }},
 			{"unaligned key-value base", func() { space.Store64(base+metaKVBase, uint64(tbl.kvBase)+16) }},
-			{"entry index beyond capacity", func() {
-				_, _, b1, _ := tbl.Hashes(key16(1))
-				space.Store32(tbl.entryAddr(b1, 0)+4, 512)
-			}},
-			{"two entries own one slot", func() {
-				_, _, b1, _ := tbl.Hashes(key16(1))
-				space.Store64(tbl.entryAddr(b1, 1), space.Load64(tbl.entryAddr(b1, 0)))
-			}},
 		} {
-			var saved [2 * mem.LineSize]byte // the two lines a patch may touch: metadata, key 1's bucket
-			space.ReadAt(base, saved[:mem.LineSize])
-			_, _, b1, _ := tbl.Hashes(key16(1))
-			space.ReadAt(tbl.BucketAddr(b1), saved[mem.LineSize:])
+			var saved [MetaBytes]byte
+			space.ReadAt(base, saved[:])
 			tc.patch()
-			if _, err := Attach(space, base); err != ErrNotHaloible {
-				t.Errorf("sfh=%v, %s: Attach err = %v, want ErrNotHaloible", sfh, tc.name, err)
+			if _, err := ReadMeta(space, base); err != ErrNotHaloible {
+				t.Errorf("sfh=%v, %s: ReadMeta err = %v, want ErrNotHaloible", sfh, tc.name, err)
 			}
-			space.WriteAt(base, saved[:mem.LineSize])
-			space.WriteAt(tbl.BucketAddr(b1), saved[mem.LineSize:])
+			space.WriteAt(base, saved[:])
 		}
-	}
-}
-
-// TestAttachFreeListMatchesLiveHandle: after deletes the live handle's free
-// list is in recycling order, which Attach cannot know; what it rebuilds is
-// the same set, highest slot first (so the next insert takes the lowest).
-func TestAttachFreeListMatchesLiveHandle(t *testing.T) {
-	space := mem.NewMemory()
-	tbl, err := Create(space, mem.NewAllocator(0x1000, 1<<30), Config{Entries: 100, KeyLen: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 70; i++ {
-		if err := tbl.Insert(key16(i), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := uint64(0); i < 70; i += 4 {
-		tbl.Delete(key16(i))
-	}
-	re, err := Attach(space, tbl.Base())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := slices.Clone(tbl.free)
-	slices.Sort(want)
-	slices.Reverse(want)
-	if !slices.Equal(re.free, want) {
-		t.Fatalf("attached free list %v, want %v", re.free, want)
-	}
-	if re.Size() != tbl.Size() {
-		t.Fatalf("attached size %d, want %d", re.Size(), tbl.Size())
 	}
 }
 

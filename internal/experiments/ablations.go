@@ -93,9 +93,6 @@ var ablations = experiment[ablationCell, float64, *AblationResult]{
 	render:   func(r *AblationResult, w io.Writer) { r.Table.Render(w) },
 }
 
-// RunAblations sweeps the accelerator design choices.
-func RunAblations(cfg Config) *AblationResult { return ablations.result(cfg) }
-
 func assembleAblations(_ Config, cells []ablationCell, cycles []float64) *AblationResult {
 	res := &AblationResult{
 		DepthCycles:    map[int]float64{},

@@ -67,9 +67,6 @@ var fig10 = experiment[fig10Cell, Fig10Row, *Fig10Result]{
 	render:   func(r *Fig10Result, w io.Writer) { r.Table.Render(w) },
 }
 
-// RunFig10 reproduces Fig. 10.
-func RunFig10(cfg Config) *Fig10Result { return fig10.result(cfg) }
-
 func assembleFig10(_ Config, _ []fig10Cell, rows []Fig10Row) *Fig10Result {
 	res := &Fig10Result{
 		Rows: rows,

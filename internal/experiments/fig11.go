@@ -67,9 +67,6 @@ var fig11 = experiment[fig11Cell, float64, *Fig11Result]{
 	render:   func(r *Fig11Result, w io.Writer) { r.Table.Render(w) },
 }
 
-// RunFig11 reproduces Fig. 11.
-func RunFig11(cfg Config) *Fig11Result { return fig11.result(cfg) }
-
 func assembleFig11(_ Config, cells []fig11Cell, cycles []float64) *Fig11Result {
 	res := &Fig11Result{
 		Table: metrics.NewTable("Figure 11: tuple space search throughput (normalized to software)",

@@ -72,7 +72,9 @@ var fig12 = experiment[fig12Cell, fig12Pair, *Fig12Result]{
 }
 
 // RunFig12 reproduces Fig. 12.
-func RunFig12(cfg Config) *Fig12Result { return fig12.result(cfg) }
+func RunFig12(cfg Config) *Fig12Result {
+	return fig12.fromRows(cfg, runSerial(cfg, fig12.sweep()))
+}
 
 func runFig12Cell(cfg Config, _ int, c fig12Cell, snap *stats.Snapshot) fig12Pair {
 	nfPackets := pickSize(cfg, 1200, 6000)

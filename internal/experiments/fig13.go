@@ -67,9 +67,6 @@ var fig13 = experiment[fig13Cell, Fig13Point, *Fig13Result]{
 	render:   func(r *Fig13Result, w io.Writer) { r.Table.Render(w) },
 }
 
-// RunFig13 reproduces Fig. 13.
-func RunFig13(cfg Config) *Fig13Result { return fig13.result(cfg) }
-
 func assembleFig13(_ Config, _ []fig13Cell, rows []Fig13Point) *Fig13Result {
 	res := &Fig13Result{
 		Table: metrics.NewTable("Figure 13: hash-table NF throughput with HALO",

@@ -49,9 +49,6 @@ var fig3 = experiment[trafficgen.Scenario, Fig3Row, *Fig3Result]{
 	render:   func(r *Fig3Result, w io.Writer) { r.Table.Render(w) },
 }
 
-// RunFig3 reproduces Fig. 3 (software packet-processing breakdown).
-func RunFig3(cfg Config) *Fig3Result { return fig3.result(cfg) }
-
 // runFig3Scenario measures one traffic configuration on a fresh platform.
 func runFig3Scenario(cfg Config, _ int, scn trafficgen.Scenario, snap *stats.Snapshot) Fig3Row {
 	packets := pickSize(cfg, 3000, 20000)

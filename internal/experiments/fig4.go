@@ -67,9 +67,6 @@ var fig4 = experiment[fig4Cell, Fig4Row, *Fig4Result]{
 	render:   func(r *Fig4Result, w io.Writer) { r.Table.Render(w) },
 }
 
-// RunFig4 reproduces Fig. 4.
-func RunFig4(cfg Config) *Fig4Result { return fig4.result(cfg) }
-
 func assembleFig4(_ Config, _ []fig4Cell, rows []Fig4Row) *Fig4Result {
 	res := &Fig4Result{
 		Table: metrics.NewTable("Figure 4: hash-table cache behaviour (cuckoo vs SFH)",

@@ -56,9 +56,6 @@ var fig8 = experiment[fig8Cell, Fig8Point, *Fig8Result]{
 	render:   func(r *Fig8Result, w io.Writer) { r.Table.Render(w) },
 }
 
-// RunFig8 reproduces Fig. 8b.
-func RunFig8(cfg Config) *Fig8Result { return fig8.result(cfg) }
-
 // runFig8Cell is analytic — no simulated platform, so nothing to collect.
 func runFig8Cell(cfg Config, index int, c fig8Cell, _ *stats.Snapshot) Fig8Point {
 	trials := pickSize(cfg, 60, 400)

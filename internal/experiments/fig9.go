@@ -95,9 +95,6 @@ var fig9 = experiment[fig9Cell, float64, *Fig9Result]{
 	render:   func(r *Fig9Result, w io.Writer) { r.Table.Render(w) },
 }
 
-// RunFig9 reproduces Fig. 9.
-func RunFig9(cfg Config) *Fig9Result { return fig9.result(cfg) }
-
 func assembleFig9(_ Config, cells []fig9Cell, cycles []float64) *Fig9Result {
 	res := &Fig9Result{
 		Table: metrics.NewTable("Figure 9: single hash-table lookup throughput (normalized to software)",

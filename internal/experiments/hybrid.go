@@ -43,9 +43,6 @@ var hybrid = experiment[string, HybridRow, *HybridResult]{
 	render:   func(r *HybridResult, w io.Writer) { r.Table.Render(w) },
 }
 
-// RunHybrid measures the hybrid controller across the three phases.
-func RunHybrid(cfg Config) *HybridResult { return hybrid.result(cfg) }
-
 func assembleHybrid(_ Config, _ []string, rows []HybridRow) *HybridResult {
 	res := &HybridResult{
 		Table: metrics.NewTable("Hybrid controller (§4.6): mode selection across traffic phases",

@@ -92,9 +92,6 @@ var lockoverhead = experiment[lockCell, lockRow, *LockOverheadResult]{
 	render:   func(r *LockOverheadResult, w io.Writer) { r.Table.Render(w) },
 }
 
-// RunLockOverhead reproduces the §3.4 measurements.
-func RunLockOverhead(cfg Config) *LockOverheadResult { return lockoverhead.result(cfg) }
-
 // runLatencyProbe measures remote-private-cache access vs LLC access
 // (paper: remote is about 2x an LLC hit and can exceed 100 cycles).
 func runLatencyProbe(snap *stats.Snapshot) latencyRow {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 	"sort"
 )
@@ -60,12 +59,4 @@ func IDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// RunAll executes every experiment serially in registry order.
-func RunAll(cfg Config, w io.Writer) {
-	for _, r := range Registry() {
-		fmt.Fprintf(w, "### %s — %s\n\n", r.ID, r.Paper)
-		r.Run(cfg, w)
-	}
 }

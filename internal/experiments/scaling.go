@@ -66,9 +66,6 @@ var scaling = experiment[scalingCell, float64, *ScalingResult]{
 	render:   func(r *ScalingResult, w io.Writer) { r.Table.Render(w) },
 }
 
-// RunScaling measures multicore scaling for the software and HALO paths.
-func RunScaling(cfg Config) *ScalingResult { return scaling.result(cfg) }
-
 func assembleScaling(_ Config, cells []scalingCell, tputs []float64) *ScalingResult {
 	res := &ScalingResult{
 		Table: metrics.NewTable("Scaling (extension): shared-table lookup throughput vs cores",

@@ -118,12 +118,6 @@ func (e experiment[C, R, Res]) fromRows(cfg Config, rows []any) Res {
 	return e.assemble(cfg, e.cells(cfg), typed)
 }
 
-// result runs every cell serially and assembles the rows: the body of
-// every exported RunX.
-func (e experiment[C, R, Res]) result(cfg Config) Res {
-	return e.fromRows(cfg, runSerial(cfg, e.sweep()))
-}
-
 // runner registers the experiment under the paper artefact it regenerates.
 func (e experiment[C, R, Res]) runner(paper string) Runner {
 	return Runner{ID: e.id, Paper: paper, Sweep: e.sweep()}

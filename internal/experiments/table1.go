@@ -41,9 +41,6 @@ var table1 = experiment[string, table1Row, *Table1Result]{
 	render:   func(r *Table1Result, w io.Writer) { r.Table.Render(w) },
 }
 
-// RunTable1 reproduces Table 1.
-func RunTable1(cfg Config) *Table1Result { return table1.result(cfg) }
-
 func runTable1Point(cfg Config, _ int, _ string, snap *stats.Snapshot) table1Row {
 	lookups := pickSize(cfg, 2000, 20000)
 	f := newLookupFixture(1<<14, 0.75)

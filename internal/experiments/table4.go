@@ -46,9 +46,6 @@ var table4 = experiment[string, table4Row, *Table4Result]{
 	},
 }
 
-// RunTable4 reproduces Table 4.
-func RunTable4(cfg Config) *Table4Result { return table4.result(cfg) }
-
 func assembleTable4(_ Config, _ []string, rows []table4Row) *Table4Result {
 	row := rows[0]
 	res := &Table4Result{

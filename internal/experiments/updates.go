@@ -64,10 +64,6 @@ var updates = experiment[updatesCell, float64, *UpdatesResult]{
 	render:   func(r *UpdatesResult, w io.Writer) { r.Table.Render(w) },
 }
 
-// RunUpdates measures rule-update cost (alternating insert/delete at random
-// priority positions) for the software cuckoo table and a TCAM.
-func RunUpdates(cfg Config) *UpdatesResult { return updates.result(cfg) }
-
 func assembleUpdates(_ Config, cells []updatesCell, cycles []float64) *UpdatesResult {
 	res := &UpdatesResult{
 		Table: metrics.NewTable("Updates (extension): rule-update cost, cuckoo vs TCAM",

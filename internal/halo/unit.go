@@ -35,11 +35,6 @@ func EncodeResult(value uint64, found bool) uint64 {
 	return w
 }
 
-// DecodeResult unpacks a result word.
-func DecodeResult(w uint64) (value uint64, found, done bool) {
-	return w & ResultValueMask, w&ResultFound != 0, w&ResultDone != 0
-}
-
 // UnitConfig parametrises the chip-wide HALO unit.
 type UnitConfig struct {
 	Accel AccelConfig

@@ -57,16 +57,22 @@ func TestAccessorsAndStrings(t *testing.T) {
 	}
 }
 
+// decodeResult unpacks a result word: the reference EncodeResult and the
+// accelerator's result-line writes are checked against.
+func decodeResult(w uint64) (value uint64, found, done bool) {
+	return w & ResultValueMask, w&ResultFound != 0, w&ResultDone != 0
+}
+
 func TestEncodeDecodeResult(t *testing.T) {
-	v, found, done := DecodeResult(EncodeResult(12345, true))
+	v, found, done := decodeResult(EncodeResult(12345, true))
 	if v != 12345 || !found || !done {
 		t.Fatalf("round trip = (%d,%v,%v)", v, found, done)
 	}
-	v, found, done = DecodeResult(EncodeResult(0, false))
+	v, found, done = decodeResult(EncodeResult(0, false))
 	if v != 0 || found || !done {
 		t.Fatalf("miss round trip = (%d,%v,%v)", v, found, done)
 	}
-	if _, _, done := DecodeResult(0); done {
+	if _, _, done := decodeResult(0); done {
 		t.Fatal("zero word decodes as done")
 	}
 }
@@ -131,11 +137,11 @@ func TestLookupNBResultLineEncoding(t *testing.T) {
 	})
 	// The accelerator wrote encoded words into the core's result line.
 	line := p.Unit.resultBuf[0]
-	v, found, done := DecodeResult(p.Space.Load64(line))
+	v, found, done := decodeResult(p.Space.Load64(line))
 	if !done || !found || v != 3 {
 		t.Fatalf("slot 0 = (%d,%v,%v)", v, found, done)
 	}
-	_, found, done = DecodeResult(p.Space.Load64(line + 8))
+	_, found, done = decodeResult(p.Space.Load64(line + 8))
 	if !done || found {
 		t.Fatal("slot 1 should be done+miss")
 	}
@@ -217,7 +223,7 @@ func TestNonBlockingFaultMarksResultWord(t *testing.T) {
 	a := p.Unit.Accelerator(0)
 	r := a.Process(0, Query{TableAddr: garbage, KeyAddr: keyAddr, ResultAddr: resultAddr, NonBlocking: true})
 	w := p.Space.Load64(resultAddr)
-	if _, found, done := DecodeResult(w); !r.Fault || found || !done || w&ResultFault == 0 {
+	if _, found, done := decodeResult(w); !r.Fault || found || !done || w&ResultFault == 0 {
 		t.Fatalf("query %+v left result word %#x, want done with ResultFault", r, w)
 	}
 	// The metadata fetch, then the result-line write.
@@ -233,7 +239,7 @@ func TestNonBlockingFaultMarksResultWord(t *testing.T) {
 }
 
 // TestFaultOnInvalidMetadata patches one field of a valid table's metadata
-// line at a time. The accelerator must reject every line cuckoo.Attach
+// line at a time. The accelerator must reject every line cuckoo.ReadMeta
 // rejects, key lengths outside 1..64 included, as a counted fault: no panic,
 // and no key buffer sized from the corrupt length.
 func TestFaultOnInvalidMetadata(t *testing.T) {
@@ -254,8 +260,8 @@ func TestFaultOnInvalidMetadata(t *testing.T) {
 			p := testPlatform(t)
 			tbl := populatedTable(t, p, 512, 100)
 			tc.patch(p, tbl)
-			if _, err := cuckoo.Attach(p.Space, tbl.Base()); err == nil {
-				t.Fatal("cuckoo.Attach accepted the patched line")
+			if _, err := cuckoo.ReadMeta(p.Space, tbl.Base()); err == nil {
+				t.Fatal("cuckoo.ReadMeta accepted the patched line")
 			}
 			keyAddr := p.Alloc.AllocLines(1)
 			p.Space.WriteAt(keyAddr, key16(7))

@@ -16,16 +16,15 @@ package hashfn
 
 import "encoding/binary"
 
-// Seed selects one member of the hash family. The cuckoo table uses two
-// distinct seeds; the flow register uses a third.
+// Seed selects one member of the hash family. Tables and indexes hash with
+// SeedPrimary; SeedFlowReg is a second, independent member.
 type Seed uint64
 
 // Canonical seeds used across the repository. Any distinct values work; these
 // are fixed so simulations are reproducible.
 const (
-	SeedPrimary   Seed = 0x9e3779b97f4a7c15
-	SeedSecondary Seed = 0xc2b2ae3d27d4eb4f
-	SeedFlowReg   Seed = 0x165667b19e3779f9
+	SeedPrimary Seed = 0x9e3779b97f4a7c15
+	SeedFlowReg Seed = 0x165667b19e3779f9
 )
 
 const (

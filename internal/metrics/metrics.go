@@ -44,9 +44,6 @@ func (t *Table) AddRow(cells ...any) {
 // Rows returns the number of data rows.
 func (t *Table) Rows() int { return len(t.rows) }
 
-// Cell returns a formatted cell for assertions in tests.
-func (t *Table) Cell(row, col int) string { return t.rows[row][col] }
-
 // FormatFloat renders floats compactly: integers without decimals, small
 // values with enough precision to be meaningful.
 func FormatFloat(v float64) string {

@@ -56,13 +56,3 @@ func (r *Ring) Delay(from, to int) sim.Cycle {
 	}
 	return r.cfg.InjectDelay + sim.Cycle(r.Hops(from, to))*r.cfg.HopCycles
 }
-
-// MeanDelay returns the average one-way latency from a stop to a uniformly
-// random other stop, used for analytic sanity checks in tests.
-func (r *Ring) MeanDelay(from int) float64 {
-	total := sim.Cycle(0)
-	for to := 0; to < r.cfg.Stops; to++ {
-		total += r.Delay(from, to)
-	}
-	return float64(total) / float64(r.cfg.Stops)
-}

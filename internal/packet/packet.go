@@ -66,17 +66,6 @@ func (t FiveTuple) Packed() []byte {
 	return buf
 }
 
-// UnpackFiveTuple parses a packed tuple.
-func UnpackFiveTuple(buf []byte) FiveTuple {
-	return FiveTuple{
-		SrcIP:   binary.LittleEndian.Uint32(buf[0:]),
-		DstIP:   binary.LittleEndian.Uint32(buf[4:]),
-		SrcPort: binary.LittleEndian.Uint16(buf[8:]),
-		DstPort: binary.LittleEndian.Uint16(buf[10:]),
-		Proto:   buf[12],
-	}
-}
-
 func (t FiveTuple) String() string {
 	return fmt.Sprintf("%s:%d->%s:%d/%d",
 		ipString(t.SrcIP), t.SrcPort, ipString(t.DstIP), t.DstPort, t.Proto)
@@ -149,42 +138,4 @@ func (t FiveTuple) HeaderKey() []byte {
 	buf := make([]byte, HeaderKeyLen)
 	t.PutHeaderKey(buf)
 	return buf
-}
-
-// Parse errors.
-var (
-	ErrTruncated    = errors.New("packet: truncated header")
-	ErrNotIPv4      = errors.New("packet: not IPv4")
-	ErrBadIHL       = errors.New("packet: unsupported IP header length")
-	ErrUnknownProto = errors.New("packet: unsupported L4 protocol")
-)
-
-// Parse decodes headers from wire bytes.
-func Parse(buf []byte) (Packet, error) {
-	var p Packet
-	if len(buf) < HeaderBytes {
-		return p, ErrTruncated
-	}
-	copy(p.DstMAC[:], buf[0:6])
-	copy(p.SrcMAC[:], buf[6:12])
-	if binary.BigEndian.Uint16(buf[12:]) != EtherTypeIPv4 {
-		return p, ErrNotIPv4
-	}
-	if buf[14] != 0x45 {
-		return p, ErrBadIHL
-	}
-	p.Proto = buf[23]
-	if p.Proto != ProtoTCP && p.Proto != ProtoUDP {
-		return p, ErrUnknownProto
-	}
-	p.SrcIP = binary.BigEndian.Uint32(buf[26:])
-	p.DstIP = binary.BigEndian.Uint32(buf[30:])
-	p.SrcPort = binary.BigEndian.Uint16(buf[34:])
-	p.DstPort = binary.BigEndian.Uint16(buf[36:])
-	totalLen := int(binary.BigEndian.Uint16(buf[16:]))
-	p.PayloadBytes = totalLen - 28
-	if p.PayloadBytes < 0 {
-		p.PayloadBytes = 0
-	}
-	return p, nil
 }

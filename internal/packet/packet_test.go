@@ -24,7 +24,7 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 	if err := p.Marshal(buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Parse(buf)
+	got, err := parse(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestMarshalParsePropertyRoundTrip(t *testing.T) {
 		if err := p.Marshal(buf); err != nil {
 			return false
 		}
-		got, err := Parse(buf)
+		got, err := parse(buf)
 		return err == nil && got == p
 	}
 	if err := quick.Check(check, nil); err != nil {
@@ -57,24 +57,24 @@ func TestMarshalParsePropertyRoundTrip(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	if _, err := Parse(make([]byte, 10)); err != ErrTruncated {
+	if _, err := parse(make([]byte, 10)); err != errTruncated {
 		t.Fatalf("truncated err = %v", err)
 	}
 	p := samplePacket()
 	buf := make([]byte, HeaderBytes)
 	p.Marshal(buf)
 	buf[12], buf[13] = 0x86, 0xDD // IPv6 ethertype
-	if _, err := Parse(buf); err != ErrNotIPv4 {
+	if _, err := parse(buf); err != errNotIPv4 {
 		t.Fatalf("non-IPv4 err = %v", err)
 	}
 	p.Marshal(buf)
 	buf[14] = 0x46 // IHL 6
-	if _, err := Parse(buf); err != ErrBadIHL {
+	if _, err := parse(buf); err != errBadIHL {
 		t.Fatalf("IHL err = %v", err)
 	}
 	p.Marshal(buf)
 	buf[23] = 1 // ICMP
-	if _, err := Parse(buf); err != ErrUnknownProto {
+	if _, err := parse(buf); err != errUnknownProto {
 		t.Fatalf("proto err = %v", err)
 	}
 }
@@ -89,7 +89,7 @@ func TestMarshalBufferTooSmall(t *testing.T) {
 func TestFiveTuplePackUnpack(t *testing.T) {
 	check := func(srcIP, dstIP uint32, srcPort, dstPort uint16, proto uint8) bool {
 		tup := FiveTuple{srcIP, dstIP, srcPort, dstPort, proto}
-		return UnpackFiveTuple(tup.Packed()) == tup
+		return unpackFiveTuple(tup.Packed()) == tup
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)

@@ -25,17 +25,6 @@ type Estimate struct {
 	DynamicNJPerQuery float64
 }
 
-// EnergyPerQueryNJ returns the total energy attributable to one query at a
-// given query rate (queries/second): dynamic energy plus the static power
-// amortised over the inter-query interval.
-func (e Estimate) EnergyPerQueryNJ(queriesPerSecond float64) float64 {
-	if queriesPerSecond <= 0 {
-		return e.DynamicNJPerQuery
-	}
-	staticNJ := e.StaticMW * 1e6 / queriesPerSecond // mW→nW, /qps = nJ
-	return e.DynamicNJPerQuery + staticNJ
-}
-
 // anchor is one calibrated capacity point.
 type anchor struct {
 	bytes   float64
@@ -105,23 +94,12 @@ const (
 	haloAreaTiles   = 0.012
 	haloStaticMW    = 97.2
 	haloDynamicNJ   = 1.76
-	haloAccelCount  = 16
 	haloAreaPercent = 1.2 // of total chip area, paper §6.4
 )
 
 // HaloAcceleratorEstimate characterises one HALO accelerator.
 func HaloAcceleratorEstimate() Estimate {
 	return Estimate{AreaTiles: haloAreaTiles, StaticMW: haloStaticMW, DynamicNJPerQuery: haloDynamicNJ}
-}
-
-// HaloChipEstimate characterises the full 16-accelerator installation.
-func HaloChipEstimate() Estimate {
-	e := HaloAcceleratorEstimate()
-	return Estimate{
-		AreaTiles:         e.AreaTiles * haloAccelCount,
-		StaticMW:          e.StaticMW * haloAccelCount,
-		DynamicNJPerQuery: e.DynamicNJPerQuery, // one query runs on one accelerator
-	}
 }
 
 // HaloChipAreaPercent reports the whole-chip area overhead (paper: 1.2%).

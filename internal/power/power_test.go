@@ -70,35 +70,8 @@ func TestHaloEstimates(t *testing.T) {
 	if a.StaticMW != 97.2 || a.DynamicNJPerQuery != 1.76 || a.AreaTiles != 0.012 {
 		t.Fatalf("HALO accelerator estimate = %+v", a)
 	}
-	chip := HaloChipEstimate()
-	if chip.StaticMW != 97.2*16 {
-		t.Fatalf("chip static = %v", chip.StaticMW)
-	}
-	if chip.DynamicNJPerQuery != a.DynamicNJPerQuery {
-		t.Fatal("per-query dynamic energy must not scale with accelerator count")
-	}
 	if HaloChipAreaPercent() != 1.2 {
 		t.Fatalf("area percent = %v", HaloChipAreaPercent())
-	}
-	// HALO's static power is tiny next to even a 10KB TCAM's.
-	if chip.StaticMW >= TCAMEstimate(100<<10).StaticMW {
-		t.Fatal("HALO static power should undercut a 100KB TCAM")
-	}
-}
-
-func TestEnergyPerQueryAmortisesStatic(t *testing.T) {
-	e := Estimate{StaticMW: 100, DynamicNJPerQuery: 1}
-	// At 10^8 queries/s: static adds 100mW/1e8qps = 1nJ per query.
-	got := e.EnergyPerQueryNJ(1e8)
-	if !approx(got, 2, 0.01) {
-		t.Fatalf("energy per query = %v, want 2", got)
-	}
-	if e.EnergyPerQueryNJ(0) != 1 {
-		t.Fatal("zero rate should return dynamic energy only")
-	}
-	// Lower query rates make static dominate.
-	if e.EnergyPerQueryNJ(1e6) <= got {
-		t.Fatal("static amortisation not rate-dependent")
 	}
 }
 

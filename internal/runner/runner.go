@@ -5,8 +5,9 @@
 // points can run on any goroutine in any order. The pool here exploits
 // that: it shards all points of all requested experiments across N
 // workers, stores each row at its point index, and renders experiments in
-// registry order as they complete — so the output is byte-identical to a
-// serial experiments.RunAll, regardless of worker count or scheduling.
+// registry order as they complete — so the output is byte-identical to
+// running each registry entry's Runner.Run in turn, regardless of worker
+// count or scheduling.
 //
 // Verify mode makes the determinism contract executable: every point runs
 // twice — once in the pool, once serially on the coordinating goroutine —

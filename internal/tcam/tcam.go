@@ -121,12 +121,6 @@ func (d *Device) HitRate() float64 {
 	return float64(d.hits) / float64(d.queries)
 }
 
-// CapacityBytes returns the device's raw storage size (2 bits per ternary
-// cell ≈ value + care bit planes).
-func (d *Device) CapacityBytes() uint64 {
-	return uint64(d.cfg.Capacity) * uint64(d.cfg.KeyBytes)
-}
-
 // row returns entry i's stored value and care mask.
 func (d *Device) row(i int) (value, care []byte) {
 	k := d.cfg.KeyBytes

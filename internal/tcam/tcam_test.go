@@ -125,9 +125,6 @@ func TestStats(t *testing.T) {
 	if d.Queries() != 2 || d.HitRate() != 0.5 {
 		t.Fatalf("queries=%d hitRate=%v", d.Queries(), d.HitRate())
 	}
-	if d.CapacityBytes() != 8 {
-		t.Fatalf("capacity bytes = %d", d.CapacityBytes())
-	}
 }
 
 func TestTimedUpdatesChargeShiftCost(t *testing.T) {

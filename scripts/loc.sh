@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Code lines per Go package: non-test files, not counting blank lines and
-# lines that hold only a comment. These are the numbers ROADMAP.md and
-# CHANGES.md quote when a PR claims to have made a package smaller.
+# Code lines per Go package: non-test files outside testdata/, not counting
+# blank lines and lines that hold only a comment. These are the numbers
+# ROADMAP.md and CHANGES.md quote when a PR claims to have made a package
+# smaller.
 #
 #   scripts/loc.sh                  # every package, then the total
 #   scripts/loc.sh internal/flowserve internal/experiments
@@ -13,7 +14,7 @@ cd "$(dirname "$0")/.."
 if [ $# -gt 0 ]; then
 	dirs=("$@")
 else
-	mapfile -t dirs < <(find . -name '.?*' -prune -o -name '*.go' ! -name '*_test.go' -printf '%h\n' | sed 's|^\./||' | sort -u)
+	mapfile -t dirs < <(find . \( -name '.?*' -o -name testdata \) -prune -o -name '*.go' ! -name '*_test.go' -printf '%h\n' | sed 's|^\./||' | sort -u)
 fi
 
 total=0

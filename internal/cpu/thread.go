@@ -189,10 +189,10 @@ func (t *Thread) WaitUntil(at sim.Cycle) {
 	}
 }
 
-// MPKL returns misses per thousand loads for the given service points: loads
-// serviced at or beyond `beyond` count as misses of the nearer level. For
-// example MPKL(cache.InLLC) is the thread's L2 miss rate per 1000 loads.
-func (t *Thread) MPKL(beyond cache.HitWhere) float64 {
+// MissRatio returns the fraction of the thread's loads serviced at or beyond
+// `beyond`: MissRatio(cache.InL2) is its L1D miss ratio, MissRatio(cache.InLLC)
+// its L2 miss ratio.
+func (t *Thread) MissRatio(beyond cache.HitWhere) float64 {
 	var loads, misses uint64
 	for w, n := range t.Stalls.LoadsByWhere {
 		loads += n
@@ -203,7 +203,7 @@ func (t *Thread) MPKL(beyond cache.HitWhere) float64 {
 	if loads == 0 {
 		return 0
 	}
-	return 1000 * float64(misses) / float64(loads)
+	return float64(misses) / float64(loads)
 }
 
 // StallRatio returns the fraction of the current measurement window's

@@ -105,15 +105,15 @@ func TestMPKLAndStallRatio(t *testing.T) {
 	for i := 0; i < 999; i++ {
 		th.Load(0x5000)
 	}
-	mpkl := th.MPKL(cache.InLLC)
-	if mpkl < 0.9 || mpkl > 1.1 {
-		t.Fatalf("MPKL = %v, want ~1", mpkl)
+	ratio := th.MissRatio(cache.InLLC)
+	if ratio < 0.0009 || ratio > 0.0011 {
+		t.Fatalf("MissRatio = %v, want ~0.001", ratio)
 	}
 	if r := th.StallRatio(cache.InLLC); r <= 0 || r >= 1 {
 		t.Fatalf("stall ratio = %v", r)
 	}
-	if th.MPKL(cache.InL2) < th.MPKL(cache.InMemory) {
-		t.Fatal("MPKL must be monotone in level")
+	if th.MissRatio(cache.InL2) < th.MissRatio(cache.InMemory) {
+		t.Fatal("MissRatio must be monotone in level")
 	}
 }
 

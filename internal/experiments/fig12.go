@@ -174,21 +174,6 @@ func nfPacketFrom(w *trafficgen.Workload) packet.Packet {
 	return pkt
 }
 
-// l1MissRatio computes a thread's L1D miss ratio over its window.
-func l1MissRatio(th *cpu.Thread) float64 {
-	var loads, misses uint64
-	for w, n := range th.Stalls.LoadsByWhere {
-		loads += n
-		if cache.HitWhere(w) > cache.InL1 {
-			misses += n
-		}
-	}
-	if loads == 0 {
-		return 0
-	}
-	return float64(misses) / float64(loads)
-}
-
 func runFig12Alone(nfName string, packets int, seed uint64) (cpp, l1Miss float64) {
 	p := halo.NewPlatform(halo.DefaultPlatformConfig())
 	n := buildFig12NF(p, nfName)
@@ -204,7 +189,7 @@ func runFig12Alone(nfName string, packets int, seed uint64) (cpp, l1Miss float64
 		pkt := nfPacketFrom(w)
 		n.ProcessPacket(th, &pkt)
 	}
-	return float64(th.Now-start) / float64(packets), l1MissRatio(th)
+	return float64(th.Now-start) / float64(packets), th.MissRatio(cache.InL2)
 }
 
 func runFig12CoRun(nfName string, engine vswitch.Engine, flows, packets int, seed uint64, snap *stats.Snapshot) (cpp, l1Miss float64) {
@@ -268,5 +253,5 @@ func runFig12CoRun(nfName string, engine vswitch.Engine, flows, packets int, see
 		step(true)
 	}
 	collectInto(snap, p, sw, nfTh, swTh)
-	return float64(nfCycles) / float64(packets), l1MissRatio(nfTh)
+	return float64(nfCycles) / float64(packets), nfTh.MissRatio(cache.InL2)
 }

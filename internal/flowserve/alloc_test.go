@@ -20,7 +20,7 @@ func TestTableSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	results := make([]Result, len(keys))
-	batch := tbl.NewBatch()
+	batch := tbl.NewPinnedReader()
 	batch.LookupMany(keys, results) // size the pinned scratch
 	k := keys[3]
 	for _, c := range []struct {
@@ -34,6 +34,11 @@ func TestTableSteadyStateAllocs(t *testing.T) {
 		}},
 		{"Table.LookupMany", func() {
 			if tbl.LookupMany(keys, results) != len(keys) {
+				t.Fatal("miss on a resident key")
+			}
+		}},
+		{"Batch.Lookup", func() {
+			if _, ok := batch.Lookup(k); !ok {
 				t.Fatal("miss on a resident key")
 			}
 		}},

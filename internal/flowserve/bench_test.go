@@ -11,8 +11,9 @@ import (
 )
 
 // Benchmarks pinning the cost of the two batched-lookup entry points: a
-// caller-pinned Batch (what a PinnedReader holds for one goroutine) versus Table.LookupMany's pooled scratch. The pool
-// Get/Put must stay in the noise relative to a 16-key batch probe.
+// caller-pinned Batch (NewPinnedReader, one per goroutine) versus
+// Table.LookupMany's pooled scratch. The pool Get/Put must stay in the noise
+// relative to a 16-key batch probe.
 func benchTable(b *testing.B) (*Table, [][]byte) {
 	b.Helper()
 	return filledTable(b, 1<<15, 4)
@@ -42,7 +43,7 @@ func filledTable(b *testing.B, n, shards int) (*Table, [][]byte) {
 
 func BenchmarkLookupManyPinnedBatch(b *testing.B) {
 	tbl, keys := benchTable(b)
-	batch := tbl.NewBatch()
+	batch := tbl.NewPinnedReader()
 	bkeys := make([][]byte, 16)
 	results := make([]Result, 16)
 	b.ResetTimer()
@@ -238,7 +239,7 @@ func BenchmarkLookupManyFlows(b *testing.B) {
 				perFlow = float64(heapInuse()-heap0) / float64(flows)
 				b.ResetTimer()
 			}
-			batch := tbl.NewBatch()
+			batch := tbl.NewPinnedReader()
 			bkeys := make([][]byte, 16)
 			results := make([]Result, 16)
 			for i := 0; i < b.N; i++ {

@@ -20,9 +20,11 @@
 //   - Mutations (insert, delete, displacement) take a per-shard mutex, so
 //     each shard is single-writer — DPDK's rte_hash makes the same
 //     single-writer/multi-reader assumption.
-//   - Batch lookups group keys per shard and validate one sequence window
-//     per group (see batch.go), the software analogue of issuing LOOKUP_NB
-//     for a batch and polling the results with SNAPSHOT_READ.
+//   - Every lookup is a batch: keys are grouped per shard and each group is
+//     validated by one sequence window (see batch.go), the software analogue
+//     of issuing LOOKUP_NB for a batch and polling the results with
+//     SNAPSHOT_READ. A single-key Lookup is a one-key batch, as LOOKUP_B runs
+//     the accelerator's one query path and only waits for its result.
 //   - Capacity is fixed at New, as in rte_hash: a shard that cannot place a
 //     key returns ErrTableFull. Capacity across nodes moves with
 //     flowcluster's MoveRange (DESIGN.md §8, "Capacity").
@@ -110,14 +112,14 @@ type Table struct {
 	// of their own (flowserve.lookup.badlen).
 	badLen atomic.Uint64
 
-	// stripes hold the batched read path's counters; NewBatch deals them out
-	// round-robin through nextStripe. Allocated apart from the Table so they
-	// start on a line boundary.
+	// stripes hold the read path's counters; NewPinnedReader deals them out
+	// to batches round-robin through nextStripe. Allocated apart from the
+	// Table so they start on a line boundary.
 	stripes    []readStripe
 	nextStripe atomic.Uint32
 
-	// batchPool recycles Batch scratch for Table.LookupMany callers that do
-	// not pin their own Batch.
+	// batchPool recycles Batch scratch for Table.Lookup and Table.LookupMany
+	// callers that do not pin their own Batch.
 	batchPool sync.Pool
 }
 
@@ -183,17 +185,15 @@ func (t *Table) route(key []byte, kw *[maxKeyWords]uint64) (sh *shard, h uint64)
 	return
 }
 
-// Lookup finds a key and returns its value. Safe for unbounded concurrency.
-// A mismatched key length is a miss counted in the table-level badlen
-// counter (it belongs to no shard).
+// Lookup finds a key and returns its value: a one-key batch on pooled
+// scratch, like LookupMany. Safe for unbounded concurrency. A mismatched key
+// length is a miss counted in the table-level badlen counter (it belongs to
+// no shard).
 func (t *Table) Lookup(key []byte) (value uint64, ok bool) {
-	if len(key) != t.keyLen {
-		t.badLen.Add(1)
-		return 0, false
-	}
-	var kw [maxKeyWords]uint64
-	sh, h := t.route(key, &kw)
-	return sh.lookup(&kw, h)
+	b := t.batchPool.Get().(*Batch)
+	value, ok = b.Lookup(key)
+	t.batchPool.Put(b)
+	return value, ok
 }
 
 // Insert adds a key-value pair. Inserting an existing key returns
@@ -280,16 +280,16 @@ const cacheLine = 64
 //
 // The fields are laid out so that every 64-byte line has one kind of writer
 // (DESIGN.md §8, "Who writes which cache line"; TestShardLayout and
-// TestShardLinesDisjoint are the guards). A line a reader writes is never one
-// a writer writes, so an Update — which opens no seqlock window — costs the
-// reader nothing, and a reader's counters never take the mutex line away
-// from the writer.
+// TestShardLinesDisjoint are the guards). Readers write no shard line at all
+// (they count in their batch's readStripe), so an Update — which opens no
+// seqlock window — costs a reader nothing, and no reader takes the mutex
+// line away from the writer.
 type shard struct {
 	// Probe-read: everything a clean probe reads of the shard, plus the
 	// seqlock. seq is the one word here a writer stores to, and only around
 	// an insert or delete, after which readers must re-fetch it anyway;
-	// sharing its line with the geometry keeps a clean probe at two shard
-	// lines (this one and the reader-written one below).
+	// sharing its line with the geometry keeps a clean probe at one shard
+	// line.
 
 	// entries holds the packed bucket entries, EntriesPerBucket to a bucket
 	// and a power-of-two count of buckets: slot<<sigBits | signature, zero
@@ -320,12 +320,6 @@ type shard struct {
 
 	_ [cacheLine - 62]byte
 
-	// Reader-written: single-key lookups count here; the batched path counts
-	// its rare retries and fallbacks here and everything else in its stripe.
-	rd readCounters
-
-	_ [cacheLine - 32]byte
-
 	// Writer-owned from here to the end of the struct: stored to only with
 	// mu held. Readers take mu on the fallback path alone.
 	mu   sync.Mutex // serialises writers; also the reader fallback path
@@ -344,16 +338,6 @@ type shard struct {
 	_ [8]byte // rounds the struct up to whole lines (TestShardLayout)
 }
 
-// readCounters are the per-shard counters the read path writes. They are
-// atomics because lookups run concurrently, and they sit on a line of their
-// own: every reader of a shard shares that line, no writer ever takes it.
-type readCounters struct {
-	lookups   atomic.Uint64
-	hits      atomic.Uint64 // added after lookups, loaded before: hits ≤ lookups in any snapshot
-	retries   atomic.Uint64 // seqlock revalidation failures (re-probes)
-	fallbacks atomic.Uint64 // optimistic attempts exhausted → locked probe
-}
-
 // shardCounters are the per-shard counters writers bump under mu (atomics
 // only so that Stats can load them without taking it).
 type shardCounters struct {
@@ -370,16 +354,20 @@ type shardCounters struct {
 // means two batches share a line, which the atomics make safe.
 const batchStripes = 8
 
-// readStripe is one line of batched-lookup counters. Batch.LookupMany adds a
-// whole call's worth in one go (groups, keys, hits — in that order), so a
-// reader writes one stripe line per call rather than a shard line per group,
-// and a collected Batch takes nothing with it. keys is both the stripe's
-// share of flowserve.lookups and of flowserve.batch.keys.
+// readStripe is one line of read-path counters, the only line a reader
+// writes. Batch.LookupMany adds a whole call's worth in one go (groups, keys,
+// hits — in that order), so a reader writes one stripe line per call rather
+// than a shard line per group, and a collected Batch takes nothing with it.
+// keys is both the stripe's share of flowserve.lookups and of
+// flowserve.batch.keys. The rare retries and fallbacks of a call's read
+// windows count here too, as they happen.
 type readStripe struct {
-	groups atomic.Uint64 // per-shard groups served
-	keys   atomic.Uint64
-	hits   atomic.Uint64
-	_      [cacheLine - 24]byte
+	groups    atomic.Uint64 // per-shard groups served
+	keys      atomic.Uint64
+	hits      atomic.Uint64 // added after keys, loaded before: hits ≤ lookups in any snapshot
+	retries   atomic.Uint64 // seqlock revalidation failures (re-probes)
+	fallbacks atomic.Uint64 // optimistic attempts exhausted → locked probe
+	_         [cacheLine - 40]byte
 }
 
 // newShard sizes a shard for the requested entry count and key length: the
@@ -491,13 +479,13 @@ func (sh *shard) valueWord(slot uint32) *atomic.Uint64 {
 	return &words[len(words)-1]
 }
 
-// readWindow is the seqlock read protocol, shared by the single-key and the
-// batched path: open snapshots the sequence, done revalidates. A probe raced
-// by a writer is discarded and retried; after maxOptimistic attempts open
-// takes the writer lock, so — unlike the simulated table's give-up path — a
-// torn result is never returned.
+// readWindow is the seqlock read protocol: open snapshots the sequence, done
+// revalidates. A probe raced by a writer is discarded and retried; after
+// maxOptimistic attempts open takes the writer lock, so — unlike the
+// simulated table's give-up path — a torn result is never returned. Retries
+// and fallbacks count in the caller's stripe.
 //
-//	for w := (readWindow{sh: sh}); ; {
+//	for w := (readWindow{sh: sh, stripe: stripe}); ; {
 //		w.open()
 //		... probe sh ...
 //		if w.done() {
@@ -506,6 +494,7 @@ func (sh *shard) valueWord(slot uint32) *atomic.Uint64 {
 //	}
 type readWindow struct {
 	sh      *shard
+	stripe  *readStripe
 	seq     uint64
 	attempt int // == maxOptimistic once the window holds the writer lock
 }
@@ -518,17 +507,17 @@ func (w *readWindow) open() {
 			return
 		}
 		// A writer is mid-mutation; yield rather than spin-read.
-		sh.rd.retries.Add(1)
+		w.stripe.retries.Add(1)
 		runtime.Gosched()
 	}
 	// Writer storm: one exclusive probe settles it.
-	sh.rd.fallbacks.Add(1)
+	w.stripe.fallbacks.Add(1)
 	sh.mu.Lock()
 }
 
 // done reports whether the probe since open stands; when it does not,
 // the caller probes again. The fast path is one comparison, small enough to
-// inline into both read loops.
+// inline into the read loop.
 func (w *readWindow) done() bool {
 	return w.sh.seq.Load() == w.seq || w.settle()
 }
@@ -542,29 +531,9 @@ func (w *readWindow) settle() bool {
 		w.sh.mu.Unlock()
 		return true
 	}
-	w.sh.rd.retries.Add(1)
+	w.stripe.retries.Add(1)
 	w.attempt++
 	return false
-}
-
-// lookup probes one key under a readWindow.
-func (sh *shard) lookup(kw *[maxKeyWords]uint64, h uint64) (uint64, bool) {
-	sh.rd.lookups.Add(1)
-	var res Result
-	for w := (readWindow{sh: sh}); ; {
-		w.open()
-		res = Result{}
-		if _, slot, ok := sh.locate(kw, h); ok {
-			res = Result{Value: sh.valueWord(slot).Load(), OK: true}
-		}
-		if w.done() {
-			break
-		}
-	}
-	if res.OK {
-		sh.rd.hits.Add(1)
-	}
-	return res.Value, res.OK
 }
 
 // writeKV stores a slot's key words and value. The slot is free (no

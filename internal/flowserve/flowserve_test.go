@@ -2,7 +2,9 @@ package flowserve
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
+	"time"
 
 	"halo/internal/stats"
 )
@@ -141,6 +143,11 @@ func TestFillForcesDisplacement(t *testing.T) {
 	}
 }
 
+// TestLookupManyMatchesLookup checks every entry point against the model the
+// fill builds: key i is present iff i < n, with value i^0xabcd. Each batch
+// mixes present, absent and one wrong-length key, and the lookup counters
+// move by the same amounts whether the keys go through a pinned batch, the
+// pooled LookupMany or one single-key Lookup each.
 func TestLookupManyMatchesLookup(t *testing.T) {
 	tbl := mustNew(t, Config{Shards: 8, Entries: 8192, KeyLen: 20})
 	const n = 4000
@@ -149,44 +156,108 @@ func TestLookupManyMatchesLookup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b := tbl.NewBatch()
-	pr := tbl.NewPinnedReader()
+	counters := func() (c [3]uint64) {
+		snap := stats.NewSnapshot()
+		tbl.CollectInto(snap)
+		for i, name := range []string{"flowserve.lookups", "flowserve.hits", "flowserve.lookup.badlen"} {
+			c[i] = snap.Counter(name)
+		}
+		return c
+	}
+	moved := func(from, to [3]uint64) (d [3]uint64) {
+		for i := range d {
+			d[i] = to[i] - from[i]
+		}
+		return d
+	}
+	b := tbl.NewPinnedReader()
 	const batchSize = 93 // deliberately not a power of two
 	keys := make([][]byte, batchSize)
-	results := make([]Result, batchSize)
-	pooled := make([]Result, batchSize)
 	pinned := make([]Result, batchSize)
+	pooled := make([]Result, batchSize)
 	for lo := uint64(0); lo < n+200; lo += batchSize {
 		for j := range keys {
 			keys[j] = key20(lo + uint64(j)*2) // half present, half absent beyond n
 		}
-		hits := b.LookupMany(keys, results)
+		keys[batchSize/2] = keys[batchSize/2][:19] // wrong length: a table-level badlen miss
+		c0 := counters()
+		pinHits := b.LookupMany(keys, pinned)
+		c1 := counters()
 		poolHits := tbl.LookupMany(keys, pooled)
-		pinHits := pr.LookupMany(keys, pinned)
-		if pinHits != poolHits {
-			t.Fatalf("PinnedReader returned %d hits, Table returned %d", pinHits, poolHits)
-		}
+		c2 := counters()
 		wantHits := 0
-		for j := range keys {
-			wv, wok := tbl.Lookup(keys[j])
-			if results[j].OK != wok || results[j].Value != wv {
-				t.Fatalf("LookupMany[%d] = (%d,%v), Lookup says (%d,%v)", j, results[j].Value, results[j].OK, wv, wok)
-			}
-			if pooled[j] != results[j] {
-				t.Fatalf("Table.LookupMany[%d] = %+v, Batch says %+v", j, pooled[j], results[j])
-			}
-			if pinned[j] != results[j] {
-				t.Fatalf("PinnedReader.LookupMany[%d] = %+v, Batch says %+v", j, pinned[j], results[j])
-			}
-			if wok {
+		for j, k := range keys {
+			want := Result{}
+			if i := lo + uint64(j)*2; len(k) == 20 && i < n {
+				want = Result{Value: i ^ 0xabcd, OK: true}
 				wantHits++
 			}
+			if pinned[j] != want {
+				t.Fatalf("Batch.LookupMany[%d] = %+v, want %+v", j, pinned[j], want)
+			}
+			if pooled[j] != want {
+				t.Fatalf("Table.LookupMany[%d] = %+v, want %+v", j, pooled[j], want)
+			}
+			if v, ok := tbl.Lookup(k); (Result{Value: v, OK: ok}) != want {
+				t.Fatalf("Lookup(key %d) = (%d,%v), want %+v", j, v, ok, want)
+			}
 		}
-		if hits != wantHits {
-			t.Fatalf("LookupMany returned %d hits, want %d", hits, wantHits)
+		c3 := counters()
+		if pinHits != wantHits || poolHits != wantHits {
+			t.Fatalf("hits: Batch.LookupMany %d, Table.LookupMany %d, want %d", pinHits, poolHits, wantHits)
 		}
-		if poolHits != hits {
-			t.Fatalf("Table.LookupMany returned %d hits, Batch returned %d", poolHits, hits)
+		want := [3]uint64{batchSize - 1, uint64(wantHits), 1}
+		for _, c := range []struct {
+			path     string
+			from, to [3]uint64
+		}{{"Batch.LookupMany", c0, c1}, {"Table.LookupMany", c1, c2}, {"Table.Lookup per key", c2, c3}} {
+			if d := moved(c.from, c.to); d != want {
+				t.Fatalf("%s moved lookups/hits/badlen by %v, want %v", c.path, d, want)
+			}
+		}
+	}
+}
+
+// TestReadWindowCountsInStripe holds a shard the way a writer does, mutex
+// held and sequence odd, across a Lookup: the reader's window sees the odd
+// sequence on each of its maxOptimistic attempts, then waits on the mutex.
+// Those retries and the one fallback count in the reader's stripe, and Stats
+// sums them into flowserve.lookup.retries and .lock_fallbacks.
+func TestReadWindowCountsInStripe(t *testing.T) {
+	tbl := mustNew(t, Config{Shards: 1, Entries: 64, KeyLen: 20})
+	if err := tbl.Insert(key20(1), 11); err != nil {
+		t.Fatal(err)
+	}
+	sh := tbl.shards[0]
+	sh.mu.Lock()
+	sh.beginWrite()
+	got := make(chan Result, 1)
+	go func() {
+		v, ok := tbl.Lookup(key20(1))
+		got <- Result{Value: v, OK: ok}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); tbl.Stats().LockFallbacks == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			sh.endWrite()
+			sh.mu.Unlock()
+			t.Fatal("no lock fallback counted while the reader waits on the held mutex")
+		}
+	}
+	sh.endWrite()
+	sh.mu.Unlock()
+	if r := <-got; r != (Result{Value: 11, OK: true}) {
+		t.Fatalf("Lookup across a held write = %+v, want (11,true)", r)
+	}
+	snap := stats.NewSnapshot()
+	tbl.CollectInto(snap)
+	for name, want := range map[string]uint64{
+		"flowserve.lookup.retries":        maxOptimistic,
+		"flowserve.lookup.lock_fallbacks": 1,
+		"flowserve.lookups":               1,
+		"flowserve.hits":                  1,
+	} {
+		if c := snap.Counter(name); c != want {
+			t.Errorf("%s = %d, want %d", name, c, want)
 		}
 	}
 }
@@ -196,7 +267,7 @@ func TestLookupManyMixedKeyLengths(t *testing.T) {
 	if err := tbl.Insert(key20(1), 11); err != nil {
 		t.Fatal(err)
 	}
-	b := tbl.NewBatch()
+	b := tbl.NewPinnedReader()
 	keys := [][]byte{key20(1), make([]byte, 3), key20(2), nil}
 	results := make([]Result, len(keys))
 	if hits := b.LookupMany(keys, results); hits != 1 {
@@ -218,7 +289,7 @@ func TestLookupManyMixedKeyLengths(t *testing.T) {
 
 func TestLookupManyEmpty(t *testing.T) {
 	tbl := mustNew(t, Config{Shards: 2, Entries: 128, KeyLen: 20})
-	b := tbl.NewBatch()
+	b := tbl.NewPinnedReader()
 	if hits := b.LookupMany(nil, nil); hits != 0 {
 		t.Fatalf("empty batch returned %d hits", hits)
 	}

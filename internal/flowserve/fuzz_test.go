@@ -77,7 +77,7 @@ func applyOps(t *testing.T, tbl *Table, universe uint16, data []byte, after func
 			}
 		case 4: // batched lookup of a key window starting at mk
 			if batch == nil {
-				batch = tbl.NewBatch()
+				batch = tbl.NewPinnedReader()
 			}
 			const span = 8
 			keys := make([][]byte, span)

@@ -42,13 +42,13 @@ type ReadWriter interface {
 var (
 	_ Reader = (*Table)(nil)
 	_ Writer = (*Table)(nil)
-	_ Reader = (*PinnedReader)(nil)
+	_ Reader = (*Batch)(nil)
 )
 
 // LookupMany is the Reader batched lookup on the table itself, backed by a
 // pool of Batch scratch so it is safe (and allocation-free in steady state)
 // from any number of goroutines. Hot loops that want to pin their scratch
-// explicitly can still own a Batch via NewBatch.
+// explicitly can own a Batch via NewPinnedReader.
 func (t *Table) LookupMany(keys [][]byte, results []Result) int {
 	b := t.batchPool.Get().(*Batch)
 	hits := b.LookupMany(keys, results)
@@ -59,30 +59,5 @@ func (t *Table) LookupMany(keys [][]byte, results []Result) int {
 // newBatchPool builds the per-table Batch pool (count is sized to the shard
 // count, so the pool must be per table).
 func newBatchPool(t *Table) sync.Pool {
-	return sync.Pool{New: func() any { return t.NewBatch() }}
-}
-
-// PinnedReader is a Reader over one table with its Batch scratch pinned to
-// the caller: LookupMany skips the shared pool's Get/Put. That saves little.
-// BenchmarkLookupManyPinnedBatch vs BenchmarkLookupManyPooled at -cpu 2, two
-// sets of six alternating rounds, read medians of 805 vs 818 and 800 vs 803
-// ns per 16-key batch: 0.4–1.6 %, inside either side's round-to-round
-// spread. Use one per goroutine in a hot loop; a PinnedReader must not be
-// shared by concurrent callers.
-type PinnedReader struct {
-	t *Table
-	b *Batch
-}
-
-// NewPinnedReader returns a Reader with caller-pinned batch scratch.
-func (t *Table) NewPinnedReader() *PinnedReader {
-	return &PinnedReader{t: t, b: t.NewBatch()}
-}
-
-// Lookup delegates to the table's single-key lookup.
-func (r *PinnedReader) Lookup(key []byte) (uint64, bool) { return r.t.Lookup(key) }
-
-// LookupMany runs the batched lookup on the pinned scratch.
-func (r *PinnedReader) LookupMany(keys [][]byte, results []Result) int {
-	return r.b.LookupMany(keys, results)
+	return sync.Pool{New: func() any { return t.NewPinnedReader() }}
 }

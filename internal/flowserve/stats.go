@@ -7,14 +7,13 @@ import (
 	"halo/internal/stats"
 )
 
-// TableStats aggregates the per-shard operation counters and the batched
-// read path's stripes. Reader-side counters (Lookups, Hits, Retries,
-// LockFallbacks, BatchCalls, BatchKeys) are updated with atomics on the
-// serving path, so a snapshot taken under load is a consistent-enough
-// monotonic view — Hits never exceeds Lookups in it — and exact when
-// quiescent.
+// TableStats aggregates the per-shard operation counters and the read path's
+// stripes. Reader-side counters (Lookups, Hits, Retries, LockFallbacks,
+// BatchCalls) are updated with atomics on the serving path, so a snapshot
+// taken under load is a consistent-enough monotonic view — Hits never
+// exceeds Lookups in it — and exact when quiescent.
 type TableStats struct {
-	Lookups       uint64
+	Lookups       uint64 // every lookup is a batch's key: also flowserve.batch.keys
 	Hits          uint64
 	Misses        uint64
 	BadLenLookups uint64 // wrong-length keys: table-level, never charged to a shard
@@ -27,7 +26,6 @@ type TableStats struct {
 	Deletes       uint64
 	Displacements uint64
 	BatchCalls    uint64 // per-shard groups served by LookupMany
-	BatchKeys     uint64
 }
 
 // Stats sums the counters across shards and stripes. Readers add a lookup
@@ -40,15 +38,12 @@ func (t *Table) Stats() TableStats {
 	for i := range t.stripes {
 		st := &t.stripes[i]
 		s.Hits += st.hits.Load()
-		s.BatchKeys += st.keys.Load()
+		s.Lookups += st.keys.Load()
 		s.BatchCalls += st.groups.Load()
+		s.Retries += st.retries.Load()
+		s.LockFallbacks += st.fallbacks.Load()
 	}
-	s.Lookups = s.BatchKeys
 	for _, sh := range t.shards {
-		s.Hits += sh.rd.hits.Load()
-		s.Lookups += sh.rd.lookups.Load()
-		s.Retries += sh.rd.retries.Load()
-		s.LockFallbacks += sh.rd.fallbacks.Load()
 		s.Inserts += sh.c.inserts.Load()
 		s.InsertExists += sh.c.insertExists.Load()
 		s.InsertFull += sh.c.insertFull.Load()
@@ -107,5 +102,5 @@ func (t *Table) CollectInto(snap *stats.Snapshot) {
 	snap.Add("flowserve.deletes", s.Deletes)
 	snap.Add("flowserve.displacements", s.Displacements)
 	snap.Add("flowserve.batch.calls", s.BatchCalls)
-	snap.Add("flowserve.batch.keys", s.BatchKeys)
+	snap.Add("flowserve.batch.keys", s.Lookups)
 }

@@ -87,7 +87,7 @@ func TestSeqlockStress(t *testing.T) {
 			defer wg.Done()
 			rng := sim.NewRand(seed)
 			const batchSize = 32
-			batch := tbl.NewBatch()
+			batch := tbl.NewPinnedReader()
 			keys := make([][]byte, batchSize)
 			idx := make([]uint64, batchSize)
 			results := make([]Result, batchSize)
@@ -193,7 +193,7 @@ func TestLookupLedgerUnderChurn(t *testing.T) {
 		go func(seed uint64) {
 			defer wg.Done()
 			rng := sim.NewRand(seed)
-			batch := tbl.NewBatch()
+			batch := tbl.NewPinnedReader()
 			bkeys := make([][]byte, batchSize)
 			results := make([]Result, batchSize)
 			for op := 0; op < readerOps; op++ {
@@ -259,7 +259,7 @@ func TestPublishAcrossPageBoundary(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			batch := tbl.NewBatch()
+			batch := tbl.NewPinnedReader()
 			results := make([]Result, span)
 			for p := int64(0); p < n; {
 				if p = published.Load(); p < span {

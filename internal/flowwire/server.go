@@ -356,7 +356,7 @@ func newSrvConn(s *Server, nc net.Conn) *srvConn {
 		nc:    nc,
 		br:    bufio.NewReaderSize(nc, 64<<10),
 		bw:    bufio.NewWriterSize(nc, 64<<10),
-		batch: s.cfg.Table.NewBatch(),
+		batch: s.cfg.Table.NewPinnedReader(),
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 // shard-grouped batching (Batch.LookupMany counting-sorts keys by shard and
 // serves each group under one seqlock window). The claim riding on that
 // change — "batching beats calling Lookup in a loop" — is what this
-// experiment pins down across seeds.
+// experiment pins down across seeds. Table.Lookup is itself a one-key batch
+// on pooled scratch, so the naive arm pays a pool round trip and a one-key
+// sort per key.
 func shardBatchExperiment() Experiment {
 	return Experiment{
 		Name:  "shard-grouped-batching",
@@ -29,7 +31,7 @@ func shardBatchExperiment() Experiment {
 			if err != nil {
 				return SeedResult{}, err
 			}
-			batch := tbl.NewBatch()
+			batch := tbl.NewPinnedReader()
 			batched := func(bkeys [][]byte, results []flowserve.Result) {
 				batch.LookupMany(bkeys, results)
 			}
@@ -201,37 +203,6 @@ func pipeliningExperiment(transport string) Experiment {
 				return SeedResult{}, fmt.Errorf("client counters %+v, want zeroes", c)
 			}
 			return sr, nil
-		},
-	}
-}
-
-// pinnedReaderExperiment: PR 5 introduced the Reader interface, whose
-// pooled Table.LookupMany entry point costs a sync.Pool round-trip per
-// call; PinnedReader exists so hot loops can pin that scratch once. The
-// serving API is only an acceptable default if going through a PinnedReader
-// costs the same as owning the Batch directly — an equivalence claim.
-func pinnedReaderExperiment() Experiment {
-	return Experiment{
-		Name:  "pinned-reader-equivalence",
-		Title: "PinnedReader lookups are within 5% of direct Batch lookups",
-		Kind:  KindEquivalence,
-		ArmA:  "pinned-reader",
-		ArmB:  "direct-batch",
-		Run: func(cfg Config, seed uint64) (SeedResult, error) {
-			pop := loadgen.NewPopulation(cfg.Flows, trafficgen.Uniform, seed)
-			tbl, err := pop.NewTable(cfg.Shards)
-			if err != nil {
-				return SeedResult{}, err
-			}
-			reader := tbl.NewPinnedReader()
-			pinned := func(bkeys [][]byte, results []flowserve.Result) {
-				reader.LookupMany(bkeys, results)
-			}
-			batch := tbl.NewBatch()
-			direct := func(bkeys [][]byte, results []flowserve.Result) {
-				batch.LookupMany(bkeys, results)
-			}
-			return timeArms(pop, cfg, seed, pinned, direct)
 		},
 	}
 }

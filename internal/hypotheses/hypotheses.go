@@ -99,7 +99,6 @@ type Result struct {
 func Registry() []Experiment {
 	return []Experiment{
 		shardBatchExperiment(),
-		pinnedReaderExperiment(),
 		shmVsUnixExperiment(),
 		pipeliningExperiment(flowwire.TransportTCP),
 		pipeliningExperiment(flowwire.TransportUnix),

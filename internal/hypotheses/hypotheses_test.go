@@ -49,7 +49,7 @@ func TestExperimentsRunAndVerify(t *testing.T) {
 // TestRegistryNames pins the experiment names the hypotheses/ directory and
 // CI reference.
 func TestRegistryNames(t *testing.T) {
-	want := []string{"shard-grouped-batching", "pinned-reader-equivalence", "shm-vs-unix-transport",
+	want := []string{"shard-grouped-batching", "shm-vs-unix-transport",
 		"wire-pipelining-depth-tcp", "wire-pipelining-depth-unix"}
 	reg := Registry()
 	if len(reg) != len(want) {

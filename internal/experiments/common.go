@@ -41,18 +41,10 @@ const ClockGHz = 2.1
 const testKeyLen = 16
 
 // testKeyInto writes the canonical synthetic key for index i into k (at
-// least testKeyLen long). Hot loops call this with a reused stack buffer;
-// testKey wraps it where a fresh slice is convenient.
+// least testKeyLen long). Hot loops call it with a reused buffer.
 func testKeyInto(i uint64, k []byte) {
 	binary.LittleEndian.PutUint64(k, i)
 	binary.LittleEndian.PutUint64(k[8:], i^0xabcdef)
-}
-
-// testKey builds the canonical synthetic key as a fresh slice.
-func testKey(i uint64) []byte {
-	k := make([]byte, testKeyLen)
-	testKeyInto(i, k)
-	return k
 }
 
 // lookupFixture is a populated table on a fresh platform with a recycled

@@ -55,6 +55,21 @@ func BenchmarkLookupManyPinnedBatch(b *testing.B) {
 			b.Fatal("miss on a resident key")
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*16), "ns/key")
+}
+
+// BenchmarkTableLookup is the one-key call on pooled scratch, over
+// BenchmarkLookupManyPinnedBatch's table and key walk: its ns/op over the
+// pinned batch's ns/key, from the same run, is what a key costs when it
+// travels alone.
+func BenchmarkTableLookup(b *testing.B) {
+	tbl, keys := benchTable(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := tbl.Lookup(keys[(i*7)%len(keys)]); !ok {
+			b.Fatal("miss on a resident key")
+		}
+	}
 }
 
 func BenchmarkLookupManyPooled(b *testing.B) {

@@ -262,11 +262,17 @@ func wordsToKey(kw *[maxKeyWords]uint64, keyLen int, out *[MaxKeyLen]byte) []byt
 	return out[:keyLen]
 }
 
-// pageShift sets the slot page size: 1<<pageShift slots to a page. At the
-// header-key width (20 bytes, four words a slot) a page is 32 KiB, the
-// allocator's largest small size class.
+// pageShift sets the slot page size: 1<<pageShift slots to a page, 8 KiB at
+// the header-key width (20 bytes, four words a slot). A shard's never-used
+// tail is at most one page, and a page-table header (24 B) is paid per page
+// of capacity, so a smaller page trades the one for the other. At 1,024
+// slots the tail was ≈ 2.1 of table-zipf-churn's 39.3 B/flow (100k flows in
+// 131,072 slots: each shard's 13th page ≈ 20 % used); 256 reads ≈ 37.7 there.
+// On table-uniform-1m (256k slots a shard) it adds 0.14 B/flow of page
+// table, and its own smaller tail wins part of that back (+0.06–0.08 read).
+// 128 saved no more on the one and cost +0.19 on the other.
 const (
-	pageShift = 10
+	pageShift = 8
 	pageSlots = 1 << pageShift
 	pageMask  = pageSlots - 1
 )

@@ -1,12 +1,15 @@
 package flowserve
 
 import (
+	"math/bits"
 	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"unsafe"
+
+	"halo/internal/hashfn"
 )
 
 // The cache-line classes of shard's fields (DESIGN.md §8, "Who writes which
@@ -144,7 +147,9 @@ func TestEntriesLineAligned(t *testing.T) {
 // TestStatsHitsNeverExceedLookups takes snapshots while a reader hammers
 // resident keys through both entry points. Every lookup is a hit, so any skew
 // between the two counters shows at once; a snapshot with Hits > Lookups
-// would publish Misses ≈ 2^64.
+// would publish Misses ≈ 2^64. Once the reader stops, BatchCalls must be the
+// shard groups its calls made: one a Lookup, one per shard a batch's keys
+// route to.
 func TestStatsHitsNeverExceedLookups(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -159,8 +164,14 @@ func TestStatsHitsNeverExceedLookups(t *testing.T) {
 		}
 	}
 
+	shardOf := make([]uint64, n)
+	for i, k := range keys {
+		shardOf[i] = hashfn.ShardIndex(hashfn.Hash(hashfn.SeedPrimary, k), uint64(len(tbl.shards)))
+	}
+
 	var stop atomic.Bool
 	var wg sync.WaitGroup
+	var groups uint64 // read after wg.Wait
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -168,9 +179,15 @@ func TestStatsHitsNeverExceedLookups(t *testing.T) {
 		for i := 0; !stop.Load(); i++ {
 			if i%2 == 0 {
 				tbl.Lookup(keys[i%n])
+				groups++
 			} else {
 				lo := i % (n - 16)
 				tbl.LookupMany(keys[lo:lo+16], results)
+				seen := uint64(0)
+				for _, si := range shardOf[lo : lo+16] {
+					seen |= 1 << si
+				}
+				groups += uint64(bits.OnesCount64(seen))
 			}
 		}
 	}()
@@ -192,7 +209,7 @@ func TestStatsHitsNeverExceedLookups(t *testing.T) {
 		t.Fatalf("%d of %d snapshots had Hits > Lookups; first: hits %d lookups %d misses %d",
 			wrapped, snapshots, first.Hits, first.Lookups, first.Misses)
 	}
-	if s := tbl.Stats(); s.Hits != s.Lookups || s.Misses != 0 {
-		t.Fatalf("quiescent stats not exact: %+v", s)
+	if s := tbl.Stats(); s.Hits != s.Lookups || s.Misses != 0 || s.BatchCalls != groups {
+		t.Fatalf("quiescent stats not exact (want %d batch calls): %+v", groups, s)
 	}
 }

@@ -1,6 +1,7 @@
 package flowserve
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -44,14 +45,15 @@ func checkPages(t *testing.T, op int, sh *shard, maxResident int) (pages int, la
 // whose capacity is not a page multiple, checked exactly against a map (the
 // fuzz harness's model) and, after every op, against the slot allocator's
 // invariants. FuzzFlowServeOps' shards hold 16 slots and never leave page 0;
-// this stream fills past seven of the table's eight pages first, then
-// churns, scans and purges across them. The capacity leaves the bucket array
-// two entries spare, so near full a displacement search fails too, and a
+// this stream fills 30 of the table's 32 pages first, then churns, scans
+// and purges across them. The capacity leaves the bucket array two
+// entries spare, so near full a displacement search fails too, and a
 // placement that took its slot before knowing it would succeed leaks it.
 func TestSlotPagesAgainstModel(t *testing.T) {
 	const (
-		capacity = 8*pageSlots - 2 // 1024 buckets of 8
-		fill     = 7*pageSlots + 512
+		pages    = 32
+		capacity = pages*pageSlots - 2 // 1024 buckets of 8
+		fill     = 30 * pageSlots
 		universe = 12_000
 		churn    = 20_000
 	)
@@ -98,12 +100,19 @@ func TestSlotPagesAgainstModel(t *testing.T) {
 	})
 	s := tbl.Stats()
 	t.Logf("max resident %d, max pages %d, capacity %d, %+v", maxResident, maxPages, tbl.Capacity(), s)
-	if maxPages < 8 || !lastSeen {
-		t.Fatalf("stream reached %d pages (want 8); last page allocated: %v", maxPages, lastSeen)
+	if maxPages < pages || !lastSeen {
+		t.Fatalf("stream reached %d pages (want %d); last page allocated: %v", maxPages, pages, lastSeen)
 	}
 	if s.InsertFull == 0 || s.Deletes == 0 {
 		t.Fatalf("stream missed a regime (full inserts, deletes): %+v", s)
 	}
+}
+
+// gauge reads the table's flowserve.bytes.
+func gauge(tbl *Table) uint64 {
+	snap := stats.NewSnapshot()
+	tbl.CollectInto(snap)
+	return snap.Counter("flowserve.bytes")
 }
 
 // heapInuse is the heap's in-use bytes after two collections: sync.Pool's
@@ -118,44 +127,65 @@ func heapInuse() uint64 {
 }
 
 // TestBytesPerFlow sizes a table as the repository benchmark does (a power
-// of two at least 1.25× the flows, 8 shards, 20-byte keys) and fills it. The
-// heap must grow by at most 44 B a flow, ≈ 40.2 expected: 32 of slot and 8
-// of 4-byte bucket entries, two slots of capacity to a flow (8-byte entries
-// read 48.2; slots allocated up front for the whole capacity, with a
-// prebuilt free list, 88). The flowserve.bytes gauge must account for that
-// growth to within 5 %, and a Delete then an Insert of the same key must
-// leave it where it was.
+// of two at least 1.25× the flows, 8 shards, 20-byte keys) and fills it, at
+// 2^18 flows (2^19 slots, 2^15 flows a shard) and at table-zipf-churn's
+// 100,000 (2^17 slots, ≈ 12,500 flows a shard, which no page size divides).
+// The heap must grow by at most 44 B a flow, ≈ 40.2 expected at 2^18: 32 of
+// slot and 8 of 4-byte bucket entries, two slots of capacity to a flow
+// (8-byte entries read 48.2; slots allocated up front for the whole
+// capacity, with a prebuilt free list, 88). The flowserve.bytes gauge must
+// account for that growth to within 5 %. What it counts beyond the flows'
+// slots, the bucket entries and the page tables is the slots allocated that
+// no flow took, each shard's partly used last page: at most one 8 KiB page a
+// shard (1,024-slot pages left ≈ 208 KB at 100,000 flows, 2.1 B/flow). A
+// Delete then an Insert of the same key must leave the gauge where it was.
 func TestBytesPerFlow(t *testing.T) {
-	const flows = 1 << 18
+	for _, flows := range []int{1 << 18, 100_000} {
+		t.Run(fmt.Sprint(flows), func(t *testing.T) { checkBytesPerFlow(t, flows) })
+	}
+}
+
+func checkBytesPerFlow(t *testing.T, flows int) {
+	const (
+		shards  = 8
+		maxTail = shards * 8 << 10
+	)
 	keys := make([][]byte, flows)
 	for i := range keys {
 		keys[i] = key20(uint64(i))
 	}
 	entries := uint64(1)
-	for entries < flows*5/4 {
+	for entries < uint64(flows)*5/4 {
 		entries <<= 1
-	}
-	gauge := func(tbl *Table) uint64 {
-		snap := stats.NewSnapshot()
-		tbl.CollectInto(snap)
-		return snap.Counter("flowserve.bytes")
 	}
 
 	heap0 := heapInuse()
-	tbl := mustNew(t, Config{Shards: 8, Entries: entries, KeyLen: 20})
+	tbl := mustNew(t, Config{Shards: shards, Entries: entries, KeyLen: 20})
 	for i, k := range keys {
 		if err := tbl.Insert(k, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	growth := heapInuse() - heap0
-	perFlow := float64(growth) / flows
-	t.Logf("%d flows in %d slots: heap +%d B (%.2f B/flow), flowserve.bytes %d", flows, entries, growth, perFlow, gauge(tbl))
+	perFlow := float64(growth) / float64(flows)
+	g := gauge(tbl)
+	// 4 B a bucket entry, 24 B a page-table slice header.
+	fixed := uint64(0)
+	for _, sh := range tbl.shards {
+		fixed += 4*uint64(len(sh.entries)) + 24*uint64(len(sh.pages))
+	}
+	slots := uint64(flows) * uint64(tbl.shards[0].kvStride) * 8
+	tail := int64(g) - int64(slots+fixed)
+	t.Logf("%d flows in %d slots: heap +%d B (%.2f B/flow); flowserve.bytes %d = %d of slots + %d of buckets and page tables + %d of unused tail",
+		flows, entries, growth, perFlow, g, slots, fixed, tail)
 	if perFlow > 44 {
 		t.Errorf("heap grew %.2f B per flow, want <= 44", perFlow)
 	}
-	if g := float64(gauge(tbl)); g < 0.95*float64(growth) || g > 1.05*float64(growth) {
-		t.Errorf("flowserve.bytes = %.0f, heap grew %d: more than 5 %% apart", g, growth)
+	if f := float64(g); f < 0.95*float64(growth) || f > 1.05*float64(growth) {
+		t.Errorf("flowserve.bytes = %d, heap grew %d: more than 5 %% apart", g, growth)
+	}
+	if tail < 0 || tail > maxTail {
+		t.Errorf("unused slot tail %d B, want 0..%d (one 8 KiB page per shard)", tail, maxTail)
 	}
 
 	// Enough round trips that every shard's share would cross a page

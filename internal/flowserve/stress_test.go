@@ -234,7 +234,7 @@ func TestLookupLedgerUnderChurn(t *testing.T) {
 
 // TestPublishAcrossPageBoundary races readers against the allocation of
 // slot pages (run it under -race: CI does). One writer inserts fresh keys
-// into a one-shard table, so its slots run in order across nine page
+// into a one-shard table, so its slots run in order across 36 page
 // boundaries, and publishes each key's index once Insert returns. Readers
 // look up the newest published keys, whose slots may sit on a page allocated
 // a moment before; every one must hit with its own value.
@@ -243,7 +243,8 @@ func TestPublishAcrossPageBoundary(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
 	const (
-		n       = 9*pageSlots + 100
+		pages   = 37
+		n       = (pages-1)*pageSlots + 100
 		readers = 2
 		span    = 16
 	)
@@ -296,8 +297,8 @@ func TestPublishAcrossPageBoundary(t *testing.T) {
 			allocated++
 		}
 	}
-	if allocated < 9 {
-		t.Fatalf("%d keys filled %d pages, want >= 9 (8 boundaries crossed)", n, allocated)
+	if allocated < pages {
+		t.Fatalf("%d keys filled %d pages, want %d (%d boundaries crossed)", n, allocated, pages, pages-1)
 	}
 }
 

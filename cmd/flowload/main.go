@@ -183,29 +183,25 @@ func main() {
 	}
 }
 
-// conn is one sweep point's endpoint as the sweep sees it: a flowwire client
-// or the cluster router. Both multiplex their connections, so the workers
-// share the conn as their Reader.
+// conn is one sweep point's endpoint as the sweep sees it: a
+// *flowwire.Client or the *flowcluster.Router. Both multiplex their
+// connections, so the workers share the conn as their Reader.
 type conn interface {
 	flowserve.ReadWriter
 	StatsSnapshot() (*stats.Snapshot, error)
-	// finish reports how many calls a transport failure coerced into a
-	// miss/false, and the first such failure, then closes.
-	finish() (coerced uint64, err error)
+	CollectInto(*stats.Snapshot)
+	Err() error
+	Close() error
 }
 
-type clientConn struct{ *flowwire.Client }
-
-func (c clientConn) finish() (uint64, error) {
-	defer c.Close()
-	return c.Counters().Errors, c.Err()
-}
-
-type routerConn struct{ *flowcluster.Router }
-
-func (r routerConn) finish() (uint64, error) {
-	defer r.Close()
-	return r.Errors(), r.Err()
+// coercedCalls is how many calls a transport failure turned into a miss or a
+// false: flowwire.client.errors for a client, flowcluster.errors for a router
+// (whose per-node clients only start tickets and call the error-returning
+// mutations, which never count in flowwire.client.errors).
+func coercedCalls(c conn) uint64 {
+	snap := stats.NewSnapshot()
+	c.CollectInto(snap)
+	return snap.Counter("flowwire.client.errors") + snap.Counter("flowcluster.errors")
 }
 
 // installPar is how many goroutines install and uninstall a population: a
@@ -273,8 +269,7 @@ func clientTarget(ep flowwire.Endpoint, flows int, connCounts []int) (target, er
 		},
 		prefix: "remote/", counts: connCounts,
 		open: func(n int) (conn, error) {
-			cl, err := flowwire.DialEndpoint(ep, flowwire.Options{Conns: n})
-			return clientConn{cl}, err
+			return flowwire.DialEndpoint(ep, flowwire.Options{Conns: n})
 		},
 	}, nil
 }
@@ -306,8 +301,7 @@ func clusterTarget(eps []flowwire.Endpoint, connCounts []int, migrations int) (t
 		},
 		prefix: "cluster/", counts: connCounts,
 		open: func(n int) (conn, error) {
-			rt, err := flowcluster.New(eps, flowcluster.Options{Client: flowwire.Options{Conns: n}})
-			return routerConn{rt}, err
+			return flowcluster.New(eps, flowcluster.Options{Client: flowwire.Options{Conns: n}})
 		},
 		close: func() error {
 			defer coord.Close()
@@ -419,7 +413,8 @@ func runPoint(cfg sweepConfig, tg target, pop *loadgen.Population, name string, 
 	}
 	pt, metrics, err := servePoint(cfg, tg, pop, c, rate)
 	pop.Uninstall(c, installPar)
-	coerced, cerr := c.finish()
+	coerced, cerr := coercedCalls(c), c.Err()
+	c.Close()
 	switch {
 	case err != nil:
 		return pt, err

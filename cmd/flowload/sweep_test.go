@@ -11,6 +11,8 @@ import (
 	"halo/internal/flowserve"
 	"halo/internal/flowwire"
 	"halo/internal/loadgen"
+	"halo/internal/packet"
+	"halo/internal/stats"
 )
 
 const testFlows = 2_000
@@ -171,6 +173,66 @@ func TestSweepAllTargets(t *testing.T) {
 	err = sweep(cfg, wrapped(targets["client"], func(c conn) conn { return strayConn{c, new(sync.Once), stray} }))
 	if err == nil || !strings.Contains(err.Error(), "lookup ledger off by 1 ") {
 		t.Fatalf("a stray lookup from a second client: err = %v", err)
+	}
+}
+
+// coercingConn publishes, beside its own counters, those of a client that
+// coerced a failed call into a miss.
+type coercingConn struct {
+	conn
+	broken *flowwire.Client
+}
+
+func (c coercingConn) CollectInto(snap *stats.Snapshot) {
+	c.conn.CollectInto(snap)
+	c.broken.CollectInto(snap)
+}
+
+// TestCoercedErrorGate: a lookup on a client whose server has closed counts
+// as one coerced call, and one coerced call fails a point whose lookups,
+// ledger and Err are otherwise clean.
+func TestCoercedErrorGate(t *testing.T) {
+	tbl, err := loadgen.NewTable(testFlows, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := flowwire.NewServer(flowwire.Config{Table: tbl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := flowwire.ListenEndpoint(flowwire.Endpoint{Transport: flowwire.TransportTCP, Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	broken, err := flowwire.DialEndpoint(flowwire.Endpoint{Transport: flowwire.TransportTCP, Addr: ln.Addr().String()}, flowwire.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer broken.Close()
+	srv.Close()
+	if err := <-served; err != flowwire.ErrServerClosed {
+		t.Fatalf("Serve: %v", err)
+	}
+	if _, ok := broken.Lookup(make([]byte, packet.HeaderKeyLen)); ok {
+		t.Fatal("a lookup on a closed server hit")
+	}
+	if got := coercedCalls(broken); got != 1 {
+		t.Fatalf("one lookup on a closed server counted %d coerced calls, want 1", got)
+	}
+
+	tg, err := clientTarget(startNodes(t, 1)[0], testFlows, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sweepConfig{
+		flows: testFlows, mixes: []string{"uniform"}, workers: 2, ops: 2_000,
+		batch: 16, seed: 1, rates: []int{0}, doc: &benchjson.Document{Config: map[string]string{}},
+	}
+	err = sweep(cfg, wrapped(tg, func(c conn) conn { return coercingConn{c, broken} }))
+	if err == nil || !strings.Contains(err.Error(), "1 transport errors were coerced") {
+		t.Fatalf("a point with one coerced call: err = %v", err)
 	}
 }
 

@@ -6,7 +6,8 @@
 // versioned length-prefixed frames; the server coalesces pipelined lookup
 // frames into shard-grouped batch lookups. The wire protocol and runtime
 // are identical on every transport: one goroutine per connection reads a
-// burst of frames, serves it and writes the replies.
+// burst of frames, serves it and writes the replies. The startup line on
+// stderr names the bound address, so a port of 0 can be read back from it.
 //
 // Usage:
 //
@@ -15,6 +16,7 @@
 //	flowserved -endpoint unix:///tmp/fs.sock      # unix-domain socket
 //	flowserved -endpoint shm:///tmp/fs.sock       # shared-memory rings
 //	flowserved -entries 2000000                   # bigger table
+//	flowserved -endpoint tcp://127.0.0.1:0        # any free port, named on stderr
 //
 // Cluster mode makes the node one shard server of a cluster: -cluster names
 // the full bootstrap node set (endpoints, comma-separated) and -endpoint
@@ -100,25 +102,24 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 
-	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServeEndpoint(ep) }()
-
-	// ListenAndServeEndpoint binds synchronously before accepting, but we
-	// learn the address only through srv.Addr; poll briefly so the startup
-	// line carries the resolved port (useful with -endpoint tcp://:0).
-	for i := 0; i < 100 && srv.Addr() == nil; i++ {
-		time.Sleep(time.Millisecond)
+	// Bind before serving, so the startup line carries the resolved address
+	// (the port the kernel picked for -endpoint tcp://127.0.0.1:0).
+	ln, err := flowwire.ListenEndpoint(ep)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	mode := ""
 	if len(clusterEps) > 0 {
 		mode = fmt.Sprintf(" cluster=%d-node", len(clusterEps))
 	}
 	fmt.Fprintf(os.Stderr, "flowserved: serving on %s://%s (shards=%d entries=%d keylen=%d%s)\n",
-		ep.Transport, srv.Addr(), tbl.Shards(), tbl.Capacity(), tbl.KeyLen(), mode)
+		ep.Transport, ln.Addr(), tbl.Shards(), tbl.Capacity(), tbl.KeyLen(), mode)
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
 
 	select {
 	case err := <-done:
-		// Serve failed on its own (bind error, listener torn down).
+		// Serve failed on its own (the listener was torn down).
 		if err != nil && err != flowwire.ErrServerClosed {
 			fatalf("%v", err)
 		}

@@ -14,9 +14,11 @@ import (
 	"testing"
 )
 
-// TestInternalExportsHaveReaders fails when an exported top-level name in
-// internal/ is read by no non-test file of the repository: the internal API
-// carries what its programs use and nothing for tests alone. Methods are
+// TestInternalExportsHaveReaders fails when a top-level name in internal/ is
+// read by no non-test file of the repository: the internal API carries what
+// its programs use and nothing for tests alone. The first pass checks
+// exported names, the second unexported ones; the second lets the zero value
+// of an iota enum through (deleting it would renumber the rest). Methods are
 // not checked.
 func TestInternalExportsHaveReaders(t *testing.T) {
 	decls, unread := unreadExports(t, ".")
@@ -25,16 +27,17 @@ func TestInternalExportsHaveReaders(t *testing.T) {
 		t.Fatalf("parsed %d exported declarations in internal/, want at least 400", decls)
 	}
 	for _, u := range unread {
-		t.Errorf("exported but read by no non-test file: %s", u)
+		t.Errorf("read by no non-test file: %s", u)
 	}
 }
 
 // TestUnreadExportsFixture runs the scanner over a small tree whose one
-// package declares a name read in its own package, one read through an
-// import, and one read only by a test.
+// package declares an exported name read in its own package, one read
+// through an import and one read only by a test, an unexported name read
+// only by a test, and an iota enum whose zero value nothing reads.
 func TestUnreadExportsFixture(t *testing.T) {
 	decls, unread := unreadExports(t, filepath.Join("testdata", "exports"))
-	want := []string{"lonely.Unread internal/lonely/lonely.go:10"}
+	want := []string{"lonely.Unread internal/lonely/lonely.go:10", "lonely.testOnly internal/lonely/lonely.go:25"}
 	if decls != 3 || !slices.Equal(unread, want) {
 		t.Fatalf("fixture: %d declarations, unread %q; want 3, %q", decls, unread, want)
 	}
@@ -42,9 +45,10 @@ func TestUnreadExportsFixture(t *testing.T) {
 
 // unreadExports parses every non-test .go file under root, skipping
 // dot-directories and testdata/, and returns how many exported top-level
-// names root/internal declares and, as "package.Name file:line", those no
-// non-test file reads: as pkg.Name through an import of the declaring
-// package, or as Name inside that package.
+// names root/internal declares and, as "package.Name file:line", the
+// top-level names there that no non-test file reads: as pkg.Name through an
+// import of the declaring package, or as Name inside that package. Exported
+// names come first, then unexported ones.
 func unreadExports(t *testing.T, root string) (int, []string) {
 	t.Helper()
 	type decl struct {
@@ -85,7 +89,7 @@ func unreadExports(t *testing.T, root string) (int, []string) {
 		t.Fatal(err)
 	}
 
-	var decls []decl
+	var decls, hidden []decl       // exported, unexported
 	pkgName := map[string]string{} // import path → package name, for internal/
 	for _, f := range files {
 		if !strings.HasPrefix(f.dir, "halo/internal/") {
@@ -93,8 +97,11 @@ func unreadExports(t *testing.T, root string) (int, []string) {
 		}
 		pkgName[f.dir] = f.ast.Name.Name
 		add := func(id *ast.Ident) {
-			if id.IsExported() {
+			switch {
+			case id.IsExported():
 				decls = append(decls, decl{f.dir, id.Name, id})
+			case id.Name != "_" && id.Name != "init":
+				hidden = append(hidden, decl{f.dir, id.Name, id})
 			}
 		}
 		for _, d := range f.ast.Decls {
@@ -104,12 +111,15 @@ func unreadExports(t *testing.T, root string) (int, []string) {
 					add(d.Name)
 				}
 			case *ast.GenDecl:
-				for _, s := range d.Specs {
+				for i, s := range d.Specs {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
 						add(s.Name)
 					case *ast.ValueSpec:
 						for _, id := range s.Names {
+							if i == 0 && d.Tok == token.CONST && !id.IsExported() && mentionsIota(s) {
+								continue // an enum's zero value
+							}
 							add(id)
 						}
 					}
@@ -119,7 +129,7 @@ func unreadExports(t *testing.T, root string) (int, []string) {
 	}
 
 	isDecl := map[*ast.Ident]bool{}
-	for _, d := range decls {
+	for _, d := range append(decls, hidden...) {
 		isDecl[d.id] = true
 	}
 	read := map[[2]string]bool{} // {import path, name}
@@ -173,7 +183,7 @@ func unreadExports(t *testing.T, root string) (int, []string) {
 	}
 
 	var unread []string
-	for _, d := range decls {
+	for _, d := range append(decls, hidden...) {
 		if !read[[2]string{d.pkg, d.name}] {
 			pos := fset.Position(d.id.Pos())
 			rel, _ := filepath.Rel(root, pos.Filename)
@@ -181,4 +191,18 @@ func unreadExports(t *testing.T, root string) (int, []string) {
 		}
 	}
 	return len(decls), unread
+}
+
+// mentionsIota reports whether a const spec's values use iota.
+func mentionsIota(s *ast.ValueSpec) bool {
+	found := false
+	for _, v := range s.Values {
+		ast.Inspect(v, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name == "iota" {
+				found = true
+			}
+			return !found
+		})
+	}
+	return found
 }

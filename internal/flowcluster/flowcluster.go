@@ -236,9 +236,6 @@ func (r *Router) CollectInto(snap *stats.Snapshot) {
 	}
 }
 
-// Errors returns the router-level error count (flowload's coerced-error gate).
-func (r *Router) Errors() uint64 { return r.c.errors.Load() }
-
 // StatsSnapshot aggregates every node's typed stats plus the router's own
 // counters into one cluster rollup — per-node and cluster-level aggregation
 // share the stats.Snapshot.Merge code path.

@@ -30,12 +30,13 @@ func tkey(i uint64) []byte {
 // full endpoint set before its server starts.
 func startCluster(t testing.TB, n int) ([]flowwire.Endpoint, []*flowserve.Table) {
 	t.Helper()
-	eps, tbls, _ := startClusterServers(t, n)
+	eps, tbls, _ := startClusterServers(t, n, nil)
 	return eps, tbls
 }
 
-// startClusterServers is startCluster for the tests that also stop a node.
-func startClusterServers(t testing.TB, n int) ([]flowwire.Endpoint, []*flowserve.Table, []*flowwire.Server) {
+// startClusterServers is startCluster for the tests that also stop a node or
+// see its frames: wrap, if not nil, wraps every node's listener.
+func startClusterServers(t testing.TB, n int, wrap func(net.Listener) net.Listener) ([]flowwire.Endpoint, []*flowserve.Table, []*flowwire.Server) {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	eps := make([]flowwire.Endpoint, n)
@@ -62,6 +63,9 @@ func startClusterServers(t testing.TB, n int) ([]flowwire.Endpoint, []*flowserve
 		srvs[i] = srv
 		serveErr := make(chan error, 1)
 		ln := lns[i]
+		if wrap != nil {
+			ln = wrap(ln)
+		}
 		go func() { serveErr <- srv.Serve(ln) }()
 		t.Cleanup(func() {
 			srv.Close()
@@ -167,7 +171,7 @@ func TestClusterBasic(t *testing.T) {
 		t.Fatalf("hits = %d want %d; tail = %+v %+v", hits, wantHits, results[510], results[511])
 	}
 
-	if errs := r.Errors(); errs != 0 {
+	if errs := r.c.errors.Load(); errs != 0 {
 		t.Fatalf("router errors = %d", errs)
 	}
 
@@ -322,10 +326,10 @@ func TestClusterMigrationUnderLoad(t *testing.T) {
 			t.Fatalf("key %d = %#x, want %#x", i, v, want)
 		}
 	}
-	if errs := loadR.Errors(); errs != 0 {
+	if errs := loadR.c.errors.Load(); errs != 0 {
 		t.Fatalf("load router errors = %d", errs)
 	}
-	if errs := r.Errors(); errs != 0 {
+	if errs := r.c.errors.Load(); errs != 0 {
 		t.Fatalf("coordinator router errors = %d", errs)
 	}
 }
@@ -426,7 +430,7 @@ func TestClusterPropertyVsOracle(t *testing.T) {
 					return
 				}
 			}
-			if errs := wr.Errors(); errs != 0 {
+			if errs := wr.c.errors.Load(); errs != 0 {
 				fail("router errors = %d", errs)
 			}
 		}(w)
@@ -581,9 +585,9 @@ func checkCoercedFailures(t *testing.T, r *Router, keys [][][]byte, value map[st
 	t.Helper()
 	grew := func(what string, by uint64, op func()) {
 		t.Helper()
-		before := r.Errors()
+		before := r.c.errors.Load()
 		op()
-		if got := r.Errors() - before; got != by {
+		if got := r.c.errors.Load() - before; got != by {
 			t.Errorf("%s added %d to Errors(), want %d", what, got, by)
 		}
 	}
@@ -653,7 +657,7 @@ func checkCoercedFailures(t *testing.T, r *Router, keys [][][]byte, value map[st
 // dialed or could never be dialed at all.
 func TestRouterCountsCoercedFailures(t *testing.T) {
 	t.Run("node-stopped", func(t *testing.T) {
-		eps, _, srvs := startClusterServers(t, 3)
+		eps, _, srvs := startClusterServers(t, 3, nil)
 		r := dialRouter(t, eps)
 		keys, value := ownedKeys(t, r, 4)
 		srvs[1].Close()
@@ -678,7 +682,7 @@ func TestRouterCountsCoercedFailures(t *testing.T) {
 	// keys, the third node's keys are answered in the same call, and every
 	// owner still counts as one sub-batch.
 	t.Run("one-stopped-one-undialable", func(t *testing.T) {
-		eps, _, srvs := startClusterServers(t, 3)
+		eps, _, srvs := startClusterServers(t, 3, nil)
 		r := dialRouter(t, eps)
 		keys, value := ownedKeys(t, r, 4)
 		srvs[1].Close()
@@ -686,7 +690,7 @@ func TestRouterCountsCoercedFailures(t *testing.T) {
 
 		batch := spreadBatch(keys)
 		results := make([]flowserve.Result, len(batch))
-		errs, subs := r.Errors(), r.c.subBatches.Load()
+		errs, subs := r.c.errors.Load(), r.c.subBatches.Load()
 		for call := 1; call <= 2; call++ {
 			if hits := r.LookupMany(batch, results); hits != len(keys[0]) {
 				t.Fatalf("call %d: %d hits, want node 0's %d", call, hits, len(keys[0]))
@@ -700,7 +704,7 @@ func TestRouterCountsCoercedFailures(t *testing.T) {
 					t.Errorf("call %d: results[%d] (owner %d) = %+v, want %+v", call, i, r.Map().OwnerOfKey(k), results[i], want)
 				}
 			}
-			if got, want := r.Errors()-errs, uint64(call*(len(keys[1])+len(keys[2]))); got != want {
+			if got, want := r.c.errors.Load()-errs, uint64(call*(len(keys[1])+len(keys[2]))); got != want {
 				t.Errorf("call %d: Errors() grew by %d, want %d", call, got, want)
 			}
 			if got, want := r.c.subBatches.Load()-subs, uint64(3*call); got != want {
@@ -875,7 +879,7 @@ func TestRouterSteadyStateAllocs(t *testing.T) {
 			t.Errorf("Router.%s allocates %.2f times per op on the no-redirect path, want 0", o.name, allocs)
 		}
 	}
-	if errs := r.Errors(); errs != 0 {
+	if errs := r.c.errors.Load(); errs != 0 {
 		t.Fatalf("router errors = %d", errs)
 	}
 	// 64 warm-up calls, AllocsPerRun's own warm-up call and its 300 runs: one
@@ -904,8 +908,12 @@ func TestRouterLookupManyHandsNothingOff(t *testing.T) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for ep, cl := range r.clients {
-		if c := cl.Counters(); c != (flowwire.ClientCounters{}) {
-			t.Errorf("node %s client counters = %+v, want zeroes", ep, c)
+		snap := stats.NewSnapshot()
+		cl.CollectInto(snap)
+		for _, name := range snap.Names() {
+			if v := snap.Counter(name); v != 0 {
+				t.Errorf("node %s client counter %s = %d, want 0", ep, name, v)
+			}
 		}
 	}
 }
@@ -926,7 +934,117 @@ func BenchmarkRouterLookupMany(b *testing.B) {
 			b.Fatalf("hits = %d", hits)
 		}
 	}
-	if errs := r.Errors(); errs != 0 {
+	if errs := r.c.errors.Load(); errs != 0 {
 		b.Fatalf("router errors = %d", errs)
+	}
+}
+
+// migApplyCutter is a listener whose connections close the moment a
+// MIG_APPLY frame starts to arrive, before the server reads any of it: the
+// gaining node of a migration dies mid-stream.
+type migApplyCutter struct{ net.Listener }
+
+func (l migApplyCutter) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &cutConn{Conn: nc}, nil
+}
+
+// cutConn walks the frames of the stream it reads: hdr collects the next
+// frame's length prefix, version and op, skip counts the bytes left of the
+// current frame.
+type cutConn struct {
+	net.Conn
+	hdr  []byte
+	skip int
+}
+
+func (c *cutConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	for _, b := range p[:n] {
+		if c.skip > 0 {
+			c.skip--
+			continue
+		}
+		if c.hdr = append(c.hdr, b); len(c.hdr) < 6 {
+			continue
+		}
+		if flowwire.Op(c.hdr[5]) == flowwire.OpMigApply {
+			c.Conn.Close()
+			return 0, net.ErrClosed
+		}
+		c.skip = int(binary.LittleEndian.Uint32(c.hdr)) - 2
+		c.hdr = c.hdr[:0]
+	}
+	return n, err
+}
+
+// TestMoveRangeAbortsWhenTheGainingNodeDies runs the migration abort: the
+// gaining node hangs up on the first MIG_APPLY, so the losing node's sender
+// fails and disarms the migration. MoveRange must fail, the losing node must
+// count one failed migration, the range must stay where it was at the old
+// epoch on every node, and no key may be lost.
+func TestMoveRangeAbortsWhenTheGainingNodeDies(t *testing.T) {
+	eps, _, srvs := startClusterServers(t, 2, func(ln net.Listener) net.Listener { return migApplyCutter{ln} })
+	r := dialRouter(t, eps)
+	oracle := make(map[uint64]uint64)
+	for i := uint64(0); i < 500; i++ {
+		if err := r.Insert(tkey(i), i+1); err != nil {
+			t.Fatal(err)
+		}
+		oracle[i] = i + 1
+	}
+	m := r.Map()
+	rg := splitRange(m, 0)
+	src, _ := m.RangeOwner(rg)
+	if _, err := r.MoveRange(rg, 1-src, 10*time.Second); err == nil {
+		t.Fatal("MoveRange succeeded with the gaining node refusing every MIG_APPLY")
+	}
+
+	counter := func(node int, name string) uint64 {
+		snap := stats.NewSnapshot()
+		srvs[node].CollectInto(snap)
+		return snap.Counter(name)
+	}
+	for deadline := time.Now().Add(10 * time.Second); counter(src, "flowwire.cluster.migs_failed") == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the losing node never counted the failed migration")
+		}
+	}
+	if got := counter(src, "flowwire.cluster.migs_failed"); got != 1 {
+		t.Fatalf("migs_failed = %d, want 1", got)
+	}
+	for node := range eps {
+		if done, epoch := counter(node, "flowwire.cluster.migs_done"), counter(node, "flowwire.cluster.epoch"); done != 0 || epoch != 1 {
+			t.Fatalf("node %d: migs_done %d, epoch %d after the abort, want 0 and 1", node, done, epoch)
+		}
+		r.mu.Lock()
+		cl := r.clients[eps[node]]
+		r.mu.Unlock()
+		nm, err := cl.FetchShardMap()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owner, ok := nm.RangeOwner(rg); !ok || owner != src || nm.Epoch != 1 {
+			t.Fatalf("node %d's map gives %s to node %d (whole: %v) at epoch %d, want node %d at 1", node, rg, owner, ok, nm.Epoch, src)
+		}
+	}
+
+	// The disarmed range takes writes again, and every key reads back.
+	for i := uint64(0); i < 500; i += 5 {
+		if !r.Update(tkey(i), i+1000) {
+			t.Fatalf("Update(%d) after the abort missed", i)
+		}
+		oracle[i] = i + 1000
+	}
+	for i, want := range oracle {
+		if v, ok := r.Lookup(tkey(i)); !ok || v != want {
+			t.Fatalf("Lookup(%d) = %d,%v after the abort, want %d", i, v, ok, want)
+		}
+	}
+	if errs := r.c.errors.Load(); errs != 0 {
+		t.Fatalf("router errors = %d", errs)
 	}
 }

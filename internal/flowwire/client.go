@@ -82,7 +82,7 @@ func (o *Options) applyDefaults() error {
 // interfaces have error-free read signatures, so transport failures are
 // coerced into misses — these counters make that coercion observable: a
 // load driver that sees hits drop can tell a cold table from a broken
-// client (flowload fails a sweep point on a nonzero error delta).
+// client (flowload fails a sweep point on a nonzero flowwire.client.errors).
 type clientCounters struct {
 	errors      atomic.Uint64 // calls coerced into a miss/false by a failure
 	timeouts    atomic.Uint64 // calls that hit CallTimeout
@@ -99,7 +99,7 @@ type clientCounters struct {
 // are sticky: the first one breaks the client, every later call fails fast,
 // and Err reports the cause. Lookups on a broken client return misses, mirroring the
 // interface's error-free read signatures — and every such coercion is
-// counted (Counters, CollectInto), so callers can gate on the delta.
+// counted (CollectInto), so callers can gate on the delta.
 type Client struct {
 	opts  Options
 	hello HelloInfo
@@ -214,26 +214,6 @@ func (cl *Client) Err() error {
 		return e
 	}
 	return nil
-}
-
-// ClientCounters is a snapshot of the client-side counters.
-type ClientCounters struct {
-	Errors      uint64 // calls coerced into a miss/false by a failure
-	Timeouts    uint64 // calls that hit CallTimeout
-	LateReplies uint64 // replies discarded with no caller waiting
-	Handoffs    uint64 // replies a caller got from another caller's read: one wake-up each
-}
-
-// Counters snapshots the client-side counters. In a healthy run every field
-// but Handoffs is zero; flowload surfaces the delta per sweep point and
-// fails the point on nonzero Errors.
-func (cl *Client) Counters() ClientCounters {
-	return ClientCounters{
-		Errors:      cl.c.errors.Load(),
-		Timeouts:    cl.c.timeouts.Load(),
-		LateReplies: cl.c.lateReplies.Load(),
-		Handoffs:    cl.c.handoffs.Load(),
-	}
 }
 
 // CollectInto publishes the client-side counters under flowwire.client.*.

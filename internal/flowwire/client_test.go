@@ -135,6 +135,16 @@ func lookupManyReply(req *Frame) []byte {
 	return AppendFrame(nil, &Frame{Op: OpLookupMany, ReqID: req.ReqID, Payload: p})
 }
 
+// clientCounts is a client's counters as CollectInto publishes them.
+type clientCounts struct{ errors, timeouts, lateReplies, handoffs uint64 }
+
+func countsOf(cl *Client) clientCounts {
+	snap := stats.NewSnapshot()
+	cl.CollectInto(snap)
+	n := func(name string) uint64 { return snap.Counter("flowwire.client." + name) }
+	return clientCounts{n("errors"), n("timeouts"), n("late_replies"), n("handoffs")}
+}
+
 // lookupE is Client.Lookup with the error surfaced: a one-key ticket started
 // and waited at once.
 func lookupE(cl *Client, key []byte) (uint64, bool, error) {
@@ -206,8 +216,8 @@ func TestLateReplyAfterTimeout(t *testing.T) {
 			defer cl.Close()
 
 			first.timeOut(t, cl)
-			c := cl.Counters()
-			if c.Timeouts != 1 || c.Errors != first.wantErrors {
+			c := countsOf(cl)
+			if c.timeouts != 1 || c.errors != first.wantErrors {
 				t.Fatalf("counters after timeout = %+v, want 1 timeout, %d errors", c, first.wantErrors)
 			}
 			if err := cl.Err(); err != nil {
@@ -225,14 +235,14 @@ func TestLateReplyAfterTimeout(t *testing.T) {
 			// until the next call's reader finds it ahead of its own reply, and
 			// is discarded there — counted, not fatal.
 			waitFor(t, "the late reply to be written", func() bool { return written.Load() == 2 })
-			if c := cl.Counters(); c.LateReplies != 0 {
-				t.Fatalf("late_replies = %d with no call made since the reply landed", c.LateReplies)
+			if c := countsOf(cl); c.lateReplies != 0 {
+				t.Fatalf("late_replies = %d with no call made since the reply landed", c.lateReplies)
 			}
 			if v, ok := cl.Lookup(wkey(0x33)); !ok || v != 0x33 {
 				t.Fatalf("lookup draining the late reply = (%#x,%v)", v, ok)
 			}
-			if c := cl.Counters(); c.LateReplies != 1 {
-				t.Fatalf("late_replies = %d after the third lookup drained the stream, want 1", c.LateReplies)
+			if c := countsOf(cl); c.lateReplies != 1 {
+				t.Fatalf("late_replies = %d after the third lookup drained the stream, want 1", c.lateReplies)
 			}
 			if err := cl.Err(); err != nil {
 				t.Fatalf("late reply broke the client: %v", err)
@@ -281,7 +291,7 @@ func TestTicketsWaitedOutOfOrder(t *testing.T) {
 			}
 		}
 	}
-	if c := cl.Counters(); c != (ClientCounters{}) {
+	if c := countsOf(cl); c != (clientCounts{}) {
 		t.Fatalf("counters = %+v, want zeroes", c)
 	}
 	if n := pendingCalls(cl.conns[0]); n != 0 {
@@ -371,8 +381,8 @@ func TestTimeoutInsideAFrameBreaksTheConnection(t *testing.T) {
 	if err2 := lt2.Wait(res, nil); err2 != err {
 		t.Fatalf("Wait on the other pending ticket = %v, want %v", err2, err)
 	}
-	if c := cl.Counters(); c.Timeouts != 0 {
-		t.Errorf("a torn stream was counted as %d per-call timeouts", c.Timeouts)
+	if c := countsOf(cl); c.timeouts != 0 {
+		t.Errorf("a torn stream was counted as %d per-call timeouts", c.timeouts)
 	}
 	assertConnDead(t, cl)
 }
@@ -430,7 +440,7 @@ func TestFollowerTimesOutWhileAnotherCallerReads(t *testing.T) {
 	if o := <-doneB; o.err != nil || o.res != (flowserve.Result{Value: 0xB2, OK: true}) {
 		t.Fatalf("reader's Wait = (%+v, %v), want its own value 0xb2", o.res, o.err)
 	}
-	if c := cl.Counters(); c.Timeouts != 1 || c.LateReplies != 0 || c.Handoffs != 0 {
+	if c := countsOf(cl); c.timeouts != 1 || c.lateReplies != 0 || c.handoffs != 0 {
 		t.Fatalf("counters = %+v, want exactly one timeout", c)
 	}
 
@@ -441,8 +451,8 @@ func TestFollowerTimesOutWhileAnotherCallerReads(t *testing.T) {
 	if err := ltC.Wait(res, nil); err != nil || res[0].Value != 0xC3 {
 		t.Fatalf("Wait after the timeout = (%+v, %v), want value 0xc3", res[0], err)
 	}
-	if c := cl.Counters(); c.LateReplies != 1 {
-		t.Fatalf("late_replies = %d after the late reply was drained, want 1", c.LateReplies)
+	if c := countsOf(cl); c.lateReplies != 1 {
+		t.Fatalf("late_replies = %d after the late reply was drained, want 1", c.lateReplies)
 	}
 	if err := cl.Err(); err != nil {
 		t.Fatalf("a follower's timeout broke the client: %v", err)
@@ -466,7 +476,7 @@ func TestHandoffsCounted(t *testing.T) {
 			t.Fatalf("lookup %d = (%d,%v)", i, v, ok)
 		}
 	}
-	if c := solo.Counters(); c != (ClientCounters{}) {
+	if c := countsOf(solo); c != (clientCounts{}) {
 		t.Fatalf("counters after 1000 calls from one goroutine = %+v, want zeroes", c)
 	}
 
@@ -486,7 +496,7 @@ func TestHandoffsCounted(t *testing.T) {
 	if o := <-doneB; o.err != nil || o.res.Value != 0xB2 {
 		t.Fatalf("reader's Wait = (%+v, %v), want its own value 0xb2", o.res, o.err)
 	}
-	if c := cl.Counters(); c != (ClientCounters{Handoffs: 1}) {
+	if c := countsOf(cl); c != (clientCounts{handoffs: 1}) {
 		t.Fatalf("counters = %+v, want exactly one hand-off", c)
 	}
 	snap := stats.NewSnapshot()
@@ -609,11 +619,11 @@ func TestCallersShareOneConnectionUnderTimeouts(t *testing.T) {
 	if v, ok := cl.Lookup(wkey(0x77)); !ok || v != 0x77 {
 		t.Fatalf("draining lookup = (%#x,%v)", v, ok)
 	}
-	c := cl.Counters()
-	if c.Timeouts != c.LateReplies || c.Errors != 0 {
+	c := countsOf(cl)
+	if c.timeouts != c.lateReplies || c.errors != 0 {
 		t.Fatalf("counters = %+v, want every timeout matched by its late reply and no errors", c)
 	}
-	if c.Timeouts == 0 {
+	if c.timeouts == 0 {
 		t.Error("no call timed out: the run exercised nothing")
 	}
 	if err := cl.Err(); err != nil {
@@ -693,7 +703,7 @@ func TestStartRefusedBeforeTheConnection(t *testing.T) {
 		if err := cl.Err(); err != nil {
 			t.Fatalf("refusing %s broke the client: %v", tc.name, err)
 		}
-		if c := cl.Counters(); c != (ClientCounters{}) {
+		if c := countsOf(cl); c != (clientCounts{}) {
 			t.Fatalf("counters after refusing %s = %+v, want zeroes", tc.name, c)
 		}
 		if v, ok := cl.Lookup(wkey(1)); !ok || v != 11 {
@@ -897,7 +907,7 @@ func TestWriteErrorMarksConnDead(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
 		t.Fatalf("dead-conn call took %v, want fast failure", elapsed)
 	}
-	if cl.Counters().Errors == 0 {
+	if countsOf(cl).errors == 0 {
 		t.Fatal("coerced failures were not counted")
 	}
 	var ne net.Error
@@ -927,7 +937,7 @@ func TestWriteDeadlineClearedBetweenCalls(t *testing.T) {
 	if err := cl.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if c := cl.Counters(); c.Errors != 0 {
+	if c := countsOf(cl); c.errors != 0 {
 		t.Fatalf("idle gaps between calls produced errors: %+v", c)
 	}
 }
@@ -945,7 +955,7 @@ func TestClientErrorCounterOnServerGone(t *testing.T) {
 	if v, ok := cl.Lookup(wkey(1)); !ok || v != 11 {
 		t.Fatalf("warmup lookup = (%d,%v)", v, ok)
 	}
-	if c := cl.Counters(); c.Errors != 0 {
+	if c := countsOf(cl); c.errors != 0 {
 		t.Fatalf("healthy run counted errors: %+v", c)
 	}
 
@@ -954,7 +964,7 @@ func TestClientErrorCounterOnServerGone(t *testing.T) {
 	keys := [][]byte{wkey(1), wkey(2)}
 	results := make([]flowserve.Result, 2)
 	deadline := time.Now().Add(5 * time.Second)
-	for cl.Counters().Errors == 0 {
+	for countsOf(cl).errors == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no coerced failure was ever counted")
 		}
@@ -962,14 +972,14 @@ func TestClientErrorCounterOnServerGone(t *testing.T) {
 			t.Fatalf("hits after server close = %d", hits)
 		}
 	}
-	before := cl.Counters().Errors
+	before := countsOf(cl).errors
 	if _, ok := cl.Lookup(wkey(1)); ok {
 		t.Fatal("hit after server close")
 	}
 	if cl.Update(wkey(1), 2) || cl.Delete(wkey(1)) {
 		t.Fatal("mutation succeeded after server close")
 	}
-	if got := cl.Counters().Errors; got < before+3 {
+	if got := countsOf(cl).errors; got < before+3 {
 		t.Fatalf("errors after coerced lookup+update+delete = %d, want >= %d", got, before+3)
 	}
 	if err := cl.Err(); err == nil {
@@ -1007,7 +1017,7 @@ func TestOversizedRequestRefusedLocally(t *testing.T) {
 	if v, ok := cl.Lookup(wkey(1)); !ok || v != 11 {
 		t.Fatalf("Lookup after the refusal = (%d,%v), want (11,true)", v, ok)
 	}
-	if c := cl.Counters(); c.LateReplies != 0 || c.Errors != 1 {
+	if c := countsOf(cl); c.lateReplies != 0 || c.errors != 1 {
 		t.Fatalf("counters after the refusal = %+v, want one error and no late replies", c)
 	}
 }

@@ -45,10 +45,10 @@ func TestStandaloneServerRefusesMigApply(t *testing.T) {
 	}
 }
 
-// TestGainingSidePurgeIsCounted: the purge a migration sends first clears
-// the gaining node's leftovers of an earlier attempt, and those removals
-// land in flowwire.cluster.purged_keys like the losing side's.
-func TestGainingSidePurgeIsCounted(t *testing.T) {
+// startClusterNode serves a fresh table on tcp loopback as the one node of
+// a cluster.
+func startClusterNode(t *testing.T) (*Server, *flowserve.Table, Endpoint) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -70,6 +70,14 @@ func TestGainingSidePurgeIsCounted(t *testing.T) {
 			t.Errorf("Serve: %v", err)
 		}
 	})
+	return srv, tbl, ep
+}
+
+// TestGainingSidePurgeIsCounted: the purge a migration sends first clears
+// the gaining node's leftovers of an earlier attempt, and those removals
+// land in flowwire.cluster.purged_keys like the losing side's.
+func TestGainingSidePurgeIsCounted(t *testing.T) {
+	srv, tbl, ep := startClusterNode(t)
 
 	const total, lo, hi = 300, 1 << 62, 3 << 62
 	fillTable(t, tbl, total)

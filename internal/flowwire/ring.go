@@ -22,29 +22,27 @@ import (
 //	offset  size     field
 //	0       4        magic  ("HALO")
 //	4       4        layout version
-//	8       4        request-ring data bytes (power of two)
-//	12      4        reply-ring data bytes (power of two)
+//	8       4        ring data bytes, each direction (power of two)
 //	64      8        request ring: tail  — bytes produced (client writes)
 //	128     8        request ring: head  — bytes consumed (server writes)
 //	192     4        request ring: consumer-waiting flag (server parks)
 //	256     4        request ring: producer-waiting flag (client parks)
 //	320..   —        reply ring: same four words, roles swapped
-//	4096    reqSize  request ring data (client → server)
-//	4096+reqSize     reply ring data (server → client)
+//	4096    size     request ring data (client → server)
+//	4096+size        reply ring data (server → client)
 //
 // Every control word sits on its own 64-byte line so the producer's tail
 // and the consumer's head never false-share, and the waiting flags (which
 // the peer swaps) don't bounce the cursor lines.
 const (
 	shmMagic     = 0x4f4c4148 // "HALO" little-endian
-	shmLayoutVer = 1
+	shmLayoutVer = 2
 
 	segHdrSize = 4096
 
-	offMagic   = 0
-	offVersion = 4
-	offReqSize = 8
-	offRepSize = 12
+	offMagic    = 0
+	offVersion  = 4
+	offRingSize = 8
 
 	offReqTail = 64
 	offReqHead = 128
@@ -58,7 +56,7 @@ const (
 
 	// Ring geometry bounds. The lower bound keeps the wrap arithmetic and
 	// tests honest (tiny rings are exercised deliberately); the upper bound
-	// stops a hostile handshake from asking a client to map gigabytes.
+	// stops a hostile segment file from making a client map gigabytes.
 	minShmRingBytes = 64
 	maxShmRingBytes = 1 << 30
 )
@@ -184,32 +182,30 @@ type shmSegment struct {
 	rep spscRing // server → client
 }
 
-// segmentSize is the file size a segment with the given ring geometry needs.
-func segmentSize(reqSize, repSize uint32) int {
-	return segHdrSize + int(reqSize) + int(repSize)
+// segmentSize is the file size a segment with the given ring size needs.
+func segmentSize(ringBytes uint32) int {
+	return segHdrSize + 2*int(ringBytes)
 }
 
 // initSegment stamps a freshly created (zeroed) mapping with the layout
 // header and returns the bound view. Server-side, before the handshake.
-func initSegment(mem []byte, reqSize, repSize uint32) (*shmSegment, error) {
-	if err := checkRingBytes(reqSize); err != nil {
+func initSegment(mem []byte, ringBytes uint32) (*shmSegment, error) {
+	if err := checkRingBytes(ringBytes); err != nil {
 		return nil, err
 	}
-	if err := checkRingBytes(repSize); err != nil {
-		return nil, err
+	if len(mem) != segmentSize(ringBytes) {
+		return nil, fmt.Errorf("%w: mapping is %d bytes, want %d", errBadSegment, len(mem), segmentSize(ringBytes))
 	}
-	if len(mem) != segmentSize(reqSize, repSize) {
-		return nil, fmt.Errorf("%w: mapping is %d bytes, want %d", errBadSegment, len(mem), segmentSize(reqSize, repSize))
-	}
-	u32at(mem, offReqSize).Store(reqSize)
-	u32at(mem, offRepSize).Store(repSize)
+	u32at(mem, offRingSize).Store(ringBytes)
 	u32at(mem, offVersion).Store(shmLayoutVer)
 	u32at(mem, offMagic).Store(shmMagic)
-	return bindSegment(mem, reqSize, repSize), nil
+	return bindSegment(mem, ringBytes), nil
 }
 
 // attachSegment validates a mapping created by a peer's initSegment and
 // returns the bound view. Client-side, after the handshake named the file.
+// The header is the one statement of the geometry: the handshake carries
+// none.
 func attachSegment(mem []byte) (*shmSegment, error) {
 	if len(mem) < segHdrSize {
 		return nil, fmt.Errorf("%w: mapping is %d bytes, smaller than the control page", errBadSegment, len(mem))
@@ -220,23 +216,19 @@ func attachSegment(mem []byte) (*shmSegment, error) {
 	if v := u32at(mem, offVersion).Load(); v != shmLayoutVer {
 		return nil, fmt.Errorf("%w: layout version %d, want %d", errBadSegment, v, shmLayoutVer)
 	}
-	reqSize := u32at(mem, offReqSize).Load()
-	repSize := u32at(mem, offRepSize).Load()
-	if err := checkRingBytes(reqSize); err != nil {
+	ringBytes := u32at(mem, offRingSize).Load()
+	if err := checkRingBytes(ringBytes); err != nil {
 		return nil, err
 	}
-	if err := checkRingBytes(repSize); err != nil {
-		return nil, err
+	if len(mem) != segmentSize(ringBytes) {
+		return nil, fmt.Errorf("%w: mapping is %d bytes, header claims %d", errBadSegment, len(mem), segmentSize(ringBytes))
 	}
-	if len(mem) != segmentSize(reqSize, repSize) {
-		return nil, fmt.Errorf("%w: mapping is %d bytes, header claims %d", errBadSegment, len(mem), segmentSize(reqSize, repSize))
-	}
-	return bindSegment(mem, reqSize, repSize), nil
+	return bindSegment(mem, ringBytes), nil
 }
 
-func bindSegment(mem []byte, reqSize, repSize uint32) *shmSegment {
-	reqData := mem[segHdrSize : segHdrSize+int(reqSize)]
-	repData := mem[segHdrSize+int(reqSize) : segHdrSize+int(reqSize)+int(repSize)]
+func bindSegment(mem []byte, ringBytes uint32) *shmSegment {
+	reqData := mem[segHdrSize : segHdrSize+int(ringBytes)]
+	repData := mem[segHdrSize+int(ringBytes) : segmentSize(ringBytes)]
 	return &shmSegment{
 		mem: mem,
 		req: bindRing(mem, offReqTail, offReqHead, offReqCons, offReqProd, reqData),

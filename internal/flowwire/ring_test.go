@@ -170,8 +170,8 @@ func TestRingConcurrentStress(t *testing.T) {
 // and client-side attach, and checks attach rejects every corrupted header.
 func TestSegmentInitAttach(t *testing.T) {
 	const ringSize = 128
-	mem := alignedMem(segmentSize(ringSize, ringSize))
-	seg, err := initSegment(mem, ringSize, ringSize)
+	mem := alignedMem(segmentSize(ringSize))
+	seg, err := initSegment(mem, ringSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +189,8 @@ func TestSegmentInitAttach(t *testing.T) {
 	}
 
 	corrupt := func(name string, mutate func([]byte)) {
-		m := alignedMem(segmentSize(ringSize, ringSize))
-		if _, err := initSegment(m, ringSize, ringSize); err != nil {
+		m := alignedMem(segmentSize(ringSize))
+		if _, err := initSegment(m, ringSize); err != nil {
 			t.Fatal(err)
 		}
 		mutate(m)
@@ -200,12 +200,13 @@ func TestSegmentInitAttach(t *testing.T) {
 	}
 	corrupt("bad magic", func(m []byte) { u32at(m, offMagic).Store(0xdead) })
 	corrupt("bad version", func(m []byte) { u32at(m, offVersion).Store(shmLayoutVer + 1) })
-	corrupt("non-power-of-two ring", func(m []byte) { u32at(m, offReqSize).Store(100) })
-	corrupt("oversized claim", func(m []byte) { u32at(m, offRepSize).Store(1 << 24) })
+	corrupt("non-power-of-two ring", func(m []byte) { u32at(m, offRingSize).Store(100) })
+	corrupt("oversized claim", func(m []byte) { u32at(m, offRingSize).Store(1 << 24) })
+	corrupt("undersized claim", func(m []byte) { u32at(m, offRingSize).Store(ringSize / 2) })
 	if _, err := attachSegment(alignedMem(100)); err == nil {
 		t.Error("attachSegment accepted a sub-header mapping")
 	}
-	if _, err := initSegment(mem, ringSize, 256); err == nil {
+	if _, err := initSegment(mem, 2*ringSize); err == nil {
 		t.Error("initSegment accepted a mapping shorter than its geometry")
 	}
 }

@@ -104,8 +104,9 @@ type serverCounters struct {
 }
 
 // Server serves a flowserve table over the wire protocol. Create with
-// NewServer, run with Serve/ListenAndServeEndpoint, stop with Drain
-// (graceful) or Close (abrupt).
+// NewServer, run with Serve on a ListenEndpoint listener, stop with Drain
+// (graceful) or Close (abrupt). Either stop sets draining, and nothing
+// unsets it.
 type Server struct {
 	cfg Config
 
@@ -113,7 +114,6 @@ type Server struct {
 	ln       net.Listener
 	conns    map[*srvConn]struct{}
 	draining atomic.Bool
-	closed   bool
 
 	// cl is the cluster state (shard map, migration engine); nil on a
 	// standalone server, which keeps the hot paths cluster-free.
@@ -152,23 +152,13 @@ func (s *Server) clusterMap() *ShardMap {
 	return s.cl.m.Load()
 }
 
-// ListenAndServeEndpoint listens on a parsed endpoint — tcp://host:port,
-// unix:///path or shm:///path — and calls Serve. The server runtime is
-// transport-agnostic: every connection runs the same loop whatever
-// net.Listener accepted it.
-func (s *Server) ListenAndServeEndpoint(ep Endpoint) error {
-	ln, err := ListenEndpoint(ep)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Serve accepts connections on ln until Drain or Close stops it, then
-// returns ErrServerClosed. One goroutine is spawned per connection.
+// returns ErrServerClosed. One goroutine is spawned per connection. The
+// runtime is transport-agnostic: every connection runs the same loop
+// whatever net.Listener accepted it.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
-	if s.closed || s.draining.Load() {
+	if s.draining.Load() {
 		s.mu.Unlock()
 		ln.Close()
 		return ErrServerClosed
@@ -178,7 +168,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
-			if s.draining.Load() || s.isClosed() {
+			if s.draining.Load() {
 				return ErrServerClosed
 			}
 			return err
@@ -186,7 +176,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.c.connsAccepted.Add(1)
 		c := newSrvConn(s, nc)
 		s.mu.Lock()
-		if s.draining.Load() || s.closed {
+		if s.draining.Load() {
 			// Raced with Drain: refuse rather than serve a half-tracked conn.
 			s.mu.Unlock()
 			nc.Close()
@@ -198,23 +188,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.mu.Unlock()
 		go c.serve()
 	}
-}
-
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
-// Addr returns the listener's address (useful with ":0"), or nil before
-// Serve.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
 }
 
 // DrainReport summarises a graceful drain: the frame/reply ledger at the
@@ -286,7 +259,6 @@ func (s *Server) Drain(timeout time.Duration) DrainReport {
 // use Drain to stop gracefully.
 func (s *Server) Close() {
 	s.mu.Lock()
-	s.closed = true
 	s.draining.Store(true)
 	if s.ln != nil {
 		s.ln.Close()

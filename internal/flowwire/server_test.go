@@ -330,6 +330,45 @@ func TestServerRejectsMalformedLookupManyPayload(t *testing.T) {
 	}
 }
 
+// TestServeOneRefusals sends each frame serveOne answers with a typed error
+// and checks the reply, that the connection keeps serving, and that the
+// table did not change.
+func TestServeOneRefusals(t *testing.T) {
+	_, solo, soloEp := startServer(t, flowserve.Config{Shards: 4, Entries: 1024, KeyLen: 20}, Config{})
+	_, node, nodeEp := startClusterNode(t)
+	fillTable(t, solo, 50)
+	fillTable(t, node, 50)
+	short := purgeRecord(0, 0)
+	short.Key = short.Key[:7]
+	for _, tc := range []struct {
+		name    string
+		ep      Endpoint
+		op      Op
+		payload []byte
+		want    Status
+	}{
+		{"short-insert", soloEp, OpInsert, make([]byte, 7), StatusErrMalformed},
+		{"insert-keylen", soloEp, OpInsert, make([]byte, 8+19), StatusErrKeyLen},
+		{"delete-keylen", soloEp, OpDelete, make([]byte, 21), StatusErrKeyLen},
+		{"mig-status-standalone", soloEp, OpMigStatus, nil, StatusErrCluster},
+		{"malformed-mig-apply", nodeEp, OpMigApply, []byte{1, 0, 0}, StatusErrMalformed},
+		{"purge-7-byte-key", nodeEp, OpMigApply, appendMigRecords(nil, []MigRecord{short}), StatusErrMalformed},
+	} {
+		nc := rawConn(t, tc.ep)
+		nc.Write(AppendFrame(nil, &Frame{Op: tc.op, ReqID: 61, Payload: tc.payload}))
+		if f := readReply(t, nc); f.Op != tc.op || f.Status != tc.want || f.ReqID != 61 || len(f.Payload) != 0 {
+			t.Errorf("%s: reply %+v, want %v/61 with no payload", tc.name, f, tc.want)
+		}
+		nc.Write(lookupFrame(nil, 62, wkey(1)))
+		if f := readReply(t, nc); f.Status != StatusOK || oneResult(t, f).Value != 2 {
+			t.Errorf("%s: lookup after the refusal = %+v", tc.name, f)
+		}
+	}
+	if solo.Size() != 50 || node.Size() != 50 {
+		t.Fatalf("table sizes after the refusals = %d and %d, want 50 and 50", solo.Size(), node.Size())
+	}
+}
+
 // assertClosed verifies the server hangs up after a fatal protocol error.
 func assertClosed(t *testing.T, nc net.Conn) {
 	t.Helper()

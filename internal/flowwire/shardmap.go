@@ -174,30 +174,11 @@ func (m *ShardMap) Assign(rg Range, node uint32) error {
 //	nodeCount u32, then per node: transport u8, addrLen u16, addr bytes
 //	splitCount u32, then per split: start u64, node u32
 
-func transportCode(t string) byte {
-	switch t {
-	case TransportUnix:
-		return 1
-	case TransportShm:
-		return 2
-	}
-	return 0
-}
-
-func transportFromCode(c byte) (string, error) {
-	switch c {
-	case 0:
-		return TransportTCP, nil
-	case 1:
-		return TransportUnix, nil
-	case 2:
-		return TransportShm, nil
-	}
-	return "", fmt.Errorf("flowwire: unknown transport code %d", c)
-}
-
 func appendEndpoint(dst []byte, ep Endpoint) []byte {
-	dst = append(dst, transportCode(ep.Transport))
+	// A name that fails the check never came from ParseEndpoint; like "",
+	// it encodes as tcp.
+	code, _ := transportIndex(ep.Transport)
+	dst = append(dst, code)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(ep.Addr)))
 	return append(dst, ep.Addr...)
 }
@@ -206,15 +187,14 @@ func parseEndpointWire(p []byte) (Endpoint, []byte, error) {
 	if len(p) < 3 {
 		return Endpoint{}, nil, fmt.Errorf("flowwire: truncated endpoint")
 	}
-	transport, err := transportFromCode(p[0])
-	if err != nil {
-		return Endpoint{}, nil, err
+	if int(p[0]) >= len(transports) {
+		return Endpoint{}, nil, fmt.Errorf("flowwire: unknown transport code %d", p[0])
 	}
 	n := int(binary.LittleEndian.Uint16(p[1:3]))
 	if len(p) < 3+n {
 		return Endpoint{}, nil, fmt.Errorf("flowwire: truncated endpoint address")
 	}
-	return Endpoint{Transport: transport, Addr: string(p[3 : 3+n])}, p[3+n:], nil
+	return Endpoint{Transport: transports[p[0]], Addr: string(p[3 : 3+n])}, p[3+n:], nil
 }
 
 // AppendShardMap encodes m onto dst.

@@ -1,11 +1,13 @@
 package flowwire
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -56,7 +58,7 @@ func TestShmTransportOps(t *testing.T) {
 	if err := cl.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if c := cl.Counters(); c.Errors != 0 {
+	if c := countsOf(cl); c.errors != 0 {
 		t.Fatalf("clean shm run counted errors: %+v", c)
 	}
 }
@@ -162,6 +164,69 @@ func TestStaleShmSweepTakesPathLiterally(t *testing.T) {
 		}
 		if _, err := os.Lstat(decoy); err != nil {
 			t.Errorf("%s: sweep removed %s's segment: %v", tc.name, tc.decoy, err)
+		}
+	}
+}
+
+// fakeShmServer answers one dial on a fresh handshake socket with a
+// well-formed hello naming segPath, as a broken or hostile server might, and
+// returns the socket's path.
+func fakeShmServer(t *testing.T, segPath string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "fake.sock")
+	ln, err := net.Listen("unix", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		hello := binary.LittleEndian.AppendUint32(nil, shmMagic)
+		hello = binary.LittleEndian.AppendUint32(hello, shmLayoutVer)
+		hello = binary.LittleEndian.AppendUint32(hello, uint32(os.Getpid()))
+		hello = binary.LittleEndian.AppendUint16(hello, uint16(len(segPath)))
+		nc.Write(append(hello, segPath...))
+		io.Copy(io.Discard, nc) // until the client hangs up
+	}()
+	return path
+}
+
+// TestShmDialRefusesBadSegments: the segment header is the one statement of
+// the ring geometry, so the client holds the file to it. A file larger than
+// the largest valid segment is refused before it is mapped (a sparse file:
+// mapping it would have succeeded and failed later, on the magic), and a
+// header whose ring size disagrees with the file's size is refused after.
+func TestShmDialRefusesBadSegments(t *testing.T) {
+	dir := t.TempDir()
+	huge := filepath.Join(dir, "huge.seg")
+	if err := os.WriteFile(huge, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(huge, int64(segmentSize(maxShmRingBytes))+1); err != nil {
+		t.Fatal(err)
+	}
+	lying := filepath.Join(dir, "lying.seg")
+	mem := alignedMem(segmentSize(minShmRingBytes))
+	if _, err := initSegment(mem, minShmRingBytes); err != nil {
+		t.Fatal(err)
+	}
+	u32at(mem, offRingSize).Store(2 * minShmRingBytes)
+	if err := os.WriteFile(lying, mem, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ seg, want string }{
+		{huge, "outside"},
+		{lying, "header claims"},
+	} {
+		if c, err := dialShm(fakeShmServer(t, tc.seg), 5*time.Second); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if c != nil {
+				c.Close()
+			}
+			t.Errorf("dial with segment %s: err = %v, want one that mentions %q", filepath.Base(tc.seg), err, tc.want)
 		}
 	}
 }

@@ -17,8 +17,9 @@ import (
 // is a filesystem path, exactly like unix — a unix-domain socket is bound
 // there and brokers every connection: the server creates a per-connection
 // segment file next to the socket, maps it, and sends the client a small
-// handshake message naming the file and its ring geometry; the client maps
-// the file and acks. The socket then stays open for the life of the
+// handshake message naming the file; the client maps the file, checks the
+// segment header (ring.go: the one place the ring geometry is stated) and
+// acks. The socket then stays open for the life of the
 // connection as the doorbell and liveness channel, and the segment file is
 // unlinked the moment the ack lands — from then on the memory is anonymous
 // (the mappings keep it alive) and a crash leaks nothing.
@@ -28,11 +29,9 @@ import (
 //	offset  size  field
 //	0       4     magic ("HALO")
 //	4       4     layout version
-//	8       4     request-ring bytes
-//	12      4     reply-ring bytes
-//	16      4     server PID
-//	20      2     segment path length
-//	22      ...   segment path
+//	8       4     server PID
+//	12      2     segment path length
+//	14      ...   segment path
 //
 // Client → server: the ack byte (0x42) followed by the client's PID (4
 // bytes). The PIDs feed the spin-budget choice (shmconn.go): a conn that
@@ -42,7 +41,7 @@ import (
 const (
 	shmHandshakeTimeout = 5 * time.Second
 	shmAckByte          = 0x42
-	shmHelloFixed       = 22
+	shmHelloFixed       = 14
 	shmAckLen           = 5
 	shmMaxPathLen       = 4096
 )
@@ -138,7 +137,7 @@ func (l *shmListener) Accept() (net.Conn, error) {
 // for the ack, unlink the file.
 func (l *shmListener) handshake(uc *net.UnixConn) (conn net.Conn, err error) {
 	segPath := l.segmentPath()
-	size := segmentSize(l.ringBytes, l.ringBytes)
+	size := segmentSize(l.ringBytes)
 	f, err := os.OpenFile(segPath, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
 	if err != nil {
 		return nil, fmt.Errorf("%w: create segment: %v", errShmHandshake, err)
@@ -164,7 +163,7 @@ func (l *shmListener) handshake(uc *net.UnixConn) (conn net.Conn, err error) {
 			munmap(mem)
 		}
 	}()
-	seg, err := initSegment(mem, l.ringBytes, l.ringBytes)
+	seg, err := initSegment(mem, l.ringBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -173,8 +172,6 @@ func (l *shmListener) handshake(uc *net.UnixConn) (conn net.Conn, err error) {
 	hello := make([]byte, 0, shmHelloFixed+len(segPath))
 	hello = binary.LittleEndian.AppendUint32(hello, shmMagic)
 	hello = binary.LittleEndian.AppendUint32(hello, shmLayoutVer)
-	hello = binary.LittleEndian.AppendUint32(hello, l.ringBytes)
-	hello = binary.LittleEndian.AppendUint32(hello, l.ringBytes)
 	hello = binary.LittleEndian.AppendUint32(hello, uint32(os.Getpid()))
 	hello = binary.LittleEndian.AppendUint16(hello, uint16(len(segPath)))
 	hello = append(hello, segPath...)
@@ -182,7 +179,7 @@ func (l *shmListener) handshake(uc *net.UnixConn) (conn net.Conn, err error) {
 		return nil, fmt.Errorf("%w: send hello: %v", errShmHandshake, werr)
 	}
 	var ack [shmAckLen]byte
-	if _, rerr := readFull(uc, ack[:]); rerr != nil || ack[0] != shmAckByte {
+	if _, rerr := io.ReadFull(uc, ack[:]); rerr != nil || ack[0] != shmAckByte {
 		return nil, fmt.Errorf("%w: ack: %v (byte %#x)", errShmHandshake, rerr, ack[0])
 	}
 	clientPid := int(binary.LittleEndian.Uint32(ack[1:5]))
@@ -198,7 +195,7 @@ func (l *shmListener) Close() error   { return l.ul.Close() }
 func (l *shmListener) Addr() net.Addr { return shmAddr(l.path) }
 
 // dialShm runs the client side: dial the handshake socket, learn the
-// segment's path and geometry, map it, ack.
+// segment's path, map the file and check its header, ack.
 func dialShm(addr string, timeout time.Duration) (conn net.Conn, err error) {
 	nc, err := net.DialTimeout("unix", addr, timeout)
 	if err != nil {
@@ -216,7 +213,7 @@ func dialShm(addr string, timeout time.Duration) (conn net.Conn, err error) {
 	uc.SetDeadline(time.Now().Add(timeout))
 
 	var fixed [shmHelloFixed]byte
-	if _, rerr := readFull(uc, fixed[:]); rerr != nil {
+	if _, rerr := io.ReadFull(uc, fixed[:]); rerr != nil {
 		return nil, fmt.Errorf("%w: hello: %v", errShmHandshake, rerr)
 	}
 	if m := binary.LittleEndian.Uint32(fixed[0:4]); m != shmMagic {
@@ -225,43 +222,34 @@ func dialShm(addr string, timeout time.Duration) (conn net.Conn, err error) {
 	if v := binary.LittleEndian.Uint32(fixed[4:8]); v != shmLayoutVer {
 		return nil, fmt.Errorf("%w: layout version %d, want %d", errShmHandshake, v, shmLayoutVer)
 	}
-	reqSize := binary.LittleEndian.Uint32(fixed[8:12])
-	repSize := binary.LittleEndian.Uint32(fixed[12:16])
-	if err := checkRingBytes(reqSize); err != nil {
-		return nil, err
-	}
-	if err := checkRingBytes(repSize); err != nil {
-		return nil, err
-	}
-	serverPid := int(binary.LittleEndian.Uint32(fixed[16:20]))
-	pathLen := int(binary.LittleEndian.Uint16(fixed[20:22]))
+	serverPid := int(binary.LittleEndian.Uint32(fixed[8:12]))
+	pathLen := int(binary.LittleEndian.Uint16(fixed[12:14]))
 	if pathLen == 0 || pathLen > shmMaxPathLen {
 		return nil, fmt.Errorf("%w: segment path length %d", errShmHandshake, pathLen)
 	}
 	pathBuf := make([]byte, pathLen)
-	if _, rerr := readFull(uc, pathBuf); rerr != nil {
+	if _, rerr := io.ReadFull(uc, pathBuf); rerr != nil {
 		return nil, fmt.Errorf("%w: segment path: %v", errShmHandshake, rerr)
 	}
-	segPath := string(pathBuf)
 
-	f, err := os.OpenFile(segPath, os.O_RDWR, 0)
+	f, err := os.OpenFile(string(pathBuf), os.O_RDWR, 0)
 	if err != nil {
 		return nil, fmt.Errorf("%w: open segment: %v", errShmHandshake, err)
 	}
-	size := segmentSize(reqSize, repSize)
-	fi, serr := f.Stat()
-	if serr != nil {
-		f.Close()
-		return nil, fmt.Errorf("%w: stat segment: %v", errShmHandshake, serr)
+	// Bound the size before mapping anything: attachSegment checks the
+	// exact geometry, but only once the mapping exists.
+	var mem []byte
+	fi, err := f.Stat()
+	switch {
+	case err != nil:
+	case fi.Size() < segHdrSize || fi.Size() > int64(segmentSize(maxShmRingBytes)):
+		err = fmt.Errorf("%d bytes, outside [%d, %d]", fi.Size(), segHdrSize, segmentSize(maxShmRingBytes))
+	default:
+		mem, err = mmapFile(f, int(fi.Size()))
 	}
-	if fi.Size() != int64(size) {
-		f.Close()
-		return nil, fmt.Errorf("%w: segment is %d bytes, want %d", errShmHandshake, fi.Size(), size)
-	}
-	mem, err := mmapFile(f, size)
 	f.Close()
 	if err != nil {
-		return nil, fmt.Errorf("%w: map segment: %v", errShmHandshake, err)
+		return nil, fmt.Errorf("%w: segment: %v", errShmHandshake, err)
 	}
 	seg, err := attachSegment(mem)
 	if err != nil {
@@ -275,8 +263,4 @@ func dialShm(addr string, timeout time.Duration) (conn net.Conn, err error) {
 	}
 	uc.SetDeadline(time.Time{})
 	return newShmConn(seg, uc, addr, false, serverPid), nil
-}
-
-func readFull(uc *net.UnixConn, p []byte) (int, error) {
-	return io.ReadFull(uc, p)
 }

@@ -32,17 +32,31 @@ const (
 // ErrBadTransport reports an unknown transport name.
 var ErrBadTransport = errors.New(`flowwire: unknown transport (want "tcp", "unix" or "shm")`)
 
+// transports lists the transport names in wire-code order: a SHARD_MAP
+// endpoint carries its transport as an index into this list, so it is only
+// ever appended to.
+var transports = [...]string{TransportTCP, TransportUnix, TransportShm}
+
+// transportIndex returns transport's wire code ("" means TransportTCP).
+func transportIndex(transport string) (byte, error) {
+	if transport == "" {
+		return 0, nil
+	}
+	for i, t := range transports {
+		if t == transport {
+			return byte(i), nil
+		}
+	}
+	return 0, fmt.Errorf("%w: %q", ErrBadTransport, transport)
+}
+
 // CheckTransport validates a transport name ("" means TransportTCP).
 func CheckTransport(transport string) (string, error) {
-	switch transport {
-	case "", TransportTCP:
-		return TransportTCP, nil
-	case TransportUnix:
-		return TransportUnix, nil
-	case TransportShm:
-		return TransportShm, nil
+	i, err := transportIndex(transport)
+	if err != nil {
+		return "", err
 	}
-	return "", fmt.Errorf("%w: %q", ErrBadTransport, transport)
+	return transports[i], nil
 }
 
 // ListenEndpoint opens a listener on a parsed endpoint: a TCP "host:port", a

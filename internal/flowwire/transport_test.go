@@ -88,7 +88,7 @@ func TestUnixTransportOps(t *testing.T) {
 	if err := cl.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if c := cl.Counters(); c.Errors != 0 {
+	if c := countsOf(cl); c.errors != 0 {
 		t.Fatalf("clean unix run counted errors: %+v", c)
 	}
 }

@@ -1,7 +1,8 @@
 // Package flowwire puts the flowserve runtime on the network: a
-// length-prefixed binary protocol over TCP, a server runtime
-// (cmd/flowserved) and a pooled pipelined client, both speaking the same
-// versioned frame format. Every lookup travels as one LOOKUP_MANY frame,
+// length-prefixed binary protocol over tcp, unix sockets or shared-memory
+// rings, a server runtime (cmd/flowserved: ListenEndpoint, then
+// Server.Serve) and a pooled pipelined client (DialEndpoint), both speaking
+// the same versioned frame format. Every lookup travels as one LOOKUP_MANY frame,
 // the wire form of the paper's batched LOOKUP_NB; a blocking single-key
 // lookup (LOOKUP_B) is a one-key frame waited on at once. The other ops are
 // the mutation and introspection ops a remote table needs. *flowwire.Client

@@ -8,6 +8,7 @@ import (
 	"halo/internal/flowserve"
 	"halo/internal/flowwire"
 	"halo/internal/loadgen"
+	"halo/internal/stats"
 	"halo/internal/trafficgen"
 )
 
@@ -199,8 +200,12 @@ func pipeliningExperiment(transport string) Experiment {
 					return SeedResult{}, e
 				}
 			}
-			if c := cl.Counters(); c != (flowwire.ClientCounters{}) {
-				return SeedResult{}, fmt.Errorf("client counters %+v, want zeroes", c)
+			snap := stats.NewSnapshot()
+			cl.CollectInto(snap)
+			for _, name := range snap.Names() {
+				if v := snap.Counter(name); v != 0 {
+					return SeedResult{}, fmt.Errorf("client counter %s = %d, want 0", name, v)
+				}
 			}
 			return sr, nil
 		},

@@ -101,11 +101,6 @@ func bucketUpperRes(idx int, b uint) uint64 {
 	return (uint64(1) << exp) + (sub+1)<<(exp-b) - 1
 }
 
-// bucketIndex and bucketUpper are the default-resolution mappings (kept as
-// named functions: the simulator documents and their tests pin this layout).
-func bucketIndex(v uint64) int   { return bucketIndexRes(v, DefaultSubBits) }
-func bucketUpper(idx int) uint64 { return bucketUpperRes(idx, DefaultSubBits) }
-
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
 	if h.buckets == nil {

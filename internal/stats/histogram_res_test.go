@@ -12,7 +12,7 @@ func TestBucketMappingHighRes(t *testing.T) {
 		for _, v := range []uint64{0, 1, 15, 16, 17, 255, 256, 1023, 1024, 99_999, 1 << 40, 1<<63 + 12345} {
 			idx := bucketIndexRes(v, b)
 			if up := bucketUpperRes(idx, b); up < v {
-				t.Fatalf("res %d: bucketUpper(%d) = %d < observed %d", b, idx, up, v)
+				t.Fatalf("res %d: bucketUpperRes(%d) = %d < observed %d", b, idx, up, v)
 			}
 			if idx > 0 && bucketUpperRes(idx-1, b) >= v {
 				t.Fatalf("res %d: value %d not in its tightest bucket %d", b, v, idx)

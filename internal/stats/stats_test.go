@@ -11,12 +11,12 @@ func TestBucketIndexUpperConsistent(t *testing.T) {
 	// Every value maps into a bucket whose upper bound is >= the value and
 	// whose predecessor's upper bound is < the value.
 	for _, v := range []uint64{0, 1, 15, 16, 17, 31, 32, 33, 100, 1023, 1024, 1 << 20, 1<<40 + 12345} {
-		idx := bucketIndex(v)
-		if up := bucketUpper(idx); up < v {
+		idx := bucketIndexRes(v, DefaultSubBits)
+		if up := bucketUpperRes(idx, DefaultSubBits); up < v {
 			t.Errorf("value %d: bucket %d upper bound %d < value", v, idx, up)
 		}
 		if idx > 0 {
-			if up := bucketUpper(idx - 1); up >= v {
+			if up := bucketUpperRes(idx-1, DefaultSubBits); up >= v {
 				t.Errorf("value %d: previous bucket %d upper bound %d >= value", v, idx-1, up)
 			}
 		}

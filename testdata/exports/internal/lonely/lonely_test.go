@@ -3,7 +3,7 @@ package lonely
 import "testing"
 
 func TestUnread(t *testing.T) {
-	if Unread != 2 {
-		t.Fatal(Unread)
+	if Unread != 2 || testOnly() != 3 {
+		t.Fatal(Unread, testOnly())
 	}
 }
